@@ -7,10 +7,12 @@ Subcommands::
     spinor-s3 verify     --suite NAME[,NAME...] [--k-max N]
                          [--rule tensor|mc] [--samples N] [--seed S]
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage errors.
-Exact values are printed as num/den strings; floating point appears only
-in quadrature reports (12 significant digits).  The environment variable
-SPINOR_S3_THREADS bounds the verify fan-out across degrees.
+Exit codes: 0 on success, 1 on verification failure, 2 on usage and
+input errors (among them a bad SPINOR_S3_THREADS, an unwritable --out
+and a request that would run no checks).  Exact values are printed as
+num/den strings; floating point appears only in quadrature reports (12
+significant digits).  The environment variable SPINOR_S3_THREADS bounds
+the verify fan-out across degrees.
 """
 
 from __future__ import annotations
@@ -45,6 +47,7 @@ class RunConfig:
     samples: int = 1_000_000
     seed: int = 0
     unsafe_k: bool = False
+    workers: int = 1
 
     def check_cap(self) -> Optional[str]:
         if self.unsafe_k:
@@ -89,12 +92,18 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
+def _emit(text: str, out: Optional[str]) -> int:
+    """Write ``text`` to the file ``out``, or to stdout; return the exit code."""
+    if not out:
+        sys.stdout.write(text)
+        return 0
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        print(f"error: cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def cmd_spectrum(config: RunConfig) -> int:
@@ -106,8 +115,7 @@ def cmd_spectrum(config: RunConfig) -> int:
         for r in rows:
             lines.append(f"{r.k:>4}  {str(r.eigenvalue):>12}  {r.multiplicity:>12}")
         text = "\n".join(lines) + "\n"
-    _emit(text, config.out)
-    return 0
+    return _emit(text, config.out)
 
 
 def cmd_eigenbasis(config: RunConfig) -> int:
@@ -131,21 +139,22 @@ def cmd_eigenbasis(config: RunConfig) -> int:
         )
         sections.append(record)
     doc = {"k": config.k, "count": len(sections), "sections": sections}
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
-    return 0
+    return _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
 
 
 def cmd_verify(config: RunConfig) -> int:
-    suites = config.suites
-    workers = int(os.environ.get("SPINOR_S3_THREADS", "1") or "1")
     results = run_suites(
-        suites,
+        config.suites,
         k_max=config.k_max,
         rule=config.rule,
         samples=config.samples,
         seed=config.seed,
-        workers=max(workers, 1),
+        workers=config.workers,
     )
+    if not results:
+        # zero checks run is not a pass
+        print("error: no checks ran", file=sys.stderr)
+        return 2
     failed = 0
     for r in results:
         print(r.line())
@@ -197,7 +206,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     if unknown or not names:
         print(f"error: unknown suite(s): {', '.join(unknown) or '(none given)'}", file=sys.stderr)
         return 2
+    if config.k_max is not None and config.k_max < 0:
+        print("error: --k-max must be >= 0", file=sys.stderr)
+        return 2
+    if config.samples < 1:
+        print("error: --samples must be >= 1", file=sys.stderr)
+        return 2
+    if config.seed < 0:
+        print("error: --seed must be >= 0", file=sys.stderr)
+        return 2
+    threads = os.environ.get("SPINOR_S3_THREADS", "") or "1"
+    if not threads.isdecimal() or int(threads) < 1:
+        print(f"error: SPINOR_S3_THREADS must be a positive integer, got {threads!r}",
+              file=sys.stderr)
+        return 2
     config.suites = names
+    config.workers = int(threads)
     return cmd_verify(config)
 
 

@@ -305,17 +305,14 @@ def _check_gram(k_max: int = 5) -> list[CheckResult]:
         diagonal = all(
             gram[i][j].is_zero() for i in range(n) for j in range(n) if i != j
         )
-        ratios = set()
-        real = True
-        for p in range(k + 1):
-            for q in range(k + 1):
-                entry = gram[p * (k + 1) + q][p * (k + 1) + q].coefficient
-                real = real and entry.im == 0
-                ratios.add(entry.re * math.comb(k, p) * math.comb(k, q))
-        ok = diagonal and real and len(ratios) == 1
-        constant = next(iter(ratios)) if len(ratios) == 1 else None
-        out.append(_result("integral", f"gram structure k={k}", ok,
-                           f"diagonal, proportional to 1/(C(k,p)C(k,q)); constant {constant}",
+        exact = all(
+            gram[p * (k + 1) + q][p * (k + 1) + q].coefficient
+            == gauss(Fraction(1, (k + 1) * math.comb(k, p) * math.comb(k, q)))
+            for p in range(k + 1)
+            for q in range(k + 1)
+        )
+        out.append(_result("integral", f"gram structure k={k}", diagonal and exact,
+                           f"diagonal, exactly 1/({k + 1} C({k},p) C({k},q)) in 2pi^2 units",
                            (4, k)))
     return out
 

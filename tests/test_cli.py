@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from spinor_s3.cli import main
 
 
@@ -148,3 +150,81 @@ def test_verify_integral_mc_small(capsys):
     )
     assert code == 0
     assert "monte carlo vs exact" in out
+
+
+# -- usage and input errors: exit 2 with one error line, never a traceback --
+
+
+def assert_usage_error(code, out, err, needle):
+    assert code == 2
+    assert out == ""
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error:")
+    assert needle in lines[0]
+
+
+def test_verify_negative_k_max_is_usage_error(capsys):
+    # casimir at k-max -1 used to run zero checks and exit 0
+    code, out, err = run(capsys, "verify", "--suite", "casimir", "--k-max", "-1")
+    assert_usage_error(code, out, err, "--k-max")
+
+
+def test_verify_empty_result_set_is_an_error(capsys, monkeypatch):
+    import spinor_s3.cli as cli
+
+    monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [])
+    code, out, err = run(capsys, "verify", "--suite", "casimir")
+    assert_usage_error(code, out, err, "no checks ran")
+
+
+def test_verify_zero_samples_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "integral", "--samples", "0")
+    assert_usage_error(code, out, err, "--samples")
+
+
+def test_verify_negative_seed_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "integral", "--seed", "-1")
+    assert_usage_error(code, out, err, "--seed")
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
+def test_verify_bad_thread_count_is_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("SPINOR_S3_THREADS", value)
+    code, out, err = run(capsys, "verify", "--suite", "casimir", "--k-max", "1")
+    assert_usage_error(code, out, err, "SPINOR_S3_THREADS")
+
+
+def test_verify_empty_thread_count_means_one(capsys, monkeypatch):
+    monkeypatch.setenv("SPINOR_S3_THREADS", "")
+    code, out, _ = run(capsys, "verify", "--suite", "casimir", "--k-max", "1")
+    assert code == 0
+    assert out.strip().endswith("4/4 checks passed")
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--k-max", "1"),
+    ("spectrum", "--k-max", "1", "--format", "json"),
+    ("eigenbasis", "--k", "1"),
+])
+def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
+    missing = tmp_path / "no" / "such" / "dir" / "x.json"
+    code, out, err = run(capsys, *argv, "--out", str(missing))
+    assert_usage_error(code, out, err, str(missing))
+    assert not missing.exists()
+
+
+def test_gram_check_demands_the_exact_constant(monkeypatch):
+    # a Gram matrix off by a constant factor is still diagonal and
+    # proportional to 1/(C(k,p)C(k,q)); the verify check must fail it
+    from spinor_s3 import verify
+    from spinor_s3.exactnum import gauss
+    from spinor_s3.geometry import IntegralValue, gram_matrix
+
+    good = verify._check_gram(2)
+    assert [r.passed for r in good] == [True, True, True]
+
+    def doubled(k):
+        return [[IntegralValue(v.coefficient * gauss(2)) for v in row] for row in gram_matrix(k)]
+
+    monkeypatch.setattr(verify, "gram_matrix", doubled)
+    assert [r.passed for r in verify._check_gram(2)] == [False, False, False]

@@ -1,0 +1,163 @@
+"""Exact linear algebra against an independent oracle.
+
+``linalg`` computes on Gaussian integers over a common denominator;
+sympy's ``Matrix`` computes on symbolic Gaussian rationals.  Both must give
+the same exact answers for ``charpoly``, ``rank``/``nullity`` and
+``mat_mul`` on random matrices with non-unit denominators (square,
+non-square and rank-deficient), on the Dbar blocks and on the empty
+matrix.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from spinor_s3 import linalg
+from spinor_s3.abstract_dirac import dbar_block_matrix
+from spinor_s3.exactnum import GaussianRational, gauss
+
+sympy = pytest.importorskip("sympy")
+
+X = sympy.Symbol("x")
+
+
+def _is_zero(expr) -> bool:
+    return sympy.expand(expr) == 0
+
+
+def to_sympy(a):
+    return sympy.Matrix(
+        len(a), len(a[0]) if a else 0,
+        [sympy.Rational(x.re.numerator, x.re.denominator)
+         + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
+         for row in a for x in row],
+    )
+
+
+def from_sympy(expr) -> GaussianRational:
+    expr = sympy.expand(expr)
+    re, im = sympy.re(expr), sympy.im(expr)
+    return gauss(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+
+
+def oracle_charpoly(a):
+    return [from_sympy(c) for c in to_sympy(a).charpoly(X).all_coeffs()]
+
+
+def oracle_rank(a):
+    return to_sympy(a).rank(iszerofunc=_is_zero)
+
+
+def random_entry(rng, zero_share):
+    if rng.random() < zero_share:
+        return gauss(0)
+    return gauss(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
+                 Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
+
+
+def random_matrix(rng, rows, cols, zero_share=0.3):
+    return [[random_entry(rng, zero_share) for _ in range(cols)] for _ in range(rows)]
+
+
+def low_rank_matrix(rng, rows, cols, r):
+    """A product of rows x r and r x cols factors: rank at most r."""
+    return linalg.mat_mul(random_matrix(rng, rows, r, 0.0), random_matrix(rng, r, cols, 0.0))
+
+
+SEEDS = range(6)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_charpoly_matches_sympy_on_random_matrices(seed):
+    rng = random.Random(seed)
+    a = random_matrix(rng, 1 + seed, 1 + seed)
+    assert linalg.charpoly(a) == oracle_charpoly(a)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_charpoly_matches_sympy_on_singular_matrices(seed):
+    rng = random.Random(100 + seed)
+    n = 3 + seed % 3
+    a = low_rank_matrix(rng, n, n, 1 + seed % 2)
+    char = linalg.charpoly(a)
+    assert char == oracle_charpoly(a)
+    assert char[-1].is_zero()  # det = 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", [(4, 4), (3, 6), (6, 3), (1, 5), (5, 1)])
+def test_rank_matches_sympy_on_random_matrices(seed, shape):
+    rng = random.Random(1000 * seed + 10 * shape[0] + shape[1])
+    a = random_matrix(rng, *shape, zero_share=0.5)
+    assert linalg.rank(a) == oracle_rank(a)
+    assert linalg.nullity(a) == shape[1] - oracle_rank(a)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape, r", [((5, 5), 2), ((4, 7), 3), ((7, 4), 1), ((6, 6), 5)])
+def test_rank_matches_sympy_on_rank_deficient_matrices(seed, shape, r):
+    rng = random.Random(2000 * seed + 7 * r + shape[0])
+    a = low_rank_matrix(rng, *shape, r)
+    expected = oracle_rank(a)
+    assert expected <= r
+    assert linalg.rank(a) == expected
+    assert linalg.nullity(a) == shape[1] - expected
+
+
+def test_rank_of_zero_and_repeated_rows():
+    rng = random.Random(7)
+    row = random_matrix(rng, 1, 5)[0]
+    assert linalg.rank([[gauss(0)] * 5 for _ in range(3)]) == 0
+    assert linalg.rank([row, row, [x * gauss(Fraction(2, 3), 1) for x in row]]) == 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 5, 4), (4, 1, 3), (1, 4, 1)])
+def test_mat_mul_matches_sympy(seed, shape):
+    rng = random.Random(3000 * seed + 100 * shape[0] + 10 * shape[1] + shape[2])
+    n, k, m = shape
+    a = random_matrix(rng, n, k)
+    b = random_matrix(rng, k, m)
+    product = to_sympy(a) * to_sympy(b)
+    expected = [[from_sympy(product[i, j]) for j in range(m)] for i in range(n)]
+    assert linalg.mat_mul(a, b) == expected
+
+
+def test_mat_mul_skips_only_zero_left_entries():
+    # a zero left entry times a nonzero right entry contributes nothing,
+    # a nonzero left entry times a zero right entry too
+    a = [[gauss(0), gauss(2, -1)], [gauss(Fraction(1, 3)), gauss(0)]]
+    b = [[gauss(5, 5), gauss(0)], [gauss(0), gauss(0, Fraction(1, 2))]]
+    assert linalg.mat_mul(a, b) == [
+        [gauss(0), gauss(Fraction(1, 2), 1)],
+        [gauss(Fraction(5, 3), Fraction(5, 3)), gauss(0)],
+    ]
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_dbar_blocks_match_sympy(k):
+    block = dbar_block_matrix(k)
+    n = len(block)
+    assert linalg.charpoly(block) == oracle_charpoly(block)
+    for shift in (k, -(k + 2)):
+        shifted = linalg.mat_add(block, linalg.mat_scale(linalg.identity(n), gauss(shift)))
+        assert linalg.rank(shifted) == oracle_rank(shifted)
+    square = linalg.mat_mul(block, block)
+    oracle = to_sympy(block) ** 2
+    assert square == [[from_sympy(oracle[i, j]) for j in range(n)] for i in range(n)]
+
+
+def test_empty_matrix():
+    assert linalg.charpoly([]) == oracle_charpoly([]) == [gauss(1)]
+    assert linalg.rank([]) == oracle_rank([]) == 0
+    assert linalg.nullity([]) == 0
+    assert linalg.mat_mul([], []) == []
+
+
+def test_charpoly_is_exact_with_large_denominators():
+    # d^j scaling must not round: a diagonal matrix's charpoly is the
+    # product of (x - a_ii), expanded by the GaussianRational route
+    entries = [Fraction(1, 97), Fraction(-5, 1024), Fraction(7, 3)]
+    a = [[gauss(entries[i]) if i == j else gauss(0) for j in range(3)] for i in range(3)]
+    assert linalg.charpoly(a) == linalg.charpoly_from_roots([(e, 1) for e in entries])
