@@ -24,15 +24,11 @@ from .polyring import (
     G2,
     G2_BAR,
     GM1,
-    Monomial,
     Polynomial,
     SpinorSection,
     X_VIEW,
     Z_VIEW,
-    change_view,
-    evaluate,
     laplacian_r4,
-    poly_arith,
 )
 from .repspace import KetVector, RepMatrix, apply_l, apply_sl2, casimir
 from .abstract_dirac import (

@@ -86,13 +86,35 @@ def killing_field_matrix(pair: KillingPair, view: str) -> tuple[tuple[GaussianRa
     return tuple(tuple(row) for row in b)
 
 
+def _exact(q: Fraction) -> Union[int, Fraction]:
+    """q as an int when it is one: Fraction * int skips a gcd."""
+    return q.numerator if q.denominator == 1 else q
+
+
+@lru_cache(maxsize=None)
+def _killing_shifts(pair: KillingPair, view: str) -> tuple:
+    """The nonzero entries (m, j, re, im) of :func:`killing_field_matrix`."""
+    matrix = killing_field_matrix(pair, view)
+    return tuple(
+        (m, j, _exact(c.re), _exact(c.im))
+        for m, row in enumerate(matrix)
+        for j, c in enumerate(row)
+        if not c.is_zero()
+    )
+
+
 def killing_derivative(
     sigma: Union[Polynomial, SpinorSection], pair: KillingPair
 ) -> Union[Polynomial, SpinorSection]:
     """Exact derivative of sigma along the field x -> xS - Tx.
 
-    Acts componentwise on spinor sections; preserves homogeneous degree
-    and harmonicity (the field is skew-symmetric on R^4).
+    The field is linear, u_m -> sum_j M[m][j] u_j in the view's own
+    generators, so the derivative is sum_m d_m sigma * (sum_j M[m][j] u_j):
+    a term c*u^e with e[m] > 0 moves c*e[m]*M[m][j] to the exponent
+    e - delta_m + delta_j, once per nonzero M[m][j].  In the z view the
+    frame fields have one unit entry per row, so that is four shifts a
+    term.  Acts componentwise on spinor sections; preserves homogeneous
+    degree and harmonicity (the field is skew-symmetric on R^4).
     """
     if isinstance(sigma, SpinorSection):
         return SpinorSection(
@@ -100,18 +122,38 @@ def killing_derivative(
             killing_derivative(sigma.g, pair),
             sigma.degree,
         )
-    matrix = killing_field_matrix(pair, sigma.view)
-    acc = Polynomial.zero(sigma.view)
-    for m in range(4):
-        pd = sigma.partial(m)
-        if pd.is_zero():
-            continue
-        component = Polynomial(
-            {tuple(1 if n == j else 0 for n in range(4)): matrix[m][j] for j in range(4)},
-            sigma.view,
-        )
-        acc = acc + pd * component
-    return acc
+    shifts = _killing_shifts(pair, sigma.view)
+    acc: dict = {}
+    for exp, coeff in sigma.terms.items():
+        a, b = coeff.re, coeff.im
+        for m, j, mr, mi in shifts:
+            e = exp[m]
+            if not e:
+                continue
+            if m == j:
+                key = exp
+            else:
+                key = list(exp)
+                key[m] = e - 1
+                key[j] += 1
+                key = tuple(key)
+            # (a + b i) * e * (mr + mi i), skipping the zero part of M[m][j]
+            if not mi:
+                re, im = a * (e * mr), b * (e * mr)
+            elif not mr:
+                re, im = b * (-e * mi), a * (e * mi)
+            else:
+                re, im = (a * mr - b * mi) * e, (a * mi + b * mr) * e
+            part = acc.get(key)
+            if part is None:
+                acc[key] = [re, im]
+            else:
+                part[0] += re
+                part[1] += im
+    return Polynomial(
+        {key: GaussianRational(re, im) for key, (re, im) in acc.items() if re or im},
+        sigma.view,
+    )
 
 
 def dbar_section(sigma: SpinorSection) -> SpinorSection:

@@ -10,14 +10,17 @@ Two coordinate views of the same function space are supported:
   where z1 = x0 + x1*i and z2 = x2 + x3*i.
 
 Both views are exact and conversion between them is an exact ring
-isomorphism, so neither representation is privileged.  Exponent tuples are
-ordered graded-lexicographically for deterministic output.
+isomorphism.  z is the compute view: the eigenbasis lives there and the
+calculus kernels (the flat Laplacian here, the Killing derivatives in
+``geometry``) work directly on its exponents.  The x view is kept for
+conversion and as a test oracle.  Exponent tuples are ordered
+graded-lexicographically for deterministic output.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Optional
 
 from .exactnum import (
@@ -36,18 +39,6 @@ X_VIEW = "x"
 Z_VIEW = "z"
 
 Exponents = tuple[int, int, int, int]
-
-
-@dataclass(frozen=True)
-class Monomial:
-    """An exponent tuple together with the view that interprets it."""
-
-    exponents: Exponents
-    view: str
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exponents)
 
 
 def _term_order(item):
@@ -107,9 +98,6 @@ class Polynomial:
     def is_homogeneous(self) -> bool:
         degs = {sum(exp) for exp in self.terms}
         return len(degs) <= 1
-
-    def monomials(self) -> list[Monomial]:
-        return [Monomial(exp, self.view) for exp, _ in self.terms_sorted()]
 
     def terms_sorted(self) -> list[tuple[Exponents, GaussianRational]]:
         return sorted(self.terms.items(), key=_term_order)
@@ -328,35 +316,46 @@ def _substitution_polys(source: str, target: str):
     raise ValueError(f"no conversion from {source!r} to {target!r}")
 
 
-# -- module-level operation surface -------------------------------------------
+# -- the flat Laplacian -------------------------------------------------------
 
-
-def poly_arith(a: Polynomial, b, op: str) -> Polynomial:
-    """Ring operation dispatch: op is "add", "mul" or "scale"."""
-    if op == "add":
-        return a + b
-    if op == "mul":
-        return a * b
-    if op == "scale":
-        return a.scale(b)
-    raise ValueError(f"unknown op {op!r}")
-
-
-def change_view(p: Polynomial, target: str) -> Polynomial:
-    return p.in_view(target)
+# The Laplacian as weighted second derivatives (i, j, w) in each view's
+# variables: sum_j d_j^2 in x, and 4(d_u0 d_u1 - d_u2 d_u3) in z, because
+# d_z d_zbar = (1/4)(d_re^2 + d_im^2) and u2 = -z1.
+_LAPLACIAN = {
+    X_VIEW: ((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),
+    Z_VIEW: ((0, 1, 4), (2, 3, -4)),
+}
 
 
 def laplacian_r4(p: Polynomial) -> Polynomial:
-    """Flat Laplacian sum_j d^2/dx_j^2, exact; returned in p's own view."""
-    px = p.in_view(X_VIEW)
-    acc = Polynomial.zero(X_VIEW)
-    for j in range(4):
-        acc = acc + px.partial(j).partial(j)
-    return acc.in_view(p.view)
+    """Flat Laplacian on R^4, exact, computed in p's own view."""
+    acc: dict = {}
+    for exp, coeff in p.terms.items():
+        for i, j, w in _LAPLACIAN[p.view]:
+            factor = exp[i] * (exp[j] - (i == j)) * w
+            if not factor:
+                continue
+            key = list(exp)
+            key[i] -= 1
+            key[j] -= 1
+            key = tuple(key)
+            re, im = coeff.re * factor, coeff.im * factor
+            part = acc.get(key)
+            if part is None:
+                acc[key] = [re, im]
+            else:
+                part[0] += re
+                part[1] += im
+    return Polynomial(
+        {key: GaussianRational(re, im) for key, (re, im) in acc.items() if re or im},
+        p.view,
+    )
 
 
-def evaluate(p: Polynomial, point) -> GaussianRational:
-    return p.evaluate(point)
+@lru_cache(maxsize=None)
+def _basis_product_split(r: int, i: int) -> tuple[GaussianRational, GaussianRational]:
+    """complex_split(e_r * e_i), computed once per (r, i)."""
+    return complex_split(quat_multiply(BASIS[r], BASIS[i]))
 
 
 class SpinorSection:
@@ -426,7 +425,7 @@ class SpinorSection:
         for comp, r in ((self.f, 0), (self.g, 2)):
             if comp.is_zero():
                 continue
-            alpha, beta = complex_split(quat_multiply(BASIS[r], BASIS[i]))
+            alpha, beta = _basis_product_split(r, i)
             if not alpha.is_zero():
                 new_f = new_f + comp.scale(alpha)
             if not beta.is_zero():

@@ -72,16 +72,6 @@ class TransferImage:
         )
 
 
-@dataclass(frozen=True)
-class LoweringOperator:
-    """One of the two lowering directions, acting on polynomials."""
-
-    side: str
-
-    def __call__(self, p: Polynomial) -> Polynomial:
-        return beta_lower(self.side, p)
-
-
 def beta_lower(side: str, poly: Polynomial) -> Polynomial:
     """Apply the complexified lowering operator to a polynomial.
 

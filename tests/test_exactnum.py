@@ -146,3 +146,15 @@ def test_clifford_rejects_bad_axis():
 def test_gauss_division_by_zero():
     with pytest.raises(ZeroDivisionError):
         gauss(1) / gauss(0)
+
+
+def test_gaussian_constructor_exact_for_int_float_fraction():
+    want = GaussianRational(Fraction(-3, 2), Fraction(2))
+    for re, im in ((Fraction(-3, 2), 2), (-1.5, 2.0), (-1.5, Fraction(2)), (Fraction(-6, 4), 2.0)):
+        got = GaussianRational(re, im)
+        assert type(got.re) is Fraction and type(got.im) is Fraction
+        assert got == want and hash(got) == hash(want)
+    assert GaussianRational(3, -2) == GaussianRational(3.0, Fraction(-2))
+    assert hash(GaussianRational(3, -2)) == hash(GaussianRational(3.0, Fraction(-2)))
+    assert GaussianRational(0.5, 1).re == Fraction(1, 2)
+    assert GaussianRational(0.1, 0).re == Fraction(0.1)  # the float's exact binary value

@@ -15,6 +15,7 @@ from spinor_s3.geometry import (
     eta_quadrature,
     gram_matrix,
     killing_derivative,
+    killing_field_matrix,
     l2_inner_product,
     laplace_section,
     laplace_section_via_hessian,
@@ -31,7 +32,6 @@ from spinor_s3.polyring import (
     SpinorSection,
     X_VIEW,
     Z_VIEW,
-    change_view,
     laplacian_r4,
 )
 from spinor_s3.transfer import iso_closed_form
@@ -105,8 +105,56 @@ def test_killing_derivative_same_in_both_views():
             quat(0, rng.randint(-3, 3), rng.randint(-3, 3), rng.randint(-3, 3)),
         )
         via_z = killing_derivative(p, pair)
-        via_x = killing_derivative(change_view(p, X_VIEW), pair)
-        assert change_view(via_x, Z_VIEW) == via_z
+        via_x = killing_derivative(p.in_view(X_VIEW), pair)
+        assert via_x.in_view(Z_VIEW) == via_z
+
+
+def killing_derivative_oracle(p, pair):
+    """sum_m d_m p * (sum_j M[m][j] u_j), built from partials and products."""
+    matrix = killing_field_matrix(pair, p.view)
+    acc = Polynomial.zero(p.view)
+    for m in range(4):
+        row = Polynomial(
+            {tuple(int(n == j) for n in range(4)): matrix[m][j] for j in range(4)}, p.view
+        )
+        acc = acc + p.partial(m) * row
+    return acc
+
+
+def random_pair(rng, fractional=False):
+    def part():
+        d = rng.choice((1, 2, 3)) if fractional else 1
+        return Fraction(rng.randint(-3, 3), d)
+
+    return KillingPair(quat(0, part(), part(), part()), quat(0, part(), part(), part()))
+
+
+@pytest.mark.parametrize("view", [Z_VIEW, X_VIEW])
+def test_killing_derivative_matches_partial_oracle(view):
+    rng = random.Random(23 if view == Z_VIEW else 24)
+    pairs = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
+    pairs += [random_pair(rng) for _ in range(4)] + [random_pair(rng, fractional=True) for _ in range(4)]
+    assert any(
+        c.re.denominator > 1 or c.im.denominator > 1
+        for pair in pairs
+        for row in killing_field_matrix(pair, view)
+        for c in row
+    )
+    for pair in pairs:
+        for _ in range(6):
+            p = random_poly(rng, view, max_degree=4, n_terms=6)
+            p = p + Polynomial.monomial((1, 2, 0, 1), gauss(Fraction(2, 3), Fraction(-5, 7)), view)
+            got = killing_derivative(p, pair)
+            assert got.view == view
+            assert got == killing_derivative_oracle(p, pair)
+
+
+def test_killing_derivative_matches_oracle_on_images():
+    for p in range(6):
+        for q in range(6):
+            poly = iso_closed_form(5, p, q).poly
+            for pair in (KillingPair.left(2), KillingPair.right(3), KillingPair(BASIS[1], BASIS[2])):
+                assert killing_derivative(poly, pair) == killing_derivative_oracle(poly, pair)
 
 
 def test_killing_derivative_preserves_degree_and_harmonicity():

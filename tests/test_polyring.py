@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinor_s3.exactnum import GaussianRational, gauss
+from spinor_s3.exactnum import BASIS, GaussianRational, gauss, quat_multiply
 from spinor_s3.polyring import (
     G1_BAR,
     G2,
@@ -20,11 +20,9 @@ from spinor_s3.polyring import (
     X3,
     X_VIEW,
     Z_VIEW,
-    change_view,
-    evaluate,
     laplacian_r4,
-    poly_arith,
 )
+from spinor_s3.transfer import iso_closed_form
 
 I = gauss(0, 1)
 Z1 = -GM1
@@ -48,9 +46,9 @@ def random_point(rng):
 
 
 def test_poly_arith_examples():
-    assert poly_arith(G2, G2, "mul").terms == {(2, 0, 0, 0): gauss(1)}
-    assert poly_arith(Z1 + Z2, Z1 - Z2, "mul") == Z1 * Z1 - Z2 * Z2
-    assert poly_arith(poly_arith(G2, I, "scale"), I, "scale") == -G2
+    assert (G2 * G2).terms == {(2, 0, 0, 0): gauss(1)}
+    assert (Z1 + Z2) * (Z1 - Z2) == Z1 * Z1 - Z2 * Z2
+    assert G2.scale(I).scale(I) == -G2
 
 
 def test_no_zero_terms_stored():
@@ -60,8 +58,8 @@ def test_no_zero_terms_stored():
 
 
 def test_change_view_examples():
-    assert change_view(X2, Z_VIEW) == (G2 + G2_BAR).scale(Fraction(1, 2))
-    gm1_x = change_view(GM1, X_VIEW)
+    assert X2.in_view(Z_VIEW) == (G2 + G2_BAR).scale(Fraction(1, 2))
+    gm1_x = GM1.in_view(X_VIEW)
     assert gm1_x.terms == {(1, 0, 0, 0): gauss(-1), (0, 1, 0, 0): gauss(0, -1)}
 
 
@@ -70,7 +68,7 @@ def test_change_view_roundtrip_random():
     for _ in range(40):
         p = random_poly(rng, rng.choice([X_VIEW, Z_VIEW]))
         other = Z_VIEW if p.view == X_VIEW else X_VIEW
-        assert change_view(change_view(p, other), p.view) == p
+        assert p.in_view(other).in_view(p.view) == p
 
 
 def test_change_view_is_ring_isomorphism():
@@ -78,8 +76,8 @@ def test_change_view_is_ring_isomorphism():
     for _ in range(25):
         a = random_poly(rng, X_VIEW)
         b = random_poly(rng, X_VIEW)
-        assert change_view(a + b, Z_VIEW) == change_view(a, Z_VIEW) + change_view(b, Z_VIEW)
-        assert change_view(a * b, Z_VIEW) == change_view(a, Z_VIEW) * change_view(b, Z_VIEW)
+        assert (a + b).in_view(Z_VIEW) == a.in_view(Z_VIEW) + b.in_view(Z_VIEW)
+        assert (a * b).in_view(Z_VIEW) == a.in_view(Z_VIEW) * b.in_view(Z_VIEW)
 
 
 def test_mixed_view_arithmetic_autoconverts():
@@ -107,9 +105,49 @@ def test_laplacian_linear_and_degree_drop():
             assert lap.degree() == p.degree() - 2
 
 
+def laplacian_via_x(p):
+    """sum_j d_j^2 taken in the x view, converted back to p's view."""
+    px = p.in_view(X_VIEW)
+    acc = Polynomial.zero(X_VIEW)
+    for j in range(4):
+        acc = acc + px.partial(j).partial(j)
+    return acc.in_view(p.view)
+
+
+def test_laplacian_matches_x_route_on_random_polys():
+    rng = random.Random(18)
+    nonzero = 0
+    for view in (Z_VIEW, X_VIEW):
+        for _ in range(30):
+            p = random_poly(rng, view, max_degree=5, n_terms=6)
+            p = p + Polynomial.monomial((2, 1, 1, 1), gauss(Fraction(3, 4), Fraction(-1, 6)), view)
+            lap = laplacian_r4(p)
+            assert lap.view == view
+            assert lap == laplacian_via_x(p)
+            nonzero += not lap.is_zero()
+    assert nonzero == 60
+
+
+def test_laplacian_matches_x_route_on_k8_images():
+    for p in range(9):
+        for q in range(9):
+            image = iso_closed_form(8, p, q).poly
+            lap = laplacian_r4(image)
+            assert lap.is_zero() and lap == laplacian_via_x(image)
+
+
+def test_laplacian_matches_x_route_off_harmonic_images():
+    # times |z2|^2 the k = 4 images are no longer harmonic
+    for p in range(5):
+        for q in range(5):
+            bumped = iso_closed_form(4, p, q).poly * G2 * G2_BAR
+            lap = laplacian_r4(bumped)
+            assert not lap.is_zero() and lap == laplacian_via_x(bumped)
+
+
 def test_evaluate_examples():
-    assert evaluate(G2, (0, 0, 1, 0)) == gauss(1)
-    assert evaluate(GM1, (1, 0, 0, 0)) == gauss(-1)
+    assert G2.evaluate((0, 0, 1, 0)) == gauss(1)
+    assert GM1.evaluate((1, 0, 0, 0)) == gauss(-1)
 
 
 def test_evaluate_consistent_across_views():
@@ -117,7 +155,7 @@ def test_evaluate_consistent_across_views():
     for _ in range(30):
         p = random_poly(rng, Z_VIEW)
         x = random_point(rng)
-        assert p.evaluate(x) == change_view(p, X_VIEW).evaluate(x)
+        assert p.evaluate(x) == p.in_view(X_VIEW).evaluate(x)
 
 
 def test_homogeneous_scaling():
@@ -177,6 +215,15 @@ def test_spinor_right_mul_squares_to_minus_one():
         for i in (1, 2, 3):
             twice = s.right_mul_basis(i).right_mul_basis(i)
             assert twice == SpinorSection(-s.f, -s.g)
+
+
+def test_spinor_right_mul_matches_pointwise_product():
+    rng = random.Random(19)
+    for _ in range(10):
+        s = SpinorSection(random_poly(rng, Z_VIEW), random_poly(rng, Z_VIEW))
+        x = random_point(rng)
+        for i in (1, 2, 3):
+            assert s.right_mul_basis(i).evaluate(x) == quat_multiply(s.evaluate(x), BASIS[i])
 
 
 def test_spinor_degree_inference():

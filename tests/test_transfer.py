@@ -11,7 +11,6 @@ from spinor_s3.polyring import G1_BAR, G2, G2_BAR, GM1, Polynomial, Z_VIEW, lapl
 from spinor_s3.transfer import (
     LEFT,
     RIGHT,
-    LoweringOperator,
     beta_lower,
     iso_closed_form,
     iso_recursive,
@@ -56,7 +55,7 @@ def test_lowering_diamond():
 
 
 def test_lowering_operator_wrapper():
-    assert LoweringOperator(LEFT)(G2) == GM1
+    assert beta_lower(LEFT, G2) == GM1
     with pytest.raises(ValueError):
         beta_lower("up", G2)
 
