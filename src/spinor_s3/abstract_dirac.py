@@ -52,7 +52,8 @@ class SpinorVector:
             if not 0 <= p <= self.k:
                 raise ValueError(f"ket index p={p} outside 0..{self.k}")
             if not c.is_zero():
-                clean[(r, p)] = clean.get((r, p), GAUSS_ZERO) + c
+                key = (r, p)
+                clean[key] = clean[key] + c if key in clean else c
         items = tuple(sorted((key, c) for key, c in clean.items() if not c.is_zero()))
         object.__setattr__(self, "coeffs", items)
 
@@ -73,15 +74,15 @@ class SpinorVector:
     def is_zero(self) -> bool:
         return not self.coeffs
 
+    # the constructor merges repeated keys, so a sum is a concatenation
     def __add__(self, other: "SpinorVector") -> "SpinorVector":
         assert (self.k, self.q) == (other.k, other.q)
-        out = self.as_dict()
-        for key, c in other.coeffs:
-            out[key] = out.get(key, GAUSS_ZERO) + c
-        return SpinorVector.from_dict(self.k, self.q, out)
+        return SpinorVector(self.k, self.q, self.coeffs + other.coeffs)
 
     def __sub__(self, other: "SpinorVector") -> "SpinorVector":
-        return self + other.scale(gauss(-1))
+        assert (self.k, self.q) == (other.k, other.q)
+        negated = tuple((key, -c) for key, c in other.coeffs)
+        return SpinorVector(self.k, self.q, self.coeffs + negated)
 
     def scale(self, c) -> "SpinorVector":
         if not isinstance(c, GaussianRational):
@@ -222,15 +223,14 @@ def eigenbasis_abstract(k: int) -> tuple[EigenFamily, EigenFamily]:
     for q in range(k + 1):
         for p in range(1, k + 1):
             plus_vectors.append(
-                SpinorVector.basis(k, q, 0, p) - SpinorVector.basis(k, q, 2, p - 1)
+                SpinorVector(k, q, (((0, p), GAUSS_ONE), ((2, p - 1), gauss(-1))))
             )
             plus_positions.append((q, p))
         minus_vectors.append(SpinorVector.basis(k, q, 0, 0))
         minus_positions.append((q, 0))
         for p in range(1, k + 1):
             minus_vectors.append(
-                SpinorVector.basis(k, q, 0, p).scale(p - k - 1)
-                - SpinorVector.basis(k, q, 2, p - 1).scale(p)
+                SpinorVector(k, q, (((0, p), gauss(p - k - 1)), ((2, p - 1), gauss(-p))))
             )
             minus_positions.append((q, p))
         minus_vectors.append(SpinorVector.basis(k, q, 2, k))

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -28,7 +28,7 @@ from .exactnum import (
     quat,
     quat_multiply,
 )
-from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW
+from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, _over, _reduced
 
 
 @dataclass(frozen=True)
@@ -47,16 +47,29 @@ class KillingPair:
         """The pair (e_i, 0) generating the left-invariant frame field."""
         if i not in (1, 2, 3):
             raise ValueError(f"axis index must be 1, 2 or 3, got {i}")
-        return KillingPair(BASIS[i], quat())
+        return _LEFT_PAIRS[i]
 
     @staticmethod
     def right(i: int) -> "KillingPair":
         if i not in (1, 2, 3):
             raise ValueError(f"axis index must be 1, 2 or 3, got {i}")
-        return KillingPair(quat(), BASIS[i])
+        return _RIGHT_PAIRS[i]
 
     def field_at(self, x: RationalQuaternion) -> RationalQuaternion:
         return quat_multiply(x, self.S) - quat_multiply(self.T, x)
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.S, self.T))
+
+    def __hash__(self) -> int:
+        # computed once: the field caches below are keyed on pairs, and
+        # hashing two quaternions means hashing eight Fractions
+        return self._hash
+
+
+_LEFT_PAIRS = {i: KillingPair(BASIS[i], quat()) for i in (1, 2, 3)}
+_RIGHT_PAIRS = {i: KillingPair(quat(), BASIS[i]) for i in (1, 2, 3)}
 
 
 # Frame change between the real coordinates and the z-view generators
@@ -86,21 +99,19 @@ def killing_field_matrix(pair: KillingPair, view: str) -> tuple[tuple[GaussianRa
     return tuple(tuple(row) for row in b)
 
 
-def _exact(q: Fraction) -> Union[int, Fraction]:
-    """q as an int when it is one: Fraction * int skips a gcd."""
-    return q.numerator if q.denominator == 1 else q
-
-
 @lru_cache(maxsize=None)
-def _killing_shifts(pair: KillingPair, view: str) -> tuple:
-    """The nonzero entries (m, j, re, im) of :func:`killing_field_matrix`."""
-    matrix = killing_field_matrix(pair, view)
-    return tuple(
-        (m, j, _exact(c.re), _exact(c.im))
-        for m, row in enumerate(matrix)
+def _killing_shifts(pair: KillingPair, view: str) -> tuple[int, tuple]:
+    """:func:`killing_field_matrix` over one common denominator: ``(den,
+    shifts)`` with M[m][j] = (re + im*i)/den for each (m, j, re, im) in
+    ``shifts``, the nonzero entries only."""
+    entries = [
+        (m, j, c)
+        for m, row in enumerate(killing_field_matrix(pair, view))
         for j, c in enumerate(row)
         if not c.is_zero()
-    )
+    ]
+    den = math.lcm(*(d for _, _, c in entries for d in (c.re.denominator, c.im.denominator)))
+    return den, tuple((m, j, *_over(c, den)) for m, j, c in entries)
 
 
 def killing_derivative(
@@ -113,8 +124,10 @@ def killing_derivative(
     a term c*u^e with e[m] > 0 moves c*e[m]*M[m][j] to the exponent
     e - delta_m + delta_j, once per nonzero M[m][j].  In the z view the
     frame fields have one unit entry per row, so that is four shifts a
-    term.  Acts componentwise on spinor sections; preserves homogeneous
-    degree and harmonicity (the field is skew-symmetric on R^4).
+    term.  The arithmetic is on Gaussian-integer numerators; the result's
+    denominator is sigma's times M's.  Acts componentwise on spinor
+    sections; preserves homogeneous degree and harmonicity (the field is
+    skew-symmetric on R^4).
     """
     if isinstance(sigma, SpinorSection):
         return SpinorSection(
@@ -122,10 +135,9 @@ def killing_derivative(
             killing_derivative(sigma.g, pair),
             sigma.degree,
         )
-    shifts = _killing_shifts(pair, sigma.view)
+    den, shifts = _killing_shifts(pair, sigma.view)
     acc: dict = {}
-    for exp, coeff in sigma.terms.items():
-        a, b = coeff.re, coeff.im
+    for exp, (a, b) in sigma._num.items():
         for m, j, mr, mi in shifts:
             e = exp[m]
             if not e:
@@ -139,21 +151,14 @@ def killing_derivative(
                 key = tuple(key)
             # (a + b i) * e * (mr + mi i), skipping the zero part of M[m][j]
             if not mi:
-                re, im = a * (e * mr), b * (e * mr)
+                re, im = a * e * mr, b * e * mr
             elif not mr:
-                re, im = b * (-e * mi), a * (e * mi)
+                re, im = -b * e * mi, a * e * mi
             else:
                 re, im = (a * mr - b * mi) * e, (a * mi + b * mr) * e
-            part = acc.get(key)
-            if part is None:
-                acc[key] = [re, im]
-            else:
-                part[0] += re
-                part[1] += im
-    return Polynomial(
-        {key: GaussianRational(re, im) for key, (re, im) in acc.items() if re or im},
-        sigma.view,
-    )
+            t = acc.get(key)
+            acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
+    return _reduced(acc, sigma._den * den, sigma.view)
 
 
 def dbar_section(sigma: SpinorSection) -> SpinorSection:
@@ -267,12 +272,12 @@ def monomial_integral(l1: int, l2: int, l3: int, l4: int) -> IntegralValue:
 def l2_inner_product(a: Polynomial, b: Polynomial) -> IntegralValue:
     """Exact L2 pairing integral of conj(a) * b, conjugate-linear in a."""
     product = a.conjugate().in_view(Z_VIEW) * b.in_view(Z_VIEW)
-    total = GAUSS_ZERO
-    for exp, coeff in product.terms.items():
-        weight = monomial_integral(*exp).coefficient
-        if not weight.is_zero():
-            total = total + coeff * weight
-    return IntegralValue(total)
+    re = im = Fraction(0)
+    for exp, (x, y) in product._num.items():
+        weight = monomial_integral(*exp).coefficient.re  # real by the closed formula
+        re += x * weight
+        im += y * weight
+    return IntegralValue(GaussianRational(re / product._den, im / product._den))
 
 
 # -- numeric quadrature -------------------------------------------------------

@@ -15,16 +15,28 @@ calculus kernels (the flat Laplacian here, the Killing derivatives in
 ``geometry``) work directly on its exponents.  The x view is kept for
 conversion and as a test oracle.  Exponent tuples are ordered
 graded-lexicographically for deterministic output.
+
+Coefficient storage: a polynomial is a map from exponents to Gaussian
+integers ``(re, im)`` (Python ints) over one positive ``int`` denominator
+shared by all terms, kept canonical -- no zero terms, gcd(denominator,
+every numerator) = 1, and ``({}, 1)`` for zero -- so equality stays
+structural.  Every kernel computes on those ints; ``GaussianRational``
+appears only at the edge: the constructor, ``terms``, ``coefficient``,
+``evaluate`` and JSON.  The kernels outside this module
+(``geometry.killing_derivative``, ``geometry.l2_inner_product``,
+``transfer.iso_closed_form``) read ``_num``/``_den`` and build their
+results through ``_reduced``, which restores the canonical form.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import chain
+from math import gcd, lcm
 from typing import Optional
 
 from .exactnum import (
-    GAUSS_ONE,
     GAUSS_ZERO,
     GaussianRational,
     RationalQuaternion,
@@ -39,6 +51,8 @@ X_VIEW = "x"
 Z_VIEW = "z"
 
 Exponents = tuple[int, int, int, int]
+#: A Gaussian integer re + im*i.
+GaussInt = tuple[int, int]
 
 
 def _term_order(item):
@@ -47,20 +61,22 @@ def _term_order(item):
 
 
 class Polynomial:
-    """Sparse polynomial: a map from exponent tuples to nonzero coefficients."""
+    """Sparse polynomial: nonzero Gaussian-integer numerators keyed by
+    exponent tuples, over one shared positive denominator (see the module
+    docstring for the canonical form)."""
 
-    __slots__ = ("terms", "view")
+    __slots__ = ("_num", "_den", "view")
 
     def __init__(self, terms: Optional[dict[Exponents, GaussianRational]] = None,
                  view: str = Z_VIEW):
         if view not in (X_VIEW, Z_VIEW):
             raise ValueError(f"unknown view {view!r}")
-        clean: dict[Exponents, GaussianRational] = {}
-        if terms:
-            for exp, coeff in terms.items():
-                if not coeff.is_zero():
-                    clean[tuple(exp)] = coeff
-        self.terms = clean
+        items = [(tuple(exp), c) for exp, c in (terms or {}).items() if not c.is_zero()]
+        # the parts are reduced fractions, so over the lcm of their
+        # denominators the numerators already share no factor with it
+        den = lcm(*(d for _, c in items for d in (c.re.denominator, c.im.denominator)))
+        self._num = {exp: _over(c, den) for exp, c in items}
+        self._den = den
         self.view = view
 
     # -- constructors -----------------------------------------------------
@@ -78,7 +94,7 @@ class Polynomial:
     def variable(index: int, view: str) -> "Polynomial":
         exp = [0, 0, 0, 0]
         exp[index] = 1
-        return Polynomial({tuple(exp): GAUSS_ONE}, view)
+        return Polynomial({tuple(exp): gauss(1)}, view)
 
     @staticmethod
     def monomial(exponents: Exponents, coeff, view: str) -> "Polynomial":
@@ -86,58 +102,81 @@ class Polynomial:
 
     # -- inspection ---------------------------------------------------------
 
+    @property
+    def terms(self) -> dict[Exponents, GaussianRational]:
+        """The nonzero coefficients as Gaussian rationals (a new dict)."""
+        den = self._den
+        return {
+            exp: GaussianRational(Fraction(re, den), Fraction(im, den))
+            for exp, (re, im) in self._num.items()
+        }
+
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._num
 
     def degree(self) -> int:
         """Total degree (-1 for the zero polynomial)."""
-        if not self.terms:
+        if not self._num:
             return -1
-        return max(sum(exp) for exp in self.terms)
+        return max(sum(exp) for exp in self._num)
 
     def is_homogeneous(self) -> bool:
-        degs = {sum(exp) for exp in self.terms}
+        degs = {sum(exp) for exp in self._num}
         return len(degs) <= 1
 
     def terms_sorted(self) -> list[tuple[Exponents, GaussianRational]]:
         return sorted(self.terms.items(), key=_term_order)
 
     def coefficient(self, exponents: Exponents) -> GaussianRational:
-        return self.terms.get(tuple(exponents), GAUSS_ZERO)
+        c = self._num.get(tuple(exponents))
+        if c is None:
+            return GAUSS_ZERO
+        return GaussianRational(Fraction(c[0], self._den), Fraction(c[1], self._den))
 
     # -- ring operations ------------------------------------------------------
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
-        other = self._same_view(other)
-        out = dict(self.terms)
-        for exp, c in other.terms.items():
-            s = out.get(exp, GAUSS_ZERO) + c
-            if s.is_zero():
-                out.pop(exp, None)
-            else:
-                out[exp] = s
-        return Polynomial(out, self.view)
+        return self._plus(self._same_view(other), 1)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial({e: -c for e, c in self.terms.items()}, self.view)
+        return _poly({e: (-re, -im) for e, (re, im) in self._num.items()}, self._den, self.view)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self + (-other)
+        return self._plus(self._same_view(other), -1)
+
+    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
+        """self + sign*other for sign = +-1, other in self's view."""
+        if not other._num:
+            return self
+        if not self._num:
+            return other if sign == 1 else -other
+        d1, d2 = self._den, other._den
+        den = d1 if d1 == d2 else lcm(d1, d2)
+        s1, s2 = den // d1, sign * (den // d2)
+        if s1 == 1:
+            out = dict(self._num)
+        else:
+            out = {e: (re * s1, im * s1) for e, (re, im) in self._num.items()}
+        for e, (re, im) in other._num.items():
+            c = out.get(e)
+            if c is None:
+                out[e] = (re * s2, im * s2)
+            else:
+                out[e] = (c[0] + re * s2, c[1] + im * s2)
+        return _reduced(out, den, self.view)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
         other = self._same_view(other)
-        out: dict[Exponents, GaussianRational] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                exp = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                s = out.get(exp, GAUSS_ZERO) + c1 * c2
-                if s.is_zero():
-                    out.pop(exp, None)
-                else:
-                    out[exp] = s
-        return Polynomial(out, self.view)
+        out: dict[Exponents, GaussInt] = {}
+        for (p0, p1, p2, p3), (a, b) in self._num.items():
+            for (q0, q1, q2, q3), (c, d) in other._num.items():
+                exp = (p0 + q0, p1 + q1, p2 + q2, p3 + q3)
+                re, im = a * c - b * d, a * d + b * c
+                t = out.get(exp)
+                out[exp] = (re, im) if t is None else (t[0] + re, t[1] + im)
+        return _reduced(out, self._den * other._den, self.view)
 
     def __rmul__(self, other) -> "Polynomial":
         return self * other
@@ -151,19 +190,40 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        c = _coerce_coeff(c)
-        if c.is_zero():
-            return Polynomial.zero(self.view)
-        return Polynomial({e: coeff * c for e, coeff in self.terms.items()}, self.view)
+        return self._scaled(*_scalar_parts(c))
+
+    def _scaled(self, cr: int, ci: int, cd: int) -> "Polynomial":
+        """self * (cr + ci*i)/cd with cd > 0."""
+        num = self._num
+        if cd == 1 and cr * cr + ci * ci == 1:
+            # a unit only negates or swaps the parts: still canonical
+            if cr == 1:
+                return self
+            if cr == -1:
+                out = {e: (-re, -im) for e, (re, im) in num.items()}
+            elif ci == 1:
+                out = {e: (-im, re) for e, (re, im) in num.items()}
+            else:
+                out = {e: (im, -re) for e, (re, im) in num.items()}
+            return _poly(out, self._den, self.view)
+        if not (cr or ci):
+            return _poly({}, 1, self.view)
+        if not ci:
+            out = {e: (re * cr, im * cr) for e, (re, im) in num.items()}
+        else:
+            out = {e: (re * cr - im * ci, re * ci + im * cr) for e, (re, im) in num.items()}
+        return _reduced(out, self._den * cd, self.view)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        return self.terms == other.in_view(self.view).terms
+        other = other.in_view(self.view)
+        return self._den == other._den and self._num == other._num
 
     def __hash__(self):
         # hash the canonical z form so cross-view equality stays consistent
-        return hash(tuple(self.in_view(Z_VIEW).terms_sorted()))
+        z = self.in_view(Z_VIEW)
+        return hash((z._den, frozenset(z._num.items())))
 
     def _same_view(self, other: "Polynomial") -> "Polynomial":
         if not isinstance(other, Polynomial):
@@ -177,72 +237,65 @@ class Polynomial:
             return self
         subs = _substitution_polys(self.view, target)
         out = Polynomial.zero(target)
-        for exp, coeff in self.terms.items():
-            term = Polynomial.constant(coeff, target)
+        for exp, c in self._num.items():
+            term = _poly({(0, 0, 0, 0): c}, 1, target)
             for var, e in enumerate(exp):
                 for _ in range(e):
                     term = term * subs[var]
             out = out + term
-        return out
+        return out._scaled(1, 0, self._den)
 
     # -- calculus ----------------------------------------------------------
 
     def partial(self, j: int) -> "Polynomial":
         """Formal partial derivative with respect to the j-th variable of
         this polynomial's own view."""
-        out: dict[Exponents, GaussianRational] = {}
-        for exp, coeff in self.terms.items():
+        out: dict[Exponents, GaussInt] = {}
+        for exp, (re, im) in self._num.items():
             e = exp[j]
             if e == 0:
                 continue
             new = list(exp)
             new[j] = e - 1
-            key = tuple(new)
-            s = out.get(key, GAUSS_ZERO) + coeff * e
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial(out, self.view)
+            out[tuple(new)] = (re * e, im * e)
+        return _reduced(out, self._den, self.view)
 
     def conjugate(self) -> "Polynomial":
         """Complex conjugate of the polynomial as a function on R^4."""
         if self.view == X_VIEW:
-            return Polynomial({e: c.conjugate() for e, c in self.terms.items()}, X_VIEW)
-        # In the z view: conj swaps z2 <-> conj(z2) and sends -z1 <-> conj(z1)
-        # up to a sign on each of the last two generators.
-        out: dict[Exponents, GaussianRational] = {}
-        for (a, b, c, d), coeff in self.terms.items():
-            sign = -1 if (c + d) % 2 else 1
-            key = (b, a, d, c)
-            val = coeff.conjugate() * sign
-            s = out.get(key, GAUSS_ZERO) + val
-            if s.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = s
-        return Polynomial(out, Z_VIEW)
+            out = {e: (re, -im) for e, (re, im) in self._num.items()}
+        else:
+            # In the z view: conj swaps z2 <-> conj(z2) and sends -z1 <-> conj(z1)
+            # up to a sign on each of the last two generators.
+            out = {
+                (b, a, d, c): (-re, im) if (c + d) % 2 else (re, -im)
+                for (a, b, c, d), (re, im) in self._num.items()
+            }
+        return _poly(out, self._den, self.view)
 
     def evaluate(self, point) -> GaussianRational:
         """Exact evaluation at a rational point (x0, x1, x2, x3)."""
         x = [Fraction(t) for t in point]
+        q = lcm(*(t.denominator for t in x))
+        n = [t.numerator * (q // t.denominator) for t in x]  # x = n / q
         if self.view == X_VIEW:
-            values = [gauss(t) for t in x]
+            values = [(t, 0) for t in n]
         else:
-            z1 = GaussianRational(x[0], x[1])
-            z2 = GaussianRational(x[2], x[3])
-            values = [z2, z2.conjugate(), -z1, z1.conjugate()]
-        total = GAUSS_ZERO
-        for exp, coeff in self.terms.items():
-            term = coeff
-            for v, e in zip(values, exp):
+            values = [(n[2], n[3]), (n[2], -n[3]), (-n[0], -n[1]), (n[0], -n[1])]
+        top = self.degree()
+        total_re = total_im = 0
+        for exp, (re, im) in self._num.items():
+            for (vr, vi), e in zip(values, exp):
                 for _ in range(e):
-                    term = term * v
-            total = total + term
-        return total
+                    re, im = re * vr - im * vi, re * vi + im * vr
+            w = q ** (top - sum(exp))  # every term over q**top
+            total_re += re * w
+            total_im += im * w
+        den = self._den * q ** max(top, 0)
+        return GaussianRational(Fraction(total_re, den), Fraction(total_im, den))
 
     def __repr__(self) -> str:
-        if not self.terms:
+        if not self._num:
             return "0"
         names = ("x0", "x1", "x2", "x3") if self.view == X_VIEW else ("u0", "u1", "u2", "u3")
         parts = []
@@ -271,12 +324,50 @@ class Polynomial:
         return Polynomial(terms, obj["view"])
 
 
+def _poly(num: dict[Exponents, GaussInt], den: int, view: str) -> Polynomial:
+    """A Polynomial on parts that are already canonical."""
+    p = object.__new__(Polynomial)
+    p._num = num
+    p._den = den
+    p.view = view
+    return p
+
+
+def _reduced(num: dict[Exponents, GaussInt], den: int, view: str) -> Polynomial:
+    """A Polynomial on integer parts over den > 0, made canonical: zero
+    terms dropped and the common factor of den and all parts divided out."""
+    num = {e: c for e, c in num.items() if c[0] or c[1]}
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num.values()))
+        if g != 1:
+            den //= g
+            num = {e: (re // g, im // g) for e, (re, im) in num.items()}
+    return _poly(num, den, view)
+
+
+def _over(c: GaussianRational, den: int) -> GaussInt:
+    """The numerators of c's parts over den, a multiple of both their
+    denominators."""
+    return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+
+
 def _coerce_coeff(c) -> GaussianRational:
     if isinstance(c, GaussianRational):
         return c
     if isinstance(c, (int, Fraction)):
         return gauss(c)
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
+
+
+def _scalar_parts(c) -> tuple[int, int, int]:
+    """A scalar as ints (re, im, den) with c = (re + im*i)/den and den > 0."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    c = _coerce_coeff(c)
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (*_over(c, den), den)
 
 
 # Degree-one generators of the z view and the real coordinates.
@@ -329,8 +420,8 @@ _LAPLACIAN = {
 
 def laplacian_r4(p: Polynomial) -> Polynomial:
     """Flat Laplacian on R^4, exact, computed in p's own view."""
-    acc: dict = {}
-    for exp, coeff in p.terms.items():
+    acc: dict[Exponents, GaussInt] = {}
+    for exp, (re, im) in p._num.items():
         for i, j, w in _LAPLACIAN[p.view]:
             factor = exp[i] * (exp[j] - (i == j)) * w
             if not factor:
@@ -339,23 +430,20 @@ def laplacian_r4(p: Polynomial) -> Polynomial:
             key[i] -= 1
             key[j] -= 1
             key = tuple(key)
-            re, im = coeff.re * factor, coeff.im * factor
-            part = acc.get(key)
-            if part is None:
-                acc[key] = [re, im]
+            t = acc.get(key)
+            if t is None:
+                acc[key] = (re * factor, im * factor)
             else:
-                part[0] += re
-                part[1] += im
-    return Polynomial(
-        {key: GaussianRational(re, im) for key, (re, im) in acc.items() if re or im},
-        p.view,
-    )
+                acc[key] = (t[0] + re * factor, t[1] + im * factor)
+    return _reduced(acc, p._den, p.view)
 
 
 @lru_cache(maxsize=None)
-def _basis_product_split(r: int, i: int) -> tuple[GaussianRational, GaussianRational]:
-    """complex_split(e_r * e_i), computed once per (r, i)."""
-    return complex_split(quat_multiply(BASIS[r], BASIS[i]))
+def _basis_product_split(r: int, i: int) -> tuple[GaussInt, GaussInt]:
+    """complex_split(e_r * e_i) as two Gaussian integers, computed once per
+    (r, i)."""
+    alpha, beta = complex_split(quat_multiply(BASIS[r], BASIS[i]))
+    return _over(alpha, 1), _over(beta, 1)
 
 
 class SpinorSection:
@@ -426,10 +514,10 @@ class SpinorSection:
             if comp.is_zero():
                 continue
             alpha, beta = _basis_product_split(r, i)
-            if not alpha.is_zero():
-                new_f = new_f + comp.scale(alpha)
-            if not beta.is_zero():
-                new_g = new_g + comp.scale(beta)
+            if alpha != (0, 0):
+                new_f = new_f + comp._scaled(*alpha, 1)
+            if beta != (0, 0):
+                new_g = new_g + comp._scaled(*beta, 1)
         return SpinorSection(new_f, new_g, self.degree)
 
     def evaluate(self, point) -> RationalQuaternion:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from .abstract_dirac import eigenbasis_abstract
 from .exactnum import gauss
 from .geometry import KillingPair, killing_derivative
-from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
+from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _reduced
 
 LEFT = "left"
 RIGHT = "right"
@@ -103,16 +103,15 @@ def iso_closed_form(k: int, p: int, q: int) -> TransferImage:
     max(0, p-q) <= i <= min(p, k-q); each term's exponents add up to k.
     """
     _check_indices(k, p, q)
-    prefactor = Fraction(1, math.comb(k, p) * math.comb(k, q))
-    total = Polynomial.zero(Z_VIEW)
+    num = {}
     for i in range(max(0, p - q), min(p, k - q) + 1):
         exps = (k - q - i, p - i, i, q - p + i)
-        coeff = Fraction(
-            math.factorial(k),
+        multinomial = math.factorial(k) // (
             math.factorial(exps[0]) * math.factorial(exps[1])
-            * math.factorial(exps[2]) * math.factorial(exps[3]),
+            * math.factorial(exps[2]) * math.factorial(exps[3])
         )
-        total = total + Polynomial.monomial(exps, gauss(coeff * prefactor), Z_VIEW)
+        num[exps] = (multinomial, 0)
+    total = _reduced(num, math.comb(k, p) * math.comb(k, q), Z_VIEW)
     return TransferImage(k, p, q, total, Fraction(k + 1))
 
 

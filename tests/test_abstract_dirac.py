@@ -161,3 +161,15 @@ def test_spinor_vector_validation():
         SpinorVector.basis(2, 0, 1, 0)
     with pytest.raises(ValueError):
         SpinorVector.basis(2, 0, 0, 5)
+
+
+def test_spinor_vector_arithmetic_merges_repeated_keys():
+    a = SpinorVector(2, 1, (((0, 1), gauss(1, 2)), ((2, 0), gauss(3)), ((0, 1), gauss(-1, 1))))
+    assert a.coeffs == (((0, 1), gauss(0, 3)), ((2, 0), gauss(3)))
+    b = bvec(2, 1, 2, 0).scale(3) + bvec(2, 1, 0, 2).scale(gauss(0, Fraction(1, 2)))
+    assert (a + b).coeffs == (
+        ((0, 1), gauss(0, 3)), ((0, 2), gauss(0, Fraction(1, 2))), ((2, 0), gauss(6)),
+    )
+    assert (a - b).coeffs == (((0, 1), gauss(0, 3)), ((0, 2), gauss(0, Fraction(-1, 2))))
+    assert (a - b) == a + b.scale(-1)
+    assert (a - a).is_zero() and (b - b).coeffs == ()

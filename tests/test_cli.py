@@ -1,10 +1,11 @@
 """Command-line surface: flags, exit codes, deterministic output."""
 
+import hashlib
 import json
 
 import pytest
 
-from spinor_s3.cli import main
+from spinor_s3.cli import DEFAULT_K_CAP, RunConfig, main
 
 
 def run(capsys, *argv):
@@ -106,6 +107,21 @@ def test_eigenbasis_rerun_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
+# sha256 of the exports at the cap, as recorded when the polynomial core
+# still stored GaussianRational coefficients; any change to the exact
+# output, its order or its formatting changes them.
+@pytest.mark.parametrize("argv, digest", [
+    (("spectrum", "--k-max", "12", "--format", "json"),
+     "2cb5088fbca4fc4e50f3d83bbad1b02672ced709897cb02e5967df06e1849034"),
+    (("eigenbasis", "--k", "12"),
+     "f6e85407b76ae3f86502658a94e2e16222d2fb88b86f018bd316efc82fc7bd7c"),
+])
+def test_exports_at_the_cap_are_byte_identical(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+
+
 def test_verify_casimir_passes(capsys):
     code, out, _ = run(capsys, "verify", "--suite", "casimir", "--k-max", "4")
     assert code == 0
@@ -175,6 +191,34 @@ def test_verify_empty_result_set_is_an_error(capsys, monkeypatch):
     monkeypatch.setattr(cli, "run_suites", lambda *args, **kwargs: [])
     code, out, err = run(capsys, "verify", "--suite", "casimir")
     assert_usage_error(code, out, err, "no checks ran")
+
+
+@pytest.mark.parametrize("argv", [
+    ("eigenbasis", "--k", "13"),
+    ("verify", "--suite", "casimir", "--k-max", "13"),
+    ("spectrum", "--k-max", "13"),
+])
+def test_degree_above_the_cap_is_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert_usage_error(code, out, err, f"exceeds the hard cap {DEFAULT_K_CAP}")
+
+
+def test_cap_is_inclusive():
+    # the end-to-end run at k = 12 is test_exports_at_the_cap_are_byte_identical
+    assert DEFAULT_K_CAP == 12
+    for command, field in (("eigenbasis", "k"), ("spectrum", "k_max"), ("verify", "k_max")):
+        assert RunConfig(command, **{field: DEFAULT_K_CAP}).check_cap() is None
+        assert RunConfig(command, **{field: DEFAULT_K_CAP + 1}).check_cap() is not None
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("eigenbasis", "--k", "-1"), "--k"),
+    (("spectrum", "--k-max", "-1"), "--k-max"),
+    (("spectrum", "--k-max", "-1", "--format", "json"), "--k-max"),
+])
+def test_negative_degree_is_usage_error(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert_usage_error(code, out, err, needle)
 
 
 def test_verify_zero_samples_is_usage_error(capsys):

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import fraction_reference as ref
 import pytest
 
 from spinor_s3.exactnum import BASIS, E0, E3, clifford_multiply, gauss, quat
@@ -147,6 +148,45 @@ def test_killing_derivative_matches_partial_oracle(view):
             got = killing_derivative(p, pair)
             assert got.view == view
             assert got == killing_derivative_oracle(p, pair)
+
+
+@pytest.mark.parametrize("view", [Z_VIEW, X_VIEW])
+def test_killing_derivative_matches_fraction_reference(view):
+    # product rule on plain Fraction dicts: sum_m d_m p * (sum_j M[m][j] u_j)
+    rng = random.Random(25 if view == Z_VIEW else 26)
+    pairs = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
+    pairs += [random_pair(rng, fractional=True) for _ in range(6)]
+    fractional = 0
+    for pair in pairs:
+        matrix = killing_field_matrix(pair, view)
+        rows = [
+            {ref.unit(j): (c.re, c.im) for j, c in enumerate(row) if not c.is_zero()}
+            for row in matrix
+        ]
+        fractional += any(c.re.denominator > 1 or c.im.denominator > 1 for row in matrix for c in row)
+        for _ in range(5):
+            a = ref.random_ref(rng)
+            want = {}
+            for m in range(4):
+                want = ref.add(want, ref.mul(ref.partial(a, m), rows[m]))
+            got = killing_derivative(ref.to_poly(a, view), pair)
+            ref.assert_canonical(got)
+            assert got.view == view
+            assert ref.as_ref(got) == want
+    assert fractional
+
+
+def test_killing_pair_lookups():
+    for i in (1, 2, 3):
+        assert KillingPair.left(i) is KillingPair.left(i)
+        assert KillingPair.left(i) == KillingPair(BASIS[i], quat())
+        assert KillingPair.right(i) == KillingPair(quat(), BASIS[i])
+        assert hash(KillingPair.right(i)) == hash(KillingPair(quat(), BASIS[i]))
+    for bad in (0, 4, -1):
+        with pytest.raises(ValueError):
+            KillingPair.left(bad)
+        with pytest.raises(ValueError):
+            KillingPair.right(bad)
 
 
 def test_killing_derivative_matches_oracle_on_images():

@@ -1,9 +1,11 @@
 """Polynomial ring: arithmetic, view changes, the flat Laplacian and
 exact evaluation."""
 
+import math
 import random
 from fractions import Fraction
 
+import fraction_reference as ref
 import pytest
 
 from spinor_s3.exactnum import BASIS, GaussianRational, gauss, quat_multiply
@@ -230,3 +232,92 @@ def test_spinor_degree_inference():
     assert SpinorSection(G2**2, Polynomial.zero()).degree == 2
     assert SpinorSection(Polynomial.zero(), Polynomial.zero()).degree == 0
     assert SpinorSection(G2 + G2**2, Polynomial.zero()).degree is None
+
+
+# -- the integer core against a Fraction reference ----------------------------------
+
+SCALARS = (
+    1, -1, I, -I, 0, 6,
+    Fraction(-3, 4),
+    gauss(Fraction(2, 3), Fraction(-5, 2)),
+    gauss(0, Fraction(7, 3)),
+)
+
+
+def scalar_pair(c):
+    c = c if isinstance(c, GaussianRational) else gauss(c)
+    return (c.re, c.im)
+
+
+def point_values(view, x):
+    """The four variables of a view at the real point x, as complex pairs."""
+    if view == X_VIEW:
+        return [(t, Fraction(0)) for t in x]
+    return [(x[2], x[3]), (x[2], -x[3]), (-x[0], -x[1]), (x[0], -x[1])]
+
+
+@pytest.mark.parametrize("view", [Z_VIEW, X_VIEW])
+def test_integer_core_matches_fraction_reference(view):
+    rng = random.Random(30 if view == Z_VIEW else 31)
+    reduced = cancelled = 0
+    for _ in range(30):
+        a, b = ref.random_ref(rng), ref.random_ref(rng)
+        for e in rng.sample(sorted(a), len(a) // 2):  # sums that cancel
+            b[e] = (-a[e][0], rng.choice((-a[e][1], a[e][1])))
+        pa, pb = ref.to_poly(a, view), ref.to_poly(b, view)
+        checks = [
+            (pa + pb, ref.add(a, b)),
+            (pa - pb, ref.add(a, b, -1)),
+            (-pa, ref.scale(a, scalar_pair(-1))),
+            (pa * pb, ref.mul(a, b)),
+            (pa.conjugate(), ref.conjugate(a, view)),
+            (laplacian_r4(pa), ref.laplacian(a, view)),
+        ]
+        checks += [(pa.scale(c), ref.scale(a, scalar_pair(c))) for c in SCALARS]
+        checks += [(pa.partial(j), ref.partial(a, j)) for j in range(4)]
+        for got, want in checks:
+            ref.assert_canonical(got)
+            assert got.view == view
+            assert ref.as_ref(got) == want
+        for zero in (pa - pa, pa + (-pa), pa.scale(0)):
+            assert (zero._num, zero._den) == ({}, 1)
+        x = random_point(rng)
+        assert pa.evaluate(x) == GaussianRational(*ref.evaluate(a, point_values(view, x)))
+        total = pa + pb
+        reduced += total._den < math.lcm(pa._den, pb._den)
+        cancelled += len(total.terms) < len(set(a) | set(b))
+    # the renormalization and the dropping of zero terms both ran
+    assert reduced and cancelled
+
+
+def test_same_value_by_different_routes_has_one_representation():
+    rng = random.Random(32)
+    for view, other in ((Z_VIEW, X_VIEW), (X_VIEW, Z_VIEW)):
+        for _ in range(15):
+            p = ref.to_poly(ref.random_ref(rng), view)
+            q = ref.to_poly(ref.random_ref(rng), view)
+            routes = (
+                p.scale(Fraction(1, 3)).scale(3),
+                p.scale(6).scale(Fraction(1, 6)),
+                (p + q) - q,
+                p.scale(I).scale(-I),
+                -(-p),
+                p.scale(gauss(2, 1)).scale(gauss(Fraction(2, 5), Fraction(-1, 5))),
+                Polynomial(p.terms, view),
+                Polynomial.from_json(p.to_json()),
+                p.in_view(other).in_view(view),
+            )
+            for r in routes:
+                assert (r._num, r._den, r.view) == (p._num, p._den, p.view)
+                assert r == p and hash(r) == hash(p)
+
+
+def test_cross_view_equality_and_hash_agree():
+    rng = random.Random(33)
+    for _ in range(15):
+        p = ref.to_poly(ref.random_ref(rng), Z_VIEW)
+        px = p.in_view(X_VIEW)
+        assert px == p and p == px and hash(px) == hash(p)
+        assert px != p + G2 and hash(px + X2) == hash(p + X2.in_view(Z_VIEW))
+    assert Polynomial.zero(X_VIEW) == Polynomial.zero(Z_VIEW)
+    assert hash(Polynomial.zero(X_VIEW)) == hash(Polynomial.zero(Z_VIEW))
