@@ -10,7 +10,6 @@ cross-checks.
 
 from .exactnum import (
     GaussianRational,
-    Rational,
     RationalQuaternion,
     assemble,
     clifford_multiply,

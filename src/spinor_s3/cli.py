@@ -8,20 +8,16 @@ Subcommands::
                          [--rule tensor|mc] [--samples N] [--seed S]
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage and
-input errors (among them a bad SPINOR_S3_THREADS, an unwritable --out
-and a request that would run no checks).  Exact values are printed as
-num/den strings; floating point appears only in quadrature reports (12
-significant digits).  The environment variable SPINOR_S3_THREADS bounds
-the verify fan-out across degrees.
+input errors (among them an unwritable --out and a request that would
+run no checks).  Exact values are printed as num/den strings; floating
+point appears only in quadrature reports (12 significant digits).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from dataclasses import dataclass
 from typing import Optional
 
 from .abstract_dirac import spectrum_table
@@ -35,30 +31,17 @@ from .verify import SUITE_NAMES, run_suites
 DEFAULT_K_CAP = 12
 
 
-@dataclass
-class RunConfig:
-    command: str
-    k: Optional[int] = None
-    k_max: Optional[int] = None
-    suites: Optional[list[str]] = None
-    out: Optional[str] = None
-    format: str = "table"
-    rule: Optional[str] = None
-    samples: int = 1_000_000
-    seed: int = 0
-    unsafe_k: bool = False
-    workers: int = 1
-
-    def check_cap(self) -> Optional[str]:
-        if self.unsafe_k:
-            return None
-        for value in (self.k, self.k_max):
-            if value is not None and value > DEFAULT_K_CAP:
-                return (
-                    f"k={value} exceeds the hard cap {DEFAULT_K_CAP}; "
-                    "exact coefficients grow quickly, pass --unsafe-k to override"
-                )
+def _check_cap(args: argparse.Namespace) -> Optional[str]:
+    """The error message for a degree above the cap, or None."""
+    if args.unsafe_k:
         return None
+    for value in (getattr(args, "k", None), getattr(args, "k_max", None)):
+        if value is not None and value > DEFAULT_K_CAP:
+            return (
+                f"k={value} exceeds the hard cap {DEFAULT_K_CAP}; "
+                "exact coefficients grow quickly, pass --unsafe-k to override"
+            )
+    return None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,20 +89,20 @@ def _emit(text: str, out: Optional[str]) -> int:
     return 0
 
 
-def cmd_spectrum(config: RunConfig) -> int:
-    rows = spectrum_table(config.k_max)
-    if config.format == "json":
+def cmd_spectrum(args: argparse.Namespace) -> int:
+    rows = spectrum_table(args.k_max)
+    if args.format == "json":
         text = json.dumps([r.to_json() for r in rows], indent=2, sort_keys=True) + "\n"
     else:
         lines = [f"{'k':>4}  {'eigenvalue':>12}  {'multiplicity':>12}"]
         for r in rows:
             lines.append(f"{r.k:>4}  {str(r.eigenvalue):>12}  {r.multiplicity:>12}")
         text = "\n".join(lines) + "\n"
-    return _emit(text, config.out)
+    return _emit(text, args.out)
 
 
-def cmd_eigenbasis(config: RunConfig) -> int:
-    entries = transfer_eigenbasis(config.k)
+def cmd_eigenbasis(args: argparse.Namespace) -> int:
+    entries = transfer_eigenbasis(args.k)
     sections = []
     for e in entries:
         if not (dirac_section(e.section) - e.section.scale(e.eigenvalue)).is_zero():
@@ -138,18 +121,13 @@ def cmd_eigenbasis(config: RunConfig) -> int:
             }
         )
         sections.append(record)
-    doc = {"k": config.k, "count": len(sections), "sections": sections}
-    return _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", config.out)
+    doc = {"k": args.k, "count": len(sections), "sections": sections}
+    return _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
 
 
-def cmd_verify(config: RunConfig) -> int:
+def cmd_verify(args: argparse.Namespace) -> int:
     results = run_suites(
-        config.suites,
-        k_max=config.k_max,
-        rule=config.rule,
-        samples=config.samples,
-        seed=config.seed,
-        workers=config.workers,
+        args.suites, k_max=args.k_max, rule=args.rule, samples=args.samples, seed=args.seed
     )
     if not results:
         # zero checks run is not a pass
@@ -170,34 +148,22 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
 
-    config = RunConfig(
-        command=args.command,
-        k=getattr(args, "k", None),
-        k_max=getattr(args, "k_max", None),
-        out=getattr(args, "out", None),
-        format=getattr(args, "format", "table"),
-        rule=getattr(args, "rule", None),
-        samples=getattr(args, "samples", 1_000_000),
-        seed=getattr(args, "seed", 0),
-        unsafe_k=getattr(args, "unsafe_k", False),
-    )
-
-    message = config.check_cap()
+    message = _check_cap(args)
     if message:
         print(f"error: {message}", file=sys.stderr)
         return 2
 
-    if config.command == "spectrum":
-        if config.k_max < 0:
+    if args.command == "spectrum":
+        if args.k_max < 0:
             print("error: --k-max must be >= 0", file=sys.stderr)
             return 2
-        return cmd_spectrum(config)
+        return cmd_spectrum(args)
 
-    if config.command == "eigenbasis":
-        if config.k < 0:
+    if args.command == "eigenbasis":
+        if args.k < 0:
             print("error: --k must be >= 0", file=sys.stderr)
             return 2
-        return cmd_eigenbasis(config)
+        return cmd_eigenbasis(args)
 
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
     if "all" in names:
@@ -206,23 +172,17 @@ def main(argv: Optional[list[str]] = None) -> int:
     if unknown or not names:
         print(f"error: unknown suite(s): {', '.join(unknown) or '(none given)'}", file=sys.stderr)
         return 2
-    if config.k_max is not None and config.k_max < 0:
+    if args.k_max is not None and args.k_max < 0:
         print("error: --k-max must be >= 0", file=sys.stderr)
         return 2
-    if config.samples < 1:
+    if args.samples < 1:
         print("error: --samples must be >= 1", file=sys.stderr)
         return 2
-    if config.seed < 0:
+    if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)
         return 2
-    threads = os.environ.get("SPINOR_S3_THREADS", "") or "1"
-    if not threads.isdecimal() or int(threads) < 1:
-        print(f"error: SPINOR_S3_THREADS must be a positive integer, got {threads!r}",
-              file=sys.stderr)
-        return 2
-    config.suites = names
-    config.workers = int(threads)
-    return cmd_verify(config)
+    args.suites = names
+    return cmd_verify(args)
 
 
 if __name__ == "__main__":

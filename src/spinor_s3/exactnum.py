@@ -17,10 +17,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-#: Rational scalars are stdlib fractions; kept as an alias so call sites
-#: say what they mean.
-Rational = Fraction
-
 RationalLike = Union[int, Fraction]
 
 

@@ -130,10 +130,8 @@ def killing_derivative(
     skew-symmetric on R^4).
     """
     if isinstance(sigma, SpinorSection):
-        return SpinorSection(
-            killing_derivative(sigma.f, pair),
-            killing_derivative(sigma.g, pair),
-            sigma.degree,
+        return sigma._with_parts(
+            killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair)
         )
     den, shifts = _killing_shifts(pair, sigma.view)
     acc: dict = {}

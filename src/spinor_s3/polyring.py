@@ -446,6 +446,10 @@ def _basis_product_split(r: int, i: int) -> tuple[GaussInt, GaussInt]:
     return _over(alpha, 1), _over(beta, 1)
 
 
+#: A section's degree that has not been inferred yet.
+_UNKNOWN = object()
+
+
 class SpinorSection:
     """A quaternion-valued polynomial map, stored as the complex pair (f, g).
 
@@ -453,14 +457,29 @@ class SpinorSection:
     a + b*i acts as left multiplication by a + b*e1.
     """
 
-    __slots__ = ("f", "g", "degree")
+    __slots__ = ("f", "g", "_degree")
 
     def __init__(self, f: Polynomial, g: Polynomial, degree: Optional[int] = None):
         self.f = f
         self.g = g
-        if degree is None:
-            degree = self._infer_degree()
-        self.degree = degree
+        self._degree = _UNKNOWN if degree is None else degree
+
+    @property
+    def degree(self) -> Optional[int]:
+        """The common homogeneous degree of f and g (0 for the zero section,
+        None if there is none), unless one was given; inferred on first read."""
+        if self._degree is _UNKNOWN:
+            self._degree = self._infer_degree()
+        return self._degree
+
+    def _with_parts(self, f: Polynomial, g: Polynomial) -> "SpinorSection":
+        """The section (f, g) that a degree-preserving operation makes from
+        this one.  It keeps this section's degree, which is inferred now
+        only when (f, g) is zero and so cannot tell it."""
+        degree = self._degree
+        if degree is _UNKNOWN and f.is_zero() and g.is_zero():
+            degree = self.degree
+        return SpinorSection(f, g, degree)
 
     def _infer_degree(self) -> Optional[int]:
         degs = set()
@@ -489,10 +508,10 @@ class SpinorSection:
         return SpinorSection(self.f - other.f, self.g - other.g)
 
     def __neg__(self) -> "SpinorSection":
-        return SpinorSection(-self.f, -self.g, self.degree)
+        return self._with_parts(-self.f, -self.g)
 
     def scale(self, c) -> "SpinorSection":
-        return SpinorSection(self.f.scale(c), self.g.scale(c), self.degree)
+        return self._with_parts(self.f.scale(c), self.g.scale(c))
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, SpinorSection):
@@ -518,7 +537,7 @@ class SpinorSection:
                 new_f = new_f + comp._scaled(*alpha, 1)
             if beta != (0, 0):
                 new_g = new_g + comp._scaled(*beta, 1)
-        return SpinorSection(new_f, new_g, self.degree)
+        return self._with_parts(new_f, new_g)
 
     def evaluate(self, point) -> RationalQuaternion:
         return assemble(self.f.evaluate(point), self.g.evaluate(point))

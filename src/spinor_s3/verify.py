@@ -1,15 +1,14 @@
 """Verification suites behind ``spinor-s3 verify``.
 
 Each suite is a list of independent jobs (usually one per degree k) that
-return :class:`CheckResult` records.  Jobs are pure, so they may run on a
-thread pool; the report order is fixed afterwards by each record's sort
-key, not by completion order.
+return :class:`CheckResult` records.  The jobs run one after another,
+suites in name order and each suite once, so the report lists its checks
+in (suite, job) order on every run.
 """
 
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -29,8 +28,8 @@ from .geometry import (
 )
 from .polyring import G2, Polynomial, Z_VIEW, laplacian_r4
 from .repspace import casimir, casimir_expected, l_matrix
-from .transfer import LEFT, RIGHT, beta_lower, iso_closed_form, iso_recursive, \
-    transfer_eigenbasis
+from .transfer import LEFT, RIGHT, beta_lower, iso_recursive, transfer_eigenbasis, \
+    transfer_table
 
 SUITE_NAMES = ("casimir", "quadratic", "dirac", "transfer", "laplace", "integral")
 
@@ -63,15 +62,10 @@ class CheckResult:
     name: str
     passed: bool
     detail: str
-    sort_key: tuple
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"
         return f"{status}  [{self.suite}] {self.name}: {self.detail}"
-
-
-def _result(suite: str, name: str, passed: bool, detail: str, key: tuple) -> CheckResult:
-    return CheckResult(suite, name, passed, detail, (suite,) + key)
 
 
 # -- casimir -------------------------------------------------------------
@@ -80,7 +74,7 @@ def _result(suite: str, name: str, passed: bool, detail: str, key: tuple) -> Che
 def _check_casimir_k(k: int) -> list[CheckResult]:
     out = []
     ok = casimir(k) == casimir_expected(k)
-    out.append(_result("casimir", f"casimir k={k}", ok, f"-(l1^2+l2^2+l3^2) = {k * (k + 2)} id", (k, 0)))
+    out.append(CheckResult("casimir", f"casimir k={k}", ok, f"-(l1^2+l2^2+l3^2) = {k * (k + 2)} id"))
 
     comm_ok = True
     for i, j in ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)):
@@ -93,8 +87,8 @@ def _check_casimir_k(k: int) -> list[CheckResult]:
         )
         expected = linalg.mat_scale(l_matrix(m, k).rows(), gauss(2 * sign))
         comm_ok = comm_ok and linalg.mat_eq(comm, expected)
-    out.append(_result("casimir", f"commutators k={k}", comm_ok,
-                       "[l_i, l_j] = 2 l_(e_i e_j) for all ordered pairs", (k, 1)))
+    out.append(CheckResult("casimir", f"commutators k={k}", comm_ok,
+                           "[l_i, l_j] = 2 l_(e_i e_j) for all ordered pairs"))
     return out
 
 
@@ -103,8 +97,8 @@ def _check_casimir_k(k: int) -> list[CheckResult]:
 
 def _check_quadratic_k(k: int) -> list[CheckResult]:
     out = []
-    out.append(_result("quadratic", f"quadratic relation k={k}", quadratic_check(k),
-                       f"(Dbar + {k})(Dbar - {k + 2}) = 0 on the 2(k+1) block", (k, 0)))
+    out.append(CheckResult("quadratic", f"quadratic relation k={k}", quadratic_check(k),
+                           f"(Dbar + {k})(Dbar - {k + 2}) = 0 on the 2(k+1) block"))
 
     n = 2 * (k + 1)
     block = dbar_block_matrix(k)
@@ -122,19 +116,18 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
         and plus_null * (k + 1) == k * (k + 1) == len(plus)
         and minus_null * (k + 1) == (k + 1) * (k + 2) == len(minus)
     )
-    out.append(_result(
+    out.append(CheckResult(
         "quadratic", f"spectrum two ways k={k}", diag_ok,
         f"families vs exact diagonalization: mult({Fraction(2 * k + 1, 2)}) = {k * (k + 1)}, "
         f"mult({Fraction(-2 * k - 3, 2)}) = {(k + 1) * (k + 2)}",
-        (k, 1),
     ))
 
     rank_ok = True
     for q in range(k + 1):
         rows = [v.dense() for fam in (plus, minus) for v in fam.vectors if v.q == q]
         rank_ok = rank_ok and linalg.rank(rows) == n
-    out.append(_result("quadratic", f"family union is a basis k={k}", rank_ok,
-                       f"rank {n} on every q slice", (k, 2)))
+    out.append(CheckResult("quadratic", f"family union is a basis k={k}", rank_ok,
+                           f"rank {n} on every q slice"))
 
     fp_ok = all(
         dbar_apply(SpinorVector.basis(k, 0, r, p)).coeffs
@@ -142,8 +135,8 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
         for r in (0, 2)
         for p in range(k + 1)
     )
-    out.append(_result("quadratic", f"closed Dbar = first principles k={k}", fp_ok,
-                       "-sum (l_i .) e_i reproduces the two-term formulas", (k, 3)))
+    out.append(CheckResult("quadratic", f"closed Dbar = first principles k={k}", fp_ok,
+                           "-sum (l_i .) e_i reproduces the two-term formulas"))
     return out
 
 
@@ -152,50 +145,46 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
 
 def _check_transfer_k(k: int) -> list[CheckResult]:
     out = []
-    closed = {
-        (p, q): iso_closed_form(k, p, q) for p in range(k + 1) for q in range(k + 1)
-    }
+    closed = transfer_table(k)
 
-    agree = all(
-        iso_recursive(k, p, q).poly == img.poly for (p, q), img in closed.items()
-    )
-    out.append(_result("transfer", f"closed form = recursive k={k}", agree,
-                       f"all {(k + 1) ** 2} images agree exactly", (k, 0)))
+    agree = all(iso_recursive(k, p, q).poly == poly for (p, q), poly in closed.items())
+    out.append(CheckResult("transfer", f"closed form = recursive k={k}", agree,
+                           f"all {(k + 1) ** 2} images agree exactly"))
 
     equi = True
-    for (p, q), img in closed.items():
-        left = beta_lower(LEFT, img.poly)
-        expect = closed[(p + 1, q)].poly.scale(k - p) if p < k else Polynomial.zero(Z_VIEW)
+    for (p, q), poly in closed.items():
+        left = beta_lower(LEFT, poly)
+        expect = closed[(p + 1, q)].scale(k - p) if p < k else Polynomial.zero(Z_VIEW)
         equi = equi and left == expect
-        right = beta_lower(RIGHT, img.poly)
-        expect = closed[(p, q + 1)].poly.scale(k - q) if q < k else Polynomial.zero(Z_VIEW)
+        right = beta_lower(RIGHT, poly)
+        expect = closed[(p, q + 1)].scale(k - q) if q < k else Polynomial.zero(Z_VIEW)
         equi = equi and right == expect
-    out.append(_result("transfer", f"equivariance k={k}", equi,
-                       "lowering commutes with the transfer on both sides", (k, 1)))
+    out.append(CheckResult("transfer", f"equivariance k={k}", equi,
+                           "lowering commutes with the transfer on both sides"))
 
-    harmonic = all(laplacian_r4(img.poly).is_zero() for img in closed.values())
-    out.append(_result("transfer", f"harmonicity k={k}", harmonic,
-                       "flat Laplacian annihilates every image", (k, 2)))
+    harmonic = all(laplacian_r4(poly).is_zero() for poly in closed.values())
+    out.append(CheckResult("transfer", f"harmonicity k={k}", harmonic,
+                           "flat Laplacian annihilates every image"))
 
     books = all(
         all(e >= 0 for e in exp) and sum(exp) == k
-        for img in closed.values()
-        for exp in img.poly.terms
+        for poly in closed.values()
+        for exp in poly.terms
     )
-    out.append(_result("transfer", f"exponent bookkeeping k={k}", books,
-                       "all exponents >= 0 and sum to k", (k, 3)))
+    out.append(CheckResult("transfer", f"exponent bookkeeping k={k}", books,
+                           "all exponents >= 0 and sum to k"))
 
-    columns = sorted({exp for img in closed.values() for exp in img.poly.terms})
+    columns = sorted({exp for poly in closed.values() for exp in poly.terms})
     col_index = {exp: j for j, exp in enumerate(columns)}
     rows = []
-    for img in closed.values():
+    for poly in closed.values():
         row = [gauss(0)] * len(columns)
-        for exp, c in img.poly.terms.items():
+        for exp, c in poly.terms.items():
             row[col_index[exp]] = c
         rows.append(row)
     full = linalg.rank(rows) == (k + 1) ** 2
-    out.append(_result("transfer", f"images independent k={k}", full,
-                       f"rank {(k + 1) ** 2} over the Gaussian rationals", (k, 4)))
+    out.append(CheckResult("transfer", f"images independent k={k}", full,
+                           f"rank {(k + 1) ** 2} over the Gaussian rationals"))
     return out
 
 
@@ -209,9 +198,8 @@ def _check_dirac_k(k: int) -> list[CheckResult]:
         if (dirac_section(entry.section) - entry.section.scale(entry.eigenvalue)).is_zero():
             good += 1
     ok = good == len(sections) == 2 * (k + 1) ** 2
-    return [_result("dirac", f"eigen-identity k={k}", ok,
-                    f"{good}/{2 * (k + 1) ** 2} sections satisfy D sigma = lambda sigma exactly",
-                    (k,))]
+    return [CheckResult("dirac", f"eigen-identity k={k}", ok,
+                        f"{good}/{2 * (k + 1) ** 2} sections satisfy D sigma = lambda sigma exactly")]
 
 
 def _check_laplace_k(k: int) -> list[CheckResult]:
@@ -225,10 +213,10 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
         for e in sections
     )
     return [
-        _result("laplace", f"laplace eigenvalue k={k}", eig_ok,
-                f"Delta sigma = {lam} sigma on all {len(sections)} sections", (k, 0)),
-        _result("laplace", f"dirac-laplace commute k={k}", comm_ok,
-                "Delta D sigma = D Delta sigma on all sections", (k, 1)),
+        CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok,
+                    f"Delta sigma = {lam} sigma on all {len(sections)} sections"),
+        CheckResult("laplace", f"dirac-laplace commute k={k}", comm_ok,
+                    "Delta D sigma = D Delta sigma on all sections"),
     ]
 
 
@@ -251,12 +239,12 @@ def _check_integral_exact() -> list[CheckResult]:
             for k in range(9)
         )
     )
-    out.append(_result("integral", "closed monomial formula", ok,
-                       "(-1)^l4 l1! l3! / (l1+l3+1)! in 2pi^2 units", (0,)))
+    out.append(CheckResult("integral", "closed monomial formula", ok,
+                           "(-1)^l4 l1! l3! / (l1+l3+1)! in 2pi^2 units"))
 
     norms = all(_norm_check(k) for k in range(9))
-    out.append(_result("integral", "power norms", norms,
-                       "<z2^k, z2^k> = 2pi^2/(k+1) for k <= 8", (1,)))
+    out.append(CheckResult("integral", "power norms", norms,
+                           "<z2^k, z2^k> = 2pi^2/(k+1) for k <= 8"))
     return out
 
 
@@ -276,9 +264,8 @@ def _check_integral_tensor(max_degree: int = 8) -> list[CheckResult]:
                     worst = max(worst, err)
                     ok = ok and err <= TENSOR_REL_TOL
                     count += 1
-    return [_result("integral", "tensor rule vs exact", ok,
-                    f"{count} monomials of degree <= {max_degree}, worst relative error {worst:.12g}",
-                    (2,))]
+    return [CheckResult("integral", "tensor rule vs exact", ok,
+                        f"{count} monomials of degree <= {max_degree}, worst relative error {worst:.12g}")]
 
 
 def _check_integral_mc(samples: int, seed: int) -> list[CheckResult]:
@@ -292,9 +279,8 @@ def _check_integral_mc(samples: int, seed: int) -> list[CheckResult]:
         good = abs(result.value - exact) <= bound
         ok = ok and good
         details.append(f"{exps}:{abs(result.value - exact):.3g}<= {bound:.3g}")
-    return [_result("integral", "monte carlo vs exact", ok,
-                    f"{samples} samples, seed {seed}, |error| <= 3 sigma: " + ", ".join(details),
-                    (3,))]
+    return [CheckResult("integral", "monte carlo vs exact", ok,
+                        f"{samples} samples, seed {seed}, |error| <= 3 sigma: " + ", ".join(details))]
 
 
 def _check_gram(k_max: int = 5) -> list[CheckResult]:
@@ -311,9 +297,8 @@ def _check_gram(k_max: int = 5) -> list[CheckResult]:
             for p in range(k + 1)
             for q in range(k + 1)
         )
-        out.append(_result("integral", f"gram structure k={k}", diagonal and exact,
-                           f"diagonal, exactly 1/({k + 1} C({k},p) C({k},q)) in 2pi^2 units",
-                           (4, k)))
+        out.append(CheckResult("integral", f"gram structure k={k}", diagonal and exact,
+                               f"diagonal, exactly 1/({k + 1} C({k},p) C({k},q)) in 2pi^2 units"))
     return out
 
 
@@ -356,16 +341,10 @@ def run_suites(
     rule: Optional[str] = None,
     samples: int = 1_000_000,
     seed: int = 0,
-    workers: int = 1,
 ) -> list[CheckResult]:
-    jobs = []
-    for suite in suites:
-        jobs.extend(suite_jobs(suite, k_max=k_max, rule=rule, samples=samples, seed=seed))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            batches = list(pool.map(lambda job: job(), jobs))
-    else:
-        batches = [job() for job in jobs]
-    results = [r for batch in batches for r in batch]
-    results.sort(key=lambda r: r.sort_key)
+    """Run the jobs of each named suite in order, suites by name, each once."""
+    results = []
+    for suite in sorted(set(suites)):
+        for job in suite_jobs(suite, k_max=k_max, rule=rule, samples=samples, seed=seed):
+            results.extend(job())
     return results

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from spinor_s3.cli import DEFAULT_K_CAP, RunConfig, main
+from spinor_s3.cli import DEFAULT_K_CAP, main
 
 
 def run(capsys, *argv):
@@ -143,13 +143,16 @@ def test_verify_multiple_suites(capsys):
     assert "[casimir]" in out and "[quadratic]" in out
 
 
-def test_verify_threaded_report_is_deterministic(capsys, monkeypatch):
-    code, serial, _ = run(capsys, "verify", "--suite", "casimir", "--k-max", "5")
+def test_verify_report_lists_each_suite_once_by_name(capsys, monkeypatch):
+    code, report, _ = run(capsys, "verify", "--suite", "quadratic,casimir", "--k-max", "2")
     assert code == 0
-    monkeypatch.setenv("SPINOR_S3_THREADS", "4")
-    code, threaded, _ = run(capsys, "verify", "--suite", "casimir", "--k-max", "5")
+    assert run(capsys, "verify", "--suite", "casimir,quadratic", "--k-max", "2") == (0, report, "")
+    # verify reads no environment variable, so a stale setting is ignored
+    monkeypatch.setenv("SPINOR_S3_THREADS", "abc")
+    assert run(capsys, "verify", "--suite", "quadratic,casimir", "--k-max", "2") == (0, report, "")
+    code, out, _ = run(capsys, "verify", "--suite", "casimir,casimir", "--k-max", "1")
     assert code == 0
-    assert serial == threaded
+    assert out.strip().endswith("4/4 checks passed")
 
 
 def test_verify_integral_tensor_only(capsys):
@@ -203,12 +206,13 @@ def test_degree_above_the_cap_is_usage_error(capsys, argv):
     assert_usage_error(code, out, err, f"exceeds the hard cap {DEFAULT_K_CAP}")
 
 
-def test_cap_is_inclusive():
-    # the end-to-end run at k = 12 is test_exports_at_the_cap_are_byte_identical
+def test_cap_is_inclusive(capsys):
+    # the spectrum and eigenbasis exports at k = 12 are run by
+    # test_exports_at_the_cap_are_byte_identical
     assert DEFAULT_K_CAP == 12
-    for command, field in (("eigenbasis", "k"), ("spectrum", "k_max"), ("verify", "k_max")):
-        assert RunConfig(command, **{field: DEFAULT_K_CAP}).check_cap() is None
-        assert RunConfig(command, **{field: DEFAULT_K_CAP + 1}).check_cap() is not None
+    code, out, err = run(capsys, "verify", "--suite", "casimir", "--k-max", "12")
+    assert (code, err) == (0, "")
+    assert out.strip().endswith("26/26 checks passed")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -229,20 +233,6 @@ def test_verify_zero_samples_is_usage_error(capsys):
 def test_verify_negative_seed_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--suite", "integral", "--seed", "-1")
     assert_usage_error(code, out, err, "--seed")
-
-
-@pytest.mark.parametrize("value", ["abc", "0", "-2", "1.5"])
-def test_verify_bad_thread_count_is_usage_error(capsys, monkeypatch, value):
-    monkeypatch.setenv("SPINOR_S3_THREADS", value)
-    code, out, err = run(capsys, "verify", "--suite", "casimir", "--k-max", "1")
-    assert_usage_error(code, out, err, "SPINOR_S3_THREADS")
-
-
-def test_verify_empty_thread_count_means_one(capsys, monkeypatch):
-    monkeypatch.setenv("SPINOR_S3_THREADS", "")
-    code, out, _ = run(capsys, "verify", "--suite", "casimir", "--k-max", "1")
-    assert code == 0
-    assert out.strip().endswith("4/4 checks passed")
 
 
 @pytest.mark.parametrize("argv", [
@@ -272,3 +262,22 @@ def test_gram_check_demands_the_exact_constant(monkeypatch):
 
     monkeypatch.setattr(verify, "gram_matrix", doubled)
     assert [r.passed for r in verify._check_gram(2)] == [False, False, False]
+
+
+# sha256 of verify reports, recorded while verify could still run its jobs
+# on a thread pool and sorted the records afterwards; the serial loop must
+# print the same reports byte for byte.
+@pytest.mark.parametrize("argv, digest", [
+    (("verify", "--suite", "all", "--k-max", "3", "--samples", "20000", "--seed", "3"),
+     "4fd857d196c93542ed79597859fb3f67a250067285223376da52c1e7f980909a"),
+    (("verify", "--suite", "laplace,casimir,integral", "--k-max", "2",
+      "--samples", "20000", "--seed", "3"),
+     "1c2cf385ec93d7370628759d946a3c62c3bea8af656f9a9dfd9f36fbef83f48b"),
+    (("verify", "--suite", "transfer,dirac,laplace"),
+     "7f69c802e4bdf050f5c1bc921ac9c49ac123e3be509f3815010d6eb9618adb85"),
+])
+def test_verify_reports_are_byte_identical(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest
+

@@ -234,6 +234,20 @@ def test_spinor_degree_inference():
     assert SpinorSection(G2 + G2**2, Polynomial.zero()).degree is None
 
 
+def test_spinor_degree_of_sums_and_differences():
+    # a sum's degree is inferred from its parts when first read
+    s = SpinorSection(G2**2, Z2 * Z1)
+    assert (s - s).degree == 0
+    assert (SpinorSection.zero() - s).degree == 2
+    assert (SpinorSection.zero() + SpinorSection(Z2, G2)).degree == 1
+    assert (s + SpinorSection(Z2, Polynomial.zero())).degree is None
+    # a degree-preserving operation keeps the degree of its operand, even
+    # where its result is zero and could not tell it
+    summed = s + s
+    assert summed.scale(0).degree == 2
+    assert (-summed).right_mul_basis(1).scale(3).degree == 2
+
+
 # -- the integer core against a Fraction reference ----------------------------------
 
 SCALARS = (
