@@ -12,90 +12,133 @@ itself is Dbar - 3/2, with eigenvalues k + 1/2 and -k - 3/2.
 
 Everything here is q-independent: the operator never mixes q, so all
 linear algebra happens on 2(k+1)-dimensional blocks.
+
+Storage: a :class:`SpinorVector` holds its nonzero coefficients as
+Gaussian integers ``{(r, p): (re, im)}`` (Python ints) over one positive
+``int`` denominator, in the canonical form of ``exactnum.reduce_parts``,
+so equality stays structural.  :func:`dbar_apply`, the vector arithmetic,
+the eigenvector families and their self-check compute on those ints; the
+block is the Gaussian-integer matrix :func:`dbar_block_int`, which
+:func:`quadratic_check` multiplies with ``linalg.mat_mul_int``.
+``GaussianRational`` appears only at the edge: the constructor, ``coeffs``,
+``dense()``, JSON and :func:`dbar_block_matrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
 from .exactnum import (
     BASIS,
-    GAUSS_ONE,
     GAUSS_ZERO,
     GaussianRational,
+    GaussInt,
+    add_parts,
     complex_split,
-    gauss,
+    gauss_over,
+    gauss_parts,
+    parts_over,
     quat_multiply,
+    reduce_parts,
+    scale_parts,
 )
-from .repspace import KetVector, apply_l
+from .repspace import _ket, apply_l
 
 Key = tuple[int, int]  # (r, p) with r in {0, 2}
 
 
-@dataclass(frozen=True)
+def _index(r: int, p: int, n: int) -> int:
+    """Position of e_r (x) |p> in the block basis e0 (x) |0..k>, then
+    e2 (x) |0..k>, where n = k + 1."""
+    return p if r == 0 else n + p
+
+
 class SpinorVector:
-    """A vector in the per-q slice, as a sparse (r, p) -> coefficient map."""
+    """A vector in the per-q slice, as sparse (r, p) coefficients (storage:
+    see the module docstring)."""
 
-    k: int
-    q: int
-    coeffs: tuple[tuple[Key, GaussianRational], ...]
+    __slots__ = ("k", "q", "_num", "_den")
 
-    def __post_init__(self):
-        if not 0 <= self.q <= self.k:
-            raise ValueError(f"q={self.q} outside 0..{self.k}")
-        clean = {}
-        for (r, p), c in self.coeffs:
+    def __init__(self, k: int, q: int, coeffs):
+        if not 0 <= q <= k:
+            raise ValueError(f"q={q} outside 0..{k}")
+        parts = []
+        for (r, p), c in coeffs:
             if r not in (0, 2):
                 raise ValueError(f"slot index r={r} must be 0 or 2")
-            if not 0 <= p <= self.k:
-                raise ValueError(f"ket index p={p} outside 0..{self.k}")
-            if not c.is_zero():
-                key = (r, p)
-                clean[key] = clean[key] + c if key in clean else c
-        items = tuple(sorted((key, c) for key, c in clean.items() if not c.is_zero()))
-        object.__setattr__(self, "coeffs", items)
-
-    @staticmethod
-    def from_dict(k: int, q: int, coeffs: dict[Key, GaussianRational]) -> "SpinorVector":
-        return SpinorVector(k, q, tuple(coeffs.items()))
+            if not 0 <= p <= k:
+                raise ValueError(f"ket index p={p} outside 0..{k}")
+            parts.append(((r, p), *gauss_parts(c)))
+        den = lcm(*(d for *_, d in parts))
+        num: dict[Key, GaussInt] = {}
+        for key, re, im, d in parts:
+            s = den // d
+            c = num.get(key)
+            num[key] = (re * s, im * s) if c is None else (c[0] + re * s, c[1] + im * s)
+        self.k = k
+        self.q = q
+        self._num, self._den = reduce_parts(num, den)
 
     @staticmethod
     def basis(k: int, q: int, r: int, p: int) -> "SpinorVector":
-        return SpinorVector(k, q, (((r, p), GAUSS_ONE),))
+        return SpinorVector(k, q, (((r, p), 1),))
 
-    def as_dict(self) -> dict[Key, GaussianRational]:
-        return dict(self.coeffs)
+    @property
+    def coeffs(self) -> tuple[tuple[Key, GaussianRational], ...]:
+        """The nonzero coefficients as Gaussian rationals, sorted by key (a
+        new tuple)."""
+        den = self._den
+        return tuple((key, gauss_over(re, im, den)) for key, (re, im) in sorted(self._num.items()))
 
     def coefficient(self, r: int, p: int) -> GaussianRational:
-        return self.as_dict().get((r, p), GAUSS_ZERO)
+        return gauss_over(*self._num.get((r, p), (0, 0)), self._den)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self._num
 
-    # the constructor merges repeated keys, so a sum is a concatenation
     def __add__(self, other: "SpinorVector") -> "SpinorVector":
         assert (self.k, self.q) == (other.k, other.q)
-        return SpinorVector(self.k, self.q, self.coeffs + other.coeffs)
+        return _spinor(self.k, self.q, *add_parts(self._num, self._den, other._num, other._den))
 
     def __sub__(self, other: "SpinorVector") -> "SpinorVector":
         assert (self.k, self.q) == (other.k, other.q)
-        negated = tuple((key, -c) for key, c in other.coeffs)
-        return SpinorVector(self.k, self.q, self.coeffs + negated)
+        return _spinor(self.k, self.q, *add_parts(self._num, self._den, other._num, other._den, -1))
 
     def scale(self, c) -> "SpinorVector":
-        if not isinstance(c, GaussianRational):
-            c = gauss(c)
-        return SpinorVector(self.k, self.q, tuple((key, v * c) for key, v in self.coeffs))
+        return _spinor(self.k, self.q, *scale_parts(self._num, self._den, *gauss_parts(c)))
 
-    # Basis order used for block matrices: e0 (x) |0..k|, then e2 (x) |0..k>.
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, SpinorVector):
+            return NotImplemented
+        return ((self.k, self.q, self._den) == (other.k, other.q, other._den)
+                and self._num == other._num)
+
+    def __hash__(self):
+        return hash((self.k, self.q, self._den, frozenset(self._num.items())))
+
+    def __repr__(self) -> str:
+        return f"SpinorVector(k={self.k}, q={self.q}, coeffs={self.coeffs!r})"
+
     def dense(self) -> list[GaussianRational]:
+        """The coefficients in the block basis order."""
         n = self.k + 1
         out = [GAUSS_ZERO] * (2 * n)
-        for (r, p), c in self.coeffs:
-            out[p if r == 0 else n + p] = c
+        for (r, p), (re, im) in self._num.items():
+            out[_index(r, p, n)] = gauss_over(re, im, self._den)
         return out
+
+    def dense_parts(self) -> tuple[list[int], list[int]]:
+        """The numerators of :meth:`dense`, real and imaginary parts, over
+        this vector's denominator."""
+        n = self.k + 1
+        re, im = [0] * (2 * n), [0] * (2 * n)
+        for (r, p), (x, y) in self._num.items():
+            j = _index(r, p, n)
+            re[j], im[j] = x, y
+        return re, im
 
     def to_json(self) -> dict:
         return {
@@ -115,23 +158,44 @@ class SpinorVector:
         return SpinorVector(obj["k"], obj["q"], coeffs)
 
 
+def _spinor(k: int, q: int, num: dict[Key, GaussInt], den: int) -> SpinorVector:
+    """A SpinorVector on parts that are already canonical."""
+    v = object.__new__(SpinorVector)
+    v.k = k
+    v.q = q
+    v._num = num
+    v._den = den
+    return v
+
+
 def dbar_apply(v: SpinorVector) -> SpinorVector:
     """Apply Dbar using the closed two-term formulas."""
     k = v.k
-    out: dict[Key, GaussianRational] = {}
-
-    def add(r: int, p: int, c: GaussianRational):
-        if 0 <= p <= k and not c.is_zero():
-            out[(r, p)] = out.get((r, p), GAUSS_ZERO) + c
-
-    for (r, p), c in v.coeffs:
+    out: dict[Key, GaussInt] = {}
+    for (r, p), (re, im) in v._num.items():
+        # (target key, integer factor) pairs; |-1> and |k+1> are zero
         if r == 0:
-            add(0, p, c * gauss(2 * p - k))
-            add(2, p - 1, c * gauss(-2 * p))
+            terms = [((0, p), 2 * p - k)]
+            if p:
+                terms.append(((2, p - 1), -2 * p))
         else:
-            add(2, p, c * gauss(-(2 * p - k)))
-            add(0, p + 1, c * gauss(-2 * (k - p)))
-    return SpinorVector.from_dict(k, v.q, out)
+            terms = [((2, p), k - 2 * p)]
+            if p < k:
+                terms.append(((0, p + 1), -2 * (k - p)))
+        for key, f in terms:
+            c = out.get(key)
+            out[key] = (re * f, im * f) if c is None else (c[0] + re * f, c[1] + im * f)
+    return _spinor(k, v.q, *reduce_parts(out, v._den))
+
+
+#: complex_split(e_r * e_i) for r in {0, 2} and i = 1..3, as Gaussian
+#: integers, from actual quaternion products.  This route keeps its own
+#: table rather than sharing polyring's, so the two share no code.
+_RIGHT_MUL = {
+    (r, i): tuple(parts_over(c, 1) for c in complex_split(quat_multiply(BASIS[r], BASIS[i])))
+    for r in (0, 2)
+    for i in (1, 2, 3)
+}
 
 
 def dbar_apply_first_principles(v: SpinorVector) -> SpinorVector:
@@ -139,50 +203,58 @@ def dbar_apply_first_principles(v: SpinorVector) -> SpinorVector:
 
     The derivative acts through repspace.apply_l on the ket factor and the
     right multiplication acts through actual quaternion products on the
-    e_r factor, re-split into the (e0, e2) basis.  Cross-checked against
-    :func:`dbar_apply` in the test suite.
+    e_r factor, re-split into the (e0, e2) basis (taken once per (r, i)).
+    Cross-checked against :func:`dbar_apply` in the test suite.
     """
     k = v.k
-    kets = {0: KetVector.zero(k), 2: KetVector.zero(k)}
-    for (r, p), c in v.coeffs:
-        kets[r] = kets[r] + KetVector.basis(k, p).scale(c)
+    kets = {0: {}, 2: {}}
+    for (r, p), c in v._num.items():
+        kets[r][p] = c
 
-    out: dict[Key, GaussianRational] = {}
+    num: dict[Key, GaussInt] = {}
+    den = 1
     for r in (0, 2):
-        if kets[r].is_zero():
+        if not kets[r]:
             continue
+        ket = _ket(k, *reduce_parts(kets[r], v._den))
         for i in (1, 2, 3):
-            moved = apply_l(i, kets[r])
-            alpha, beta = complex_split(quat_multiply(BASIS[r], BASIS[i]))
-            for p, c in enumerate(moved.coeffs):
-                if c.is_zero():
-                    continue
-                if not alpha.is_zero():
-                    key = (0, p)
-                    out[key] = out.get(key, GAUSS_ZERO) - c * alpha
-                if not beta.is_zero():
-                    key = (2, p)
-                    out[key] = out.get(key, GAUSS_ZERO) - c * beta
-    return SpinorVector.from_dict(k, v.q, out)
+            moved = apply_l(i, ket)
+            term: dict[Key, GaussInt] = {}
+            for s, (ar, ai) in zip((0, 2), _RIGHT_MUL[(r, i)]):
+                for p, (x, y) in moved._num.items():
+                    # -(x + i y)(ar + i ai)
+                    term[(s, p)] = (y * ai - x * ar, -(x * ai + y * ar))
+            num, den = add_parts(num, den, *reduce_parts(term, moved._den))
+    return _spinor(k, v.q, num, den)
+
+
+def dbar_block_int(k: int) -> linalg.GaussIntMatrix:
+    """The Gaussian-integer matrix of Dbar on one q slice, basis
+    e0 (x) |0..k> then e2 (x) |0..k>."""
+    n = k + 1
+    re = [[0] * (2 * n) for _ in range(2 * n)]
+    im = [[0] * (2 * n) for _ in range(2 * n)]
+    for r in (0, 2):
+        for p in range(n):
+            j = _index(r, p, n)
+            # the closed formulas have integer factors, so the image of a
+            # basis vector has denominator 1
+            for (s, t), (x, y) in dbar_apply(SpinorVector.basis(k, 0, r, p))._num.items():
+                re[_index(s, t, n)][j] = x
+                im[_index(s, t, n)][j] = y
+    return re, im
 
 
 def dbar_block_matrix(k: int) -> linalg.Matrix:
     """Matrix of Dbar on one q slice, basis e0 (x) |0..k> then e2 (x) |0..k>."""
-    n = 2 * (k + 1)
-    cols = []
-    for r in (0, 2):
-        for p in range(k + 1):
-            cols.append(dbar_apply(SpinorVector.basis(k, 0, r, p)).dense())
-    return [[cols[j][i] for j in range(n)] for i in range(n)]
+    return linalg.from_int(dbar_block_int(k))
 
 
 def quadratic_check(k: int) -> bool:
     """True iff (Dbar + k)(Dbar - (k+2)) vanishes on the whole block."""
-    n = 2 * (k + 1)
-    m = dbar_block_matrix(k)
-    plus = linalg.mat_add(m, linalg.mat_scale(linalg.identity(n), gauss(k)))
-    minus = linalg.mat_add(m, linalg.mat_scale(linalg.identity(n), gauss(-(k + 2))))
-    return linalg.is_zero_matrix(linalg.mat_mul(plus, minus))
+    block = dbar_block_int(k)
+    product = linalg.mat_mul_int(linalg.shift_int(block, k), linalg.shift_int(block, -(k + 2)))
+    return not any(any(row) for part in product for row in part)
 
 
 @dataclass(frozen=True)
@@ -222,15 +294,14 @@ def eigenbasis_abstract(k: int) -> tuple[EigenFamily, EigenFamily]:
     minus_positions = []
     for q in range(k + 1):
         for p in range(1, k + 1):
-            plus_vectors.append(
-                SpinorVector(k, q, (((0, p), GAUSS_ONE), ((2, p - 1), gauss(-1))))
-            )
+            plus_vectors.append(_spinor(k, q, {(0, p): (1, 0), (2, p - 1): (-1, 0)}, 1))
             plus_positions.append((q, p))
         minus_vectors.append(SpinorVector.basis(k, q, 0, 0))
         minus_positions.append((q, 0))
         for p in range(1, k + 1):
+            # both factors are nonzero integers: already canonical
             minus_vectors.append(
-                SpinorVector(k, q, (((0, p), gauss(p - k - 1)), ((2, p - 1), gauss(-p))))
+                _spinor(k, q, {(0, p): (p - k - 1, 0), (2, p - 1): (-p, 0)}, 1)
             )
             minus_positions.append((q, p))
         minus_vectors.append(SpinorVector.basis(k, q, 2, k))
@@ -250,7 +321,7 @@ def _verify_families(k: int, plus: EigenFamily, minus: EigenFamily) -> None:
     if len(plus) != k * (k + 1) or len(minus) != (k + 1) * (k + 2):
         raise AssertionError("family cardinality mismatch")
     for family in (plus, minus):
-        dbar_eigenvalue = gauss(family.dirac_eigenvalue + Fraction(3, 2))
+        dbar_eigenvalue = family.dirac_eigenvalue + Fraction(3, 2)
         for v in family.vectors:
             if not (dbar_apply(v) - v.scale(dbar_eigenvalue)).is_zero():
                 raise AssertionError(

@@ -9,12 +9,20 @@ rules e1*e2 = e3, e2*e3 = e1, e3*e1 = e2 and ei*ei = -e0 for i = 1..3.
 A quaternion is identified with a pair of complex numbers through the
 basis (e0, e2); the complex scalar a + b*i acts by left multiplication
 with a + b*e1.
+
+The exact containers of the other modules do not store
+``GaussianRational``s: they keep Gaussian integers ``(re, im)`` over one
+shared positive denominator, and the helpers at the end of this module
+(``gauss_parts``, ``gauss_over``, ``reduce_parts``, ``add_parts``,
+``scale_parts``) convert at the edge and keep that form canonical.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
+from math import gcd, lcm
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -123,6 +131,100 @@ def _coerce_gauss(x) -> GaussianRational:
 GAUSS_ZERO = gauss(0)
 GAUSS_ONE = gauss(1)
 GAUSS_I = gauss(0, 1)
+
+
+# -- Gaussian integers over a common denominator ----------------------------
+#
+# Used by ``Polynomial``, ``KetVector``, ``SpinorVector`` and ``linalg``.  A
+# map of Gaussian integers over den > 0 is canonical when it has no zero
+# entry and gcd(den, every part) = 1, so zero is ({}, 1) and equal values
+# have equal parts.
+
+#: A Gaussian integer re + im*i.
+GaussInt = tuple[int, int]
+
+
+def parts_over(c: GaussianRational, den: int) -> GaussInt:
+    """The numerators of c's parts over den, a multiple of both their
+    denominators."""
+    return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+
+
+def gauss_parts(c) -> tuple[int, int, int]:
+    """A scalar as ints (re, im, den) with c = (re + im*i)/den, den > 0 and
+    den the lcm of the parts' denominators."""
+    if isinstance(c, int):
+        return c, 0, 1
+    if isinstance(c, Fraction):
+        return c.numerator, 0, c.denominator
+    c = _coerce_gauss(c)
+    den = lcm(c.re.denominator, c.im.denominator)
+    return (*parts_over(c, den), den)
+
+
+def gauss_over(re: int, im: int, den: int) -> GaussianRational:
+    """The Gaussian rational (re + im*i)/den."""
+    if not re and not im:
+        return GAUSS_ZERO
+    return GaussianRational(Fraction(re, den), Fraction(im, den))
+
+
+def reduce_parts(num: dict, den: int) -> tuple[dict, int]:
+    """The canonical form of the Gaussian integers ``num`` (any keys) over
+    ``den > 0``: zero entries dropped and the common factor of den and all
+    parts divided out, so zero is ``({}, 1)``."""
+    num = {key: c for key, c in num.items() if c[0] or c[1]}
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(num.values()))
+        if g != 1:
+            den //= g
+            num = {key: (re // g, im // g) for key, (re, im) in num.items()}
+    return num, den
+
+
+def add_parts(a: dict, da: int, b: dict, db: int, sign: int = 1) -> tuple[dict, int]:
+    """``a/da + sign*b/db`` for sign = +-1, canonical when both operands are.
+    An operand that is returned unchanged is not copied."""
+    if not b:
+        return a, da
+    if not a:
+        if sign == 1:
+            return b, db
+        return {key: (-re, -im) for key, (re, im) in b.items()}, db
+    den = da if da == db else lcm(da, db)
+    s1, s2 = den // da, sign * (den // db)
+    if s1 == 1:
+        out = dict(a)
+    else:
+        out = {key: (re * s1, im * s1) for key, (re, im) in a.items()}
+    for key, (re, im) in b.items():
+        c = out.get(key)
+        if c is None:
+            out[key] = (re * s2, im * s2)
+        else:
+            out[key] = (c[0] + re * s2, c[1] + im * s2)
+    return reduce_parts(out, den)
+
+
+def scale_parts(a: dict, den: int, cr: int, ci: int, cd: int) -> tuple[dict, int]:
+    """``a/den`` times ``(cr + ci*i)/cd`` with cd > 0, canonical when
+    ``a/den`` is."""
+    if cd == 1 and cr * cr + ci * ci == 1:
+        # a unit only negates or swaps the parts: still canonical
+        if cr == 1:
+            return a, den
+        if cr == -1:
+            return {key: (-re, -im) for key, (re, im) in a.items()}, den
+        if ci == 1:
+            return {key: (-im, re) for key, (re, im) in a.items()}, den
+        return {key: (im, -re) for key, (re, im) in a.items()}, den
+    if not (cr or ci):
+        return {}, 1
+    if not ci:
+        out = {key: (re * cr, im * cr) for key, (re, im) in a.items()}
+    else:
+        out = {key: (re * cr - im * ci, re * ci + im * cr) for key, (re, im) in a.items()}
+    return reduce_parts(out, den * cd)
 
 
 @dataclass(frozen=True)

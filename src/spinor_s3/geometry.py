@@ -25,10 +25,11 @@ from .exactnum import (
     GaussianRational,
     RationalQuaternion,
     gauss,
+    parts_over,
     quat,
     quat_multiply,
 )
-from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, _over, _reduced
+from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, _reduced
 
 
 @dataclass(frozen=True)
@@ -111,7 +112,7 @@ def _killing_shifts(pair: KillingPair, view: str) -> tuple[int, tuple]:
         if not c.is_zero()
     ]
     den = math.lcm(*(d for _, _, c in entries for d in (c.re.denominator, c.im.denominator)))
-    return den, tuple((m, j, *_over(c, den)) for m, j, c in entries)
+    return den, tuple((m, j, *parts_over(c, den)) for m, j, c in entries)
 
 
 def killing_derivative(
@@ -360,8 +361,15 @@ def eta_quadrature(f: Polynomial, spec: QuadratureSpec) -> QuadratureResult:
     stream per chunk from SeedSequence(seed), so the estimate is
     reproducible no matter how chunks are scheduled.
     """
+    return eta_quadrature_many([f], spec)[0]
+
+
+def eta_quadrature_many(fs: list[Polynomial], spec: QuadratureSpec) -> list[QuadratureResult]:
+    """:func:`eta_quadrature` of each polynomial in ``fs`` on the same nodes:
+    the tensor grid is built once and each Monte Carlo chunk is drawn once,
+    so every result equals its one-polynomial call bit for bit."""
     spec.validate()
-    terms = _complex_terms(f)
+    all_terms = [_complex_terms(f) for f in fs]
     if spec.rule == "tensor":
         nt, nr = spec.n_angular, spec.n_radial
         t = 2.0 * np.pi * np.arange(nt) / nt
@@ -373,12 +381,14 @@ def eta_quadrature(f: Polynomial, spec: QuadratureSpec) -> QuadratureResult:
         rr = rho[None, None, :]
         z1 = np.exp(1j * tt) * np.sqrt(rr)
         z2 = np.exp(1j * ss) * np.sqrt(1.0 - rr)
-        values = _eval_terms(terms, z1, z2)
         cell = (2.0 * np.pi / nt) ** 2 * 0.5
-        total = cell * np.sum(values * w_rho[None, None, :])
-        return QuadratureResult(complex(total), None)
+        return [
+            QuadratureResult(complex(cell * np.sum(_eval_terms(terms, z1, z2) * w_rho[None, None, :])))
+            for terms in all_terms
+        ]
 
-    total_re = total_im = sq_re = sq_im = 0.0
+    # per polynomial: sums of the real and imaginary parts and of their squares
+    sums = [[0.0, 0.0, 0.0, 0.0] for _ in all_terms]
     n = spec.samples
     children = np.random.SeedSequence(spec.seed).spawn((n + _MC_CHUNK - 1) // _MC_CHUNK)
     drawn = 0
@@ -389,18 +399,22 @@ def eta_quadrature(f: Polynomial, spec: QuadratureSpec) -> QuadratureResult:
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         z1 = x[:, 0] + 1j * x[:, 1]
         z2 = x[:, 2] + 1j * x[:, 3]
-        values = _eval_terms(terms, z1, z2)
-        total_re += float(np.sum(values.real))
-        total_im += float(np.sum(values.imag))
-        sq_re += float(np.sum(values.real**2))
-        sq_im += float(np.sum(values.imag**2))
+        for acc, terms in zip(sums, all_terms):
+            values = _eval_terms(terms, z1, z2)
+            acc[0] += float(np.sum(values.real))
+            acc[1] += float(np.sum(values.imag))
+            acc[2] += float(np.sum(values.real**2))
+            acc[3] += float(np.sum(values.imag**2))
         drawn += m
     volume = 2.0 * math.pi**2
-    mean = complex(total_re / n, total_im / n)
-    var_re = max(sq_re / n - (total_re / n) ** 2, 0.0)
-    var_im = max(sq_im / n - (total_im / n) ** 2, 0.0)
-    stderr = volume * math.sqrt((var_re + var_im) / n)
-    return QuadratureResult(mean * volume, stderr)
+    results = []
+    for total_re, total_im, sq_re, sq_im in sums:
+        mean = complex(total_re / n, total_im / n)
+        var_re = max(sq_re / n - (total_re / n) ** 2, 0.0)
+        var_im = max(sq_im / n - (total_im / n) ** 2, 0.0)
+        stderr = volume * math.sqrt((var_re + var_im) / n)
+        results.append(QuadratureResult(mean * volume, stderr))
+    return results
 
 
 def gram_matrix(k: int) -> list[list[IntegralValue]]:

@@ -1,20 +1,24 @@
 """Exact dense linear algebra over the Gaussian rationals.
 
-Matrices are plain lists of lists of :class:`GaussianRational` in and
-out.  The three kernels that do real work (:func:`mat_mul`, :func:`rank`
-and :func:`charpoly`) convert a matrix once to a triple ``(d, R, I)``
-with ``A = (R + iI)/d``, where ``R`` and ``I`` are integer matrices and
-``d`` is the lcm of all denominators, compute on Python ints, and convert
-back only when they return:
+The kernels that do real work compute on Gaussian-integer matrices
+``(R, I)``, the matrix ``R + iI`` with ``R`` and ``I`` lists of lists of
+Python ints, and have public integer entry points:
 
-* ``mat_mul`` forms integer row combinations, skipping the zero real and
-  imaginary parts of the left factor and the all-zero rows of the right;
-* ``rank`` is fraction-free echelon elimination over Z[i]: a row is
-  cleared by ``p*row - f*pivot_row`` and then divided by the gcd of its
+* :func:`mat_mul_int` forms integer row combinations, skipping the zero
+  real and imaginary parts of the left factor and the all-zero rows of the
+  right;
+* :func:`rank_int` is fraction-free echelon elimination over Z[i]: a row
+  is cleared by ``p*row - f*pivot_row`` and then divided by the gcd of its
   integer parts, so nothing is ever divided in Q(i);
-* ``charpoly`` runs Faddeev-LeVerrier on the Gaussian-integer matrix
-  ``dA``; the trace of each iterate is exactly divisible by the step
-  number, and coefficient ``j`` is scaled back by ``d^-j``.
+* :func:`charpoly_int` runs Faddeev-LeVerrier; the trace of each iterate
+  is exactly divisible by the step number.
+
+The operators of ``repspace`` and ``abstract_dirac`` are integer matrices
+and call these directly (with :func:`shift_int` for ``A + cI``).  The dense :class:`GaussianRational` API
+(:func:`mat_mul`, :func:`rank`, :func:`charpoly`) converts a matrix once
+to ``(d, (R, I))`` with ``A = (R + iI)/d`` and ``d`` the lcm of all
+denominators, calls the integer entry point and converts back only when
+it returns; ``charpoly`` scales coefficient ``j`` by ``d^-j``.
 
 No result is rounded.  :func:`charpoly_from_roots` and :func:`poly_mul`
 stay on :class:`GaussianRational` on purpose: they are the independent
@@ -26,10 +30,12 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .exactnum import GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
+from .exactnum import GAUSS_ONE, GAUSS_ZERO, GaussianRational, GaussInt, gauss, gauss_over
 
 Matrix = list[list[GaussianRational]]
 IntMatrix = list[list[int]]
+#: The Gaussian-integer matrix R + iI as the pair (R, I).
+GaussIntMatrix = tuple[IntMatrix, IntMatrix]
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -55,36 +61,53 @@ def mat_scale(a: Matrix, s: GaussianRational | Fraction | int) -> Matrix:
     return [[x * s if x else GAUSS_ZERO for x in row] for row in a]
 
 
-# -- the Gaussian-integer form ------------------------------------------------
+def mat_eq(a: Matrix, b: Matrix) -> bool:
+    return a == b
 
 
-def _to_int(a: Matrix) -> tuple[int, IntMatrix, IntMatrix]:
-    """``(d, R, I)`` with ``a = (R + iI)/d`` and ``d`` the lcm of all
+def trace(a: Matrix) -> GaussianRational:
+    t = GAUSS_ZERO
+    for i in range(len(a)):
+        t = t + a[i][i]
+    return t
+
+
+# -- conversion ---------------------------------------------------------------
+
+
+def _to_int(a: Matrix) -> tuple[int, GaussIntMatrix]:
+    """``(d, (R, I))`` with ``a = (R + iI)/d`` and ``d`` the lcm of all
     denominators."""
     d = math.lcm(*{x.re.denominator for row in a for x in row},
                  *{x.im.denominator for row in a for x in row})
-    return (
-        d,
+    return d, (
         [[x.re.numerator * (d // x.re.denominator) for x in row] for row in a],
         [[x.im.numerator * (d // x.im.denominator) for x in row] for row in a],
     )
 
 
-def _gauss_over(re: int, im: int, d: int) -> GaussianRational:
-    """The Gaussian rational ``(re + i im)/d``."""
-    if not re and not im:
-        return GAUSS_ZERO
-    return GaussianRational(Fraction(re, d), Fraction(im, d))
+def from_int(a: GaussIntMatrix, d: int = 1) -> Matrix:
+    """The Gaussian-rational matrix ``(R + iI)/d``."""
+    re, im = a
+    return [[gauss_over(x, y, d) for x, y in zip(rr, ri)] for rr, ri in zip(re, im)]
 
 
-def _from_int(d: int, re: IntMatrix, im: IntMatrix) -> Matrix:
-    return [[_gauss_over(x, y, d) for x, y in zip(rr, ri)] for rr, ri in zip(re, im)]
+# -- integer kernels ------------------------------------------------------------
 
 
-def _int_mul(ar: IntMatrix, ai: IntMatrix, br: IntMatrix, bi: IntMatrix,
-             cols: int) -> tuple[IntMatrix, IntMatrix]:
+def shift_int(a: GaussIntMatrix, c: int) -> GaussIntMatrix:
+    """A + cI for a square Gaussian-integer matrix A and an integer c."""
+    re = [row[:] for row in a[0]]
+    for i, row in enumerate(re):
+        row[i] += c
+    return re, [row[:] for row in a[1]]
+
+
+def mat_mul_int(a: GaussIntMatrix, b: GaussIntMatrix) -> GaussIntMatrix:
     """``(ar + i ai)(br + i bi)`` over Z[i], one output row at a time as a
     combination of the rows of the right factor."""
+    (ar, ai), (br, bi) = a, b
+    cols = len(br[0]) if br else 0
     br_live = [any(row) for row in br]
     bi_live = [any(row) for row in bi]
     out_r, out_i = [], []
@@ -107,53 +130,21 @@ def _int_mul(ar: IntMatrix, ai: IntMatrix, br: IntMatrix, bi: IntMatrix,
     return out_r, out_i
 
 
-# -- kernels --------------------------------------------------------------------
-
-
-def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    if not a or not b:
-        return [[] for _ in a]
-    assert len(a[0]) == len(b)
-    da, ar, ai = _to_int(a)
-    db, br, bi = _to_int(b)
-    return _from_int(da * db, *_int_mul(ar, ai, br, bi, len(b[0])))
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
-
-
-def is_zero_matrix(a: Matrix) -> bool:
-    return all(x.is_zero() for row in a for x in row)
-
-
-def is_diagonal(a: Matrix) -> bool:
-    return all(a[i][j].is_zero() for i in range(len(a)) for j in range(len(a[i])) if i != j)
-
-
-def trace(a: Matrix) -> GaussianRational:
-    t = GAUSS_ZERO
-    for i in range(len(a)):
-        t = t + a[i][i]
-    return t
-
-
-def rank(a: Matrix) -> int:
+def rank_int(a: GaussIntMatrix) -> int:
     """Rank by fraction-free echelon elimination over the Gaussian integers.
 
-    The common denominator does not change the rank, so only the integer
-    parts are kept.  Each step takes the first row that is nonzero in the
-    current column as pivot ``p``; every other row with entry ``f`` there
-    becomes ``p*row - f*pivot`` and is divided by the gcd of its integer
-    parts.  Rows are kept from the current column on, so they shrink as the
+    Each step takes the first row that is nonzero in the current column as
+    pivot ``p``; every other row with entry ``f`` there becomes
+    ``p*row - f*pivot`` and is divided by the gcd of its integer parts.
+    Rows are kept from the current column on, so they shrink as the
     elimination moves right.
     """
-    if not a or not a[0]:
+    re, im = a
+    if not re or not re[0]:
         return 0
-    _, re, im = _to_int(a)
     rows = [(r, i) for r, i in zip(re, im) if any(r) or any(i)]
     found = 0
-    for _ in range(len(a[0])):
+    for _ in range(len(re[0])):
         if not rows:
             break
         piv = next((j for j, (r, i) in enumerate(rows) if r[0] or i[0]), None)
@@ -186,37 +177,64 @@ def rank(a: Matrix) -> int:
     return found
 
 
+def charpoly_int(a: GaussIntMatrix) -> list[GaussInt]:
+    """Monic characteristic polynomial det(xI - A) of a square Gaussian-integer
+    matrix, coefficients by descending power (length n+1), by the
+    Faddeev-LeVerrier recursion.
+
+    With ``M_1 = A`` and ``M_(j+1) = A (M_j + b_j I)``, the coefficient
+    ``b_j = -tr(M_j)/j`` is a Gaussian integer, so the division is exact; a
+    remainder raises ``ArithmeticError``.
+    """
+    ar, ai = a
+    n = len(ar)
+    coeffs = [(1, 0)]
+    mr = [row[:] for row in ar]
+    mi = [row[:] for row in ai]
+    for j in range(1, n + 1):
+        cr, rem_r = divmod(-sum(mr[i][i] for i in range(n)), j)
+        ci, rem_i = divmod(-sum(mi[i][i] for i in range(n)), j)
+        if rem_r or rem_i:
+            raise ArithmeticError(f"Faddeev-LeVerrier trace not divisible by {j}")
+        coeffs.append((cr, ci))
+        if j < n:
+            for i in range(n):
+                mr[i][i] += cr
+                mi[i][i] += ci
+            mr, mi = mat_mul_int(a, (mr, mi))
+    return coeffs
+
+
+# -- the Gaussian-rational API ----------------------------------------------------
+
+
+def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    if not a or not b:
+        return [[] for _ in a]
+    assert len(a[0]) == len(b)
+    da, ai = _to_int(a)
+    db, bi = _to_int(b)
+    return from_int(mat_mul_int(ai, bi), da * db)
+
+
+def rank(a: Matrix) -> int:
+    """Rank of a Gaussian-rational matrix; the common denominator does not
+    change it, so only the integer parts go to :func:`rank_int`."""
+    if not a or not a[0]:
+        return 0
+    return rank_int(_to_int(a)[1])
+
+
 def nullity(a: Matrix) -> int:
     return (len(a[0]) if a else 0) - rank(a)
 
 
 def charpoly(a: Matrix) -> list[GaussianRational]:
     """Monic characteristic polynomial det(xI - A), coefficients by descending
-    power (length n+1), by the Faddeev-LeVerrier recursion on ``B = dA``.
-
-    With ``M_1 = B`` and ``M_(j+1) = B (M_j + b_j I)``, the coefficient
-    ``b_j = -tr(M_j)/j`` of det(xI - B) is a Gaussian integer, so the
-    division is exact; the coefficient of A is ``b_j / d^j``.
-    """
-    n = len(a)
-    coeffs = [GAUSS_ONE]
-    d, br, bi = _to_int(a)
-    mr = [row[:] for row in br]
-    mi = [row[:] for row in bi]
-    scale = 1
-    for j in range(1, n + 1):
-        cr, rem_r = divmod(-sum(mr[i][i] for i in range(n)), j)
-        ci, rem_i = divmod(-sum(mi[i][i] for i in range(n)), j)
-        if rem_r or rem_i:
-            raise ArithmeticError(f"Faddeev-LeVerrier trace not divisible by {j}")
-        scale *= d
-        coeffs.append(_gauss_over(cr, ci, scale))
-        if j < n:
-            for i in range(n):
-                mr[i][i] += cr
-                mi[i][i] += ci
-            mr, mi = _int_mul(br, bi, mr, mi, n)
-    return coeffs
+    power (length n+1): :func:`charpoly_int` of ``B = dA``, whose
+    coefficient ``j`` is ``d^j`` times that of A."""
+    d, b = _to_int(a)
+    return [gauss_over(cr, ci, d**j) for j, (cr, ci) in enumerate(charpoly_int(b))]
 
 
 def poly_mul(p: list[GaussianRational], q: list[GaussianRational]) -> list[GaussianRational]:

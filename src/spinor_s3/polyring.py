@@ -25,25 +25,32 @@ appears only at the edge: the constructor, ``terms``, ``coefficient``,
 ``evaluate`` and JSON.  The kernels outside this module
 (``geometry.killing_derivative``, ``geometry.l2_inner_product``,
 ``transfer.iso_closed_form``) read ``_num``/``_den`` and build their
-results through ``_reduced``, which restores the canonical form.
+results through ``_reduced``, which restores the canonical form with
+``exactnum.reduce_parts``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from itertools import chain
-from math import gcd, lcm
+from math import lcm
 from typing import Optional
 
 from .exactnum import (
     GAUSS_ZERO,
     GaussianRational,
+    GaussInt,
     RationalQuaternion,
+    add_parts,
     assemble,
     complex_split,
     gauss,
+    gauss_over,
+    gauss_parts,
+    parts_over,
     quat_multiply,
+    reduce_parts,
+    scale_parts,
     BASIS,
 )
 
@@ -51,8 +58,6 @@ X_VIEW = "x"
 Z_VIEW = "z"
 
 Exponents = tuple[int, int, int, int]
-#: A Gaussian integer re + im*i.
-GaussInt = tuple[int, int]
 
 
 def _term_order(item):
@@ -75,7 +80,7 @@ class Polynomial:
         # the parts are reduced fractions, so over the lcm of their
         # denominators the numerators already share no factor with it
         den = lcm(*(d for _, c in items for d in (c.re.denominator, c.im.denominator)))
-        self._num = {exp: _over(c, den) for exp, c in items}
+        self._num = {exp: parts_over(c, den) for exp, c in items}
         self._den = den
         self.view = view
 
@@ -106,10 +111,7 @@ class Polynomial:
     def terms(self) -> dict[Exponents, GaussianRational]:
         """The nonzero coefficients as Gaussian rationals (a new dict)."""
         den = self._den
-        return {
-            exp: GaussianRational(Fraction(re, den), Fraction(im, den))
-            for exp, (re, im) in self._num.items()
-        }
+        return {exp: gauss_over(re, im, den) for exp, (re, im) in self._num.items()}
 
     def is_zero(self) -> bool:
         return not self._num
@@ -131,7 +133,7 @@ class Polynomial:
         c = self._num.get(tuple(exponents))
         if c is None:
             return GAUSS_ZERO
-        return GaussianRational(Fraction(c[0], self._den), Fraction(c[1], self._den))
+        return gauss_over(*c, self._den)
 
     # -- ring operations ------------------------------------------------------
 
@@ -146,24 +148,7 @@ class Polynomial:
 
     def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
         """self + sign*other for sign = +-1, other in self's view."""
-        if not other._num:
-            return self
-        if not self._num:
-            return other if sign == 1 else -other
-        d1, d2 = self._den, other._den
-        den = d1 if d1 == d2 else lcm(d1, d2)
-        s1, s2 = den // d1, sign * (den // d2)
-        if s1 == 1:
-            out = dict(self._num)
-        else:
-            out = {e: (re * s1, im * s1) for e, (re, im) in self._num.items()}
-        for e, (re, im) in other._num.items():
-            c = out.get(e)
-            if c is None:
-                out[e] = (re * s2, im * s2)
-            else:
-                out[e] = (c[0] + re * s2, c[1] + im * s2)
-        return _reduced(out, den, self.view)
+        return _poly(*add_parts(self._num, self._den, other._num, other._den, sign), self.view)
 
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):
@@ -190,29 +175,11 @@ class Polynomial:
         return result
 
     def scale(self, c) -> "Polynomial":
-        return self._scaled(*_scalar_parts(c))
+        return self._scaled(*gauss_parts(c))
 
     def _scaled(self, cr: int, ci: int, cd: int) -> "Polynomial":
         """self * (cr + ci*i)/cd with cd > 0."""
-        num = self._num
-        if cd == 1 and cr * cr + ci * ci == 1:
-            # a unit only negates or swaps the parts: still canonical
-            if cr == 1:
-                return self
-            if cr == -1:
-                out = {e: (-re, -im) for e, (re, im) in num.items()}
-            elif ci == 1:
-                out = {e: (-im, re) for e, (re, im) in num.items()}
-            else:
-                out = {e: (im, -re) for e, (re, im) in num.items()}
-            return _poly(out, self._den, self.view)
-        if not (cr or ci):
-            return _poly({}, 1, self.view)
-        if not ci:
-            out = {e: (re * cr, im * cr) for e, (re, im) in num.items()}
-        else:
-            out = {e: (re * cr - im * ci, re * ci + im * cr) for e, (re, im) in num.items()}
-        return _reduced(out, self._den * cd, self.view)
+        return _poly(*scale_parts(self._num, self._den, cr, ci, cd), self.view)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
@@ -334,21 +301,8 @@ def _poly(num: dict[Exponents, GaussInt], den: int, view: str) -> Polynomial:
 
 
 def _reduced(num: dict[Exponents, GaussInt], den: int, view: str) -> Polynomial:
-    """A Polynomial on integer parts over den > 0, made canonical: zero
-    terms dropped and the common factor of den and all parts divided out."""
-    num = {e: c for e, c in num.items() if c[0] or c[1]}
-    if den != 1:
-        g = gcd(den, *chain.from_iterable(num.values()))
-        if g != 1:
-            den //= g
-            num = {e: (re // g, im // g) for e, (re, im) in num.items()}
-    return _poly(num, den, view)
-
-
-def _over(c: GaussianRational, den: int) -> GaussInt:
-    """The numerators of c's parts over den, a multiple of both their
-    denominators."""
-    return c.re.numerator * (den // c.re.denominator), c.im.numerator * (den // c.im.denominator)
+    """A Polynomial on integer parts over den > 0, made canonical."""
+    return _poly(*reduce_parts(num, den), view)
 
 
 def _coerce_coeff(c) -> GaussianRational:
@@ -357,17 +311,6 @@ def _coerce_coeff(c) -> GaussianRational:
     if isinstance(c, (int, Fraction)):
         return gauss(c)
     raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
-
-
-def _scalar_parts(c) -> tuple[int, int, int]:
-    """A scalar as ints (re, im, den) with c = (re + im*i)/den and den > 0."""
-    if isinstance(c, int):
-        return c, 0, 1
-    if isinstance(c, Fraction):
-        return c.numerator, 0, c.denominator
-    c = _coerce_coeff(c)
-    den = lcm(c.re.denominator, c.im.denominator)
-    return (*_over(c, den), den)
 
 
 # Degree-one generators of the z view and the real coordinates.
@@ -443,7 +386,7 @@ def _basis_product_split(r: int, i: int) -> tuple[GaussInt, GaussInt]:
     """complex_split(e_r * e_i) as two Gaussian integers, computed once per
     (r, i)."""
     alpha, beta = complex_split(quat_multiply(BASIS[r], BASIS[i]))
-    return _over(alpha, 1), _over(beta, 1)
+    return parts_over(alpha, 1), parts_over(beta, 1)
 
 
 #: A section's degree that has not been inferred yet.

@@ -18,67 +18,114 @@ The complexified ladder operators are normalised so that
     Y |p> = (k - p) |p+1>     (Y = (-l2 + i*l3)/2, raises p)
 
 which satisfy [H, X] = 2X, [H, Y] = -2Y and [X, Y] = H exactly.
+
+Storage: a :class:`KetVector` holds its nonzero coefficients as Gaussian
+integers ``{p: (re, im)}`` (Python ints) over one positive ``int``
+denominator, in the canonical form of ``exactnum.reduce_parts`` (no zero
+entries, nothing left to cancel, zero is ``({}, 1)``), so equality stays
+structural.  :func:`apply_l`, :func:`apply_sl2` and the vector arithmetic
+compute on those ints.  The l_i have Gaussian-integer matrices
+(:func:`l_matrix_int`), which :func:`casimir` multiplies with
+``linalg.mat_mul_int``.  ``GaussianRational`` appears only at the edge:
+the constructor, ``coeffs`` and :class:`RepMatrix`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from . import linalg
-from .exactnum import GAUSS_I, GAUSS_ONE, GAUSS_ZERO, GaussianRational, gauss
+from .exactnum import (
+    GAUSS_I,
+    GaussianRational,
+    GaussInt,
+    add_parts,
+    gauss,
+    gauss_over,
+    gauss_parts,
+    reduce_parts,
+    scale_parts,
+)
 
 
-@dataclass(frozen=True)
 class KetVector:
-    """A vector in H_k as a dense coefficient tuple over |0>..|k>."""
+    """A vector in H_k over the kets |0>..|k> (storage: see the module
+    docstring)."""
 
-    k: int
-    coeffs: tuple[GaussianRational, ...]
+    __slots__ = ("k", "_num", "_den")
 
-    def __post_init__(self):
-        if self.k < 0:
+    def __init__(self, k: int, coeffs):
+        if k < 0:
             raise ValueError("degree k must be >= 0")
-        if len(self.coeffs) != self.k + 1:
-            raise ValueError(f"expected {self.k + 1} coefficients, got {len(self.coeffs)}")
-        object.__setattr__(self, "coeffs", tuple(self.coeffs))
+        coeffs = tuple(coeffs)
+        if len(coeffs) != k + 1:
+            raise ValueError(f"expected {k + 1} coefficients, got {len(coeffs)}")
+        parts = [gauss_parts(c) for c in coeffs]
+        den = lcm(*(d for _, _, d in parts))
+        self.k = k
+        self._num, self._den = reduce_parts(
+            {p: (re * (den // d), im * (den // d)) for p, (re, im, d) in enumerate(parts)}, den
+        )
 
     @staticmethod
     def zero(k: int) -> "KetVector":
-        return KetVector(k, (GAUSS_ZERO,) * (k + 1))
+        return KetVector(k, (0,) * (k + 1))
 
     @staticmethod
     def basis(k: int, p: int) -> "KetVector":
         if not 0 <= p <= k:
             raise ValueError(f"ket index p={p} outside 0..{k}")
-        coeffs = [GAUSS_ZERO] * (k + 1)
-        coeffs[p] = GAUSS_ONE
-        return KetVector(k, tuple(coeffs))
+        return _ket(k, {p: (1, 0)}, 1)
+
+    @property
+    def coeffs(self) -> tuple[GaussianRational, ...]:
+        """The k+1 coefficients as Gaussian rationals (a new tuple)."""
+        num, den = self._num, self._den
+        return tuple(gauss_over(*num.get(p, (0, 0)), den) for p in range(self.k + 1))
 
     def __add__(self, other: "KetVector") -> "KetVector":
         assert self.k == other.k
-        return KetVector(self.k, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return _ket(self.k, *add_parts(self._num, self._den, other._num, other._den))
 
     def __sub__(self, other: "KetVector") -> "KetVector":
         assert self.k == other.k
-        return KetVector(self.k, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return _ket(self.k, *add_parts(self._num, self._den, other._num, other._den, -1))
 
     def __neg__(self) -> "KetVector":
-        return KetVector(self.k, tuple(-a for a in self.coeffs))
+        return _ket(self.k, *scale_parts(self._num, self._den, -1, 0, 1))
 
     def scale(self, c) -> "KetVector":
-        if not isinstance(c, GaussianRational):
-            c = gauss(c)
-        return KetVector(self.k, tuple(a * c for a in self.coeffs))
+        return _ket(self.k, *scale_parts(self._num, self._den, *gauss_parts(c)))
 
     def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
+        return not self._num
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, KetVector):
+            return NotImplemented
+        return self.k == other.k and self._den == other._den and self._num == other._num
+
+    def __hash__(self):
+        return hash((self.k, self._den, frozenset(self._num.items())))
+
+    def __repr__(self) -> str:
+        return f"KetVector(k={self.k}, coeffs={self.coeffs!r})"
 
 
-def _shift_term(out: list, p: int, k: int, coeff: GaussianRational) -> None:
-    # kets outside 0..k are identically zero
-    if 0 <= p <= k and not coeff.is_zero():
-        out[p] = out[p] + coeff
+def _ket(k: int, num: dict[int, GaussInt], den: int) -> KetVector:
+    """A KetVector on parts that are already canonical."""
+    v = object.__new__(KetVector)
+    v.k = k
+    v._num = num
+    v._den = den
+    return v
+
+
+def _put(out: dict, key, re: int, im: int) -> None:
+    c = out.get(key)
+    out[key] = (re, im) if c is None else (c[0] + re, c[1] + im)
 
 
 def apply_l(i: int, v: KetVector) -> KetVector:
@@ -86,19 +133,24 @@ def apply_l(i: int, v: KetVector) -> KetVector:
     if i not in (1, 2, 3):
         raise ValueError(f"axis index must be 1, 2 or 3, got {i}")
     k = v.k
-    out = [GAUSS_ZERO] * (k + 1)
-    for p, c in enumerate(v.coeffs):
-        if c.is_zero():
-            continue
+    out: dict[int, GaussInt] = {}
+    for p, (re, im) in v._num.items():
+        # (re + i im) times a coefficient m (l2) or m*i (l1, l3); the
+        # kets |-1> and |k+1> are zero
         if i == 1:
-            _shift_term(out, p, k, c * gauss(0, 2 * p - k))
+            m = 2 * p - k
+            _put(out, p, -im * m, re * m)
         elif i == 2:
-            _shift_term(out, p + 1, k, c * gauss(p - k))
-            _shift_term(out, p - 1, k, c * gauss(p))
+            if p < k:
+                _put(out, p + 1, re * (p - k), im * (p - k))
+            if p:
+                _put(out, p - 1, re * p, im * p)
         else:
-            _shift_term(out, p + 1, k, c * gauss(0, p - k))
-            _shift_term(out, p - 1, k, c * gauss(0, -p))
-    return KetVector(k, tuple(out))
+            if p < k:
+                _put(out, p + 1, -im * (p - k), re * (p - k))
+            if p:
+                _put(out, p - 1, im * p, -re * p)
+    return _ket(k, *reduce_parts(out, v._den))
 
 
 _HALF = gauss(Fraction(1, 2))
@@ -150,11 +202,23 @@ class RepMatrix:
         return RepMatrix(k, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
 
 
+def l_matrix_int(i: int, k: int) -> linalg.GaussIntMatrix:
+    """The Gaussian-integer matrix of apply_l(i, .) on H_k; column p is the
+    image of |p>."""
+    n = k + 1
+    re = [[0] * n for _ in range(n)]
+    im = [[0] * n for _ in range(n)]
+    for p in range(n):
+        # the image of a basis ket has integer parts, so its denominator is 1
+        for r, (x, y) in apply_l(i, KetVector.basis(k, p))._num.items():
+            re[r][p] = x
+            im[r][p] = y
+    return re, im
+
+
 def l_matrix(i: int, k: int) -> RepMatrix:
     """Matrix of apply_l(i, .) on H_k; column p is the image of |p>."""
-    n = k + 1
-    cols = [apply_l(i, KetVector.basis(k, p)).coeffs for p in range(n)]
-    return RepMatrix(k, tuple(tuple(cols[p][r] for p in range(n)) for r in range(n)))
+    return RepMatrix(k, linalg.from_int(l_matrix_int(i, k)))
 
 
 def casimir(k: int) -> RepMatrix:
@@ -162,12 +226,14 @@ def casimir(k: int) -> RepMatrix:
     if k < 0:
         raise ValueError("degree k must be >= 0")
     n = k + 1
-    total = linalg.zeros(n, n)
+    neg = ([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
     for i in (1, 2, 3):
-        m = l_matrix(i, k).rows()
-        total = linalg.mat_add(total, linalg.mat_mul(m, m))
-    neg = linalg.mat_scale(total, gauss(-1))
-    return RepMatrix(k, tuple(tuple(row) for row in neg))
+        m = l_matrix_int(i, k)
+        for acc, square in zip(neg, linalg.mat_mul_int(m, m)):
+            for out, row in zip(acc, square):
+                for j, x in enumerate(row):
+                    out[j] -= x
+    return RepMatrix(k, linalg.from_int(neg))
 
 
 def casimir_expected(k: int) -> RepMatrix:

@@ -14,12 +14,13 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import linalg
-from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_matrix, \
+from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_int, \
     eigenbasis_abstract, quadratic_check, SpinorVector
-from .exactnum import BASIS, gauss, quat_multiply
+from .exactnum import BASIS, gauss, gauss_over, quat_multiply
 from .geometry import (
     QuadratureSpec,
     eta_quadrature,
+    eta_quadrature_many,
     gram_matrix,
     l2_inner_product,
     laplace_section,
@@ -27,7 +28,7 @@ from .geometry import (
     monomial_integral,
 )
 from .polyring import G2, Polynomial, Z_VIEW, laplacian_r4
-from .repspace import casimir, casimir_expected, l_matrix
+from .repspace import casimir, casimir_expected, l_matrix_int
 from .transfer import LEFT, RIGHT, beta_lower, iso_recursive, transfer_eigenbasis, \
     transfer_table
 
@@ -77,16 +78,18 @@ def _check_casimir_k(k: int) -> list[CheckResult]:
     out.append(CheckResult("casimir", f"casimir k={k}", ok, f"-(l1^2+l2^2+l3^2) = {k * (k + 2)} id"))
 
     comm_ok = True
+    ls = {i: l_matrix_int(i, k) for i in (1, 2, 3)}
     for i, j in ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)):
-        mi = l_matrix(i, k).rows()
-        mj = l_matrix(j, k).rows()
-        comm = linalg.mat_sub(linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi))
+        ab = linalg.mat_mul_int(ls[i], ls[j])
+        ba = linalg.mat_mul_int(ls[j], ls[i])
+        comm = tuple([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
+                     for m1, m2 in zip(ab, ba))
         prod = quat_multiply(BASIS[i], BASIS[j])
         m, sign = next(
-            (idx, c) for idx, c in enumerate(prod.components()) if c != 0
+            (idx, int(c)) for idx, c in enumerate(prod.components()) if c != 0
         )
-        expected = linalg.mat_scale(l_matrix(m, k).rows(), gauss(2 * sign))
-        comm_ok = comm_ok and linalg.mat_eq(comm, expected)
+        expected = tuple([[2 * sign * x for x in row] for row in part] for part in ls[m])
+        comm_ok = comm_ok and comm == expected
     out.append(CheckResult("casimir", f"commutators k={k}", comm_ok,
                            "[l_i, l_j] = 2 l_(e_i e_j) for all ordered pairs"))
     return out
@@ -101,15 +104,11 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
                            f"(Dbar + {k})(Dbar - {k + 2}) = 0 on the 2(k+1) block"))
 
     n = 2 * (k + 1)
-    block = dbar_block_matrix(k)
-    char = linalg.charpoly(block)
+    block = dbar_block_int(k)
+    char = [gauss_over(re, im, 1) for re, im in linalg.charpoly_int(block)]
     expected_char = linalg.charpoly_from_roots([(Fraction(k + 2), k), (Fraction(-k), k + 2)])
-    plus_null = linalg.nullity(
-        linalg.mat_add(block, linalg.mat_scale(linalg.identity(n), gauss(-(k + 2))))
-    )
-    minus_null = linalg.nullity(
-        linalg.mat_add(block, linalg.mat_scale(linalg.identity(n), gauss(k)))
-    )
+    plus_null = n - linalg.rank_int(linalg.shift_int(block, -(k + 2)))
+    minus_null = n - linalg.rank_int(linalg.shift_int(block, k))
     plus, minus = eigenbasis_abstract(k)
     diag_ok = (
         char == expected_char
@@ -124,14 +123,15 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
 
     rank_ok = True
     for q in range(k + 1):
-        rows = [v.dense() for fam in (plus, minus) for v in fam.vectors if v.q == q]
-        rank_ok = rank_ok and linalg.rank(rows) == n
+        # a row scaled by its vector's denominator leaves the rank alone
+        rows = [v.dense_parts() for fam in (plus, minus) for v in fam.vectors if v.q == q]
+        rank_ok = rank_ok and linalg.rank_int(([r for r, _ in rows], [i for _, i in rows])) == n
     out.append(CheckResult("quadratic", f"family union is a basis k={k}", rank_ok,
                            f"rank {n} on every q slice"))
 
     fp_ok = all(
-        dbar_apply(SpinorVector.basis(k, 0, r, p)).coeffs
-        == dbar_apply_first_principles(SpinorVector.basis(k, 0, r, p)).coeffs
+        dbar_apply(SpinorVector.basis(k, 0, r, p))
+        == dbar_apply_first_principles(SpinorVector.basis(k, 0, r, p))
         for r in (0, 2)
         for p in range(k + 1)
     )
@@ -271,10 +271,10 @@ def _check_integral_tensor(max_degree: int = 8) -> list[CheckResult]:
 def _check_integral_mc(samples: int, seed: int) -> list[CheckResult]:
     ok = True
     details = []
-    for exps in MC_MONOMIALS:
+    polys = [Polynomial.monomial(exps, 1, Z_VIEW) for exps in MC_MONOMIALS]
+    results = eta_quadrature_many(polys, QuadratureSpec.monte_carlo(samples, seed))
+    for exps, result in zip(MC_MONOMIALS, results):
         exact = monomial_integral(*exps).float_value()
-        poly = Polynomial.monomial(exps, 1, Z_VIEW)
-        result = eta_quadrature(poly, QuadratureSpec.monte_carlo(samples, seed))
         bound = MC_SIGMAS * (result.stderr or 0.0) + 1e-12
         good = abs(result.value - exact) <= bound
         ok = ok and good

@@ -275,6 +275,10 @@ def test_gram_check_demands_the_exact_constant(monkeypatch):
      "1c2cf385ec93d7370628759d946a3c62c3bea8af656f9a9dfd9f36fbef83f48b"),
     (("verify", "--suite", "transfer,dirac,laplace"),
      "7f69c802e4bdf050f5c1bc921ac9c49ac123e3be509f3815010d6eb9618adb85"),
+    # recorded while SpinorVector and KetVector still stored
+    # GaussianRational coefficients
+    (("verify", "--suite", "casimir,quadratic"),
+     "7d91764e4932bdf69eac62e4239fbe5cc9bc673a70f6f7d8bb3caf5c77a674fd"),
 ])
 def test_verify_reports_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)

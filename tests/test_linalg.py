@@ -161,3 +161,39 @@ def test_charpoly_is_exact_with_large_denominators():
     entries = [Fraction(1, 97), Fraction(-5, 1024), Fraction(7, 3)]
     a = [[gauss(entries[i]) if i == j else gauss(0) for j in range(3)] for i in range(3)]
     assert linalg.charpoly(a) == linalg.charpoly_from_roots([(e, 1) for e in entries])
+
+
+def random_int_matrix(rng, rows, cols, zero_share=0.3):
+    """A Gaussian-integer matrix (R, I)."""
+    def part():
+        return [[0 if rng.random() < zero_share else rng.randint(-9, 9) for _ in range(cols)]
+                for _ in range(rows)]
+    return part(), part()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_integer_entry_points_match_sympy(seed):
+    rng = random.Random(4000 + seed)
+    n = 2 + seed % 4
+    a = random_int_matrix(rng, n, n)
+    b = random_int_matrix(rng, n, n + 1)
+    dense_a = linalg.from_int(a)
+    product = to_sympy(dense_a) * to_sympy(linalg.from_int(b))
+    assert linalg.from_int(linalg.mat_mul_int(a, b)) == [
+        [from_sympy(product[i, j]) for j in range(n + 1)] for i in range(n)
+    ]
+    char = linalg.charpoly_int(a)
+    assert all(type(x) is int for c in char for x in c)
+    assert [gauss(*c) for c in char] == oracle_charpoly(dense_a)
+    assert linalg.rank_int(a) == oracle_rank(dense_a)
+    low = linalg.mat_mul_int(random_int_matrix(rng, n, 1 + seed % 2, 0.0),
+                             random_int_matrix(rng, 1 + seed % 2, n, 0.0))
+    assert linalg.rank_int(low) == oracle_rank(linalg.from_int(low))
+    shifted = linalg.mat_add(dense_a, linalg.mat_scale(linalg.identity(n), gauss(-3)))
+    assert linalg.from_int(linalg.shift_int(a, -3)) == shifted
+    assert linalg.from_int(a) == dense_a  # shift_int left its operand alone
+
+
+def test_from_int_divides_by_the_denominator():
+    assert linalg.from_int(([[3, 0]], [[-6, 0]]), 9) == [[gauss(Fraction(1, 3), Fraction(-2, 3)),
+                                                         gauss(0)]]
