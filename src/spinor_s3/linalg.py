@@ -11,7 +11,11 @@ Python ints, and have public integer entry points:
   is cleared by ``p*row - f*pivot_row`` and then divided by the gcd of its
   integer parts, so nothing is ever divided in Q(i);
 * :func:`charpoly_int` runs Faddeev-LeVerrier; the trace of each iterate
-  is exactly divisible by the step number.
+  is exactly divisible by the step number;
+* :func:`rank_sparse` takes sparse rows ``{col: (re, im)}``, splits them
+  into the connected components of their shared columns and sends only
+  the components of two or more rows, laid out densely, to
+  :func:`rank_int`.
 
 The operators of ``repspace`` and ``abstract_dirac`` are integer matrices
 and call these directly (with :func:`shift_int` for ``A + cI``).  The dense :class:`GaussianRational` API
@@ -20,15 +24,16 @@ to ``(d, (R, I))`` with ``A = (R + iI)/d`` and ``d`` the lcm of all
 denominators, calls the integer entry point and converts back only when
 it returns; ``charpoly`` scales coefficient ``j`` by ``d^-j``.
 
-No result is rounded.  :func:`charpoly_from_roots` and :func:`poly_mul`
-stay on :class:`GaussianRational` on purpose: they are the independent
-route that ``charpoly`` is checked against.
+No result is rounded.  :func:`charpoly_from_roots` stays on
+:class:`GaussianRational` on purpose: it is the independent route that
+``charpoly`` is checked against.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
+from typing import Hashable
 
 from .exactnum import GAUSS_ONE, GAUSS_ZERO, GaussianRational, GaussInt, gauss, gauss_over
 
@@ -205,6 +210,54 @@ def charpoly_int(a: GaussIntMatrix) -> list[GaussInt]:
     return coeffs
 
 
+def rank_sparse(rows: list[dict[Hashable, GaussInt]]) -> int:
+    """Rank of sparse Gaussian-integer rows ``{col: (re, im)}``.
+
+    Rows that share no column span independent subspaces, so the rank is
+    the sum over the connected components of the row/column incidence,
+    found by a union-find over the columns.  A one-row component counts 1
+    if the row is nonzero; a larger one is laid out densely on its own
+    columns and goes to :func:`rank_int`.  Explicit ``(0, 0)`` entries are
+    dropped first, so they join nothing.
+    """
+    live = [{c: v for c, v in row.items() if v != (0, 0)} for row in rows]
+    live = [row for row in live if row]
+    parent: dict[Hashable, Hashable] = {}
+
+    def find(c: Hashable) -> Hashable:
+        parent.setdefault(c, c)
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for row in live:
+        first, *rest = row
+        root = find(first)
+        for c in rest:
+            other = find(c)
+            if other != root:
+                parent[other] = root
+    components: dict[Hashable, list[dict[Hashable, GaussInt]]] = {}
+    for row in live:
+        components.setdefault(find(next(iter(row))), []).append(row)
+
+    total = 0
+    for block in components.values():
+        if len(block) == 1:
+            total += 1
+            continue
+        cols = {c: j for j, c in enumerate(dict.fromkeys(c for row in block for c in row))}
+        re = [[0] * len(cols) for _ in block]
+        im = [[0] * len(cols) for _ in block]
+        for r, row in enumerate(block):
+            for c, (x, y) in row.items():
+                re[r][cols[c]] = x
+                im[r][cols[c]] = y
+        total += rank_int((re, im))
+    return total
+
+
 # -- the Gaussian-rational API ----------------------------------------------------
 
 
@@ -237,19 +290,14 @@ def charpoly(a: Matrix) -> list[GaussianRational]:
     return [gauss_over(cr, ci, d**j) for j, (cr, ci) in enumerate(charpoly_int(b))]
 
 
-def poly_mul(p: list[GaussianRational], q: list[GaussianRational]) -> list[GaussianRational]:
-    out = [GAUSS_ZERO] * (len(p) + len(q) - 1)
-    for i, x in enumerate(p):
-        for j, y in enumerate(q):
-            out[i + j] = out[i + j] + x * y
-    return out
-
-
 def charpoly_from_roots(roots: list[tuple[Fraction, int]]) -> list[GaussianRational]:
-    """Expand prod (x - r)^mult, coefficients by descending power."""
+    """Expand prod (x - r)^mult, coefficients by descending power, one
+    linear factor at a time: ``new[i] = p[i] - r p[i-1]``."""
     p = [GAUSS_ONE]
     for r, mult in roots:
-        factor = [GAUSS_ONE, gauss(-r)]
+        c = gauss(-r)
         for _ in range(mult):
-            p = poly_mul(p, factor)
+            p.append(GAUSS_ZERO)
+            for i in range(len(p) - 1, 0, -1):
+                p[i] = p[i] + c * p[i - 1]
     return p

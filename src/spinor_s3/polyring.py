@@ -26,7 +26,9 @@ appears only at the edge: the constructor, ``terms``, ``coefficient``,
 (``geometry.killing_derivative``, ``geometry.l2_inner_product``,
 ``transfer.iso_closed_form``) read ``_num``/``_den`` and build their
 results through ``_reduced``, which restores the canonical form with
-``exactnum.reduce_parts``.
+``exactnum.reduce_parts``.  The transfer checks in ``verify`` read the
+exponents and numerators of ``_num`` directly, for the exponent
+bookkeeping and the sparse rank.
 """
 
 from __future__ import annotations

@@ -115,6 +115,12 @@ def iso_closed_form(k: int, p: int, q: int) -> TransferImage:
     return TransferImage(k, p, q, total, Fraction(k + 1))
 
 
+def _ladder_step(side: str, poly: Polynomial, k: int, j: int) -> Polynomial:
+    """Rung j of a lowering ladder from z2^k: lower on ``side`` and divide
+    out the exact ladder factor k - j."""
+    return beta_lower(side, poly).scale(Fraction(1, k - j))
+
+
 def iso_recursive(k: int, p: int, q: int) -> TransferImage:
     """Independent construction of the image of |p>|q> by lowering.
 
@@ -125,10 +131,30 @@ def iso_recursive(k: int, p: int, q: int) -> TransferImage:
     _check_indices(k, p, q)
     poly = G2**k
     for j in range(p):
-        poly = beta_lower(LEFT, poly).scale(Fraction(1, k - j))
+        poly = _ladder_step(LEFT, poly, k, j)
     for j in range(q):
-        poly = beta_lower(RIGHT, poly).scale(Fraction(1, k - j))
+        poly = _ladder_step(RIGHT, poly, k, j)
     return TransferImage(k, p, q, poly, Fraction(k + 1))
+
+
+def recursive_table(k: int) -> dict[tuple[int, int], Polynomial]:
+    """All (k+1)^2 images by lowering, keyed by (p, q): the recursive
+    counterpart of :func:`transfer_table`.
+
+    The image of |p>|q> is :func:`iso_recursive`'s: z2^k lowered left p
+    times, then right q times.  The ladders share their prefixes, so the
+    whole table takes (k+1)^2 - 1 lowerings instead of k(k+1)^2.
+    """
+    _check_indices(k, 0, 0)
+    table = {}
+    left = G2**k
+    for p in range(k + 1):
+        if p:
+            left = _ladder_step(LEFT, left, k, p - 1)
+        poly = table[(p, 0)] = left
+        for q in range(1, k + 1):
+            poly = table[(p, q)] = _ladder_step(RIGHT, poly, k, q - 1)
+    return table
 
 
 def transfer_table(k: int) -> dict[tuple[int, int], Polynomial]:

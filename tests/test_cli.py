@@ -107,14 +107,19 @@ def test_eigenbasis_rerun_byte_identical(tmp_path, capsys):
     assert a.read_bytes() == b.read_bytes()
 
 
-# sha256 of the exports at the cap, as recorded when the polynomial core
-# still stored GaussianRational coefficients; any change to the exact
-# output, its order or its formatting changes them.
+# sha256 of the exports at k = 12, recorded when the polynomial core still
+# stored GaussianRational coefficients and 12 was the cap, and at k = 16,
+# the cap now, recorded with --unsafe-k before the cap was raised; any
+# change to the exact output, its order or its formatting changes them.
 @pytest.mark.parametrize("argv, digest", [
     (("spectrum", "--k-max", "12", "--format", "json"),
      "2cb5088fbca4fc4e50f3d83bbad1b02672ced709897cb02e5967df06e1849034"),
     (("eigenbasis", "--k", "12"),
      "f6e85407b76ae3f86502658a94e2e16222d2fb88b86f018bd316efc82fc7bd7c"),
+    (("spectrum", "--k-max", "16", "--format", "json"),
+     "8843d87b39cb403b0cb481825e5098615547875185d9d9a77bc60e86715d8258"),
+    (("eigenbasis", "--k", "16"),
+     "508e29c3a2bc1ff6b245b85452ff9c49d661c070a487c20900bacfcf52b34eeb"),
 ])
 def test_exports_at_the_cap_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
@@ -197,9 +202,9 @@ def test_verify_empty_result_set_is_an_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("eigenbasis", "--k", "13"),
-    ("verify", "--suite", "casimir", "--k-max", "13"),
-    ("spectrum", "--k-max", "13"),
+    ("eigenbasis", "--k", "17"),
+    ("verify", "--suite", "casimir", "--k-max", "17"),
+    ("spectrum", "--k-max", "17"),
 ])
 def test_degree_above_the_cap_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -207,12 +212,12 @@ def test_degree_above_the_cap_is_usage_error(capsys, argv):
 
 
 def test_cap_is_inclusive(capsys):
-    # the spectrum and eigenbasis exports at k = 12 are run by
+    # the spectrum and eigenbasis exports at k = 16 are run by
     # test_exports_at_the_cap_are_byte_identical
-    assert DEFAULT_K_CAP == 12
-    code, out, err = run(capsys, "verify", "--suite", "casimir", "--k-max", "12")
+    assert DEFAULT_K_CAP == 16
+    code, out, err = run(capsys, "verify", "--suite", "casimir", "--k-max", "16")
     assert (code, err) == (0, "")
-    assert out.strip().endswith("26/26 checks passed")
+    assert out.strip().endswith("34/34 checks passed")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -245,6 +250,62 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     code, out, err = run(capsys, *argv, "--out", str(missing))
     assert_usage_error(code, out, err, str(missing))
     assert not missing.exists()
+
+
+def test_verify_transfer_fails_when_two_images_coincide(capsys, monkeypatch):
+    # the image of |0>|1> replaced by that of |0>|0>: the two rows share
+    # their support, so the rank goes through the dense elimination and
+    # comes out one short
+    import spinor_s3.verify as verify
+
+    closed = verify.transfer_table
+
+    def collapsed(k):
+        table = closed(k)
+        if k:
+            table[(0, 1)] = table[(0, 0)]
+        return table
+
+    monkeypatch.setattr(verify, "transfer_table", collapsed)
+    code, out, _ = run(capsys, "verify", "--suite", "transfer", "--k-max", "2")
+    assert code == 1
+    assert "PASS  [transfer] images independent k=0" in out
+    for k in (1, 2):
+        assert f"FAIL  [transfer] images independent k={k}: rank {(k + 1) ** 2}" in out
+
+
+def laplace_lines(out):
+    """The report's (eigenvalue, commute) status words, by degree."""
+    lines = out.splitlines()
+    return [(e.split()[0], c.split()[0]) for e, c in zip(lines[0:-1:2], lines[1:-1:2])]
+
+
+def test_verify_laplace_fails_on_a_wrong_eigenvalue(capsys, monkeypatch):
+    # 2 Delta still commutes with D, but scales each eigensection by
+    # twice the eigenvalue, which is 0 only at k = 0
+    import spinor_s3.verify as verify
+
+    laplace = verify.laplace_section
+    monkeypatch.setattr(verify, "laplace_section", lambda s: laplace(s).scale(2))
+    code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")
+    assert code == 1
+    assert laplace_lines(out) == [("PASS", "PASS"), ("FAIL", "PASS"), ("FAIL", "PASS")]
+
+
+def test_verify_laplace_fails_when_it_does_not_commute_with_dirac(capsys, monkeypatch):
+    # Delta on the transferred eigensections, Delta + 1 anywhere else: the
+    # eigenvalues are right, but D sigma = lambda sigma is not one of those
+    # sections, so Delta D sigma picks up D sigma
+    import spinor_s3.verify as verify
+    from spinor_s3.transfer import transfer_eigenbasis
+
+    laplace = verify.laplace_section
+    known = {e.section for k in range(3) for e in transfer_eigenbasis(k)}
+    monkeypatch.setattr(verify, "laplace_section",
+                        lambda s: laplace(s) if s in known else laplace(s) + s)
+    code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")
+    assert code == 1
+    assert laplace_lines(out) == [("PASS", "FAIL")] * 3
 
 
 def test_gram_check_demands_the_exact_constant(monkeypatch):

@@ -197,3 +197,86 @@ def test_integer_entry_points_match_sympy(seed):
 def test_from_int_divides_by_the_denominator():
     assert linalg.from_int(([[3, 0]], [[-6, 0]]), 9) == [[gauss(Fraction(1, 3), Fraction(-2, 3)),
                                                          gauss(0)]]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_charpoly_from_roots_matches_sympy(seed):
+    rng = random.Random(5000 + seed)
+    roots = [(Fraction(rng.randint(-9, 9), rng.randint(1, 6)), rng.randint(0, 3))
+             for _ in range(1 + seed % 3)]
+    expanded = sympy.Poly(sympy.prod([(X - sympy.Rational(r.numerator, r.denominator)) ** m
+                                      for r, m in roots]), X)
+    assert linalg.charpoly_from_roots(roots) == [from_sympy(c) for c in expanded.all_coeffs()]
+
+
+# -- sparse rank ------------------------------------------------------------------
+
+
+def oracle_sparse_rank(rows):
+    """sympy's rank of the rows ``{col: (re, im)}`` laid out densely over the
+    sorted union of their columns."""
+    columns = sorted({c for row in rows for c in row})
+    if not columns:
+        return 0
+    return oracle_rank([[gauss(*row.get(c, (0, 0))) for c in columns] for row in rows])
+
+
+def combine(rows, coeffs):
+    """The Gaussian-integer combination sum (cr + i ci) row."""
+    out = {}
+    for row, (cr, ci) in zip(rows, coeffs):
+        for c, (x, y) in row.items():
+            re, im = out.get(c, (0, 0))
+            out[c] = (re + cr * x - ci * y, im + cr * y + ci * x)
+    return out
+
+
+def block_sparse_rows(rng):
+    """Rows on a few disjoint column blocks, shuffled together: in each block
+    some random rows, sometimes a combination of them, and now and then an
+    explicit ``(0, 0)`` entry or an all-zero row."""
+    rows = []
+    for block in range(rng.randint(1, 5)):
+        cols = [(block, j) for j in range(rng.randint(1, 4))]
+        base = [{c: (rng.randint(-6, 6), rng.randint(-6, 6)) for c in cols if rng.random() < 0.7}
+                for _ in range(rng.randint(1, 3))]
+        rows.extend(base)
+        if len(base) > 1 and rng.random() < 0.6:
+            rows.append(combine(base, [(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in base]))
+        if rng.random() < 0.3:
+            rows.append({rng.choice(cols): (0, 0)})
+    rng.shuffle(rows)
+    return rows
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_rank_sparse_matches_sympy_on_block_sparse_rows(seed):
+    rows = block_sparse_rows(random.Random(6000 + seed))
+    assert linalg.rank_sparse(rows) == oracle_sparse_rank(rows)
+
+
+def test_rank_sparse_dependent_rows_in_one_component():
+    a = {"u": (1, 2), "v": (0, -3)}
+    b = {"v": (4, 0), "w": (5, 5)}
+    c = combine([a, b], [(1, 1), (2, 0)])
+    assert linalg.rank_sparse([a, b, c]) == oracle_sparse_rank([a, b, c]) == 2
+    assert linalg.rank_sparse([a, combine([a], [(0, -1)])]) == 1
+
+
+def test_rank_sparse_disjoint_single_rows():
+    rows = [{(0, j): (j + 1, -j)} for j in range(6)] + [{(9, j): (0, 1) for j in range(3)}]
+    assert linalg.rank_sparse(rows) == oracle_sparse_rank(rows) == 7
+
+
+def test_rank_sparse_explicit_zero_entries():
+    # a (0, 0) entry is no entry: it neither makes a row nonzero nor joins
+    # two components
+    assert linalg.rank_sparse([{"u": (0, 0)}]) == 0
+    rows = [{"u": (1, 0), "v": (0, 0)}, {"v": (0, 0), "w": (0, 1)}, {"u": (3, 0)}]
+    assert linalg.rank_sparse(rows) == oracle_sparse_rank(rows) == 2
+
+
+def test_rank_sparse_zero_rows_and_empty_list():
+    assert linalg.rank_sparse([]) == 0
+    assert linalg.rank_sparse([{}, {}, {"u": (0, 0), "v": (0, 0)}]) == 0
+    assert linalg.rank_sparse([{}, {"u": (2, 0)}, {"v": (0, 0)}]) == 1

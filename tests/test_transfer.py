@@ -14,6 +14,7 @@ from spinor_s3.transfer import (
     beta_lower,
     iso_closed_form,
     iso_recursive,
+    recursive_table,
     transfer_eigenbasis,
     transfer_table,
 )
@@ -82,6 +83,34 @@ def test_closed_equals_recursive(k):
     for p in range(k + 1):
         for q in range(k + 1):
             assert iso_closed_form(k, p, q).poly == iso_recursive(k, p, q).poly
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_recursive_table_matches_iso_recursive(k):
+    table = recursive_table(k)
+    assert list(table) == [(p, q) for p in range(k + 1) for q in range(k + 1)]
+    assert table == {(p, q): iso_recursive(k, p, q).poly for (p, q) in table}
+
+
+def test_recursive_table_shares_the_ladder_prefixes(monkeypatch):
+    import spinor_s3.transfer as transfer
+
+    calls = []
+
+    def counted(side, poly):
+        calls.append(side)
+        return beta_lower(side, poly)
+
+    monkeypatch.setattr(transfer, "beta_lower", counted)
+    for k in (0, 1, 4):
+        calls.clear()
+        recursive_table(k)
+        assert (calls.count(LEFT), calls.count(RIGHT)) == (k, k * (k + 1))
+
+
+def test_recursive_table_index_errors():
+    with pytest.raises(IndexError):
+        recursive_table(-1)
 
 
 @pytest.mark.parametrize("k", range(6))
