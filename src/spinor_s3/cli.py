@@ -27,9 +27,9 @@ from .transfer import transfer_eigenbasis
 from .verify import SUITE_NAMES, run_suites
 
 #: Exact-arithmetic cost grows fast with k; refuse degrees above this
-#: unless --unsafe-k is given.  At 16 ``verify --suite all`` still takes
+#: unless --unsafe-k is given.  At 20 ``verify --suite all`` still takes
 #: seconds; above it the section checks (``dirac``, ``laplace``) grow fastest.
-DEFAULT_K_CAP = 16
+DEFAULT_K_CAP = 20
 
 
 def _check_cap(args: argparse.Namespace) -> Optional[str]:

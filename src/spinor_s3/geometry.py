@@ -21,15 +21,18 @@ import numpy as np
 from . import linalg
 from .exactnum import (
     BASIS,
+    GAUSS_ONE,
     GAUSS_ZERO,
     GaussianRational,
     RationalQuaternion,
     gauss,
+    gauss_over,
     parts_over,
     quat,
     quat_multiply,
+    reduce_parts,
 )
-from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, _reduced
+from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, _basis_product_split, _reduced
 
 
 @dataclass(frozen=True)
@@ -100,19 +103,75 @@ def killing_field_matrix(pair: KillingPair, view: str) -> tuple[tuple[GaussianRa
     return tuple(tuple(row) for row in b)
 
 
+# A first-order operator on one view's polynomials is kept as a shift table
+# ``(den, const, diagonal, moves)`` of Gaussian integers over den > 0: a term
+# c*u^e goes to c*(const + sum e[m]*d) at e itself, over the entries (m, d)
+# of ``diagonal``, plus c*e[m]*w at e - delta_m + delta_j for each entry
+# (m, j, w) of ``moves``.  The field matrices give const = 0; the Dirac
+# blocks put their -3/2 there.
+
+
+def _shift_into(acc: dict, num: dict, table: tuple) -> None:
+    """Add the operator ``table`` applied to the Gaussian integers ``num``
+    into ``acc``, ignoring the table's denominator."""
+    _, (cr, ci), diagonal, moves = table
+    for exp, (a, b) in num.items():
+        wr, wi = cr, ci
+        for m, mr, mi in diagonal:
+            e = exp[m]
+            wr += e * mr
+            wi += e * mi
+        if wr or wi:
+            re, im = a * wr - b * wi, a * wi + b * wr
+            t = acc.get(exp)
+            acc[exp] = (re, im) if t is None else (t[0] + re, t[1] + im)
+        for m, j, mr, mi in moves:
+            e = exp[m]
+            if not e:
+                continue
+            key = list(exp)
+            key[m] = e - 1
+            key[j] += 1
+            key = tuple(key)
+            # (a + b i) * e * (mr + mi i), skipping the zero part of the entry
+            if not mi:
+                re, im = a * e * mr, b * e * mr
+            elif not mr:
+                re, im = -b * e * mi, a * e * mi
+            else:
+                re, im = (a * mr - b * mi) * e, (a * mi + b * mr) * e
+            t = acc.get(key)
+            acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
+
+
+def _first_order(p: Polynomial, table: tuple) -> Polynomial:
+    """The operator ``table`` applied to p in one pass."""
+    acc: dict = {}
+    _shift_into(acc, p._num, table)
+    return _reduced(acc, p._den * table[0], p.view)
+
+
 @lru_cache(maxsize=None)
-def _killing_shifts(pair: KillingPair, view: str) -> tuple[int, tuple]:
-    """:func:`killing_field_matrix` over one common denominator: ``(den,
-    shifts)`` with M[m][j] = (re + im*i)/den for each (m, j, re, im) in
-    ``shifts``, the nonzero entries only."""
-    entries = [
-        (m, j, c)
-        for m, row in enumerate(killing_field_matrix(pair, view))
-        for j, c in enumerate(row)
-        if not c.is_zero()
-    ]
+def _merged_shifts(fields: tuple, view: str) -> tuple:
+    """The shift table of sum_s c_s * M(pair_s) over ``fields = ((pair, c),
+    ...)``, M the :func:`killing_field_matrix` in ``view``: entries with
+    the same (m, j) are summed, the zero ones dropped, and the rest put
+    over one common denominator."""
+    acc: dict = {}
+    for pair, c in fields:
+        for m, row in enumerate(killing_field_matrix(pair, view)):
+            for j, entry in enumerate(row):
+                if not entry.is_zero():
+                    acc[(m, j)] = acc.get((m, j), GAUSS_ZERO) + c * entry
+    entries = [(m, j, c) for (m, j), c in acc.items() if not c.is_zero()]
     den = math.lcm(*(d for _, _, c in entries for d in (c.re.denominator, c.im.denominator)))
-    return den, tuple((m, j, *parts_over(c, den)) for m, j, c in entries)
+    entries = [(m, j, *parts_over(c, den)) for m, j, c in entries]
+    return (
+        den,
+        (0, 0),
+        tuple((m, mr, mi) for m, j, mr, mi in entries if m == j),
+        tuple(entry for entry in entries if entry[0] != entry[1]),
+    )
 
 
 def killing_derivative(
@@ -134,48 +193,100 @@ def killing_derivative(
         return sigma._with_parts(
             killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair)
         )
-    den, shifts = _killing_shifts(pair, sigma.view)
-    acc: dict = {}
-    for exp, (a, b) in sigma._num.items():
-        for m, j, mr, mi in shifts:
-            e = exp[m]
-            if not e:
-                continue
-            if m == j:
-                key = exp
-            else:
-                key = list(exp)
-                key[m] = e - 1
-                key[j] += 1
-                key = tuple(key)
-            # (a + b i) * e * (mr + mi i), skipping the zero part of M[m][j]
-            if not mi:
-                re, im = a * e * mr, b * e * mr
-            elif not mr:
-                re, im = -b * e * mi, a * e * mi
-            else:
-                re, im = (a * mr - b * mi) * e, (a * mi + b * mr) * e
-            t = acc.get(key)
-            acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
-    return _reduced(acc, sigma._den * den, sigma.view)
+    return _first_order(sigma, _merged_shifts(((pair, GAUSS_ONE),), sigma.view))
 
 
-def dbar_section(sigma: SpinorSection) -> SpinorSection:
-    """The shifted operator -sum_i (l_i sigma) * e_i (no constant term)."""
-    out = SpinorSection.zero(sigma.f.view)
-    for i in (1, 2, 3):
-        out = out - killing_derivative(sigma, KillingPair.left(i)).right_mul_basis(i)
-    return out
+@lru_cache(maxsize=None)
+def _dirac_tables(view: str) -> dict:
+    """The Dirac operator in ``view`` as a 2x2 block of shift tables over one
+    denominator: ``tables[(src, dst)]`` is T[src -> dst] = -sum_i
+    split(e_r e_i)_dst * M(left(i)), with r = 0 for f and 2 for g and split
+    the (f, g) parts of :func:`complex_split`, and the blocks f -> f and
+    g -> g carry the constant -3/2."""
+    merged = {}
+    for src, r in (("f", 0), ("g", 2)):
+        for dst, part in (("f", 0), ("g", 1)):
+            merged[(src, dst)] = _merged_shifts(
+                tuple(
+                    (KillingPair.left(i), -gauss_over(*_basis_product_split(r, i)[part], 1))
+                    for i in (1, 2, 3)
+                ),
+                view,
+            )
+    shift = Fraction(-3, 2)
+    den = math.lcm(shift.denominator, *(table[0] for table in merged.values()))
+    tables = {}
+    for (src, dst), (d, _, diagonal, moves) in merged.items():
+        s = den // d
+        const = (shift.numerator * (den // shift.denominator), 0) if src == dst else (0, 0)
+        tables[(src, dst)] = (
+            den,
+            const,
+            tuple((m, mr * s, mi * s) for m, mr, mi in diagonal),
+            tuple((m, j, mr * s, mi * s) for m, j, mr, mi in moves),
+        )
+    return tables
 
 
 def dirac_section(sigma: SpinorSection) -> SpinorSection:
-    """The Dirac operator on a trivialised section.
+    """The Dirac operator on a trivialised section,
 
-    Assembles sigma as a quaternion-valued polynomial, takes the frame
-    derivatives, right-multiplies by the frame units and subtracts the
-    3/2 curvature constant:  D(sigma) = -sum_i (l_i sigma) * e_i - 3/2 sigma.
+        D(sigma) = -sum_i (l_i sigma) * e_i - 3/2 sigma,
+
+    the frame derivatives right-multiplied by the frame units, minus the
+    3/2 curvature constant.  Each component of the result is one pass over
+    the Gaussian-integer numerators of f and g, brought to a common
+    denominator, with the merged tables of :func:`_dirac_tables`.
     """
-    return dbar_section(sigma) - sigma.scale(Fraction(3, 2))
+    f = sigma.f
+    view = f.view
+    g = sigma.g.in_view(view)
+    tables = _dirac_tables(view)
+    den = math.lcm(f._den, g._den)
+    nums = {}
+    for src, comp in (("f", f), ("g", g)):
+        s = den // comp._den
+        nums[src] = comp._num if s == 1 else {e: (a * s, b * s) for e, (a, b) in comp._num.items()}
+    den *= tables[("f", "f")][0]  # the four tables share it
+    parts = []
+    for dst in ("f", "g"):
+        acc: dict = {}
+        for src in ("f", "g"):
+            _shift_into(acc, nums[src], tables[(src, dst)])
+        parts.append(_reduced(acc, den, view))
+    return SpinorSection(*parts)
+
+
+@lru_cache(maxsize=None)
+def _laplace_image(exp: tuple, view: str) -> tuple[int, tuple]:
+    """sum_i l_i l_i of the monomial u^exp as ``(den, ((exp', (re, im)),
+    ...))``: :func:`_shift_into` twice along each frame field.  Kept for
+    every exponent met, about 10^4 of them at degree 20."""
+    tables = [_merged_shifts(((KillingPair.left(i), GAUSS_ONE),), view) for i in (1, 2, 3)]
+    den = math.lcm(*(t[0] ** 2 for t in tables))
+    acc: dict = {}
+    for table in tables:
+        once: dict = {}
+        _shift_into(once, {exp: (den // table[0] ** 2, 0)}, table)
+        _shift_into(acc, once, table)
+    num, den = reduce_parts(acc, den)
+    return den, tuple(num.items())
+
+
+def _laplace_poly(p: Polynomial) -> Polynomial:
+    """sum_i l_i l_i p in one pass over the cached monomial images."""
+    view = p.view
+    images = [(_laplace_image(exp, view), a, b) for exp, (a, b) in p._num.items()]
+    den = math.lcm(*(d for (d, _), _, _ in images))
+    acc: dict = {}
+    for (d, image), a, b in images:
+        if d != den:
+            a, b = a * (den // d), b * (den // d)
+        for key, (mr, mi) in image:
+            re, im = a * mr - b * mi, a * mi + b * mr
+            t = acc.get(key)
+            acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
+    return _reduced(acc, p._den * den, view)
 
 
 def laplace_section(sigma: SpinorSection) -> SpinorSection:
@@ -183,13 +294,11 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
 
     With this sign it acts on degree-k eigensections by 1 - (k+1)^2, i.e.
     the analyst's negative-spectrum convention; negate for the geometer's
-    positive Laplacian.
+    positive Laplacian.  It is second order, so it is read from a cached
+    image of each monomial rather than from a shift table.
     """
-    out = SpinorSection.zero(sigma.f.view)
-    for i in (1, 2, 3):
-        pair = KillingPair.left(i)
-        out = out + killing_derivative(killing_derivative(sigma, pair), pair)
-    return out
+    view = sigma.f.view
+    return SpinorSection(_laplace_poly(sigma.f), _laplace_poly(sigma.g.in_view(view)))
 
 
 def laplace_section_via_hessian(sigma: SpinorSection) -> SpinorSection:

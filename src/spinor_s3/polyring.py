@@ -22,11 +22,12 @@ shared by all terms, kept canonical -- no zero terms, gcd(denominator,
 every numerator) = 1, and ``({}, 1)`` for zero -- so equality stays
 structural.  Every kernel computes on those ints; ``GaussianRational``
 appears only at the edge: the constructor, ``terms``, ``coefficient``,
-``evaluate`` and JSON.  The kernels outside this module
-(``geometry.killing_derivative``, ``geometry.l2_inner_product``,
-``transfer.iso_closed_form``) read ``_num``/``_den`` and build their
-results through ``_reduced``, which restores the canonical form with
-``exactnum.reduce_parts``.  The transfer checks in ``verify`` read the
+``evaluate`` and JSON.  The kernels outside this module (the shift-table
+pass behind ``geometry.killing_derivative``, ``dirac_section``,
+``laplace_section`` and ``transfer.beta_lower``, and
+``geometry.l2_inner_product`` and ``transfer.iso_closed_form``) read
+``_num``/``_den`` and build their results through ``_reduced``, which
+restores the canonical form with ``exactnum.reduce_parts``.  The transfer checks in ``verify`` read the
 exponents and numerators of ``_num`` directly, for the exponent
 bookkeeping and the sparse rank.
 """

@@ -24,10 +24,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .abstract_dirac import eigenbasis_abstract
 from .exactnum import gauss
-from .geometry import KillingPair, killing_derivative
+from .geometry import KillingPair, _first_order, _merged_shifts
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _reduced
 
 LEFT = "left"
@@ -72,21 +73,32 @@ class TransferImage:
         )
 
 
+#: The frame fields of each lowering operator: pair(2) and pair(3).
+_LOWERING_PAIRS = {LEFT: KillingPair.left, RIGHT: KillingPair.right}
+
+
+@lru_cache(maxsize=None)
+def _lowering_table(side: str, view: str) -> tuple:
+    """The merged shift table of -1/2 * M(pair(2)) + i/2 * M(pair(3)); in
+    the z view its two moves are the diamond's arrows for ``side``."""
+    pair = _LOWERING_PAIRS[side]
+    return _merged_shifts(
+        ((pair(2), gauss(Fraction(-1, 2))), (pair(3), gauss(0, Fraction(1, 2)))), view
+    )
+
+
 def beta_lower(side: str, poly: Polynomial) -> Polynomial:
     """Apply the complexified lowering operator to a polynomial.
 
     Implemented through the actual flow derivatives (not the diamond
-    shortcut): the diamond above is what the tests check it against.
+    shortcut): one pass over the merged shift table of
+    -1/2 * d(. along pair(2)) + i/2 * d(. along pair(3)), which is derived
+    from the fields' matrices; the diamond above is what the tests check
+    it against.
     """
-    if side == LEFT:
-        pair2, pair3 = KillingPair.left(2), KillingPair.left(3)
-    elif side == RIGHT:
-        pair2, pair3 = KillingPair.right(2), KillingPair.right(3)
-    else:
+    if side not in _LOWERING_PAIRS:
         raise ValueError(f"unknown side {side!r}")
-    d2 = killing_derivative(poly, pair2)
-    d3 = killing_derivative(poly, pair3)
-    return d2.scale(Fraction(-1, 2)) + d3.scale(gauss(0, Fraction(1, 2)))
+    return _first_order(poly, _lowering_table(side, poly.view))
 
 
 def _check_indices(k: int, p: int, q: int) -> None:

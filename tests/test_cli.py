@@ -108,9 +108,11 @@ def test_eigenbasis_rerun_byte_identical(tmp_path, capsys):
 
 
 # sha256 of the exports at k = 12, recorded when the polynomial core still
-# stored GaussianRational coefficients and 12 was the cap, and at k = 16,
-# the cap now, recorded with --unsafe-k before the cap was raised; any
-# change to the exact output, its order or its formatting changes them.
+# stored GaussianRational coefficients and 12 was the cap, at k = 16,
+# recorded with --unsafe-k before the cap was raised to 16, and at k = 20,
+# the cap now, recorded with --unsafe-k before the section operators moved
+# to merged shift tables and the cap was raised to 20; any change to the
+# exact output, its order or its formatting changes them.
 @pytest.mark.parametrize("argv, digest", [
     (("spectrum", "--k-max", "12", "--format", "json"),
      "2cb5088fbca4fc4e50f3d83bbad1b02672ced709897cb02e5967df06e1849034"),
@@ -120,6 +122,10 @@ def test_eigenbasis_rerun_byte_identical(tmp_path, capsys):
      "8843d87b39cb403b0cb481825e5098615547875185d9d9a77bc60e86715d8258"),
     (("eigenbasis", "--k", "16"),
      "508e29c3a2bc1ff6b245b85452ff9c49d661c070a487c20900bacfcf52b34eeb"),
+    (("spectrum", "--k-max", "20", "--format", "json"),
+     "42665052aa197d22537d578d8bec46f619d46b433a5f3479e6a891ee8122c931"),
+    (("eigenbasis", "--k", "20"),
+     "602f614607affafabe03614a4a1e8eafc3bc6bdc891dd107c6833b84c97e8a4a"),
 ])
 def test_exports_at_the_cap_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
@@ -202,9 +208,9 @@ def test_verify_empty_result_set_is_an_error(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize("argv", [
-    ("eigenbasis", "--k", "17"),
-    ("verify", "--suite", "casimir", "--k-max", "17"),
-    ("spectrum", "--k-max", "17"),
+    ("eigenbasis", "--k", "21"),
+    ("verify", "--suite", "casimir", "--k-max", "21"),
+    ("spectrum", "--k-max", "21"),
 ])
 def test_degree_above_the_cap_is_usage_error(capsys, argv):
     code, out, err = run(capsys, *argv)
@@ -212,12 +218,12 @@ def test_degree_above_the_cap_is_usage_error(capsys, argv):
 
 
 def test_cap_is_inclusive(capsys):
-    # the spectrum and eigenbasis exports at k = 16 are run by
+    # the spectrum and eigenbasis exports at k = 20 are run by
     # test_exports_at_the_cap_are_byte_identical
-    assert DEFAULT_K_CAP == 16
-    code, out, err = run(capsys, "verify", "--suite", "casimir", "--k-max", "16")
+    assert DEFAULT_K_CAP == 20
+    code, out, err = run(capsys, "verify", "--suite", "casimir", "--k-max", "20")
     assert (code, err) == (0, "")
-    assert out.strip().endswith("34/34 checks passed")
+    assert out.strip().endswith("42/42 checks passed")
 
 
 @pytest.mark.parametrize("argv, needle", [
@@ -278,6 +284,20 @@ def laplace_lines(out):
     """The report's (eigenvalue, commute) status words, by degree."""
     lines = out.splitlines()
     return [(e.split()[0], c.split()[0]) for e, c in zip(lines[0:-1:2], lines[1:-1:2])]
+
+
+def test_verify_dirac_fails_on_a_wrong_operator(capsys, monkeypatch):
+    # D + 1 has the same eigensections, each with its eigenvalue shifted
+    # by 1, so no section passes D sigma = lambda sigma
+    import spinor_s3.verify as verify
+
+    dirac = verify.dirac_section
+    monkeypatch.setattr(verify, "dirac_section", lambda s: dirac(s) + s)
+    code, out, _ = run(capsys, "verify", "--suite", "dirac", "--k-max", "2")
+    assert code == 1
+    lines = [line for line in out.splitlines() if "eigen-identity k=" in line]
+    assert len(lines) == 3
+    assert all(line.startswith("FAIL") for line in lines)
 
 
 def test_verify_laplace_fails_on_a_wrong_eigenvalue(capsys, monkeypatch):

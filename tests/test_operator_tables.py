@@ -1,0 +1,96 @@
+"""D, Delta and the lowerings, evaluated from merged shift tables, against
+their composed forms: the same canonical numerators, denominator and view.
+
+The references below are the operators as the paper writes them, built
+from one ``killing_derivative`` pass per frame field and the ring
+operations; the library evaluates each operator in one integer pass.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from spinor_s3.exactnum import gauss
+from spinor_s3.geometry import (
+    KillingPair,
+    dirac_section,
+    killing_derivative,
+    laplace_section,
+    laplace_section_via_hessian,
+)
+from spinor_s3.polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW
+from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
+
+
+def dirac_reference(sigma):
+    """-sum_i (l_i sigma) * e_i - 3/2 sigma."""
+    out = SpinorSection.zero(sigma.f.view)
+    for i in (1, 2, 3):
+        out = out - killing_derivative(sigma, KillingPair.left(i)).right_mul_basis(i)
+    return out - sigma.scale(Fraction(3, 2))
+
+
+def lower_reference(side, poly):
+    """-1/2 * d(. along pair(2)) + i/2 * d(. along pair(3)), two passes."""
+    pair = KillingPair.left if side == LEFT else KillingPair.right
+    d2 = killing_derivative(poly, pair(2))
+    d3 = killing_derivative(poly, pair(3))
+    return d2.scale(Fraction(-1, 2)) + d3.scale(gauss(0, Fraction(1, 2)))
+
+
+def parts(p):
+    return p._num, p._den, p.view
+
+
+def assert_same_section(got, want):
+    assert parts(got.f) == parts(want.f)
+    assert parts(got.g) == parts(want.g)
+
+
+def random_poly(rng, view, max_degree=4, n_terms=5):
+    """Terms of mixed degrees and coefficient denominators."""
+    terms = {}
+    for _ in range(n_terms):
+        exp = [0, 0, 0, 0]
+        for _ in range(rng.randint(0, max_degree)):
+            exp[rng.randrange(4)] += 1
+        den = rng.choice((1, 2, 3, 5, 6))
+        terms[tuple(exp)] = gauss(Fraction(rng.randint(-9, 9), den), Fraction(rng.randint(-9, 9), den))
+    return Polynomial(terms, view)
+
+
+def random_sections(seed, view):
+    rng = random.Random(seed)
+    sections = [SpinorSection(random_poly(rng, view), random_poly(rng, view)) for _ in range(12)]
+    sections.append(SpinorSection(random_poly(rng, view), Polynomial.zero(view)))
+    sections.append(SpinorSection(Polynomial.zero(view), random_poly(rng, view)))
+    sections.append(SpinorSection.zero(view))
+    assert any(s.degree is None for s in sections)
+    assert len({p._den for s in sections for p in (s.f, s.g)}) > 2
+    return sections
+
+
+@pytest.mark.parametrize("view", [Z_VIEW, X_VIEW])
+def test_operators_match_composed_forms_on_random_sections(view):
+    for sigma in random_sections(31 if view == Z_VIEW else 32, view):
+        assert_same_section(dirac_section(sigma), dirac_reference(sigma))
+        assert_same_section(laplace_section(sigma), laplace_section_via_hessian(sigma))
+        for side in (LEFT, RIGHT):
+            for comp in (sigma.f, sigma.g):
+                assert parts(beta_lower(side, comp)) == parts(lower_reference(side, comp))
+
+
+# every section up to k = 12 in its own z view; the x view, an oracle
+# view whose products cost far more, up to k = 6
+@pytest.mark.parametrize("k, view", [(k, Z_VIEW) for k in range(13)] + [(k, X_VIEW) for k in range(7)])
+def test_operators_match_composed_forms_on_the_eigenbasis(k, view):
+    for entry in transfer_eigenbasis(k):
+        sigma = entry.section
+        if view == X_VIEW:
+            sigma = SpinorSection(sigma.f.in_view(X_VIEW), sigma.g.in_view(X_VIEW))
+        assert_same_section(dirac_section(sigma), dirac_reference(sigma))
+        assert_same_section(laplace_section(sigma), laplace_section_via_hessian(sigma))
+        for side in (LEFT, RIGHT):
+            for comp in (sigma.f, sigma.g):
+                assert parts(beta_lower(side, comp)) == parts(lower_reference(side, comp))
