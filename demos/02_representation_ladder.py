@@ -7,7 +7,7 @@ The Casimir element acts by the scalar k(k+2), which is what later
 forces the quadratic relation for the Dirac operator.
 """
 
-from spinor_s3.repspace import KetVector, apply_l, apply_sl2, casimir, casimir_expected, l_matrix
+from spinor_s3.repspace import KetVector, apply_l, apply_sl2, casimir, casimir_expected, l_matrix_int
 
 K = 3
 
@@ -37,8 +37,9 @@ for k in range(6):
     ok = casimir(k) == casimir_expected(k)
     print(f"  k={k}: equals {k * (k + 2)} * identity -> {ok}")
 
-# The banded structure of the matrices (bandwidth one).
-m = l_matrix(2, 4)
+# The banded structure of the matrices (bandwidth one); l2 is real, so
+# only the real part R of the Gaussian-integer matrix (R, I) is printed.
+re, _ = l_matrix_int(2, 4)
 print("\nl2 matrix at k=4 (rows):")
-for row in m.entries:
-    print("  ", [str(c.re) for c in row])
+for row in re:
+    print("  ", [str(x) for x in row])

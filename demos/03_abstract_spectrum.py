@@ -10,9 +10,10 @@ k + 1/2 and -k - 3/2 with multiplicities k(k+1) and (k+1)(k+2).
 from fractions import Fraction
 
 from spinor_s3 import linalg
+from spinor_s3.exactnum import gauss
 from spinor_s3.abstract_dirac import (
     dbar_apply,
-    dbar_block_matrix,
+    dbar_block_int,
     eigenbasis_abstract,
     quadratic_check,
     spectrum_table,
@@ -20,13 +21,16 @@ from spinor_s3.abstract_dirac import (
 
 K = 2
 
+# The block is a Gaussian-integer matrix (R, I); Dbar is real, so only R
+# is printed.
+block = dbar_block_int(K)
 print(f"Dbar block at k={K} (basis e0|0..k>, e2|0..k>):")
-for row in dbar_block_matrix(K):
-    print("  ", [str(c.re) for c in row])
+for row in block[0]:
+    print("  ", [str(x) for x in row])
 
 print(f"\nquadratic relation holds: {quadratic_check(K)}")
 
-char = linalg.charpoly(dbar_block_matrix(K))
+char = [gauss(re, im) for re, im in linalg.charpoly_int(block)]
 expected = linalg.charpoly_from_roots([(Fraction(K + 2), K), (Fraction(-K), K + 2)])
 print(f"characteristic polynomial factors as (x-{K + 2})^{K} (x+{K})^{K + 2}:",
       char == expected)

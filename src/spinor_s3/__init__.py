@@ -29,7 +29,7 @@ from .polyring import (
     Z_VIEW,
     laplacian_r4,
 )
-from .repspace import KetVector, RepMatrix, apply_l, apply_sl2, casimir
+from .repspace import KetVector, apply_l, apply_sl2, casimir
 from .abstract_dirac import (
     EigenFamily,
     SpinorVector,

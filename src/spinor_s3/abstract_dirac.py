@@ -21,7 +21,7 @@ the eigenvector families and their self-check compute on those ints; the
 block is the Gaussian-integer matrix :func:`dbar_block_int`, which
 :func:`quadratic_check` multiplies with ``linalg.mat_mul_int``.
 ``GaussianRational`` appears only at the edge: the constructor, ``coeffs``,
-``dense()``, JSON and :func:`dbar_block_matrix`.
+JSON and :func:`dbar_block_matrix`.
 """
 
 from __future__ import annotations
@@ -33,7 +33,6 @@ from math import lcm
 from . import linalg
 from .exactnum import (
     BASIS,
-    GAUSS_ZERO,
     GaussianRational,
     GaussInt,
     add_parts,
@@ -42,6 +41,7 @@ from .exactnum import (
     gauss_parts,
     parts_over,
     quat_multiply,
+    rational_to_str,
     reduce_parts,
     scale_parts,
 )
@@ -122,17 +122,9 @@ class SpinorVector:
     def __repr__(self) -> str:
         return f"SpinorVector(k={self.k}, q={self.q}, coeffs={self.coeffs!r})"
 
-    def dense(self) -> list[GaussianRational]:
-        """The coefficients in the block basis order."""
-        n = self.k + 1
-        out = [GAUSS_ZERO] * (2 * n)
-        for (r, p), (re, im) in self._num.items():
-            out[_index(r, p, n)] = gauss_over(re, im, self._den)
-        return out
-
     def dense_parts(self) -> tuple[list[int], list[int]]:
-        """The numerators of :meth:`dense`, real and imaginary parts, over
-        this vector's denominator."""
+        """The coefficient numerators in the block basis order, real and
+        imaginary parts, over this vector's denominator."""
         n = self.k + 1
         re, im = [0] * (2 * n), [0] * (2 * n)
         for (r, p), (x, y) in self._num.items():
@@ -246,7 +238,9 @@ def dbar_block_int(k: int) -> linalg.GaussIntMatrix:
 
 
 def dbar_block_matrix(k: int) -> linalg.Matrix:
-    """Matrix of Dbar on one q slice, basis e0 (x) |0..k> then e2 (x) |0..k>."""
+    """:func:`dbar_block_int` as Gaussian rationals.  Only the benchmark's
+    micro mode (``perfbench/child.py``) calls it; it goes with that mode
+    (ROADMAP item 1)."""
     return linalg.from_int(dbar_block_int(k))
 
 
@@ -338,7 +332,7 @@ class SpectrumRow:
     def to_json(self) -> dict:
         return {
             "k": self.k,
-            "eigenvalue": f"{self.eigenvalue.numerator}/{self.eigenvalue.denominator}",
+            "eigenvalue": rational_to_str(self.eigenvalue),
             "multiplicity": self.multiplicity,
         }
 

@@ -1,12 +1,13 @@
-"""Exact dense linear algebra over the Gaussian rationals.
+"""Exact dense linear algebra over the Gaussian integers.
 
-The kernels that do real work compute on Gaussian-integer matrices
-``(R, I)``, the matrix ``R + iI`` with ``R`` and ``I`` lists of lists of
-Python ints, and have public integer entry points:
+A library matrix is a Gaussian-integer matrix ``(R, I)``, the matrix
+``R + iI`` with ``R`` and ``I`` lists of lists of Python ints.  The
+kernels are:
 
 * :func:`mat_mul_int` forms integer row combinations, skipping the zero
   real and imaginary parts of the left factor and the all-zero rows of the
   right;
+* :func:`shift_int` forms ``A + cI``;
 * :func:`rank_int` is fraction-free echelon elimination over Z[i]: a row
   is cleared by ``p*row - f*pivot_row`` and then divided by the gcd of its
   integer parts, so nothing is ever divided in Q(i);
@@ -17,16 +18,12 @@ Python ints, and have public integer entry points:
   the components of two or more rows, laid out densely, to
   :func:`rank_int`.
 
-The operators of ``repspace`` and ``abstract_dirac`` are integer matrices
-and call these directly (with :func:`shift_int` for ``A + cI``).  The dense :class:`GaussianRational` API
-(:func:`mat_mul`, :func:`rank`, :func:`charpoly`) converts a matrix once
-to ``(d, (R, I))`` with ``A = (R + iI)/d`` and ``d`` the lcm of all
-denominators, calls the integer entry point and converts back only when
-it returns; ``charpoly`` scales coefficient ``j`` by ``d^-j``.
-
 No result is rounded.  :func:`charpoly_from_roots` stays on
 :class:`GaussianRational` on purpose: it is the independent route that
-``charpoly`` is checked against.
+:func:`charpoly_int` is checked against.  At the edge, :func:`from_int`
+converts an integer matrix to :class:`GaussianRational` entries and
+:func:`mat_mul` multiplies two Gaussian-rational matrices, for the 4x4
+frame change in ``geometry``.
 """
 
 from __future__ import annotations
@@ -41,6 +38,12 @@ Matrix = list[list[GaussianRational]]
 IntMatrix = list[list[int]]
 #: The Gaussian-integer matrix R + iI as the pair (R, I).
 GaussIntMatrix = tuple[IntMatrix, IntMatrix]
+
+
+# zeros, identity, mat_add, mat_scale and trace have no caller in the
+# library: the benchmark's micro mode (``perfbench/child.py``) replays a
+# Faddeev-LeVerrier loop with them and ``mat_mul``.  They go with that mode
+# (ROADMAP item 1).
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -58,16 +61,8 @@ def mat_add(a: Matrix, b: Matrix) -> Matrix:
     return [[x + y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
 
 
-def mat_sub(a: Matrix, b: Matrix) -> Matrix:
-    return [[x - y if y else x for x, y in zip(ra, rb)] for ra, rb in zip(a, b)]
-
-
 def mat_scale(a: Matrix, s: GaussianRational | Fraction | int) -> Matrix:
     return [[x * s if x else GAUSS_ZERO for x in row] for row in a]
-
-
-def mat_eq(a: Matrix, b: Matrix) -> bool:
-    return a == b
 
 
 def trace(a: Matrix) -> GaussianRational:
@@ -258,36 +253,18 @@ def rank_sparse(rows: list[dict[Hashable, GaussInt]]) -> int:
     return total
 
 
-# -- the Gaussian-rational API ----------------------------------------------------
+# -- the Gaussian-rational edge ---------------------------------------------------
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
+    """The product of two Gaussian-rational matrices: :func:`mat_mul_int` of
+    their numerators over the product of their common denominators."""
     if not a or not b:
         return [[] for _ in a]
     assert len(a[0]) == len(b)
     da, ai = _to_int(a)
     db, bi = _to_int(b)
     return from_int(mat_mul_int(ai, bi), da * db)
-
-
-def rank(a: Matrix) -> int:
-    """Rank of a Gaussian-rational matrix; the common denominator does not
-    change it, so only the integer parts go to :func:`rank_int`."""
-    if not a or not a[0]:
-        return 0
-    return rank_int(_to_int(a)[1])
-
-
-def nullity(a: Matrix) -> int:
-    return (len(a[0]) if a else 0) - rank(a)
-
-
-def charpoly(a: Matrix) -> list[GaussianRational]:
-    """Monic characteristic polynomial det(xI - A), coefficients by descending
-    power (length n+1): :func:`charpoly_int` of ``B = dA``, whose
-    coefficient ``j`` is ``d^j`` times that of A."""
-    d, b = _to_int(a)
-    return [gauss_over(cr, ci, d**j) for j, (cr, ci) in enumerate(charpoly_int(b))]
 
 
 def charpoly_from_roots(roots: list[tuple[Fraction, int]]) -> list[GaussianRational]:

@@ -44,6 +44,7 @@ from .exactnum import (
     GaussianRational,
     GaussInt,
     RationalQuaternion,
+    _coerce_gauss,
     add_parts,
     assemble,
     complex_split,
@@ -95,8 +96,7 @@ class Polynomial:
 
     @staticmethod
     def constant(c, view: str = Z_VIEW) -> "Polynomial":
-        c = _coerce_coeff(c)
-        return Polynomial({(0, 0, 0, 0): c}, view)
+        return Polynomial({(0, 0, 0, 0): _coerce_gauss(c)}, view)
 
     @staticmethod
     def variable(index: int, view: str) -> "Polynomial":
@@ -106,7 +106,7 @@ class Polynomial:
 
     @staticmethod
     def monomial(exponents: Exponents, coeff, view: str) -> "Polynomial":
-        return Polynomial({tuple(exponents): _coerce_coeff(coeff)}, view)
+        return Polynomial({tuple(exponents): _coerce_gauss(coeff)}, view)
 
     # -- inspection ---------------------------------------------------------
 
@@ -306,14 +306,6 @@ def _poly(num: dict[Exponents, GaussInt], den: int, view: str) -> Polynomial:
 def _reduced(num: dict[Exponents, GaussInt], den: int, view: str) -> Polynomial:
     """A Polynomial on integer parts over den > 0, made canonical."""
     return _poly(*reduce_parts(num, den), view)
-
-
-def _coerce_coeff(c) -> GaussianRational:
-    if isinstance(c, GaussianRational):
-        return c
-    if isinstance(c, (int, Fraction)):
-        return gauss(c)
-    raise TypeError(f"cannot use {type(c).__name__} as a coefficient")
 
 
 # Degree-one generators of the z view and the real coordinates.

@@ -27,12 +27,11 @@ structural.  :func:`apply_l`, :func:`apply_sl2` and the vector arithmetic
 compute on those ints.  The l_i have Gaussian-integer matrices
 (:func:`l_matrix_int`), which :func:`casimir` multiplies with
 ``linalg.mat_mul_int``.  ``GaussianRational`` appears only at the edge:
-the constructor, ``coeffs`` and :class:`RepMatrix`.
+the constructor and ``coeffs``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 
@@ -168,40 +167,6 @@ def apply_sl2(which: str, v: KetVector) -> KetVector:
     raise ValueError(f"unknown sl2 element {which!r}")
 
 
-@dataclass(frozen=True)
-class RepMatrix:
-    """Exact (k+1) x (k+1) matrix in the ket basis."""
-
-    k: int
-    entries: tuple[tuple[GaussianRational, ...], ...]
-
-    def __post_init__(self):
-        n = self.k + 1
-        if len(self.entries) != n or any(len(r) != n for r in self.entries):
-            raise ValueError("entry shape does not match k")
-        object.__setattr__(self, "entries", tuple(tuple(r) for r in self.entries))
-
-    def rows(self) -> linalg.Matrix:
-        return [list(r) for r in self.entries]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RepMatrix):
-            return NotImplemented
-        return self.k == other.k and self.entries == other.entries
-
-    def to_json(self) -> dict:
-        return {"k": self.k, "entries": [c.to_json() for row in self.entries for c in row]}
-
-    @staticmethod
-    def from_json(obj: dict) -> "RepMatrix":
-        k = obj["k"]
-        n = k + 1
-        flat = [GaussianRational.from_json(c) for c in obj["entries"]]
-        if len(flat) != n * n:
-            raise ValueError("entry count does not match k")
-        return RepMatrix(k, tuple(tuple(flat[i * n:(i + 1) * n]) for i in range(n)))
-
-
 def l_matrix_int(i: int, k: int) -> linalg.GaussIntMatrix:
     """The Gaussian-integer matrix of apply_l(i, .) on H_k; column p is the
     image of |p>."""
@@ -216,13 +181,9 @@ def l_matrix_int(i: int, k: int) -> linalg.GaussIntMatrix:
     return re, im
 
 
-def l_matrix(i: int, k: int) -> RepMatrix:
-    """Matrix of apply_l(i, .) on H_k; column p is the image of |p>."""
-    return RepMatrix(k, linalg.from_int(l_matrix_int(i, k)))
-
-
-def casimir(k: int) -> RepMatrix:
-    """The matrix of -(l1^2 + l2^2 + l3^2); equals k(k+2) times the identity."""
+def casimir(k: int) -> linalg.GaussIntMatrix:
+    """The Gaussian-integer matrix of -(l1^2 + l2^2 + l3^2); equals k(k+2)
+    times the identity."""
     if k < 0:
         raise ValueError("degree k must be >= 0")
     n = k + 1
@@ -233,9 +194,10 @@ def casimir(k: int) -> RepMatrix:
             for out, row in zip(acc, square):
                 for j, x in enumerate(row):
                     out[j] -= x
-    return RepMatrix(k, linalg.from_int(neg))
+    return neg
 
 
-def casimir_expected(k: int) -> RepMatrix:
-    scaled = linalg.mat_scale(linalg.identity(k + 1), gauss(k * (k + 2)))
-    return RepMatrix(k, tuple(tuple(row) for row in scaled))
+def casimir_expected(k: int) -> linalg.GaussIntMatrix:
+    """k(k+2) times the identity on H_k, as a Gaussian-integer matrix."""
+    n, c = k + 1, k * (k + 2)
+    return [[c if i == j else 0 for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)]

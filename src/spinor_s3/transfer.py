@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abstract_dirac import eigenbasis_abstract
-from .exactnum import gauss
+from .exactnum import gauss, rational_to_str
 from .geometry import KillingPair, _first_order, _merged_shifts
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _reduced
 
@@ -57,7 +57,7 @@ class TransferImage:
                 "k": self.k,
                 "p": self.p,
                 "q": self.q,
-                "norm_factor_squared": f"{self.norm_factor_squared.numerator}/{self.norm_factor_squared.denominator}",
+                "norm_factor_squared": rational_to_str(self.norm_factor_squared),
             }
         )
         return obj
@@ -212,5 +212,4 @@ def transfer_eigenbasis(k: int) -> list[TransferredEigenvector]:
                     SpinorSection(f, g, k), family.dirac_eigenvalue, family.label, q, p
                 )
             )
-    out.sort(key=lambda e: (e.family != "plus", e.q, e.p))
     return out

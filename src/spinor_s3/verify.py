@@ -19,7 +19,6 @@ from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_
 from .exactnum import BASIS, gauss, gauss_over, quat_multiply
 from .geometry import (
     QuadratureSpec,
-    eta_quadrature,
     eta_quadrature_many,
     gram_matrix,
     l2_inner_product,
@@ -243,22 +242,23 @@ def _check_integral_exact() -> list[CheckResult]:
 
 def _check_integral_tensor(max_degree: int = 8) -> list[CheckResult]:
     spec = QuadratureSpec.tensor(max_degree + 1, (max_degree + 2 + 1) // 2)
+    exps = [
+        (l1, l2, l3, l4)
+        for l1 in range(max_degree + 1)
+        for l2 in range(max_degree + 1 - l1)
+        for l3 in range(max_degree + 1 - l1 - l2)
+        for l4 in range(max_degree + 1 - l1 - l2 - l3)
+    ]
+    results = eta_quadrature_many([Polynomial.monomial(e, 1, Z_VIEW) for e in exps], spec)
     worst = 0.0
     ok = True
-    count = 0
-    for l1 in range(max_degree + 1):
-        for l2 in range(max_degree + 1 - l1):
-            for l3 in range(max_degree + 1 - l1 - l2):
-                for l4 in range(max_degree + 1 - l1 - l2 - l3):
-                    exact = monomial_integral(l1, l2, l3, l4).float_value()
-                    poly = Polynomial.monomial((l1, l2, l3, l4), 1, Z_VIEW)
-                    numeric = eta_quadrature(poly, spec).value
-                    err = abs(numeric - exact) / (1.0 + abs(exact))
-                    worst = max(worst, err)
-                    ok = ok and err <= TENSOR_REL_TOL
-                    count += 1
+    for e, result in zip(exps, results):
+        exact = monomial_integral(*e).float_value()
+        err = abs(result.value - exact) / (1.0 + abs(exact))
+        worst = max(worst, err)
+        ok = ok and err <= TENSOR_REL_TOL
     return [CheckResult("integral", "tensor rule vs exact", ok,
-                        f"{count} monomials of degree <= {max_degree}, worst relative error {worst:.12g}")]
+                        f"{len(exps)} monomials of degree <= {max_degree}, worst relative error {worst:.12g}")]
 
 
 def _check_integral_mc(samples: int, seed: int) -> list[CheckResult]:

@@ -12,7 +12,7 @@ from fractions import Fraction
 
 from spinor_s3 import linalg
 from spinor_s3.abstract_dirac import (
-    dbar_block_matrix,
+    dbar_block_int,
     eigenbasis_abstract,
     quadratic_check,
 )
@@ -27,7 +27,7 @@ from spinor_s3.geometry import (
     monomial_integral,
 )
 from spinor_s3.polyring import G2, Polynomial, Z_VIEW, laplacian_r4
-from spinor_s3.repspace import casimir, casimir_expected, l_matrix
+from spinor_s3.repspace import casimir, casimir_expected, l_matrix_int
 from spinor_s3.transfer import (
     LEFT,
     RIGHT,
@@ -59,12 +59,15 @@ def test_criterion_02_commutators():
     ok = True
     for k in range(13):
         for i, j in ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)):
-            mi, mj = l_matrix(i, k).rows(), l_matrix(j, k).rows()
-            comm = linalg.mat_sub(linalg.mat_mul(mi, mj), linalg.mat_mul(mj, mi))
+            mi, mj = l_matrix_int(i, k), l_matrix_int(j, k)
+            ab, ba = linalg.mat_mul_int(mi, mj), linalg.mat_mul_int(mj, mi)
+            comm = tuple([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(p1, p2)]
+                         for p1, p2 in zip(ab, ba))
             prod = quat_multiply(BASIS[i], BASIS[j])
-            m, sign = next((idx, c) for idx, c in enumerate(prod.components()) if c != 0)
-            expected = linalg.mat_scale(l_matrix(m, k).rows(), gauss(2 * sign))
-            ok = ok and linalg.mat_eq(comm, expected)
+            m, sign = next((idx, int(c)) for idx, c in enumerate(prod.components()) if c != 0)
+            expected = tuple([[2 * sign * x for x in row] for row in part]
+                             for part in l_matrix_int(m, k))
+            ok = ok and comm == expected
     _report(2, "commutators", ok, "[l_i, l_j] = 2 l_(e_i e_j) exactly, k=0..12")
 
 
@@ -82,18 +85,14 @@ def test_criterion_04_spectrum_two_ways():
         ok = ok and len(plus) == k * (k + 1) and len(minus) == (k + 1) * (k + 2)
         # route (b): exact diagonalization of the per-q block
         n = 2 * (k + 1)
-        block = dbar_block_matrix(k)
-        char = linalg.charpoly(block)
+        block = dbar_block_int(k)
+        char = [gauss(*c) for c in linalg.charpoly_int(block)]
         expected = linalg.charpoly_from_roots(
             [(Fraction(k + 2), k), (Fraction(-k), k + 2)]
         )
         ok = ok and char == expected
-        null_plus = linalg.nullity(
-            linalg.mat_add(block, linalg.mat_scale(linalg.identity(n), gauss(-(k + 2))))
-        )
-        null_minus = linalg.nullity(
-            linalg.mat_add(block, linalg.mat_scale(linalg.identity(n), gauss(k)))
-        )
+        null_plus = n - linalg.rank_int(linalg.shift_int(block, -(k + 2)))
+        null_minus = n - linalg.rank_int(linalg.shift_int(block, k))
         ok = ok and null_plus * (k + 1) == k * (k + 1)
         ok = ok and null_minus * (k + 1) == (k + 1) * (k + 2)
     _report(4, "spectrum two ways", ok,

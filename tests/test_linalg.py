@@ -1,11 +1,10 @@
 """Exact linear algebra against an independent oracle.
 
-``linalg`` computes on Gaussian integers over a common denominator;
-sympy's ``Matrix`` computes on symbolic Gaussian rationals.  Both must give
-the same exact answers for ``charpoly``, ``rank``/``nullity`` and
-``mat_mul`` on random matrices with non-unit denominators (square,
-non-square and rank-deficient), on the Dbar blocks and on the empty
-matrix.
+``linalg`` computes on Gaussian-integer matrices ``(R, I)``; sympy's
+``Matrix`` computes on symbolic Gaussian numbers.  Both must give the same
+exact answers for ``charpoly_int``, ``rank_int`` and ``mat_mul_int`` on
+random matrices (square, non-square and rank-deficient), on the Dbar
+blocks and on the empty matrix.
 """
 
 import random
@@ -14,8 +13,8 @@ from fractions import Fraction
 import pytest
 
 from spinor_s3 import linalg
-from spinor_s3.abstract_dirac import dbar_block_matrix
-from spinor_s3.exactnum import GaussianRational, gauss
+from spinor_s3.abstract_dirac import dbar_block_int
+from spinor_s3.exactnum import GaussianRational, GaussInt, gauss
 
 sympy = pytest.importorskip("sympy")
 
@@ -27,11 +26,11 @@ def _is_zero(expr) -> bool:
 
 
 def to_sympy(a):
+    """The Gaussian-integer matrix (R, I) as a sympy matrix."""
+    re, im = a
     return sympy.Matrix(
-        len(a), len(a[0]) if a else 0,
-        [sympy.Rational(x.re.numerator, x.re.denominator)
-         + sympy.I * sympy.Rational(x.im.numerator, x.im.denominator)
-         for row in a for x in row],
+        len(re), len(re[0]) if re else 0,
+        [x + sympy.I * y for rr, ri in zip(re, im) for x, y in zip(rr, ri)],
     )
 
 
@@ -41,126 +40,26 @@ def from_sympy(expr) -> GaussianRational:
     return gauss(Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
 
 
+def gauss_int(expr) -> GaussInt:
+    """A sympy Gaussian integer as ``(re, im)``."""
+    expr = sympy.expand(expr)
+    re, im = sympy.re(expr), sympy.im(expr)
+    assert re.is_integer and im.is_integer
+    return int(re), int(im)
+
+
+def int_matrix(m) -> linalg.GaussIntMatrix:
+    """A sympy matrix with Gaussian-integer entries as ``(R, I)``."""
+    entries = [[gauss_int(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
+    return [[x for x, _ in row] for row in entries], [[y for _, y in row] for row in entries]
+
+
 def oracle_charpoly(a):
-    return [from_sympy(c) for c in to_sympy(a).charpoly(X).all_coeffs()]
+    return [gauss_int(c) for c in to_sympy(a).charpoly(X).all_coeffs()]
 
 
 def oracle_rank(a):
     return to_sympy(a).rank(iszerofunc=_is_zero)
-
-
-def random_entry(rng, zero_share):
-    if rng.random() < zero_share:
-        return gauss(0)
-    return gauss(Fraction(rng.randint(-9, 9), rng.randint(1, 12)),
-                 Fraction(rng.randint(-9, 9), rng.randint(1, 12)))
-
-
-def random_matrix(rng, rows, cols, zero_share=0.3):
-    return [[random_entry(rng, zero_share) for _ in range(cols)] for _ in range(rows)]
-
-
-def low_rank_matrix(rng, rows, cols, r):
-    """A product of rows x r and r x cols factors: rank at most r."""
-    return linalg.mat_mul(random_matrix(rng, rows, r, 0.0), random_matrix(rng, r, cols, 0.0))
-
-
-SEEDS = range(6)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_charpoly_matches_sympy_on_random_matrices(seed):
-    rng = random.Random(seed)
-    a = random_matrix(rng, 1 + seed, 1 + seed)
-    assert linalg.charpoly(a) == oracle_charpoly(a)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_charpoly_matches_sympy_on_singular_matrices(seed):
-    rng = random.Random(100 + seed)
-    n = 3 + seed % 3
-    a = low_rank_matrix(rng, n, n, 1 + seed % 2)
-    char = linalg.charpoly(a)
-    assert char == oracle_charpoly(a)
-    assert char[-1].is_zero()  # det = 0
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", [(4, 4), (3, 6), (6, 3), (1, 5), (5, 1)])
-def test_rank_matches_sympy_on_random_matrices(seed, shape):
-    rng = random.Random(1000 * seed + 10 * shape[0] + shape[1])
-    a = random_matrix(rng, *shape, zero_share=0.5)
-    assert linalg.rank(a) == oracle_rank(a)
-    assert linalg.nullity(a) == shape[1] - oracle_rank(a)
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape, r", [((5, 5), 2), ((4, 7), 3), ((7, 4), 1), ((6, 6), 5)])
-def test_rank_matches_sympy_on_rank_deficient_matrices(seed, shape, r):
-    rng = random.Random(2000 * seed + 7 * r + shape[0])
-    a = low_rank_matrix(rng, *shape, r)
-    expected = oracle_rank(a)
-    assert expected <= r
-    assert linalg.rank(a) == expected
-    assert linalg.nullity(a) == shape[1] - expected
-
-
-def test_rank_of_zero_and_repeated_rows():
-    rng = random.Random(7)
-    row = random_matrix(rng, 1, 5)[0]
-    assert linalg.rank([[gauss(0)] * 5 for _ in range(3)]) == 0
-    assert linalg.rank([row, row, [x * gauss(Fraction(2, 3), 1) for x in row]]) == 1
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 5, 4), (4, 1, 3), (1, 4, 1)])
-def test_mat_mul_matches_sympy(seed, shape):
-    rng = random.Random(3000 * seed + 100 * shape[0] + 10 * shape[1] + shape[2])
-    n, k, m = shape
-    a = random_matrix(rng, n, k)
-    b = random_matrix(rng, k, m)
-    product = to_sympy(a) * to_sympy(b)
-    expected = [[from_sympy(product[i, j]) for j in range(m)] for i in range(n)]
-    assert linalg.mat_mul(a, b) == expected
-
-
-def test_mat_mul_skips_only_zero_left_entries():
-    # a zero left entry times a nonzero right entry contributes nothing,
-    # a nonzero left entry times a zero right entry too
-    a = [[gauss(0), gauss(2, -1)], [gauss(Fraction(1, 3)), gauss(0)]]
-    b = [[gauss(5, 5), gauss(0)], [gauss(0), gauss(0, Fraction(1, 2))]]
-    assert linalg.mat_mul(a, b) == [
-        [gauss(0), gauss(Fraction(1, 2), 1)],
-        [gauss(Fraction(5, 3), Fraction(5, 3)), gauss(0)],
-    ]
-
-
-@pytest.mark.parametrize("k", range(13))
-def test_dbar_blocks_match_sympy(k):
-    block = dbar_block_matrix(k)
-    n = len(block)
-    assert linalg.charpoly(block) == oracle_charpoly(block)
-    for shift in (k, -(k + 2)):
-        shifted = linalg.mat_add(block, linalg.mat_scale(linalg.identity(n), gauss(shift)))
-        assert linalg.rank(shifted) == oracle_rank(shifted)
-    square = linalg.mat_mul(block, block)
-    oracle = to_sympy(block) ** 2
-    assert square == [[from_sympy(oracle[i, j]) for j in range(n)] for i in range(n)]
-
-
-def test_empty_matrix():
-    assert linalg.charpoly([]) == oracle_charpoly([]) == [gauss(1)]
-    assert linalg.rank([]) == oracle_rank([]) == 0
-    assert linalg.nullity([]) == 0
-    assert linalg.mat_mul([], []) == []
-
-
-def test_charpoly_is_exact_with_large_denominators():
-    # d^j scaling must not round: a diagonal matrix's charpoly is the
-    # product of (x - a_ii), expanded by the GaussianRational route
-    entries = [Fraction(1, 97), Fraction(-5, 1024), Fraction(7, 3)]
-    a = [[gauss(entries[i]) if i == j else gauss(0) for j in range(3)] for i in range(3)]
-    assert linalg.charpoly(a) == linalg.charpoly_from_roots([(e, 1) for e in entries])
 
 
 def random_int_matrix(rng, rows, cols, zero_share=0.3):
@@ -171,27 +70,129 @@ def random_int_matrix(rng, rows, cols, zero_share=0.3):
     return part(), part()
 
 
+def low_rank_matrix(rng, rows, cols, r):
+    """A product of rows x r and r x cols factors: rank at most r."""
+    return linalg.mat_mul_int(random_int_matrix(rng, rows, r, 0.0),
+                              random_int_matrix(rng, r, cols, 0.0))
+
+
+SEEDS = range(6)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_charpoly_matches_sympy_on_random_matrices(seed):
+    rng = random.Random(seed)
+    a = random_int_matrix(rng, 1 + seed, 1 + seed)
+    assert linalg.charpoly_int(a) == oracle_charpoly(a)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_charpoly_matches_sympy_on_singular_matrices(seed):
+    rng = random.Random(100 + seed)
+    n = 3 + seed % 3
+    a = low_rank_matrix(rng, n, n, 1 + seed % 2)
+    char = linalg.charpoly_int(a)
+    assert char == oracle_charpoly(a)
+    assert char[-1] == (0, 0)  # det = 0
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", [(4, 4), (3, 6), (6, 3), (1, 5), (5, 1)])
+def test_rank_matches_sympy_on_random_matrices(seed, shape):
+    rng = random.Random(1000 * seed + 10 * shape[0] + shape[1])
+    a = random_int_matrix(rng, *shape, zero_share=0.5)
+    assert linalg.rank_int(a) == oracle_rank(a)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape, r", [((5, 5), 2), ((4, 7), 3), ((7, 4), 1), ((6, 6), 5)])
+def test_rank_matches_sympy_on_rank_deficient_matrices(seed, shape, r):
+    rng = random.Random(2000 * seed + 7 * r + shape[0])
+    a = low_rank_matrix(rng, *shape, r)
+    expected = oracle_rank(a)
+    assert expected <= r
+    assert linalg.rank_int(a) == expected
+
+
+def test_rank_of_zero_and_repeated_rows():
+    rng = random.Random(7)
+    re, im = random_int_matrix(rng, 1, 5)
+    row = re[0], im[0]
+    # the third row is (2 + 3i) times the first
+    scaled = [2 * x - 3 * y for x, y in zip(*row)], [3 * x + 2 * y for x, y in zip(*row)]
+    assert linalg.rank_int(([[0] * 5 for _ in range(3)], [[0] * 5 for _ in range(3)])) == 0
+    assert linalg.rank_int(([row[0], row[0], scaled[0]], [row[1], row[1], scaled[1]])) == 1
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("shape", [(3, 3, 3), (2, 5, 4), (4, 1, 3), (1, 4, 1)])
+def test_mat_mul_matches_sympy(seed, shape):
+    rng = random.Random(3000 * seed + 100 * shape[0] + 10 * shape[1] + shape[2])
+    n, k, m = shape
+    a = random_int_matrix(rng, n, k)
+    b = random_int_matrix(rng, k, m)
+    product = to_sympy(a) * to_sympy(b)
+    assert linalg.mat_mul_int(a, b) == int_matrix(product)
+    # the Gaussian-rational product over non-unit denominators
+    da, db = rng.randint(1, 12), rng.randint(1, 12)
+    assert linalg.mat_mul(linalg.from_int(a, da), linalg.from_int(b, db)) == [
+        [from_sympy(product[i, j] / (da * db)) for j in range(m)] for i in range(n)
+    ]
+
+
+def test_mat_mul_skips_only_zero_left_entries():
+    # a zero left part times a nonzero right row contributes nothing, a
+    # nonzero left part times an all-zero right row too
+    a = ([[0, 2], [1, 0]], [[0, -1], [0, 0]])
+    b = ([[5, 0], [0, 0]], [[5, 0], [0, 3]])
+    assert linalg.mat_mul_int(a, b) == ([[0, 3], [5, 0]], [[0, 6], [5, 0]])
+
+
+@pytest.mark.parametrize("k", range(13))
+def test_dbar_blocks_match_sympy(k):
+    block = dbar_block_int(k)
+    assert linalg.charpoly_int(block) == oracle_charpoly(block)
+    for shift in (k, -(k + 2)):
+        shifted = linalg.shift_int(block, shift)
+        assert linalg.rank_int(shifted) == oracle_rank(shifted)
+    assert linalg.mat_mul_int(block, block) == int_matrix(to_sympy(block) ** 2)
+
+
+def test_empty_matrix():
+    empty = ([], [])
+    assert linalg.charpoly_int(empty) == oracle_charpoly(empty) == [(1, 0)]
+    assert linalg.rank_int(empty) == oracle_rank(empty) == 0
+    assert linalg.mat_mul_int(empty, empty) == empty
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_integer_entry_points_match_sympy(seed):
     rng = random.Random(4000 + seed)
     n = 2 + seed % 4
     a = random_int_matrix(rng, n, n)
     b = random_int_matrix(rng, n, n + 1)
-    dense_a = linalg.from_int(a)
-    product = to_sympy(dense_a) * to_sympy(linalg.from_int(b))
-    assert linalg.from_int(linalg.mat_mul_int(a, b)) == [
-        [from_sympy(product[i, j]) for j in range(n + 1)] for i in range(n)
-    ]
+    assert linalg.mat_mul_int(a, b) == int_matrix(to_sympy(a) * to_sympy(b))
     char = linalg.charpoly_int(a)
     assert all(type(x) is int for c in char for x in c)
-    assert [gauss(*c) for c in char] == oracle_charpoly(dense_a)
-    assert linalg.rank_int(a) == oracle_rank(dense_a)
+    assert char == oracle_charpoly(a)
+    assert linalg.rank_int(a) == oracle_rank(a)
     low = linalg.mat_mul_int(random_int_matrix(rng, n, 1 + seed % 2, 0.0),
                              random_int_matrix(rng, 1 + seed % 2, n, 0.0))
-    assert linalg.rank_int(low) == oracle_rank(linalg.from_int(low))
+    assert linalg.rank_int(low) == oracle_rank(low)
+    dense_a = linalg.from_int(a)
     shifted = linalg.mat_add(dense_a, linalg.mat_scale(linalg.identity(n), gauss(-3)))
     assert linalg.from_int(linalg.shift_int(a, -3)) == shifted
     assert linalg.from_int(a) == dense_a  # shift_int left its operand alone
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_trace_matches_sympy(seed):
+    rng = random.Random(7000 + seed)
+    n = 1 + seed
+    a = random_int_matrix(rng, n, n)
+    d = rng.randint(1, 12)
+    assert linalg.trace(linalg.from_int(a, d)) == from_sympy(to_sympy(a).trace() / d)
+    assert linalg.trace([]) == gauss(0)
 
 
 def test_from_int_divides_by_the_denominator():
@@ -218,7 +219,8 @@ def oracle_sparse_rank(rows):
     columns = sorted({c for row in rows for c in row})
     if not columns:
         return 0
-    return oracle_rank([[gauss(*row.get(c, (0, 0))) for c in columns] for row in rows])
+    return oracle_rank(([[row.get(c, (0, 0))[0] for c in columns] for row in rows],
+                        [[row.get(c, (0, 0))[1] for c in columns] for row in rows]))
 
 
 def combine(rows, coeffs):

@@ -7,7 +7,6 @@ from spinor_s3.abstract_dirac import SpinorVector, spectrum_table
 from spinor_s3.exactnum import GaussianRational, gauss, quat, rational_to_str
 from spinor_s3.geometry import IntegralValue, QuadratureSpec
 from spinor_s3.polyring import G2, GM1, Polynomial, SpinorSection
-from spinor_s3.repspace import RepMatrix, l_matrix
 from spinor_s3.transfer import TransferImage, iso_closed_form
 
 
@@ -49,13 +48,6 @@ def test_spinor_section_json():
     assert set(obj) == {"k", "f", "g"}
     back = SpinorSection.from_json(obj)
     assert back == s and back.degree == 1
-
-
-def test_rep_matrix_json():
-    m = l_matrix(2, 3)
-    obj = roundtrip(m.to_json())
-    assert obj["k"] == 3 and len(obj["entries"]) == 16
-    assert RepMatrix.from_json(obj) == m
 
 
 def test_spinor_vector_json():
