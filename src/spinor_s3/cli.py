@@ -16,8 +16,9 @@ point appears only in quadrature reports (12 significant digits).
 from __future__ import annotations
 
 import argparse
-import json
 import sys
+from functools import lru_cache
+from json.encoder import encode_basestring_ascii
 from typing import Optional
 
 from .abstract_dirac import spectrum_table
@@ -90,10 +91,70 @@ def _emit(text: str, out: Optional[str]) -> int:
     return 0
 
 
+def _json_text(obj) -> str:
+    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for documents
+    made of str-keyed dicts, lists, str, int, bool and None; TypeError on
+    anything else.  The standard library's encoder runs in pure Python
+    whenever ``indent`` is set, with one generator per container; this
+    writes into one list of strings instead."""
+    out: list[str] = []
+    _write_json(obj, "\n", out.append)
+    return "".join(out)
+
+
+@lru_cache(maxsize=None)
+def _layout(newline: str) -> tuple[str, str, str, str, str, str]:
+    """The strings around the items of a container whose line starts with
+    ``newline``: the items' newline, the dict and list openers, the item
+    separator, and the dict and list closers.  Made once per depth, so
+    every container at that depth shares them."""
+    inner = newline + "  "
+    return inner, "{" + inner, "[" + inner, "," + inner, newline + "}", newline + "]"
+
+
+def _write_json(obj, newline: str, write) -> None:
+    if isinstance(obj, dict):
+        if not obj:
+            write("{}")
+            return
+        inner, sep, _, item_sep, close, _ = _layout(newline)
+        for key in sorted(obj):
+            if not isinstance(key, str):
+                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
+            write(sep)
+            write(encode_basestring_ascii(key))
+            write(": ")
+            _write_json(obj[key], inner, write)
+            sep = item_sep
+        write(close)
+    elif isinstance(obj, list):
+        if not obj:
+            write("[]")
+            return
+        inner, _, sep, item_sep, _, close = _layout(newline)
+        for item in obj:
+            write(sep)
+            _write_json(item, inner, write)
+            sep = item_sep
+        write(close)
+    elif isinstance(obj, str):
+        write(encode_basestring_ascii(obj))
+    elif obj is None:
+        write("null")
+    elif obj is True:
+        write("true")
+    elif obj is False:
+        write("false")
+    elif isinstance(obj, int):
+        write(int.__repr__(obj))
+    else:
+        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
+
+
 def cmd_spectrum(args: argparse.Namespace) -> int:
     rows = spectrum_table(args.k_max)
     if args.format == "json":
-        text = json.dumps([r.to_json() for r in rows], indent=2, sort_keys=True) + "\n"
+        text = _json_text([r.to_json() for r in rows]) + "\n"
     else:
         lines = [f"{'k':>4}  {'eigenvalue':>12}  {'multiplicity':>12}"]
         for r in rows:
@@ -123,7 +184,7 @@ def cmd_eigenbasis(args: argparse.Namespace) -> int:
         )
         sections.append(record)
     doc = {"k": args.k, "count": len(sections), "sections": sections}
-    return _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+    return _emit(_json_text(doc) + "\n", args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
@@ -176,8 +237,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     if args.k_max is not None and args.k_max < 0:
         print("error: --k-max must be >= 0", file=sys.stderr)
         return 2
-    if args.samples < 1:
-        print("error: --samples must be >= 1", file=sys.stderr)
+    if args.samples < 2:
+        # one sample has no variance estimate to bound the error with
+        print("error: --samples must be >= 2", file=sys.stderr)
         return 2
     if args.seed < 0:
         print("error: --seed must be >= 0", file=sys.stderr)

@@ -33,6 +33,12 @@ def rational_to_str(r: Fraction) -> str:
     return f"{r.numerator}/{r.denominator}"
 
 
+def ratio_to_str(num: int, den: int) -> str:
+    """``rational_to_str`` of the rational num/den, for ints with den > 0."""
+    g = gcd(num, den)
+    return f"{num // g}/{den // g}"
+
+
 def rational_from_str(s: str) -> Fraction:
     """Parse ``"num/den"`` (or a bare integer string)."""
     return Fraction(s)

@@ -417,8 +417,9 @@ class QuadratureSpec:
             if not self.n_radial or self.n_radial < 1:
                 raise ValueError("tensor rule needs n_radial >= 1")
         elif self.rule == "mc":
-            if not self.samples or self.samples < 1:
-                raise ValueError("monte carlo rule needs samples >= 1")
+            if not self.samples or self.samples < 2:
+                # one sample has no variance estimate, so no error bar
+                raise ValueError("monte carlo rule needs samples >= 2")
             if self.seed is None:
                 raise ValueError("monte carlo rule needs an explicit seed")
         else:

@@ -22,14 +22,17 @@ shared by all terms, kept canonical -- no zero terms, gcd(denominator,
 every numerator) = 1, and ``({}, 1)`` for zero -- so equality stays
 structural.  Every kernel computes on those ints; ``GaussianRational``
 appears only at the edge: the constructor, ``terms``, ``coefficient``,
-``evaluate`` and JSON.  The kernels outside this module (the shift-table
-pass behind ``geometry.killing_derivative``, ``dirac_section``,
-``laplace_section`` and ``transfer.beta_lower``, and
-``geometry.l2_inner_product`` and ``transfer.iso_closed_form``) read
-``_num``/``_den`` and build their results through ``_reduced``, which
-restores the canonical form with ``exactnum.reduce_parts``.  The transfer checks in ``verify`` read the
-exponents and numerators of ``_num`` directly, for the exponent
-bookkeeping and the sparse rank.
+``evaluate`` and ``from_json`` (``to_json`` writes each part straight
+from its numerator over the denominator).  The kernels outside this
+module (the shift-table pass behind ``geometry.killing_derivative``,
+``dirac_section``, ``laplace_section`` and ``transfer.beta_lower``, and
+``geometry.l2_inner_product``, ``transfer.iso_closed_form`` and
+``transfer.transfer_eigenbasis``) read ``_num``/``_den`` and build their
+results through ``_reduced`` or ``_poly``, on parts that
+``exactnum.reduce_parts``, ``add_parts`` or ``scale_parts`` keep
+canonical.  The transfer checks in ``verify`` read the exponents and
+numerators of ``_num`` directly, for the exponent bookkeeping and the
+sparse rank.
 """
 
 from __future__ import annotations
@@ -53,6 +56,7 @@ from .exactnum import (
     gauss_parts,
     parts_over,
     quat_multiply,
+    ratio_to_str,
     reduce_parts,
     scale_parts,
     BASIS,
@@ -277,11 +281,13 @@ class Polynomial:
     # -- JSON ---------------------------------------------------------------
 
     def to_json(self) -> dict:
+        den = self._den
         return {
             "view": self.view,
             "terms": [
-                {"exp": list(exp), "coeff": coeff.to_json()}
-                for exp, coeff in self.terms_sorted()
+                {"exp": list(exp),
+                 "coeff": {"re": ratio_to_str(re, den), "im": ratio_to_str(im, den)}}
+                for exp, (re, im) in sorted(self._num.items(), key=_term_order)
             ],
         }
 

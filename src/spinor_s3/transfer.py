@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abstract_dirac import eigenbasis_abstract
-from .exactnum import gauss, rational_to_str
+from .exactnum import add_parts, gauss, rational_to_str, scale_parts
 from .geometry import KillingPair, _first_order, _merged_shifts
-from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _reduced
+from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _poly, _reduced
 
 LEFT = "left"
 RIGHT = "right"
@@ -189,9 +189,16 @@ class TransferredEigenvector:
     p: int
 
 
-def transfer_eigenbasis(k: int) -> list[TransferredEigenvector]:
+@lru_cache(maxsize=None)
+def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     """Translate the abstract eigenvector families into polynomial
-    sections; 2(k+1)^2 sections in deterministic (family, q, p) order."""
+    sections; 2(k+1)^2 sections in deterministic (family, q, p) order.
+
+    Each section's f (g) is the sum of the images of the vector's r = 0
+    (r = 2) kets scaled by their coefficients, summed on the integer parts.
+    Built once per k: the tuple and its sections are shared by every
+    caller.
+    """
     if k < 0:
         raise ValueError("degree k must be >= 0")
     table = transfer_table(k)
@@ -199,17 +206,15 @@ def transfer_eigenbasis(k: int) -> list[TransferredEigenvector]:
     out = []
     for family in (plus, minus):
         for vector, (q, p) in zip(family.vectors, family.positions):
-            f = Polynomial.zero(Z_VIEW)
-            g = Polynomial.zero(Z_VIEW)
-            for (r, pp), c in vector.coeffs:
-                image = table[(pp, q)].scale(c)
-                if r == 0:
-                    f = f + image
-                else:
-                    g = g + image
+            parts = {0: ({}, 1), 2: ({}, 1)}
+            for (r, pp), (re, im) in vector._num.items():
+                image = table[(pp, q)]
+                term = scale_parts(image._num, image._den, re, im, vector._den)
+                parts[r] = add_parts(*parts[r], *term)
+            f, g = (_poly(*parts[r], Z_VIEW) for r in (0, 2))
             out.append(
                 TransferredEigenvector(
                     SpinorSection(f, g, k), family.dirac_eigenvalue, family.label, q, p
                 )
             )
-    return out
+    return tuple(out)

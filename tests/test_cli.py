@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import random
 
 import pytest
 
-from spinor_s3.cli import DEFAULT_K_CAP, main
+from spinor_s3.cli import DEFAULT_K_CAP, _json_text, main
 
 
 def run(capsys, *argv):
@@ -105,6 +106,58 @@ def test_eigenbasis_rerun_byte_identical(tmp_path, capsys):
     assert run(capsys, "eigenbasis", "--k", "2", "--out", str(a))[0] == 0
     assert run(capsys, "eigenbasis", "--k", "2", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+# -- the JSON writer ------------------------------------------------------
+
+TEXT_CHARS = 'az"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028\U0001f600'
+
+
+def random_text(rng):
+    return "".join(rng.choice(TEXT_CHARS) for _ in range(rng.randrange(5)))
+
+
+def random_document(rng, depth=0):
+    """A document of every kind the writer accepts: empty and nested
+    containers, negative and big ints, escapes and non-ASCII text."""
+    kind = rng.randrange(6 if depth < 4 else 4)
+    if kind == 0:
+        return random_text(rng)
+    if kind == 1:
+        return rng.choice((0, -1, 7, -(10 ** 30) - 3, 2 ** 70))
+    if kind == 2:
+        return rng.choice((True, False, None))
+    if kind == 3:
+        return rng.randrange(-5, 5)
+    if kind == 4:
+        return [random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
+    return {random_text(rng): random_document(rng, depth + 1) for _ in range(rng.randrange(4))}
+
+
+def test_json_text_is_json_dumps_on_random_documents():
+    rng = random.Random(10)
+    for _ in range(300):
+        doc = random_document(rng)
+        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
+@pytest.mark.parametrize("doc", [1.5, {"a": [1, 0.5]}, {1: "a"}, (1, 2), {"a": {"b": {2}}}])
+def test_json_text_refuses_other_types(doc):
+    with pytest.raises(TypeError):
+        _json_text(doc)
+
+
+@pytest.mark.parametrize("argv", [
+    (command, flag, str(k))
+    for command, flag in (("spectrum", "--k-max"), ("eigenbasis", "--k"))
+    for k in range(4)
+])
+def test_cli_documents_are_json_dumps_of_themselves(capsys, argv):
+    if argv[0] == "spectrum":
+        argv += ("--format", "json")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 
 
 # sha256 of the exports at k = 12, recorded when the polynomial core still
@@ -237,8 +290,11 @@ def test_negative_degree_is_usage_error(capsys, argv, needle):
 
 
 def test_verify_zero_samples_is_usage_error(capsys):
-    code, out, err = run(capsys, "verify", "--suite", "integral", "--samples", "0")
-    assert_usage_error(code, out, err, "--samples")
+    # one sample has no variance estimate: every 3-sigma bound would
+    # collapse to the 1e-12 slack and the Monte Carlo check would fail
+    for samples in ("0", "1"):
+        code, out, err = run(capsys, "verify", "--suite", "integral", "--samples", samples)
+        assert_usage_error(code, out, err, "--samples")
 
 
 def test_verify_negative_seed_is_usage_error(capsys):

@@ -365,6 +365,10 @@ def test_quadrature_spec_validation():
         eta_quadrature(G2, QuadratureSpec.monte_carlo(0, 1))
     with pytest.raises(ValueError):
         eta_quadrature(G2, QuadratureSpec("nodes"))
+    # one sample has no variance estimate, so it cannot bound its error
+    with pytest.raises(ValueError, match="samples >= 2"):
+        QuadratureSpec.monte_carlo(1, 1).validate()
+    QuadratureSpec.monte_carlo(2, 1).validate()
 
 
 # -- Gram matrices ------------------------------------------------------------------

@@ -326,6 +326,25 @@ def test_same_value_by_different_routes_has_one_representation():
                 assert r == p and hash(r) == hash(p)
 
 
+def test_to_json_from_integer_parts_is_the_gaussian_rational_form():
+    # to_json writes each part from its numerator over the shared
+    # denominator; it must give what each coefficient's own to_json gives
+    rng = random.Random(34)
+    negative = zero_part = over_one = False
+    for view in (Z_VIEW, X_VIEW):
+        for _ in range(40):
+            p = ref.to_poly(ref.random_ref(rng), view)
+            assert p.to_json() == {
+                "view": view,
+                "terms": [{"exp": list(e), "coeff": c.to_json()} for e, c in p.terms_sorted()],
+            }
+            assert Polynomial.from_json(p.to_json()) == p
+            negative |= any(min(c) < 0 for c in p._num.values())
+            zero_part |= any(0 in c for c in p._num.values())
+            over_one |= p._den > 1
+    assert negative and zero_part and over_one
+
+
 def test_cross_view_equality_and_hash_agree():
     rng = random.Random(33)
     for _ in range(15):

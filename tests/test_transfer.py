@@ -1,11 +1,14 @@
 """The transfer to harmonic polynomials: closed form against the
 recursive lowering construction, equivariance and the eigen-sections."""
 
+import dataclasses
 from fractions import Fraction
 
 import pytest
 
-from spinor_s3 import linalg
+import fraction_reference as ref
+from spinor_s3 import linalg, transfer
+from spinor_s3.abstract_dirac import eigenbasis_abstract
 from spinor_s3.polyring import G1_BAR, G2, G2_BAR, GM1, Polynomial, Z_VIEW, laplacian_r4
 from spinor_s3.transfer import (
     LEFT,
@@ -17,6 +20,7 @@ from spinor_s3.transfer import (
     transfer_eigenbasis,
     transfer_table,
 )
+from spinor_s3.verify import run_suites
 
 
 def test_closed_form_corner_values():
@@ -205,3 +209,57 @@ def test_transfer_eigenbasis_deterministic_order():
     keys = [(e.family, e.q, e.p) for e in entries]
     assert keys == sorted(keys, key=lambda t: (t[0] != "plus", t[1], t[2]))
     assert keys == [(e.family, e.q, e.p) for e in transfer_eigenbasis(2)]
+
+
+def eigenbasis_by_scale_and_add(k):
+    """The sections assembled through the Gaussian-rational face: each
+    family vector's coefficients scale the closed-form images, which
+    ``Polynomial.__add__`` sums into f (r = 0) and g (r = 2)."""
+    table = transfer_table(k)
+    out = []
+    for family in eigenbasis_abstract(k):
+        for vector, (q, p) in zip(family.vectors, family.positions):
+            f = g = Polynomial.zero(Z_VIEW)
+            for (r, pp), c in vector.coeffs:
+                image = table[(pp, q)].scale(c)
+                if r == 0:
+                    f = f + image
+                else:
+                    g = g + image
+            out.append((family.label, q, p, family.dirac_eigenvalue, f, g))
+    return out
+
+
+@pytest.mark.parametrize("k", range(5))
+def test_transfer_eigenbasis_matches_the_gaussian_rational_assembly(k):
+    entries = transfer_eigenbasis(k)
+    assert [
+        (e.family, e.q, e.p, e.eigenvalue, e.section.f, e.section.g) for e in entries
+    ] == eigenbasis_by_scale_and_add(k)
+    for e in entries:
+        ref.assert_canonical(e.section.f)
+        ref.assert_canonical(e.section.g)
+        assert e.section.degree == k
+
+
+def test_transfer_eigenbasis_carries_the_vector_denominators(monkeypatch):
+    # every family vector has integer coefficients; halved vectors must
+    # give halved sections (through the uncached builder, so that the
+    # memo never holds them)
+    whole = transfer_eigenbasis(2)
+    halved = [
+        dataclasses.replace(fam, vectors=tuple(v.scale(Fraction(1, 2)) for v in fam.vectors))
+        for fam in eigenbasis_abstract(2)
+    ]
+    monkeypatch.setattr(transfer, "eigenbasis_abstract", lambda k: halved)
+    for got, e in zip(transfer_eigenbasis.__wrapped__(2), whole, strict=True):
+        assert got.section == e.section.scale(Fraction(1, 2))
+
+
+def test_transfer_eigenbasis_is_built_once_per_degree():
+    transfer_eigenbasis.cache_clear()
+    run_suites(["dirac", "laplace"], k_max=2)
+    assert transfer_eigenbasis.cache_info().misses == 3
+    # one shared, immutable result per degree
+    assert isinstance(transfer_eigenbasis(2), tuple)
+    assert transfer_eigenbasis(2) is transfer_eigenbasis(2)
