@@ -11,7 +11,9 @@ r in {0, 2}.  The shifted operator Dbar acts there by
 itself is Dbar - 3/2, with eigenvalues k + 1/2 and -k - 3/2.
 
 Everything here is q-independent: the operator never mixes q, so all
-linear algebra happens on 2(k+1)-dimensional blocks.
+linear algebra happens on 2(k+1)-dimensional blocks, and
+:func:`eigenbasis_abstract` checks its families on one slice, then
+repeats that checked slice for every q.
 
 Storage: a :class:`SpinorVector` holds its nonzero coefficients as
 Gaussian integers ``{(r, p): (re, im)}`` (Python ints) over one positive
@@ -279,48 +281,40 @@ def eigenbasis_abstract(k: int) -> tuple[EigenFamily, EigenFamily]:
         e0 (x) |0>,
         (p-k-1) e0 (x) |p>  -  p e2 (x) |p-1>   for p = 1..k,
         e2 (x) |k>.
+
+    Dbar never mixes q, so the vectors of one slice are checked once, on
+    q = 0, and every other slice shares their (immutable) coefficients.
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    plus_vectors = []
-    plus_positions = []
-    minus_vectors = []
-    minus_positions = []
-    for q in range(k + 1):
-        for p in range(1, k + 1):
-            plus_vectors.append(_spinor(k, q, {(0, p): (1, 0), (2, p - 1): (-1, 0)}, 1))
-            plus_positions.append((q, p))
-        minus_vectors.append(SpinorVector.basis(k, q, 0, 0))
-        minus_positions.append((q, 0))
-        for p in range(1, k + 1):
-            # both factors are nonzero integers: already canonical
-            minus_vectors.append(
-                _spinor(k, q, {(0, p): (p - k - 1, 0), (2, p - 1): (-p, 0)}, 1)
-            )
-            minus_positions.append((q, p))
-        minus_vectors.append(SpinorVector.basis(k, q, 2, k))
-        minus_positions.append((q, k + 1))
-
-    plus = EigenFamily(
-        k, Fraction(2 * k + 1, 2), "plus", tuple(plus_vectors), tuple(plus_positions)
-    )
-    minus = EigenFamily(
-        k, Fraction(-2 * k - 3, 2), "minus", tuple(minus_vectors), tuple(minus_positions)
-    )
-    _verify_families(k, plus, minus)
-    return plus, minus
-
-
-def _verify_families(k: int, plus: EigenFamily, minus: EigenFamily) -> None:
-    if len(plus) != k * (k + 1) or len(minus) != (k + 1) * (k + 2):
+    # (p, coefficients) of one slice; every factor is a nonzero integer,
+    # so the parts are already canonical over denominator 1
+    plus_slice = [(p, {(0, p): (1, 0), (2, p - 1): (-1, 0)}) for p in range(1, k + 1)]
+    minus_slice = [
+        (0, {(0, 0): (1, 0)}),
+        *((p, {(0, p): (p - k - 1, 0), (2, p - 1): (-p, 0)}) for p in range(1, k + 1)),
+        (k + 1, {(2, k): (1, 0)}),
+    ]
+    if len(plus_slice) != k or len(minus_slice) != k + 2:
         raise AssertionError("family cardinality mismatch")
-    for family in (plus, minus):
-        dbar_eigenvalue = family.dirac_eigenvalue + Fraction(3, 2)
-        for v in family.vectors:
-            if not (dbar_apply(v) - v.scale(dbar_eigenvalue)).is_zero():
+    families = []
+    for label, dirac_eigenvalue, dbar_eigenvalue, slice_ in (
+        ("plus", Fraction(2 * k + 1, 2), k + 2, plus_slice),
+        ("minus", Fraction(-2 * k - 3, 2), -k, minus_slice),
+    ):
+        for _, num in slice_:
+            v = _spinor(k, 0, num, 1)
+            if dbar_apply(v) != v.scale(dbar_eigenvalue):
                 raise AssertionError(
                     f"vector {v} is not a Dbar eigenvector for {dbar_eigenvalue}"
                 )
+        families.append(EigenFamily(
+            k, dirac_eigenvalue, label,
+            tuple(_spinor(k, q, num, 1) for q in range(k + 1) for _, num in slice_),
+            tuple((q, p) for q in range(k + 1) for p, _ in slice_),
+        ))
+    plus, minus = families
+    return plus, minus
 
 
 @dataclass(frozen=True)

@@ -152,7 +152,12 @@ def _write_json(obj, newline: str, write) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    rows = spectrum_table(args.k_max)
+    try:
+        rows = spectrum_table(args.k_max)
+    except AssertionError as exc:
+        # an eigenvector family failed its own check
+        print(f"internal verification failed: {exc}", file=sys.stderr)
+        return 1
     if args.format == "json":
         text = _json_text([r.to_json() for r in rows]) + "\n"
     else:
@@ -164,7 +169,11 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def cmd_eigenbasis(args: argparse.Namespace) -> int:
-    entries = transfer_eigenbasis(args.k)
+    try:
+        entries = transfer_eigenbasis(args.k)
+    except AssertionError as exc:
+        print(f"internal verification failed: {exc}", file=sys.stderr)
+        return 1
     sections = []
     for e in entries:
         if not (dirac_section(e.section) - e.section.scale(e.eigenvalue)).is_zero():

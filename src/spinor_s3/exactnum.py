@@ -178,8 +178,11 @@ def gauss_over(re: int, im: int, den: int) -> GaussianRational:
 def reduce_parts(num: dict, den: int) -> tuple[dict, int]:
     """The canonical form of the Gaussian integers ``num`` (any keys) over
     ``den > 0``: zero entries dropped and the common factor of den and all
-    parts divided out, so zero is ``({}, 1)``."""
-    num = {key: c for key, c in num.items() if c[0] or c[1]}
+    parts divided out, so zero is ``({}, 1)``.  When nothing changes, the
+    input dict itself is returned, so callers pass a dict they no longer
+    mutate."""
+    if (0, 0) in num.values():
+        num = {key: c for key, c in num.items() if c[0] or c[1]}
     if den != 1:
         g = gcd(den, *chain.from_iterable(num.values()))
         if g != 1:

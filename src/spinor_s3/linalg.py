@@ -12,18 +12,20 @@ kernels are:
   is cleared by ``p*row - f*pivot_row`` and then divided by the gcd of its
   integer parts, so nothing is ever divided in Q(i);
 * :func:`charpoly_int` runs Faddeev-LeVerrier; the trace of each iterate
-  is exactly divisible by the step number;
+  is exactly divisible by the step number, and the nonzeros of A are found
+  once for all its products;
 * :func:`rank_sparse` takes sparse rows ``{col: (re, im)}``, splits them
   into the connected components of their shared columns and sends only
   the components of two or more rows, laid out densely, to
   :func:`rank_int`.
 
-No result is rounded.  :func:`charpoly_from_roots` stays on
-:class:`GaussianRational` on purpose: it is the independent route that
-:func:`charpoly_int` is checked against.  At the edge, :func:`from_int`
-converts an integer matrix to :class:`GaussianRational` entries and
-:func:`mat_mul` multiplies two Gaussian-rational matrices, for the 4x4
-frame change in ``geometry``.
+No result is rounded.  :func:`charpoly_from_roots` is the independent
+route that :func:`charpoly_int` is checked against and shares no code with
+it: an integer expansion of the product of its linear factors, divided by
+the roots' denominators once and returned as :class:`GaussianRational`.
+At the edge, :func:`from_int` converts an integer matrix to
+:class:`GaussianRational` entries and :func:`mat_mul` multiplies two
+Gaussian-rational matrices, for the 4x4 frame change in ``geometry``.
 """
 
 from __future__ import annotations
@@ -103,18 +105,24 @@ def shift_int(a: GaussIntMatrix, c: int) -> GaussIntMatrix:
     return re, [row[:] for row in a[1]]
 
 
-def mat_mul_int(a: GaussIntMatrix, b: GaussIntMatrix) -> GaussIntMatrix:
-    """``(ar + i ai)(br + i bi)`` over Z[i], one output row at a time as a
-    combination of the rows of the right factor."""
-    (ar, ai), (br, bi) = a, b
+def _row_terms(a: GaussIntMatrix) -> list[list[tuple[int, int, int]]]:
+    """The nonzero entries of each row of A as ``(column, re, im)``."""
+    return [[(t, x, y) for t, (x, y) in enumerate(zip(row_r, row_i)) if x or y]
+            for row_r, row_i in zip(*a)]
+
+
+def _mul_terms(terms: list[list[tuple[int, int, int]]], b: GaussIntMatrix) -> GaussIntMatrix:
+    """A B for A given by its :func:`_row_terms`, one output row at a time as
+    a combination of the rows of B."""
+    br, bi = b
     cols = len(br[0]) if br else 0
     br_live = [any(row) for row in br]
     bi_live = [any(row) for row in bi]
     out_r, out_i = [], []
-    for row_r, row_i in zip(ar, ai):
+    for row in terms:
         acc_r = [0] * cols
         acc_i = [0] * cols
-        for t, (x, y) in enumerate(zip(row_r, row_i)):
+        for t, x, y in row:
             if x:
                 if br_live[t]:
                     acc_r = [s + x * u for s, u in zip(acc_r, br[t])]
@@ -128,6 +136,12 @@ def mat_mul_int(a: GaussIntMatrix, b: GaussIntMatrix) -> GaussIntMatrix:
         out_r.append(acc_r)
         out_i.append(acc_i)
     return out_r, out_i
+
+
+def mat_mul_int(a: GaussIntMatrix, b: GaussIntMatrix) -> GaussIntMatrix:
+    """``(ar + i ai)(br + i bi)`` over Z[i], one output row at a time as a
+    combination of the rows of the right factor."""
+    return _mul_terms(_row_terms(a), b)
 
 
 def rank_int(a: GaussIntMatrix) -> int:
@@ -188,6 +202,7 @@ def charpoly_int(a: GaussIntMatrix) -> list[GaussInt]:
     """
     ar, ai = a
     n = len(ar)
+    terms = _row_terms(a)
     coeffs = [(1, 0)]
     mr = [row[:] for row in ar]
     mi = [row[:] for row in ai]
@@ -201,7 +216,7 @@ def charpoly_int(a: GaussIntMatrix) -> list[GaussInt]:
             for i in range(n):
                 mr[i][i] += cr
                 mi[i][i] += ci
-            mr, mi = mat_mul_int(a, (mr, mi))
+            mr, mi = _mul_terms(terms, (mr, mi))
     return coeffs
 
 
@@ -268,13 +283,19 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
 
 
 def charpoly_from_roots(roots: list[tuple[Fraction, int]]) -> list[GaussianRational]:
-    """Expand prod (x - r)^mult, coefficients by descending power, one
-    linear factor at a time: ``new[i] = p[i] - r p[i-1]``."""
-    p = [GAUSS_ONE]
+    """Expand prod (x - r)^mult, coefficients by descending power.
+
+    With r = u/d in lowest terms, this is prod (d x - u)^mult divided by
+    prod d^mult.  The integer product is expanded one linear factor at a
+    time, ``new[i] = d p[i] - u p[i-1]``, and divided once at the end."""
+    p = [1]
+    scale = 1
     for r, mult in roots:
-        c = gauss(-r)
+        u, d = r.numerator, r.denominator
+        scale *= d**mult
         for _ in range(mult):
-            p.append(GAUSS_ZERO)
+            p.append(0)
             for i in range(len(p) - 1, 0, -1):
-                p[i] = p[i] + c * p[i - 1]
-    return p
+                p[i] = d * p[i] - u * p[i - 1]
+            p[0] *= d
+    return [gauss(Fraction(c, scale)) for c in p]

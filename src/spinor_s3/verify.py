@@ -11,6 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Callable, Optional
 
 from . import linalg
@@ -71,6 +72,17 @@ class CheckResult:
 # -- casimir -------------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _unit_products() -> tuple[tuple[int, int, int, int], ...]:
+    """``(i, j, m, sign)`` with e_i e_j = sign e_m for each ordered pair
+    i != j, from actual quaternion products, taken on first use."""
+    out = []
+    for i, j in ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)):
+        prod = quat_multiply(BASIS[i], BASIS[j])
+        out.append((i, j, *next((m, int(c)) for m, c in enumerate(prod.components()) if c)))
+    return tuple(out)
+
+
 def _check_casimir_k(k: int) -> list[CheckResult]:
     out = []
     ok = casimir(k) == casimir_expected(k)
@@ -78,15 +90,11 @@ def _check_casimir_k(k: int) -> list[CheckResult]:
 
     comm_ok = True
     ls = {i: l_matrix_int(i, k) for i in (1, 2, 3)}
-    for i, j in ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)):
+    for i, j, m, sign in _unit_products():
         ab = linalg.mat_mul_int(ls[i], ls[j])
         ba = linalg.mat_mul_int(ls[j], ls[i])
         comm = tuple([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
                      for m1, m2 in zip(ab, ba))
-        prod = quat_multiply(BASIS[i], BASIS[j])
-        m, sign = next(
-            (idx, int(c)) for idx, c in enumerate(prod.components()) if c != 0
-        )
         expected = tuple([[2 * sign * x for x in row] for row in part] for part in ls[m])
         comm_ok = comm_ok and comm == expected
     out.append(CheckResult("casimir", f"commutators k={k}", comm_ok,
@@ -108,9 +116,14 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
     expected_char = linalg.charpoly_from_roots([(Fraction(k + 2), k), (Fraction(-k), k + 2)])
     plus_null = n - linalg.rank_int(linalg.shift_int(block, -(k + 2)))
     minus_null = n - linalg.rank_int(linalg.shift_int(block, k))
-    plus, minus = eigenbasis_abstract(k)
+    try:
+        plus, minus = eigenbasis_abstract(k)
+    except AssertionError:
+        # a family failed its own eigenvector check: no families to compare
+        plus = minus = None
     diag_ok = (
-        char == expected_char
+        plus is not None
+        and char == expected_char
         and plus_null * (k + 1) == k * (k + 1) == len(plus)
         and minus_null * (k + 1) == (k + 1) * (k + 2) == len(minus)
     )
@@ -120,11 +133,22 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
         f"mult({Fraction(-2 * k - 3, 2)}) = {(k + 1) * (k + 2)}",
     ))
 
-    rank_ok = True
-    for q in range(k + 1):
-        # a row scaled by its vector's denominator leaves the rank alone
-        rows = [v.dense_parts() for fam in (plus, minus) for v in fam.vectors if v.q == q]
-        rank_ok = rank_ok and linalg.rank_int(([r for r, _ in rows], [i for _, i in rows])) == n
+    rank_ok = plus is not None
+    if rank_ok:
+        slices: dict[int, list[SpinorVector]] = {q: [] for q in range(k + 1)}
+        for v in plus.vectors + minus.vectors:
+            if v.q in slices:
+                slices[v.q].append(v)
+        # slices whose vectors have equal parts, in the same order, have
+        # equal rows and so equal rank: rank each distinct slice once
+        ranks: dict[tuple, int] = {}
+        for vectors in slices.values():
+            key = tuple((v._den, *v._num.items()) for v in vectors)
+            if key not in ranks:
+                # a row scaled by its vector's denominator leaves the rank alone
+                rows = [v.dense_parts() for v in vectors]
+                ranks[key] = linalg.rank_int(([r for r, _ in rows], [i for _, i in rows]))
+            rank_ok = rank_ok and ranks[key] == n
     out.append(CheckResult("quadratic", f"family union is a basis k={k}", rank_ok,
                            f"rank {n} on every q slice"))
 
@@ -185,9 +209,18 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 # -- dirac / laplace on sections -------------------------------------------------
 
 
+def _sections(k: int) -> tuple:
+    """``transfer_eigenbasis(k)``, or no sections when an abstract family
+    fails its own eigenvector check."""
+    try:
+        return transfer_eigenbasis(k)
+    except AssertionError:
+        return ()
+
+
 def _check_dirac_k(k: int) -> list[CheckResult]:
     good = 0
-    sections = transfer_eigenbasis(k)
+    sections = _sections(k)
     for entry in sections:
         if (dirac_section(entry.section) - entry.section.scale(entry.eigenvalue)).is_zero():
             good += 1
@@ -198,8 +231,8 @@ def _check_dirac_k(k: int) -> list[CheckResult]:
 
 def _check_laplace_k(k: int) -> list[CheckResult]:
     lam = 1 - (k + 1) ** 2
-    sections = transfer_eigenbasis(k)
-    eig_ok = comm_ok = True
+    sections = _sections(k)
+    eig_ok = comm_ok = len(sections) == 2 * (k + 1) ** 2
     for e in sections:
         lap = laplace_section(e.section)
         eig_ok &= (lap - e.section.scale(lam)).is_zero()

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinor_s3 import linalg
+from spinor_s3 import abstract_dirac, linalg
 from spinor_s3.abstract_dirac import (
     SpinorVector,
     dbar_apply,
@@ -89,6 +89,53 @@ def test_family_cardinalities():
         assert len(plus) == k * (k + 1)
         assert len(minus) == (k + 1) * (k + 2)
         assert len(plus) + len(minus) == 2 * (k + 1) ** 2
+
+
+def per_slice_families(k):
+    """The families built slice by slice through the public constructor,
+    as ``((plus vectors, positions), (minus vectors, positions))``."""
+    plus, plus_at, minus, minus_at = [], [], [], []
+    for q in range(k + 1):
+        for p in range(1, k + 1):
+            plus.append(SpinorVector(k, q, (((0, p), 1), ((2, p - 1), -1))))
+            plus_at.append((q, p))
+        minus.append(bvec(k, q, 0, 0))
+        minus_at.append((q, 0))
+        for p in range(1, k + 1):
+            minus.append(SpinorVector(k, q, (((0, p), p - k - 1), ((2, p - 1), -p))))
+            minus_at.append((q, p))
+        minus.append(bvec(k, q, 2, k))
+        minus_at.append((q, k + 1))
+    return (tuple(plus), tuple(plus_at)), (tuple(minus), tuple(minus_at))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_families_equal_the_per_slice_construction(k):
+    plus, minus = eigenbasis_abstract(k)
+    expected_plus, expected_minus = per_slice_families(k)
+    assert (plus.vectors, plus.positions) == expected_plus
+    assert (minus.vectors, minus.positions) == expected_minus
+    assert (plus.label, plus.dirac_eigenvalue) == ("plus", Fraction(2 * k + 1, 2))
+    assert (minus.label, minus.dirac_eigenvalue) == ("minus", Fraction(-2 * k - 3, 2))
+
+
+@pytest.mark.parametrize("k", range(7))
+def test_families_are_checked_on_one_slice(k, monkeypatch):
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return dbar_apply(v)
+
+    monkeypatch.setattr(abstract_dirac, "dbar_apply", counted)
+    eigenbasis_abstract(k)
+    assert len(calls) == 2 * (k + 1)
+
+
+def test_a_wrong_dbar_factor_fails_the_family_check(monkeypatch):
+    monkeypatch.setattr(abstract_dirac, "dbar_apply", lambda v: dbar_apply(v).scale(2))
+    with pytest.raises(AssertionError, match="not a Dbar eigenvector"):
+        eigenbasis_abstract(2)
 
 
 def exact_block_multiplicities(k):

@@ -336,6 +336,71 @@ def test_verify_transfer_fails_when_two_images_coincide(capsys, monkeypatch):
         assert f"FAIL  [transfer] images independent k={k}: rank {(k + 1) ** 2}" in out
 
 
+@pytest.fixture
+def wrong_dbar_factor(monkeypatch):
+    """Dbar off by a factor 2: the abstract families fail their own
+    eigenvector check for every k >= 1."""
+    import spinor_s3.abstract_dirac as abstract_dirac
+    from spinor_s3.transfer import transfer_eigenbasis
+
+    closed = abstract_dirac.dbar_apply
+    monkeypatch.setattr(abstract_dirac, "dbar_apply", lambda v: closed(v).scale(2))
+    # no sections built with the right operator may be reused, and none
+    # built with the wrong one may outlive the test
+    transfer_eigenbasis.cache_clear()
+    yield
+    transfer_eigenbasis.cache_clear()
+
+
+@pytest.mark.parametrize("argv", [("spectrum", "--k-max", "2"), ("eigenbasis", "--k", "2")])
+def test_a_failed_family_check_is_one_line(capsys, wrong_dbar_factor, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal verification failed: ")
+    assert err.count("\n") == 1
+
+
+def test_verify_reports_a_failed_family_check_as_fail_lines(capsys, wrong_dbar_factor):
+    code, out, _ = run(capsys, "verify", "--suite", "quadratic,dirac,laplace", "--k-max", "2")
+    assert code == 1
+    for k in (1, 2):
+        for suite, name in (("quadratic", "spectrum two ways"),
+                            ("quadratic", "family union is a basis"),
+                            ("dirac", "eigen-identity"),
+                            ("laplace", "laplace eigenvalue"),
+                            ("laplace", "dirac-laplace commute")):
+            assert f"FAIL  [{suite}] {name} k={k}: " in out
+
+
+def test_verify_ranks_every_slice_that_differs(capsys, monkeypatch):
+    # the first minus vector of the q = 1 slice replaced by its neighbour
+    # in that slice: only that slice loses rank, and it no longer equals
+    # the others
+    from dataclasses import replace
+
+    import spinor_s3.verify as verify
+
+    families = verify.eigenbasis_abstract
+
+    def corrupted(k):
+        plus, minus = families(k)
+        if not k:
+            return plus, minus
+        vectors = list(minus.vectors)
+        j = minus.positions.index((1, 0))
+        vectors[j] = vectors[j + 1]
+        return plus, replace(minus, vectors=tuple(vectors))
+
+    monkeypatch.setattr(verify, "eigenbasis_abstract", corrupted)
+    code, out, _ = run(capsys, "verify", "--suite", "quadratic", "--k-max", "3")
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL  [quadratic] family union is a basis k={k}: rank {2 * (k + 1)} "
+                      "on every q slice" for k in (1, 2, 3)]
+    assert out.endswith("13/16 checks passed\n")
+
+
 def laplace_lines(out):
     """The report's (eigenvalue, commute) status words, by degree."""
     lines = out.splitlines()

@@ -210,6 +210,35 @@ def test_charpoly_from_roots_matches_sympy(seed):
     assert linalg.charpoly_from_roots(roots) == [from_sympy(c) for c in expanded.all_coeffs()]
 
 
+def expand_on_gaussian_rationals(roots):
+    """prod (x - r)^mult on GaussianRational, one linear factor at a time,
+    coefficients by descending power."""
+    p = [gauss(1)]
+    for r, mult in roots:
+        for _ in range(mult):
+            p = [a - gauss(r) * b for a, b in zip(p + [gauss(0)], [gauss(0)] + p)]
+    return p
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_charpoly_from_roots_matches_a_gaussian_rational_expansion(seed):
+    rng = random.Random(9000 + seed)
+    roots = [(Fraction(rng.randint(-9, 9), rng.randint(1, 7)), rng.randint(0, 3))
+             for _ in range(1 + seed % 4)]
+    roots += [(Fraction(rng.randint(-9, 9), 5), 2), (Fraction(rng.randint(-9, 9), 3), 0)]
+    got = linalg.charpoly_from_roots(roots)
+    assert got == expand_on_gaussian_rationals(roots)
+    assert all(isinstance(c, GaussianRational) for c in got)
+
+
+def test_charpoly_from_roots_edge_cases():
+    assert linalg.charpoly_from_roots([]) == [gauss(1)]
+    assert linalg.charpoly_from_roots([(Fraction(7, 3), 0)]) == [gauss(1)]
+    assert linalg.charpoly_from_roots([(Fraction(1, 2), 2), (Fraction(-2, 3), 1)]) == \
+        expand_on_gaussian_rationals([(Fraction(1, 2), 2), (Fraction(-2, 3), 1)]) == \
+        [gauss(1), gauss(Fraction(-1, 3)), gauss(Fraction(-5, 12)), gauss(Fraction(1, 6))]
+
+
 # -- sparse rank ------------------------------------------------------------------
 
 
