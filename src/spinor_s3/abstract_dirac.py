@@ -248,7 +248,11 @@ def dbar_block_matrix(k: int) -> linalg.Matrix:
 
 def quadratic_check(k: int) -> bool:
     """True iff (Dbar + k)(Dbar - (k+2)) vanishes on the whole block."""
-    block = dbar_block_int(k)
+    return _quadratic_holds(dbar_block_int(k), k)
+
+
+def _quadratic_holds(block, k: int) -> bool:
+    """``quadratic_check(k)`` on the block ``dbar_block_int(k)`` already built."""
     product = linalg.mat_mul_int(linalg.shift_int(block, k), linalg.shift_int(block, -(k + 2)))
     return not any(any(row) for part in product for row in part)
 

@@ -8,9 +8,12 @@ Subcommands::
                          [--rule tensor|mc] [--samples N] [--seed S]
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage and
-input errors (among them an unwritable --out and a request that would
-run no checks).  Exact values are printed as num/den strings; floating
-point appears only in quadrature reports (12 significant digits).
+input errors (among them an unwritable --out, a write error partway
+through an export and a request that would run no checks).  Exact
+values are printed as num/den strings; floating point appears only in
+quadrature reports (12 significant digits).  ``eigenbasis`` checks its
+sections before it opens the output, then writes the document one
+section at a time.
 """
 
 from __future__ import annotations
@@ -19,13 +22,13 @@ import argparse
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 from .abstract_dirac import spectrum_table
 from .exactnum import rational_to_str
 from .geometry import dirac_section
 from .transfer import transfer_eigenbasis
-from .verify import SUITE_NAMES, run_suites
+from .verify import SUITE_NAMES, eigen_identity, run_suites
 
 #: Exact-arithmetic cost grows fast with k; refuse degrees above this
 #: unless --unsafe-k is given.  At 20 ``verify --suite all`` still takes
@@ -77,14 +80,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out: Optional[str]) -> int:
-    """Write ``text`` to the file ``out``, or to stdout; return the exit code."""
+def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
+    """Write the text ``chunks`` in order to the file ``out``, or to stdout,
+    opened once; return the exit code."""
     if not out:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return 0
     try:
         with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
     except OSError as exc:
         print(f"error: cannot write --out {out}: {exc.strerror or exc}", file=sys.stderr)
         return 2
@@ -165,23 +169,17 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
         for r in rows:
             lines.append(f"{r.k:>4}  {str(r.eigenvalue):>12}  {r.multiplicity:>12}")
         text = "\n".join(lines) + "\n"
-    return _emit(text, args.out)
+    return _emit((text,), args.out)
 
 
-def cmd_eigenbasis(args: argparse.Namespace) -> int:
-    try:
-        entries = transfer_eigenbasis(args.k)
-    except AssertionError as exc:
-        print(f"internal verification failed: {exc}", file=sys.stderr)
-        return 1
-    sections = []
+def _eigenbasis_chunks(k: int, entries) -> Iterator[str]:
+    """``_json_text({"k": k, "count": ..., "sections": [...]}) + "\n"`` for
+    the eigenbasis ``entries``, one chunk per section record, so that only
+    one record is held at a time."""
+    inner, head, _, sep, close, _ = _layout("\n")
+    record_newline, _, lead, record_sep, _, sections_close = _layout(inner)
+    yield f'{head}"count": {len(entries)}{sep}"k": {k}{sep}"sections": '
     for e in entries:
-        if not (dirac_section(e.section) - e.section.scale(e.eigenvalue)).is_zero():
-            print(
-                f"internal verification failed for family={e.family} q={e.q} p={e.p}",
-                file=sys.stderr,
-            )
-            return 1
         record = e.section.to_json()
         record.update(
             {
@@ -191,9 +189,24 @@ def cmd_eigenbasis(args: argparse.Namespace) -> int:
                 "p": e.p,
             }
         )
-        sections.append(record)
-    doc = {"k": args.k, "count": len(sections), "sections": sections}
-    return _emit(_json_text(doc) + "\n", args.out)
+        chunk = [lead]
+        _write_json(record, record_newline, chunk.append)
+        yield "".join(chunk)
+        lead = record_sep
+    yield sections_close + close + "\n"
+
+
+def cmd_eigenbasis(args: argparse.Namespace) -> int:
+    try:
+        entries = transfer_eigenbasis(args.k)
+    except AssertionError as exc:
+        print(f"internal verification failed: {exc}", file=sys.stderr)
+        return 1
+    check = eigen_identity(args.k, entries, dirac_section)
+    if not check.passed:
+        print(f"internal verification failed: {check.line()}", file=sys.stderr)
+        return 1
+    return _emit(_eigenbasis_chunks(args.k, entries), args.out)
 
 
 def cmd_verify(args: argparse.Namespace) -> int:

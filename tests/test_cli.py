@@ -2,7 +2,9 @@
 
 import hashlib
 import json
+import os
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -106,6 +108,81 @@ def test_eigenbasis_rerun_byte_identical(tmp_path, capsys):
     assert run(capsys, "eigenbasis", "--k", "2", "--out", str(a))[0] == 0
     assert run(capsys, "eigenbasis", "--k", "2", "--out", str(b))[0] == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_eigenbasis_stdout_and_out_file_are_the_same_bytes(tmp_path, capsys):
+    out_file = tmp_path / "basis.json"
+    code, out, err = run(capsys, "eigenbasis", "--k", "3")
+    assert (code, err) == (0, "")
+    assert run(capsys, "eigenbasis", "--k", "3", "--out", str(out_file)) == (0, "", "")
+    assert out_file.read_bytes() == out.encode("utf-8")
+
+
+def test_eigenbasis_never_holds_the_whole_document(tmp_path):
+    # the k = 20 document is about 13 MB of Python objects when built
+    # whole; streamed, only one section record and the rank rows are live
+    import tracemalloc
+
+    from spinor_s3.transfer import transfer_eigenbasis
+
+    transfer_eigenbasis(20)
+    tracemalloc.start()
+    try:
+        assert main(["eigenbasis", "--k", "20", "--out", str(tmp_path / "basis.json")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+def test_a_failed_write_is_a_usage_error(capsys):
+    # the device accepts the open and refuses the data
+    code, out, err = run(capsys, "eigenbasis", "--k", "2", "--out", "/dev/full")
+    assert_usage_error(code, out, err, "cannot write --out /dev/full")
+
+
+def zero_sections(entries):
+    from spinor_s3.polyring import SpinorSection
+
+    return tuple(replace(e, section=SpinorSection.zero()) for e in entries)
+
+
+def first_of_each_family(entries):
+    first = {}
+    return tuple(replace(e, section=first.setdefault(e.family, e.section)) for e in entries)
+
+
+@pytest.fixture(params=[zero_sections, first_of_each_family])
+def broken_eigenbasis(request, monkeypatch):
+    """Sections that each satisfy D sigma = lambda sigma but are not a
+    basis: all zero, or each family made of copies of its first section."""
+    import spinor_s3.cli as cli
+    import spinor_s3.verify as verify
+    from spinor_s3.transfer import transfer_eigenbasis
+
+    transfer_eigenbasis.cache_clear()
+    for module in (cli, verify):
+        monkeypatch.setattr(module, "transfer_eigenbasis",
+                            lambda k: request.param(transfer_eigenbasis(k)))
+    yield
+    transfer_eigenbasis.cache_clear()
+
+
+def test_verify_dirac_fails_on_sections_that_are_not_a_basis(capsys, broken_eigenbasis):
+    code, out, _ = run(capsys, "verify", "--suite", "dirac", "--k-max", "2")
+    assert code == 1
+    for k in range(3):
+        assert f"FAIL  [dirac] eigen-identity k={k}: " in out
+
+
+def test_eigenbasis_refuses_sections_that_are_not_a_basis(tmp_path, capsys, broken_eigenbasis):
+    out_file = tmp_path / "basis.json"
+    code, out, err = run(capsys, "eigenbasis", "--k", "2", "--out", str(out_file))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("internal verification failed") and err.count("\n") == 1
+    assert not out_file.exists()
 
 
 # -- the JSON writer ------------------------------------------------------
@@ -401,6 +478,24 @@ def test_verify_ranks_every_slice_that_differs(capsys, monkeypatch):
     assert out.endswith("13/16 checks passed\n")
 
 
+def test_verify_quadratic_builds_each_block_once(capsys, monkeypatch):
+    import spinor_s3.abstract_dirac as abstract_dirac
+    import spinor_s3.verify as verify
+
+    built = []
+    block = abstract_dirac.dbar_block_int
+
+    def counted(k):
+        built.append(k)
+        return block(k)
+
+    for module in (abstract_dirac, verify):
+        monkeypatch.setattr(module, "dbar_block_int", counted)
+    code, out, _ = run(capsys, "verify", "--suite", "quadratic", "--k-max", "3")
+    assert code == 0 and out.endswith("16/16 checks passed\n")
+    assert built == [0, 1, 2, 3]
+
+
 def laplace_lines(out):
     """The report's (eigenvalue, commute) status words, by degree."""
     lines = out.splitlines()
@@ -468,15 +563,17 @@ def test_gram_check_demands_the_exact_constant(monkeypatch):
 
 # sha256 of verify reports, recorded while verify could still run its jobs
 # on a thread pool and sorted the records afterwards; the serial loop must
-# print the same reports byte for byte.
+# print the same reports byte for byte.  The two reports with dirac lines
+# were recorded again when the eigen-identity check gained the nonzero
+# count and the exact rank of the sections; every other line is unchanged.
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "--suite", "all", "--k-max", "3", "--samples", "20000", "--seed", "3"),
-     "4fd857d196c93542ed79597859fb3f67a250067285223376da52c1e7f980909a"),
+     "a857969b5ed6f9a9335aa2d269a7b4ff3739bb8449bb613c36c1c628d5dab755"),
     (("verify", "--suite", "laplace,casimir,integral", "--k-max", "2",
       "--samples", "20000", "--seed", "3"),
      "1c2cf385ec93d7370628759d946a3c62c3bea8af656f9a9dfd9f36fbef83f48b"),
     (("verify", "--suite", "transfer,dirac,laplace"),
-     "7f69c802e4bdf050f5c1bc921ac9c49ac123e3be509f3815010d6eb9618adb85"),
+     "af98ef5945cf259ac5a50a2f4ad4447f5a495bb2dd195e81b90a8a329be297a7"),
     # recorded while SpinorVector and KetVector still stored
     # GaussianRational coefficients
     (("verify", "--suite", "casimir,quadratic"),
