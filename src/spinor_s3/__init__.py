@@ -54,12 +54,9 @@ from .geometry import (
     dirac_section,
     eta_quadrature,
     gram_matrix,
-    killing_derivative,
     l2_inner_product,
     laplace_section,
-    levi_civita,
     monomial_integral,
-    spin_connection,
 )
 
 __version__ = "0.1.0"

@@ -22,8 +22,8 @@ so equality stays structural.  :func:`dbar_apply`, the vector arithmetic,
 the eigenvector families and their self-check compute on those ints; the
 block is the Gaussian-integer matrix :func:`dbar_block_int`, which
 :func:`quadratic_check` multiplies with ``linalg.mat_mul_int``.
-``GaussianRational`` appears only at the edge: the constructor, ``coeffs``,
-JSON and :func:`dbar_block_matrix`.
+``GaussianRational`` appears only at the edge: the constructor, ``coeffs``
+and :func:`dbar_block_matrix`.
 """
 
 from __future__ import annotations
@@ -95,9 +95,6 @@ class SpinorVector:
         den = self._den
         return tuple((key, gauss_over(re, im, den)) for key, (re, im) in sorted(self._num.items()))
 
-    def coefficient(self, r: int, p: int) -> GaussianRational:
-        return gauss_over(*self._num.get((r, p), (0, 0)), self._den)
-
     def is_zero(self) -> bool:
         return not self._num
 
@@ -133,23 +130,6 @@ class SpinorVector:
             j = _index(r, p, n)
             re[j], im[j] = x, y
         return re, im
-
-    def to_json(self) -> dict:
-        return {
-            "k": self.k,
-            "q": self.q,
-            "coeffs": [
-                {"r": r, "p": p, "coeff": c.to_json()} for (r, p), c in self.coeffs
-            ],
-        }
-
-    @staticmethod
-    def from_json(obj: dict) -> "SpinorVector":
-        coeffs = tuple(
-            ((t["r"], t["p"]), GaussianRational.from_json(t["coeff"]))
-            for t in obj["coeffs"]
-        )
-        return SpinorVector(obj["k"], obj["q"], coeffs)
 
 
 def _spinor(k: int, q: int, num: dict[Key, GaussInt], den: int) -> SpinorVector:
@@ -242,7 +222,7 @@ def dbar_block_int(k: int) -> linalg.GaussIntMatrix:
 def dbar_block_matrix(k: int) -> linalg.Matrix:
     """:func:`dbar_block_int` as Gaussian rationals.  Only the benchmark's
     micro mode (``perfbench/child.py``) calls it; it goes with that mode
-    (ROADMAP item 1)."""
+    (ROADMAP item 2)."""
     return linalg.from_int(dbar_block_int(k))
 
 

@@ -9,16 +9,17 @@ Subcommands::
 
 Exit codes: 0 on success, 1 on verification failure, 2 on usage and
 input errors (among them an unwritable --out, a write error partway
-through an export and a request that would run no checks).  Exact
-values are printed as num/den strings; floating point appears only in
-quadrature reports (12 significant digits).  ``eigenbasis`` checks its
-sections before it opens the output, then writes the document one
-section at a time.
+through an export, a failed write to stdout and a request that would
+run no checks).  Exact values are printed as num/den strings; floating
+point appears only in quadrature reports (12 significant digits).
+``eigenbasis`` checks its sections before it opens the output, then
+writes the document one section at a time.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
@@ -80,12 +81,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _write_stdout(chunks: Iterable[str]) -> int:
+    """Write the text ``chunks`` to stdout and flush it; return the exit
+    code.  On a write error (a full device, a closed pipe) stdout's file
+    descriptor is pointed at the null device, so that the interpreter's
+    flush at exit finds nothing left to fail on."""
+    try:
+        sys.stdout.writelines(chunks)
+        sys.stdout.flush()
+    except OSError as exc:
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
+
+
 def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
     """Write the text ``chunks`` in order to the file ``out``, or to stdout,
     opened once; return the exit code."""
     if not out:
-        sys.stdout.writelines(chunks)
-        return 0
+        return _write_stdout(chunks)
     try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.writelines(chunks)
@@ -217,12 +234,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
         # zero checks run is not a pass
         print("error: no checks ran", file=sys.stderr)
         return 2
-    failed = 0
-    for r in results:
-        print(r.line())
-        failed += 0 if r.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 1
+    failed = sum(not r.passed for r in results)
+    lines = [r.line() + "\n" for r in results]
+    lines.append(f"{len(results) - failed}/{len(results)} checks passed\n")
+    return _write_stdout(lines) or (1 if failed else 0)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
@@ -250,12 +265,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return cmd_eigenbasis(args)
 
     names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    if "all" in names:
-        names = list(SUITE_NAMES)
-    unknown = [n for n in names if n not in SUITE_NAMES]
+    unknown = [n for n in names if n not in SUITE_NAMES and n != "all"]
     if unknown or not names:
         print(f"error: unknown suite(s): {', '.join(unknown) or '(none given)'}", file=sys.stderr)
         return 2
+    if "all" in names:
+        names = list(SUITE_NAMES)
     if args.k_max is not None and args.k_max < 0:
         print("error: --k-max must be >= 0", file=sys.stderr)
         return 2

@@ -39,11 +39,6 @@ def ratio_to_str(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-def rational_from_str(s: str) -> Fraction:
-    """Parse ``"num/den"`` (or a bare integer string)."""
-    return Fraction(s)
-
-
 @dataclass(frozen=True)
 class GaussianRational:
     """A complex number with rational real and imaginary parts."""
@@ -110,15 +105,6 @@ class GaussianRational:
 
     def __repr__(self) -> str:
         return f"({self.re})+({self.im})i"
-
-    # -- JSON -----------------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {"re": rational_to_str(self.re), "im": rational_to_str(self.im)}
-
-    @staticmethod
-    def from_json(obj: dict) -> "GaussianRational":
-        return GaussianRational(rational_from_str(obj["re"]), rational_from_str(obj["im"]))
 
 
 def gauss(re: RationalLike = 0, im: RationalLike = 0) -> GaussianRational:
@@ -274,9 +260,6 @@ class RationalQuaternion:
             return self * other
         return quat_multiply(other, self)
 
-    def conjugate(self) -> "RationalQuaternion":
-        return RationalQuaternion(self.c0, -self.c1, -self.c2, -self.c3)
-
     def norm_form(self) -> Fraction:
         """The multiplicative norm c0^2 + c1^2 + c2^2 + c3^2."""
         return self.c0**2 + self.c1**2 + self.c2**2 + self.c3**2
@@ -286,15 +269,6 @@ class RationalQuaternion:
 
     def __repr__(self) -> str:
         return f"quat({self.c0}, {self.c1}, {self.c2}, {self.c3})"
-
-    # -- JSON -----------------------------------------------------------
-
-    def to_json(self) -> list[str]:
-        return [rational_to_str(c) for c in self.components()]
-
-    @staticmethod
-    def from_json(obj: list) -> "RationalQuaternion":
-        return quat(*(rational_from_str(c) for c in obj))
 
 
 def quat(c0=0, c1=0, c2=0, c3=0) -> RationalQuaternion:

@@ -3,9 +3,13 @@
 The unit sphere in H carries the left-invariant frame of the three
 imaginary units.  Derivatives along the flows x -> t^{-1} x s are exact
 polynomial operations (the generating vector fields x -> xS - Tx are
-linear), and integrals over the sphere are exact rationals recorded in
-units of the total volume 2*pi^2, so pi never enters the arithmetic.
-Floating point appears only in the quadrature cross-check.
+linear), kept as shift tables that the Dirac and Laplace operators merge
+and evaluate in one integer pass.  The composed forms they are checked
+against -- one derivative per frame field, the Hessian Laplacian and the
+connection constants -- live in ``tests/operator_reference.py``.
+Integrals over the sphere are exact rationals recorded in units of the
+total volume 2*pi^2, so pi never enters the arithmetic.  Floating point
+appears only in the quadrature cross-check.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -174,28 +178,6 @@ def _merged_shifts(fields: tuple, view: str) -> tuple:
     )
 
 
-def killing_derivative(
-    sigma: Union[Polynomial, SpinorSection], pair: KillingPair
-) -> Union[Polynomial, SpinorSection]:
-    """Exact derivative of sigma along the field x -> xS - Tx.
-
-    The field is linear, u_m -> sum_j M[m][j] u_j in the view's own
-    generators, so the derivative is sum_m d_m sigma * (sum_j M[m][j] u_j):
-    a term c*u^e with e[m] > 0 moves c*e[m]*M[m][j] to the exponent
-    e - delta_m + delta_j, once per nonzero M[m][j].  In the z view the
-    frame fields have one unit entry per row, so that is four shifts a
-    term.  The arithmetic is on Gaussian-integer numerators; the result's
-    denominator is sigma's times M's.  Acts componentwise on spinor
-    sections; preserves homogeneous degree and harmonicity (the field is
-    skew-symmetric on R^4).
-    """
-    if isinstance(sigma, SpinorSection):
-        return sigma._with_parts(
-            killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair)
-        )
-    return _first_order(sigma, _merged_shifts(((pair, GAUSS_ONE),), sigma.view))
-
-
 @lru_cache(maxsize=None)
 def _dirac_tables(view: str) -> dict:
     """The Dirac operator in ``view`` as a 2x2 block of shift tables over one
@@ -301,41 +283,6 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
     return SpinorSection(_laplace_poly(sigma.f), _laplace_poly(sigma.g.in_view(view)))
 
 
-def laplace_section_via_hessian(sigma: SpinorSection) -> SpinorSection:
-    """The Laplacian from the full Hessian formula.
-
-    Computes sum_a [ l_a l_a sigma - D_{nabla_a a} sigma ] with the
-    connection terms taken from :func:`levi_civita`; they vanish in this
-    frame, which is exactly what reduces the Hessian form to
-    :func:`laplace_section`.  Kept as an independent route for tests.
-    """
-    out = SpinorSection.zero(sigma.f.view)
-    for a in (1, 2, 3):
-        pair = KillingPair.left(a)
-        out = out + killing_derivative(killing_derivative(sigma, pair), pair)
-        correction = levi_civita(a, a)
-        if not correction.is_zero():
-            out = out - killing_derivative(sigma, KillingPair(correction, quat()))
-    return out
-
-
-def levi_civita(i: int, j: int) -> RationalQuaternion:
-    """Covariant derivative constants of the frame: 0 on the diagonal,
-    the quaternion product e_i e_j otherwise."""
-    if i not in (1, 2, 3) or j not in (1, 2, 3):
-        raise ValueError("frame indices must be in 1..3")
-    if i == j:
-        return quat()
-    return quat_multiply(BASIS[i], BASIS[j])
-
-
-def spin_connection(i: int) -> RationalQuaternion:
-    """Spin covariant derivative of the trivialising section: -e_i / 2."""
-    if i not in (1, 2, 3):
-        raise ValueError("frame index must be in 1..3")
-    return BASIS[i] * Fraction(-1, 2)
-
-
 # -- exact integration -------------------------------------------------------
 
 
@@ -350,15 +297,6 @@ class IntegralValue:
 
     def float_value(self) -> complex:
         return complex(self.coefficient) * (2.0 * math.pi**2)
-
-    def to_json(self) -> dict:
-        return {"unit": "2pi^2", "value": self.coefficient.to_json()}
-
-    @staticmethod
-    def from_json(obj: dict) -> "IntegralValue":
-        if obj.get("unit") != "2pi^2":
-            raise ValueError(f"unexpected integral unit {obj.get('unit')!r}")
-        return IntegralValue(GaussianRational.from_json(obj["value"]))
 
 
 def monomial_integral(l1: int, l2: int, l3: int, l4: int) -> IntegralValue:
@@ -424,19 +362,6 @@ class QuadratureSpec:
                 raise ValueError("monte carlo rule needs an explicit seed")
         else:
             raise ValueError(f"unknown quadrature rule {self.rule!r}")
-
-    def to_json(self) -> dict:
-        if self.rule == "tensor":
-            return {"rule": "tensor", "n_angular": self.n_angular, "n_radial": self.n_radial}
-        return {"rule": "mc", "samples": self.samples, "seed": self.seed}
-
-    @staticmethod
-    def from_json(obj: dict) -> "QuadratureSpec":
-        if obj["rule"] == "tensor":
-            return QuadratureSpec.tensor(obj["n_angular"], obj["n_radial"])
-        if obj["rule"] == "mc":
-            return QuadratureSpec.monte_carlo(obj["samples"], obj["seed"])
-        raise ValueError(f"unknown quadrature rule {obj['rule']!r}")
 
 
 @dataclass(frozen=True)

@@ -11,8 +11,8 @@ Two coordinate views of the same function space are supported:
 
 Both views are exact and conversion between them is an exact ring
 isomorphism.  z is the compute view: the eigenbasis lives there and the
-calculus kernels (the flat Laplacian here, the Killing derivatives in
-``geometry``) work directly on its exponents.  The x view is kept for
+calculus kernels (the flat Laplacian here, the Killing-field shift tables
+in ``geometry``) work directly on its exponents.  The x view is kept for
 conversion and as a test oracle.  Exponent tuples are ordered
 graded-lexicographically for deterministic output.
 
@@ -21,18 +21,18 @@ integers ``(re, im)`` (Python ints) over one positive ``int`` denominator
 shared by all terms, kept canonical -- no zero terms, gcd(denominator,
 every numerator) = 1, and ``({}, 1)`` for zero -- so equality stays
 structural.  Every kernel computes on those ints; ``GaussianRational``
-appears only at the edge: the constructor, ``terms``, ``coefficient``,
-``evaluate`` and ``from_json`` (``to_json`` writes each part straight
-from its numerator over the denominator).  The kernels outside this
-module (the shift-table pass behind ``geometry.killing_derivative``,
-``dirac_section``, ``laplace_section`` and ``transfer.beta_lower``, and
-``geometry.l2_inner_product``, ``transfer.iso_closed_form`` and
-``transfer.transfer_eigenbasis``) read ``_num``/``_den`` and build their
-results through ``_reduced`` or ``_poly``, on parts that
-``exactnum.reduce_parts``, ``add_parts`` or ``scale_parts`` keep
-canonical.  The transfer checks in ``verify`` read the exponents and
-numerators of ``_num`` directly, for the exponent bookkeeping and the
-sparse rank.
+appears only at the edge: the constructor, ``terms``, ``evaluate`` and
+``from_json``, which reads the ``"num/den"`` strings that ``to_json``
+writes straight from each numerator over the denominator.  The kernels
+outside this module (the shift-table passes behind
+``geometry.dirac_section``, ``laplace_section`` and
+``transfer.beta_lower``, and ``geometry.l2_inner_product``,
+``transfer.iso_closed_form`` and ``transfer.transfer_eigenbasis``) read
+``_num``/``_den`` and build their results through ``_reduced`` or
+``_poly``, on parts that ``exactnum.reduce_parts``, ``add_parts`` or
+``scale_parts`` keep canonical.  The transfer checks in ``verify`` read
+the exponents and numerators of ``_num`` directly, for the exponent
+bookkeeping and the sparse rank.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ from math import lcm
 from typing import Optional
 
 from .exactnum import (
-    GAUSS_ZERO,
     GaussianRational,
     GaussInt,
     RationalQuaternion,
@@ -135,12 +134,6 @@ class Polynomial:
 
     def terms_sorted(self) -> list[tuple[Exponents, GaussianRational]]:
         return sorted(self.terms.items(), key=_term_order)
-
-    def coefficient(self, exponents: Exponents) -> GaussianRational:
-        c = self._num.get(tuple(exponents))
-        if c is None:
-            return GAUSS_ZERO
-        return gauss_over(*c, self._den)
 
     # -- ring operations ------------------------------------------------------
 
@@ -293,10 +286,10 @@ class Polynomial:
 
     @staticmethod
     def from_json(obj: dict) -> "Polynomial":
-        terms = {
-            tuple(t["exp"]): GaussianRational.from_json(t["coeff"])
-            for t in obj["terms"]
-        }
+        terms = {}
+        for t in obj["terms"]:
+            c = t["coeff"]
+            terms[tuple(t["exp"])] = GaussianRational(Fraction(c["re"]), Fraction(c["im"]))
         return Polynomial(terms, obj["view"])
 
 
@@ -464,24 +457,6 @@ class SpinorSection:
 
     def __hash__(self):
         return hash((self.f, self.g))
-
-    def right_mul_basis(self, i: int) -> "SpinorSection":
-        """Right quaternion multiplication of the section's values by e_i.
-
-        The coefficient shuffle is derived from the actual quaternion
-        products e_r * e_i rather than hard-coded.
-        """
-        new_f = Polynomial.zero(self.f.view)
-        new_g = Polynomial.zero(self.g.view)
-        for comp, r in ((self.f, 0), (self.g, 2)):
-            if comp.is_zero():
-                continue
-            alpha, beta = _basis_product_split(r, i)
-            if alpha != (0, 0):
-                new_f = new_f + comp._scaled(*alpha, 1)
-            if beta != (0, 0):
-                new_g = new_g + comp._scaled(*beta, 1)
-        return self._with_parts(new_f, new_g)
 
     def evaluate(self, point) -> RationalQuaternion:
         return assemble(self.f.evaluate(point), self.g.evaluate(point))

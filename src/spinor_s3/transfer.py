@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abstract_dirac import eigenbasis_abstract
-from .exactnum import add_parts, gauss, rational_to_str, scale_parts
+from .exactnum import add_parts, gauss, scale_parts
 from .geometry import KillingPair, _first_order, _merged_shifts
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _poly, _reduced
 
@@ -49,28 +49,6 @@ class TransferImage:
     q: int
     poly: Polynomial
     norm_factor_squared: Fraction
-
-    def to_json(self) -> dict:
-        obj = self.poly.to_json()
-        obj.update(
-            {
-                "k": self.k,
-                "p": self.p,
-                "q": self.q,
-                "norm_factor_squared": rational_to_str(self.norm_factor_squared),
-            }
-        )
-        return obj
-
-    @staticmethod
-    def from_json(obj: dict) -> "TransferImage":
-        return TransferImage(
-            obj["k"],
-            obj["p"],
-            obj["q"],
-            Polynomial.from_json(obj),
-            Fraction(obj["norm_factor_squared"]),
-        )
 
 
 #: The frame fields of each lowering operator: pair(2) and pair(3).

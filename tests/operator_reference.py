@@ -1,0 +1,110 @@
+"""The composed forms of the geometric operators, as test oracles.
+
+The library evaluates D, Delta and the lowerings from merged shift tables
+in one integer pass.  The forms here are the operators as the paper
+writes them: one derivative per frame field, the frame's covariant
+constants and right multiplication by the frame units, composed with the
+ring operations.  They share the single-field shift tables with the
+library, and never call the merged entry points they are checked against
+(``test_operator_reference_calls_no_checked_entry_point`` guards that).
+"""
+
+from fractions import Fraction
+from typing import Union
+
+from spinor_s3.exactnum import (
+    BASIS,
+    GAUSS_ONE,
+    RationalQuaternion,
+    clifford_multiply,
+    quat,
+    quat_multiply,
+)
+from spinor_s3.geometry import KillingPair, _first_order, _merged_shifts
+from spinor_s3.polyring import Polynomial, SpinorSection, _basis_product_split
+
+
+def killing_derivative(
+    sigma: Union[Polynomial, SpinorSection], pair: KillingPair
+) -> Union[Polynomial, SpinorSection]:
+    """Exact derivative of sigma along the field x -> xS - Tx.
+
+    The field is linear, u_m -> sum_j M[m][j] u_j in the view's own
+    generators, so the derivative is sum_m d_m sigma * (sum_j M[m][j] u_j):
+    a term c*u^e with e[m] > 0 moves c*e[m]*M[m][j] to the exponent
+    e - delta_m + delta_j, once per nonzero M[m][j].  In the z view the
+    frame fields have one unit entry per row, so that is four shifts a
+    term.  The arithmetic is on Gaussian-integer numerators; the result's
+    denominator is sigma's times M's.  Acts componentwise on spinor
+    sections; preserves homogeneous degree and harmonicity (the field is
+    skew-symmetric on R^4).
+    """
+    if isinstance(sigma, SpinorSection):
+        return sigma._with_parts(
+            killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair)
+        )
+    return _first_order(sigma, _merged_shifts(((pair, GAUSS_ONE),), sigma.view))
+
+
+def laplace_section_via_hessian(sigma: SpinorSection) -> SpinorSection:
+    """The Laplacian from the full Hessian formula.
+
+    Computes sum_a [ l_a l_a sigma - D_{nabla_a a} sigma ] with the
+    connection terms taken from :func:`levi_civita`; they vanish in this
+    frame, which is exactly what reduces the Hessian form to
+    ``geometry.laplace_section``.
+    """
+    out = SpinorSection.zero(sigma.f.view)
+    for a in (1, 2, 3):
+        pair = KillingPair.left(a)
+        out = out + killing_derivative(killing_derivative(sigma, pair), pair)
+        correction = levi_civita(a, a)
+        if not correction.is_zero():
+            out = out - killing_derivative(sigma, KillingPair(correction, quat()))
+    return out
+
+
+def levi_civita(i: int, j: int) -> RationalQuaternion:
+    """Covariant derivative constants of the frame: 0 on the diagonal,
+    the quaternion product e_i e_j otherwise."""
+    if i not in (1, 2, 3) or j not in (1, 2, 3):
+        raise ValueError("frame indices must be in 1..3")
+    if i == j:
+        return quat()
+    return quat_multiply(BASIS[i], BASIS[j])
+
+
+def spin_connection(i: int) -> RationalQuaternion:
+    """Spin covariant derivative of the trivialising section: -e_i / 2."""
+    if i not in (1, 2, 3):
+        raise ValueError("frame index must be in 1..3")
+    return BASIS[i] * Fraction(-1, 2)
+
+
+def spin_contraction() -> RationalQuaternion:
+    """sum_i c(e_i) omega_i: the spin connection contracted with the
+    Clifford action, the real constant that the Dirac operator adds to the
+    frame derivatives."""
+    total = quat()
+    for i in (1, 2, 3):
+        total = total + clifford_multiply(spin_connection(i), i)
+    return total
+
+
+def right_mul_basis(sigma: SpinorSection, i: int) -> SpinorSection:
+    """Right quaternion multiplication of the section's values by e_i.
+
+    The coefficient shuffle is derived from the actual quaternion
+    products e_r * e_i rather than hard-coded.
+    """
+    new_f = Polynomial.zero(sigma.f.view)
+    new_g = Polynomial.zero(sigma.g.view)
+    for comp, r in ((sigma.f, 0), (sigma.g, 2)):
+        if comp.is_zero():
+            continue
+        alpha, beta = _basis_product_split(r, i)
+        if alpha != (0, 0):
+            new_f = new_f + comp._scaled(*alpha, 1)
+        if beta != (0, 0):
+            new_g = new_g + comp._scaled(*beta, 1)
+    return sigma._with_parts(new_f, new_g)

@@ -4,7 +4,10 @@ import hashlib
 import json
 import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
@@ -80,13 +83,21 @@ def test_eigenbasis_output_roundtrips_documented_schema(tmp_path, capsys):
 
     from spinor_s3.geometry import dirac_section
     from spinor_s3.polyring import SpinorSection
+    from spinor_s3.transfer import transfer_eigenbasis
 
     out_file = tmp_path / "basis.json"
     assert run(capsys, "eigenbasis", "--k", "1", "--out", str(out_file))[0] == 0
     doc = json.loads(out_file.read_text())
-    for record in doc["sections"]:
+    entries = transfer_eigenbasis(1)
+    assert len(doc["sections"]) == len(entries)
+    for record, entry in zip(doc["sections"], entries):
         section = SpinorSection.from_json(record)
+        # the reader gives back exactly the section that was written
+        assert section.degree == entry.section.degree == 1
+        for got, want in ((section.f, entry.section.f), (section.g, entry.section.g)):
+            assert (got._num, got._den, got.view) == (want._num, want._den, want.view)
         eigenvalue = Fraction(record["eigenvalue"])
+        assert eigenvalue == entry.eigenvalue
         assert (dirac_section(section) - section.scale(eigenvalue)).is_zero()
 
 
@@ -140,6 +151,53 @@ def test_a_failed_write_is_a_usage_error(capsys):
     # the device accepts the open and refuses the data
     code, out, err = run(capsys, "eigenbasis", "--k", "2", "--out", "/dev/full")
     assert_usage_error(code, out, err, "cannot write --out /dev/full")
+
+
+STDOUT_MODES = [pytest.param(True, id="unbuffered"), pytest.param(False, id="buffered")]
+
+
+def cli_process(argv, unbuffered, **kwargs):
+    """The CLI in a fresh interpreter, with PYTHONUNBUFFERED set or unset."""
+    env = dict(os.environ)
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    return subprocess.Popen([sys.executable, "-m", "spinor_s3.cli", *argv], env=env,
+                            stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def assert_stdout_error(code, err):
+    assert code == 2
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: cannot write stdout:")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a device that is always full")
+@pytest.mark.parametrize("unbuffered", STDOUT_MODES)
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--k-max", "3"),
+    ("eigenbasis", "--k", "3"),
+    ("verify", "--suite", "casimir", "--k-max", "0"),
+], ids=lambda argv: argv[0])
+def test_a_full_stdout_is_a_usage_error(argv, unbuffered):
+    with open("/dev/full", "w") as full:
+        proc = cli_process(argv, unbuffered, stdout=full)
+        _, err = proc.communicate(timeout=120)
+    assert_stdout_error(proc.returncode, err)
+
+
+@pytest.mark.parametrize("unbuffered", STDOUT_MODES)
+def test_a_closed_stdout_pipe_is_a_usage_error(unbuffered):
+    # the reader takes one line and goes away, as ``| head -1`` does; the
+    # 480 KB document is far more than a pipe holds
+    proc = cli_process(("eigenbasis", "--k", "12"), unbuffered, stdout=subprocess.PIPE)
+    assert proc.stdout.readline() == "{\n"
+    proc.stdout.close()
+    err = proc.stderr.read()
+    assert_stdout_error(proc.wait(timeout=120), err)
 
 
 def zero_sections(entries):
@@ -271,9 +329,10 @@ def test_verify_casimir_passes(capsys):
 
 
 def test_verify_unknown_suite(capsys):
-    code, _, err = run(capsys, "verify", "--suite", "nonsense")
-    assert code == 2
-    assert "unknown suite" in err
+    # an unknown name is refused even beside "all", which would run every suite
+    for suites in ("nonsense", "all,nonsense"):
+        code, out, err = run(capsys, "verify", "--suite", suites)
+        assert_usage_error(code, out, err, "unknown suite(s): nonsense")
 
 
 def test_verify_multiple_suites(capsys):

@@ -3,32 +3,55 @@ their composed forms: the same canonical numerators, denominator and view.
 
 The references below are the operators as the paper writes them, built
 from one ``killing_derivative`` pass per frame field and the ring
-operations; the library evaluates each operator in one integer pass.
+operations of ``operator_reference``; the library evaluates each operator
+in one integer pass.
 """
 
+import ast
 import random
 from fractions import Fraction
+from pathlib import Path
 
+import operator_reference
 import pytest
+from operator_reference import (
+    killing_derivative,
+    laplace_section_via_hessian,
+    right_mul_basis,
+    spin_contraction,
+)
 
 from spinor_s3.exactnum import gauss
-from spinor_s3.geometry import (
-    KillingPair,
-    dirac_section,
-    killing_derivative,
-    laplace_section,
-    laplace_section_via_hessian,
-)
+from spinor_s3.geometry import KillingPair, dirac_section, laplace_section
 from spinor_s3.polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW
 from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
 
+#: The library's operator entry points and the tables behind them: the
+#: oracles that check them must not call them.
+CHECKED_ENTRY_POINTS = frozenset({
+    "dirac_section", "laplace_section", "beta_lower", "_dirac_tables",
+    "_laplace_image", "_laplace_poly", "_lowering_table",
+})
+
+
+def test_operator_reference_calls_no_checked_entry_point():
+    tree = ast.parse(Path(operator_reference.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    assert "*" not in imported
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert imported
+    assert not (imported | named) & CHECKED_ENTRY_POINTS
+
 
 def dirac_reference(sigma):
-    """-sum_i (l_i sigma) * e_i - 3/2 sigma."""
-    out = SpinorSection.zero(sigma.f.view)
+    """-sum_i (l_i sigma) * e_i plus sigma times the contracted spin
+    connection, -3/2 (``test_spin_connection`` pins it real)."""
+    out = sigma.scale(spin_contraction().c0)
     for i in (1, 2, 3):
-        out = out - killing_derivative(sigma, KillingPair.left(i)).right_mul_basis(i)
-    return out - sigma.scale(Fraction(3, 2))
+        out = out - right_mul_basis(killing_derivative(sigma, KillingPair.left(i)), i)
+    return out
 
 
 def lower_reference(side, poly):

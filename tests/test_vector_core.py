@@ -3,7 +3,6 @@ the ``Fraction`` reference in ``vector_reference``: on seeded random
 vectors with mixed non-unit denominators and half-cancelling sums, every
 result equals the reference and is in canonical form."""
 
-import json
 import math
 import random
 from fractions import Fraction
@@ -170,9 +169,6 @@ def test_each_value_has_one_representation(seed):
             assert (w._num, w._den) == (v._num, v._den)
     w = (spinor + other) - other
     assert (w._num, w._den) == (spinor._num, spinor._den) and hash(w) == hash(spinor)
-    back = SpinorVector.from_json(json.loads(json.dumps(spinor.to_json())))
-    assert back == spinor and hash(back) == hash(spinor)
-    assert (back._num, back._den) == (spinor._num, spinor._den)
 
 
 def test_zero_is_canonical():
