@@ -9,48 +9,46 @@ seeded Monte Carlo estimator provides an independent statistical check.
 import math
 from fractions import Fraction
 
+from spinor_s3.exactnum import gauss
 from spinor_s3.geometry import (
-    QuadratureSpec,
-    eta_quadrature,
-    gram_matrix,
+    SPHERE_VOLUME,
     l2_inner_product,
     monomial_integral,
+    monte_carlo_quadrature,
+    tensor_quadrature,
 )
 from spinor_s3.polyring import G2, G2_BAR, GM1, Polynomial, Z_VIEW
+from spinor_s3.transfer import gram_matrix
 
 print("closed-form monomial integrals (2 pi^2 units):")
 for exps in ((0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0), (1, 1, 1, 1), (1, 0, 0, 0)):
-    value = monomial_integral(*exps)
-    print(f"  {exps}: {value.coefficient}  (= {value.float_value().real:.12g})")
+    value = monomial_integral(*exps)  # a Fraction: the closed formula is real
+    print(f"  {exps}: {gauss(value)}  (= {float(value) * SPHERE_VOLUME:.12g})")
 
 print("\nnorms of the highest-weight powers: <z2^k, z2^k> = 2 pi^2 / (k+1):")
 for k in range(6):
-    print(f"  k={k}: {l2_inner_product(G2**k, G2**k).coefficient}")
+    print(f"  k={k}: {l2_inner_product(G2**k, G2**k)}")
 
 # Tensor rule: trapezoid in the two angles, Gauss-Legendre radially.
-spec = QuadratureSpec.tensor(9, 5)
 print("\ntensor quadrature vs exact:")
-for poly, label in ((Polynomial.constant(1, Z_VIEW), "1"),
-                    (G2 * G2_BAR, "z2 conj(z2)"),
-                    (GM1 * GM1, "z1^2")):
-    numeric = eta_quadrature(poly, spec).value
+polys = (Polynomial.constant(1, Z_VIEW), G2 * G2_BAR, GM1 * GM1)
+for label, numeric in zip(("1", "z2 conj(z2)", "z1^2"), tensor_quadrature(polys, 9, 5)):
     print(f"  integral({label}) ~ {numeric.real:.12g}")
-print(f"  (volume 2 pi^2 = {2 * math.pi ** 2:.12g})")
+print(f"  (volume 2 pi^2 = {SPHERE_VOLUME:.12g})")
 
 # Monte Carlo with an explicit seed; the estimate carries its own
 # standard error.
-mc = QuadratureSpec.monte_carlo(200_000, 1)
-result = eta_quadrature(G2 * G2_BAR, mc)
-exact = monomial_integral(1, 1, 0, 0).float_value()
-print(f"\nmonte carlo (200k samples, seed 1): {result.value.real:.8g}"
-      f" +- {result.stderr:.2g}, exact {exact.real:.8g}")
+[(value, stderr)] = monte_carlo_quadrature([G2 * G2_BAR], 200_000, 1)
+exact = float(monomial_integral(1, 1, 0, 0)) * SPHERE_VOLUME
+print(f"\nmonte carlo (200k samples, seed 1): {value.real:.8g}"
+      f" +- {stderr:.2g}, exact {exact:.8g}")
 
 # The Gram matrix of the transferred basis is diagonal, and its diagonal
 # follows the symmetric-power pattern 1/((k+1) C(k,p) C(k,q)).
 K = 2
 gram = gram_matrix(K)
 n = (K + 1) ** 2
-diag = [gram[i][i].coefficient for i in range(n)]
+diag = [gram[i][i] for i in range(n)]
 off = all(gram[i][j].is_zero() for i in range(n) for j in range(n) if i != j)
 print(f"\ngram matrix at k={K}: diagonal={off}")
 for p in range(K + 1):

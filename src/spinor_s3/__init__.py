@@ -42,21 +42,20 @@ from .transfer import (
     TransferImage,
     TransferredEigenvector,
     beta_lower,
+    gram_matrix,
     iso_closed_form,
     iso_recursive,
     transfer_eigenbasis,
 )
 from .geometry import (
-    IntegralValue,
+    SPHERE_VOLUME,
     KillingPair,
-    QuadratureResult,
-    QuadratureSpec,
     dirac_section,
-    eta_quadrature,
-    gram_matrix,
     l2_inner_product,
     laplace_section,
     monomial_integral,
+    monte_carlo_quadrature,
+    tensor_quadrature,
 )
 
 __version__ = "0.1.0"

@@ -7,11 +7,11 @@ Subcommands::
     spinor-s3 verify     --suite NAME[,NAME...] [--k-max N]
                          [--rule tensor|mc] [--samples N] [--seed S]
 
-Exit codes: 0 on success, 1 on verification failure, 2 on usage and
-input errors (among them an unwritable --out, a write error partway
-through an export, a failed write to stdout and a request that would
-run no checks).  Exact values are printed as num/den strings; floating
-point appears only in quadrature reports (12 significant digits).
+Exit codes: 0 success, 1 verification failure, 2 usage and input errors
+(an unwritable --out, a write error partway through an export, a failed
+write to stdout or a closed stdout, --help included, and a request that
+would run no checks).  Exact values are printed as num/den strings;
+floating point appears only in quadrature reports (12 significant digits).
 ``eigenbasis`` checks its sections before it opens the output, then
 writes the document one section at a time.
 """
@@ -19,6 +19,7 @@ writes the document one section at a time.
 from __future__ import annotations
 
 import argparse
+import errno
 import os
 import sys
 from functools import lru_cache
@@ -50,8 +51,19 @@ def _check_cap(args: argparse.Namespace) -> Optional[str]:
     return None
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that writes its ``--help`` text through
+    :func:`_write_stdout`; argparse's own writer drops a failed write."""
+
+    def print_help(self, file=None) -> None:
+        if file is not None:
+            super().print_help(file)
+        elif _write_stdout((self.format_help(),)):
+            self.exit(2)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="spinor-s3",
         description="Exact spectrum and polynomial eigenbasis of the spin "
         "Dirac operator on the round 3-sphere.",
@@ -87,12 +99,15 @@ def _write_stdout(chunks: Iterable[str]) -> int:
     descriptor is pointed at the null device, so that the interpreter's
     flush at exit finds nothing left to fail on."""
     try:
+        if sys.stdout is None:  # file descriptor 1 was closed at startup
+            raise OSError(errno.EBADF, os.strerror(errno.EBADF))
         sys.stdout.writelines(chunks)
         sys.stdout.flush()
     except OSError as exc:
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        os.close(devnull)
+        if sys.stdout is not None:
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
         print(f"error: cannot write stdout: {exc.strerror or exc}", file=sys.stderr)
         return 2
     return 0

@@ -7,9 +7,9 @@ linear), kept as shift tables that the Dirac and Laplace operators merge
 and evaluate in one integer pass.  The composed forms they are checked
 against -- one derivative per frame field, the Hessian Laplacian and the
 connection constants -- live in ``tests/operator_reference.py``.
-Integrals over the sphere are exact rationals recorded in units of the
-total volume 2*pi^2, so pi never enters the arithmetic.  Floating point
-appears only in the quadrature cross-check.
+Integrals over the sphere are exact (``Fraction``, ``GaussianRational``)
+in units of the total volume 2*pi^2; only ``SPHERE_VOLUME`` makes floats
+of them, for the quadrature cross-checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Optional
 
 import numpy as np
 
@@ -285,89 +284,39 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
 
 # -- exact integration -------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class IntegralValue:
-    """An exact sphere integral, stored as a multiple of the volume 2*pi^2."""
-
-    coefficient: GaussianRational
-
-    def is_zero(self) -> bool:
-        return self.coefficient.is_zero()
-
-    def float_value(self) -> complex:
-        return complex(self.coefficient) * (2.0 * math.pi**2)
+#: The volume 2*pi^2 of the unit 3-sphere, the unit of every exact integral:
+#: ``float(v) * SPHERE_VOLUME`` is the integral whose exact value is v.
+SPHERE_VOLUME = 2.0 * math.pi**2
 
 
-def monomial_integral(l1: int, l2: int, l3: int, l4: int) -> IntegralValue:
+def monomial_integral(l1: int, l2: int, l3: int, l4: int) -> Fraction:
     """Exact sphere integral of z2^l1 conj(z2)^l2 (-z1)^l3 conj(z1)^l4.
 
     Nonzero only when l1 == l2 and l3 == l4, in which case the value is
-    (-1)^l4 * l1! l3! / (l1+l3+1)! in 2*pi^2 units.
+    (-1)^l4 * l1! l3! / (l1+l3+1)! in 2*pi^2 units; always real.
     """
     if min(l1, l2, l3, l4) < 0:
         raise ValueError("exponents must be nonnegative")
     if l1 != l2 or l3 != l4:
-        return IntegralValue(GAUSS_ZERO)
+        return Fraction(0)
     value = Fraction(math.factorial(l1) * math.factorial(l3), math.factorial(l1 + l3 + 1))
     if l4 % 2:
         value = -value
-    return IntegralValue(gauss(value))
+    return value
 
 
-def l2_inner_product(a: Polynomial, b: Polynomial) -> IntegralValue:
+def l2_inner_product(a: Polynomial, b: Polynomial) -> GaussianRational:
     """Exact L2 pairing integral of conj(a) * b, conjugate-linear in a."""
     product = a.conjugate().in_view(Z_VIEW) * b.in_view(Z_VIEW)
     re = im = Fraction(0)
     for exp, (x, y) in product._num.items():
-        weight = monomial_integral(*exp).coefficient.re  # real by the closed formula
+        weight = monomial_integral(*exp)
         re += x * weight
         im += y * weight
-    return IntegralValue(GaussianRational(re / product._den, im / product._den))
+    return GaussianRational(re / product._den, im / product._den)
 
 
 # -- numeric quadrature -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Node specification: a tensor rule (trapezoid x trapezoid x
-    Gauss-Legendre) or seeded Monte Carlo."""
-
-    rule: str
-    n_angular: Optional[int] = None
-    n_radial: Optional[int] = None
-    samples: Optional[int] = None
-    seed: Optional[int] = None
-
-    @staticmethod
-    def tensor(n_angular: int, n_radial: int) -> "QuadratureSpec":
-        return QuadratureSpec("tensor", n_angular=n_angular, n_radial=n_radial)
-
-    @staticmethod
-    def monte_carlo(samples: int, seed: int) -> "QuadratureSpec":
-        return QuadratureSpec("mc", samples=samples, seed=seed)
-
-    def validate(self) -> None:
-        if self.rule == "tensor":
-            if not self.n_angular or self.n_angular < 1:
-                raise ValueError("tensor rule needs n_angular >= 1")
-            if not self.n_radial or self.n_radial < 1:
-                raise ValueError("tensor rule needs n_radial >= 1")
-        elif self.rule == "mc":
-            if not self.samples or self.samples < 2:
-                # one sample has no variance estimate, so no error bar
-                raise ValueError("monte carlo rule needs samples >= 2")
-            if self.seed is None:
-                raise ValueError("monte carlo rule needs an explicit seed")
-        else:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
-
-
-@dataclass(frozen=True)
-class QuadratureResult:
-    value: complex
-    stderr: Optional[float] = None
 
 
 def _complex_terms(f: Polynomial):
@@ -382,50 +331,52 @@ def _eval_terms(terms, z1, z2):
         total = total + coeff * u[0] ** a * u[1] ** b * u[2] ** c * u[3] ** d
     return total
 
+
+def tensor_quadrature(fs: list[Polynomial], n_angular: int, n_radial: int) -> list[complex]:
+    """Sphere integral of each polynomial in ``fs`` on one grid, each equal
+    to its one-polynomial call bit for bit, through the chart (t, s, rho) ->
+    (e^{it} sqrt(rho), e^{is} sqrt(1-rho)) with volume element dt ds drho / 2:
+    trapezoid in both angles with ``n_angular`` nodes, Gauss-Legendre in rho
+    with ``n_radial``.  Exact on total degree d (up to roundoff) once
+    n_angular > d and 2*n_radial - 1 >= d/2."""
+    if n_angular < 1 or n_radial < 1:
+        raise ValueError("tensor rule needs n_angular >= 1 and n_radial >= 1")
+    t = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    rho = (nodes + 1.0) / 2.0
+    w_rho = weights / 2.0
+    tt = t[:, None, None]
+    ss = t[None, :, None]
+    rr = rho[None, None, :]
+    z1 = np.exp(1j * tt) * np.sqrt(rr)
+    z2 = np.exp(1j * ss) * np.sqrt(1.0 - rr)
+    cell = (2.0 * np.pi / n_angular) ** 2 * 0.5
+    return [
+        complex(cell * np.sum(_eval_terms(_complex_terms(f), z1, z2) * w_rho[None, None, :]))
+        for f in fs
+    ]
+
+
 _MC_CHUNK = 1 << 16
 
 
-def eta_quadrature(f: Polynomial, spec: QuadratureSpec) -> QuadratureResult:
-    """Numeric sphere integral of f through the torus-times-interval chart
-    (t, s, rho) -> (e^{it} sqrt(rho), e^{is} sqrt(1-rho)), whose volume
-    element is dt ds drho / 2.
-
-    The tensor rule integrates any polynomial of total degree d exactly
-    (up to roundoff) once n_angular > d and 2*n_radial - 1 >= d/2.  Monte
-    Carlo draws its samples in fixed chunks of 2^16, one spawned child
-    stream per chunk from SeedSequence(seed), so the estimate is
-    reproducible no matter how chunks are scheduled.
-    """
-    return eta_quadrature_many([f], spec)[0]
-
-
-def eta_quadrature_many(fs: list[Polynomial], spec: QuadratureSpec) -> list[QuadratureResult]:
-    """:func:`eta_quadrature` of each polynomial in ``fs`` on the same nodes:
-    the tensor grid is built once and each Monte Carlo chunk is drawn once,
-    so every result equals its one-polynomial call bit for bit."""
-    spec.validate()
+def monte_carlo_quadrature(fs: list[Polynomial], samples: int,
+                           seed: int) -> list[tuple[complex, float]]:
+    """(value, standard error) of the sphere integral of each polynomial in
+    ``fs`` by Monte Carlo, on one set of draws, each equal to its
+    one-polynomial call bit for bit.  The samples are drawn in fixed chunks
+    of 2^16, one spawned child stream per chunk from SeedSequence(seed), so
+    the estimate is reproducible no matter how chunks are scheduled."""
+    if samples < 2:
+        # one sample has no variance estimate, so no error bar
+        raise ValueError("monte carlo rule needs samples >= 2")
+    if seed is None:
+        raise ValueError("monte carlo rule needs an explicit seed")
     all_terms = [_complex_terms(f) for f in fs]
-    if spec.rule == "tensor":
-        nt, nr = spec.n_angular, spec.n_radial
-        t = 2.0 * np.pi * np.arange(nt) / nt
-        nodes, weights = np.polynomial.legendre.leggauss(nr)
-        rho = (nodes + 1.0) / 2.0
-        w_rho = weights / 2.0
-        tt = t[:, None, None]
-        ss = t[None, :, None]
-        rr = rho[None, None, :]
-        z1 = np.exp(1j * tt) * np.sqrt(rr)
-        z2 = np.exp(1j * ss) * np.sqrt(1.0 - rr)
-        cell = (2.0 * np.pi / nt) ** 2 * 0.5
-        return [
-            QuadratureResult(complex(cell * np.sum(_eval_terms(terms, z1, z2) * w_rho[None, None, :])))
-            for terms in all_terms
-        ]
-
     # per polynomial: sums of the real and imaginary parts and of their squares
     sums = [[0.0, 0.0, 0.0, 0.0] for _ in all_terms]
-    n = spec.samples
-    children = np.random.SeedSequence(spec.seed).spawn((n + _MC_CHUNK - 1) // _MC_CHUNK)
+    n = samples
+    children = np.random.SeedSequence(seed).spawn((n + _MC_CHUNK - 1) // _MC_CHUNK)
     drawn = 0
     for child in children:
         m = min(_MC_CHUNK, n - drawn)
@@ -441,25 +392,11 @@ def eta_quadrature_many(fs: list[Polynomial], spec: QuadratureSpec) -> list[Quad
             acc[2] += float(np.sum(values.real**2))
             acc[3] += float(np.sum(values.imag**2))
         drawn += m
-    volume = 2.0 * math.pi**2
     results = []
     for total_re, total_im, sq_re, sq_im in sums:
         mean = complex(total_re / n, total_im / n)
         var_re = max(sq_re / n - (total_re / n) ** 2, 0.0)
         var_im = max(sq_im / n - (total_im / n) ** 2, 0.0)
-        stderr = volume * math.sqrt((var_re + var_im) / n)
-        results.append(QuadratureResult(mean * volume, stderr))
+        stderr = SPHERE_VOLUME * math.sqrt((var_re + var_im) / n)
+        results.append((mean * SPHERE_VOLUME, stderr))
     return results
-
-
-def gram_matrix(k: int) -> list[list[IntegralValue]]:
-    """Exact Gram matrix of the (k+1)^2 transferred basis polynomials,
-    rows and columns ordered by (p, q); diagonal by weight orthogonality."""
-    from .transfer import iso_closed_form  # deferred: transfer imports this module
-
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
-    images = [
-        iso_closed_form(k, p, q).poly for p in range(k + 1) for q in range(k + 1)
-    ]
-    return [[l2_inner_product(a, b) for b in images] for a in images]

@@ -16,7 +16,7 @@ whose action on the degree-one generators forms the diamond
 
 Two independent constructions of the image of |p>|q> are provided: the
 closed multinomial formula and the recursive lowering; the test suite
-requires them to agree exactly.
+requires them to agree exactly.  Their exact Gram matrix is diagonal.
 """
 
 from __future__ import annotations
@@ -27,8 +27,8 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abstract_dirac import eigenbasis_abstract
-from .exactnum import add_parts, gauss, scale_parts
-from .geometry import KillingPair, _first_order, _merged_shifts
+from .exactnum import GaussianRational, add_parts, gauss, scale_parts
+from .geometry import KillingPair, _first_order, _merged_shifts, l2_inner_product
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _poly, _reduced
 
 LEFT = "left"
@@ -154,6 +154,15 @@ def transfer_table(k: int) -> dict[tuple[int, int], Polynomial]:
         for p in range(k + 1)
         for q in range(k + 1)
     }
+
+
+def gram_matrix(k: int) -> list[list[GaussianRational]]:
+    """Exact Gram matrix of the (k+1)^2 closed-form images in 2pi^2 units,
+    rows and columns ordered by (p, q); diagonal by weight orthogonality."""
+    if k < 0:
+        raise ValueError("degree k must be >= 0")
+    images = list(transfer_table(k).values())
+    return [[l2_inner_product(a, b) for b in images] for a in images]
 
 
 @dataclass(frozen=True)

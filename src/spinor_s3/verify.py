@@ -19,18 +19,18 @@ from .abstract_dirac import _quadratic_holds, dbar_apply, dbar_apply_first_princ
     dbar_block_int, eigenbasis_abstract, SpinorVector
 from .exactnum import BASIS, gauss, gauss_over, quat_multiply
 from .geometry import (
-    QuadratureSpec,
-    eta_quadrature_many,
-    gram_matrix,
+    SPHERE_VOLUME,
+    dirac_section,
     l2_inner_product,
     laplace_section,
-    dirac_section,
     monomial_integral,
+    monte_carlo_quadrature,
+    tensor_quadrature,
 )
 from .polyring import G2, Polynomial, Z_VIEW, laplacian_r4
 from .repspace import casimir, casimir_expected, l_matrix_int
-from .transfer import LEFT, RIGHT, beta_lower, recursive_table, transfer_eigenbasis, \
-    transfer_table
+from .transfer import LEFT, RIGHT, beta_lower, gram_matrix, recursive_table, \
+    transfer_eigenbasis, transfer_table
 
 SUITE_NAMES = ("casimir", "quadratic", "dirac", "transfer", "laplace", "integral")
 
@@ -270,33 +270,24 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
 # -- integration -----------------------------------------------------------------
 
 
-def _norm_check(k: int) -> bool:
-    value = l2_inner_product(G2**k, G2**k)
-    return value.coefficient == gauss(Fraction(1, k + 1))
-
-
 def _check_integral_exact() -> list[CheckResult]:
     out = []
     ok = (
-        monomial_integral(0, 0, 0, 0).coefficient == gauss(1)
-        and monomial_integral(1, 0, 0, 0).is_zero()
-        and monomial_integral(0, 0, 1, 1).coefficient == gauss(Fraction(-1, 2))
-        and all(
-            monomial_integral(k, k, 0, 0).coefficient == gauss(Fraction(1, k + 1))
-            for k in range(9)
-        )
+        monomial_integral(0, 0, 0, 0) == 1
+        and monomial_integral(1, 0, 0, 0) == 0
+        and monomial_integral(0, 0, 1, 1) == Fraction(-1, 2)
+        and all(monomial_integral(k, k, 0, 0) == Fraction(1, k + 1) for k in range(9))
     )
     out.append(CheckResult("integral", "closed monomial formula", ok,
                            "(-1)^l4 l1! l3! / (l1+l3+1)! in 2pi^2 units"))
 
-    norms = all(_norm_check(k) for k in range(9))
+    norms = all(l2_inner_product(G2**k, G2**k) == gauss(Fraction(1, k + 1)) for k in range(9))
     out.append(CheckResult("integral", "power norms", norms,
                            "<z2^k, z2^k> = 2pi^2/(k+1) for k <= 8"))
     return out
 
 
 def _check_integral_tensor(max_degree: int = 8) -> list[CheckResult]:
-    spec = QuadratureSpec.tensor(max_degree + 1, (max_degree + 2 + 1) // 2)
     exps = [
         (l1, l2, l3, l4)
         for l1 in range(max_degree + 1)
@@ -304,12 +295,13 @@ def _check_integral_tensor(max_degree: int = 8) -> list[CheckResult]:
         for l3 in range(max_degree + 1 - l1 - l2)
         for l4 in range(max_degree + 1 - l1 - l2 - l3)
     ]
-    results = eta_quadrature_many([Polynomial.monomial(e, 1, Z_VIEW) for e in exps], spec)
+    values = tensor_quadrature([Polynomial.monomial(e, 1, Z_VIEW) for e in exps],
+                               max_degree + 1, (max_degree + 2 + 1) // 2)
     worst = 0.0
     ok = True
-    for e, result in zip(exps, results):
-        exact = monomial_integral(*e).float_value()
-        err = abs(result.value - exact) / (1.0 + abs(exact))
+    for e, value in zip(exps, values):
+        exact = float(monomial_integral(*e)) * SPHERE_VOLUME
+        err = abs(value - exact) / (1.0 + abs(exact))
         worst = max(worst, err)
         ok = ok and err <= TENSOR_REL_TOL
     return [CheckResult("integral", "tensor rule vs exact", ok,
@@ -320,13 +312,11 @@ def _check_integral_mc(samples: int, seed: int) -> list[CheckResult]:
     ok = True
     details = []
     polys = [Polynomial.monomial(exps, 1, Z_VIEW) for exps in MC_MONOMIALS]
-    results = eta_quadrature_many(polys, QuadratureSpec.monte_carlo(samples, seed))
-    for exps, result in zip(MC_MONOMIALS, results):
-        exact = monomial_integral(*exps).float_value()
-        bound = MC_SIGMAS * (result.stderr or 0.0) + 1e-12
-        good = abs(result.value - exact) <= bound
-        ok = ok and good
-        details.append(f"{exps}:{abs(result.value - exact):.3g}<= {bound:.3g}")
+    for exps, (value, stderr) in zip(MC_MONOMIALS, monte_carlo_quadrature(polys, samples, seed)):
+        exact = float(monomial_integral(*exps)) * SPHERE_VOLUME
+        bound = MC_SIGMAS * stderr + 1e-12
+        ok = ok and abs(value - exact) <= bound
+        details.append(f"{exps}:{abs(value - exact):.3g}<= {bound:.3g}")
     return [CheckResult("integral", "monte carlo vs exact", ok,
                         f"{samples} samples, seed {seed}, |error| <= 3 sigma: " + ", ".join(details))]
 
@@ -340,7 +330,7 @@ def _check_gram(k_max: int = 5) -> list[CheckResult]:
             gram[i][j].is_zero() for i in range(n) for j in range(n) if i != j
         )
         exact = all(
-            gram[p * (k + 1) + q][p * (k + 1) + q].coefficient
+            gram[p * (k + 1) + q][p * (k + 1) + q]
             == gauss(Fraction(1, (k + 1) * math.comb(k, p) * math.comb(k, q)))
             for p in range(k + 1)
             for q in range(k + 1)

@@ -18,13 +18,13 @@ from spinor_s3.abstract_dirac import (
 )
 from spinor_s3.exactnum import BASIS, gauss, quat_multiply
 from spinor_s3.geometry import (
-    QuadratureSpec,
+    SPHERE_VOLUME,
     dirac_section,
-    eta_quadrature,
-    gram_matrix,
     l2_inner_product,
     laplace_section,
     monomial_integral,
+    monte_carlo_quadrature,
+    tensor_quadrature,
 )
 from spinor_s3.polyring import G2, Polynomial, Z_VIEW, laplacian_r4
 from spinor_s3.repspace import casimir, casimir_expected, l_matrix_int
@@ -32,6 +32,7 @@ from spinor_s3.transfer import (
     LEFT,
     RIGHT,
     beta_lower,
+    gram_matrix,
     iso_closed_form,
     iso_recursive,
     transfer_eigenbasis,
@@ -156,7 +157,7 @@ def test_criterion_08_laplace_eigenvalue_and_commutation():
 
 
 def test_criterion_09_integration():
-    ok = monomial_integral(0, 0, 0, 0).coefficient == gauss(1)
+    ok = monomial_integral(0, 0, 0, 0) == 1
     for l1 in range(5):
         for l3 in range(5):
             expect = Fraction(
@@ -164,32 +165,30 @@ def test_criterion_09_integration():
             )
             if l3 % 2:
                 expect = -expect
-            ok = ok and monomial_integral(l1, l1, l3, l3).coefficient == gauss(expect)
-    ok = ok and monomial_integral(2, 1, 0, 0).is_zero()
+            ok = ok and monomial_integral(l1, l1, l3, l3) == expect
+    ok = ok and monomial_integral(2, 1, 0, 0) == 0
     for k in range(9):
-        ok = ok and l2_inner_product(G2**k, G2**k).coefficient == gauss(Fraction(1, k + 1))
+        ok = ok and l2_inner_product(G2**k, G2**k) == gauss(Fraction(1, k + 1))
 
-    spec = QuadratureSpec.tensor(9, 5)
     worst = 0.0
     for l1 in range(9):
         for l2 in range(9 - l1):
             for l3 in range(9 - l1 - l2):
                 for l4 in range(9 - l1 - l2 - l3):
-                    exact = monomial_integral(l1, l2, l3, l4).float_value()
-                    numeric = eta_quadrature(
-                        Polynomial.monomial((l1, l2, l3, l4), 1, Z_VIEW), spec
-                    ).value
+                    exact = float(monomial_integral(l1, l2, l3, l4)) * SPHERE_VOLUME
+                    [numeric] = tensor_quadrature(
+                        [Polynomial.monomial((l1, l2, l3, l4), 1, Z_VIEW)], 9, 5
+                    )
                     worst = max(worst, abs(numeric - exact) / (1 + abs(exact)))
     ok = ok and worst <= 1e-8
 
     mc_ok = True
     for exps in ((0, 0, 0, 0), (1, 1, 0, 0), (1, 0, 0, 0), (2, 2, 0, 0), (1, 1, 1, 1)):
-        exact = monomial_integral(*exps).float_value()
-        result = eta_quadrature(
-            Polynomial.monomial(exps, 1, Z_VIEW),
-            QuadratureSpec.monte_carlo(MC_SAMPLES, MC_SEED),
+        exact = float(monomial_integral(*exps)) * SPHERE_VOLUME
+        [(value, stderr)] = monte_carlo_quadrature(
+            [Polynomial.monomial(exps, 1, Z_VIEW)], MC_SAMPLES, MC_SEED
         )
-        mc_ok = mc_ok and abs(result.value - exact) <= 3 * result.stderr + 1e-12
+        mc_ok = mc_ok and abs(value - exact) <= 3 * stderr + 1e-12
     _report(9, "integration", ok and mc_ok,
             f"exact formula + norms; tensor worst rel err {worst:.3g} <= 1e-8; "
             f"MC {MC_SAMPLES} samples within 3 standard errors")
@@ -207,7 +206,7 @@ def test_criterion_10_gram_structure():
         ratios = set()
         for p in range(k + 1):
             for q in range(k + 1):
-                entry = gram[p * (k + 1) + q][p * (k + 1) + q].coefficient
+                entry = gram[p * (k + 1) + q][p * (k + 1) + q]
                 ok = ok and entry.im == 0 and entry.re > 0
                 ratios.add(entry.re * math.comb(k, p) * math.comb(k, q))
         ok = ok and len(ratios) == 1

@@ -181,12 +181,40 @@ def assert_stdout_error(code, err):
     ("spectrum", "--k-max", "3"),
     ("eigenbasis", "--k", "3"),
     ("verify", "--suite", "casimir", "--k-max", "0"),
+    # argparse writes help text itself and drops a failed write
+    pytest.param(("--help",), id="help"),
+    pytest.param(("verify", "--help"), id="verify-help"),
 ], ids=lambda argv: argv[0])
 def test_a_full_stdout_is_a_usage_error(argv, unbuffered):
     with open("/dev/full", "w") as full:
         proc = cli_process(argv, unbuffered, stdout=full)
         _, err = proc.communicate(timeout=120)
     assert_stdout_error(proc.returncode, err)
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--k-max", "1"),
+    ("eigenbasis", "--k", "1"),
+    ("verify", "--suite", "casimir", "--k-max", "0"),
+], ids=lambda argv: argv[0])
+def test_a_closed_stdout_is_a_usage_error(argv):
+    # file descriptor 1 closed before the interpreter starts, as by ``>&-``
+    proc = cli_process(argv, False, preexec_fn=lambda: os.close(1))
+    _, err = proc.communicate(timeout=120)
+    assert_stdout_error(proc.returncode, err)
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("verify", "--help")], ids=["top", "verify"])
+def test_help_prints_what_argparse_prints_and_exits_0(capsys, monkeypatch, argv):
+    import argparse
+
+    from spinor_s3 import cli
+
+    guarded = run(capsys, *argv)
+    monkeypatch.setattr(cli._Parser, "print_help", argparse.ArgumentParser.print_help)
+    plain = run(capsys, *argv)
+    assert guarded == plain
+    assert guarded[0] == 0 and guarded[1].startswith("usage: spinor-s3")
 
 
 @pytest.mark.parametrize("unbuffered", STDOUT_MODES)
@@ -608,13 +636,13 @@ def test_gram_check_demands_the_exact_constant(monkeypatch):
     # proportional to 1/(C(k,p)C(k,q)); the verify check must fail it
     from spinor_s3 import verify
     from spinor_s3.exactnum import gauss
-    from spinor_s3.geometry import IntegralValue, gram_matrix
+    from spinor_s3.transfer import gram_matrix
 
     good = verify._check_gram(2)
     assert [r.passed for r in good] == [True, True, True]
 
     def doubled(k):
-        return [[IntegralValue(v.coefficient * gauss(2)) for v in row] for row in gram_matrix(k)]
+        return [[v * gauss(2) for v in row] for row in gram_matrix(k)]
 
     monkeypatch.setattr(verify, "gram_matrix", doubled)
     assert [r.passed for r in verify._check_gram(2)] == [False, False, False]

@@ -16,16 +16,15 @@ from operator_reference import (
 
 from spinor_s3.exactnum import BASIS, E0, E3, gauss, quat
 from spinor_s3.geometry import (
-    IntegralValue,
+    SPHERE_VOLUME,
     KillingPair,
-    QuadratureSpec,
     dirac_section,
-    eta_quadrature,
-    gram_matrix,
     killing_field_matrix,
     l2_inner_product,
     laplace_section,
     monomial_integral,
+    monte_carlo_quadrature,
+    tensor_quadrature,
 )
 from spinor_s3.polyring import (
     G1_BAR,
@@ -38,7 +37,7 @@ from spinor_s3.polyring import (
     Z_VIEW,
     laplacian_r4,
 )
-from spinor_s3.transfer import iso_closed_form
+from spinor_s3.transfer import gram_matrix, iso_closed_form
 
 I = gauss(0, 1)
 Z1 = -GM1
@@ -280,19 +279,19 @@ def test_spin_connection():
 
 
 def test_monomial_integral_values():
-    assert monomial_integral(0, 0, 0, 0).coefficient == gauss(1)
+    assert monomial_integral(0, 0, 0, 0) == 1
     for k in range(9):
-        assert monomial_integral(k, k, 0, 0).coefficient == gauss(Fraction(1, k + 1))
-    assert monomial_integral(1, 0, 0, 0).is_zero()
-    assert monomial_integral(0, 0, 1, 1).coefficient == gauss(Fraction(-1, 2))
+        assert monomial_integral(k, k, 0, 0) == Fraction(1, k + 1)
+    assert monomial_integral(1, 0, 0, 0) == 0
+    assert monomial_integral(0, 0, 1, 1) == Fraction(-1, 2)
+    assert all(type(monomial_integral(*e)) is Fraction for e in ((1, 1, 2, 2), (1, 0, 0, 0)))
     with pytest.raises(ValueError):
         monomial_integral(-1, 0, 0, 0)
 
 
 def test_l2_norms_of_powers():
     for k in range(9):
-        value = l2_inner_product(G2**k, G2**k)
-        assert value.coefficient == gauss(Fraction(1, k + 1))
+        assert l2_inner_product(G2**k, G2**k) == gauss(Fraction(1, k + 1))
 
 
 def test_l2_orthogonality_examples():
@@ -306,69 +305,92 @@ def test_l2_conjugate_linear_first_argument():
     a, b = G2 + GM1.scale(I), G2_BAR * G2
     scaled = l2_inner_product(a.scale(gauss(2, 3)), b)
     plain = l2_inner_product(a, b)
-    assert scaled.coefficient == gauss(2, 3).conjugate() * plain.coefficient
+    assert scaled == gauss(2, 3).conjugate() * plain
     swapped = l2_inner_product(b, a.scale(gauss(2, 3)))
-    assert swapped.coefficient == (scaled.coefficient).conjugate()
+    assert swapped == scaled.conjugate()
 
 
 def test_l2_positive_on_real_norms():
     rng = random.Random(25)
     for _ in range(10):
         p = random_poly(rng)
-        norm = l2_inner_product(p, p).coefficient
+        norm = l2_inner_product(p, p)
         assert norm.im == 0 and norm.re >= 0
+
+
+def test_sphere_volume():
+    assert SPHERE_VOLUME == 2.0 * math.pi**2
+    assert float(monomial_integral(1, 1, 0, 0)) * SPHERE_VOLUME == pytest.approx(math.pi**2)
 
 
 # -- quadrature --------------------------------------------------------------------
 
 
 def test_tensor_quadrature_pinned_values():
-    spec = QuadratureSpec.tensor(9, 5)
-    vol = eta_quadrature(Polynomial.constant(1, Z_VIEW), spec).value
+    vol, mixed, odd = tensor_quadrature([Polynomial.constant(1, Z_VIEW), G2 * G2_BAR, G2], 9, 5)
     assert abs(vol - 2 * math.pi**2) < 1e-9
-
-    mixed = eta_quadrature(G2 * G2_BAR, spec).value
     assert abs(mixed - math.pi**2) < 1e-9
-
-    odd = eta_quadrature(G2, spec).value
     assert abs(odd) < 1e-9
 
 
 def test_tensor_quadrature_matches_exact_on_degree_4():
-    spec = QuadratureSpec.tensor(6, 4)
     for exps in ((1, 1, 0, 0), (0, 0, 2, 2), (1, 1, 1, 1), (2, 1, 1, 0)):
-        exact = monomial_integral(*exps).float_value()
-        numeric = eta_quadrature(Polynomial.monomial(exps, 1, Z_VIEW), spec).value
+        exact = float(monomial_integral(*exps)) * SPHERE_VOLUME
+        [numeric] = tensor_quadrature([Polynomial.monomial(exps, 1, Z_VIEW)], 6, 4)
         assert abs(numeric - exact) <= 1e-8 * (1 + abs(exact))
 
 
 def test_monte_carlo_within_three_sigma():
-    result = eta_quadrature(G2 * G2_BAR, QuadratureSpec.monte_carlo(40_000, 7))
-    exact = monomial_integral(1, 1, 0, 0).float_value()
-    assert result.stderr is not None
-    assert abs(result.value - exact) <= 3 * result.stderr + 1e-12
+    [(value, stderr)] = monte_carlo_quadrature([G2 * G2_BAR], 40_000, 7)
+    exact = float(monomial_integral(1, 1, 0, 0)) * SPHERE_VOLUME
+    assert stderr > 0
+    assert abs(value - exact) <= 3 * stderr + 1e-12
 
 
 def test_monte_carlo_reproducible():
-    spec = QuadratureSpec.monte_carlo(30_000, 42)
-    a = eta_quadrature(G2 * G2_BAR, spec)
-    b = eta_quadrature(G2 * G2_BAR, spec)
-    assert a.value == b.value and a.stderr == b.stderr
+    assert monte_carlo_quadrature([G2 * G2_BAR], 30_000, 42) == monte_carlo_quadrature(
+        [G2 * G2_BAR], 30_000, 42
+    )
 
 
-def test_quadrature_spec_validation():
-    with pytest.raises(ValueError):
-        eta_quadrature(G2, QuadratureSpec.tensor(0, 5))
-    with pytest.raises(ValueError):
-        eta_quadrature(G2, QuadratureSpec.tensor(5, 0))
-    with pytest.raises(ValueError):
-        eta_quadrature(G2, QuadratureSpec.monte_carlo(0, 1))
-    with pytest.raises(ValueError):
-        eta_quadrature(G2, QuadratureSpec("nodes"))
+# monomials of degree up to 4 and a multi-term polynomial with a complex
+# coefficient, so that each result has a real and an imaginary part
+BATCH = [
+    Polynomial.constant(1, Z_VIEW),
+    G2 * G2_BAR,
+    Polynomial.monomial((1, 1, 1, 1), 1, Z_VIEW),
+    Polynomial.monomial((2, 1, 1, 0), 1, Z_VIEW),
+    G2 * G2_BAR + (GM1 * G1_BAR).scale(gauss(2, -3)) + G2.scale(I) + Polynomial.constant(5, Z_VIEW),
+]
+
+
+def test_tensor_batch_equals_single_calls():
+    batch = tensor_quadrature(BATCH, 7, 4)
+    assert batch == [tensor_quadrature([f], 7, 4)[0] for f in BATCH]
+
+
+def test_monte_carlo_batch_equals_single_calls():
+    # 150 000 samples span three chunks, the last one short
+    batch = monte_carlo_quadrature(BATCH, 150_000, 11)
+    assert batch == [monte_carlo_quadrature([f], 150_000, 11)[0] for f in BATCH]
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: tensor_quadrature([G2], 0, 5), "n_angular >= 1"),
+    (lambda: tensor_quadrature([G2], 5, 0), "n_radial >= 1"),
+    (lambda: monte_carlo_quadrature([G2], 0, 1), "samples >= 2"),
     # one sample has no variance estimate, so it cannot bound its error
-    with pytest.raises(ValueError, match="samples >= 2"):
-        QuadratureSpec.monte_carlo(1, 1).validate()
-    QuadratureSpec.monte_carlo(2, 1).validate()
+    (lambda: monte_carlo_quadrature([G2], 1, 1), "samples >= 2"),
+    (lambda: monte_carlo_quadrature([G2], 1000, None), "explicit seed"),
+], ids=["angular-0", "radial-0", "samples-0", "samples-1", "seed-none"])
+def test_quadrature_refusals(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
+def test_monte_carlo_accepts_two_samples():
+    [(value, stderr)] = monte_carlo_quadrature([G2 * G2_BAR], 2, 1)
+    assert math.isfinite(value.real) and stderr >= 0
 
 
 # -- Gram matrices ------------------------------------------------------------------
@@ -377,7 +399,7 @@ def test_quadrature_spec_validation():
 def test_gram_k0_is_volume():
     gram = gram_matrix(0)
     assert len(gram) == 1
-    assert gram[0][0].coefficient == gauss(1)
+    assert gram[0][0] == gauss(1)
 
 
 def test_gram_k1_diagonal_with_known_entry():
@@ -387,7 +409,7 @@ def test_gram_k1_diagonal_with_known_entry():
         for j in range(4):
             if i != j:
                 assert gram[i][j].is_zero()
-    assert gram[0][0].coefficient == gauss(Fraction(1, 2))
+    assert gram[0][0] == gauss(Fraction(1, 2))
 
 
 def test_gram_diagonal_proportional_to_binomial_pattern():
@@ -396,11 +418,7 @@ def test_gram_diagonal_proportional_to_binomial_pattern():
         ratios = set()
         for p in range(k + 1):
             for q in range(k + 1):
-                entry = gram[p * (k + 1) + q][p * (k + 1) + q].coefficient
+                entry = gram[p * (k + 1) + q][p * (k + 1) + q]
                 assert entry.im == 0
                 ratios.add(entry.re * math.comb(k, p) * math.comb(k, q))
         assert len(ratios) == 1
-
-
-def test_integral_value_float():
-    assert IntegralValue(gauss(1)).float_value() == pytest.approx(2 * math.pi**2)
