@@ -15,9 +15,9 @@ linear algebra happens on 2(k+1)-dimensional blocks, and
 :func:`eigenbasis_abstract` checks its families on one slice, then
 repeats that checked slice for every q.
 
-Storage: a :class:`SpinorVector` holds its nonzero coefficients as
-Gaussian integers ``{(r, p): (re, im)}`` (Python ints) over one positive
-``int`` denominator, in the canonical form of ``exactnum.reduce_parts``,
+Storage: a :class:`SpinorVector` is an ``exactnum.GaussParts`` in the
+space (k, q): its nonzero coefficients are Gaussian integers
+``{(r, p): (re, im)}`` over one positive denominator, in canonical form,
 so equality stays structural.  :func:`dbar_apply`, the vector arithmetic,
 the eigenvector families and their self-check compute on those ints; the
 block is the Gaussian-integer matrix :func:`dbar_block_int`, which
@@ -30,24 +30,21 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .exactnum import (
     BASIS,
     GaussianRational,
     GaussInt,
+    GaussParts,
     add_parts,
     complex_split,
-    gauss_over,
-    gauss_parts,
     parts_over,
     quat_multiply,
     rational_to_str,
     reduce_parts,
-    scale_parts,
 )
-from .repspace import _ket, apply_l
+from .repspace import KetVector, apply_l
 
 Key = tuple[int, int]  # (r, p) with r in {0, 2}
 
@@ -58,31 +55,30 @@ def _index(r: int, p: int, n: int) -> int:
     return p if r == 0 else n + p
 
 
-class SpinorVector:
+class SpinorVector(GaussParts):
     """A vector in the per-q slice, as sparse (r, p) coefficients (storage:
     see the module docstring)."""
 
-    __slots__ = ("k", "q", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, k: int, q: int, coeffs):
         if not 0 <= q <= k:
             raise ValueError(f"q={q} outside 0..{k}")
-        parts = []
-        for (r, p), c in coeffs:
+        coeffs = tuple(coeffs)
+        for (r, p), _ in coeffs:
             if r not in (0, 2):
                 raise ValueError(f"slot index r={r} must be 0 or 2")
             if not 0 <= p <= k:
                 raise ValueError(f"ket index p={p} outside 0..{k}")
-            parts.append(((r, p), *gauss_parts(c)))
-        den = lcm(*(d for *_, d in parts))
-        num: dict[Key, GaussInt] = {}
-        for key, re, im, d in parts:
-            s = den // d
-            c = num.get(key)
-            num[key] = (re * s, im * s) if c is None else (c[0] + re * s, c[1] + im * s)
-        self.k = k
-        self.q = q
-        self._num, self._den = reduce_parts(num, den)
+        super().__init__(coeffs, k, q)
+
+    @property
+    def k(self) -> int:
+        return self._space[0]
+
+    @property
+    def q(self) -> int:
+        return self._space[1]
 
     @staticmethod
     def basis(k: int, q: int, r: int, p: int) -> "SpinorVector":
@@ -92,31 +88,7 @@ class SpinorVector:
     def coeffs(self) -> tuple[tuple[Key, GaussianRational], ...]:
         """The nonzero coefficients as Gaussian rationals, sorted by key (a
         new tuple)."""
-        den = self._den
-        return tuple((key, gauss_over(re, im, den)) for key, (re, im) in sorted(self._num.items()))
-
-    def is_zero(self) -> bool:
-        return not self._num
-
-    def __add__(self, other: "SpinorVector") -> "SpinorVector":
-        assert (self.k, self.q) == (other.k, other.q)
-        return _spinor(self.k, self.q, *add_parts(self._num, self._den, other._num, other._den))
-
-    def __sub__(self, other: "SpinorVector") -> "SpinorVector":
-        assert (self.k, self.q) == (other.k, other.q)
-        return _spinor(self.k, self.q, *add_parts(self._num, self._den, other._num, other._den, -1))
-
-    def scale(self, c) -> "SpinorVector":
-        return _spinor(self.k, self.q, *scale_parts(self._num, self._den, *gauss_parts(c)))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpinorVector):
-            return NotImplemented
-        return ((self.k, self.q, self._den) == (other.k, other.q, other._den)
-                and self._num == other._num)
-
-    def __hash__(self):
-        return hash((self.k, self.q, self._den, frozenset(self._num.items())))
+        return tuple(sorted(self.terms.items()))
 
     def __repr__(self) -> str:
         return f"SpinorVector(k={self.k}, q={self.q}, coeffs={self.coeffs!r})"
@@ -130,16 +102,6 @@ class SpinorVector:
             j = _index(r, p, n)
             re[j], im[j] = x, y
         return re, im
-
-
-def _spinor(k: int, q: int, num: dict[Key, GaussInt], den: int) -> SpinorVector:
-    """A SpinorVector on parts that are already canonical."""
-    v = object.__new__(SpinorVector)
-    v.k = k
-    v.q = q
-    v._num = num
-    v._den = den
-    return v
 
 
 def dbar_apply(v: SpinorVector) -> SpinorVector:
@@ -159,7 +121,7 @@ def dbar_apply(v: SpinorVector) -> SpinorVector:
         for key, f in terms:
             c = out.get(key)
             out[key] = (re * f, im * f) if c is None else (c[0] + re * f, c[1] + im * f)
-    return _spinor(k, v.q, *reduce_parts(out, v._den))
+    return SpinorVector._of(*reduce_parts(out, v._den), k, v.q)
 
 
 #: complex_split(e_r * e_i) for r in {0, 2} and i = 1..3, as Gaussian
@@ -190,7 +152,7 @@ def dbar_apply_first_principles(v: SpinorVector) -> SpinorVector:
     for r in (0, 2):
         if not kets[r]:
             continue
-        ket = _ket(k, *reduce_parts(kets[r], v._den))
+        ket = KetVector._of(*reduce_parts(kets[r], v._den), k)
         for i in (1, 2, 3):
             moved = apply_l(i, ket)
             term: dict[Key, GaussInt] = {}
@@ -199,7 +161,7 @@ def dbar_apply_first_principles(v: SpinorVector) -> SpinorVector:
                     # -(x + i y)(ar + i ai)
                     term[(s, p)] = (y * ai - x * ar, -(x * ai + y * ar))
             num, den = add_parts(num, den, *reduce_parts(term, moved._den))
-    return _spinor(k, v.q, num, den)
+    return SpinorVector._of(num, den, k, v.q)
 
 
 def dbar_block_int(k: int) -> linalg.GaussIntMatrix:
@@ -222,7 +184,7 @@ def dbar_block_int(k: int) -> linalg.GaussIntMatrix:
 def dbar_block_matrix(k: int) -> linalg.Matrix:
     """:func:`dbar_block_int` as Gaussian rationals.  Only the benchmark's
     micro mode (``perfbench/child.py``) calls it; it goes with that mode
-    (ROADMAP item 2)."""
+    (ROADMAP item 1)."""
     return linalg.from_int(dbar_block_int(k))
 
 
@@ -287,14 +249,14 @@ def eigenbasis_abstract(k: int) -> tuple[EigenFamily, EigenFamily]:
         ("minus", Fraction(-2 * k - 3, 2), -k, minus_slice),
     ):
         for _, num in slice_:
-            v = _spinor(k, 0, num, 1)
+            v = SpinorVector._of(num, 1, k, 0)
             if dbar_apply(v) != v.scale(dbar_eigenvalue):
                 raise AssertionError(
                     f"vector {v} is not a Dbar eigenvector for {dbar_eigenvalue}"
                 )
         families.append(EigenFamily(
             k, dirac_eigenvalue, label,
-            tuple(_spinor(k, q, num, 1) for q in range(k + 1) for _, num in slice_),
+            tuple(SpinorVector._of(num, 1, k, q) for q in range(k + 1) for _, num in slice_),
             tuple((q, p) for q in range(k + 1) for p, _ in slice_),
         ))
     plus, minus = families

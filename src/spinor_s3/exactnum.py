@@ -10,11 +10,13 @@ A quaternion is identified with a pair of complex numbers through the
 basis (e0, e2); the complex scalar a + b*i acts by left multiplication
 with a + b*e1.
 
-The exact containers of the other modules do not store
-``GaussianRational``s: they keep Gaussian integers ``(re, im)`` over one
-shared positive denominator, and the helpers at the end of this module
-(``gauss_parts``, ``gauss_over``, ``reduce_parts``, ``add_parts``,
-``scale_parts``) convert at the edge and keep that form canonical.
+The exact vectors of the other modules (``Polynomial``, ``KetVector``,
+``SpinorVector``) do not store ``GaussianRational``s: each subclasses
+:class:`GaussParts`, which keeps Gaussian integers ``(re, im)`` over one
+shared positive denominator and does their vector-space arithmetic.  The
+helpers before it (``gauss_parts``, ``gauss_over``, ``reduce_parts``,
+``add_parts``, ``scale_parts``) convert at the edge and keep that form
+canonical.
 """
 
 from __future__ import annotations
@@ -127,10 +129,9 @@ GAUSS_I = gauss(0, 1)
 
 # -- Gaussian integers over a common denominator ----------------------------
 #
-# Used by ``Polynomial``, ``KetVector``, ``SpinorVector`` and ``linalg``.  A
-# map of Gaussian integers over den > 0 is canonical when it has no zero
-# entry and gcd(den, every part) = 1, so zero is ({}, 1) and equal values
-# have equal parts.
+# Used by ``GaussParts`` and ``linalg``.  A map of Gaussian integers over
+# den > 0 is canonical when it has no zero entry and gcd(den, every part) =
+# 1, so zero is ({}, 1) and equal values have equal parts.
 
 #: A Gaussian integer re + im*i.
 GaussInt = tuple[int, int]
@@ -220,6 +221,81 @@ def scale_parts(a: dict, den: int, cr: int, ci: int, cd: int) -> tuple[dict, int
     else:
         out = {key: (re * cr - im * ci, re * ci + im * cr) for key, (re, im) in a.items()}
     return reduce_parts(out, den * cd)
+
+
+class GaussParts:
+    """An exact vector: canonical Gaussian-integer parts ``_num`` (a dict
+    keyed by the subclass's basis labels) over ``_den``, in the space that
+    the tuple ``_space`` of the subclass's fields names.  Two vectors are
+    equal when their spaces and parts are; vectors of different spaces do
+    not combine.  Kernels read ``_num``/``_den`` and build results with
+    :meth:`_of`."""
+
+    __slots__ = ("_num", "_den", "_space")
+
+    def __init__(self, items, *space):
+        """The vector sum of ``(key, scalar)`` pairs (a key may repeat);
+        scalars are ints, Fractions or GaussianRationals."""
+        parts = [(key, *gauss_parts(c)) for key, c in items]
+        den = lcm(*(d for *_, d in parts))
+        num: dict = {}
+        for key, re, im, d in parts:
+            s = den // d
+            c = num.get(key)
+            num[key] = (re * s, im * s) if c is None else (c[0] + re * s, c[1] + im * s)
+        self._num, self._den = reduce_parts(num, den)
+        self._space = space
+
+    @classmethod
+    def _of(cls, num: dict, den: int, *space):
+        """A vector on parts that are already canonical, unchecked."""
+        v = object.__new__(cls)
+        v._num = num
+        v._den = den
+        v._space = space
+        return v
+
+    @property
+    def terms(self) -> dict:
+        """The nonzero entries as Gaussian rationals (a new dict)."""
+        den = self._den
+        return {key: gauss_over(re, im, den) for key, (re, im) in self._num.items()}
+
+    def is_zero(self) -> bool:
+        return not self._num
+
+    def _same_space(self, other):
+        """``other``, refused unless it is a vector of this space."""
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
+        if other._space != self._space:
+            raise ValueError(f"{type(self).__name__}s of different spaces: "
+                             f"{self._space} and {other._space}")
+        return other
+
+    def __add__(self, other):
+        other = self._same_space(other)
+        return self._of(*add_parts(self._num, self._den, other._num, other._den), *self._space)
+
+    def __sub__(self, other):
+        other = self._same_space(other)
+        return self._of(*add_parts(self._num, self._den, other._num, other._den, -1),
+                        *self._space)
+
+    def __neg__(self):
+        return self._of(*scale_parts(self._num, self._den, -1, 0, 1), *self._space)
+
+    def scale(self, c):
+        return self._of(*scale_parts(self._num, self._den, *gauss_parts(c)), *self._space)
+
+    def __eq__(self, other) -> bool:
+        if type(other) is not type(self):
+            return NotImplemented
+        return (self._space == other._space and self._den == other._den
+                and self._num == other._num)
+
+    def __hash__(self):
+        return hash((self._space, self._den, frozenset(self._num.items())))
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from .exactnum import (
     quat_multiply,
     reduce_parts,
 )
-from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, _basis_product_split, _reduced
+from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, _basis_product_split
 
 
 @dataclass(frozen=True)
@@ -151,7 +151,7 @@ def _first_order(p: Polynomial, table: tuple) -> Polynomial:
     """The operator ``table`` applied to p in one pass."""
     acc: dict = {}
     _shift_into(acc, p._num, table)
-    return _reduced(acc, p._den * table[0], p.view)
+    return Polynomial._of(*reduce_parts(acc, p._den * table[0]), p.view)
 
 
 @lru_cache(maxsize=None)
@@ -234,7 +234,7 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
         acc: dict = {}
         for src in ("f", "g"):
             _shift_into(acc, nums[src], tables[(src, dst)])
-        parts.append(_reduced(acc, den, view))
+        parts.append(Polynomial._of(*reduce_parts(acc, den), view))
     return SpinorSection(*parts)
 
 
@@ -267,7 +267,7 @@ def _laplace_poly(p: Polynomial) -> Polynomial:
             re, im = a * mr - b * mi, a * mi + b * mr
             t = acc.get(key)
             acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
-    return _reduced(acc, p._den * den, view)
+    return Polynomial._of(*reduce_parts(acc, p._den * den), view)
 
 
 def laplace_section(sigma: SpinorSection) -> SpinorSection:

@@ -45,7 +45,7 @@ GaussIntMatrix = tuple[IntMatrix, IntMatrix]
 # zeros, identity, mat_add, mat_scale and trace have no caller in the
 # library: the benchmark's micro mode (``perfbench/child.py``) replays a
 # Faddeev-LeVerrier loop with them and ``mat_mul``.  They go with that mode
-# (ROADMAP item 2).
+# (ROADMAP item 1).
 
 
 def zeros(rows: int, cols: int) -> Matrix:

@@ -16,23 +16,23 @@ in ``geometry``) work directly on its exponents.  The x view is kept for
 conversion and as a test oracle.  Exponent tuples are ordered
 graded-lexicographically for deterministic output.
 
-Coefficient storage: a polynomial is a map from exponents to Gaussian
-integers ``(re, im)`` (Python ints) over one positive ``int`` denominator
-shared by all terms, kept canonical -- no zero terms, gcd(denominator,
-every numerator) = 1, and ``({}, 1)`` for zero -- so equality stays
-structural.  Every kernel computes on those ints; ``GaussianRational``
-appears only at the edge: the constructor, ``terms``, ``evaluate`` and
-``from_json``, which reads the ``"num/den"`` strings that ``to_json``
-writes straight from each numerator over the denominator.  The kernels
-outside this module (the shift-table passes behind
-``geometry.dirac_section``, ``laplace_section`` and
-``transfer.beta_lower``, and ``geometry.l2_inner_product``,
+Coefficient storage: a polynomial is an ``exactnum.GaussParts`` in the
+space (view,): a map from exponents to Gaussian integers ``(re, im)``
+(Python ints) over one positive ``int`` denominator shared by all terms,
+kept canonical -- no zero terms, gcd(denominator, every numerator) = 1,
+and ``({}, 1)`` for zero -- so equality stays structural.  Every kernel
+computes on those ints; ``GaussianRational`` appears only at the edge:
+the constructor, ``terms``, ``evaluate`` and ``from_json``, which reads
+the ``"num/den"`` strings that ``to_json`` writes straight from each
+numerator over the denominator.  The kernels outside this module (the
+shift-table passes behind ``geometry.dirac_section``, ``laplace_section``
+and ``transfer.beta_lower``, and ``geometry.l2_inner_product``,
 ``transfer.iso_closed_form`` and ``transfer.transfer_eigenbasis``) read
-``_num``/``_den`` and build their results through ``_reduced`` or
-``_poly``, on parts that ``exactnum.reduce_parts``, ``add_parts`` or
-``scale_parts`` keep canonical.  The transfer checks in ``verify`` read
-the exponents and numerators of ``_num`` directly, for the exponent
-bookkeeping and the sparse rank.
+``_num``/``_den`` and build their results with ``Polynomial._of`` on
+parts that ``exactnum.reduce_parts``, ``add_parts`` or ``scale_parts``
+keep canonical.  The transfer checks in ``verify`` read the exponents and
+numerators of ``_num`` directly, for the exponent bookkeeping and the
+sparse rank.
 """
 
 from __future__ import annotations
@@ -45,19 +45,15 @@ from typing import Optional
 from .exactnum import (
     GaussianRational,
     GaussInt,
+    GaussParts,
     RationalQuaternion,
-    _coerce_gauss,
-    add_parts,
     assemble,
     complex_split,
     gauss,
-    gauss_over,
-    gauss_parts,
     parts_over,
     quat_multiply,
     ratio_to_str,
     reduce_parts,
-    scale_parts,
     BASIS,
 )
 
@@ -72,24 +68,30 @@ def _term_order(item):
     return (sum(exp), tuple(-e for e in exp))
 
 
-class Polynomial:
+def _exponents(exp) -> Exponents:
+    """``exp`` as an exponent tuple, refused unless it is 4 nonnegative ints."""
+    exp = tuple(exp)
+    if len(exp) != 4 or not all(type(e) is int and e >= 0 for e in exp):
+        raise ValueError(f"exponents must be 4 nonnegative ints, got {list(exp)}")
+    return exp
+
+
+class Polynomial(GaussParts):
     """Sparse polynomial: nonzero Gaussian-integer numerators keyed by
     exponent tuples, over one shared positive denominator (see the module
     docstring for the canonical form)."""
 
-    __slots__ = ("_num", "_den", "view")
+    __slots__ = ()
 
     def __init__(self, terms: Optional[dict[Exponents, GaussianRational]] = None,
                  view: str = Z_VIEW):
         if view not in (X_VIEW, Z_VIEW):
             raise ValueError(f"unknown view {view!r}")
-        items = [(tuple(exp), c) for exp, c in (terms or {}).items() if not c.is_zero()]
-        # the parts are reduced fractions, so over the lcm of their
-        # denominators the numerators already share no factor with it
-        den = lcm(*(d for _, c in items for d in (c.re.denominator, c.im.denominator)))
-        self._num = {exp: parts_over(c, den) for exp, c in items}
-        self._den = den
-        self.view = view
+        super().__init__(((_exponents(exp), c) for exp, c in (terms or {}).items()), view)
+
+    @property
+    def view(self) -> str:
+        return self._space[0]
 
     # -- constructors -----------------------------------------------------
 
@@ -99,28 +101,19 @@ class Polynomial:
 
     @staticmethod
     def constant(c, view: str = Z_VIEW) -> "Polynomial":
-        return Polynomial({(0, 0, 0, 0): _coerce_gauss(c)}, view)
+        return Polynomial({(0, 0, 0, 0): c}, view)
 
     @staticmethod
     def variable(index: int, view: str) -> "Polynomial":
         exp = [0, 0, 0, 0]
         exp[index] = 1
-        return Polynomial({tuple(exp): gauss(1)}, view)
+        return Polynomial({tuple(exp): 1}, view)
 
     @staticmethod
     def monomial(exponents: Exponents, coeff, view: str) -> "Polynomial":
-        return Polynomial({tuple(exponents): _coerce_gauss(coeff)}, view)
+        return Polynomial({tuple(exponents): coeff}, view)
 
     # -- inspection ---------------------------------------------------------
-
-    @property
-    def terms(self) -> dict[Exponents, GaussianRational]:
-        """The nonzero coefficients as Gaussian rationals (a new dict)."""
-        den = self._den
-        return {exp: gauss_over(re, im, den) for exp, (re, im) in self._num.items()}
-
-    def is_zero(self) -> bool:
-        return not self._num
 
     def degree(self) -> int:
         """Total degree (-1 for the zero polynomial)."""
@@ -137,23 +130,10 @@ class Polynomial:
 
     # -- ring operations ------------------------------------------------------
 
-    def __add__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(self._same_view(other), 1)
-
-    def __neg__(self) -> "Polynomial":
-        return _poly({e: (-re, -im) for e, (re, im) in self._num.items()}, self._den, self.view)
-
-    def __sub__(self, other: "Polynomial") -> "Polynomial":
-        return self._plus(self._same_view(other), -1)
-
-    def _plus(self, other: "Polynomial", sign: int) -> "Polynomial":
-        """self + sign*other for sign = +-1, other in self's view."""
-        return _poly(*add_parts(self._num, self._den, other._num, other._den, sign), self.view)
-
     def __mul__(self, other) -> "Polynomial":
         if isinstance(other, (int, Fraction, GaussianRational)):
             return self.scale(other)
-        other = self._same_view(other)
+        other = self._same_space(other)
         out: dict[Exponents, GaussInt] = {}
         for (p0, p1, p2, p3), (a, b) in self._num.items():
             for (q0, q1, q2, q3), (c, d) in other._num.items():
@@ -161,7 +141,7 @@ class Polynomial:
                 re, im = a * c - b * d, a * d + b * c
                 t = out.get(exp)
                 out[exp] = (re, im) if t is None else (t[0] + re, t[1] + im)
-        return _reduced(out, self._den * other._den, self.view)
+        return Polynomial._of(*reduce_parts(out, self._den * other._den), self.view)
 
     def __rmul__(self, other) -> "Polynomial":
         return self * other
@@ -174,28 +154,21 @@ class Polynomial:
             result = result * self
         return result
 
-    def scale(self, c) -> "Polynomial":
-        return self._scaled(*gauss_parts(c))
-
-    def _scaled(self, cr: int, ci: int, cd: int) -> "Polynomial":
-        """self * (cr + ci*i)/cd with cd > 0."""
-        return _poly(*scale_parts(self._num, self._den, cr, ci, cd), self.view)
+    def _same_space(self, other: "Polynomial") -> "Polynomial":
+        """``other`` in this polynomial's view: the views of one function
+        space mix freely."""
+        if isinstance(other, Polynomial):
+            other = other.in_view(self.view)
+        return super()._same_space(other)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Polynomial):
             return NotImplemented
-        other = other.in_view(self.view)
-        return self._den == other._den and self._num == other._num
+        return GaussParts.__eq__(self, other.in_view(self.view))
 
     def __hash__(self):
         # hash the canonical z form so cross-view equality stays consistent
-        z = self.in_view(Z_VIEW)
-        return hash((z._den, frozenset(z._num.items())))
-
-    def _same_view(self, other: "Polynomial") -> "Polynomial":
-        if not isinstance(other, Polynomial):
-            raise TypeError(f"expected Polynomial, got {type(other).__name__}")
-        return other.in_view(self.view)
+        return GaussParts.__hash__(self.in_view(Z_VIEW))
 
     # -- view conversion -------------------------------------------------
 
@@ -205,12 +178,12 @@ class Polynomial:
         subs = _substitution_polys(self.view, target)
         out = Polynomial.zero(target)
         for exp, c in self._num.items():
-            term = _poly({(0, 0, 0, 0): c}, 1, target)
+            term = Polynomial._of({(0, 0, 0, 0): c}, 1, target)
             for var, e in enumerate(exp):
                 for _ in range(e):
                     term = term * subs[var]
             out = out + term
-        return out._scaled(1, 0, self._den)
+        return out.scale(Fraction(1, self._den))
 
     # -- calculus ----------------------------------------------------------
 
@@ -225,7 +198,7 @@ class Polynomial:
             new = list(exp)
             new[j] = e - 1
             out[tuple(new)] = (re * e, im * e)
-        return _reduced(out, self._den, self.view)
+        return Polynomial._of(*reduce_parts(out, self._den), self.view)
 
     def conjugate(self) -> "Polynomial":
         """Complex conjugate of the polynomial as a function on R^4."""
@@ -238,7 +211,7 @@ class Polynomial:
                 (b, a, d, c): (-re, im) if (c + d) % 2 else (re, -im)
                 for (a, b, c, d), (re, im) in self._num.items()
             }
-        return _poly(out, self._den, self.view)
+        return Polynomial._of(out, self._den, self.view)
 
     def evaluate(self, point) -> GaussianRational:
         """Exact evaluation at a rational point (x0, x1, x2, x3)."""
@@ -291,20 +264,6 @@ class Polynomial:
             c = t["coeff"]
             terms[tuple(t["exp"])] = GaussianRational(Fraction(c["re"]), Fraction(c["im"]))
         return Polynomial(terms, obj["view"])
-
-
-def _poly(num: dict[Exponents, GaussInt], den: int, view: str) -> Polynomial:
-    """A Polynomial on parts that are already canonical."""
-    p = object.__new__(Polynomial)
-    p._num = num
-    p._den = den
-    p.view = view
-    return p
-
-
-def _reduced(num: dict[Exponents, GaussInt], den: int, view: str) -> Polynomial:
-    """A Polynomial on integer parts over den > 0, made canonical."""
-    return _poly(*reduce_parts(num, den), view)
 
 
 # Degree-one generators of the z view and the real coordinates.
@@ -372,7 +331,7 @@ def laplacian_r4(p: Polynomial) -> Polynomial:
                 acc[key] = (re * factor, im * factor)
             else:
                 acc[key] = (t[0] + re * factor, t[1] + im * factor)
-    return _reduced(acc, p._den, p.view)
+    return Polynomial._of(*reduce_parts(acc, p._den), p.view)
 
 
 @lru_cache(maxsize=None)

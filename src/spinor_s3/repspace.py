@@ -19,10 +19,9 @@ The complexified ladder operators are normalised so that
 
 which satisfy [H, X] = 2X, [H, Y] = -2Y and [X, Y] = H exactly.
 
-Storage: a :class:`KetVector` holds its nonzero coefficients as Gaussian
-integers ``{p: (re, im)}`` (Python ints) over one positive ``int``
-denominator, in the canonical form of ``exactnum.reduce_parts`` (no zero
-entries, nothing left to cancel, zero is ``({}, 1)``), so equality stays
+Storage: a :class:`KetVector` is an ``exactnum.GaussParts`` in the space
+(k,): its nonzero coefficients are Gaussian integers ``{p: (re, im)}``
+over one positive denominator, in canonical form, so equality stays
 structural.  :func:`apply_l`, :func:`apply_sl2` and the vector arithmetic
 compute on those ints.  The l_i have Gaussian-integer matrices
 (:func:`l_matrix_int`), which :func:`casimir` multiplies with
@@ -33,27 +32,24 @@ the constructor and ``coeffs``.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
 
 from . import linalg
 from .exactnum import (
     GAUSS_I,
+    GAUSS_ZERO,
     GaussianRational,
     GaussInt,
-    add_parts,
+    GaussParts,
     gauss,
-    gauss_over,
-    gauss_parts,
     reduce_parts,
-    scale_parts,
 )
 
 
-class KetVector:
+class KetVector(GaussParts):
     """A vector in H_k over the kets |0>..|k> (storage: see the module
     docstring)."""
 
-    __slots__ = ("k", "_num", "_den")
+    __slots__ = ()
 
     def __init__(self, k: int, coeffs):
         if k < 0:
@@ -61,12 +57,11 @@ class KetVector:
         coeffs = tuple(coeffs)
         if len(coeffs) != k + 1:
             raise ValueError(f"expected {k + 1} coefficients, got {len(coeffs)}")
-        parts = [gauss_parts(c) for c in coeffs]
-        den = lcm(*(d for _, _, d in parts))
-        self.k = k
-        self._num, self._den = reduce_parts(
-            {p: (re * (den // d), im * (den // d)) for p, (re, im, d) in enumerate(parts)}, den
-        )
+        super().__init__(enumerate(coeffs), k)
+
+    @property
+    def k(self) -> int:
+        return self._space[0]
 
     @staticmethod
     def zero(k: int) -> "KetVector":
@@ -76,50 +71,16 @@ class KetVector:
     def basis(k: int, p: int) -> "KetVector":
         if not 0 <= p <= k:
             raise ValueError(f"ket index p={p} outside 0..{k}")
-        return _ket(k, {p: (1, 0)}, 1)
+        return KetVector._of({p: (1, 0)}, 1, k)
 
     @property
     def coeffs(self) -> tuple[GaussianRational, ...]:
         """The k+1 coefficients as Gaussian rationals (a new tuple)."""
-        num, den = self._num, self._den
-        return tuple(gauss_over(*num.get(p, (0, 0)), den) for p in range(self.k + 1))
-
-    def __add__(self, other: "KetVector") -> "KetVector":
-        assert self.k == other.k
-        return _ket(self.k, *add_parts(self._num, self._den, other._num, other._den))
-
-    def __sub__(self, other: "KetVector") -> "KetVector":
-        assert self.k == other.k
-        return _ket(self.k, *add_parts(self._num, self._den, other._num, other._den, -1))
-
-    def __neg__(self) -> "KetVector":
-        return _ket(self.k, *scale_parts(self._num, self._den, -1, 0, 1))
-
-    def scale(self, c) -> "KetVector":
-        return _ket(self.k, *scale_parts(self._num, self._den, *gauss_parts(c)))
-
-    def is_zero(self) -> bool:
-        return not self._num
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KetVector):
-            return NotImplemented
-        return self.k == other.k and self._den == other._den and self._num == other._num
-
-    def __hash__(self):
-        return hash((self.k, self._den, frozenset(self._num.items())))
+        terms = self.terms
+        return tuple(terms.get(p, GAUSS_ZERO) for p in range(self.k + 1))
 
     def __repr__(self) -> str:
         return f"KetVector(k={self.k}, coeffs={self.coeffs!r})"
-
-
-def _ket(k: int, num: dict[int, GaussInt], den: int) -> KetVector:
-    """A KetVector on parts that are already canonical."""
-    v = object.__new__(KetVector)
-    v.k = k
-    v._num = num
-    v._den = den
-    return v
 
 
 def _put(out: dict, key, re: int, im: int) -> None:
@@ -149,7 +110,7 @@ def apply_l(i: int, v: KetVector) -> KetVector:
                 _put(out, p + 1, -im * (p - k), re * (p - k))
             if p:
                 _put(out, p - 1, im * p, -re * p)
-    return _ket(k, *reduce_parts(out, v._den))
+    return KetVector._of(*reduce_parts(out, v._den), k)
 
 
 _HALF = gauss(Fraction(1, 2))

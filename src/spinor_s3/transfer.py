@@ -27,9 +27,9 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .abstract_dirac import eigenbasis_abstract
-from .exactnum import GaussianRational, add_parts, gauss, scale_parts
+from .exactnum import GaussianRational, add_parts, gauss, reduce_parts, scale_parts
 from .geometry import KillingPair, _first_order, _merged_shifts, l2_inner_product
-from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _poly, _reduced
+from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
 
 LEFT = "left"
 RIGHT = "right"
@@ -101,7 +101,7 @@ def iso_closed_form(k: int, p: int, q: int) -> TransferImage:
             * math.factorial(exps[2]) * math.factorial(exps[3])
         )
         num[exps] = (multinomial, 0)
-    total = _reduced(num, math.comb(k, p) * math.comb(k, q), Z_VIEW)
+    total = Polynomial._of(*reduce_parts(num, math.comb(k, p) * math.comb(k, q)), Z_VIEW)
     return TransferImage(k, p, q, total, Fraction(k + 1))
 
 
@@ -198,7 +198,7 @@ def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
                 image = table[(pp, q)]
                 term = scale_parts(image._num, image._den, re, im, vector._den)
                 parts[r] = add_parts(*parts[r], *term)
-            f, g = (_poly(*parts[r], Z_VIEW) for r in (0, 2))
+            f, g = (Polynomial._of(*parts[r], Z_VIEW) for r in (0, 2))
             out.append(
                 TransferredEigenvector(
                     SpinorSection(f, g, k), family.dirac_eigenvalue, family.label, q, p

@@ -17,6 +17,7 @@ from spinor_s3.exactnum import (
     GAUSS_ONE,
     RationalQuaternion,
     clifford_multiply,
+    gauss,
     quat,
     quat_multiply,
 )
@@ -104,7 +105,7 @@ def right_mul_basis(sigma: SpinorSection, i: int) -> SpinorSection:
             continue
         alpha, beta = _basis_product_split(r, i)
         if alpha != (0, 0):
-            new_f = new_f + comp._scaled(*alpha, 1)
+            new_f = new_f + comp.scale(gauss(*alpha))
         if beta != (0, 0):
-            new_g = new_g + comp._scaled(*beta, 1)
+            new_g = new_g + comp.scale(gauss(*beta))
     return sigma._with_parts(new_f, new_g)

@@ -5,11 +5,12 @@ A name-level call graph of ``src/spinor_s3`` is built with ``ast``.  Its
 nodes are module-level names (functions, classes, constants) and methods.
 In a body, a bare name resolves to its module's own definition or to the
 one it imports with ``from .module import``; ``module.name`` resolves in
-that module; ``Class.attr`` in the class and its bases; any other
-``x.attr`` to every method named ``attr``, which over-approximates.
-Calling a class reaches its constructor.  Annotations are not references,
-and operator syntax (``a + b``) is not followed: by name, an int ``+``
-cannot be told from a vector's.
+that module; ``Class.attr`` in the class and its bases, and
+``super().attr`` in the bases of the enclosing class; any other ``x.attr``
+to every method named ``attr``, which over-approximates.  Calling a class
+reaches its constructor.  Annotations are not references, and operator
+syntax (``a + b``) is not followed: by name, an int ``+`` cannot be told
+from a vector's.
 """
 
 import ast
@@ -40,34 +41,20 @@ ROUTE_PAIRS = (
 
 #: What two routes may share, each with why sharing it cannot make both
 #: routes wrong in the same way.
-_CANONICAL = ("the exact-vector core: it builds a vector or puts its Gaussian-integer "
-              "parts in canonical form; tier-1 checks it on its own against the Fraction "
-              "references in tests/vector_reference.py and tests/fraction_reference.py")
-_ZERO_TEST = ("an is_zero method, reached by name from every .is_zero() call: it "
-              "reads the stored parts and computes nothing")
+_SPACE_FIELD = ("reads one field of a vector's space, reached by name from "
+                "every .k or .q: it computes nothing")
 ALLOWED = {
-    "exactnum.reduce_parts": _CANONICAL,
-    "exactnum.parts_over": _CANONICAL,
-    "exactnum.gauss_parts": _CANONICAL,
-    "exactnum._coerce_gauss": _CANONICAL,
-    "exactnum.GaussianRational": _CANONICAL,
-    "exactnum.GaussianRational.__post_init__": _CANONICAL,
-    "polyring.Polynomial": _CANONICAL,
-    "polyring.Polynomial.__init__": _CANONICAL,
-    "polyring._poly": _CANONICAL,
-    "polyring._reduced": _CANONICAL,
-    "abstract_dirac.SpinorVector": _CANONICAL,
-    "abstract_dirac.SpinorVector.__init__": _CANONICAL,
-    "abstract_dirac._spinor": _CANONICAL,
-    "exactnum.GaussianRational.is_zero": _ZERO_TEST,
-    "exactnum.RationalQuaternion.is_zero": _ZERO_TEST,
-    "exactnum.RationalQuaternion.components": _ZERO_TEST,
-    "repspace.KetVector.is_zero": _ZERO_TEST,
-    "abstract_dirac.SpinorVector.is_zero": _ZERO_TEST,
-    "polyring.Polynomial.is_zero": _ZERO_TEST,
-    "polyring.SpinorSection.is_zero": _ZERO_TEST,
-    "polyring.X_VIEW": "the name of a coordinate view, a string constant",
+    "exactnum.GaussParts._of":
+        "the raw vector constructor: it stores the parts it is given and "
+        "computes nothing",
+    "exactnum.reduce_parts":
+        "canonical form of Gaussian-integer parts, which keeps their value; "
+        "tier-1 checks it on its own against the Fraction references in "
+        "tests/vector_reference.py and tests/fraction_reference.py",
     "polyring.Z_VIEW": "the name of a coordinate view, a string constant",
+    "repspace.KetVector.k": _SPACE_FIELD,
+    "abstract_dirac.SpinorVector.k": _SPACE_FIELD,
+    "abstract_dirac.SpinorVector.q": _SPACE_FIELD,
     "transfer._check_indices":
         "refuses out-of-range (k, p, q) with IndexError and computes nothing",
 }
@@ -138,17 +125,28 @@ def call_graph() -> dict[str, set[str]]:
         if node in bases:
             for name in CONSTRUCTORS:
                 edges |= lookup(node, name)
+        enclosing = node.rsplit(".", 1)[0]
+        owners = set()  # the Name nodes read as a module or class owner
         for ref in (sub for root in roots for sub in ast.walk(root)):
-            if isinstance(ref, ast.Name) and ref.id in scope[mod]:
+            if not isinstance(ref, ast.Attribute):
+                continue
+            owner = ref.value
+            if isinstance(owner, ast.Name) and owner.id in aliases[mod]:
+                edges.add(f"{aliases[mod][owner.id]}.{ref.attr}")
+                owners.add(owner)
+            elif isinstance(owner, ast.Name) and scope[mod].get(owner.id) in bases:
+                edges |= lookup(scope[mod][owner.id], ref.attr)
+                owners.add(owner)
+            elif (isinstance(owner, ast.Call) and isinstance(owner.func, ast.Name)
+                  and owner.func.id == "super" and enclosing in bases):
+                for base in bases[enclosing]:
+                    if scope[mod].get(base) in bases:
+                        edges |= lookup(scope[mod][base], ref.attr)
+            else:
+                edges |= methods[ref.attr]
+        for ref in (sub for root in roots for sub in ast.walk(root)):
+            if isinstance(ref, ast.Name) and ref.id in scope[mod] and ref not in owners:
                 edges.add(scope[mod][ref.id])
-            elif isinstance(ref, ast.Attribute):
-                owner = ref.value.id if isinstance(ref.value, ast.Name) else None
-                if owner in aliases[mod]:
-                    edges.add(f"{aliases[mod][owner]}.{ref.attr}")
-                elif scope[mod].get(owner) in bases:
-                    edges |= lookup(scope[mod][owner], ref.attr)
-                else:
-                    edges |= methods[ref.attr]
         graph[node] = {e for e in edges if e in bodies}
     return graph
 
@@ -192,6 +190,6 @@ def test_the_graph_sees_a_merged_route():
     # the resolution itself: a function, a method by name, a module
     # attribute and a constructor
     assert "transfer._ladder_step" in GRAPH["transfer.recursive_table"]
-    assert "polyring.Polynomial.scale" in GRAPH["transfer._ladder_step"]
+    assert "exactnum.GaussParts.scale" in GRAPH["transfer._ladder_step"]
     assert "linalg.rank_int" in GRAPH["verify._check_quadratic_k"]
     assert "repspace.KetVector.__init__" in GRAPH["repspace.KetVector"]

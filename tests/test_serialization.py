@@ -3,6 +3,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from spinor_s3.abstract_dirac import spectrum_table
 from spinor_s3.exactnum import gauss, rational_to_str
 from spinor_s3.polyring import G2, GM1, Polynomial, SpinorSection
@@ -24,6 +26,13 @@ def test_polynomial_json():
     assert obj["view"] == "z"
     assert obj["terms"][0] == {"exp": [0, 0, 1, 0], "coeff": {"re": "0/1", "im": "1/3"}}
     assert Polynomial.from_json(obj) == p
+
+
+@pytest.mark.parametrize("exp", [[-1, 0, 0, 1], [1, 2, 3]])
+def test_polynomial_json_refuses_malformed_exponents(exp):
+    obj = roundtrip({"view": "z", "terms": [{"exp": exp, "coeff": {"re": "1/1", "im": "0/1"}}]})
+    with pytest.raises(ValueError, match="4 nonnegative ints"):
+        Polynomial.from_json(obj)
 
 
 def test_spinor_section_json():

@@ -4,6 +4,7 @@ vectors with mixed non-unit denominators and half-cancelling sums, every
 result equals the reference and is in canonical form."""
 
 import math
+import operator
 import random
 from fractions import Fraction
 from itertools import chain
@@ -169,6 +170,28 @@ def test_each_value_has_one_representation(seed):
             assert (w._num, w._den) == (v._num, v._den)
     w = (spinor + other) - other
     assert (w._num, w._den) == (spinor._num, spinor._den) and hash(w) == hash(spinor)
+    # the same parts in another space are another value
+    assert KetVector.zero(k) != KetVector.zero(k + 1)
+    at_q0, at_q1 = (SpinorVector(k + 1, q, spinor.coeffs) for q in (0, 1))
+    at_k = SpinorVector(k, 0, spinor.coeffs)
+    assert (at_q0._num, at_q0._den) == (at_q1._num, at_q1._den) == (at_k._num, at_k._den)
+    assert at_q0 != at_q1 and at_q0 != at_k
+    # equal values hash equal, however they were built
+    reordered = SpinorVector(k + 1, 1, reversed(spinor.coeffs))
+    assert reordered == at_q1 and hash(reordered) == hash(at_q1)
+
+
+def test_vectors_of_different_spaces_do_not_combine():
+    ket = KetVector(1, (1, 2))
+    spinor = SpinorVector.basis(2, 0, 0, 1)
+    for a, b in ((ket, KetVector(3, (1, 0, 0, 5))),
+                 (spinor, SpinorVector.basis(3, 0, 0, 1)),
+                 (spinor, SpinorVector.basis(2, 1, 0, 1))):
+        for combine in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="different spaces"):
+                combine(a, b)
+    with pytest.raises(TypeError):
+        ket + spinor
 
 
 def test_zero_is_canonical():
