@@ -101,7 +101,7 @@ def call_graph() -> dict[str, set[str]]:
                         node = f"{cls}.{item.name}"
                         bodies[node] = (mod, [item])
                         methods[item.name].add(node)
-            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+            elif isinstance(stmt, (ast.Assign, ast.AnnAssign)) and stmt.value is not None:
                 targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
                 for target in targets:
                     if isinstance(target, ast.Name):
