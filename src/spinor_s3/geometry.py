@@ -3,10 +3,11 @@
 The unit sphere in H carries the left-invariant frame of the three
 imaginary units.  Derivatives along the flows x -> t^{-1} x s are exact
 polynomial operations (the generating vector fields x -> xS - Tx are
-linear), kept as shift tables that the Dirac and Laplace operators merge
-and evaluate in one integer pass.  The composed forms they are checked
-against -- one derivative per frame field, the Hessian Laplacian and the
-connection constants -- live in ``tests/operator_reference.py``.
+linear), kept as shift tables on z-view exponents that the Dirac and
+Laplace operators merge and evaluate in one integer pass.  The composed
+forms they are checked against -- one derivative per frame field, the
+Hessian Laplacian and the connection constants -- live in
+``tests/operator_reference.py``.
 Integrals over the sphere are exact (``Fraction``, ``GaussianRational``)
 in units of the total volume 2*pi^2; only ``SPHERE_VOLUME`` makes floats
 of them, for the quadrature cross-checks.
@@ -35,7 +36,7 @@ from .exactnum import (
     quat_multiply,
     reduce_parts,
 )
-from .polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, _basis_product_split
+from .polyring import Polynomial, SpinorSection, Z_VIEW, _basis_product_split
 
 
 @dataclass(frozen=True)
@@ -96,17 +97,15 @@ _FRAME_INV = [
 
 
 @lru_cache(maxsize=None)
-def killing_field_matrix(pair: KillingPair, view: str) -> tuple[tuple[GaussianRational, ...], ...]:
-    """Matrix of the linear field x -> xS - Tx in the given view's frame."""
+def killing_field_matrix(pair: KillingPair) -> tuple[tuple[GaussianRational, ...], ...]:
+    """Matrix of the linear field x -> xS - Tx in the z generators' frame."""
     cols = [pair.field_at(BASIS[n]).components() for n in range(4)]
     a = [[gauss(cols[n][m]) for n in range(4)] for m in range(4)]
-    if view == X_VIEW:
-        return tuple(tuple(row) for row in a)
     b = linalg.mat_mul(_FRAME, linalg.mat_mul(a, _FRAME_INV))
     return tuple(tuple(row) for row in b)
 
 
-# A first-order operator on one view's polynomials is kept as a shift table
+# A first-order operator on z-view polynomials is kept as a shift table
 # ``(den, const, diagonal, moves)`` of Gaussian integers over den > 0: a term
 # c*u^e goes to c*(const + sum e[m]*d) at e itself, over the entries (m, d)
 # of ``diagonal``, plus c*e[m]*w at e - delta_m + delta_j for each entry
@@ -148,21 +147,21 @@ def _shift_into(acc: dict, num: dict, table: tuple) -> None:
 
 
 def _first_order(p: Polynomial, table: tuple) -> Polynomial:
-    """The operator ``table`` applied to p in one pass."""
+    """The operator ``table`` applied to the z-view p in one pass."""
     acc: dict = {}
     _shift_into(acc, p._num, table)
-    return Polynomial._of(*reduce_parts(acc, p._den * table[0]), p.view)
+    return Polynomial._of(*reduce_parts(acc, p._den * table[0]), Z_VIEW)
 
 
 @lru_cache(maxsize=None)
-def _merged_shifts(fields: tuple, view: str) -> tuple:
+def _merged_shifts(fields: tuple) -> tuple:
     """The shift table of sum_s c_s * M(pair_s) over ``fields = ((pair, c),
-    ...)``, M the :func:`killing_field_matrix` in ``view``: entries with
-    the same (m, j) are summed, the zero ones dropped, and the rest put
-    over one common denominator."""
+    ...)``, M the :func:`killing_field_matrix`: entries with the same
+    (m, j) are summed, the zero ones dropped, and the rest put over one
+    common denominator."""
     acc: dict = {}
     for pair, c in fields:
-        for m, row in enumerate(killing_field_matrix(pair, view)):
+        for m, row in enumerate(killing_field_matrix(pair)):
             for j, entry in enumerate(row):
                 if not entry.is_zero():
                     acc[(m, j)] = acc.get((m, j), GAUSS_ZERO) + c * entry
@@ -178,8 +177,8 @@ def _merged_shifts(fields: tuple, view: str) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _dirac_tables(view: str) -> dict:
-    """The Dirac operator in ``view`` as a 2x2 block of shift tables over one
+def _dirac_tables() -> dict:
+    """The Dirac operator as a 2x2 block of shift tables over one
     denominator: ``tables[(src, dst)]`` is T[src -> dst] = -sum_i
     split(e_r e_i)_dst * M(left(i)), with r = 0 for f and 2 for g and split
     the (f, g) parts of :func:`complex_split`, and the blocks f -> f and
@@ -191,8 +190,7 @@ def _dirac_tables(view: str) -> dict:
                 tuple(
                     (KillingPair.left(i), -gauss_over(*_basis_product_split(r, i)[part], 1))
                     for i in (1, 2, 3)
-                ),
-                view,
+                )
             )
     shift = Fraction(-3, 2)
     den = math.lcm(shift.denominator, *(table[0] for table in merged.values()))
@@ -216,13 +214,11 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
 
     the frame derivatives right-multiplied by the frame units, minus the
     3/2 curvature constant.  Each component of the result is one pass over
-    the Gaussian-integer numerators of f and g, brought to a common
-    denominator, with the merged tables of :func:`_dirac_tables`.
+    the Gaussian-integer numerators of f and g in the z view, brought to a
+    common denominator, with the merged tables of :func:`_dirac_tables`.
     """
-    f = sigma.f
-    view = f.view
-    g = sigma.g.in_view(view)
-    tables = _dirac_tables(view)
+    f, g = sigma.f.in_view(Z_VIEW), sigma.g.in_view(Z_VIEW)
+    tables = _dirac_tables()
     den = math.lcm(f._den, g._den)
     nums = {}
     for src, comp in (("f", f), ("g", g)):
@@ -234,16 +230,16 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
         acc: dict = {}
         for src in ("f", "g"):
             _shift_into(acc, nums[src], tables[(src, dst)])
-        parts.append(Polynomial._of(*reduce_parts(acc, den), view))
+        parts.append(Polynomial._of(*reduce_parts(acc, den), Z_VIEW))
     return SpinorSection(*parts)
 
 
 @lru_cache(maxsize=None)
-def _laplace_image(exp: tuple, view: str) -> tuple[int, tuple]:
+def _laplace_image(exp: tuple) -> tuple[int, tuple]:
     """sum_i l_i l_i of the monomial u^exp as ``(den, ((exp', (re, im)),
     ...))``: :func:`_shift_into` twice along each frame field.  Kept for
     every exponent met, about 10^4 of them at degree 20."""
-    tables = [_merged_shifts(((KillingPair.left(i), GAUSS_ONE),), view) for i in (1, 2, 3)]
+    tables = [_merged_shifts(((KillingPair.left(i), GAUSS_ONE),)) for i in (1, 2, 3)]
     den = math.lcm(*(t[0] ** 2 for t in tables))
     acc: dict = {}
     for table in tables:
@@ -256,8 +252,8 @@ def _laplace_image(exp: tuple, view: str) -> tuple[int, tuple]:
 
 def _laplace_poly(p: Polynomial) -> Polynomial:
     """sum_i l_i l_i p in one pass over the cached monomial images."""
-    view = p.view
-    images = [(_laplace_image(exp, view), a, b) for exp, (a, b) in p._num.items()]
+    p = p.in_view(Z_VIEW)
+    images = [(_laplace_image(exp), a, b) for exp, (a, b) in p._num.items()]
     den = math.lcm(*(d for (d, _), _, _ in images))
     acc: dict = {}
     for (d, image), a, b in images:
@@ -267,7 +263,7 @@ def _laplace_poly(p: Polynomial) -> Polynomial:
             re, im = a * mr - b * mi, a * mi + b * mr
             t = acc.get(key)
             acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
-    return Polynomial._of(*reduce_parts(acc, p._den * den), view)
+    return Polynomial._of(*reduce_parts(acc, p._den * den), Z_VIEW)
 
 
 def laplace_section(sigma: SpinorSection) -> SpinorSection:
@@ -278,8 +274,7 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
     positive Laplacian.  It is second order, so it is read from a cached
     image of each monomial rather than from a shift table.
     """
-    view = sigma.f.view
-    return SpinorSection(_laplace_poly(sigma.f), _laplace_poly(sigma.g.in_view(view)))
+    return SpinorSection(_laplace_poly(sigma.f), _laplace_poly(sigma.g))
 
 
 # -- exact integration -------------------------------------------------------

@@ -140,7 +140,11 @@ def _mul_terms(terms: list[list[tuple[int, int, int]]], b: GaussIntMatrix) -> Ga
 
 def mat_mul_int(a: GaussIntMatrix, b: GaussIntMatrix) -> GaussIntMatrix:
     """``(ar + i ai)(br + i bi)`` over Z[i], one output row at a time as a
-    combination of the rows of the right factor."""
+    combination of the rows of the right factor; ``ValueError`` unless every
+    row of ``a`` has one entry per row of ``b``."""
+    for row in a[0]:
+        if len(row) != len(b[0]):
+            raise ValueError(f"cannot multiply: a row of {len(row)} against {len(b[0])} rows")
     return _mul_terms(_row_terms(a), b)
 
 
@@ -274,9 +278,6 @@ def rank_sparse(rows: list[dict[Hashable, GaussInt]]) -> int:
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     """The product of two Gaussian-rational matrices: :func:`mat_mul_int` of
     their numerators over the product of their common denominators."""
-    if not a or not b:
-        return [[] for _ in a]
-    assert len(a[0]) == len(b)
     da, ai = _to_int(a)
     db, bi = _to_int(b)
     return from_int(mat_mul_int(ai, bi), da * db)

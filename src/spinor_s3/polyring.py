@@ -1,20 +1,22 @@
 """Sparse multivariate polynomials on R^4 with Gaussian-rational coefficients.
 
-Two coordinate views of the same function space are supported:
+A polynomial lives in one of two coordinate views, each its own space:
 
-* ``"x"``  -- monomials in the real coordinates x0, x1, x2, x3;
 * ``"z"``  -- monomials in the four degree-one generators
 
       u0 = z2,  u1 = conj(z2),  u2 = -z1,  u3 = conj(z1)
 
-  where z1 = x0 + x1*i and z2 = x2 + x3*i.
+  where z1 = x0 + x1*i and z2 = x2 + x3*i;
+* ``"x"``  -- monomials in the real coordinates x0, x1, x2, x3.
 
-Both views are exact and conversion between them is an exact ring
-isomorphism.  z is the compute view: the eigenbasis lives there and the
-calculus kernels (the flat Laplacian here, the Killing-field shift tables
-in ``geometry``) work directly on its exponents.  The x view is kept for
-conversion and as a test oracle.  Exponent tuples are ordered
-graded-lexicographically for deterministic output.
+z is the one compute view: the eigenbasis lives there, and every operator
+(the flat Laplacian here, the Killing-field shift tables in ``geometry``
+and ``transfer``) computes on ``in_view(Z_VIEW)`` of its operand and
+returns z.  The x view is kept for conversion and for the tests' oracles.
+Polynomials of different views are unequal and do not combine;
+:meth:`Polynomial.in_view`, an exact ring isomorphism, is the one crossing
+between them.  Exponent tuples are ordered graded-lexicographically for
+deterministic output.
 
 Coefficient storage: a polynomial is an ``exactnum.GaussParts`` in the
 space (view,): a map from exponents to Gaussian integers ``(re, im)``
@@ -154,22 +156,6 @@ class Polynomial(GaussParts):
             result = result * self
         return result
 
-    def _same_space(self, other: "Polynomial") -> "Polynomial":
-        """``other`` in this polynomial's view: the views of one function
-        space mix freely."""
-        if isinstance(other, Polynomial):
-            other = other.in_view(self.view)
-        return super()._same_space(other)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Polynomial):
-            return NotImplemented
-        return GaussParts.__eq__(self, other.in_view(self.view))
-
-    def __hash__(self):
-        # hash the canonical z form so cross-view equality stays consistent
-        return GaussParts.__hash__(self.in_view(Z_VIEW))
-
     # -- view conversion -------------------------------------------------
 
     def in_view(self, target: str) -> "Polynomial":
@@ -262,8 +248,19 @@ class Polynomial(GaussParts):
         terms = {}
         for t in obj["terms"]:
             c = t["coeff"]
-            terms[tuple(t["exp"])] = GaussianRational(Fraction(c["re"]), Fraction(c["im"]))
+            terms[tuple(t["exp"])] = GaussianRational(_ratio(c["re"]), _ratio(c["im"]))
         return Polynomial(terms, obj["view"])
+
+
+def _ratio(text) -> Fraction:
+    """A coefficient part as ``to_json`` writes it: a string that ``Fraction``
+    reads, over a nonzero denominator."""
+    try:
+        if type(text) is str:
+            return Fraction(text)
+    except (ValueError, ZeroDivisionError):
+        pass
+    raise ValueError(f"a coefficient part must be a rational string, got {text!r}")
 
 
 # Degree-one generators of the z view and the real coordinates.
@@ -305,21 +302,19 @@ def _substitution_polys(source: str, target: str):
 
 # -- the flat Laplacian -------------------------------------------------------
 
-# The Laplacian as weighted second derivatives (i, j, w) in each view's
-# variables: sum_j d_j^2 in x, and 4(d_u0 d_u1 - d_u2 d_u3) in z, because
-# d_z d_zbar = (1/4)(d_re^2 + d_im^2) and u2 = -z1.
-_LAPLACIAN = {
-    X_VIEW: ((0, 0, 1), (1, 1, 1), (2, 2, 1), (3, 3, 1)),
-    Z_VIEW: ((0, 1, 4), (2, 3, -4)),
-}
+# The Laplacian as weighted mixed second derivatives (i, j, w) in the z
+# generators, 4(d_u0 d_u1 - d_u2 d_u3), because d_z d_zbar =
+# (1/4)(d_re^2 + d_im^2) and u2 = -z1.
+_LAPLACIAN = ((0, 1, 4), (2, 3, -4))
 
 
 def laplacian_r4(p: Polynomial) -> Polynomial:
-    """Flat Laplacian on R^4, exact, computed in p's own view."""
+    """Flat Laplacian on R^4, exact, computed in the z view."""
+    p = p.in_view(Z_VIEW)
     acc: dict[Exponents, GaussInt] = {}
     for exp, (re, im) in p._num.items():
-        for i, j, w in _LAPLACIAN[p.view]:
-            factor = exp[i] * (exp[j] - (i == j)) * w
+        for i, j, w in _LAPLACIAN:
+            factor = exp[i] * exp[j] * w
             if not factor:
                 continue
             key = list(exp)
@@ -331,7 +326,7 @@ def laplacian_r4(p: Polynomial) -> Polynomial:
                 acc[key] = (re * factor, im * factor)
             else:
                 acc[key] = (t[0] + re * factor, t[1] + im * factor)
-    return Polynomial._of(*reduce_parts(acc, p._den), p.view)
+    return Polynomial._of(*reduce_parts(acc, p._den), Z_VIEW)
 
 
 @lru_cache(maxsize=None)
@@ -430,8 +425,11 @@ class SpinorSection:
 
     @staticmethod
     def from_json(obj: dict) -> "SpinorSection":
-        return SpinorSection(
-            Polynomial.from_json(obj["f"]),
-            Polynomial.from_json(obj["g"]),
-            obj.get("k"),
-        )
+        """The section of a record; its ``"k"``, if any, must be the degree of
+        its f and g (any int >= 0 when both are zero)."""
+        section = SpinorSection(Polynomial.from_json(obj["f"]), Polynomial.from_json(obj["g"]))
+        k = obj.get("k", section.degree)
+        if "k" in obj and not (type(k) is int and k >= 0
+                               and (section.is_zero() or k == section.degree)):
+            raise ValueError(f"record degree {k!r} is not the degree of its f and g")
+        return SpinorSection(section.f, section.g, k)

@@ -56,27 +56,25 @@ _LOWERING_PAIRS = {LEFT: KillingPair.left, RIGHT: KillingPair.right}
 
 
 @lru_cache(maxsize=None)
-def _lowering_table(side: str, view: str) -> tuple:
-    """The merged shift table of -1/2 * M(pair(2)) + i/2 * M(pair(3)); in
-    the z view its two moves are the diamond's arrows for ``side``."""
+def _lowering_table(side: str) -> tuple:
+    """The merged shift table of -1/2 * M(pair(2)) + i/2 * M(pair(3)): its
+    two moves are the diamond's arrows for ``side``."""
     pair = _LOWERING_PAIRS[side]
-    return _merged_shifts(
-        ((pair(2), gauss(Fraction(-1, 2))), (pair(3), gauss(0, Fraction(1, 2)))), view
-    )
+    return _merged_shifts(((pair(2), gauss(Fraction(-1, 2))), (pair(3), gauss(0, Fraction(1, 2)))))
 
 
 def beta_lower(side: str, poly: Polynomial) -> Polynomial:
     """Apply the complexified lowering operator to a polynomial.
 
     Implemented through the actual flow derivatives (not the diamond
-    shortcut): one pass over the merged shift table of
-    -1/2 * d(. along pair(2)) + i/2 * d(. along pair(3)), which is derived
-    from the fields' matrices; the diamond above is what the tests check
-    it against.
+    shortcut): one pass over the z view of ``poly`` with the merged shift
+    table of -1/2 * d(. along pair(2)) + i/2 * d(. along pair(3)), which is
+    derived from the fields' matrices; the diamond above is what the tests
+    check it against.
     """
     if side not in _LOWERING_PAIRS:
         raise ValueError(f"unknown side {side!r}")
-    return _first_order(poly, _lowering_table(side, poly.view))
+    return _first_order(poly.in_view(Z_VIEW), _lowering_table(side))
 
 
 def _check_indices(k: int, p: int, q: int) -> None:

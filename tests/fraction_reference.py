@@ -62,6 +62,17 @@ def unit(j):
     return tuple(int(n == j) for n in range(4))
 
 
+def derivative(a, matrix):
+    """sum_m d_m a * (sum_j matrix[m][j] v_j), the derivative along the
+    linear field v_m -> sum_j matrix[m][j] v_j by the product rule; the
+    entries are complex pairs."""
+    out = {}
+    for m, row in enumerate(matrix):
+        field = _clean({unit(j): c for j, c in enumerate(row)})
+        out = add(out, mul(partial(a, m), field))
+    return out
+
+
 def substitute(a, images):
     """Replace variable j by the reference polynomial images[j]."""
     out = {}

@@ -22,29 +22,30 @@ from spinor_s3.exactnum import (
     quat_multiply,
 )
 from spinor_s3.geometry import KillingPair, _first_order, _merged_shifts
-from spinor_s3.polyring import Polynomial, SpinorSection, _basis_product_split
+from spinor_s3.polyring import Polynomial, SpinorSection, Z_VIEW, _basis_product_split
 
 
 def killing_derivative(
     sigma: Union[Polynomial, SpinorSection], pair: KillingPair
 ) -> Union[Polynomial, SpinorSection]:
-    """Exact derivative of sigma along the field x -> xS - Tx.
+    """Exact derivative of sigma along the field x -> xS - Tx, in the z view.
 
-    The field is linear, u_m -> sum_j M[m][j] u_j in the view's own
-    generators, so the derivative is sum_m d_m sigma * (sum_j M[m][j] u_j):
-    a term c*u^e with e[m] > 0 moves c*e[m]*M[m][j] to the exponent
-    e - delta_m + delta_j, once per nonzero M[m][j].  In the z view the
-    frame fields have one unit entry per row, so that is four shifts a
-    term.  The arithmetic is on Gaussian-integer numerators; the result's
-    denominator is sigma's times M's.  Acts componentwise on spinor
-    sections; preserves homogeneous degree and harmonicity (the field is
-    skew-symmetric on R^4).
+    The field is linear, u_m -> sum_j M[m][j] u_j in the z generators, so
+    the derivative is sum_m d_m sigma * (sum_j M[m][j] u_j): a term c*u^e
+    with e[m] > 0 moves c*e[m]*M[m][j] to the exponent e - delta_m +
+    delta_j, once per nonzero M[m][j].  The frame fields have one unit
+    entry per row, so that is four shifts a term.  The arithmetic is on
+    Gaussian-integer numerators; the result's denominator is sigma's times
+    M's.  An x-view operand is taken in z first, as the library's
+    operators do.  Acts componentwise on spinor sections; preserves
+    homogeneous degree and harmonicity (the field is skew-symmetric on
+    R^4).
     """
     if isinstance(sigma, SpinorSection):
         return sigma._with_parts(
             killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair)
         )
-    return _first_order(sigma, _merged_shifts(((pair, GAUSS_ONE),), sigma.view))
+    return _first_order(sigma.in_view(Z_VIEW), _merged_shifts(((pair, GAUSS_ONE),)))
 
 
 def laplace_section_via_hessian(sigma: SpinorSection) -> SpinorSection:
@@ -55,7 +56,7 @@ def laplace_section_via_hessian(sigma: SpinorSection) -> SpinorSection:
     frame, which is exactly what reduces the Hessian form to
     ``geometry.laplace_section``.
     """
-    out = SpinorSection.zero(sigma.f.view)
+    out = SpinorSection.zero()
     for a in (1, 2, 3):
         pair = KillingPair.left(a)
         out = out + killing_derivative(killing_derivative(sigma, pair), pair)

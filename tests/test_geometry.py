@@ -1,11 +1,14 @@
 """Geometric operators on sections and exact/numeric sphere integration."""
 
+import ast
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import fraction_reference as ref
 import pytest
+import x_reference
 from operator_reference import (
     killing_derivative,
     laplace_section_via_hessian,
@@ -113,15 +116,20 @@ def test_killing_derivative_same_in_both_views():
 
 
 def killing_derivative_oracle(p, pair):
-    """sum_m d_m p * (sum_j M[m][j] u_j), built from partials and products."""
-    matrix = killing_field_matrix(pair, p.view)
+    """sum_m d_m p * (sum_j M[m][j] v_j), built from partials and products in
+    p's own view and returned in z: M is the library's field matrix in z,
+    and in x the one that ``x_reference`` reads off ``field_at``."""
+    if p.view == Z_VIEW:
+        matrix = killing_field_matrix(pair)
+    else:
+        matrix = [[gauss(*c) for c in row] for row in x_reference.field_matrix(pair)]
     acc = Polynomial.zero(p.view)
     for m in range(4):
         row = Polynomial(
             {tuple(int(n == j) for n in range(4)): matrix[m][j] for j in range(4)}, p.view
         )
         acc = acc + p.partial(m) * row
-    return acc
+    return acc.in_view(Z_VIEW)
 
 
 def random_pair(rng, fractional=False):
@@ -140,7 +148,7 @@ def test_killing_derivative_matches_partial_oracle(view):
     assert any(
         c.re.denominator > 1 or c.im.denominator > 1
         for pair in pairs
-        for row in killing_field_matrix(pair, view)
+        for row in killing_field_matrix(pair)
         for c in row
     )
     for pair in pairs:
@@ -148,34 +156,63 @@ def test_killing_derivative_matches_partial_oracle(view):
             p = random_poly(rng, view, max_degree=4, n_terms=6)
             p = p + Polynomial.monomial((1, 2, 0, 1), gauss(Fraction(2, 3), Fraction(-5, 7)), view)
             got = killing_derivative(p, pair)
-            assert got.view == view
+            assert got.view == Z_VIEW
             assert got == killing_derivative_oracle(p, pair)
 
 
 @pytest.mark.parametrize("view", [Z_VIEW, X_VIEW])
 def test_killing_derivative_matches_fraction_reference(view):
-    # product rule on plain Fraction dicts: sum_m d_m p * (sum_j M[m][j] u_j)
+    # the product rule on plain Fraction dicts against the library's z
+    # derivative: in z on the library's field matrix; in x by the route of
+    # x_reference, which shares none of the library's z tables
     rng = random.Random(25 if view == Z_VIEW else 26)
     pairs = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
-    pairs += [random_pair(rng, fractional=True) for _ in range(6)]
+    pairs += [random_pair(rng) for _ in range(3)] + [random_pair(rng, fractional=True) for _ in range(6)]
     fractional = 0
     for pair in pairs:
-        matrix = killing_field_matrix(pair, view)
-        rows = [
-            {ref.unit(j): (c.re, c.im) for j, c in enumerate(row) if not c.is_zero()}
-            for row in matrix
-        ]
-        fractional += any(c.re.denominator > 1 or c.im.denominator > 1 for row in matrix for c in row)
+        if view == Z_VIEW:
+            matrix = [[(c.re, c.im) for c in row] for row in killing_field_matrix(pair)]
+        else:
+            matrix = x_reference.field_matrix(pair)
+        fractional += any(x.denominator > 1 for row in matrix for c in row for x in c)
         for _ in range(5):
             a = ref.random_ref(rng)
-            want = {}
-            for m in range(4):
-                want = ref.add(want, ref.mul(ref.partial(a, m), rows[m]))
-            got = killing_derivative(ref.to_poly(a, view), pair)
+            if view == Z_VIEW:
+                want = ref.derivative(a, matrix)
+            else:
+                want = x_reference.derivative_via_x(a, pair)
+            got = killing_derivative(ref.to_poly(a, Z_VIEW), pair)
             ref.assert_canonical(got)
-            assert got.view == view
+            assert got.view == Z_VIEW
             assert ref.as_ref(got) == want
     assert fractional
+
+
+def test_x_route_substitutions_are_inverse():
+    for j in range(4):
+        unit = {ref.unit(j): (Fraction(1), Fraction(0))}
+        assert ref.substitute(x_reference.Z_IN_REAL[j], x_reference.REAL_IN_Z) == unit
+        assert ref.substitute(x_reference.REAL_IN_Z[j], x_reference.Z_IN_REAL) == unit
+
+
+#: What the x route must not name: the library's frame change, the z
+#: tables built from it and the view conversion.
+Z_TABLE_NAMES = frozenset({
+    "killing_field_matrix", "_merged_shifts", "_first_order", "_shift_into", "_FRAME",
+    "_FRAME_INV", "in_view", "_Z_IN_X", "_X_IN_Z",
+})
+
+
+@pytest.mark.parametrize("module", [x_reference, ref], ids=["x_reference", "fraction_reference"])
+def test_x_route_names_no_z_table(module):
+    tree = ast.parse(Path(module.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree)
+                if isinstance(node, (ast.Import, ast.ImportFrom)) for alias in node.names}
+    assert "*" not in imported
+    named = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    named |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert imported and named
+    assert not (imported | named) & Z_TABLE_NAMES
 
 
 def test_killing_pair_lookups():

@@ -140,6 +140,20 @@ def test_mat_mul_matches_sympy(seed, shape):
     ]
 
 
+@pytest.mark.parametrize("a, b", [
+    ([[gauss(1)]], [[gauss(2)], [gauss(3)]]),
+    ([[gauss(1), gauss(2)]], [[gauss(3)]]),
+    ([[gauss(1)]], []),
+    ([[gauss(1)], [gauss(1), gauss(2)]], [[gauss(3)]]),
+], ids=["1x1-by-2x1", "1x2-by-1x1", "1x1-by-empty", "ragged-left"])
+def test_mat_mul_refuses_mismatched_shapes(a, b):
+    # a checked error, not an assert that python -O drops
+    with pytest.raises(ValueError, match="cannot multiply"):
+        linalg.mat_mul(a, b)
+    with pytest.raises(ValueError, match="cannot multiply"):
+        linalg.mat_mul_int(linalg._to_int(a)[1], linalg._to_int(b)[1])
+
+
 def test_mat_mul_skips_only_zero_left_entries():
     # a zero left part times a nonzero right row contributes nothing, a
     # nonzero left part times an all-zero right row too
@@ -163,6 +177,8 @@ def test_empty_matrix():
     assert linalg.charpoly_int(empty) == oracle_charpoly(empty) == [(1, 0)]
     assert linalg.rank_int(empty) == oracle_rank(empty) == 0
     assert linalg.mat_mul_int(empty, empty) == empty
+    assert linalg.mat_mul_int(([[]], [[]]), empty) == ([[]], [[]])
+    assert linalg.mat_mul([], [[gauss(1)]]) == [] and linalg.mat_mul([[], []], []) == [[], []]
 
 
 @pytest.mark.parametrize("seed", SEEDS)

@@ -48,3 +48,43 @@ def test_spectrum_row_json():
     objs = roundtrip([r.to_json() for r in rows])
     assert objs[0] == {"k": 0, "eigenvalue": "-3/2", "multiplicity": 2}
     assert {"k": 1, "eigenvalue": "3/2", "multiplicity": 2} in objs
+
+
+def poly_record(re):
+    return {"view": "z", "terms": [{"exp": [1, 0, 0, 0], "coeff": {"re": re, "im": "0/1"}}]}
+
+
+@pytest.mark.parametrize("part", [1.5, 0.1, 3, "1/0", None, "x", [1, 2]],
+                         ids=["float", "inexact-float", "int", "zero-den", "null", "text", "list"])
+def test_polynomial_json_refuses_a_coefficient_part_that_is_not_a_rational_string(part):
+    with pytest.raises(ValueError, match="rational string"):
+        Polynomial.from_json(roundtrip(poly_record(part)))
+
+
+def test_polynomial_json_reads_every_rational_string():
+    for text, value in (("-3/2", Fraction(-3, 2)), ("4", Fraction(4)), ("6/4", Fraction(3, 2))):
+        assert Polynomial.from_json(poly_record(text)) == G2.scale(value)
+
+
+@pytest.mark.parametrize("k", [5, 0, "x", "1", None, True, 1.0, -1],
+                         ids=["other-degree", "zero", "text", "numeral", "null", "bool", "float",
+                              "negative"])
+def test_spinor_section_json_refuses_a_degree_that_is_not_its_parts(k):
+    obj = roundtrip(SpinorSection(G2, -GM1, 1).to_json())
+    obj["k"] = k
+    with pytest.raises(ValueError, match="not the degree"):
+        SpinorSection.from_json(obj)
+
+
+def test_spinor_section_json_degree_when_absent_or_zero_parts():
+    obj = roundtrip(SpinorSection(G2, -GM1, 1).to_json())
+    del obj["k"]
+    assert SpinorSection.from_json(obj).degree == 1
+    # the zero section has every degree, so a record may carry any
+    zero = SpinorSection(G2, -GM1, 1).scale(0)
+    assert zero.degree == 1
+    back = SpinorSection.from_json(roundtrip(zero.to_json()))
+    assert back == zero and back.degree == 1
+    assert SpinorSection.from_json(roundtrip(SpinorSection.zero().to_json())).degree == 0
+    with pytest.raises(ValueError, match="not the degree"):
+        SpinorSection.from_json({**roundtrip(zero.to_json()), "k": -1})

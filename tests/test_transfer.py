@@ -59,14 +59,14 @@ def test_lowering_diamond():
 
 
 def test_merged_lowering_tables_are_the_diamond_arrows():
-    # in the z view the merged -1/2 M(pair(2)) + i/2 M(pair(3)) keeps only
-    # the two unit arrows of test_lowering_diamond, as generator indices
+    # the merged -1/2 M(pair(2)) + i/2 M(pair(3)) keeps only the two unit
+    # arrows of test_lowering_diamond, as generator indices
     from spinor_s3.transfer import _lowering_table
 
     generators = (G2, G2_BAR, GM1, G1_BAR)
     diamond = {LEFT: ((G2, GM1), (G1_BAR, G2_BAR)), RIGHT: ((G2, G1_BAR), (GM1, G2_BAR))}
     for side, arrows in diamond.items():
-        den, const, diagonal, moves = _lowering_table(side, Z_VIEW)
+        den, const, diagonal, moves = _lowering_table(side)
         assert (den, const, diagonal) == (1, (0, 0), ())
         assert len(moves) == 2
         assert {(m, j): (re, im) for m, j, re, im in moves} == {
