@@ -1,4 +1,4 @@
-"""Exact dense linear algebra over the Gaussian integers.
+"""Exact linear algebra over the Gaussian integers.
 
 A library matrix is a Gaussian-integer matrix ``(R, I)``, the matrix
 ``R + iI`` with ``R`` and ``I`` lists of lists of Python ints.  The
@@ -8,24 +8,31 @@ kernels are:
   real and imaginary parts of the left factor and the all-zero rows of the
   right;
 * :func:`shift_int` forms ``A + cI``;
-* :func:`rank_int` is fraction-free echelon elimination over Z[i]: a row
-  is cleared by ``p*row - f*pivot_row`` and then divided by the gcd of its
-  integer parts, so nothing is ever divided in Q(i);
-* :func:`charpoly_int` runs Faddeev-LeVerrier; the trace of each iterate
-  is exactly divisible by the step number, and the nonzeros of A are found
-  once for all its products;
-* :func:`rank_sparse` takes sparse rows ``{col: (re, im)}``, splits them
-  into the connected components of their shared columns and sends only
-  the components of two or more rows, laid out densely, to
-  :func:`rank_int`.
+* :func:`charpoly_int` and :func:`rank_int` on ``(R, I)``, and
+  :func:`rank_sparse` on sparse rows ``{col: (re, im)}``, first split the
+  matrix into the connected components of its nonzero pattern, found from
+  the entries alone by one union-find (:func:`_components`).  For the
+  characteristic polynomial, row i joins column i and the columns of its
+  nonzeros, so each component is a principal block and det(xI - A) is the
+  product of the blocks' polynomials.  For the rank, rows join through
+  shared columns and the rank is the sum over the components: a one-row
+  component counts 1, a two-row one 1 or 2 by an exact proportionality
+  test, and only a larger one is eliminated densely;
+* the component kernels are Faddeev-LeVerrier (:func:`_faddeev_leverrier`:
+  the trace of each iterate is exactly divisible by the step number) and
+  fraction-free echelon elimination over Z[i] (:func:`_echelon_rank`: a
+  row is cleared by ``p*row - f*pivot_row`` and then divided by the gcd
+  of its integer parts, so nothing is ever divided in Q(i)).
 
-No result is rounded.  :func:`charpoly_from_roots` is the independent
-route that :func:`charpoly_int` is checked against and shares no code with
-it: an integer expansion of the product of its linear factors, divided by
-the roots' denominators once and returned as :class:`GaussianRational`.
-At the edge, :func:`from_int` converts an integer matrix to
-:class:`GaussianRational` entries and :func:`mat_mul` multiplies two
-Gaussian-rational matrices, for the 4x4 frame change in ``geometry``.
+Ragged rows, and a non-square operand of :func:`charpoly_int`, raise
+``ValueError``.  No result is rounded.  :func:`charpoly_from_roots` is
+the independent route that :func:`charpoly_int` is checked against and
+shares no code with it: an integer expansion of the product of its linear
+factors, divided by the roots' denominators once and returned as
+:class:`GaussianRational`.  At the edge, :func:`from_int` converts an
+integer matrix to :class:`GaussianRational` entries and :func:`mat_mul`
+multiplies two Gaussian-rational matrices, for the 4x4 frame change in
+``geometry``.
 """
 
 from __future__ import annotations
@@ -148,7 +155,48 @@ def mat_mul_int(a: GaussIntMatrix, b: GaussIntMatrix) -> GaussIntMatrix:
     return _mul_terms(_row_terms(a), b)
 
 
-def rank_int(a: GaussIntMatrix) -> int:
+def _check_matrix(a: GaussIntMatrix, square: bool = False) -> None:
+    """``ValueError`` if a row of ``R`` or ``I`` has another length than the
+    first row of ``R``, if ``R`` and ``I`` differ in their number of rows
+    or, with ``square``, if A is not square."""
+    re, im = a
+    cols = len(re[0]) if re else 0
+    if len(im) != len(re) or any(len(r) != cols or len(i) != cols for r, i in zip(re, im)):
+        raise ValueError("not a matrix: the rows of (R, I) differ in length or number")
+    if square and cols != len(re):
+        raise ValueError(f"not square: {len(re)} rows of {cols} entries")
+
+
+def _components(supports: list) -> list[list[int]]:
+    """The indices of ``supports`` grouped into connected components, two
+    supports meeting when they share an element, by a union-find over the
+    elements.  Each group ascends, the groups come in order of their first
+    index, and an empty support is in none."""
+    parent: dict[Hashable, Hashable] = {}
+
+    def find(c: Hashable) -> Hashable:
+        parent.setdefault(c, c)
+        while parent[c] != c:
+            parent[c] = parent[parent[c]]
+            c = parent[c]
+        return c
+
+    for support in supports:
+        if support:
+            first, *rest = support
+            root = find(first)
+            for c in rest:
+                other = find(c)
+                if other != root:
+                    parent[other] = root
+    groups: dict[Hashable, list[int]] = {}
+    for index, support in enumerate(supports):
+        if support:
+            groups.setdefault(find(next(iter(support))), []).append(index)
+    return list(groups.values())
+
+
+def _echelon_rank(a: GaussIntMatrix) -> int:
     """Rank by fraction-free echelon elimination over the Gaussian integers.
 
     Each step takes the first row that is nonzero in the current column as
@@ -158,8 +206,6 @@ def rank_int(a: GaussIntMatrix) -> int:
     elimination moves right.
     """
     re, im = a
-    if not re or not re[0]:
-        return 0
     rows = [(r, i) for r, i in zip(re, im) if any(r) or any(i)]
     found = 0
     for _ in range(len(re[0])):
@@ -195,10 +241,62 @@ def rank_int(a: GaussIntMatrix) -> int:
     return found
 
 
-def charpoly_int(a: GaussIntMatrix) -> list[GaussInt]:
-    """Monic characteristic polynomial det(xI - A) of a square Gaussian-integer
-    matrix, coefficients by descending power (length n+1), by the
-    Faddeev-LeVerrier recursion.
+def _proportional(r1: dict[Hashable, GaussInt], r2: dict[Hashable, GaussInt]) -> bool:
+    """Whether two nonzero sparse rows span one line over Q(i): they have
+    the same columns and, for the first column c0,
+    ``r1[c0]*r2[c] == r2[c0]*r1[c]`` in every column c."""
+    if r1.keys() != r2.keys():
+        return False
+    c0 = next(iter(r1))
+    (a, b), (c, d) = r1[c0], r2[c0]
+    for col, (x1, y1) in r1.items():
+        x2, y2 = r2[col]
+        # (a + ib)(x2 + iy2) against (c + id)(x1 + iy1)
+        if a * x2 - b * y2 != c * x1 - d * y1 or a * y2 + b * x2 != c * y1 + d * x1:
+            return False
+    return True
+
+
+def _rank_rows(rows: list[dict[Hashable, GaussInt]]) -> int:
+    """Rank of sparse rows ``{col: (re, im)}`` with no zero entries: the sum
+    over the :func:`_components` of their columns.  A one-row component
+    counts 1, a two-row one 1 or 2 by :func:`_proportional`, and a larger
+    one is laid out densely on its own columns for :func:`_echelon_rank`."""
+    total = 0
+    for group in _components(rows):
+        block = [rows[r] for r in group]
+        if len(block) <= 2:
+            total += 1 if len(block) == 1 or _proportional(*block) else 2
+            continue
+        cols = {c: j for j, c in enumerate(dict.fromkeys(c for row in block for c in row))}
+        re = [[0] * len(cols) for _ in block]
+        im = [[0] * len(cols) for _ in block]
+        for r, row in enumerate(block):
+            for c, (x, y) in row.items():
+                re[r][cols[c]] = x
+                im[r][cols[c]] = y
+        total += _echelon_rank((re, im))
+    return total
+
+
+def rank_int(a: GaussIntMatrix) -> int:
+    """Rank of a Gaussian-integer matrix, by :func:`_rank_rows` on its
+    nonzero entries; ``ValueError`` if its rows are ragged or ``R`` and
+    ``I`` differ in shape."""
+    _check_matrix(a)
+    return _rank_rows([{t: (x, y) for t, x, y in row} for row in _row_terms(a)])
+
+
+def rank_sparse(rows: list[dict[Hashable, GaussInt]]) -> int:
+    """Rank of sparse Gaussian-integer rows ``{col: (re, im)}``, by
+    :func:`_rank_rows` once explicit ``(0, 0)`` entries are dropped, so
+    that they join nothing."""
+    return _rank_rows([{c: v for c, v in row.items() if v != (0, 0)} for row in rows])
+
+
+def _faddeev_leverrier(a: GaussIntMatrix) -> list[GaussInt]:
+    """det(xI - A) of a square Gaussian-integer matrix by the
+    Faddeev-LeVerrier recursion, coefficients by descending power.
 
     With ``M_1 = A`` and ``M_(j+1) = A (M_j + b_j I)``, the coefficient
     ``b_j = -tr(M_j)/j`` is a Gaussian integer, so the division is exact; a
@@ -224,52 +322,36 @@ def charpoly_int(a: GaussIntMatrix) -> list[GaussInt]:
     return coeffs
 
 
-def rank_sparse(rows: list[dict[Hashable, GaussInt]]) -> int:
-    """Rank of sparse Gaussian-integer rows ``{col: (re, im)}``.
+def _poly_mul_int(p: list[GaussInt], q: list[GaussInt]) -> list[GaussInt]:
+    """The product of two polynomials over Z[i], coefficients by descending
+    power."""
+    re = [0] * (len(p) + len(q) - 1)
+    im = [0] * len(re)
+    for i, (a, b) in enumerate(p):
+        for j, (c, d) in enumerate(q):
+            re[i + j] += a * c - b * d
+            im[i + j] += a * d + b * c
+    return list(zip(re, im))
 
-    Rows that share no column span independent subspaces, so the rank is
-    the sum over the connected components of the row/column incidence,
-    found by a union-find over the columns.  A one-row component counts 1
-    if the row is nonzero; a larger one is laid out densely on its own
-    columns and goes to :func:`rank_int`.  Explicit ``(0, 0)`` entries are
-    dropped first, so they join nothing.
+
+def charpoly_int(a: GaussIntMatrix) -> list[GaussInt]:
+    """Monic characteristic polynomial det(xI - A) of a square Gaussian-integer
+    matrix, coefficients by descending power (length n+1); ``ValueError``
+    unless A is square.
+
+    Row i touches the columns {i} and those of its nonzeros, so each of the
+    :func:`_components` of these supports is a principal index set: A is
+    block-diagonal after a permutation, and det(xI - A) is the product of
+    :func:`_faddeev_leverrier` over the blocks.
     """
-    live = [{c: v for c, v in row.items() if v != (0, 0)} for row in rows]
-    live = [row for row in live if row]
-    parent: dict[Hashable, Hashable] = {}
-
-    def find(c: Hashable) -> Hashable:
-        parent.setdefault(c, c)
-        while parent[c] != c:
-            parent[c] = parent[parent[c]]
-            c = parent[c]
-        return c
-
-    for row in live:
-        first, *rest = row
-        root = find(first)
-        for c in rest:
-            other = find(c)
-            if other != root:
-                parent[other] = root
-    components: dict[Hashable, list[dict[Hashable, GaussInt]]] = {}
-    for row in live:
-        components.setdefault(find(next(iter(row))), []).append(row)
-
-    total = 0
-    for block in components.values():
-        if len(block) == 1:
-            total += 1
-            continue
-        cols = {c: j for j, c in enumerate(dict.fromkeys(c for row in block for c in row))}
-        re = [[0] * len(cols) for _ in block]
-        im = [[0] * len(cols) for _ in block]
-        for r, row in enumerate(block):
-            for c, (x, y) in row.items():
-                re[r][cols[c]] = x
-                im[r][cols[c]] = y
-        total += rank_int((re, im))
-    return total
+    _check_matrix(a, square=True)
+    ar, ai = a
+    char = [(1, 0)]
+    for group in _components([[i, *(t for t, _, _ in row)] for i, row in enumerate(_row_terms(a))]):
+        block = ([[ar[i][j] for j in group] for i in group],
+                 [[ai[i][j] for j in group] for i in group])
+        char = _poly_mul_int(char, _faddeev_leverrier(block))
+    return char
 
 
 # -- the Gaussian-rational edge ---------------------------------------------------

@@ -248,7 +248,10 @@ class Polynomial(GaussParts):
         terms = {}
         for t in obj["terms"]:
             c = t["coeff"]
-            terms[tuple(t["exp"])] = GaussianRational(_ratio(c["re"]), _ratio(c["im"]))
+            exp = tuple(t["exp"])
+            if exp in terms:
+                raise ValueError(f"exponent {list(exp)} appears twice")
+            terms[exp] = GaussianRational(_ratio(c["re"]), _ratio(c["im"]))
         return Polynomial(terms, obj["view"])
 
 
@@ -351,6 +354,8 @@ class SpinorSection:
     __slots__ = ("f", "g", "_degree")
 
     def __init__(self, f: Polynomial, g: Polynomial, degree: Optional[int] = None):
+        if f._space != g._space:
+            raise ValueError(f"f and g must share a view, got {f.view} and {g.view}")
         self.f = f
         self.g = g
         self._degree = _UNKNOWN if degree is None else degree

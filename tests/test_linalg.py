@@ -4,7 +4,9 @@
 ``Matrix`` computes on symbolic Gaussian numbers.  Both must give the same
 exact answers for ``charpoly_int``, ``rank_int`` and ``mat_mul_int`` on
 random matrices (square, non-square and rank-deficient), on the Dbar
-blocks and on the empty matrix.
+blocks and on the empty matrix.  Matrices that split into connected
+components are checked too: blocks hidden by a permutation, blocks coupled
+one way, and two-row components on either side of proportional.
 """
 
 import random
@@ -15,6 +17,9 @@ import pytest
 from spinor_s3 import linalg
 from spinor_s3.abstract_dirac import dbar_block_int
 from spinor_s3.exactnum import GaussianRational, GaussInt, gauss
+from spinor_s3.geometry import dirac_section
+from spinor_s3.transfer import transfer_eigenbasis
+from spinor_s3.verify import eigen_identity
 
 sympy = pytest.importorskip("sympy")
 
@@ -216,6 +221,31 @@ def test_from_int_divides_by_the_denominator():
                                                          gauss(0)]]
 
 
+@pytest.mark.parametrize("a", [
+    ([[1, 2]], [[0, 0]]),
+    ([[1], [2]], [[0], [0]]),
+    ([[]], [[]]),
+], ids=["1x2", "2x1", "1x0"])
+def test_charpoly_refuses_a_non_square_matrix(a):
+    with pytest.raises(ValueError, match="not square"):
+        linalg.charpoly_int(a)
+
+
+@pytest.mark.parametrize("a", [
+    ([[1, 2], [3]], [[0, 0], [0]]),
+    ([[1, 2], [3, 4]], [[0, 0], [0]]),
+    ([[1, 2], [3, 4]], [[0, 0]]),
+    ([[1, 2], [3, 4]], [[0, 0], [0, 0], [0, 0]]),
+    ([[1], [2, 3]], [[0], [0, 0]]),
+], ids=["ragged", "ragged-imaginary", "fewer-imaginary-rows", "more-imaginary-rows",
+        "longer-later-row"])
+def test_rank_and_charpoly_refuse_ragged_or_mismatched_rows(a):
+    with pytest.raises(ValueError, match="not a matrix"):
+        linalg.rank_int(a)
+    with pytest.raises(ValueError, match="not a matrix"):
+        linalg.charpoly_int(a)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_charpoly_from_roots_matches_sympy(seed):
     rng = random.Random(5000 + seed)
@@ -327,3 +357,160 @@ def test_rank_sparse_zero_rows_and_empty_list():
     assert linalg.rank_sparse([]) == 0
     assert linalg.rank_sparse([{}, {}, {"u": (0, 0), "v": (0, 0)}]) == 0
     assert linalg.rank_sparse([{}, {"u": (2, 0)}, {"v": (0, 0)}]) == 1
+
+
+# -- connected components ---------------------------------------------------------
+
+
+def block_diagonal(blocks):
+    """The Gaussian-integer matrices ``blocks`` on the diagonal of one."""
+    n = sum(len(re) for re, _ in blocks)
+    out = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
+    at = 0
+    for block in blocks:
+        size = len(block[0])
+        for part, whole in zip(block, out):
+            for i in range(size):
+                whole[at + i][at:at + size] = part[i]
+        at += size
+    return out
+
+
+def permuted(a, rows, cols):
+    """The matrix with entry ``a[rows[i]][cols[j]]`` at (i, j)."""
+    return tuple([[part[r][c] for c in cols] for r in rows] for part in a)
+
+
+def hidden_blocks(rng):
+    """Random blocks of size 1 to 4, some singular, on the diagonal under a
+    random symmetric permutation, so that no block is contiguous."""
+    blocks = []
+    for _ in range(rng.randint(2, 6)):
+        size = rng.randint(1, 4)
+        if size > 1 and rng.random() < 0.4:
+            blocks.append(low_rank_matrix(rng, size, size, rng.randint(1, size - 1)))
+        else:
+            blocks.append(random_int_matrix(rng, size, size, 0.2))
+    a = block_diagonal(blocks)
+    order = list(range(len(a[0])))
+    rng.shuffle(order)
+    return permuted(a, order, order)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_split_matches_sympy_on_blocks_hidden_by_a_permutation(seed):
+    rng = random.Random(8000 + seed)
+    a = hidden_blocks(rng)
+    assert linalg.charpoly_int(a) == oracle_charpoly(a)
+    assert linalg.rank_int(a) == oracle_rank(a)
+    shifted = linalg.shift_int(a, rng.choice([-2, -1, 1, 2]))
+    assert linalg.rank_int(shifted) == oracle_rank(shifted)
+    # rows and columns shuffled apart: a rank question, not a charpoly one
+    rows, cols = list(range(len(a[0]))), list(range(len(a[0])))
+    rng.shuffle(rows)
+    rng.shuffle(cols)
+    mixed = permuted(a, rows, cols)
+    assert linalg.rank_int(mixed) == oracle_rank(mixed)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_split_matches_sympy_on_blocks_coupled_one_way(seed):
+    # [[B1, C], [0, B2]]: the rows of B1 reach the columns of B2 but not
+    # back, and the split must still keep them together, since C can raise
+    # the rank above the sum over B1 and B2
+    rng = random.Random(8500 + seed)
+    n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
+    b1, b2 = random_int_matrix(rng, n1, n1), random_int_matrix(rng, n2, n2)
+    c = random_int_matrix(rng, n1, n2, 0.5)
+    c[0][0][0] = 1  # at least one coupling entry
+    a = tuple([r1 + rc for r1, rc in zip(p1, pc)] + [[0] * n1 + r2 for r2 in p2]
+              for p1, pc, p2 in zip(b1, c, b2))
+    order = list(range(n1 + n2))
+    rng.shuffle(order)
+    for m in (a, permuted(a, order, order)):
+        assert linalg.charpoly_int(m) == oracle_charpoly(m)
+        for shift in (0, -1, 2):
+            shifted = linalg.shift_int(m, shift)
+            assert linalg.rank_int(shifted) == oracle_rank(shifted)
+    # the transpose couples the other way
+    t = tuple([list(col) for col in zip(*part)] for part in a)
+    assert linalg.charpoly_int(t) == oracle_charpoly(t)
+
+
+def times(row, c):
+    """The Gaussian-integer row (re, im) parts times the Gaussian integer c."""
+    (re, im), (x, y) = row, c
+    return [x * u - y * v for u, v in zip(re, im)], [x * v + y * u for u, v in zip(re, im)]
+
+
+def two_rows(r1, r2):
+    return [r1[0], r2[0]], [r1[1], r2[1]]
+
+
+def sparse(a):
+    """The nonzero entries of each row of (R, I) as ``{col: (re, im)}``."""
+    return [{c: (x, y) for c, (x, y) in enumerate(zip(rr, ri)) if x or y} for rr, ri in zip(*a)]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_two_rows_proportional_by_a_non_real_ratio(seed):
+    # 3v and (1 + 2i)v: proportional by (1 + 2i)/3, cleared to integers
+    rng = random.Random(8800 + seed)
+    v = random_int_matrix(rng, 1, 2 + seed, 0.3)
+    v = v[0][0], v[1][0]
+    v[0][0] = v[0][0] or 1
+    a = two_rows(times(v, (3, 0)), times(v, (1, 2)))
+    assert linalg.rank_int(a) == oracle_rank(a) == 1
+    assert linalg.rank_sparse(sparse(a)) == 1
+    # the same two rows beside a one-row component elsewhere
+    wide = tuple([row + [0] for row in part] + [[0] * len(v[0]) + [5]] for part in a)
+    assert linalg.rank_int(wide) == oracle_rank(wide) == 2
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_two_rows_not_proportional(seed):
+    rng = random.Random(8900 + seed)
+    cols = 2 + seed
+    v = [rng.randint(1, 9) for _ in range(cols)], [rng.randint(-9, 9) for _ in range(cols)]
+    w = times(v, (1, 2))
+    # equal supports, one entry off the line
+    bent = [x for x in w[0]], [y for y in w[1]]
+    bent[0][-1] += 1
+    a = two_rows(v, bent)
+    assert linalg.rank_int(a) == oracle_rank(a) == 2
+    assert linalg.rank_sparse(sparse(a)) == 2
+    # unequal supports that still share a column: proportional where both
+    # are nonzero, but one row has an entry the other lacks
+    cut = [x for x in w[0]], [y for y in w[1]]
+    cut[0][0] = cut[1][0] = 0
+    a = two_rows(v, cut)
+    assert linalg.rank_int(a) == oracle_rank(a) == 2
+    assert linalg.rank_sparse(sparse(a)) == 2
+
+
+def test_dbar_charpoly_runs_dense_faddeev_leverrier_on_blocks_of_two_at_most(monkeypatch):
+    sizes = []
+    dense = linalg._faddeev_leverrier
+
+    def counted(a):
+        sizes.append(len(a[0]))
+        return dense(a)
+
+    monkeypatch.setattr(linalg, "_faddeev_leverrier", counted)
+    block = dbar_block_int(12)
+    assert linalg.charpoly_int(block) == oracle_charpoly(block)
+    assert sum(sizes) == 26 and max(sizes) <= 2
+
+
+def test_eigen_identity_makes_no_dense_elimination(monkeypatch):
+    calls = []
+    dense = linalg._echelon_rank
+
+    def counted(a):
+        calls.append(len(a[0]))
+        return dense(a)
+
+    monkeypatch.setattr(linalg, "_echelon_rank", counted)
+    for k in range(7):
+        assert eigen_identity(k, transfer_eigenbasis(k), dirac_section).passed
+    assert calls == []

@@ -7,7 +7,7 @@ import pytest
 
 from spinor_s3.abstract_dirac import spectrum_table
 from spinor_s3.exactnum import gauss, rational_to_str
-from spinor_s3.polyring import G2, GM1, Polynomial, SpinorSection
+from spinor_s3.polyring import G2, G2_BAR, GM1, X0, Polynomial, SpinorSection
 
 
 def roundtrip(obj):
@@ -33,6 +33,16 @@ def test_polynomial_json_refuses_malformed_exponents(exp):
     obj = roundtrip({"view": "z", "terms": [{"exp": exp, "coeff": {"re": "1/1", "im": "0/1"}}]})
     with pytest.raises(ValueError, match="4 nonnegative ints"):
         Polynomial.from_json(obj)
+
+
+def test_polynomial_json_refuses_a_repeated_exponent():
+    record = poly_record("1/1")
+    record["terms"].append({"exp": [1, 0, 0, 0], "coeff": {"re": "5/1", "im": "0/1"}})
+    with pytest.raises(ValueError, match="appears twice"):
+        Polynomial.from_json(roundtrip(record))
+    # distinct exponents in any order still read back
+    record["terms"][1]["exp"] = [0, 1, 0, 0]
+    assert Polynomial.from_json(roundtrip(record)) == G2 + G2_BAR.scale(5)
 
 
 def test_spinor_section_json():
@@ -88,3 +98,14 @@ def test_spinor_section_json_degree_when_absent_or_zero_parts():
     assert SpinorSection.from_json(roundtrip(SpinorSection.zero().to_json())).degree == 0
     with pytest.raises(ValueError, match="not the degree"):
         SpinorSection.from_json({**roundtrip(zero.to_json()), "k": -1})
+
+
+def test_spinor_section_refuses_parts_of_different_views():
+    with pytest.raises(ValueError, match="share a view"):
+        SpinorSection(X0, G2)
+    with pytest.raises(ValueError, match="share a view"):
+        SpinorSection(Polynomial.zero("x"), G2, 1)
+    record = roundtrip({"k": 1, "f": X0.to_json(), "g": G2.to_json()})
+    with pytest.raises(ValueError, match="share a view"):
+        SpinorSection.from_json(record)
+    assert SpinorSection(X0, X0.scale(2)).degree == 1
