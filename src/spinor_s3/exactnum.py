@@ -360,16 +360,22 @@ E3 = quat(0, 0, 0, 1)
 BASIS = (E0, E1, E2, E3)
 
 
-def quat_multiply(a: RationalQuaternion, b: RationalQuaternion) -> RationalQuaternion:
-    """Hamilton product with the convention e1*e2 = e3."""
-    a0, a1, a2, a3 = a.components()
-    b0, b1, b2, b3 = b.components()
-    return RationalQuaternion(
+def hamilton(a: tuple, b: tuple) -> tuple:
+    """Hamilton product, with the convention e1*e2 = e3, of two quaternions
+    given by their components (c0, c1, c2, c3) in any exact number type."""
+    a0, a1, a2, a3 = a
+    b0, b1, b2, b3 = b
+    return (
         a0 * b0 - a1 * b1 - a2 * b2 - a3 * b3,
         a0 * b1 + a1 * b0 + a2 * b3 - a3 * b2,
         a0 * b2 + a2 * b0 + a3 * b1 - a1 * b3,
         a0 * b3 + a3 * b0 + a1 * b2 - a2 * b1,
     )
+
+
+def quat_multiply(a: RationalQuaternion, b: RationalQuaternion) -> RationalQuaternion:
+    """Hamilton product with the convention e1*e2 = e3."""
+    return RationalQuaternion(*hamilton(a.components(), b.components()))
 
 
 def complex_split(q: RationalQuaternion) -> tuple[GaussianRational, GaussianRational]:

@@ -3,11 +3,15 @@
 The unit sphere in H carries the left-invariant frame of the three
 imaginary units.  Derivatives along the flows x -> t^{-1} x s are exact
 polynomial operations (the generating vector fields x -> xS - Tx are
-linear), kept as shift tables on z-view exponents that the Dirac and
-Laplace operators merge and evaluate in one integer pass.  The composed
-forms they are checked against -- one derivative per frame field, the
-Hessian Laplacian and the connection constants -- live in
-``tests/operator_reference.py``.
+linear), kept as shift tables on z-view exponents.  The tables are built
+once per process on Gaussian integers, from integer Hamilton products and
+the integer frame change: first-order ones for the frame fields, merged
+for the Dirac operator and the lowerings, and one second-order table for
+the Laplace operator, composed from the three frame fields' tables.  Each
+operator is then one integer pass over its operand's numerators, and no
+cache grows with the degree.  The composed forms they are checked against
+-- one derivative per frame field, the Hessian Laplacian and the
+connection constants -- live in ``tests/operator_reference.py``.
 Integrals over the sphere are exact (``Fraction``, ``GaussianRational``)
 in units of the total volume 2*pi^2; only ``SPHERE_VOLUME`` makes floats
 of them, for the quadrature cross-checks.
@@ -26,12 +30,11 @@ from . import linalg
 from .exactnum import (
     BASIS,
     GAUSS_ONE,
-    GAUSS_ZERO,
     GaussianRational,
     RationalQuaternion,
-    gauss,
     gauss_over,
-    parts_over,
+    gauss_parts,
+    hamilton,
     quat,
     quat_multiply,
     reduce_parts,
@@ -81,28 +84,40 @@ _RIGHT_PAIRS = {i: KillingPair(quat(), BASIS[i]) for i in (1, 2, 3)}
 
 
 # Frame change between the real coordinates and the z-view generators
-# (z2, conj z2, -z1, conj z1); rows express a generator in x coordinates.
-_FRAME = [
-    [gauss(0), gauss(0), gauss(1), gauss(0, 1)],
-    [gauss(0), gauss(0), gauss(1), gauss(0, -1)],
-    [gauss(-1), gauss(0, -1), gauss(0), gauss(0)],
-    [gauss(1), gauss(0, -1), gauss(0), gauss(0)],
-]
-_FRAME_INV = [
-    [gauss(0), gauss(0), gauss(Fraction(-1, 2)), gauss(Fraction(1, 2))],
-    [gauss(0), gauss(0), gauss(0, Fraction(1, 2)), gauss(0, Fraction(1, 2))],
-    [gauss(Fraction(1, 2)), gauss(Fraction(1, 2)), gauss(0), gauss(0)],
-    [gauss(0, Fraction(-1, 2)), gauss(0, Fraction(1, 2)), gauss(0), gauss(0)],
-]
+# (z2, conj z2, -z1, conj z1), as Gaussian-integer matrices (R, I): the rows
+# of _FRAME express a generator in x coordinates, and _FRAME_INV is its
+# inverse as (den, (R, I)), the matrix (R + iI)/den.
+_FRAME = (
+    [[0, 0, 1, 0], [0, 0, 1, 0], [-1, 0, 0, 0], [1, 0, 0, 0]],
+    [[0, 0, 0, 1], [0, 0, 0, -1], [0, -1, 0, 0], [0, -1, 0, 0]],
+)
+_FRAME_INV = (2, (
+    [[0, 0, -1, 1], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]],
+    [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [-1, 1, 0, 0]],
+))
 
 
 @lru_cache(maxsize=None)
+def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.GaussIntMatrix]:
+    """``(den, (R, I))`` with (R + iI)/den the matrix of the linear field
+    x -> xS - Tx in the z generators' frame: _FRAME * A * _FRAME_INV for
+    the real matrix A whose column n is e_n S - T e_n.  S and T are taken
+    over their common denominator d, so the Hamilton products and the frame
+    change run on integers, over den = d times _FRAME_INV's."""
+    d = math.lcm(*(c.denominator for q in (pair.S, pair.T) for c in q.components()))
+    s, t = ([c.numerator * (d // c.denominator) for c in q.components()] for q in (pair.S, pair.T))
+    units = [[int(m == n) for m in range(4)] for n in range(4)]
+    cols = [[x - y for x, y in zip(hamilton(e, s), hamilton(t, e))] for e in units]
+    a = [list(row) for row in zip(*cols)]
+    inv_den, inv = _FRAME_INV
+    b = linalg.mat_mul_int(linalg.mat_mul_int(_FRAME, (a, [[0] * 4 for _ in range(4)])), inv)
+    return d * inv_den, b
+
+
 def killing_field_matrix(pair: KillingPair) -> tuple[tuple[GaussianRational, ...], ...]:
     """Matrix of the linear field x -> xS - Tx in the z generators' frame."""
-    cols = [pair.field_at(BASIS[n]).components() for n in range(4)]
-    a = [[gauss(cols[n][m]) for n in range(4)] for m in range(4)]
-    b = linalg.mat_mul(_FRAME, linalg.mat_mul(a, _FRAME_INV))
-    return tuple(tuple(row) for row in b)
+    den, b = _field_matrix_int(pair)
+    return tuple(tuple(row) for row in linalg.from_int(b, den))
 
 
 # A first-order operator on z-view polynomials is kept as a shift table
@@ -156,18 +171,27 @@ def _first_order(p: Polynomial, table: tuple) -> Polynomial:
 @lru_cache(maxsize=None)
 def _merged_shifts(fields: tuple) -> tuple:
     """The shift table of sum_s c_s * M(pair_s) over ``fields = ((pair, c),
-    ...)``, M the :func:`killing_field_matrix`: entries with the same
-    (m, j) are summed, the zero ones dropped, and the rest put over one
-    common denominator."""
-    acc: dict = {}
+    ...)``, M the field matrix of :func:`_field_matrix_int`: entries with
+    the same (m, j) are summed over one common denominator on integers, the
+    zero ones dropped, and the denominator reduced to the least one."""
+    terms = []
     for pair, c in fields:
-        for m, row in enumerate(killing_field_matrix(pair)):
-            for j, entry in enumerate(row):
-                if not entry.is_zero():
-                    acc[(m, j)] = acc.get((m, j), GAUSS_ZERO) + c * entry
-    entries = [(m, j, c) for (m, j), c in acc.items() if not c.is_zero()]
-    den = math.lcm(*(d for _, _, c in entries for d in (c.re.denominator, c.im.denominator)))
-    entries = [(m, j, *parts_over(c, den)) for m, j, c in entries]
+        d, (re, im) = _field_matrix_int(pair)
+        cr, ci, cd = gauss_parts(c)
+        terms.append((d * cd, re, im, cr, ci))
+    den = math.lcm(*(d for d, *_ in terms))
+    acc: dict = {}
+    for d, re, im, cr, ci in terms:
+        s = den // d
+        for m in range(4):
+            for j in range(4):
+                x, y = re[m][j], im[m][j]
+                if x or y:
+                    wr, wi = (x * cr - y * ci) * s, (x * ci + y * cr) * s
+                    t = acc.get((m, j))
+                    acc[(m, j)] = (wr, wi) if t is None else (t[0] + wr, t[1] + wi)
+    acc, den = reduce_parts(acc, den)
+    entries = [(m, j, mr, mi) for (m, j), (mr, mi) in acc.items()]
     return (
         den,
         (0, 0),
@@ -234,33 +258,81 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
     return SpinorSection(*parts)
 
 
+# A second-order operator on z-view polynomials is kept as a table
+# ``(den, ((shift, re, im), ...))`` of Gaussian integers over den > 0: a term
+# c*u^e goes to c*w(e) at e + shift (at e itself when shift is None), where
+# w(e) has the real part sum x[t]*c over the entries (t, c) of ``re``, the
+# imaginary part likewise over ``im``, and x the monomials of _FORM_BASIS
+# at e, so that w is a quadratic plus a linear form in e.
+
+#: The monomials x of a second-order form: e[m]*e[n] for m <= n, then e[m],
+#: in the order in which :func:`_laplace_poly` evaluates them.
+_FORM_BASIS = tuple((m, n) for m in range(4) for n in range(m, 4)) + tuple((m,) for m in range(4))
+
+
 @lru_cache(maxsize=None)
-def _laplace_image(exp: tuple) -> tuple[int, tuple]:
-    """sum_i l_i l_i of the monomial u^exp as ``(den, ((exp', (re, im)),
-    ...))``: :func:`_shift_into` twice along each frame field.  Kept for
-    every exponent met, about 10^4 of them at degree 20."""
+def _laplace_table() -> tuple:
+    """sum_i l_i l_i as a second-order shift table, composed from the
+    first-order tables of the three frame fields.
+
+    Entry (m1, j1, w1) of a first-order table, then (m2, j2, w2), takes u^e
+    to w1*w2*e[m1]*(e[m2] + [m2 = j1] - [m2 = m1]) times u^e shifted by
+    -delta_m1 + delta_j1 - delta_m2 + delta_j2 (a diagonal entry has j = m).
+    The coefficients are summed per shift, over the least common
+    denominator; each pair's own coefficient is 0 wherever it would lower an
+    exponent below 0, so the sum is too."""
     tables = [_merged_shifts(((KillingPair.left(i), GAUSS_ONE),)) for i in (1, 2, 3)]
     den = math.lcm(*(t[0] ** 2 for t in tables))
-    acc: dict = {}
-    for table in tables:
-        once: dict = {}
-        _shift_into(once, {exp: (den // table[0] ** 2, 0)}, table)
-        _shift_into(acc, once, table)
-    num, den = reduce_parts(acc, den)
-    return den, tuple(num.items())
+    acc: dict = {}  # (shift, index in _FORM_BASIS) -> (re, im)
+    for d, _, diagonal, moves in tables:
+        s = den // d**2
+        entries = [(m, m, mr, mi) for m, mr, mi in diagonal] + list(moves)
+        for m1, j1, r1, i1 in entries:
+            for m2, j2, r2, i2 in entries:
+                shift = [0, 0, 0, 0]
+                for m, step in ((m1, -1), (j1, 1), (m2, -1), (j2, 1)):
+                    shift[m] += step
+                wr, wi = (r1 * r2 - i1 * i2) * s, (r1 * i2 + i1 * r2) * s
+                for x, c in (((min(m1, m2), max(m1, m2)), 1), ((m1,), (m2 == j1) - (m2 == m1))):
+                    if c:
+                        key = (tuple(shift), _FORM_BASIS.index(x))
+                        t = acc.get(key, (0, 0))
+                        acc[key] = (t[0] + c * wr, t[1] + c * wi)
+    acc, den = reduce_parts(acc, den)
+    forms: dict = {}
+    for (shift, t), (wr, wi) in acc.items():
+        re, im = forms.setdefault(shift if any(shift) else None, ([], []))
+        if wr:
+            re.append((t, wr))
+        if wi:
+            im.append((t, wi))
+    return den, tuple((shift, tuple(re), tuple(im)) for shift, (re, im) in forms.items())
 
 
 def _laplace_poly(p: Polynomial) -> Polynomial:
-    """sum_i l_i l_i p in one pass over the cached monomial images."""
+    """sum_i l_i l_i p in one integer pass over the z-view terms of p with
+    :func:`_laplace_table`: per term, the monomials of _FORM_BASIS once,
+    then each shift's weight from them."""
     p = p.in_view(Z_VIEW)
-    images = [(_laplace_image(exp), a, b) for exp, (a, b) in p._num.items()]
-    den = math.lcm(*(d for (d, _), _, _ in images))
+    den, shifts = _laplace_table()
     acc: dict = {}
-    for (d, image), a, b in images:
-        if d != den:
-            a, b = a * (den // d), b * (den // d)
-        for key, (mr, mi) in image:
-            re, im = a * mr - b * mi, a * mi + b * mr
+    for exp, (a, b) in p._num.items():
+        e0, e1, e2, e3 = exp
+        x = (e0 * e0, e0 * e1, e0 * e2, e0 * e3, e1 * e1, e1 * e2, e1 * e3, e2 * e2, e2 * e3,
+             e3 * e3, e0, e1, e2, e3)
+        for shift, re_form, im_form in shifts:
+            wr = wi = 0
+            for t, c in re_form:
+                wr += x[t] * c
+            for t, c in im_form:
+                wi += x[t] * c
+            if not (wr or wi):
+                continue
+            if shift is None:
+                key = exp
+            else:
+                key = (e0 + shift[0], e1 + shift[1], e2 + shift[2], e3 + shift[3])
+            re, im = a * wr - b * wi, a * wi + b * wr
             t = acc.get(key)
             acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
     return Polynomial._of(*reduce_parts(acc, p._den * den), Z_VIEW)
@@ -271,8 +343,9 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
 
     With this sign it acts on degree-k eigensections by 1 - (k+1)^2, i.e.
     the analyst's negative-spectrum convention; negate for the geometer's
-    positive Laplacian.  It is second order, so it is read from a cached
-    image of each monomial rather than from a shift table.
+    positive Laplacian.  It is second order: each component is one integer
+    pass with the second-order shift table that :func:`_laplace_table`
+    composes from the frame fields' first-order tables.
     """
     return SpinorSection(_laplace_poly(sigma.f), _laplace_poly(sigma.g))
 

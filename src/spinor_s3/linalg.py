@@ -24,15 +24,16 @@ kernels are:
   row is cleared by ``p*row - f*pivot_row`` and then divided by the gcd
   of its integer parts, so nothing is ever divided in Q(i)).
 
-Ragged rows, and a non-square operand of :func:`charpoly_int`, raise
-``ValueError``.  No result is rounded.  :func:`charpoly_from_roots` is
-the independent route that :func:`charpoly_int` is checked against and
-shares no code with it: an integer expansion of the product of its linear
-factors, divided by the roots' denominators once and returned as
-:class:`GaussianRational`.  At the edge, :func:`from_int` converts an
-integer matrix to :class:`GaussianRational` entries and :func:`mat_mul`
-multiplies two Gaussian-rational matrices, for the 4x4 frame change in
-``geometry``.
+Ragged rows, an ``(R, I)`` pair of two shapes, and a non-square operand
+of :func:`charpoly_int` or :func:`shift_int`, raise ``ValueError``
+(:func:`_check_matrix`, one pass over the rows).  No result is rounded.
+:func:`charpoly_from_roots` is the independent route that
+:func:`charpoly_int` is checked against and shares no code with it: an
+integer expansion of the product of its linear factors, divided by the
+roots' denominators once and returned as :class:`GaussianRational`.  At
+the edge, :func:`from_int` converts an integer matrix to
+:class:`GaussianRational` entries, for the Dbar block and the field
+matrices in ``geometry``.
 """
 
 from __future__ import annotations
@@ -49,10 +50,10 @@ IntMatrix = list[list[int]]
 GaussIntMatrix = tuple[IntMatrix, IntMatrix]
 
 
-# zeros, identity, mat_add, mat_scale and trace have no caller in the
-# library: the benchmark's micro mode (``perfbench/child.py``) replays a
-# Faddeev-LeVerrier loop with them and ``mat_mul``.  They go with that mode
-# (ROADMAP item 1).
+# zeros, identity, mat_add, mat_scale, trace and mat_mul (with _to_int)
+# have no caller in the library: the benchmark's micro mode
+# (``perfbench/child.py``) replays a Faddeev-LeVerrier loop with them.
+# They go with that mode (ROADMAP item 1).
 
 
 def zeros(rows: int, cols: int) -> Matrix:
@@ -84,6 +85,18 @@ def trace(a: Matrix) -> GaussianRational:
 # -- conversion ---------------------------------------------------------------
 
 
+def _check_matrix(a: GaussIntMatrix, square: bool = False) -> None:
+    """``ValueError`` if a row of ``R`` or ``I`` has another length than the
+    first row of ``R``, if ``R`` and ``I`` differ in their number of rows
+    or, with ``square``, if A is not square."""
+    re, im = a
+    cols = len(re[0]) if re else 0
+    if len(im) != len(re) or any(len(r) != cols or len(i) != cols for r, i in zip(re, im)):
+        raise ValueError("not a matrix: the rows of (R, I) differ in length or number")
+    if square and cols != len(re):
+        raise ValueError(f"not square: {len(re)} rows of {cols} entries")
+
+
 def _to_int(a: Matrix) -> tuple[int, GaussIntMatrix]:
     """``(d, (R, I))`` with ``a = (R + iI)/d`` and ``d`` the lcm of all
     denominators."""
@@ -96,7 +109,9 @@ def _to_int(a: Matrix) -> tuple[int, GaussIntMatrix]:
 
 
 def from_int(a: GaussIntMatrix, d: int = 1) -> Matrix:
-    """The Gaussian-rational matrix ``(R + iI)/d``."""
+    """The Gaussian-rational matrix ``(R + iI)/d``; ``ValueError`` if ``R``
+    and ``I`` differ in shape or their rows are ragged."""
+    _check_matrix(a)
     re, im = a
     return [[gauss_over(x, y, d) for x, y in zip(rr, ri)] for rr, ri in zip(re, im)]
 
@@ -105,7 +120,9 @@ def from_int(a: GaussIntMatrix, d: int = 1) -> Matrix:
 
 
 def shift_int(a: GaussIntMatrix, c: int) -> GaussIntMatrix:
-    """A + cI for a square Gaussian-integer matrix A and an integer c."""
+    """A + cI for a square Gaussian-integer matrix A and an integer c;
+    ``ValueError`` unless A is square, with ``R`` and ``I`` of one shape."""
+    _check_matrix(a, square=True)
     re = [row[:] for row in a[0]]
     for i, row in enumerate(re):
         row[i] += c
@@ -148,23 +165,14 @@ def _mul_terms(terms: list[list[tuple[int, int, int]]], b: GaussIntMatrix) -> Ga
 def mat_mul_int(a: GaussIntMatrix, b: GaussIntMatrix) -> GaussIntMatrix:
     """``(ar + i ai)(br + i bi)`` over Z[i], one output row at a time as a
     combination of the rows of the right factor; ``ValueError`` unless every
-    row of ``a`` has one entry per row of ``b``."""
+    row of ``a`` has one entry per row of ``b`` and each operand's ``R`` and
+    ``I`` have one shape."""
     for row in a[0]:
         if len(row) != len(b[0]):
             raise ValueError(f"cannot multiply: a row of {len(row)} against {len(b[0])} rows")
+    _check_matrix(a)
+    _check_matrix(b)
     return _mul_terms(_row_terms(a), b)
-
-
-def _check_matrix(a: GaussIntMatrix, square: bool = False) -> None:
-    """``ValueError`` if a row of ``R`` or ``I`` has another length than the
-    first row of ``R``, if ``R`` and ``I`` differ in their number of rows
-    or, with ``square``, if A is not square."""
-    re, im = a
-    cols = len(re[0]) if re else 0
-    if len(im) != len(re) or any(len(r) != cols or len(i) != cols for r, i in zip(re, im)):
-        raise ValueError("not a matrix: the rows of (R, I) differ in length or number")
-    if square and cols != len(re):
-        raise ValueError(f"not square: {len(re)} rows of {cols} entries")
 
 
 def _components(supports: list) -> list[list[int]]:

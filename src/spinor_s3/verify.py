@@ -257,8 +257,13 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
     eig_ok = comm_ok = len(sections) == 2 * (k + 1) ** 2
     for e in sections:
         lap = laplace_section(e.section)
-        eig_ok &= lap == e.section.scale(lam)
-        comm_ok &= laplace_section(dirac_section(e.section)) == dirac_section(lap)
+        eigen = lap == e.section.scale(lam)
+        eig_ok &= eigen
+        d_sigma = dirac_section(e.section)
+        # D is linear, so once Delta sigma == lam sigma has held exactly,
+        # D Delta sigma is lam D sigma: one Dirac pass per section
+        d_lap = d_sigma.scale(lam) if eigen else dirac_section(lap)
+        comm_ok &= laplace_section(d_sigma) == d_lap
     return [
         CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok,
                     f"Delta sigma = {lam} sigma on all {len(sections)} sections"),

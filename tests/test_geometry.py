@@ -198,8 +198,8 @@ def test_x_route_substitutions_are_inverse():
 #: What the x route must not name: the library's frame change, the z
 #: tables built from it and the view conversion.
 Z_TABLE_NAMES = frozenset({
-    "killing_field_matrix", "_merged_shifts", "_first_order", "_shift_into", "_FRAME",
-    "_FRAME_INV", "in_view", "_Z_IN_X", "_X_IN_Z",
+    "killing_field_matrix", "_field_matrix_int", "_merged_shifts", "_first_order",
+    "_shift_into", "_FRAME", "_FRAME_INV", "in_view", "_Z_IN_X", "_X_IN_Z",
 })
 
 

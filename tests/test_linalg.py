@@ -246,6 +246,36 @@ def test_rank_and_charpoly_refuse_ragged_or_mismatched_rows(a):
         linalg.charpoly_int(a)
 
 
+MALFORMED_PAIRS = {
+    "short-imaginary-row": ([[1, 2]], [[0]]),
+    "no-imaginary-rows": ([[1, 2]], []),
+    "extra-imaginary-row": ([[1, 2]], [[0, 0], [0, 0]]),
+}
+
+
+@pytest.mark.parametrize("a", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS.keys())
+def test_integer_kernels_refuse_a_malformed_pair(a):
+    # zipping R against I row by row would drop entries without an error
+    with pytest.raises(ValueError, match="not a matrix"):
+        linalg.mat_mul_int(a, ([[1], [1]], [[0], [0]]))
+    with pytest.raises(ValueError, match="not a matrix"):
+        linalg.mat_mul_int(([[1]], [[0]]), a)
+    with pytest.raises(ValueError, match="not a matrix"):
+        linalg.from_int(a)
+    with pytest.raises(ValueError, match="not a matrix"):
+        linalg.shift_int(a, 1)
+
+
+def test_integer_kernels_keep_well_formed_pairs():
+    # the example the shape check guards: 1 + 2 = 3, not the 1 of a
+    # truncated zip
+    assert linalg.mat_mul_int(([[1, 2]], [[0, 0]]), ([[1], [1]], [[0], [0]])) == ([[3]], [[0]])
+    assert linalg.shift_int(([[1, 2], [3, 4]], [[0, 1], [0, 0]]), 1) == (
+        [[2, 2], [3, 5]], [[0, 1], [0, 0]])
+    with pytest.raises(ValueError, match="not square"):
+        linalg.shift_int(([[1, 2]], [[0, 0]]), 1)
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_charpoly_from_roots_matches_sympy(seed):
     rng = random.Random(5000 + seed)

@@ -7,6 +7,10 @@ operations of ``operator_reference``; the library evaluates each operator
 in one integer pass.  Both work in the z view.  The x cases hand the
 library the x view of each section and the references its z view, so
 they also check that every operator takes its operand in z and returns z.
+
+Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
+of the Killing tables, and the laplace suite's work is pinned by counts:
+Dirac passes per section and the sizes of the geometry caches.
 """
 
 import ast
@@ -23,16 +27,17 @@ from operator_reference import (
     spin_contraction,
 )
 
+from spinor_s3 import geometry, verify
 from spinor_s3.exactnum import gauss
 from spinor_s3.geometry import KillingPair, dirac_section, laplace_section
-from spinor_s3.polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW
+from spinor_s3.polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, laplacian_r4
 from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
 
 #: The library's operator entry points and the tables behind them: the
 #: oracles that check them must not call them.
 CHECKED_ENTRY_POINTS = frozenset({
     "dirac_section", "laplace_section", "beta_lower", "_dirac_tables",
-    "_laplace_image", "_laplace_poly", "_lowering_table",
+    "_laplace_image", "_laplace_poly", "_laplace_table", "_lowering_table",
 })
 
 
@@ -122,3 +127,67 @@ def test_operators_match_composed_forms_on_random_sections(view):
 def test_operators_match_composed_forms_on_the_eigenbasis(k, view):
     for entry in transfer_eigenbasis(k):
         assert_operators_match(in_view(entry.section, view), entry.section)
+
+
+# -- Delta outside the Killing tables ----------------------------------------------
+
+
+def test_laplace_table_is_three_shifts_over_denominator_one():
+    den, shifts = geometry._laplace_table()
+    assert den == 1
+    basis = geometry._FORM_BASIS
+    forms = {shift: [(basis[t], c) for t, c in re] for shift, re, im in shifts if not im}
+    assert len(forms) == len(shifts)  # every weight is real
+    assert forms.keys() == {None, (-1, -1, 1, 1), (1, 1, -1, -1)}
+    assert sum(len(x) == 2 for x, _ in forms[None]) == 10
+    assert sum(len(x) == 1 for x, _ in forms[None]) == 4
+    # one product term each: e0*e1 moves to the conjugate pair, e2*e3 back
+    assert forms[(-1, -1, 1, 1)] == [((0, 1), -4)]
+    assert forms[(1, 1, -1, -1)] == [((2, 3), -4)]
+
+
+def test_laplace_is_r2_flat_laplacian_minus_k_k_plus_2_on_every_monomial():
+    # on a degree-k polynomial, sum_i l_i l_i = r^2 Delta_R4 - k(k+2), with
+    # r^2 = u0 u1 - u2 u3 = |z1|^2 + |z2|^2: the flat Laplacian and the ring
+    # product only, nothing of the Killing tables
+    r2 = Polynomial({(1, 1, 0, 0): 1, (0, 0, 1, 1): -1}, Z_VIEW)
+    checked = 0
+    for k in range(9):
+        for e0 in range(k + 1):
+            for e1 in range(k + 1 - e0):
+                for e2 in range(k + 1 - e0 - e1):
+                    p = Polynomial.monomial((e0, e1, e2, k - e0 - e1 - e2), 1, Z_VIEW)
+                    out = laplace_section(SpinorSection(p, Polynomial.zero(Z_VIEW)))
+                    assert out.f == r2 * laplacian_r4(p) - p.scale(k * (k + 2))
+                    assert out.g.is_zero()
+                    checked += 1
+    assert checked == 495
+
+
+# -- counts, not timings ---------------------------------------------------------
+
+
+def test_laplace_suite_makes_one_dirac_pass_per_section(monkeypatch):
+    calls = []
+
+    def counted(sigma):
+        calls.append(sigma)
+        return dirac_section(sigma)
+
+    monkeypatch.setattr(verify, "dirac_section", counted)
+    results = verify.run_suites(["laplace"])
+    assert len(results) == 14 and all(r.passed for r in results)
+    assert len(calls) == sum(2 * (k + 1) ** 2 for k in range(7)) == 280
+
+
+def test_geometry_caches_do_not_grow_with_the_degree():
+    cached = [f for f in vars(geometry).values()
+              if hasattr(f, "cache_info") and f.__module__ == geometry.__name__]
+    assert cached
+    for f in cached:
+        f.cache_clear()
+    assert all(r.passed for r in verify.run_suites(["laplace"], k_max=3))
+    sizes = {f.__name__: f.cache_info().currsize for f in cached}
+    assert all(r.passed for r in verify.run_suites(["laplace"], k_max=12))
+    assert {f.__name__: f.cache_info().currsize for f in cached} == sizes
+    assert max(sizes.values()) <= 8

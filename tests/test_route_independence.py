@@ -181,6 +181,26 @@ def test_allowlist_is_used_and_explained():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+def laplace_route_overlap(graph) -> set[str]:
+    """What ties the Laplace operator to the flat Laplacian: laplacian_r4
+    reached from laplace_section, and the geometry._laplace* tables
+    reached from laplacian_r4."""
+    overlap = closure(graph, {"geometry.laplace_section"}) & {"polyring.laplacian_r4"}
+    return overlap | {node for node in closure(graph, {"polyring.laplacian_r4"})
+                      if node.startswith("geometry._laplace")}
+
+
+def test_laplace_is_not_built_from_the_flat_laplacian():
+    # built from sum_i l_i l_i = r^2 Delta_R4 - k(k+2), the laplace
+    # eigenvalue check would restate the transfer suite's harmonicity
+    # check; that identity is a test oracle (test_operator_tables.py) only
+    assert not laplace_route_overlap(GRAPH)
+    assert "geometry._laplace_table" in closure(GRAPH, {"geometry.laplace_section"})
+    merged = {**GRAPH, "geometry._laplace_poly":
+              GRAPH["geometry._laplace_poly"] | {"polyring.laplacian_r4"}}
+    assert laplace_route_overlap(merged) == {"polyring.laplacian_r4"}
+
+
 def test_the_graph_sees_a_merged_route():
     # recursive_table calling the closed form it is compared against
     graph = {**GRAPH, "transfer.recursive_table":
