@@ -3,15 +3,18 @@
 The unit sphere in H carries the left-invariant frame of the three
 imaginary units.  Derivatives along the flows x -> t^{-1} x s are exact
 polynomial operations (the generating vector fields x -> xS - Tx are
-linear), kept as shift tables on z-view exponents.  The tables are built
-once per process on Gaussian integers, from integer Hamilton products and
-the integer frame change: first-order ones for the frame fields, merged
-for the Dirac operator and the lowerings, and one second-order table for
-the Laplace operator, composed from the three frame fields' tables.  Each
-operator is then one integer pass over its operand's numerators, and no
-cache grows with the degree.  The composed forms they are checked against
--- one derivative per frame field, the Hessian Laplacian and the
-connection constants -- live in ``tests/operator_reference.py``.
+linear), and every operator here is a polynomial in the frame derivatives
+l_i: D = -sum_i (l_i sigma) e_i - 3/2, Delta = sum_i l_i l_i, and the two
+lowerings of ``transfer``.  All of them share one table format on z-view
+exponents and one interpreter, ``_apply``.  Each field's table is read off
+its integer matrix (integer Hamilton products and the integer frame
+change); every other table is built from those by two operations, a
+linear combination (``_combine``) and a composition (``_compose``), once
+per process on Gaussian integers.  Each operator is then one integer pass
+over its operand's numerators, and no cache grows with the degree.  The
+composed forms they are checked against -- one derivative per frame
+field, the Hessian Laplacian and the connection constants -- live in
+``tests/operator_reference.py``.
 Integrals over the sphere are exact (``Fraction``, ``GaussianRational``)
 in units of the total volume 2*pi^2; only ``SPHERE_VOLUME`` makes floats
 of them, for the quadrature cross-checks.
@@ -22,14 +25,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from . import linalg
 from .exactnum import (
     BASIS,
-    GAUSS_ONE,
     GaussianRational,
     RationalQuaternion,
     gauss_over,
@@ -69,15 +71,6 @@ class KillingPair:
     def field_at(self, x: RationalQuaternion) -> RationalQuaternion:
         return quat_multiply(x, self.S) - quat_multiply(self.T, x)
 
-    @cached_property
-    def _hash(self) -> int:
-        return hash((self.S, self.T))
-
-    def __hash__(self) -> int:
-        # computed once: the field caches below are keyed on pairs, and
-        # hashing two quaternions means hashing eight Fractions
-        return self._hash
-
 
 _LEFT_PAIRS = {i: KillingPair(BASIS[i], quat()) for i in (1, 2, 3)}
 _RIGHT_PAIRS = {i: KillingPair(quat(), BASIS[i]) for i in (1, 2, 3)}
@@ -114,120 +107,154 @@ def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.GaussIntMatrix]:
     return d * inv_den, b
 
 
-def killing_field_matrix(pair: KillingPair) -> tuple[tuple[GaussianRational, ...], ...]:
-    """Matrix of the linear field x -> xS - Tx in the z generators' frame."""
-    den, b = _field_matrix_int(pair)
-    return tuple(tuple(row) for row in linalg.from_int(b, den))
+# An operator on z-view polynomials is kept as a table ``(den, entries)`` of
+# Gaussian integers over den > 0.  An entry ``(shift, re, im)`` takes a term
+# c*u^e to c*w(e) at e + shift, or at e itself when shift is None, with
+#
+#     w(e) = sum c*x[m]*x[n] over the terms (m, n, c) of re
+#            + i * the same sum over the terms of im,   x = (e0, e1, e2, e3, 1).
+#
+# A first-order table has only terms with n = 4.  The weight of every table
+# below is 0 wherever its shift would lower an exponent below 0 (a field's
+# weight e[m] is, and sums and products keep it), so _apply, which skips
+# zero weights, never writes a negative exponent.  The tables are built once
+# per process from the frame fields' tables by _combine and _compose.
 
 
-# A first-order operator on z-view polynomials is kept as a shift table
-# ``(den, const, diagonal, moves)`` of Gaussian integers over den > 0: a term
-# c*u^e goes to c*(const + sum e[m]*d) at e itself, over the entries (m, d)
-# of ``diagonal``, plus c*e[m]*w at e - delta_m + delta_j for each entry
-# (m, j, w) of ``moves``.  The field matrices give const = 0; the Dirac
-# blocks put their -3/2 there.
-
-
-def _shift_into(acc: dict, num: dict, table: tuple) -> None:
+def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
     """Add the operator ``table`` applied to the Gaussian integers ``num``
-    into ``acc``, ignoring the table's denominator."""
-    _, (cr, ci), diagonal, moves = table
+    into ``acc`` (a new dict by default) and return it, leaving the
+    table's denominator to the caller."""
+    if acc is None:
+        acc = {}
+    entries = table[1]
     for exp, (a, b) in num.items():
-        wr, wi = cr, ci
-        for m, mr, mi in diagonal:
-            e = exp[m]
-            wr += e * mr
-            wi += e * mi
-        if wr or wi:
-            re, im = a * wr - b * wi, a * wi + b * wr
-            t = acc.get(exp)
-            acc[exp] = (re, im) if t is None else (t[0] + re, t[1] + im)
-        for m, j, mr, mi in moves:
-            e = exp[m]
-            if not e:
-                continue
-            key = list(exp)
-            key[m] = e - 1
-            key[j] += 1
-            key = tuple(key)
-            # (a + b i) * e * (mr + mi i), skipping the zero part of the entry
-            if not mi:
-                re, im = a * e * mr, b * e * mr
-            elif not mr:
-                re, im = -b * e * mi, a * e * mi
+        x = exp + (1,)
+        e0, e1, e2, e3 = exp
+        for shift, re_terms, im_terms in entries:
+            wr = wi = 0
+            for m, n, c in re_terms:
+                wr += c * x[m] * x[n]
+            if im_terms:  # most weights are real
+                for m, n, c in im_terms:
+                    wi += c * x[m] * x[n]
+            if wi:
+                re, im = a * wr - b * wi, a * wi + b * wr
+            elif wr:
+                re, im = a * wr, b * wr
             else:
-                re, im = (a * mr - b * mi) * e, (a * mi + b * mr) * e
+                continue
+            if shift is None:
+                key = exp
+            else:
+                s0, s1, s2, s3 = shift
+                key = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
             t = acc.get(key)
             acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
+    return acc
 
 
-def _first_order(p: Polynomial, table: tuple) -> Polynomial:
-    """The operator ``table`` applied to the z-view p in one pass."""
-    acc: dict = {}
-    _shift_into(acc, p._num, table)
-    return Polynomial._of(*reduce_parts(acc, p._den * table[0]), Z_VIEW)
+def _table(weights: dict, den: int) -> tuple:
+    """The table of ``weights`` {(shift, m, n): Gaussian integer} over den,
+    reduced to the least denominator."""
+    weights, den = reduce_parts(weights, den)
+    entries: dict = {}
+    for (shift, m, n), (wr, wi) in weights.items():
+        re, im = entries.setdefault(shift, ([], []))
+        if wr:
+            re.append((m, n, wr))
+        if wi:
+            im.append((m, n, wi))
+    return den, tuple((shift, tuple(re), tuple(im)) for shift, (re, im) in entries.items())
+
+
+def _add_weight(weights: dict, key: tuple, wr: int, wi: int) -> None:
+    t = weights.get(key)
+    weights[key] = (wr, wi) if t is None else (t[0] + wr, t[1] + wi)
+
+
+#: The identity operator, which carries the Dirac operator's constant.
+_IDENTITY = (1, ((None, ((4, 4, 1),), ()),))
 
 
 @lru_cache(maxsize=None)
-def _merged_shifts(fields: tuple) -> tuple:
-    """The shift table of sum_s c_s * M(pair_s) over ``fields = ((pair, c),
-    ...)``, M the field matrix of :func:`_field_matrix_int`: entries with
-    the same (m, j) are summed over one common denominator on integers, the
-    zero ones dropped, and the denominator reduced to the least one."""
-    terms = []
-    for pair, c in fields:
-        d, (re, im) = _field_matrix_int(pair)
-        cr, ci, cd = gauss_parts(c)
-        terms.append((d * cd, re, im, cr, ci))
-    den = math.lcm(*(d for d, *_ in terms))
-    acc: dict = {}
-    for d, re, im, cr, ci in terms:
-        s = den // d
-        for m in range(4):
-            for j in range(4):
-                x, y = re[m][j], im[m][j]
-                if x or y:
-                    wr, wi = (x * cr - y * ci) * s, (x * ci + y * cr) * s
-                    t = acc.get((m, j))
-                    acc[(m, j)] = (wr, wi) if t is None else (t[0] + wr, t[1] + wi)
-    acc, den = reduce_parts(acc, den)
-    entries = [(m, j, mr, mi) for (m, j), (mr, mi) in acc.items()]
-    return (
-        den,
-        (0, 0),
-        tuple((m, mr, mi) for m, j, mr, mi in entries if m == j),
-        tuple(entry for entry in entries if entry[0] != entry[1]),
-    )
+def _field_table(pair: KillingPair) -> tuple:
+    """The derivative along the field x -> xS - Tx, a first-order table:
+    entry (m, j) of the matrix M of :func:`_field_matrix_int` moves c*u^e to
+    c*e[m]*M[m][j] at e - delta_m + delta_j."""
+    den, (re, im) = _field_matrix_int(pair)
+    weights: dict = {}
+    for m in range(4):
+        for j in range(4):
+            shift = None if m == j else tuple((n == j) - (n == m) for n in range(4))
+            weights[(shift, m, 4)] = (re[m][j], im[m][j])
+    return _table(weights, den)
+
+
+def _combine(parts: tuple) -> tuple:
+    """sum c*T over ``parts = ((T, c), ...)``, summed on integers over one
+    denominator and reduced to the least one."""
+    scaled = [(table, *gauss_parts(c)) for table, c in parts]
+    den = math.lcm(*(table[0] * cd for table, _, _, cd in scaled))
+    weights: dict = {}
+    for (d, entries), cr, ci, cd in scaled:
+        s = den // (d * cd)
+        for shift, re_terms, im_terms in entries:
+            # c times a real weight v, then c times i*v
+            for terms, xr, xi in ((re_terms, cr, ci), (im_terms, -ci, cr)):
+                for m, n, v in terms:
+                    _add_weight(weights, (shift, m, n), v * xr * s, v * xi * s)
+    return _table(weights, den)
+
+
+def _linear_terms(re_terms: tuple, im_terms: tuple) -> list:
+    """The terms of a first-order weight as (m, re, im)."""
+    return [(m, c, 0) for m, _, c in re_terms] + [(m, 0, c) for m, _, c in im_terms]
+
+
+def _compose(a: tuple, b: tuple) -> tuple:
+    """a after b, for first-order tables: entry (s, w) of b, then entry
+    (t, v) of a, give w(e)*v(e + s) at e + s + t."""
+    weights: dict = {}
+    for s, *w in b[1]:
+        s = s or (0, 0, 0, 0)
+        for t, *v in a[1]:
+            net = tuple(x + y for x, y in zip(s, t or (0, 0, 0, 0)))
+            net = net if any(net) else None
+            # w_m x[m] * v_n (x[n] + s[n]), with s[4] = 0
+            for m, wr, wi in _linear_terms(*w):
+                for n, vr, vi in _linear_terms(*v):
+                    cr, ci = wr * vr - wi * vi, wr * vi + wi * vr
+                    _add_weight(weights, (net, min(m, n), max(m, n)), cr, ci)
+                    if n < 4 and s[n]:
+                        _add_weight(weights, (net, m, 4), cr * s[n], ci * s[n])
+    return _table(weights, a[0] * b[0])
 
 
 @lru_cache(maxsize=None)
 def _dirac_tables() -> dict:
-    """The Dirac operator as a 2x2 block of shift tables over one
-    denominator: ``tables[(src, dst)]`` is T[src -> dst] = -sum_i
-    split(e_r e_i)_dst * M(left(i)), with r = 0 for f and 2 for g and split
-    the (f, g) parts of :func:`complex_split`, and the blocks f -> f and
-    g -> g carry the constant -3/2."""
-    merged = {}
+    """The Dirac operator as a 2x2 block of tables over one denominator:
+    ``tables[(src, dst)]`` is -sum_i split(e_r e_i)_dst * l_i, with r = 0
+    for f and 2 for g and split the (f, g) parts of :func:`complex_split`,
+    plus -3/2 times the identity on f -> f and g -> g."""
+    blocks = {}
     for src, r in (("f", 0), ("g", 2)):
         for dst, part in (("f", 0), ("g", 1)):
-            merged[(src, dst)] = _merged_shifts(
-                tuple(
-                    (KillingPair.left(i), -gauss_over(*_basis_product_split(r, i)[part], 1))
-                    for i in (1, 2, 3)
-                )
+            parts = tuple(
+                (_field_table(KillingPair.left(i)),
+                 -gauss_over(*_basis_product_split(r, i)[part], 1))
+                for i in (1, 2, 3)
             )
-    shift = Fraction(-3, 2)
-    den = math.lcm(shift.denominator, *(table[0] for table in merged.values()))
+            blocks[(src, dst)] = _combine(parts + ((_IDENTITY, Fraction(-3, 2)),) * (src == dst))
+    # one shared denominator, so that f and g can be summed into one image
+    den = math.lcm(*(d for d, _ in blocks.values()))
     tables = {}
-    for (src, dst), (d, _, diagonal, moves) in merged.items():
+    for key, (d, entries) in blocks.items():
         s = den // d
-        const = (shift.numerator * (den // shift.denominator), 0) if src == dst else (0, 0)
-        tables[(src, dst)] = (
-            den,
-            const,
-            tuple((m, mr * s, mi * s) for m, mr, mi in diagonal),
-            tuple((m, j, mr * s, mi * s) for m, j, mr, mi in moves),
-        )
+        tables[key] = (den, tuple(
+            (shift, *(tuple((m, n, c * s) for m, n, c in terms) for terms in (re, im)))
+            for shift, re, im in entries
+        ))
     return tables
 
 
@@ -239,7 +266,7 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
     the frame derivatives right-multiplied by the frame units, minus the
     3/2 curvature constant.  Each component of the result is one pass over
     the Gaussian-integer numerators of f and g in the z view, brought to a
-    common denominator, with the merged tables of :func:`_dirac_tables`.
+    common denominator, with the tables of :func:`_dirac_tables`.
     """
     f, g = sigma.f.in_view(Z_VIEW), sigma.g.in_view(Z_VIEW)
     tables = _dirac_tables()
@@ -251,91 +278,16 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
     den *= tables[("f", "f")][0]  # the four tables share it
     parts = []
     for dst in ("f", "g"):
-        acc: dict = {}
-        for src in ("f", "g"):
-            _shift_into(acc, nums[src], tables[(src, dst)])
+        acc = _apply(tables[("g", dst)], nums["g"], _apply(tables[("f", dst)], nums["f"]))
         parts.append(Polynomial._of(*reduce_parts(acc, den), Z_VIEW))
     return SpinorSection(*parts)
 
 
-# A second-order operator on z-view polynomials is kept as a table
-# ``(den, ((shift, re, im), ...))`` of Gaussian integers over den > 0: a term
-# c*u^e goes to c*w(e) at e + shift (at e itself when shift is None), where
-# w(e) has the real part sum x[t]*c over the entries (t, c) of ``re``, the
-# imaginary part likewise over ``im``, and x the monomials of _FORM_BASIS
-# at e, so that w is a quadratic plus a linear form in e.
-
-#: The monomials x of a second-order form: e[m]*e[n] for m <= n, then e[m],
-#: in the order in which :func:`_laplace_poly` evaluates them.
-_FORM_BASIS = tuple((m, n) for m in range(4) for n in range(m, 4)) + tuple((m,) for m in range(4))
-
-
 @lru_cache(maxsize=None)
 def _laplace_table() -> tuple:
-    """sum_i l_i l_i as a second-order shift table, composed from the
-    first-order tables of the three frame fields.
-
-    Entry (m1, j1, w1) of a first-order table, then (m2, j2, w2), takes u^e
-    to w1*w2*e[m1]*(e[m2] + [m2 = j1] - [m2 = m1]) times u^e shifted by
-    -delta_m1 + delta_j1 - delta_m2 + delta_j2 (a diagonal entry has j = m).
-    The coefficients are summed per shift, over the least common
-    denominator; each pair's own coefficient is 0 wherever it would lower an
-    exponent below 0, so the sum is too."""
-    tables = [_merged_shifts(((KillingPair.left(i), GAUSS_ONE),)) for i in (1, 2, 3)]
-    den = math.lcm(*(t[0] ** 2 for t in tables))
-    acc: dict = {}  # (shift, index in _FORM_BASIS) -> (re, im)
-    for d, _, diagonal, moves in tables:
-        s = den // d**2
-        entries = [(m, m, mr, mi) for m, mr, mi in diagonal] + list(moves)
-        for m1, j1, r1, i1 in entries:
-            for m2, j2, r2, i2 in entries:
-                shift = [0, 0, 0, 0]
-                for m, step in ((m1, -1), (j1, 1), (m2, -1), (j2, 1)):
-                    shift[m] += step
-                wr, wi = (r1 * r2 - i1 * i2) * s, (r1 * i2 + i1 * r2) * s
-                for x, c in (((min(m1, m2), max(m1, m2)), 1), ((m1,), (m2 == j1) - (m2 == m1))):
-                    if c:
-                        key = (tuple(shift), _FORM_BASIS.index(x))
-                        t = acc.get(key, (0, 0))
-                        acc[key] = (t[0] + c * wr, t[1] + c * wi)
-    acc, den = reduce_parts(acc, den)
-    forms: dict = {}
-    for (shift, t), (wr, wi) in acc.items():
-        re, im = forms.setdefault(shift if any(shift) else None, ([], []))
-        if wr:
-            re.append((t, wr))
-        if wi:
-            im.append((t, wi))
-    return den, tuple((shift, tuple(re), tuple(im)) for shift, (re, im) in forms.items())
-
-
-def _laplace_poly(p: Polynomial) -> Polynomial:
-    """sum_i l_i l_i p in one integer pass over the z-view terms of p with
-    :func:`_laplace_table`: per term, the monomials of _FORM_BASIS once,
-    then each shift's weight from them."""
-    p = p.in_view(Z_VIEW)
-    den, shifts = _laplace_table()
-    acc: dict = {}
-    for exp, (a, b) in p._num.items():
-        e0, e1, e2, e3 = exp
-        x = (e0 * e0, e0 * e1, e0 * e2, e0 * e3, e1 * e1, e1 * e2, e1 * e3, e2 * e2, e2 * e3,
-             e3 * e3, e0, e1, e2, e3)
-        for shift, re_form, im_form in shifts:
-            wr = wi = 0
-            for t, c in re_form:
-                wr += x[t] * c
-            for t, c in im_form:
-                wi += x[t] * c
-            if not (wr or wi):
-                continue
-            if shift is None:
-                key = exp
-            else:
-                key = (e0 + shift[0], e1 + shift[1], e2 + shift[2], e3 + shift[3])
-            re, im = a * wr - b * wi, a * wi + b * wr
-            t = acc.get(key)
-            acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
-    return Polynomial._of(*reduce_parts(acc, p._den * den), Z_VIEW)
+    """sum_i l_i l_i, composed from the frame fields' tables."""
+    fields = [_field_table(KillingPair.left(i)) for i in (1, 2, 3)]
+    return _combine(tuple((_compose(l, l), 1) for l in fields))
 
 
 def laplace_section(sigma: SpinorSection) -> SpinorSection:
@@ -344,10 +296,14 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
     With this sign it acts on degree-k eigensections by 1 - (k+1)^2, i.e.
     the analyst's negative-spectrum convention; negate for the geometer's
     positive Laplacian.  It is second order: each component is one integer
-    pass with the second-order shift table that :func:`_laplace_table`
-    composes from the frame fields' first-order tables.
+    pass with :func:`_laplace_table`.
     """
-    return SpinorSection(_laplace_poly(sigma.f), _laplace_poly(sigma.g))
+    den, _ = table = _laplace_table()
+    f, g = (
+        Polynomial._of(*reduce_parts(_apply(table, p._num), p._den * den), Z_VIEW)
+        for p in (sigma.f.in_view(Z_VIEW), sigma.g.in_view(Z_VIEW))
+    )
+    return SpinorSection(f, g)
 
 
 # -- exact integration -------------------------------------------------------

@@ -202,6 +202,8 @@ class Polynomial(GaussParts):
     def evaluate(self, point) -> GaussianRational:
         """Exact evaluation at a rational point (x0, x1, x2, x3)."""
         x = [Fraction(t) for t in point]
+        if len(x) != 4:
+            raise ValueError(f"a point has 4 coordinates, got {len(x)}")
         q = lcm(*(t.denominator for t in x))
         n = [t.numerator * (q // t.denominator) for t in x]  # x = n / q
         if self.view == X_VIEW:

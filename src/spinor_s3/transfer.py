@@ -28,7 +28,7 @@ from functools import lru_cache
 
 from .abstract_dirac import eigenbasis_abstract
 from .exactnum import GaussianRational, add_parts, gauss, reduce_parts, scale_parts
-from .geometry import KillingPair, _first_order, _merged_shifts, l2_inner_product
+from .geometry import KillingPair, _apply, _combine, _field_table, l2_inner_product
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
 
 LEFT = "left"
@@ -57,24 +57,29 @@ _LOWERING_PAIRS = {LEFT: KillingPair.left, RIGHT: KillingPair.right}
 
 @lru_cache(maxsize=None)
 def _lowering_table(side: str) -> tuple:
-    """The merged shift table of -1/2 * M(pair(2)) + i/2 * M(pair(3)): its
-    two moves are the diamond's arrows for ``side``."""
+    """The table of -1/2 * pair(2) + i/2 * pair(3), combined from the two
+    fields' tables: its two entries are the diamond's arrows for ``side``."""
     pair = _LOWERING_PAIRS[side]
-    return _merged_shifts(((pair(2), gauss(Fraction(-1, 2))), (pair(3), gauss(0, Fraction(1, 2)))))
+    return _combine((
+        (_field_table(pair(2)), Fraction(-1, 2)),
+        (_field_table(pair(3)), gauss(0, Fraction(1, 2))),
+    ))
 
 
 def beta_lower(side: str, poly: Polynomial) -> Polynomial:
     """Apply the complexified lowering operator to a polynomial.
 
     Implemented through the actual flow derivatives (not the diamond
-    shortcut): one pass over the z view of ``poly`` with the merged shift
-    table of -1/2 * d(. along pair(2)) + i/2 * d(. along pair(3)), which is
-    derived from the fields' matrices; the diamond above is what the tests
-    check it against.
+    shortcut): one pass over the z view of ``poly`` with the table of
+    -1/2 * d(. along pair(2)) + i/2 * d(. along pair(3)), which is combined
+    from the fields' tables; the diamond above is what the tests check it
+    against.
     """
     if side not in _LOWERING_PAIRS:
         raise ValueError(f"unknown side {side!r}")
-    return _first_order(poly.in_view(Z_VIEW), _lowering_table(side))
+    den, _ = table = _lowering_table(side)
+    poly = poly.in_view(Z_VIEW)
+    return Polynomial._of(*reduce_parts(_apply(table, poly._num), poly._den * den), Z_VIEW)
 
 
 def _check_indices(k: int, p: int, q: int) -> None:

@@ -357,6 +357,8 @@ def suite_jobs(
 ) -> list[Callable[[], list[CheckResult]]]:
     if suite not in SUITE_NAMES:
         raise ValueError(f"unknown suite {suite!r}")
+    if rule not in (None, "tensor", "mc"):
+        raise ValueError(f"unknown quadrature rule {rule!r}")
     top = DEFAULT_K_MAX[suite] if k_max is None else k_max
     per_k = {
         "casimir": _check_casimir_k,

@@ -1,11 +1,12 @@
 """The composed forms of the geometric operators, as test oracles.
 
-The library evaluates D, Delta and the lowerings from merged shift tables
-in one integer pass.  The forms here are the operators as the paper
-writes them: one derivative per frame field, the frame's covariant
-constants and right multiplication by the frame units, composed with the
-ring operations.  They share the single-field shift tables with the
-library, and never call the merged entry points they are checked against
+The library evaluates D, Delta and the lowerings from tables combined and
+composed from the frame fields' tables, in one integer pass.  The forms
+here are the operators as the paper writes them: one derivative per frame
+field, the frame's covariant constants and right multiplication by the
+frame units, composed with the ring operations.  They share the
+single-field tables and the interpreter with the library, and never call
+the combined tables or the builders they are checked against
 (``test_operator_reference_calls_no_checked_entry_point`` guards that).
 """
 
@@ -14,14 +15,14 @@ from typing import Union
 
 from spinor_s3.exactnum import (
     BASIS,
-    GAUSS_ONE,
     RationalQuaternion,
     clifford_multiply,
     gauss,
     quat,
     quat_multiply,
+    reduce_parts,
 )
-from spinor_s3.geometry import KillingPair, _first_order, _merged_shifts
+from spinor_s3.geometry import KillingPair, _apply, _field_table
 from spinor_s3.polyring import Polynomial, SpinorSection, Z_VIEW, _basis_product_split
 
 
@@ -34,18 +35,20 @@ def killing_derivative(
     the derivative is sum_m d_m sigma * (sum_j M[m][j] u_j): a term c*u^e
     with e[m] > 0 moves c*e[m]*M[m][j] to the exponent e - delta_m +
     delta_j, once per nonzero M[m][j].  The frame fields have one unit
-    entry per row, so that is four shifts a term.  The arithmetic is on
-    Gaussian-integer numerators; the result's denominator is sigma's times
-    M's.  An x-view operand is taken in z first, as the library's
-    operators do.  Acts componentwise on spinor sections; preserves
-    homogeneous degree and harmonicity (the field is skew-symmetric on
-    R^4).
+    entry per row, so that is four shifts a term.  It is the field's table
+    run by the library's interpreter, on Gaussian-integer numerators over
+    sigma's denominator times the table's.  An x-view operand is taken in
+    z first, as the library's operators do.  Acts componentwise on spinor
+    sections; preserves homogeneous degree and harmonicity (the field is
+    skew-symmetric on R^4).
     """
     if isinstance(sigma, SpinorSection):
         return sigma._with_parts(
             killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair)
         )
-    return _first_order(sigma.in_view(Z_VIEW), _merged_shifts(((pair, GAUSS_ONE),)))
+    den, _ = table = _field_table(pair)
+    p = sigma.in_view(Z_VIEW)
+    return Polynomial._of(*reduce_parts(_apply(table, p._num), p._den * den), Z_VIEW)
 
 
 def laplace_section_via_hessian(sigma: SpinorSection) -> SpinorSection:

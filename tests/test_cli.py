@@ -390,6 +390,17 @@ def test_verify_integral_tensor_only(capsys):
     assert "monte carlo" not in out
 
 
+def test_unknown_quadrature_rule_is_refused(capsys):
+    # a misspelt rule used to run the integral suite with neither quadrature
+    from spinor_s3 import verify
+
+    for suites in (["integral"], ["casimir"]):
+        with pytest.raises(ValueError, match="unknown quadrature rule 'tensr'"):
+            verify.run_suites(suites, k_max=1, rule="tensr")
+    code, out, _ = run(capsys, "verify", "--suite", "integral", "--rule", "tensr")
+    assert code == 2 and out == ""
+
+
 def test_verify_integral_mc_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "integral", "--rule", "mc",

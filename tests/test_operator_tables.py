@@ -1,5 +1,8 @@
-"""D, Delta and the lowerings, evaluated from merged shift tables, against
-their composed forms: the same canonical numerators, denominator and view.
+"""D, Delta and the lowerings, evaluated from tables combined and composed
+from the frame fields' tables, against their composed forms: the same
+canonical numerators, denominator and view.  The table algebra itself is
+held to the operators it stands for: a composition to one operator after
+the other, a combination to the sum of the scaled operators.
 
 The references below are the operators as the paper writes them, built
 from one ``killing_derivative`` pass per frame field and the ring
@@ -27,18 +30,25 @@ from operator_reference import (
     spin_contraction,
 )
 
-from spinor_s3 import geometry, verify
-from spinor_s3.exactnum import gauss
+from spinor_s3 import geometry, transfer, verify
+from spinor_s3.exactnum import gauss, reduce_parts
 from spinor_s3.geometry import KillingPair, dirac_section, laplace_section
 from spinor_s3.polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, laplacian_r4
 from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
 
 #: The library's operator entry points and the tables behind them: the
 #: oracles that check them must not call them.
+#: The interpreter and the field table stay out: ``killing_derivative``
+#: runs one field's table.
 CHECKED_ENTRY_POINTS = frozenset({
     "dirac_section", "laplace_section", "beta_lower", "_dirac_tables",
-    "_laplace_image", "_laplace_poly", "_laplace_table", "_lowering_table",
+    "_laplace_table", "_lowering_table", "_combine", "_compose",
 })
+
+
+def test_checked_entry_points_exist():
+    # a stale name guards nothing
+    assert all(hasattr(geometry, name) or hasattr(transfer, name) for name in CHECKED_ENTRY_POINTS)
 
 
 def test_operator_reference_calls_no_checked_entry_point():
@@ -129,21 +139,68 @@ def test_operators_match_composed_forms_on_the_eigenbasis(k, view):
         assert_operators_match(in_view(entry.section, view), entry.section)
 
 
+# -- the table algebra ------------------------------------------------------------
+
+
+def apply(p, table):
+    """The operator ``table`` on the z-view polynomial p."""
+    den, _ = table
+    return Polynomial._of(*reduce_parts(geometry._apply(table, p._num), p._den * den), Z_VIEW)
+
+
+def first_order_tables():
+    fields = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
+    return ([geometry._field_table(pair) for pair in fields]
+            + [transfer._lowering_table(side) for side in (LEFT, RIGHT)])
+
+
+def algebra_operands(seed):
+    """Every z monomial of degree <= 5, then Gaussian-rational polynomials."""
+    monomials = [Polynomial.monomial((e0, e1, e2, k - e0 - e1 - e2), 1, Z_VIEW)
+                 for k in range(6) for e0 in range(k + 1) for e1 in range(k + 1 - e0)
+                 for e2 in range(k + 1 - e0 - e1)]
+    assert len(monomials) == 126
+    rng = random.Random(seed)
+    return monomials + [random_poly(rng, Z_VIEW, max_degree=5, n_terms=6) for _ in range(8)]
+
+
+def test_compose_is_a_after_b():
+    tables = first_order_tables()
+    operands = algebra_operands(33)
+    for a in tables:
+        for b in tables:
+            ab = geometry._compose(a, b)
+            for p in operands:
+                assert apply(p, ab) == apply(apply(p, b), a)
+
+
+def test_combine_is_the_linear_combination():
+    tables = first_order_tables() + [geometry._IDENTITY, geometry._laplace_table()]
+    c, d = gauss(Fraction(2, 3), Fraction(-5, 7)), gauss(Fraction(-1, 2), 3)
+    operands = algebra_operands(34)
+    for a, b in zip(tables, tables[1:] + tables[:1]):
+        ab = geometry._combine(((a, c), (b, d)))
+        for p in operands:
+            assert apply(p, ab) == apply(p, a).scale(c) + apply(p, b).scale(d)
+
+
 # -- Delta outside the Killing tables ----------------------------------------------
 
 
 def test_laplace_table_is_three_shifts_over_denominator_one():
-    den, shifts = geometry._laplace_table()
+    den, entries = geometry._laplace_table()
     assert den == 1
-    basis = geometry._FORM_BASIS
-    forms = {shift: [(basis[t], c) for t, c in re] for shift, re, im in shifts if not im}
-    assert len(forms) == len(shifts)  # every weight is real
+    forms = {shift: re for shift, re, im in entries if not im}
+    assert len(forms) == len(entries)  # every weight is real
     assert forms.keys() == {None, (-1, -1, 1, 1), (1, 1, -1, -1)}
-    assert sum(len(x) == 2 for x, _ in forms[None]) == 10
-    assert sum(len(x) == 1 for x, _ in forms[None]) == 4
+    # the zero shift: every e[m]*e[n] and every e[m], no constant
+    assert sorted((m, n) for m, n, _ in forms[None] if n < 4) == [
+        (m, n) for m in range(4) for n in range(m, 4)]
+    assert sorted(m for m, n, _ in forms[None] if n == 4) == [0, 1, 2, 3]
+    assert len(forms[None]) == 14
     # one product term each: e0*e1 moves to the conjugate pair, e2*e3 back
-    assert forms[(-1, -1, 1, 1)] == [((0, 1), -4)]
-    assert forms[(1, 1, -1, -1)] == [((2, 3), -4)]
+    assert forms[(-1, -1, 1, 1)] == ((0, 1, -4),)
+    assert forms[(1, 1, -1, -1)] == ((2, 3, -4),)
 
 
 def test_laplace_is_r2_flat_laplacian_minus_k_k_plus_2_on_every_monomial():

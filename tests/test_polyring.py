@@ -158,6 +158,17 @@ def test_evaluate_examples():
     assert GM1.evaluate((1, 0, 0, 0)) == gauss(-1)
 
 
+@pytest.mark.parametrize("view", [X_VIEW, Z_VIEW])
+def test_evaluate_takes_exactly_four_coordinates(view):
+    p = Polynomial.monomial((0, 0, 0, 1), 1, X_VIEW).in_view(view)  # x3
+    assert p.evaluate((1, 2, 3, 5)) == gauss(5)
+    for point in ((1, 2, 3), (1, 2, 3, 5, 7), ()):
+        with pytest.raises(ValueError, match="4 coordinates"):
+            p.evaluate(point)
+        with pytest.raises(ValueError, match="4 coordinates"):
+            SpinorSection(p, p).evaluate(point)
+
+
 def test_evaluate_consistent_across_views():
     rng = random.Random(13)
     for _ in range(30):

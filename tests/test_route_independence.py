@@ -181,13 +181,19 @@ def test_allowlist_is_used_and_explained():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+#: The Laplace operator's table and the table algebra that builds and runs it.
+LAPLACE_TABLES = frozenset({
+    "geometry._laplace_table", "geometry._field_table", "geometry._combine",
+    "geometry._compose", "geometry._apply",
+})
+
+
 def laplace_route_overlap(graph) -> set[str]:
     """What ties the Laplace operator to the flat Laplacian: laplacian_r4
-    reached from laplace_section, and the geometry._laplace* tables
-    reached from laplacian_r4."""
+    reached from laplace_section, and the Laplace table or the table
+    algebra reached from laplacian_r4."""
     overlap = closure(graph, {"geometry.laplace_section"}) & {"polyring.laplacian_r4"}
-    return overlap | {node for node in closure(graph, {"polyring.laplacian_r4"})
-                      if node.startswith("geometry._laplace")}
+    return overlap | (closure(graph, {"polyring.laplacian_r4"}) & LAPLACE_TABLES)
 
 
 def test_laplace_is_not_built_from_the_flat_laplacian():
@@ -195,10 +201,14 @@ def test_laplace_is_not_built_from_the_flat_laplacian():
     # eigenvalue check would restate the transfer suite's harmonicity
     # check; that identity is a test oracle (test_operator_tables.py) only
     assert not laplace_route_overlap(GRAPH)
-    assert "geometry._laplace_table" in closure(GRAPH, {"geometry.laplace_section"})
-    merged = {**GRAPH, "geometry._laplace_poly":
-              GRAPH["geometry._laplace_poly"] | {"polyring.laplacian_r4"}}
+    assert LAPLACE_TABLES <= closure(GRAPH, {"geometry.laplace_section"})
+    merged = {**GRAPH, "geometry._laplace_table":
+              GRAPH["geometry._laplace_table"] | {"polyring.laplacian_r4"}}
     assert laplace_route_overlap(merged) == {"polyring.laplacian_r4"}
+    # nor may the flat Laplacian run on the interpreter
+    merged = {**GRAPH, "polyring.laplacian_r4":
+              GRAPH["polyring.laplacian_r4"] | {"geometry._apply"}}
+    assert laplace_route_overlap(merged) == {"geometry._apply"}
 
 
 def test_the_graph_sees_a_merged_route():

@@ -59,19 +59,24 @@ def test_lowering_diamond():
 
 
 def test_merged_lowering_tables_are_the_diamond_arrows():
-    # the merged -1/2 M(pair(2)) + i/2 M(pair(3)) keeps only the two unit
-    # arrows of test_lowering_diamond, as generator indices
+    # the combined -1/2 pair(2) + i/2 pair(3) keeps only the two unit arrows
+    # of test_lowering_diamond: u_m -> u_j is the shift delta_j - delta_m
+    # with the weight e[m], as generator indices
     from spinor_s3.transfer import _lowering_table
 
     generators = (G2, G2_BAR, GM1, G1_BAR)
     diamond = {LEFT: ((G2, GM1), (G1_BAR, G2_BAR)), RIGHT: ((G2, G1_BAR), (GM1, G2_BAR))}
     for side, arrows in diamond.items():
-        den, const, diagonal, moves = _lowering_table(side)
-        assert (den, const, diagonal) == (1, (0, 0), ())
-        assert len(moves) == 2
-        assert {(m, j): (re, im) for m, j, re, im in moves} == {
-            (generators.index(a), generators.index(b)): (1, 0) for a, b in arrows
-        }
+        den, entries = _lowering_table(side)
+        assert den == 1
+        assert None not in {shift for shift, _, _ in entries}
+        assert len(entries) == 2
+        arrow_entries = {}
+        for a, b in arrows:
+            m, j = generators.index(a), generators.index(b)
+            shift = tuple((n == j) - (n == m) for n in range(4))
+            arrow_entries[shift] = (((m, 4, 1),), ())
+        assert {shift: (re, im) for shift, re, im in entries} == arrow_entries
 
 
 def test_lowering_operator_wrapper():
