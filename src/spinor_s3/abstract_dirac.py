@@ -93,16 +93,6 @@ class SpinorVector(GaussParts):
     def __repr__(self) -> str:
         return f"SpinorVector(k={self.k}, q={self.q}, coeffs={self.coeffs!r})"
 
-    def dense_parts(self) -> tuple[list[int], list[int]]:
-        """The coefficient numerators in the block basis order, real and
-        imaginary parts, over this vector's denominator."""
-        n = self.k + 1
-        re, im = [0] * (2 * n), [0] * (2 * n)
-        for (r, p), (x, y) in self._num.items():
-            j = _index(r, p, n)
-            re[j], im[j] = x, y
-        return re, im
-
 
 def dbar_apply(v: SpinorVector) -> SpinorVector:
     """Apply Dbar using the closed two-term formulas."""

@@ -234,15 +234,16 @@ def _compose(a: tuple, b: tuple) -> tuple:
 @lru_cache(maxsize=None)
 def _dirac_tables() -> dict:
     """The Dirac operator as a 2x2 block of tables over one denominator:
-    ``tables[(src, dst)]`` is -sum_i split(e_r e_i)_dst * l_i, with r = 0
-    for f and 2 for g and split the (f, g) parts of :func:`complex_split`,
-    plus -3/2 times the identity on f -> f and g -> g."""
+    ``tables[(src, dst)]`` is -sum_i split(e_src e_i)_dst * l_i, with src
+    and dst the section keys' r (0 for f, 2 for g) and split the (f, g)
+    parts of :func:`complex_split`, plus -3/2 times the identity on the
+    diagonal."""
     blocks = {}
-    for src, r in (("f", 0), ("g", 2)):
-        for dst, part in (("f", 0), ("g", 1)):
+    for src in (0, 2):
+        for dst in (0, 2):
             parts = tuple(
                 (_field_table(KillingPair.left(i)),
-                 -gauss_over(*_basis_product_split(r, i)[part], 1))
+                 -gauss_over(*_basis_product_split(src, i)[dst // 2], 1))
                 for i in (1, 2, 3)
             )
             blocks[(src, dst)] = _combine(parts + ((_IDENTITY, Fraction(-3, 2)),) * (src == dst))
@@ -258,29 +259,33 @@ def _dirac_tables() -> dict:
     return tables
 
 
+def _apply_block(tables: dict, sigma: SpinorSection) -> SpinorSection:
+    """The section whose r-part is the sum over s of ``tables[(s, r)]``
+    applied to the s-part of ``sigma``'s z view: one :func:`_apply` pass
+    per table on the Gaussian-integer numerators, over sigma's denominator
+    times the one that the tables share."""
+    sigma = sigma.in_view(Z_VIEW)
+    src = {0: {}, 2: {}}
+    for (r, exp), c in sigma._num.items():
+        src[r][exp] = c
+    dst = {0: {}, 2: {}}
+    for (s, r), table in tables.items():
+        _apply(table, src[s], dst[r])
+    num = {(r, exp): c for r, acc in dst.items() for exp, c in acc.items()}
+    den = sigma._den * next(iter(tables.values()))[0]
+    return SpinorSection._of(*reduce_parts(num, den), Z_VIEW)
+
+
 def dirac_section(sigma: SpinorSection) -> SpinorSection:
     """The Dirac operator on a trivialised section,
 
         D(sigma) = -sum_i (l_i sigma) * e_i - 3/2 sigma,
 
     the frame derivatives right-multiplied by the frame units, minus the
-    3/2 curvature constant.  Each component of the result is one pass over
-    the Gaussian-integer numerators of f and g in the z view, brought to a
-    common denominator, with the tables of :func:`_dirac_tables`.
+    3/2 curvature constant: the 2x2 block :func:`_dirac_tables`, run by
+    :func:`_apply_block` on the section's numerators in the z view.
     """
-    f, g = sigma.f.in_view(Z_VIEW), sigma.g.in_view(Z_VIEW)
-    tables = _dirac_tables()
-    den = math.lcm(f._den, g._den)
-    nums = {}
-    for src, comp in (("f", f), ("g", g)):
-        s = den // comp._den
-        nums[src] = comp._num if s == 1 else {e: (a * s, b * s) for e, (a, b) in comp._num.items()}
-    den *= tables[("f", "f")][0]  # the four tables share it
-    parts = []
-    for dst in ("f", "g"):
-        acc = _apply(tables[("g", dst)], nums["g"], _apply(tables[("f", dst)], nums["f"]))
-        parts.append(Polynomial._of(*reduce_parts(acc, den), Z_VIEW))
-    return SpinorSection(*parts)
+    return _apply_block(_dirac_tables(), sigma)
 
 
 @lru_cache(maxsize=None)
@@ -295,15 +300,11 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
 
     With this sign it acts on degree-k eigensections by 1 - (k+1)^2, i.e.
     the analyst's negative-spectrum convention; negate for the geometer's
-    positive Laplacian.  It is second order: each component is one integer
-    pass with :func:`_laplace_table`.
+    positive Laplacian.  It is second order and acts on f and g alike:
+    :func:`_apply_block` runs :func:`_laplace_table` as the diagonal block.
     """
-    den, _ = table = _laplace_table()
-    f, g = (
-        Polynomial._of(*reduce_parts(_apply(table, p._num), p._den * den), Z_VIEW)
-        for p in (sigma.f.in_view(Z_VIEW), sigma.g.in_view(Z_VIEW))
-    )
-    return SpinorSection(f, g)
+    table = _laplace_table()
+    return _apply_block({(0, 0): table, (2, 2): table}, sigma)
 
 
 # -- exact integration -------------------------------------------------------

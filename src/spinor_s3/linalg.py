@@ -32,8 +32,8 @@ of :func:`charpoly_int` or :func:`shift_int`, raise ``ValueError``
 integer expansion of the product of its linear factors, divided by the
 roots' denominators once and returned as :class:`GaussianRational`.  At
 the edge, :func:`from_int` converts an integer matrix to
-:class:`GaussianRational` entries, for the Dbar block and the field
-matrices in ``geometry``.
+:class:`GaussianRational` entries; only the benchmark's micro mode reaches
+it, through ``abstract_dirac.dbar_block_matrix`` and :func:`mat_mul`.
 """
 
 from __future__ import annotations

@@ -26,15 +26,23 @@ and ``({}, 1)`` for zero -- so equality stays structural.  Every kernel
 computes on those ints; ``GaussianRational`` appears only at the edge:
 the constructor, ``terms``, ``evaluate`` and ``from_json``, which reads
 the ``"num/den"`` strings that ``to_json`` writes straight from each
-numerator over the denominator.  The kernels outside this module (the
-shift-table passes behind ``geometry.dirac_section``, ``laplace_section``
-and ``transfer.beta_lower``, and ``geometry.l2_inner_product``,
+numerator over the denominator.
+
+A :class:`SpinorSection` (f, g) is one more vector of that core, in the
+same space (view,): the numerators of f and g keyed by ``(r, exp)``, r = 0
+for f and 2 for g, over one denominator.  It inherits its arithmetic,
+equality and hash; ``f`` and ``g`` read the two parts back as canonical
+polynomials, and ``degree`` is read off the exponents.
+
+The kernels outside this module (the shift-table passes behind
+``geometry.dirac_section``, ``laplace_section`` and
+``transfer.beta_lower``, and ``geometry.l2_inner_product``,
 ``transfer.iso_closed_form`` and ``transfer.transfer_eigenbasis``) read
-``_num``/``_den`` and build their results with ``Polynomial._of`` on
-parts that ``exactnum.reduce_parts``, ``add_parts`` or ``scale_parts``
-keep canonical.  The transfer checks in ``verify`` read the exponents and
-numerators of ``_num`` directly, for the exponent bookkeeping and the
-sparse rank.
+``_num``/``_den`` and build their results with ``_of`` on parts that
+``exactnum.reduce_parts``, ``add_parts`` or ``scale_parts`` keep
+canonical.  The checks in ``verify`` read ``_num`` directly: the
+exponents of the images for the bookkeeping, and the images' and the
+sections' numerators as the rows of the sparse rank.
 """
 
 from __future__ import annotations
@@ -342,82 +350,62 @@ def _basis_product_split(r: int, i: int) -> tuple[GaussInt, GaussInt]:
     return parts_over(alpha, 1), parts_over(beta, 1)
 
 
-#: A section's degree that has not been inferred yet.
-_UNKNOWN = object()
-
-
-class SpinorSection:
+class SpinorSection(GaussParts):
     """A quaternion-valued polynomial map, stored as the complex pair (f, g).
 
     The value at x is ftilde(x)*e0 + gtilde(x)*e2 where a complex scalar
-    a + b*i acts as left multiplication by a + b*e1.
+    a + b*i acts as left multiplication by a + b*e1.  The section is one
+    exact vector in the space (view,): its Gaussian-integer numerators are
+    keyed by ``(r, exp)``, r = 0 for the terms of f and 2 for those of g,
+    like a ``SpinorVector``'s ``(r, p)``, over one shared denominator.
     """
 
-    __slots__ = ("f", "g", "_degree")
+    __slots__ = ()
 
-    def __init__(self, f: Polynomial, g: Polynomial, degree: Optional[int] = None):
+    def __init__(self, f: Polynomial, g: Polynomial):
         if f._space != g._space:
             raise ValueError(f"f and g must share a view, got {f.view} and {g.view}")
-        self.f = f
-        self.g = g
-        self._degree = _UNKNOWN if degree is None else degree
+        # f and g are canonical, so they stay so over the lcm of their denominators
+        den = lcm(f._den, g._den)
+        num = {}
+        for r, part in ((0, f), (2, g)):
+            s = den // part._den
+            num.update({(r, exp): (re * s, im * s) for exp, (re, im) in part._num.items()})
+        self._num, self._den, self._space = num, den, f._space
+
+    @property
+    def view(self) -> str:
+        return self._space[0]
+
+    def _part(self, r: int) -> Polynomial:
+        num = {exp: c for (s, exp), c in self._num.items() if s == r}
+        return Polynomial._of(*reduce_parts(num, self._den), self.view)
+
+    @property
+    def f(self) -> Polynomial:
+        return self._part(0)
+
+    @property
+    def g(self) -> Polynomial:
+        return self._part(2)
 
     @property
     def degree(self) -> Optional[int]:
-        """The common homogeneous degree of f and g (0 for the zero section,
-        None if there is none), unless one was given; inferred on first read."""
-        if self._degree is _UNKNOWN:
-            self._degree = self._infer_degree()
-        return self._degree
-
-    def _with_parts(self, f: Polynomial, g: Polynomial) -> "SpinorSection":
-        """The section (f, g) that a degree-preserving operation makes from
-        this one.  It keeps this section's degree, which is inferred now
-        only when (f, g) is zero and so cannot tell it."""
-        degree = self._degree
-        if degree is _UNKNOWN and f.is_zero() and g.is_zero():
-            degree = self.degree
-        return SpinorSection(f, g, degree)
-
-    def _infer_degree(self) -> Optional[int]:
-        degs = set()
-        for comp in (self.f, self.g):
-            if not comp.is_zero():
-                if not comp.is_homogeneous():
-                    return None
-                degs.add(comp.degree())
-        if len(degs) == 1:
-            return degs.pop()
-        if not degs:
-            return 0
-        return None
+        """The common homogeneous degree of f and g: 0 for the zero section,
+        None if there is none."""
+        degs = {sum(exp) for _, exp in self._num}
+        if len(degs) > 1:
+            return None
+        return degs.pop() if degs else 0
 
     @staticmethod
     def zero(view: str = Z_VIEW) -> "SpinorSection":
-        return SpinorSection(Polynomial.zero(view), Polynomial.zero(view), 0)
+        return SpinorSection._of({}, 1, view)
 
-    def is_zero(self) -> bool:
-        return self.f.is_zero() and self.g.is_zero()
-
-    def __add__(self, other: "SpinorSection") -> "SpinorSection":
-        return SpinorSection(self.f + other.f, self.g + other.g)
-
-    def __sub__(self, other: "SpinorSection") -> "SpinorSection":
-        return SpinorSection(self.f - other.f, self.g - other.g)
-
-    def __neg__(self) -> "SpinorSection":
-        return self._with_parts(-self.f, -self.g)
-
-    def scale(self, c) -> "SpinorSection":
-        return self._with_parts(self.f.scale(c), self.g.scale(c))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SpinorSection):
-            return NotImplemented
-        return self.f == other.f and self.g == other.g
-
-    def __hash__(self):
-        return hash((self.f, self.g))
+    def in_view(self, target: str) -> "SpinorSection":
+        if target == self.view:
+            return self
+        return SpinorSection(self.f.in_view(target), self.g.in_view(target))
 
     def evaluate(self, point) -> RationalQuaternion:
         return assemble(self.f.evaluate(point), self.g.evaluate(point))
@@ -439,4 +427,4 @@ class SpinorSection:
         if "k" in obj and not (type(k) is int and k >= 0
                                and (section.is_zero() or k == section.degree)):
             raise ValueError(f"record degree {k!r} is not the degree of its f and g")
-        return SpinorSection(section.f, section.g, k)
+        return section

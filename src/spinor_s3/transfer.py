@@ -184,10 +184,10 @@ def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     """Translate the abstract eigenvector families into polynomial
     sections; 2(k+1)^2 sections in deterministic (family, q, p) order.
 
-    Each section's f (g) is the sum of the images of the vector's r = 0
-    (r = 2) kets scaled by their coefficients, summed on the integer parts.
-    Built once per k: the tuple and its sections are shared by every
-    caller.
+    Each ket e_r (x) |p> of a vector becomes the image of |p>|q> keyed by
+    ``(r, exp)``, and the section is the sum of those images scaled by the
+    vector's coefficients, summed on the integer parts.  Built once per k:
+    the tuple and its sections are shared by every caller.
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
@@ -196,15 +196,12 @@ def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     out = []
     for family in (plus, minus):
         for vector, (q, p) in zip(family.vectors, family.positions):
-            parts = {0: ({}, 1), 2: ({}, 1)}
+            num, den = {}, 1
             for (r, pp), (re, im) in vector._num.items():
                 image = table[(pp, q)]
-                term = scale_parts(image._num, image._den, re, im, vector._den)
-                parts[r] = add_parts(*parts[r], *term)
-            f, g = (Polynomial._of(*parts[r], Z_VIEW) for r in (0, 2))
-            out.append(
-                TransferredEigenvector(
-                    SpinorSection(f, g, k), family.dirac_eigenvalue, family.label, q, p
-                )
-            )
+                keyed = {(r, exp): c for exp, c in image._num.items()}
+                num, den = add_parts(num, den, *scale_parts(keyed, image._den, re, im, vector._den))
+            out.append(TransferredEigenvector(
+                SpinorSection._of(num, den, Z_VIEW), family.dirac_eigenvalue, family.label, q, p
+            ))
     return tuple(out)

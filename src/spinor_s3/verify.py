@@ -146,8 +146,7 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
             key = tuple((v._den, *v._num.items()) for v in vectors)
             if key not in ranks:
                 # a row scaled by its vector's denominator leaves the rank alone
-                rows = [v.dense_parts() for v in vectors]
-                ranks[key] = linalg.rank_int(([r for r, _ in rows], [i for _, i in rows]))
+                ranks[key] = linalg.rank_sparse([v._num for v in vectors])
             rank_ok = rank_ok and ranks[key] == n
     out.append(CheckResult("quadratic", f"family union is a basis k={k}", rank_ok,
                            f"rank {n} on every q slice"))
@@ -226,17 +225,9 @@ def eigen_identity(k: int, entries, dirac: Callable) -> CheckResult:
     passes the ``dirac`` operator that its own module imports."""
     n = 2 * (k + 1) ** 2
     failed = [e for e in entries if dirac(e.section) != e.section.scale(e.eigenvalue)]
-    rows = []
-    for e in entries:
-        f, g = e.section.f, e.section.g
-        # f and g over their common denominator: the row is the section
-        # times that denominator, which leaves the rank alone
-        den = math.lcm(f._den, g._den)
-        row = {}
-        for r, part in ((0, f), (2, g)):
-            m = den // part._den
-            row.update({(r, exp): (re * m, im * m) for exp, (re, im) in part._num.items()})
-        rows.append(row)
+    # a section's numerators are the section times its one denominator,
+    # which leaves the rank alone
+    rows = [e.section._num for e in entries]
     nonzero = sum(1 for row in rows if row)
     rank = linalg.rank_sparse(rows)
     detail = (f"{len(entries) - len(failed)}/{n} sections satisfy D sigma = lambda sigma "

@@ -43,9 +43,7 @@ def killing_derivative(
     skew-symmetric on R^4).
     """
     if isinstance(sigma, SpinorSection):
-        return sigma._with_parts(
-            killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair)
-        )
+        return SpinorSection(killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair))
     den, _ = table = _field_table(pair)
     p = sigma.in_view(Z_VIEW)
     return Polynomial._of(*reduce_parts(_apply(table, p._num), p._den * den), Z_VIEW)
@@ -112,4 +110,4 @@ def right_mul_basis(sigma: SpinorSection, i: int) -> SpinorSection:
             new_f = new_f + comp.scale(gauss(*alpha))
         if beta != (0, 0):
             new_g = new_g + comp.scale(gauss(*beta))
-    return sigma._with_parts(new_f, new_g)
+    return SpinorSection(new_f, new_g)

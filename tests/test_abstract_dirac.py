@@ -172,8 +172,8 @@ def test_family_union_is_basis():
         n = 2 * (k + 1)
         for q in range(k + 1):
             # a row scaled by its vector's denominator leaves the rank alone
-            rows = [v.dense_parts() for fam in (plus, minus) for v in fam.vectors if v.q == q]
-            assert linalg.rank_int(([r for r, _ in rows], [i for _, i in rows])) == n
+            rows = [v._num for fam in (plus, minus) for v in fam.vectors if v.q == q]
+            assert linalg.rank_sparse(rows) == n
 
 
 def test_spectrum_table_examples():

@@ -205,7 +205,7 @@ def test_x_route_substitutions_are_inverse():
 #: tables built from it and the view conversion.
 Z_TABLE_NAMES = frozenset({
     "_field_matrix_int", "_field_table", "_combine", "_compose", "_apply",
-    "_FRAME", "_FRAME_INV", "in_view", "_Z_IN_X", "_X_IN_Z",
+    "_apply_block", "_FRAME", "_FRAME_INV", "in_view", "_Z_IN_X", "_X_IN_Z",
 })
 
 
@@ -264,7 +264,7 @@ def test_killing_derivative_preserves_degree_and_harmonicity():
 
 
 def test_dirac_on_constant_section():
-    sigma = SpinorSection(Polynomial.constant(1, Z_VIEW), Polynomial.zero(Z_VIEW), 0)
+    sigma = SpinorSection(Polynomial.constant(1, Z_VIEW), Polynomial.zero(Z_VIEW))
     out = dirac_section(sigma)
     assert out.f == Polynomial.constant(Fraction(-3, 2), Z_VIEW)
     assert out.g.is_zero()
@@ -272,27 +272,27 @@ def test_dirac_on_constant_section():
 
 @pytest.mark.parametrize("k", range(6))
 def test_dirac_on_top_power(k):
-    sigma = SpinorSection(G2**k, Polynomial.zero(Z_VIEW), k)
+    sigma = SpinorSection(G2**k, Polynomial.zero(Z_VIEW))
     expected = sigma.scale(Fraction(-2 * k - 3, 2))
     assert dirac_section(sigma) == expected
 
 
 def test_dirac_k1_plus_section_by_hand():
     # f = -z1, g = -z2 is the transferred plus vector at k=1, q=0
-    sigma = SpinorSection(GM1, -Z2, 1)
+    sigma = SpinorSection(GM1, -Z2)
     assert dirac_section(sigma) == sigma.scale(Fraction(3, 2))
 
 
 def test_laplace_examples():
-    const = SpinorSection(Polynomial.constant(5, Z_VIEW), Polynomial.zero(Z_VIEW), 0)
+    const = SpinorSection(Polynomial.constant(5, Z_VIEW), Polynomial.zero(Z_VIEW))
     assert laplace_section(const).is_zero()
 
-    sigma = SpinorSection(Z2, Polynomial.zero(Z_VIEW), 1)
+    sigma = SpinorSection(Z2, Polynomial.zero(Z_VIEW))
     assert laplace_section(sigma) == sigma.scale(-3)
 
     for p in range(3):
         for q in range(3):
-            sigma = SpinorSection(iso_closed_form(2, p, q).poly, Polynomial.zero(Z_VIEW), 2)
+            sigma = SpinorSection(iso_closed_form(2, p, q).poly, Polynomial.zero(Z_VIEW))
             assert laplace_section(sigma) == sigma.scale(-8)
 
 

@@ -41,7 +41,7 @@ from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
 #: The interpreter and the field table stay out: ``killing_derivative``
 #: runs one field's table.
 CHECKED_ENTRY_POINTS = frozenset({
-    "dirac_section", "laplace_section", "beta_lower", "_dirac_tables",
+    "dirac_section", "laplace_section", "beta_lower", "_apply_block", "_dirac_tables",
     "_laplace_table", "_lowering_table", "_combine", "_compose",
 })
 

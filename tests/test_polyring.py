@@ -210,7 +210,7 @@ def test_power_rejects_negative():
 
 def test_spinor_section_evaluate_assembles_quaternion():
     rng = random.Random(16)
-    s = SpinorSection(Z2, -Z1, 1)
+    s = SpinorSection(Z2, -Z1)
     x = (Fraction(3, 5), Fraction(4, 5), Fraction(0), Fraction(0))
     v = s.evaluate(x)
     # f = z2 = 0 here, g = -z1 = -(3/5 + 4/5 i) acting on e2
@@ -258,10 +258,10 @@ def test_spinor_degree_of_sums_and_differences():
     assert (SpinorSection.zero() - s).degree == 2
     assert (SpinorSection.zero() + SpinorSection(Z2, G2)).degree == 1
     assert (s + SpinorSection(Z2, Polynomial.zero())).degree is None
-    # a degree-preserving operation keeps the degree of its operand, even
-    # where its result is zero and could not tell it
+    # the degree is read off the parts: the zero section's is 0, however
+    # it was made
     summed = s + s
-    assert summed.scale(0).degree == 2
+    assert summed.scale(0).degree == 0
     assert right_mul_basis(-summed, 1).scale(3).degree == 2
 
 

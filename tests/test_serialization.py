@@ -46,7 +46,7 @@ def test_polynomial_json_refuses_a_repeated_exponent():
 
 
 def test_spinor_section_json():
-    s = SpinorSection(G2, -GM1, 1)
+    s = SpinorSection(G2, -GM1)
     obj = roundtrip(s.to_json())
     assert set(obj) == {"k", "f", "g"}
     back = SpinorSection.from_json(obj)
@@ -80,21 +80,22 @@ def test_polynomial_json_reads_every_rational_string():
                          ids=["other-degree", "zero", "text", "numeral", "null", "bool", "float",
                               "negative"])
 def test_spinor_section_json_refuses_a_degree_that_is_not_its_parts(k):
-    obj = roundtrip(SpinorSection(G2, -GM1, 1).to_json())
+    obj = roundtrip(SpinorSection(G2, -GM1).to_json())
     obj["k"] = k
     with pytest.raises(ValueError, match="not the degree"):
         SpinorSection.from_json(obj)
 
 
 def test_spinor_section_json_degree_when_absent_or_zero_parts():
-    obj = roundtrip(SpinorSection(G2, -GM1, 1).to_json())
+    obj = roundtrip(SpinorSection(G2, -GM1).to_json())
     del obj["k"]
     assert SpinorSection.from_json(obj).degree == 1
-    # the zero section has every degree, so a record may carry any
-    zero = SpinorSection(G2, -GM1, 1).scale(0)
-    assert zero.degree == 1
-    back = SpinorSection.from_json(roundtrip(zero.to_json()))
-    assert back == zero and back.degree == 1
+    # the zero section has every degree, so a record may carry any; its
+    # degree reads 0
+    zero = SpinorSection(G2, -GM1).scale(0)
+    assert zero.degree == 0
+    back = SpinorSection.from_json({**roundtrip(zero.to_json()), "k": 1})
+    assert back == zero and back.degree == 0
     assert SpinorSection.from_json(roundtrip(SpinorSection.zero().to_json())).degree == 0
     with pytest.raises(ValueError, match="not the degree"):
         SpinorSection.from_json({**roundtrip(zero.to_json()), "k": -1})
@@ -104,7 +105,7 @@ def test_spinor_section_refuses_parts_of_different_views():
     with pytest.raises(ValueError, match="share a view"):
         SpinorSection(X0, G2)
     with pytest.raises(ValueError, match="share a view"):
-        SpinorSection(Polynomial.zero("x"), G2, 1)
+        SpinorSection(Polynomial.zero("x"), G2)
     record = roundtrip({"k": 1, "f": X0.to_json(), "g": G2.to_json()})
     with pytest.raises(ValueError, match="share a view"):
         SpinorSection.from_json(record)

@@ -1,7 +1,9 @@
 """The Gaussian-integer core of ``KetVector`` and ``SpinorVector`` against
 the ``Fraction`` reference in ``vector_reference``: on seeded random
 vectors with mixed non-unit denominators and half-cancelling sums, every
-result equals the reference and is in canonical form."""
+result equals the reference and is in canonical form.  ``SpinorSection``,
+the core's third member, is checked for one representation per value and
+for its one denominator."""
 
 import math
 import operator
@@ -14,6 +16,7 @@ import pytest
 import vector_reference as ref
 from spinor_s3.abstract_dirac import SpinorVector, dbar_apply
 from spinor_s3.exactnum import GaussianRational, gauss
+from spinor_s3.polyring import X_VIEW, Z_VIEW, Polynomial, SpinorSection
 from spinor_s3.repspace import KetVector, apply_l, apply_sl2
 
 SEEDS = range(8)
@@ -52,6 +55,17 @@ def to_spinor(a, k, q):
 
 def spinor_ref(v):
     return {key: (c.re, c.im) for key, c in v.coeffs}
+
+
+def section_keys(k):
+    """(r, exp) for r in {0, 2} and the degree-k monomials in u0, u1, u2."""
+    return [(r, (a, b, k - a - b, 0)) for r in (0, 2) for a in range(k + 1) for b in range(k + 1 - a)]
+
+
+def to_section(a, view=Z_VIEW):
+    f, g = (Polynomial({exp: GaussianRational(*c) for (s, exp), c in a.items() if s == r}, view)
+            for r in (0, 2))
+    return SpinorSection(f, g)
 
 
 def assert_canonical(v):
@@ -164,12 +178,16 @@ def test_each_value_has_one_representation(seed):
     ket = to_ket(ref.random_vector(rng, range(k + 1)), k)
     spinor = to_spinor(ref.random_vector(rng, spinor_keys(k)), k, rng.randint(0, k))
     other = to_spinor(ref.random_vector(rng, spinor_keys(k)), k, spinor.q)
-    for v in (ket, spinor):
+    section_parts = ref.random_vector(rng, section_keys(k))
+    section = to_section(section_parts)
+    other_section = to_section(ref.random_vector(rng, section_keys(k)))
+    for v in (ket, spinor, section):
         for w in (v.scale(Fraction(1, 3)).scale(3), v.scale(gauss(0, 1)).scale(gauss(0, -1))):
             assert w == v and hash(w) == hash(v)
             assert (w._num, w._den) == (v._num, v._den)
-    w = (spinor + other) - other
-    assert (w._num, w._den) == (spinor._num, spinor._den) and hash(w) == hash(spinor)
+    for v, o in ((spinor, other), (section, other_section)):
+        w = (v + o) - o
+        assert (w._num, w._den) == (v._num, v._den) and hash(w) == hash(v)
     # the same parts in another space are another value
     assert KetVector.zero(k) != KetVector.zero(k + 1)
     at_q0, at_q1 = (SpinorVector(k + 1, q, spinor.coeffs) for q in (0, 1))
@@ -179,6 +197,11 @@ def test_each_value_has_one_representation(seed):
     # equal values hash equal, however they were built
     reordered = SpinorVector(k + 1, 1, reversed(spinor.coeffs))
     assert reordered == at_q1 and hash(reordered) == hash(at_q1)
+    in_x = to_section(section_parts, X_VIEW)
+    assert (in_x._num, in_x._den) == (section._num, section._den) and in_x != section
+    zero = Polynomial.zero(Z_VIEW)
+    summed = SpinorSection(section.f, zero) + SpinorSection(zero, section.g)
+    assert summed == section and hash(summed) == hash(section)
 
 
 def test_vectors_of_different_spaces_do_not_combine():
@@ -186,15 +209,33 @@ def test_vectors_of_different_spaces_do_not_combine():
     spinor = SpinorVector.basis(2, 0, 0, 1)
     for a, b in ((ket, KetVector(3, (1, 0, 0, 5))),
                  (spinor, SpinorVector.basis(3, 0, 0, 1)),
-                 (spinor, SpinorVector.basis(2, 1, 0, 1))):
+                 (spinor, SpinorVector.basis(2, 1, 0, 1)),
+                 (to_section({(0, (1, 0, 0, 0)): ref.ONE}, X_VIEW),
+                  to_section({(0, (1, 0, 0, 0)): ref.ONE}, Z_VIEW))):
         for combine in (operator.add, operator.sub):
             with pytest.raises(ValueError, match="different spaces"):
                 combine(a, b)
     with pytest.raises(TypeError):
         ket + spinor
+    poly = Polynomial.variable(0, Z_VIEW)
+    with pytest.raises(TypeError):
+        SpinorSection(poly, poly) + poly
+
+
+def test_section_is_one_vector_over_one_denominator():
+    # f = u0/2 and g = u1/3 are one vector over 6, and read back over 2 and 3
+    f = Polynomial.variable(0, Z_VIEW).scale(Fraction(1, 2))
+    g = Polynomial.variable(1, Z_VIEW).scale(Fraction(1, 3))
+    section = SpinorSection(f, g)
+    assert_canonical(section)
+    assert section._den == 6
+    assert section._num == {(0, (1, 0, 0, 0)): (3, 0), (2, (0, 1, 0, 0)): (2, 0)}
+    assert section.f == f and section.g == g
+    assert (section.f._den, section.g._den) == (2, 3)
 
 
 def test_zero_is_canonical():
     for v in (KetVector.zero(3), KetVector(2, (gauss(0), 0, Fraction(0))),
-              SpinorVector(2, 0, (((0, 1), gauss(Fraction(1, 2))), ((0, 1), gauss(Fraction(-1, 2)))))):
+              SpinorVector(2, 0, (((0, 1), gauss(Fraction(1, 2))), ((0, 1), gauss(Fraction(-1, 2))))),
+              SpinorSection.zero(), SpinorSection(Polynomial.zero(X_VIEW), Polynomial.zero(X_VIEW))):
         assert v.is_zero() and (v._num, v._den) == ({}, 1)
