@@ -37,9 +37,8 @@ for k in range(6):
     ok = casimir(k) == casimir_expected(k)
     print(f"  k={k}: equals {k * (k + 2)} * identity -> {ok}")
 
-# The banded structure of the matrices (bandwidth one); l2 is real, so
-# only the real part R of the Gaussian-integer matrix (R, I) is printed.
-re, _ = l_matrix_int(2, 4)
-print("\nl2 matrix at k=4 (rows):")
-for row in re:
-    print("  ", [str(x) for x in row])
+# The banded structure of the matrices (bandwidth one): each row of a
+# Gaussian-integer matrix holds only its nonzero entries, column: (re, im).
+print("\nl2 matrix at k=4 (rows {column: (re, im)}):")
+for row in l_matrix_int(2, 4):
+    print("  ", dict(sorted(row.items())))

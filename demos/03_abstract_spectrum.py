@@ -21,12 +21,12 @@ from spinor_s3.abstract_dirac import (
 
 K = 2
 
-# The block is a Gaussian-integer matrix (R, I); Dbar is real, so only R
-# is printed.
+# The block is a Gaussian-integer matrix whose rows hold only their
+# nonzero entries, column: (re, im).
 block = dbar_block_int(K)
-print(f"Dbar block at k={K} (basis e0|0..k>, e2|0..k>):")
-for row in block[0]:
-    print("  ", [str(x) for x in row])
+print(f"Dbar block at k={K} (basis e0|0..k>, e2|0..k>; rows {{column: (re, im)}}):")
+for row in block:
+    print("  ", dict(sorted(row.items())))
 
 print(f"\nquadratic relation holds: {quadratic_check(K)}")
 

@@ -19,8 +19,9 @@ Storage: a :class:`SpinorVector` is an ``exactnum.GaussParts`` in the
 space (k, q): its nonzero coefficients are Gaussian integers
 ``{(r, p): (re, im)}`` over one positive denominator, in canonical form,
 so equality stays structural.  :func:`dbar_apply`, the vector arithmetic,
-the eigenvector families and their self-check compute on those ints; the
-block is the Gaussian-integer matrix :func:`dbar_block_int`, which
+the eigenvector families and their self-check compute on those ints.  The
+block :func:`dbar_block_int` is a Gaussian-integer matrix in ``linalg``'s
+format, one sparse row ``{col: (re, im)}`` per basis vector, which
 :func:`quadratic_check` multiplies with ``linalg.mat_mul_int``.
 ``GaussianRational`` appears only at the edge: the constructor, ``coeffs``
 and :func:`dbar_block_matrix`.
@@ -154,28 +155,25 @@ def dbar_apply_first_principles(v: SpinorVector) -> SpinorVector:
     return SpinorVector._of(num, den, k, v.q)
 
 
-def dbar_block_int(k: int) -> linalg.GaussIntMatrix:
-    """The Gaussian-integer matrix of Dbar on one q slice, basis
+def dbar_block_int(k: int) -> linalg.Rows:
+    """The Gaussian-integer matrix of Dbar on one q slice as rows, basis
     e0 (x) |0..k> then e2 (x) |0..k>."""
     n = k + 1
-    re = [[0] * (2 * n) for _ in range(2 * n)]
-    im = [[0] * (2 * n) for _ in range(2 * n)]
+    rows: linalg.Rows = [{} for _ in range(2 * n)]
     for r in (0, 2):
         for p in range(n):
-            j = _index(r, p, n)
             # the closed formulas have integer factors, so the image of a
             # basis vector has denominator 1
-            for (s, t), (x, y) in dbar_apply(SpinorVector.basis(k, 0, r, p))._num.items():
-                re[_index(s, t, n)][j] = x
-                im[_index(s, t, n)][j] = y
-    return re, im
+            for (s, t), c in dbar_apply(SpinorVector.basis(k, 0, r, p))._num.items():
+                rows[_index(s, t, n)][_index(r, p, n)] = c
+    return rows
 
 
 def dbar_block_matrix(k: int) -> linalg.Matrix:
-    """:func:`dbar_block_int` as Gaussian rationals.  Only the benchmark's
-    micro mode (``perfbench/child.py``) calls it; it goes with that mode
-    (ROADMAP item 1)."""
-    return linalg.from_int(dbar_block_int(k))
+    """:func:`dbar_block_int` as dense Gaussian rationals.  Only the
+    benchmark's micro mode (``perfbench/child.py``) calls it; it goes with
+    that mode (ROADMAP item 1)."""
+    return linalg.from_int(dbar_block_int(k), 2 * (k + 1))
 
 
 def quadratic_check(k: int) -> bool:
@@ -183,10 +181,10 @@ def quadratic_check(k: int) -> bool:
     return _quadratic_holds(dbar_block_int(k), k)
 
 
-def _quadratic_holds(block, k: int) -> bool:
+def _quadratic_holds(block: linalg.Rows, k: int) -> bool:
     """``quadratic_check(k)`` on the block ``dbar_block_int(k)`` already built."""
     product = linalg.mat_mul_int(linalg.shift_int(block, k), linalg.shift_int(block, -(k + 2)))
-    return not any(any(row) for part in product for row in part)
+    return not any(product)
 
 
 @dataclass(frozen=True)

@@ -116,7 +116,7 @@ def _write_stdout(chunks: Iterable[str]) -> int:
 def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
     """Write the text ``chunks`` in order to the file ``out``, or to stdout,
     opened once; return the exit code."""
-    if not out:
+    if out is None:
         return _write_stdout(chunks)
     try:
         with open(out, "w", encoding="utf-8") as fh:

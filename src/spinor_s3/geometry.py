@@ -77,22 +77,26 @@ _RIGHT_PAIRS = {i: KillingPair(quat(), BASIS[i]) for i in (1, 2, 3)}
 
 
 # Frame change between the real coordinates and the z-view generators
-# (z2, conj z2, -z1, conj z1), as Gaussian-integer matrices (R, I): the rows
-# of _FRAME express a generator in x coordinates, and _FRAME_INV is its
-# inverse as (den, (R, I)), the matrix (R + iI)/den.
-_FRAME = (
-    [[0, 0, 1, 0], [0, 0, 1, 0], [-1, 0, 0, 0], [1, 0, 0, 0]],
-    [[0, 0, 0, 1], [0, 0, 0, -1], [0, -1, 0, 0], [0, -1, 0, 0]],
-)
-_FRAME_INV = (2, (
-    [[0, 0, -1, 1], [0, 0, 0, 0], [1, 1, 0, 0], [0, 0, 0, 0]],
-    [[0, 0, 0, 0], [0, 0, 1, 1], [0, 0, 0, 0], [-1, 1, 0, 0]],
-))
+# (z2, conj z2, -z1, conj z1), as Gaussian-integer rows {col: (re, im)}:
+# the rows of _FRAME express a generator in x coordinates, and _FRAME_INV
+# is its inverse as (den, rows), the matrix rows/den.
+_FRAME = [
+    {2: (1, 0), 3: (0, 1)},
+    {2: (1, 0), 3: (0, -1)},
+    {0: (-1, 0), 1: (0, -1)},
+    {0: (1, 0), 1: (0, -1)},
+]
+_FRAME_INV = (2, [
+    {2: (-1, 0), 3: (1, 0)},
+    {2: (0, 1), 3: (0, 1)},
+    {0: (1, 0), 1: (1, 0)},
+    {0: (0, -1), 1: (0, 1)},
+])
 
 
 @lru_cache(maxsize=None)
-def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.GaussIntMatrix]:
-    """``(den, (R, I))`` with (R + iI)/den the matrix of the linear field
+def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.Rows]:
+    """``(den, rows)`` with rows/den the matrix of the linear field
     x -> xS - Tx in the z generators' frame: _FRAME * A * _FRAME_INV for
     the real matrix A whose column n is e_n S - T e_n.  S and T are taken
     over their common denominator d, so the Hamilton products and the frame
@@ -101,10 +105,9 @@ def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.GaussIntMatrix]:
     s, t = ([c.numerator * (d // c.denominator) for c in q.components()] for q in (pair.S, pair.T))
     units = [[int(m == n) for m in range(4)] for n in range(4)]
     cols = [[x - y for x, y in zip(hamilton(e, s), hamilton(t, e))] for e in units]
-    a = [list(row) for row in zip(*cols)]
+    a = [{n: (col[m], 0) for n, col in enumerate(cols) if col[m]} for m in range(4)]
     inv_den, inv = _FRAME_INV
-    b = linalg.mat_mul_int(linalg.mat_mul_int(_FRAME, (a, [[0] * 4 for _ in range(4)])), inv)
-    return d * inv_den, b
+    return d * inv_den, linalg.mat_mul_int(linalg.mat_mul_int(_FRAME, a), inv)
 
 
 # An operator on z-view polynomials is kept as a table ``(den, entries)`` of
@@ -180,14 +183,14 @@ _IDENTITY = (1, ((None, ((4, 4, 1),), ()),))
 @lru_cache(maxsize=None)
 def _field_table(pair: KillingPair) -> tuple:
     """The derivative along the field x -> xS - Tx, a first-order table:
-    entry (m, j) of the matrix M of :func:`_field_matrix_int` moves c*u^e to
-    c*e[m]*M[m][j] at e - delta_m + delta_j."""
-    den, (re, im) = _field_matrix_int(pair)
+    the nonzero entry (m, j) of the matrix M of :func:`_field_matrix_int`
+    moves c*u^e to c*e[m]*M[m][j] at e - delta_m + delta_j."""
+    den, rows = _field_matrix_int(pair)
     weights: dict = {}
-    for m in range(4):
-        for j in range(4):
+    for m, row in enumerate(rows):
+        for j, c in row.items():
             shift = None if m == j else tuple((n == j) - (n == m) for n in range(4))
-            weights[(shift, m, 4)] = (re[m][j], im[m][j])
+            weights[(shift, m, 4)] = c
     return _table(weights, den)
 
 

@@ -131,10 +131,6 @@ class Polynomial(GaussParts):
             return -1
         return max(sum(exp) for exp in self._num)
 
-    def is_homogeneous(self) -> bool:
-        degs = {sum(exp) for exp in self._num}
-        return len(degs) <= 1
-
     def terms_sorted(self) -> list[tuple[Exponents, GaussianRational]]:
         return sorted(self.terms.items(), key=_term_order)
 
@@ -255,14 +251,19 @@ class Polynomial(GaussParts):
 
     @staticmethod
     def from_json(obj: dict) -> "Polynomial":
+        """The polynomial of a record; ``ValueError`` if it is malformed."""
         terms = {}
-        for t in obj["terms"]:
-            c = t["coeff"]
-            exp = tuple(t["exp"])
-            if exp in terms:
-                raise ValueError(f"exponent {list(exp)} appears twice")
-            terms[exp] = GaussianRational(_ratio(c["re"]), _ratio(c["im"]))
-        return Polynomial(terms, obj["view"])
+        try:
+            for t in obj["terms"]:
+                c = t["coeff"]
+                exp = tuple(t["exp"])
+                if exp in terms:
+                    raise ValueError(f"exponent {list(exp)} appears twice")
+                terms[exp] = GaussianRational(_ratio(c["re"]), _ratio(c["im"]))
+            view = obj["view"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed polynomial record: {type(exc).__name__} {exc}") from None
+        return Polynomial(terms, view)
 
 
 def _ratio(text) -> Fraction:
@@ -421,8 +422,13 @@ class SpinorSection(GaussParts):
     @staticmethod
     def from_json(obj: dict) -> "SpinorSection":
         """The section of a record; its ``"k"``, if any, must be the degree of
-        its f and g (any int >= 0 when both are zero)."""
-        section = SpinorSection(Polynomial.from_json(obj["f"]), Polynomial.from_json(obj["g"]))
+        its f and g (any int >= 0 when both are zero).  ``ValueError`` if it
+        is malformed."""
+        try:
+            f, g = obj["f"], obj["g"]
+        except (KeyError, TypeError) as exc:
+            raise ValueError(f"malformed section record: {type(exc).__name__} {exc}") from None
+        section = SpinorSection(Polynomial.from_json(f), Polynomial.from_json(g))
         k = obj.get("k", section.degree)
         if "k" in obj and not (type(k) is int and k >= 0
                                and (section.is_zero() or k == section.degree)):

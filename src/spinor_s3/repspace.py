@@ -24,9 +24,12 @@ Storage: a :class:`KetVector` is an ``exactnum.GaussParts`` in the space
 over one positive denominator, in canonical form, so equality stays
 structural.  :func:`apply_l`, :func:`apply_sl2` and the vector arithmetic
 compute on those ints.  The l_i have Gaussian-integer matrices
-(:func:`l_matrix_int`), which :func:`casimir` multiplies with
-``linalg.mat_mul_int``.  ``GaussianRational`` appears only at the edge:
-the constructor and ``coeffs``.
+(:func:`l_matrix_int`) in ``linalg``'s format, one sparse row
+``{p: (re, im)}`` per ket, each row the ``_num`` of a denominator-1
+vector: :func:`casimir` multiplies them with ``linalg.mat_mul_int`` and
+sums the squares row by row with ``exactnum.add_parts``.
+``GaussianRational`` appears only at the edge: the constructor and
+``coeffs``.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from .exactnum import (
     GaussianRational,
     GaussInt,
     GaussParts,
+    add_parts,
     gauss,
     reduce_parts,
 )
@@ -128,37 +132,30 @@ def apply_sl2(which: str, v: KetVector) -> KetVector:
     raise ValueError(f"unknown sl2 element {which!r}")
 
 
-def l_matrix_int(i: int, k: int) -> linalg.GaussIntMatrix:
-    """The Gaussian-integer matrix of apply_l(i, .) on H_k; column p is the
-    image of |p>."""
-    n = k + 1
-    re = [[0] * n for _ in range(n)]
-    im = [[0] * n for _ in range(n)]
-    for p in range(n):
+def l_matrix_int(i: int, k: int) -> linalg.Rows:
+    """The Gaussian-integer matrix of apply_l(i, .) on H_k as rows; column
+    p is the image of |p>."""
+    rows: linalg.Rows = [{} for _ in range(k + 1)]
+    for p in range(k + 1):
         # the image of a basis ket has integer parts, so its denominator is 1
-        for r, (x, y) in apply_l(i, KetVector.basis(k, p))._num.items():
-            re[r][p] = x
-            im[r][p] = y
-    return re, im
+        for r, c in apply_l(i, KetVector.basis(k, p))._num.items():
+            rows[r][p] = c
+    return rows
 
 
-def casimir(k: int) -> linalg.GaussIntMatrix:
-    """The Gaussian-integer matrix of -(l1^2 + l2^2 + l3^2); equals k(k+2)
-    times the identity."""
+def casimir(k: int) -> linalg.Rows:
+    """The Gaussian-integer matrix of -(l1^2 + l2^2 + l3^2) as rows; equals
+    k(k+2) times the identity."""
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    n = k + 1
-    neg = ([[0] * n for _ in range(n)], [[0] * n for _ in range(n)])
+    neg: linalg.Rows = [{} for _ in range(k + 1)]
     for i in (1, 2, 3):
         m = l_matrix_int(i, k)
-        for acc, square in zip(neg, linalg.mat_mul_int(m, m)):
-            for out, row in zip(acc, square):
-                for j, x in enumerate(row):
-                    out[j] -= x
+        neg = [add_parts(acc, 1, row, 1, -1)[0] for acc, row in zip(neg, linalg.mat_mul_int(m, m))]
     return neg
 
 
-def casimir_expected(k: int) -> linalg.GaussIntMatrix:
-    """k(k+2) times the identity on H_k, as a Gaussian-integer matrix."""
-    n, c = k + 1, k * (k + 2)
-    return [[c if i == j else 0 for j in range(n)] for i in range(n)], [[0] * n for _ in range(n)]
+def casimir_expected(k: int) -> linalg.Rows:
+    """k(k+2) times the identity on H_k, as Gaussian-integer rows."""
+    c = k * (k + 2)
+    return [{p: (c, 0)} if c else {} for p in range(k + 1)]

@@ -17,7 +17,7 @@ from typing import Callable, Optional
 from . import linalg
 from .abstract_dirac import _quadratic_holds, dbar_apply, dbar_apply_first_principles, \
     dbar_block_int, eigenbasis_abstract, SpinorVector
-from .exactnum import BASIS, gauss, gauss_over, quat_multiply
+from .exactnum import BASIS, add_parts, gauss, gauss_over, quat_multiply, scale_parts
 from .geometry import (
     SPHERE_VOLUME,
     dirac_section,
@@ -91,11 +91,11 @@ def _check_casimir_k(k: int) -> list[CheckResult]:
     comm_ok = True
     ls = {i: l_matrix_int(i, k) for i in (1, 2, 3)}
     for i, j, m, sign in _unit_products():
+        # each row is a denominator-1 vector's parts
         ab = linalg.mat_mul_int(ls[i], ls[j])
         ba = linalg.mat_mul_int(ls[j], ls[i])
-        comm = tuple([[x - y for x, y in zip(r1, r2)] for r1, r2 in zip(m1, m2)]
-                     for m1, m2 in zip(ab, ba))
-        expected = tuple([[2 * sign * x for x in row] for row in part] for part in ls[m])
+        comm = [add_parts(x, 1, y, 1, -1)[0] for x, y in zip(ab, ba)]
+        expected = [scale_parts(row, 1, 2 * sign, 0, 1)[0] for row in ls[m]]
         comm_ok = comm_ok and comm == expected
     out.append(CheckResult("casimir", f"commutators k={k}", comm_ok,
                            "[l_i, l_j] = 2 l_(e_i e_j) for all ordered pairs"))
@@ -114,8 +114,8 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
     n = 2 * (k + 1)
     char = [gauss_over(re, im, 1) for re, im in linalg.charpoly_int(block)]
     expected_char = linalg.charpoly_from_roots([(Fraction(k + 2), k), (Fraction(-k), k + 2)])
-    plus_null = n - linalg.rank_int(linalg.shift_int(block, -(k + 2)))
-    minus_null = n - linalg.rank_int(linalg.shift_int(block, k))
+    plus_null = n - linalg.rank_sparse(linalg.shift_int(block, -(k + 2)))
+    minus_null = n - linalg.rank_sparse(linalg.shift_int(block, k))
     try:
         plus, minus = eigenbasis_abstract(k)
     except AssertionError:

@@ -146,8 +146,8 @@ def exact_block_multiplicities(k):
     char = [gauss(*c) for c in linalg.charpoly_int(block)]
     expected = linalg.charpoly_from_roots([(Fraction(k + 2), k), (Fraction(-k), k + 2)])
     assert char == expected
-    null_plus = n - linalg.rank_int(linalg.shift_int(block, -(k + 2)))
-    null_minus = n - linalg.rank_int(linalg.shift_int(block, k))
+    null_plus = n - linalg.rank_sparse(linalg.shift_int(block, -(k + 2)))
+    null_minus = n - linalg.rank_sparse(linalg.shift_int(block, k))
     return null_plus, null_minus
 
 

@@ -1,0 +1,33 @@
+"""The benchmark's micro mode runs against the library as it is.
+
+``perfbench/child.py micro`` replays a Faddeev-LeVerrier loop on the
+dense Gaussian-rational edge of ``linalg`` (``from_int``, ``_to_int``,
+``mat_mul``, ``trace``, ``mat_add``, ``mat_scale``, ``identity``) and
+``abstract_dirac.dbar_block_matrix``, which no other test reaches.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+MICRO_KEYS = {"exactnum.mul_us", "exactnum.add_us", "polyring.mul_us",
+              "polyring.partial_us", "polyring.in_view_us"}
+
+
+def test_perfbench_micro_mode_runs(tmp_path):
+    out = tmp_path / "micro.json"
+    env = dict(os.environ)
+    src = str(ROOT / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "micro", str(out)],
+        cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(out.read_text(encoding="utf-8"))
+    assert set(result) == MICRO_KEYS
+    assert all(value > 0 for value in result.values())

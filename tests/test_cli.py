@@ -489,10 +489,20 @@ def test_unwritable_out_is_usage_error(tmp_path, capsys, argv):
     assert not missing.exists()
 
 
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--k-max", "0"),
+    ("eigenbasis", "--k", "0"),
+])
+def test_empty_out_path_is_usage_error(capsys, argv):
+    # an empty path names no file; it is not a request for stdout
+    code, out, err = run(capsys, *argv, "--out", "")
+    assert_usage_error(code, out, err, "cannot write --out")
+
+
 def test_verify_transfer_fails_when_two_images_coincide(capsys, monkeypatch):
-    # the image of |0>|1> replaced by that of |0>|0>: the two rows share
-    # their support, so the rank goes through the dense elimination and
-    # comes out one short
+    # the image of |0>|1> replaced by that of |0>|0>: the two equal rows
+    # form a component of their own, which the rank's proportionality test
+    # counts once, so the rank comes out one short
     import spinor_s3.verify as verify
 
     closed = verify.transfer_table

@@ -1,12 +1,13 @@
 """Exact linear algebra against an independent oracle.
 
-``linalg`` computes on Gaussian-integer matrices ``(R, I)``; sympy's
-``Matrix`` computes on symbolic Gaussian numbers.  Both must give the same
-exact answers for ``charpoly_int``, ``rank_int`` and ``mat_mul_int`` on
-random matrices (square, non-square and rank-deficient), on the Dbar
-blocks and on the empty matrix.  Matrices that split into connected
-components are checked too: blocks hidden by a permutation, blocks coupled
-one way, and two-row components on either side of proportional.
+``linalg`` computes on Gaussian-integer matrices given as canonical sparse
+rows ``{col: (re, im)}``; sympy's ``Matrix`` computes on symbolic Gaussian
+numbers.  Both must give the same exact answers for ``charpoly_int``,
+``rank_sparse`` and ``mat_mul_int`` on random matrices (square,
+non-square and rank-deficient), on the Dbar blocks and on the empty
+matrix.  Matrices that split into connected components are checked too:
+blocks hidden by a permutation, blocks coupled one way, and two-row
+components on either side of proportional.
 """
 
 import random
@@ -30,13 +31,12 @@ def _is_zero(expr) -> bool:
     return sympy.expand(expr) == 0
 
 
-def to_sympy(a):
-    """The Gaussian-integer matrix (R, I) as a sympy matrix."""
-    re, im = a
-    return sympy.Matrix(
-        len(re), len(re[0]) if re else 0,
-        [x + sympy.I * y for rr, ri in zip(re, im) for x, y in zip(rr, ri)],
-    )
+def to_sympy(a, cols=None):
+    """The Gaussian-integer rows ``a`` as a sympy matrix with ``cols``
+    columns, square by default."""
+    cols = len(a) if cols is None else cols
+    return sympy.Matrix(len(a), cols, [x + sympy.I * y for row in a
+                                       for x, y in (row.get(j, (0, 0)) for j in range(cols))])
 
 
 def from_sympy(expr) -> GaussianRational:
@@ -53,26 +53,29 @@ def gauss_int(expr) -> GaussInt:
     return int(re), int(im)
 
 
-def int_matrix(m) -> linalg.GaussIntMatrix:
-    """A sympy matrix with Gaussian-integer entries as ``(R, I)``."""
+def int_matrix(m) -> list[dict[int, GaussInt]]:
+    """A sympy matrix with Gaussian-integer entries as canonical rows."""
     entries = [[gauss_int(m[i, j]) for j in range(m.cols)] for i in range(m.rows)]
-    return [[x for x, _ in row] for row in entries], [[y for _, y in row] for row in entries]
+    return [{j: c for j, c in enumerate(row) if c != (0, 0)} for row in entries]
 
 
 def oracle_charpoly(a):
     return [gauss_int(c) for c in to_sympy(a).charpoly(X).all_coeffs()]
 
 
-def oracle_rank(a):
-    return to_sympy(a).rank(iszerofunc=_is_zero)
+def oracle_rank(a, cols=None):
+    return to_sympy(a, cols).rank(iszerofunc=_is_zero)
 
 
 def random_int_matrix(rng, rows, cols, zero_share=0.3):
-    """A Gaussian-integer matrix (R, I)."""
+    """A Gaussian-integer matrix as rows, its real parts drawn before its
+    imaginary parts."""
     def part():
         return [[0 if rng.random() < zero_share else rng.randint(-9, 9) for _ in range(cols)]
                 for _ in range(rows)]
-    return part(), part()
+    re, im = part(), part()
+    return [{j: (x, y) for j, (x, y) in enumerate(zip(rr, ri)) if x or y}
+            for rr, ri in zip(re, im)]
 
 
 def low_rank_matrix(rng, rows, cols, r):
@@ -106,7 +109,7 @@ def test_charpoly_matches_sympy_on_singular_matrices(seed):
 def test_rank_matches_sympy_on_random_matrices(seed, shape):
     rng = random.Random(1000 * seed + 10 * shape[0] + shape[1])
     a = random_int_matrix(rng, *shape, zero_share=0.5)
-    assert linalg.rank_int(a) == oracle_rank(a)
+    assert linalg.rank_sparse(a) == oracle_rank(a, shape[1])
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -114,19 +117,18 @@ def test_rank_matches_sympy_on_random_matrices(seed, shape):
 def test_rank_matches_sympy_on_rank_deficient_matrices(seed, shape, r):
     rng = random.Random(2000 * seed + 7 * r + shape[0])
     a = low_rank_matrix(rng, *shape, r)
-    expected = oracle_rank(a)
+    expected = oracle_rank(a, shape[1])
     assert expected <= r
-    assert linalg.rank_int(a) == expected
+    assert linalg.rank_sparse(a) == expected
 
 
 def test_rank_of_zero_and_repeated_rows():
     rng = random.Random(7)
-    re, im = random_int_matrix(rng, 1, 5)
-    row = re[0], im[0]
+    row = random_int_matrix(rng, 1, 5)[0]
     # the third row is (2 + 3i) times the first
-    scaled = [2 * x - 3 * y for x, y in zip(*row)], [3 * x + 2 * y for x, y in zip(*row)]
-    assert linalg.rank_int(([[0] * 5 for _ in range(3)], [[0] * 5 for _ in range(3)])) == 0
-    assert linalg.rank_int(([row[0], row[0], scaled[0]], [row[1], row[1], scaled[1]])) == 1
+    scaled = {c: (2 * x - 3 * y, 3 * x + 2 * y) for c, (x, y) in row.items()}
+    assert linalg.rank_sparse([{}, {}, {}]) == 0
+    assert linalg.rank_sparse([row, row, scaled]) == 1
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -136,11 +138,11 @@ def test_mat_mul_matches_sympy(seed, shape):
     n, k, m = shape
     a = random_int_matrix(rng, n, k)
     b = random_int_matrix(rng, k, m)
-    product = to_sympy(a) * to_sympy(b)
+    product = to_sympy(a, k) * to_sympy(b, m)
     assert linalg.mat_mul_int(a, b) == int_matrix(product)
     # the Gaussian-rational product over non-unit denominators
     da, db = rng.randint(1, 12), rng.randint(1, 12)
-    assert linalg.mat_mul(linalg.from_int(a, da), linalg.from_int(b, db)) == [
+    assert linalg.mat_mul(linalg.from_int(a, k, da), linalg.from_int(b, m, db)) == [
         [from_sympy(product[i, j] / (da * db)) for j in range(m)] for i in range(n)
     ]
 
@@ -155,16 +157,23 @@ def test_mat_mul_refuses_mismatched_shapes(a, b):
     # a checked error, not an assert that python -O drops
     with pytest.raises(ValueError, match="cannot multiply"):
         linalg.mat_mul(a, b)
-    with pytest.raises(ValueError, match="cannot multiply"):
-        linalg.mat_mul_int(linalg._to_int(a)[1], linalg._to_int(b)[1])
+    # as rows, a left factor with fewer columns than the right one has
+    # rows is a well-formed product; one with a column past them is not
+    left, right = linalg._to_int(a)[1], linalg._to_int(b)[1]
+    if max(len(row) for row in a) <= len(b):
+        assert len(linalg.mat_mul_int(left, right)) == len(a)
+    else:
+        with pytest.raises(ValueError, match="cannot multiply"):
+            linalg.mat_mul_int(left, right)
 
 
 def test_mat_mul_skips_only_zero_left_entries():
-    # a zero left part times a nonzero right row contributes nothing, a
-    # nonzero left part times an all-zero right row too
-    a = ([[0, 2], [1, 0]], [[0, -1], [0, 0]])
-    b = ([[5, 0], [0, 0]], [[5, 0], [0, 3]])
-    assert linalg.mat_mul_int(a, b) == ([[0, 3], [5, 0]], [[0, 6], [5, 0]])
+    # only the nonzero entries of the left rows are read, and an entry that
+    # sums to zero is left out of the product
+    a = [{1: (2, -1)}, {0: (1, 0)}]
+    b = [{0: (5, 5)}, {1: (0, 3)}]
+    assert linalg.mat_mul_int(a, b) == [{1: (3, 6)}, {0: (5, 5)}]
+    assert linalg.mat_mul_int([{0: (1, 0), 1: (1, 0)}], [{0: (1, 2)}, {0: (-1, -2)}]) == [{}]
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -173,16 +182,15 @@ def test_dbar_blocks_match_sympy(k):
     assert linalg.charpoly_int(block) == oracle_charpoly(block)
     for shift in (k, -(k + 2)):
         shifted = linalg.shift_int(block, shift)
-        assert linalg.rank_int(shifted) == oracle_rank(shifted)
+        assert linalg.rank_sparse(shifted) == oracle_rank(shifted)
     assert linalg.mat_mul_int(block, block) == int_matrix(to_sympy(block) ** 2)
 
 
 def test_empty_matrix():
-    empty = ([], [])
-    assert linalg.charpoly_int(empty) == oracle_charpoly(empty) == [(1, 0)]
-    assert linalg.rank_int(empty) == oracle_rank(empty) == 0
-    assert linalg.mat_mul_int(empty, empty) == empty
-    assert linalg.mat_mul_int(([[]], [[]]), empty) == ([[]], [[]])
+    assert linalg.charpoly_int([]) == oracle_charpoly([]) == [(1, 0)]
+    assert linalg.rank_sparse([]) == oracle_rank([]) == 0
+    assert linalg.mat_mul_int([], []) == []
+    assert linalg.mat_mul_int([{}], []) == [{}]
     assert linalg.mat_mul([], [[gauss(1)]]) == [] and linalg.mat_mul([[], []], []) == [[], []]
 
 
@@ -192,18 +200,18 @@ def test_integer_entry_points_match_sympy(seed):
     n = 2 + seed % 4
     a = random_int_matrix(rng, n, n)
     b = random_int_matrix(rng, n, n + 1)
-    assert linalg.mat_mul_int(a, b) == int_matrix(to_sympy(a) * to_sympy(b))
+    assert linalg.mat_mul_int(a, b) == int_matrix(to_sympy(a) * to_sympy(b, n + 1))
     char = linalg.charpoly_int(a)
     assert all(type(x) is int for c in char for x in c)
     assert char == oracle_charpoly(a)
-    assert linalg.rank_int(a) == oracle_rank(a)
+    assert linalg.rank_sparse(a) == oracle_rank(a)
     low = linalg.mat_mul_int(random_int_matrix(rng, n, 1 + seed % 2, 0.0),
                              random_int_matrix(rng, 1 + seed % 2, n, 0.0))
-    assert linalg.rank_int(low) == oracle_rank(low)
-    dense_a = linalg.from_int(a)
+    assert linalg.rank_sparse(low) == oracle_rank(low)
+    dense_a = linalg.from_int(a, n)
     shifted = linalg.mat_add(dense_a, linalg.mat_scale(linalg.identity(n), gauss(-3)))
-    assert linalg.from_int(linalg.shift_int(a, -3)) == shifted
-    assert linalg.from_int(a) == dense_a  # shift_int left its operand alone
+    assert linalg.from_int(linalg.shift_int(a, -3), n) == shifted
+    assert linalg.from_int(a, n) == dense_a  # shift_int left its operand alone
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -212,68 +220,39 @@ def test_trace_matches_sympy(seed):
     n = 1 + seed
     a = random_int_matrix(rng, n, n)
     d = rng.randint(1, 12)
-    assert linalg.trace(linalg.from_int(a, d)) == from_sympy(to_sympy(a).trace() / d)
+    assert linalg.trace(linalg.from_int(a, n, d)) == from_sympy(to_sympy(a).trace() / d)
     assert linalg.trace([]) == gauss(0)
 
 
 def test_from_int_divides_by_the_denominator():
-    assert linalg.from_int(([[3, 0]], [[-6, 0]]), 9) == [[gauss(Fraction(1, 3), Fraction(-2, 3)),
-                                                         gauss(0)]]
+    assert linalg.from_int([{0: (3, -6)}], 2, 9) == [[gauss(Fraction(1, 3), Fraction(-2, 3)),
+                                                     gauss(0)]]
+    with pytest.raises(ValueError, match="not a matrix"):
+        linalg.from_int([{2: (1, 0)}], 2)
 
 
 @pytest.mark.parametrize("a", [
-    ([[1, 2]], [[0, 0]]),
-    ([[1], [2]], [[0], [0]]),
-    ([[]], [[]]),
-], ids=["1x2", "2x1", "1x0"])
+    [{0: (1, 0), 1: (2, 0)}],
+    [{2: (1, 0)}, {}],
+    [{-1: (1, 0)}],
+], ids=["1x2", "2x3", "negative-column"])
 def test_charpoly_refuses_a_non_square_matrix(a):
     with pytest.raises(ValueError, match="not square"):
         linalg.charpoly_int(a)
-
-
-@pytest.mark.parametrize("a", [
-    ([[1, 2], [3]], [[0, 0], [0]]),
-    ([[1, 2], [3, 4]], [[0, 0], [0]]),
-    ([[1, 2], [3, 4]], [[0, 0]]),
-    ([[1, 2], [3, 4]], [[0, 0], [0, 0], [0, 0]]),
-    ([[1], [2, 3]], [[0], [0, 0]]),
-], ids=["ragged", "ragged-imaginary", "fewer-imaginary-rows", "more-imaginary-rows",
-        "longer-later-row"])
-def test_rank_and_charpoly_refuse_ragged_or_mismatched_rows(a):
-    with pytest.raises(ValueError, match="not a matrix"):
-        linalg.rank_int(a)
-    with pytest.raises(ValueError, match="not a matrix"):
-        linalg.charpoly_int(a)
-
-
-MALFORMED_PAIRS = {
-    "short-imaginary-row": ([[1, 2]], [[0]]),
-    "no-imaginary-rows": ([[1, 2]], []),
-    "extra-imaginary-row": ([[1, 2]], [[0, 0], [0, 0]]),
-}
-
-
-@pytest.mark.parametrize("a", MALFORMED_PAIRS.values(), ids=MALFORMED_PAIRS.keys())
-def test_integer_kernels_refuse_a_malformed_pair(a):
-    # zipping R against I row by row would drop entries without an error
-    with pytest.raises(ValueError, match="not a matrix"):
-        linalg.mat_mul_int(a, ([[1], [1]], [[0], [0]]))
-    with pytest.raises(ValueError, match="not a matrix"):
-        linalg.mat_mul_int(([[1]], [[0]]), a)
-    with pytest.raises(ValueError, match="not a matrix"):
-        linalg.from_int(a)
-    with pytest.raises(ValueError, match="not a matrix"):
+    with pytest.raises(ValueError, match="not square"):
         linalg.shift_int(a, 1)
 
 
 def test_integer_kernels_keep_well_formed_pairs():
-    # the example the shape check guards: 1 + 2 = 3, not the 1 of a
-    # truncated zip
-    assert linalg.mat_mul_int(([[1, 2]], [[0, 0]]), ([[1], [1]], [[0], [0]])) == ([[3]], [[0]])
-    assert linalg.shift_int(([[1, 2], [3, 4]], [[0, 1], [0, 0]]), 1) == (
-        [[2, 2], [3, 5]], [[0, 1], [0, 0]])
+    # 1 + 2 = 3 over both columns of the left row
+    assert linalg.mat_mul_int([{0: (1, 0), 1: (2, 0)}], [{0: (1, 0)}, {0: (1, 0)}]) == [{0: (3, 0)}]
+    assert linalg.shift_int([{0: (1, 0), 1: (2, 1)}, {0: (3, 0), 1: (4, 0)}], 1) == [
+        {0: (2, 0), 1: (2, 1)}, {0: (3, 0), 1: (5, 0)}]
+    # a diagonal entry that the shift cancels is left out, one it creates
+    # is added
+    assert linalg.shift_int([{0: (2, 0)}, {0: (1, 0)}], -2) == [{}, {0: (1, 0), 1: (-2, 0)}]
     with pytest.raises(ValueError, match="not square"):
-        linalg.shift_int(([[1, 2]], [[0, 0]]), 1)
+        linalg.shift_int([{0: (1, 0), 1: (2, 0)}], 1)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -321,11 +300,8 @@ def test_charpoly_from_roots_edge_cases():
 def oracle_sparse_rank(rows):
     """sympy's rank of the rows ``{col: (re, im)}`` laid out densely over the
     sorted union of their columns."""
-    columns = sorted({c for row in rows for c in row})
-    if not columns:
-        return 0
-    return oracle_rank(([[row.get(c, (0, 0))[0] for c in columns] for row in rows],
-                        [[row.get(c, (0, 0))[1] for c in columns] for row in rows]))
+    columns = {c: j for j, c in enumerate(sorted({c for row in rows for c in row}))}
+    return oracle_rank([{columns[c]: v for c, v in row.items()} for row in rows], len(columns))
 
 
 def combine(rows, coeffs):
@@ -393,22 +369,27 @@ def test_rank_sparse_zero_rows_and_empty_list():
 
 
 def block_diagonal(blocks):
-    """The Gaussian-integer matrices ``blocks`` on the diagonal of one."""
-    n = sum(len(re) for re, _ in blocks)
-    out = [[0] * n for _ in range(n)], [[0] * n for _ in range(n)]
-    at = 0
+    """The square Gaussian-integer matrices ``blocks`` on the diagonal of
+    one."""
+    out, at = [], 0
     for block in blocks:
-        size = len(block[0])
-        for part, whole in zip(block, out):
-            for i in range(size):
-                whole[at + i][at:at + size] = part[i]
-        at += size
+        out.extend({at + c: v for c, v in row.items()} for row in block)
+        at += len(block)
     return out
 
 
 def permuted(a, rows, cols):
     """The matrix with entry ``a[rows[i]][cols[j]]`` at (i, j)."""
-    return tuple([[part[r][c] for c in cols] for r in rows] for part in a)
+    where = {c: j for j, c in enumerate(cols)}
+    return [{where[c]: v for c, v in a[r].items()} for r in rows]
+
+
+def transposed(a, cols):
+    out = [{} for _ in range(cols)]
+    for i, row in enumerate(a):
+        for c, v in row.items():
+            out[c][i] = v
+    return out
 
 
 def hidden_blocks(rng):
@@ -422,7 +403,7 @@ def hidden_blocks(rng):
         else:
             blocks.append(random_int_matrix(rng, size, size, 0.2))
     a = block_diagonal(blocks)
-    order = list(range(len(a[0])))
+    order = list(range(len(a)))
     rng.shuffle(order)
     return permuted(a, order, order)
 
@@ -432,15 +413,15 @@ def test_split_matches_sympy_on_blocks_hidden_by_a_permutation(seed):
     rng = random.Random(8000 + seed)
     a = hidden_blocks(rng)
     assert linalg.charpoly_int(a) == oracle_charpoly(a)
-    assert linalg.rank_int(a) == oracle_rank(a)
+    assert linalg.rank_sparse(a) == oracle_rank(a)
     shifted = linalg.shift_int(a, rng.choice([-2, -1, 1, 2]))
-    assert linalg.rank_int(shifted) == oracle_rank(shifted)
+    assert linalg.rank_sparse(shifted) == oracle_rank(shifted)
     # rows and columns shuffled apart: a rank question, not a charpoly one
-    rows, cols = list(range(len(a[0]))), list(range(len(a[0])))
+    rows, cols = list(range(len(a))), list(range(len(a)))
     rng.shuffle(rows)
     rng.shuffle(cols)
     mixed = permuted(a, rows, cols)
-    assert linalg.rank_int(mixed) == oracle_rank(mixed)
+    assert linalg.rank_sparse(mixed) == oracle_rank(mixed)
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -452,79 +433,68 @@ def test_split_matches_sympy_on_blocks_coupled_one_way(seed):
     n1, n2 = rng.randint(1, 3), rng.randint(1, 3)
     b1, b2 = random_int_matrix(rng, n1, n1), random_int_matrix(rng, n2, n2)
     c = random_int_matrix(rng, n1, n2, 0.5)
-    c[0][0][0] = 1  # at least one coupling entry
-    a = tuple([r1 + rc for r1, rc in zip(p1, pc)] + [[0] * n1 + r2 for r2 in p2]
-              for p1, pc, p2 in zip(b1, c, b2))
+    c[0][0] = (1, c[0].get(0, (0, 0))[1])  # at least one coupling entry
+    a = [{**r1, **{n1 + j: v for j, v in rc.items()}} for r1, rc in zip(b1, c)]
+    a += [{n1 + j: v for j, v in r2.items()} for r2 in b2]
     order = list(range(n1 + n2))
     rng.shuffle(order)
     for m in (a, permuted(a, order, order)):
         assert linalg.charpoly_int(m) == oracle_charpoly(m)
         for shift in (0, -1, 2):
             shifted = linalg.shift_int(m, shift)
-            assert linalg.rank_int(shifted) == oracle_rank(shifted)
+            assert linalg.rank_sparse(shifted) == oracle_rank(shifted)
     # the transpose couples the other way
-    t = tuple([list(col) for col in zip(*part)] for part in a)
+    t = transposed(a, n1 + n2)
     assert linalg.charpoly_int(t) == oracle_charpoly(t)
 
 
 def times(row, c):
-    """The Gaussian-integer row (re, im) parts times the Gaussian integer c."""
-    (re, im), (x, y) = row, c
-    return [x * u - y * v for u, v in zip(re, im)], [x * v + y * u for u, v in zip(re, im)]
-
-
-def two_rows(r1, r2):
-    return [r1[0], r2[0]], [r1[1], r2[1]]
-
-
-def sparse(a):
-    """The nonzero entries of each row of (R, I) as ``{col: (re, im)}``."""
-    return [{c: (x, y) for c, (x, y) in enumerate(zip(rr, ri)) if x or y} for rr, ri in zip(*a)]
+    """The sparse Gaussian-integer row times the Gaussian integer c."""
+    x, y = c
+    return {col: (x * u - y * v, x * v + y * u) for col, (u, v) in row.items()}
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_two_rows_proportional_by_a_non_real_ratio(seed):
     # 3v and (1 + 2i)v: proportional by (1 + 2i)/3, cleared to integers
     rng = random.Random(8800 + seed)
-    v = random_int_matrix(rng, 1, 2 + seed, 0.3)
-    v = v[0][0], v[1][0]
-    v[0][0] = v[0][0] or 1
-    a = two_rows(times(v, (3, 0)), times(v, (1, 2)))
-    assert linalg.rank_int(a) == oracle_rank(a) == 1
-    assert linalg.rank_sparse(sparse(a)) == 1
+    cols = 2 + seed
+    v = random_int_matrix(rng, 1, cols, 0.3)[0]
+    x, y = v.get(0, (0, 0))
+    v[0] = (x or 1, y)
+    a = [times(v, (3, 0)), times(v, (1, 2))]
+    assert linalg.rank_sparse(a) == oracle_rank(a, cols) == 1
     # the same two rows beside a one-row component elsewhere
-    wide = tuple([row + [0] for row in part] + [[0] * len(v[0]) + [5]] for part in a)
-    assert linalg.rank_int(wide) == oracle_rank(wide) == 2
+    wide = a + [{cols: (5, 0)}]
+    assert linalg.rank_sparse(wide) == oracle_rank(wide, cols + 1) == 2
 
 
 @pytest.mark.parametrize("seed", SEEDS)
 def test_two_rows_not_proportional(seed):
     rng = random.Random(8900 + seed)
     cols = 2 + seed
-    v = [rng.randint(1, 9) for _ in range(cols)], [rng.randint(-9, 9) for _ in range(cols)]
+    re = [rng.randint(1, 9) for _ in range(cols)]
+    v = {j: (x, rng.randint(-9, 9)) for j, x in enumerate(re)}
     w = times(v, (1, 2))
     # equal supports, one entry off the line
-    bent = [x for x in w[0]], [y for y in w[1]]
-    bent[0][-1] += 1
-    a = two_rows(v, bent)
-    assert linalg.rank_int(a) == oracle_rank(a) == 2
-    assert linalg.rank_sparse(sparse(a)) == 2
+    bent = dict(w)
+    bent[cols - 1] = (w[cols - 1][0] + 1, w[cols - 1][1])
+    a = [v, bent]
+    assert linalg.rank_sparse(a) == oracle_rank(a, cols) == 2
     # unequal supports that still share a column: proportional where both
     # are nonzero, but one row has an entry the other lacks
-    cut = [x for x in w[0]], [y for y in w[1]]
-    cut[0][0] = cut[1][0] = 0
-    a = two_rows(v, cut)
-    assert linalg.rank_int(a) == oracle_rank(a) == 2
-    assert linalg.rank_sparse(sparse(a)) == 2
+    cut = {j: c for j, c in w.items() if j}
+    a = [v, cut]
+    assert linalg.rank_sparse(a) == oracle_rank(a, cols) == 2
 
 
 def test_dbar_charpoly_runs_dense_faddeev_leverrier_on_blocks_of_two_at_most(monkeypatch):
     sizes = []
-    dense = linalg._faddeev_leverrier
+    blockwise = linalg._faddeev_leverrier
 
     def counted(a):
-        sizes.append(len(a[0]))
-        return dense(a)
+        sizes.append(len(a))
+        return blockwise(a)
 
     monkeypatch.setattr(linalg, "_faddeev_leverrier", counted)
     block = dbar_block_int(12)
@@ -534,11 +504,11 @@ def test_dbar_charpoly_runs_dense_faddeev_leverrier_on_blocks_of_two_at_most(mon
 
 def test_eigen_identity_makes_no_dense_elimination(monkeypatch):
     calls = []
-    dense = linalg._echelon_rank
+    eliminate = linalg._echelon_rank
 
-    def counted(a):
-        calls.append(len(a[0]))
-        return dense(a)
+    def counted(rows):
+        calls.append(len(rows))
+        return eliminate(rows)
 
     monkeypatch.setattr(linalg, "_echelon_rank", counted)
     for k in range(7):

@@ -20,14 +20,21 @@ def ket(k, p):
 
 
 def sub(a, b):
-    """A - B for Gaussian-integer matrices."""
-    return tuple([[x - y for x, y in zip(ra, rb)] for ra, rb in zip(pa, pb)]
-                 for pa, pb in zip(a, b))
+    """A - B for Gaussian-integer rows, canonical."""
+    out = []
+    for ra, rb in zip(a, b):
+        row = {}
+        for c in ra.keys() | rb.keys():
+            (x, y), (u, v) = ra.get(c, (0, 0)), rb.get(c, (0, 0))
+            if x - u or y - v:
+                row[c] = (x - u, y - v)
+        out.append(row)
+    return out
 
 
 def scale(a, c):
-    """c A for a Gaussian-integer matrix A and an integer c."""
-    return tuple([[c * x for x in row] for row in part] for part in a)
+    """c A for Gaussian-integer rows A and a nonzero integer c."""
+    return [{col: (c * x, c * y) for col, (x, y) in row.items()} for row in a]
 
 
 def test_l2_moves_both_ways():
@@ -118,11 +125,10 @@ def test_commutators_up_to_12(k):
 def test_l_matrices_banded():
     for k in range(9):
         for i in (1, 2, 3):
-            re, im = l_matrix_int(i, k)
-            for r in range(k + 1):
-                for c in range(k + 1):
-                    if abs(r - c) > 1:
-                        assert re[r][c] == im[r][c] == 0
+            rows = l_matrix_int(i, k)
+            assert len(rows) == k + 1
+            for r, row in enumerate(rows):
+                assert all(0 <= c <= k and abs(r - c) <= 1 for c in row)
 
 
 def test_bad_inputs_rejected():

@@ -31,7 +31,7 @@ ROUTE_PAIRS = (
     ("quadratic: closed Dbar = first principles",
      {"abstract_dirac.dbar_apply"}, {"abstract_dirac.dbar_apply_first_principles"}),
     ("quadratic: spectrum two ways",
-     {"linalg.charpoly_int", "linalg.rank_int"},
+     {"linalg.charpoly_int", "linalg.rank_sparse"},
      {"linalg.charpoly_from_roots", "abstract_dirac.eigenbasis_abstract"}),
     ("integral: tensor rule vs exact",
      {"geometry.monomial_integral"}, {"geometry.tensor_quadrature"}),
@@ -221,5 +221,5 @@ def test_the_graph_sees_a_merged_route():
     # attribute and a constructor
     assert "transfer._ladder_step" in GRAPH["transfer.recursive_table"]
     assert "exactnum.GaussParts.scale" in GRAPH["transfer._ladder_step"]
-    assert "linalg.rank_int" in GRAPH["verify._check_quadratic_k"]
+    assert "linalg.rank_sparse" in GRAPH["verify._check_quadratic_k"]
     assert "repspace.KetVector.__init__" in GRAPH["repspace.KetVector"]

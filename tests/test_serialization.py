@@ -45,6 +45,29 @@ def test_polynomial_json_refuses_a_repeated_exponent():
     assert Polynomial.from_json(roundtrip(record)) == G2 + G2_BAR.scale(5)
 
 
+GOOD_TERM = {"exp": [1, 0, 0, 0], "coeff": {"re": "1/1", "im": "0/1"}}
+GOOD_POLY = {"view": "z", "terms": [GOOD_TERM]}
+
+MALFORMED_RECORDS = {
+    "no-terms": (Polynomial, {"view": "z"}),
+    "no-view": (Polynomial, {"terms": [GOOD_TERM]}),
+    "no-coeff": (Polynomial, {"view": "z", "terms": [{"exp": [1, 0, 0, 0]}]}),
+    "no-im": (Polynomial, {"view": "z", "terms": [{"exp": [1, 0, 0, 0], "coeff": {"re": "1/1"}}]}),
+    "exp-int": (Polynomial, {"view": "z", "terms": [{**GOOD_TERM, "exp": 5}]}),
+    "terms-str": (Polynomial, {"view": "z", "terms": "abc"}),
+    "poly-list": (Polynomial, [GOOD_POLY]),
+    "no-g": (SpinorSection, {"f": GOOD_POLY}),
+    "section-list": (SpinorSection, [GOOD_POLY, GOOD_POLY]),
+}
+
+
+@pytest.mark.parametrize("cls, record", MALFORMED_RECORDS.values(), ids=MALFORMED_RECORDS.keys())
+def test_json_refuses_a_malformed_record(cls, record):
+    with pytest.raises(ValueError, match="malformed") as info:
+        cls.from_json(roundtrip(record))
+    assert "\n" not in str(info.value)
+
+
 def test_spinor_section_json():
     s = SpinorSection(G2, -GM1)
     obj = roundtrip(s.to_json())
