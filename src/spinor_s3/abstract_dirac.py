@@ -1,22 +1,22 @@
 """The shifted Dirac operator on the abstract representation side.
 
-Elements of the per-q slice H x H_k live on the complex basis e_r (x) |p>,
-r in {0, 2}.  The shifted operator Dbar acts there by
+On degree k the spinors are H x H_k x H_k, and the shifted operator Dbar
+acts only on the slice H x H_k; the second H_k is a spectator that only
+the transfer to polynomials reads (``transfer.transfer_eigenbasis``).
+Elements of the slice live on the complex basis e_r (x) |p>, r in {0, 2}.
+Dbar acts there by
 
     Dbar(e0 (x) |p>) = (2p - k) e0 (x) |p>   - 2p      e2 (x) |p-1>
     Dbar(e2 (x) |p>) = -(2p - k) e2 (x) |p>  - 2(k-p)  e0 (x) |p+1>
 
 (the |p+1> target in the second line is forced by the invariant spans
 {e0 (x) |p>, e2 (x) |p-1>}; see VERIFICATION.md).  The Dirac operator
-itself is Dbar - 3/2, with eigenvalues k + 1/2 and -k - 3/2.
-
-Everything here is q-independent: the operator never mixes q, so all
-linear algebra happens on 2(k+1)-dimensional blocks, and
-:func:`eigenbasis_abstract` checks its families on one slice, then
-repeats that checked slice for every q.
+itself is Dbar - 3/2, with eigenvalues k + 1/2 and -k - 3/2.  All linear
+algebra happens on the 2(k+1)-dimensional slice, and
+:func:`eigenbasis_abstract` builds and checks each family there once.
 
 Storage: a :class:`SpinorVector` is an ``exactnum.GaussParts`` in the
-space (k, q): its nonzero coefficients are Gaussian integers
+space (k,): its nonzero coefficients are Gaussian integers
 ``{(r, p): (re, im)}`` over one positive denominator, in canonical form,
 so equality stays structural.  :func:`dbar_apply`, the vector arithmetic,
 the eigenvector families and their self-check compute on those ints.  The
@@ -29,7 +29,7 @@ and :func:`dbar_block_matrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -57,33 +57,29 @@ def _index(r: int, p: int, n: int) -> int:
 
 
 class SpinorVector(GaussParts):
-    """A vector in the per-q slice, as sparse (r, p) coefficients (storage:
-    see the module docstring)."""
+    """A vector in the slice H x H_k, as sparse (r, p) coefficients
+    (storage: see the module docstring)."""
 
     __slots__ = ()
 
-    def __init__(self, k: int, q: int, coeffs):
-        if not 0 <= q <= k:
-            raise ValueError(f"q={q} outside 0..{k}")
+    def __init__(self, k: int, coeffs):
+        if k < 0:
+            raise ValueError("degree k must be >= 0")
         coeffs = tuple(coeffs)
         for (r, p), _ in coeffs:
             if r not in (0, 2):
                 raise ValueError(f"slot index r={r} must be 0 or 2")
             if not 0 <= p <= k:
                 raise ValueError(f"ket index p={p} outside 0..{k}")
-        super().__init__(coeffs, k, q)
+        super().__init__(coeffs, k)
 
     @property
     def k(self) -> int:
         return self._space[0]
 
-    @property
-    def q(self) -> int:
-        return self._space[1]
-
     @staticmethod
-    def basis(k: int, q: int, r: int, p: int) -> "SpinorVector":
-        return SpinorVector(k, q, (((r, p), 1),))
+    def basis(k: int, r: int, p: int) -> "SpinorVector":
+        return SpinorVector(k, (((r, p), 1),))
 
     @property
     def coeffs(self) -> tuple[tuple[Key, GaussianRational], ...]:
@@ -92,7 +88,7 @@ class SpinorVector(GaussParts):
         return tuple(sorted(self.terms.items()))
 
     def __repr__(self) -> str:
-        return f"SpinorVector(k={self.k}, q={self.q}, coeffs={self.coeffs!r})"
+        return f"SpinorVector(k={self.k}, coeffs={self.coeffs!r})"
 
 
 def dbar_apply(v: SpinorVector) -> SpinorVector:
@@ -112,7 +108,7 @@ def dbar_apply(v: SpinorVector) -> SpinorVector:
         for key, f in terms:
             c = out.get(key)
             out[key] = (re * f, im * f) if c is None else (c[0] + re * f, c[1] + im * f)
-    return SpinorVector._of(*reduce_parts(out, v._den), k, v.q)
+    return SpinorVector._of(*reduce_parts(out, v._den), k)
 
 
 #: complex_split(e_r * e_i) for r in {0, 2} and i = 1..3, as Gaussian
@@ -152,19 +148,19 @@ def dbar_apply_first_principles(v: SpinorVector) -> SpinorVector:
                     # -(x + i y)(ar + i ai)
                     term[(s, p)] = (y * ai - x * ar, -(x * ai + y * ar))
             num, den = add_parts(num, den, *reduce_parts(term, moved._den))
-    return SpinorVector._of(num, den, k, v.q)
+    return SpinorVector._of(num, den, k)
 
 
 def dbar_block_int(k: int) -> linalg.Rows:
-    """The Gaussian-integer matrix of Dbar on one q slice as rows, basis
-    e0 (x) |0..k> then e2 (x) |0..k>."""
+    """The Gaussian-integer matrix of Dbar on the slice H x H_k as rows,
+    basis e0 (x) |0..k> then e2 (x) |0..k>."""
     n = k + 1
     rows: linalg.Rows = [{} for _ in range(2 * n)]
     for r in (0, 2):
         for p in range(n):
             # the closed formulas have integer factors, so the image of a
             # basis vector has denominator 1
-            for (s, t), c in dbar_apply(SpinorVector.basis(k, 0, r, p))._num.items():
+            for (s, t), c in dbar_apply(SpinorVector.basis(k, r, p))._num.items():
                 rows[_index(s, t, n)][_index(r, p, n)] = c
     return rows
 
@@ -189,25 +185,28 @@ def _quadratic_holds(block: linalg.Rows, k: int) -> bool:
 
 @dataclass(frozen=True)
 class EigenFamily:
-    """One Dirac eigenvalue with its explicit eigenvectors.
+    """One Dirac eigenvalue with its explicit eigenvectors on the slice
+    H x H_k.
 
-    ``positions[j]`` is the (q, p) label of ``vectors[j]``; for the minus
-    family p runs 0..k+1, the two boundary values marking the
-    one-dimensional invariant spans.
+    ``ps[j]`` is the p label of ``vectors[j]``; for the minus family p runs
+    0..k+1, the two boundary values marking the one-dimensional invariant
+    spans.  On H x H_k x H_k the family is these vectors tensored with each
+    of the k+1 kets |q>, and ``len`` counts all of them.
     """
 
     k: int
     dirac_eigenvalue: Fraction
     label: str  # "plus" or "minus"
     vectors: tuple[SpinorVector, ...]
-    positions: tuple[tuple[int, int], ...] = field(default=())
+    ps: tuple[int, ...]
 
     def __len__(self) -> int:
-        return len(self.vectors)
+        return (self.k + 1) * len(self.vectors)
 
 
 def eigenbasis_abstract(k: int) -> tuple[EigenFamily, EigenFamily]:
-    """The explicit eigenvector families on all q slices.
+    """The explicit eigenvector families on the slice H x H_k, each vector
+    checked to be a Dbar eigenvector.
 
     Plus family (Dirac eigenvalue k + 1/2), p = 1..k:
         e0 (x) |p>  -  e2 (x) |p-1>
@@ -215,13 +214,10 @@ def eigenbasis_abstract(k: int) -> tuple[EigenFamily, EigenFamily]:
         e0 (x) |0>,
         (p-k-1) e0 (x) |p>  -  p e2 (x) |p-1>   for p = 1..k,
         e2 (x) |k>.
-
-    Dbar never mixes q, so the vectors of one slice are checked once, on
-    q = 0, and every other slice shares their (immutable) coefficients.
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
-    # (p, coefficients) of one slice; every factor is a nonzero integer,
+    # (p, coefficients) of the slice; every factor is a nonzero integer,
     # so the parts are already canonical over denominator 1
     plus_slice = [(p, {(0, p): (1, 0), (2, p - 1): (-1, 0)}) for p in range(1, k + 1)]
     minus_slice = [
@@ -236,17 +232,14 @@ def eigenbasis_abstract(k: int) -> tuple[EigenFamily, EigenFamily]:
         ("plus", Fraction(2 * k + 1, 2), k + 2, plus_slice),
         ("minus", Fraction(-2 * k - 3, 2), -k, minus_slice),
     ):
-        for _, num in slice_:
-            v = SpinorVector._of(num, 1, k, 0)
+        vectors = tuple(SpinorVector._of(num, 1, k) for _, num in slice_)
+        for v in vectors:
             if dbar_apply(v) != v.scale(dbar_eigenvalue):
                 raise AssertionError(
                     f"vector {v} is not a Dbar eigenvector for {dbar_eigenvalue}"
                 )
-        families.append(EigenFamily(
-            k, dirac_eigenvalue, label,
-            tuple(SpinorVector._of(num, 1, k, q) for q in range(k + 1) for _, num in slice_),
-            tuple((q, p) for q in range(k + 1) for p, _ in slice_),
-        ))
+        families.append(EigenFamily(k, dirac_eigenvalue, label, vectors,
+                                    tuple(p for p, _ in slice_)))
     plus, minus = families
     return plus, minus
 

@@ -422,15 +422,16 @@ class SpinorSection(GaussParts):
     @staticmethod
     def from_json(obj: dict) -> "SpinorSection":
         """The section of a record; its ``"k"``, if any, must be the degree of
-        its f and g (any int >= 0 when both are zero).  ``ValueError`` if it
-        is malformed."""
+        its f and g: null when they have none, any int >= 0 when both are
+        zero.  ``ValueError`` if it is malformed."""
         try:
             f, g = obj["f"], obj["g"]
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed section record: {type(exc).__name__} {exc}") from None
         section = SpinorSection(Polynomial.from_json(f), Polynomial.from_json(g))
-        k = obj.get("k", section.degree)
-        if "k" in obj and not (type(k) is int and k >= 0
-                               and (section.is_zero() or k == section.degree)):
+        degree, k = section.degree, obj.get("k")
+        if "k" in obj and not (k is None and degree is None
+                               or type(k) is int and k >= 0
+                               and (section.is_zero() or k == degree)):
             raise ValueError(f"record degree {k!r} is not the degree of its f and g")
         return section

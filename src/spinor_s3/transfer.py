@@ -152,6 +152,7 @@ def recursive_table(k: int) -> dict[tuple[int, int], Polynomial]:
 
 def transfer_table(k: int) -> dict[tuple[int, int], Polynomial]:
     """All (k+1)^2 closed-form images, keyed by (p, q)."""
+    _check_indices(k, 0, 0)
     return {
         (p, q): iso_closed_form(k, p, q).poly
         for p in range(k + 1)
@@ -184,10 +185,12 @@ def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     """Translate the abstract eigenvector families into polynomial
     sections; 2(k+1)^2 sections in deterministic (family, q, p) order.
 
-    Each ket e_r (x) |p> of a vector becomes the image of |p>|q> keyed by
-    ``(r, exp)``, and the section is the sum of those images scaled by the
-    vector's coefficients, summed on the integer parts.  Built once per k:
-    the tuple and its sections are shared by every caller.
+    The families live on the slice H x H_k; here each vector is paired with
+    every ket |q> of the spectator H_k.  Each ket e_r (x) |p> of a vector
+    becomes the image of |p>|q> keyed by ``(r, exp)``, and the section is
+    the sum of those images scaled by the vector's coefficients, summed on
+    the integer parts.  Built once per k: the tuple and its sections are
+    shared by every caller.
     """
     if k < 0:
         raise ValueError("degree k must be >= 0")
@@ -195,13 +198,15 @@ def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     plus, minus = eigenbasis_abstract(k)
     out = []
     for family in (plus, minus):
-        for vector, (q, p) in zip(family.vectors, family.positions):
-            num, den = {}, 1
-            for (r, pp), (re, im) in vector._num.items():
-                image = table[(pp, q)]
-                keyed = {(r, exp): c for exp, c in image._num.items()}
-                num, den = add_parts(num, den, *scale_parts(keyed, image._den, re, im, vector._den))
-            out.append(TransferredEigenvector(
-                SpinorSection._of(num, den, Z_VIEW), family.dirac_eigenvalue, family.label, q, p
-            ))
+        for q in range(k + 1):
+            for vector, p in zip(family.vectors, family.ps):
+                num, den = {}, 1
+                for (r, pp), (re, im) in vector._num.items():
+                    image = table[(pp, q)]
+                    keyed = {(r, exp): c for exp, c in image._num.items()}
+                    num, den = add_parts(num, den,
+                                         *scale_parts(keyed, image._den, re, im, vector._den))
+                section = SpinorSection._of(num, den, Z_VIEW)
+                out.append(TransferredEigenvector(section, family.dirac_eigenvalue, family.label,
+                                                  q, p))
     return tuple(out)

@@ -133,27 +133,16 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
         f"mult({Fraction(-2 * k - 3, 2)}) = {(k + 1) * (k + 2)}",
     ))
 
-    rank_ok = plus is not None
-    if rank_ok:
-        slices: dict[int, list[SpinorVector]] = {q: [] for q in range(k + 1)}
-        for v in plus.vectors + minus.vectors:
-            if v.q in slices:
-                slices[v.q].append(v)
-        # slices whose vectors have equal parts, in the same order, have
-        # equal rows and so equal rank: rank each distinct slice once
-        ranks: dict[tuple, int] = {}
-        for vectors in slices.values():
-            key = tuple((v._den, *v._num.items()) for v in vectors)
-            if key not in ranks:
-                # a row scaled by its vector's denominator leaves the rank alone
-                ranks[key] = linalg.rank_sparse([v._num for v in vectors])
-            rank_ok = rank_ok and ranks[key] == n
+    # every q slice is this one slice of the families; a row scaled by its
+    # vector's denominator leaves the rank alone
+    rank_ok = plus is not None and linalg.rank_sparse(
+        [v._num for v in plus.vectors + minus.vectors]) == n
     out.append(CheckResult("quadratic", f"family union is a basis k={k}", rank_ok,
                            f"rank {n} on every q slice"))
 
     fp_ok = all(
-        dbar_apply(SpinorVector.basis(k, 0, r, p))
-        == dbar_apply_first_principles(SpinorVector.basis(k, 0, r, p))
+        dbar_apply(SpinorVector.basis(k, r, p))
+        == dbar_apply_first_principles(SpinorVector.basis(k, r, p))
         for r in (0, 2)
         for p in range(k + 1)
     )

@@ -19,31 +19,31 @@ from spinor_s3.abstract_dirac import (
 from spinor_s3.exactnum import gauss
 
 
-def bvec(k, q, r, p):
-    return SpinorVector.basis(k, q, r, p)
+def bvec(k, r, p):
+    return SpinorVector.basis(k, r, p)
 
 
 def test_dbar_closed_formula_examples():
     # k=2, p=0 slot e0: (2p-k) e0|p> with no shift term
-    assert dbar_apply(bvec(2, 0, 0, 0)) == bvec(2, 0, 0, 0).scale(-2)
+    assert dbar_apply(bvec(2, 0, 0)) == bvec(2, 0, 0).scale(-2)
     # k=0: everything is annihilated, so the Dirac eigenvalue is -3/2
-    assert dbar_apply(bvec(0, 0, 0, 0)).is_zero()
+    assert dbar_apply(bvec(0, 0, 0)).is_zero()
     # k=2, slot e2 at p=k: -(2p-k) e2|p>, the |p+1> term leaves the space
-    assert dbar_apply(bvec(2, 0, 2, 2)) == bvec(2, 0, 2, 2).scale(-2)
+    assert dbar_apply(bvec(2, 2, 2)) == bvec(2, 2, 2).scale(-2)
 
 
 def test_dbar_mixes_the_two_slots():
     # k=2, e0 at p=1: (2p-k)=0 diagonal part, shift -2p e2|p-1>
-    assert dbar_apply(bvec(2, 0, 0, 1)) == bvec(2, 0, 2, 0).scale(-2)
+    assert dbar_apply(bvec(2, 0, 1)) == bvec(2, 2, 0).scale(-2)
     # k=2, e2 at p=0: 2 e2|0> - 4 e0|1>
-    assert dbar_apply(bvec(2, 0, 2, 0)) == bvec(2, 0, 2, 0).scale(2) + bvec(2, 0, 0, 1).scale(-4)
+    assert dbar_apply(bvec(2, 2, 0)) == bvec(2, 2, 0).scale(2) + bvec(2, 0, 1).scale(-4)
 
 
 @pytest.mark.parametrize("k", range(11))
 def test_closed_formula_equals_first_principles(k):
     for r in (0, 2):
         for p in range(k + 1):
-            v = bvec(k, 0, r, p)
+            v = bvec(k, r, p)
             assert dbar_apply(v) == dbar_apply_first_principles(v)
 
 
@@ -52,12 +52,12 @@ def test_invariant_spans():
         for p in range(1, k + 1):
             allowed = {(0, p), (2, p - 1)}
             for r, pp in allowed:
-                img = dbar_apply(bvec(k, 0, r, pp))
+                img = dbar_apply(bvec(k, r, pp))
                 assert {key for key, _ in img.coeffs} <= allowed
         # boundary spans are one-dimensional
-        img = dbar_apply(bvec(k, 0, 0, 0))
+        img = dbar_apply(bvec(k, 0, 0))
         assert {key for key, _ in img.coeffs} <= {(0, 0)}
-        img = dbar_apply(bvec(k, 0, 2, k))
+        img = dbar_apply(bvec(k, 2, k))
         assert {key for key, _ in img.coeffs} <= {(2, k)}
 
 
@@ -71,16 +71,13 @@ def test_eigenbasis_k0():
     assert len(plus) == 0
     assert len(minus) == 2
     assert minus.dirac_eigenvalue == Fraction(-3, 2)
-    assert minus.vectors == (bvec(0, 0, 0, 0), bvec(0, 0, 2, 0))
+    assert minus.vectors == (bvec(0, 0, 0), bvec(0, 2, 0))
 
 
 def test_eigenbasis_k1_plus_family():
     plus, _ = eigenbasis_abstract(1)
     assert plus.dirac_eigenvalue == Fraction(3, 2)
-    expected = tuple(
-        bvec(1, q, 0, 1) - bvec(1, q, 2, 0) for q in (0, 1)
-    )
-    assert plus.vectors == expected
+    assert plus.vectors == (bvec(1, 0, 1) - bvec(1, 2, 0),)
 
 
 def test_family_cardinalities():
@@ -92,20 +89,19 @@ def test_family_cardinalities():
 
 
 def per_slice_families(k):
-    """The families built slice by slice through the public constructor,
-    as ``((plus vectors, positions), (minus vectors, positions))``."""
+    """The families built on the slice through the public constructor, as
+    ``((plus vectors, ps), (minus vectors, ps))``."""
     plus, plus_at, minus, minus_at = [], [], [], []
-    for q in range(k + 1):
-        for p in range(1, k + 1):
-            plus.append(SpinorVector(k, q, (((0, p), 1), ((2, p - 1), -1))))
-            plus_at.append((q, p))
-        minus.append(bvec(k, q, 0, 0))
-        minus_at.append((q, 0))
-        for p in range(1, k + 1):
-            minus.append(SpinorVector(k, q, (((0, p), p - k - 1), ((2, p - 1), -p))))
-            minus_at.append((q, p))
-        minus.append(bvec(k, q, 2, k))
-        minus_at.append((q, k + 1))
+    for p in range(1, k + 1):
+        plus.append(SpinorVector(k, (((0, p), 1), ((2, p - 1), -1))))
+        plus_at.append(p)
+    minus.append(bvec(k, 0, 0))
+    minus_at.append(0)
+    for p in range(1, k + 1):
+        minus.append(SpinorVector(k, (((0, p), p - k - 1), ((2, p - 1), -p))))
+        minus_at.append(p)
+    minus.append(bvec(k, 2, k))
+    minus_at.append(k + 1)
     return (tuple(plus), tuple(plus_at)), (tuple(minus), tuple(minus_at))
 
 
@@ -113,8 +109,8 @@ def per_slice_families(k):
 def test_families_equal_the_per_slice_construction(k):
     plus, minus = eigenbasis_abstract(k)
     expected_plus, expected_minus = per_slice_families(k)
-    assert (plus.vectors, plus.positions) == expected_plus
-    assert (minus.vectors, minus.positions) == expected_minus
+    assert (plus.vectors, plus.ps) == expected_plus
+    assert (minus.vectors, minus.ps) == expected_minus
     assert (plus.label, plus.dirac_eigenvalue) == ("plus", Fraction(2 * k + 1, 2))
     assert (minus.label, minus.dirac_eigenvalue) == ("minus", Fraction(-2 * k - 3, 2))
 
@@ -169,11 +165,9 @@ def test_families_match_diagonalization():
 def test_family_union_is_basis():
     for k in range(7):
         plus, minus = eigenbasis_abstract(k)
-        n = 2 * (k + 1)
-        for q in range(k + 1):
-            # a row scaled by its vector's denominator leaves the rank alone
-            rows = [v._num for fam in (plus, minus) for v in fam.vectors if v.q == q]
-            assert linalg.rank_sparse(rows) == n
+        # a row scaled by its vector's denominator leaves the rank alone
+        rows = [v._num for fam in (plus, minus) for v in fam.vectors]
+        assert linalg.rank_sparse(rows) == 2 * (k + 1)
 
 
 def test_spectrum_table_examples():
@@ -200,17 +194,17 @@ def test_spectrum_values_half_integer_ladder():
 
 def test_spinor_vector_validation():
     with pytest.raises(ValueError):
-        SpinorVector.basis(2, 3, 0, 0)
+        SpinorVector.basis(2, 1, 0)
     with pytest.raises(ValueError):
-        SpinorVector.basis(2, 0, 1, 0)
-    with pytest.raises(ValueError):
-        SpinorVector.basis(2, 0, 0, 5)
+        SpinorVector.basis(2, 0, 5)
+    with pytest.raises(ValueError, match="degree k"):
+        SpinorVector(-1, ())
 
 
 def test_spinor_vector_arithmetic_merges_repeated_keys():
-    a = SpinorVector(2, 1, (((0, 1), gauss(1, 2)), ((2, 0), gauss(3)), ((0, 1), gauss(-1, 1))))
+    a = SpinorVector(2, (((0, 1), gauss(1, 2)), ((2, 0), gauss(3)), ((0, 1), gauss(-1, 1))))
     assert a.coeffs == (((0, 1), gauss(0, 3)), ((2, 0), gauss(3)))
-    b = bvec(2, 1, 2, 0).scale(3) + bvec(2, 1, 0, 2).scale(gauss(0, Fraction(1, 2)))
+    b = bvec(2, 2, 0).scale(3) + bvec(2, 0, 2).scale(gauss(0, Fraction(1, 2)))
     assert (a + b).coeffs == (
         ((0, 1), gauss(0, 3)), ((0, 2), gauss(0, Fraction(1, 2))), ((2, 0), gauss(6)),
     )

@@ -558,10 +558,9 @@ def test_verify_reports_a_failed_family_check_as_fail_lines(capsys, wrong_dbar_f
             assert f"FAIL  [{suite}] {name} k={k}: " in out
 
 
-def test_verify_ranks_every_slice_that_differs(capsys, monkeypatch):
-    # the first minus vector of the q = 1 slice replaced by its neighbour
-    # in that slice: only that slice loses rank, and it no longer equals
-    # the others
+def test_verify_ranks_the_one_slice_of_the_families(capsys, monkeypatch):
+    # the minus vector with p = 0 replaced by its neighbour: the slice, and
+    # with it every q slice, loses rank
     from dataclasses import replace
 
     import spinor_s3.verify as verify
@@ -573,7 +572,7 @@ def test_verify_ranks_every_slice_that_differs(capsys, monkeypatch):
         if not k:
             return plus, minus
         vectors = list(minus.vectors)
-        j = minus.positions.index((1, 0))
+        j = minus.ps.index(0)
         vectors[j] = vectors[j + 1]
         return plus, replace(minus, vectors=tuple(vectors))
 

@@ -488,7 +488,7 @@ def test_two_rows_not_proportional(seed):
     assert linalg.rank_sparse(a) == oracle_rank(a, cols) == 2
 
 
-def test_dbar_charpoly_runs_dense_faddeev_leverrier_on_blocks_of_two_at_most(monkeypatch):
+def test_dbar_charpoly_runs_faddeev_leverrier_on_blocks_of_two_at_most(monkeypatch):
     sizes = []
     blockwise = linalg._faddeev_leverrier
 
@@ -502,7 +502,7 @@ def test_dbar_charpoly_runs_dense_faddeev_leverrier_on_blocks_of_two_at_most(mon
     assert sum(sizes) == 26 and max(sizes) <= 2
 
 
-def test_eigen_identity_makes_no_dense_elimination(monkeypatch):
+def test_eigen_identity_runs_no_echelon_rank(monkeypatch):
     calls = []
     eliminate = linalg._echelon_rank
 

@@ -54,7 +54,6 @@ ALLOWED = {
     "polyring.Z_VIEW": "the name of a coordinate view, a string constant",
     "repspace.KetVector.k": _SPACE_FIELD,
     "abstract_dirac.SpinorVector.k": _SPACE_FIELD,
-    "abstract_dirac.SpinorVector.q": _SPACE_FIELD,
     "transfer._check_indices":
         "refuses out-of-range (k, p, q) with IndexError and computes nothing",
 }

@@ -124,6 +124,32 @@ def test_spinor_section_json_degree_when_absent_or_zero_parts():
         SpinorSection.from_json({**roundtrip(zero.to_json()), "k": -1})
 
 
+#: Sections without a common degree, whose records carry ``"k": null``.
+INHOMOGENEOUS = {
+    "f-and-g": SpinorSection(G2, G2 * G2),
+    "f-alone": SpinorSection(G2 + G2 * G2_BAR, Polynomial.zero()),
+    "x-view": SpinorSection(X0, X0 * X0 + Polynomial.constant(1, "x")),
+}
+
+
+@pytest.mark.parametrize("section", [
+    SpinorSection.zero(), SpinorSection(G2, -GM1), SpinorSection(X0, X0.scale(2)),
+    *INHOMOGENEOUS.values(),
+], ids=["zero", "homogeneous", "x-view-homogeneous", *INHOMOGENEOUS])
+def test_every_section_round_trips(section):
+    assert SpinorSection.from_json(roundtrip(section.to_json())) == section
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, True, 1.0, -1, "x"],
+                         ids=["zero", "f-degree", "g-degree", "bool", "float", "negative", "text"])
+def test_an_inhomogeneous_record_refuses_every_degree(k):
+    obj = roundtrip(INHOMOGENEOUS["f-and-g"].to_json())
+    assert obj["k"] is None
+    obj["k"] = k
+    with pytest.raises(ValueError, match="not the degree"):
+        SpinorSection.from_json(obj)
+
+
 def test_spinor_section_refuses_parts_of_different_views():
     with pytest.raises(ValueError, match="share a view"):
         SpinorSection(X0, G2)

@@ -137,6 +137,11 @@ def test_recursive_table_index_errors():
         recursive_table(-1)
 
 
+def test_transfer_table_index_errors():
+    with pytest.raises(IndexError):
+        transfer_table(-1)
+
+
 @pytest.mark.parametrize("k", range(6))
 def test_equivariance(k):
     table = transfer_table(k)
@@ -220,15 +225,16 @@ def eigenbasis_by_scale_and_add(k):
     table = transfer_table(k)
     out = []
     for family in eigenbasis_abstract(k):
-        for vector, (q, p) in zip(family.vectors, family.positions):
-            f = g = Polynomial.zero(Z_VIEW)
-            for (r, pp), c in vector.coeffs:
-                image = table[(pp, q)].scale(c)
-                if r == 0:
-                    f = f + image
-                else:
-                    g = g + image
-            out.append((family.label, q, p, family.dirac_eigenvalue, f, g))
+        for q in range(k + 1):
+            for vector, p in zip(family.vectors, family.ps):
+                f = g = Polynomial.zero(Z_VIEW)
+                for (r, pp), c in vector.coeffs:
+                    image = table[(pp, q)].scale(c)
+                    if r == 0:
+                        f = f + image
+                    else:
+                        g = g + image
+                out.append((family.label, q, p, family.dirac_eigenvalue, f, g))
     return out
 
 

@@ -49,8 +49,8 @@ def ket_ref(v):
     return {p: (c.re, c.im) for p, c in enumerate(v.coeffs) if not c.is_zero()}
 
 
-def to_spinor(a, k, q):
-    return SpinorVector(k, q, tuple((key, GaussianRational(*c)) for key, c in a.items()))
+def to_spinor(a, k):
+    return SpinorVector(k, tuple((key, GaussianRational(*c)) for key, c in a.items()))
 
 
 def spinor_ref(v):
@@ -111,11 +111,10 @@ def test_ket_arithmetic_matches_reference(seed):
 def test_spinor_arithmetic_matches_reference(seed):
     rng = random.Random(100 + seed)
     k = rng.randint(0, 6)
-    q = rng.randint(0, k)
     keys = spinor_keys(k)
     a = ref.random_vector(rng, keys)
     b = ref.half_cancelling(rng, a, keys)
-    va, vb = to_spinor(a, k, q), to_spinor(b, k, q)
+    va, vb = to_spinor(a, k), to_spinor(b, k)
     check_spinor(va, a)
     check_spinor(va + vb, ref.add(a, b))
     check_spinor(va - vb, ref.add(a, b, -1))
@@ -132,7 +131,7 @@ def test_half_cancelling_sums_reduce_the_denominator():
         keys = spinor_keys(4)
         a = ref.random_vector(rng, keys)
         b = ref.half_cancelling(rng, a, keys)
-        va, vb = to_spinor(a, 4, 0), to_spinor(b, 4, 0)
+        va, vb = to_spinor(a, 4), to_spinor(b, 4)
         seen = seen or (va + vb)._den < math.lcm(va._den, vb._den)
     assert seen
 
@@ -159,13 +158,12 @@ def test_apply_l_and_sl2_match_reference(seed):
 def test_dbar_apply_matches_reference(seed):
     rng = random.Random(300 + seed)
     k = rng.randint(0, 6)
-    q = rng.randint(0, k)
     keys = spinor_keys(k)
     a = ref.random_vector(rng, keys)
     b = ref.add(a, ref.half_cancelling(rng, a, keys))
     boundary = {(0, 0): ref.ONE, (2, k): ref.I, (0, k): ref.HALF, (2, 0): ref.I_HALF}
     for vec in (a, b, boundary):
-        check_spinor(dbar_apply(to_spinor(vec, k, q)), ref.dbar(vec, k))
+        check_spinor(dbar_apply(to_spinor(vec, k)), ref.dbar(vec, k))
 
 
 # -- one representation -------------------------------------------------------------
@@ -176,8 +174,8 @@ def test_each_value_has_one_representation(seed):
     rng = random.Random(400 + seed)
     k = rng.randint(0, 6)
     ket = to_ket(ref.random_vector(rng, range(k + 1)), k)
-    spinor = to_spinor(ref.random_vector(rng, spinor_keys(k)), k, rng.randint(0, k))
-    other = to_spinor(ref.random_vector(rng, spinor_keys(k)), k, spinor.q)
+    spinor = to_spinor(ref.random_vector(rng, spinor_keys(k)), k)
+    other = to_spinor(ref.random_vector(rng, spinor_keys(k)), k)
     section_parts = ref.random_vector(rng, section_keys(k))
     section = to_section(section_parts)
     other_section = to_section(ref.random_vector(rng, section_keys(k)))
@@ -190,13 +188,11 @@ def test_each_value_has_one_representation(seed):
         assert (w._num, w._den) == (v._num, v._den) and hash(w) == hash(v)
     # the same parts in another space are another value
     assert KetVector.zero(k) != KetVector.zero(k + 1)
-    at_q0, at_q1 = (SpinorVector(k + 1, q, spinor.coeffs) for q in (0, 1))
-    at_k = SpinorVector(k, 0, spinor.coeffs)
-    assert (at_q0._num, at_q0._den) == (at_q1._num, at_q1._den) == (at_k._num, at_k._den)
-    assert at_q0 != at_q1 and at_q0 != at_k
+    at_k1 = SpinorVector(k + 1, spinor.coeffs)
+    assert (at_k1._num, at_k1._den) == (spinor._num, spinor._den) and at_k1 != spinor
     # equal values hash equal, however they were built
-    reordered = SpinorVector(k + 1, 1, reversed(spinor.coeffs))
-    assert reordered == at_q1 and hash(reordered) == hash(at_q1)
+    reordered = SpinorVector(k + 1, reversed(spinor.coeffs))
+    assert reordered == at_k1 and hash(reordered) == hash(at_k1)
     in_x = to_section(section_parts, X_VIEW)
     assert (in_x._num, in_x._den) == (section._num, section._den) and in_x != section
     zero = Polynomial.zero(Z_VIEW)
@@ -206,10 +202,9 @@ def test_each_value_has_one_representation(seed):
 
 def test_vectors_of_different_spaces_do_not_combine():
     ket = KetVector(1, (1, 2))
-    spinor = SpinorVector.basis(2, 0, 0, 1)
+    spinor = SpinorVector.basis(2, 0, 1)
     for a, b in ((ket, KetVector(3, (1, 0, 0, 5))),
-                 (spinor, SpinorVector.basis(3, 0, 0, 1)),
-                 (spinor, SpinorVector.basis(2, 1, 0, 1)),
+                 (spinor, SpinorVector.basis(3, 0, 1)),
                  (to_section({(0, (1, 0, 0, 0)): ref.ONE}, X_VIEW),
                   to_section({(0, (1, 0, 0, 0)): ref.ONE}, Z_VIEW))):
         for combine in (operator.add, operator.sub):
@@ -236,6 +231,6 @@ def test_section_is_one_vector_over_one_denominator():
 
 def test_zero_is_canonical():
     for v in (KetVector.zero(3), KetVector(2, (gauss(0), 0, Fraction(0))),
-              SpinorVector(2, 0, (((0, 1), gauss(Fraction(1, 2))), ((0, 1), gauss(Fraction(-1, 2))))),
+              SpinorVector(2, (((0, 1), gauss(Fraction(1, 2))), ((0, 1), gauss(Fraction(-1, 2))))),
               SpinorSection.zero(), SpinorSection(Polynomial.zero(X_VIEW), Polynomial.zero(X_VIEW))):
         assert v.is_zero() and (v._num, v._den) == ({}, 1)
