@@ -7,13 +7,16 @@ Subcommands::
     spinor-s3 verify     --suite NAME[,NAME...] [--k-max N]
                          [--rule tensor|mc] [--samples N] [--seed S]
 
-Exit codes: 0 success, 1 verification failure, 2 usage and input errors
-(an unwritable --out, a write error partway through an export, a failed
-write to stdout or a closed stdout, --help included, and a request that
-would run no checks).  Exact values are printed as num/den strings;
-floating point appears only in quadrature reports (12 significant digits).
-``eigenbasis`` checks its sections before it opens the output, then
-writes the document one section at a time.
+Exit codes: 0 success; 1 a failed verification (a failed ``verify`` check,
+or a self-check of ``spectrum`` or ``eigenbasis``, reported as one
+``internal verification failed:`` line); 2 a usage or input error, reported
+as one ``error:`` line on stderr (any argument argparse refuses, a degree
+above the cap, an unwritable --out, a write error partway through an
+export, a failed write to stdout or a closed stdout, --help included, and
+a request that would run no checks).  Exact values are printed as
+num/den strings; floating point appears only in quadrature reports (12
+significant digits).  ``eigenbasis`` checks its sections before it opens
+the output, then writes the document one section at a time.
 """
 
 from __future__ import annotations
@@ -24,11 +27,10 @@ import os
 import sys
 from functools import lru_cache
 from json.encoder import encode_basestring_ascii
-from typing import Iterable, Iterator, Optional
+from typing import Callable, Iterable, Iterator, NoReturn, Optional
 
 from .abstract_dirac import spectrum_table
 from .exactnum import rational_to_str
-from .geometry import dirac_section
 from .transfer import transfer_eigenbasis
 from .verify import SUITE_NAMES, eigen_identity, run_suites
 
@@ -38,28 +40,60 @@ from .verify import SUITE_NAMES, eigen_identity, run_suites
 DEFAULT_K_CAP = 20
 
 
-def _check_cap(args: argparse.Namespace) -> Optional[str]:
-    """The error message for a degree above the cap, or None."""
+def _check_cap(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Refuse a degree above the cap through ``parser.error``."""
     if args.unsafe_k:
-        return None
+        return
     for value in (getattr(args, "k", None), getattr(args, "k_max", None)):
         if value is not None and value > DEFAULT_K_CAP:
-            return (
+            parser.error(
                 f"k={value} exceeds the hard cap {DEFAULT_K_CAP}; "
                 "exact coefficients grow quickly, pass --unsafe-k to override"
             )
-    return None
 
 
 class _Parser(argparse.ArgumentParser):
-    """An argument parser that writes its ``--help`` text through
-    :func:`_write_stdout`; argparse's own writer drops a failed write."""
+    """An argument parser that reports a usage error as one ``error:`` line
+    and writes its ``--help`` text through :func:`_write_stdout`;
+    argparse's own writer drops a failed write.  Subparsers are made of
+    the same class."""
+
+    def error(self, message: str) -> NoReturn:
+        self.exit(2, f"error: {message}\n")
 
     def print_help(self, file=None) -> None:
         if file is not None:
             super().print_help(file)
         elif _write_stdout((self.format_help(),)):
             self.exit(2)
+
+
+def _int_at_least(low: int) -> Callable[[str], int]:
+    """An argparse type for an int >= ``low``.  It is named ``int``, so
+    that argparse reports a non-integer as ``invalid int value: 'x'``."""
+
+    def check(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}")
+        return value
+
+    check.__name__ = "int"
+    return check
+
+
+_NONNEGATIVE = _int_at_least(0)
+
+
+def _suite_names(text: str) -> list[str]:
+    """An argparse type for the comma-separated suite list, with ``all``
+    expanded."""
+    names = [s.strip() for s in text.split(",") if s.strip()]
+    unknown = [n for n in names if n not in SUITE_NAMES and n != "all"]
+    if unknown or not names:
+        raise argparse.ArgumentTypeError(
+            f"unknown suite(s): {', '.join(unknown) or '(none given)'}")
+    return list(SUITE_NAMES) if "all" in names else names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,24 +105,29 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     spectrum = sub.add_parser("spectrum", help="print the eigenvalue/multiplicity table")
-    spectrum.add_argument("--k-max", type=int, required=True)
+    spectrum.add_argument("--k-max", type=_NONNEGATIVE, required=True)
     spectrum.add_argument("--format", choices=("table", "json"), default="table")
     spectrum.add_argument("--out", type=str, default=None)
     spectrum.add_argument("--unsafe-k", action="store_true")
+    spectrum.set_defaults(run=cmd_spectrum)
 
     eigen = sub.add_parser("eigenbasis", help="export all eigensections of one degree as JSON")
-    eigen.add_argument("--k", type=int, required=True)
+    eigen.add_argument("--k", type=_NONNEGATIVE, required=True)
     eigen.add_argument("--out", type=str, default=None)
     eigen.add_argument("--unsafe-k", action="store_true")
+    eigen.set_defaults(run=cmd_eigenbasis)
 
     verify = sub.add_parser("verify", help="run exact/numeric verification suites")
-    verify.add_argument("--suite", type=str, default="all",
+    verify.add_argument("--suite", dest="suites", metavar="SUITE",
+                        type=_suite_names, default="all",
                         help="comma-separated from: " + ", ".join(SUITE_NAMES) + ", all")
-    verify.add_argument("--k-max", type=int, default=None)
+    verify.add_argument("--k-max", type=_NONNEGATIVE, default=None)
     verify.add_argument("--rule", choices=("tensor", "mc"), default=None)
-    verify.add_argument("--samples", type=int, default=1_000_000)
-    verify.add_argument("--seed", type=int, default=0)
+    # one sample has no variance estimate to bound the error with
+    verify.add_argument("--samples", type=_int_at_least(2), default=1_000_000)
+    verify.add_argument("--seed", type=_NONNEGATIVE, default=0)
     verify.add_argument("--unsafe-k", action="store_true")
+    verify.set_defaults(run=cmd_verify)
 
     return parser
 
@@ -188,12 +227,7 @@ def _write_json(obj, newline: str, write) -> None:
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
-    try:
-        rows = spectrum_table(args.k_max)
-    except AssertionError as exc:
-        # an eigenvector family failed its own check
-        print(f"internal verification failed: {exc}", file=sys.stderr)
-        return 1
+    rows = spectrum_table(args.k_max)
     if args.format == "json":
         text = _json_text([r.to_json() for r in rows]) + "\n"
     else:
@@ -229,15 +263,10 @@ def _eigenbasis_chunks(k: int, entries) -> Iterator[str]:
 
 
 def cmd_eigenbasis(args: argparse.Namespace) -> int:
-    try:
-        entries = transfer_eigenbasis(args.k)
-    except AssertionError as exc:
-        print(f"internal verification failed: {exc}", file=sys.stderr)
-        return 1
-    check = eigen_identity(args.k, entries, dirac_section)
+    entries = transfer_eigenbasis(args.k)
+    check = eigen_identity(args.k, entries)
     if not check.passed:
-        print(f"internal verification failed: {check.line()}", file=sys.stderr)
-        return 1
+        raise AssertionError(check.line())
     return _emit(_eigenbasis_chunks(args.k, entries), args.out)
 
 
@@ -259,45 +288,16 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _check_cap(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
-
-    message = _check_cap(args)
-    if message:
-        print(f"error: {message}", file=sys.stderr)
-        return 2
-
-    if args.command == "spectrum":
-        if args.k_max < 0:
-            print("error: --k-max must be >= 0", file=sys.stderr)
-            return 2
-        return cmd_spectrum(args)
-
-    if args.command == "eigenbasis":
-        if args.k < 0:
-            print("error: --k must be >= 0", file=sys.stderr)
-            return 2
-        return cmd_eigenbasis(args)
-
-    names = [s.strip() for s in args.suite.split(",") if s.strip()]
-    unknown = [n for n in names if n not in SUITE_NAMES and n != "all"]
-    if unknown or not names:
-        print(f"error: unknown suite(s): {', '.join(unknown) or '(none given)'}", file=sys.stderr)
-        return 2
-    if "all" in names:
-        names = list(SUITE_NAMES)
-    if args.k_max is not None and args.k_max < 0:
-        print("error: --k-max must be >= 0", file=sys.stderr)
-        return 2
-    if args.samples < 2:
-        # one sample has no variance estimate to bound the error with
-        print("error: --samples must be >= 2", file=sys.stderr)
-        return 2
-    if args.seed < 0:
-        print("error: --seed must be >= 0", file=sys.stderr)
-        return 2
-    args.suites = names
-    return cmd_verify(args)
+    try:
+        return args.run(args)
+    except AssertionError as exc:
+        # a self-check failed: an abstract family's eigenvector check, or
+        # the eigen-identity of the sections about to be exported
+        print(f"internal verification failed: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

@@ -41,7 +41,7 @@ from .exactnum import (
     quat_multiply,
     reduce_parts,
 )
-from .polyring import Polynomial, SpinorSection, Z_VIEW, _basis_product_split
+from .polyring import _FRAME, _FRAME_INV, Polynomial, SpinorSection, Z_VIEW, _basis_product_split
 
 
 @dataclass(frozen=True)
@@ -74,24 +74,6 @@ class KillingPair:
 
 _LEFT_PAIRS = {i: KillingPair(BASIS[i], quat()) for i in (1, 2, 3)}
 _RIGHT_PAIRS = {i: KillingPair(quat(), BASIS[i]) for i in (1, 2, 3)}
-
-
-# Frame change between the real coordinates and the z-view generators
-# (z2, conj z2, -z1, conj z1), as Gaussian-integer rows {col: (re, im)}:
-# the rows of _FRAME express a generator in x coordinates, and _FRAME_INV
-# is its inverse as (den, rows), the matrix rows/den.
-_FRAME = [
-    {2: (1, 0), 3: (0, 1)},
-    {2: (1, 0), 3: (0, -1)},
-    {0: (-1, 0), 1: (0, -1)},
-    {0: (1, 0), 1: (0, -1)},
-]
-_FRAME_INV = (2, [
-    {2: (-1, 0), 3: (1, 0)},
-    {2: (0, 1), 3: (0, 1)},
-    {0: (1, 0), 1: (1, 0)},
-    {0: (0, -1), 1: (0, 1)},
-])
 
 
 @lru_cache(maxsize=None)

@@ -59,7 +59,6 @@ from .exactnum import (
     RationalQuaternion,
     assemble,
     complex_split,
-    gauss,
     parts_over,
     quat_multiply,
     ratio_to_str,
@@ -287,23 +286,36 @@ X1 = Polynomial.variable(1, X_VIEW)
 X2 = Polynomial.variable(2, X_VIEW)
 X3 = Polynomial.variable(3, X_VIEW)
 
-_I = gauss(0, 1)
-_HALF = gauss(Fraction(1, 2))
+# Frame change between the real coordinates and the z generators
+# (z2, conj z2, -z1, conj z1), as Gaussian-integer rows {col: (re, im)}:
+# the rows of _FRAME express a generator in x coordinates (z2 = x2 + i x3,
+# -z1 = -x0 - i x1, ...), and _FRAME_INV is its inverse as (den, rows), the
+# matrix rows/den (x0 = (conj(z1) - (-z1))/2, ...).
+_FRAME = [
+    {2: (1, 0), 3: (0, 1)},
+    {2: (1, 0), 3: (0, -1)},
+    {0: (-1, 0), 1: (0, -1)},
+    {0: (1, 0), 1: (0, -1)},
+]
+_FRAME_INV = (2, [
+    {2: (-1, 0), 3: (1, 0)},
+    {2: (0, 1), 3: (0, 1)},
+    {0: (1, 0), 1: (1, 0)},
+    {0: (0, -1), 1: (0, 1)},
+])
 
-# z generators written in x coordinates: z2 = x2 + i x3, -z1 = -x0 - i x1, ...
-_Z_IN_X = (
-    X2 + X3.scale(_I),
-    X2 - X3.scale(_I),
-    -X0 - X1.scale(_I),
-    X0 - X1.scale(_I),
-)
-# x coordinates written in z generators: x0 = (conj(z1) - (-z1))/2, ...
-_X_IN_Z = (
-    (G1_BAR - GM1).scale(_HALF),
-    (GM1 + G1_BAR).scale(_I * _HALF),
-    (G2 + G2_BAR).scale(_HALF),
-    (G2_BAR - G2).scale(_I * _HALF),
-)
+
+def _linear_forms(den: int, rows, view: str) -> tuple[Polynomial, ...]:
+    """The degree-one polynomials rows/den in the generators of ``view``."""
+    units = [tuple(int(m == n) for m in range(4)) for n in range(4)]
+    return tuple(
+        Polynomial._of(*reduce_parts({units[n]: c for n, c in row.items()}, den), view)
+        for row in rows
+    )
+
+
+_Z_IN_X = _linear_forms(1, _FRAME, X_VIEW)
+_X_IN_Z = _linear_forms(*_FRAME_INV, Z_VIEW)
 
 
 def _substitution_polys(source: str, target: str):

@@ -84,7 +84,7 @@ def beta_lower(side: str, poly: Polynomial) -> Polynomial:
 
 def _check_indices(k: int, p: int, q: int) -> None:
     if k < 0:
-        raise IndexError("degree k must be >= 0")
+        raise ValueError("degree k must be >= 0")
     if not 0 <= p <= k or not 0 <= q <= k:
         raise IndexError(f"(p, q) = ({p}, {q}) outside 0..{k}")
 
@@ -163,8 +163,7 @@ def transfer_table(k: int) -> dict[tuple[int, int], Polynomial]:
 def gram_matrix(k: int) -> list[list[GaussianRational]]:
     """Exact Gram matrix of the (k+1)^2 closed-form images in 2pi^2 units,
     rows and columns ordered by (p, q); diagonal by weight orthogonality."""
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
+    _check_indices(k, 0, 0)
     images = list(transfer_table(k).values())
     return [[l2_inner_product(a, b) for b in images] for a in images]
 
@@ -192,8 +191,7 @@ def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     the integer parts.  Built once per k: the tuple and its sections are
     shared by every caller.
     """
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
+    _check_indices(k, 0, 0)
     table = transfer_table(k)
     plus, minus = eigenbasis_abstract(k)
     out = []

@@ -206,14 +206,14 @@ def _sections(k: int) -> tuple:
         return ()
 
 
-def eigen_identity(k: int, entries, dirac: Callable) -> CheckResult:
+def eigen_identity(k: int, entries) -> CheckResult:
     """The ``eigen-identity k=`` check on the eigenbasis ``entries`` of
-    degree k: every section satisfies D sigma = lambda sigma and is
-    nonzero, and the sections have exact rank 2(k+1)^2.  ``verify --suite
-    dirac`` reports it and ``eigenbasis`` runs it before it writes; each
-    passes the ``dirac`` operator that its own module imports."""
+    degree k: every section satisfies D sigma = lambda sigma under
+    :func:`dirac_section` and is nonzero, and the sections have exact rank
+    2(k+1)^2.  ``verify --suite dirac`` reports it and ``eigenbasis`` runs
+    it before it writes."""
     n = 2 * (k + 1) ** 2
-    failed = [e for e in entries if dirac(e.section) != e.section.scale(e.eigenvalue)]
+    failed = [e for e in entries if dirac_section(e.section) != e.section.scale(e.eigenvalue)]
     # a section's numerators are the section times its one denominator,
     # which leaves the rank alone
     rows = [e.section._num for e in entries]
@@ -228,7 +228,7 @@ def eigen_identity(k: int, entries, dirac: Callable) -> CheckResult:
 
 
 def _check_dirac_k(k: int) -> list[CheckResult]:
-    return [eigen_identity(k, _sections(k), dirac_section)]
+    return [eigen_identity(k, _sections(k))]
 
 
 def _check_laplace_k(k: int) -> list[CheckResult]:

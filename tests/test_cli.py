@@ -46,13 +46,25 @@ def test_spectrum_cap_is_usage_error(capsys):
 
 
 def test_unknown_flag_exits_2(capsys):
-    code, _, _ = run(capsys, "spectrum", "--bogus")
-    assert code == 2
+    code, out, err = run(capsys, "spectrum", "--k-max", "1", "--bogus")
+    assert_usage_error(code, out, err, "unrecognized arguments: --bogus")
 
 
 def test_missing_subcommand_exits_2(capsys):
-    code, _, _ = run(capsys)
-    assert code == 2
+    code, out, err = run(capsys)
+    assert_usage_error(code, out, err, "required: command")
+
+
+@pytest.mark.parametrize("argv, needle", [
+    (("spectrum",), "required: --k-max"),
+    (("spectrum", "--k-max", "x"), "argument --k-max: invalid int value: 'x'"),
+    (("spectrum", "--k-max", "1", "--format", "xml"), "argument --format: invalid choice: 'xml'"),
+    (("verify", "--rule", "simpson"), "argument --rule: invalid choice: 'simpson'"),
+    (("eigenbasis", "--k", "1.5"), "argument --k: invalid int value: '1.5'"),
+], ids=["no-k-max", "k-max-not-int", "unknown-format", "unknown-rule", "k-not-int"])
+def test_an_error_argparse_finds_is_one_line(capsys, argv, needle):
+    code, out, err = run(capsys, *argv)
+    assert_usage_error(code, out, err, needle)
 
 
 def test_eigenbasis_k0(tmp_path, capsys):
@@ -104,9 +116,9 @@ def test_eigenbasis_output_roundtrips_documented_schema(tmp_path, capsys):
 def test_eigenbasis_internal_verification_gate(tmp_path, capsys, monkeypatch):
     # if an emitted section ever failed its eigen-equation, the command
     # must exit 1 instead of writing the file
-    import spinor_s3.cli as cli
+    import spinor_s3.verify as verify
 
-    monkeypatch.setattr(cli, "dirac_section", lambda s: s.scale(7))
+    monkeypatch.setattr(verify, "dirac_section", lambda s: s.scale(7))
     out_file = tmp_path / "basis.json"
     code, _, err = run(capsys, "eigenbasis", "--k", "1", "--out", str(out_file))
     assert code == 1

@@ -18,7 +18,6 @@ import pytest
 from spinor_s3 import linalg
 from spinor_s3.abstract_dirac import dbar_block_int
 from spinor_s3.exactnum import GaussianRational, GaussInt, gauss
-from spinor_s3.geometry import dirac_section
 from spinor_s3.transfer import transfer_eigenbasis
 from spinor_s3.verify import eigen_identity
 
@@ -512,5 +511,5 @@ def test_eigen_identity_runs_no_echelon_rank(monkeypatch):
 
     monkeypatch.setattr(linalg, "_echelon_rank", counted)
     for k in range(7):
-        assert eigen_identity(k, transfer_eigenbasis(k), dirac_section).passed
+        assert eigen_identity(k, transfer_eigenbasis(k)).passed
     assert calls == []

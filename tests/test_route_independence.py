@@ -42,7 +42,7 @@ ROUTE_PAIRS = (
 #: What two routes may share, each with why sharing it cannot make both
 #: routes wrong in the same way.
 _SPACE_FIELD = ("reads one field of a vector's space, reached by name from "
-                "every .k or .q: it computes nothing")
+                "every .k: it computes nothing")
 ALLOWED = {
     "exactnum.GaussParts._of":
         "the raw vector constructor: it stores the parts it is given and "
@@ -55,7 +55,8 @@ ALLOWED = {
     "repspace.KetVector.k": _SPACE_FIELD,
     "abstract_dirac.SpinorVector.k": _SPACE_FIELD,
     "transfer._check_indices":
-        "refuses out-of-range (k, p, q) with IndexError and computes nothing",
+        "refuses a negative k with ValueError and (p, q) outside 0..k with "
+        "IndexError, and computes nothing",
 }
 
 

@@ -43,8 +43,14 @@ def test_index_range_errors():
         iso_closed_form(2, 3, 0)
     with pytest.raises(IndexError):
         iso_closed_form(2, 0, -1)
-    with pytest.raises(IndexError):
-        iso_recursive(-1, 0, 0)
+    # a negative degree is refused with the ValueError of every other
+    # degree check in the library
+    for build in (iso_closed_form, iso_recursive):
+        with pytest.raises(ValueError, match="degree k must be >= 0"):
+            build(-1, 0, 0)
+    for build in (transfer.gram_matrix, transfer_eigenbasis):
+        with pytest.raises(ValueError, match="degree k must be >= 0"):
+            build(-1)
 
 
 def test_lowering_diamond():
@@ -133,12 +139,12 @@ def test_recursive_table_shares_the_ladder_prefixes(monkeypatch):
 
 
 def test_recursive_table_index_errors():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="degree k must be >= 0"):
         recursive_table(-1)
 
 
 def test_transfer_table_index_errors():
-    with pytest.raises(IndexError):
+    with pytest.raises(ValueError, match="degree k must be >= 0"):
         transfer_table(-1)
 
 
