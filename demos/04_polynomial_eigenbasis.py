@@ -13,7 +13,7 @@ from spinor_s3.transfer import (
     LEFT,
     beta_lower,
     iso_closed_form,
-    iso_recursive,
+    recursive_table,
     transfer_eigenbasis,
 )
 
@@ -27,8 +27,9 @@ for p in range(K + 1):
 
 # Two independent constructions must agree exactly: the closed
 # multinomial formula and p+q lowering steps from z2^k.
+recursive = recursive_table(K)
 agree = all(
-    iso_closed_form(K, p, q).poly == iso_recursive(K, p, q).poly
+    iso_closed_form(K, p, q).poly == recursive[(p, q)]
     for p in range(K + 1)
     for q in range(K + 1)
 )

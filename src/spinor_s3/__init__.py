@@ -44,8 +44,9 @@ from .transfer import (
     beta_lower,
     gram_matrix,
     iso_closed_form,
-    iso_recursive,
+    recursive_table,
     transfer_eigenbasis,
+    transfer_table,
 )
 from .geometry import (
     SPHERE_VOLUME,

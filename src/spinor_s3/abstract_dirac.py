@@ -154,6 +154,8 @@ def dbar_apply_first_principles(v: SpinorVector) -> SpinorVector:
 def dbar_block_int(k: int) -> linalg.Rows:
     """The Gaussian-integer matrix of Dbar on the slice H x H_k as rows,
     basis e0 (x) |0..k> then e2 (x) |0..k>."""
+    if k < 0:
+        raise ValueError("degree k must be >= 0")
     n = k + 1
     rows: linalg.Rows = [{} for _ in range(2 * n)]
     for r in (0, 2):
@@ -174,11 +176,7 @@ def dbar_block_matrix(k: int) -> linalg.Matrix:
 
 def quadratic_check(k: int) -> bool:
     """True iff (Dbar + k)(Dbar - (k+2)) vanishes on the whole block."""
-    return _quadratic_holds(dbar_block_int(k), k)
-
-
-def _quadratic_holds(block: linalg.Rows, k: int) -> bool:
-    """``quadratic_check(k)`` on the block ``dbar_block_int(k)`` already built."""
+    block = dbar_block_int(k)
     product = linalg.mat_mul_int(linalg.shift_int(block, k), linalg.shift_int(block, -(k + 2)))
     return not any(product)
 

@@ -49,9 +49,8 @@ class GaussianRational:
     im: Fraction
 
     def __post_init__(self):
-        # Wrap only what is not a Fraction already: the polynomial kernels
-        # build every coefficient from Fraction parts.  ints and floats are
-        # still converted exactly (Fraction(0.5) == 1/2).
+        # Wrap only what is not a Fraction already; ints and floats are
+        # converted exactly (Fraction(0.5) == 1/2).
         if type(self.re) is not Fraction:
             object.__setattr__(self, "re", Fraction(self.re))
         if type(self.im) is not Fraction:

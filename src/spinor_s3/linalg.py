@@ -16,9 +16,8 @@ shape or from the caller.  The kernels are:
   characteristic polynomial, row i joins column i and the columns of its
   nonzeros, so each component is a principal block and det(xI - A) is the
   product of the blocks' polynomials.  For the rank, rows join through
-  shared columns and the rank is the sum over the components: a one-row
-  component counts 1, a two-row one 1 or 2 by an exact proportionality
-  test, and only a larger one is eliminated;
+  shared columns and the rank is the sum over the components, each
+  eliminated on its own;
 * the component kernels are Faddeev-LeVerrier (:func:`_faddeev_leverrier`:
   the trace of each iterate is exactly divisible by the step number) and
   fraction-free echelon elimination over Z[i] (:func:`_echelon_rank`: a
@@ -219,38 +218,14 @@ def _echelon_rank(rows: list[dict[Hashable, GaussInt]]) -> int:
     return found
 
 
-def _proportional(r1: dict[Hashable, GaussInt], r2: dict[Hashable, GaussInt]) -> bool:
-    """Whether two nonzero sparse rows span one line over Q(i): they have
-    the same columns and, for the first column c0,
-    ``r1[c0]*r2[c] == r2[c0]*r1[c]`` in every column c."""
-    if r1.keys() != r2.keys():
-        return False
-    c0 = next(iter(r1))
-    (a, b), (c, d) = r1[c0], r2[c0]
-    for col, (x1, y1) in r1.items():
-        x2, y2 = r2[col]
-        # (a + ib)(x2 + iy2) against (c + id)(x1 + iy1)
-        if a * x2 - b * y2 != c * x1 - d * y1 or a * y2 + b * x2 != c * y1 + d * x1:
-            return False
-    return True
-
-
 def rank_sparse(rows: list[dict[Hashable, GaussInt]]) -> int:
     """Rank of sparse Gaussian-integer rows ``{col: (re, im)}`` over any
-    hashable columns: the sum over the :func:`_components` of their
-    columns, once explicit ``(0, 0)`` entries are dropped so that they join
-    nothing.  A one-row component counts 1, a two-row one 1 or 2 by
-    :func:`_proportional`, and a larger one by :func:`_echelon_rank`."""
+    hashable columns: the sum of :func:`_echelon_rank` over the
+    :func:`_components` of their columns, once explicit ``(0, 0)`` entries
+    are dropped so that they join nothing."""
     rows = [{c: v for c, v in row.items() if v != (0, 0)} if (0, 0) in row.values() else row
             for row in rows]
-    total = 0
-    for group in _components(rows):
-        block = [rows[r] for r in group]
-        if len(block) <= 2:
-            total += 1 if len(block) == 1 or _proportional(*block) else 2
-        else:
-            total += _echelon_rank(block)
-    return total
+    return sum(_echelon_rank([rows[r] for r in group]) for group in _components(rows))
 
 
 def _faddeev_leverrier(a: Rows) -> list[GaussInt]:

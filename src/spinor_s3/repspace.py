@@ -135,6 +135,8 @@ def apply_sl2(which: str, v: KetVector) -> KetVector:
 def l_matrix_int(i: int, k: int) -> linalg.Rows:
     """The Gaussian-integer matrix of apply_l(i, .) on H_k as rows; column
     p is the image of |p>."""
+    if k < 0:
+        raise ValueError("degree k must be >= 0")
     rows: linalg.Rows = [{} for _ in range(k + 1)]
     for p in range(k + 1):
         # the image of a basis ket has integer parts, so its denominator is 1
@@ -146,8 +148,6 @@ def l_matrix_int(i: int, k: int) -> linalg.Rows:
 def casimir(k: int) -> linalg.Rows:
     """The Gaussian-integer matrix of -(l1^2 + l2^2 + l3^2) as rows; equals
     k(k+2) times the identity."""
-    if k < 0:
-        raise ValueError("degree k must be >= 0")
     neg: linalg.Rows = [{} for _ in range(k + 1)]
     for i in (1, 2, 3):
         m = l_matrix_int(i, k)
@@ -157,5 +157,7 @@ def casimir(k: int) -> linalg.Rows:
 
 def casimir_expected(k: int) -> linalg.Rows:
     """k(k+2) times the identity on H_k, as Gaussian-integer rows."""
+    if k < 0:
+        raise ValueError("degree k must be >= 0")
     c = k * (k + 2)
     return [{p: (c, 0)} if c else {} for p in range(k + 1)]

@@ -14,9 +14,11 @@ whose action on the degree-one generators forms the diamond
        \\  /
       conj z2           (all other arrows give 0)
 
-Two independent constructions of the image of |p>|q> are provided: the
-closed multinomial formula and the recursive lowering; the test suite
-requires them to agree exactly.  Their exact Gram matrix is diagonal.
+Two independent constructions of the images of |p>|q> are provided, each
+as a table of all (k+1)^2: the closed multinomial formula
+(:func:`transfer_table`, one :func:`iso_closed_form` per image) and the
+recursive lowering (:func:`recursive_table`); ``verify`` and the test
+suite require them to agree exactly.  Their exact Gram matrix is diagonal.
 """
 
 from __future__ import annotations
@@ -108,45 +110,26 @@ def iso_closed_form(k: int, p: int, q: int) -> TransferImage:
     return TransferImage(k, p, q, total, Fraction(k + 1))
 
 
-def _ladder_step(side: str, poly: Polynomial, k: int, j: int) -> Polynomial:
-    """Rung j of a lowering ladder from z2^k: lower on ``side`` and divide
-    out the exact ladder factor k - j."""
-    return beta_lower(side, poly).scale(Fraction(1, k - j))
-
-
-def iso_recursive(k: int, p: int, q: int) -> TransferImage:
-    """Independent construction of the image of |p>|q> by lowering.
-
-    Starts from z2^k and applies the left lowering p times and the right
-    lowering q times, dividing out the exact ladder factors (k)(k-1)...;
-    must reproduce :func:`iso_closed_form` term for term.
-    """
-    _check_indices(k, p, q)
-    poly = G2**k
-    for j in range(p):
-        poly = _ladder_step(LEFT, poly, k, j)
-    for j in range(q):
-        poly = _ladder_step(RIGHT, poly, k, j)
-    return TransferImage(k, p, q, poly, Fraction(k + 1))
-
-
 def recursive_table(k: int) -> dict[tuple[int, int], Polynomial]:
-    """All (k+1)^2 images by lowering, keyed by (p, q): the recursive
+    """All (k+1)^2 images by lowering, keyed by (p, q): the independent
     counterpart of :func:`transfer_table`.
 
-    The image of |p>|q> is :func:`iso_recursive`'s: z2^k lowered left p
-    times, then right q times.  The ladders share their prefixes, so the
-    whole table takes (k+1)^2 - 1 lowerings instead of k(k+1)^2.
+    The image of |p>|q> is z2^k lowered left p times, then right q times,
+    rung j of each ladder dividing out the exact ladder factor k - j; it
+    must reproduce :func:`iso_closed_form` term for term.  The ladders
+    share their prefixes, one left ladder from z2^k and a right ladder from
+    each of its rungs, so the whole table takes (k+1)^2 - 1 lowerings
+    instead of k(k+1)^2.
     """
     _check_indices(k, 0, 0)
     table = {}
     left = G2**k
     for p in range(k + 1):
-        if p:
-            left = _ladder_step(LEFT, left, k, p - 1)
         poly = table[(p, 0)] = left
-        for q in range(1, k + 1):
-            poly = table[(p, q)] = _ladder_step(RIGHT, poly, k, q - 1)
+        for j in range(k):
+            poly = table[(p, j + 1)] = beta_lower(RIGHT, poly).scale(Fraction(1, k - j))
+        if p < k:
+            left = beta_lower(LEFT, left).scale(Fraction(1, k - p))
     return table
 
 

@@ -15,8 +15,8 @@ from functools import lru_cache
 from typing import Callable, Optional
 
 from . import linalg
-from .abstract_dirac import _quadratic_holds, dbar_apply, dbar_apply_first_principles, \
-    dbar_block_int, eigenbasis_abstract, SpinorVector
+from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_int, \
+    eigenbasis_abstract, quadratic_check, SpinorVector
 from .exactnum import BASIS, add_parts, gauss, gauss_over, quat_multiply, scale_parts
 from .geometry import (
     SPHERE_VOLUME,
@@ -106,11 +106,10 @@ def _check_casimir_k(k: int) -> list[CheckResult]:
 
 
 def _check_quadratic_k(k: int) -> list[CheckResult]:
-    out = []
-    block = dbar_block_int(k)
-    out.append(CheckResult("quadratic", f"quadratic relation k={k}", _quadratic_holds(block, k),
-                           f"(Dbar + {k})(Dbar - {k + 2}) = 0 on the 2(k+1) block"))
+    out = [CheckResult("quadratic", f"quadratic relation k={k}", quadratic_check(k),
+                       f"(Dbar + {k})(Dbar - {k + 2}) = 0 on the 2(k+1) block")]
 
+    block = dbar_block_int(k)
     n = 2 * (k + 1)
     char = [gauss_over(re, im, 1) for re, im in linalg.charpoly_int(block)]
     expected_char = linalg.charpoly_from_roots([(Fraction(k + 2), k), (Fraction(-k), k + 2)])

@@ -199,6 +199,11 @@ def test_spinor_vector_validation():
         SpinorVector.basis(2, 0, 5)
     with pytest.raises(ValueError, match="degree k"):
         SpinorVector(-1, ())
+    # the block and the quadratic relation refuse a negative degree rather
+    # than hold on an empty block
+    for build in (dbar_block_int, abstract_dirac.dbar_block_matrix, quadratic_check):
+        with pytest.raises(ValueError, match="degree k must be >= 0"):
+            build(-1)
 
 
 def test_spinor_vector_arithmetic_merges_repeated_keys():

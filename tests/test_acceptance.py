@@ -34,7 +34,7 @@ from spinor_s3.transfer import (
     beta_lower,
     gram_matrix,
     iso_closed_form,
-    iso_recursive,
+    recursive_table,
     transfer_eigenbasis,
 )
 
@@ -114,8 +114,9 @@ def test_criterion_05_transfer_correctness():
             for p in range(k + 1)
             for q in range(k + 1)
         }
+        recursive = recursive_table(k)
         for (p, q), poly in closed.items():
-            ok = ok and iso_recursive(k, p, q).poly == poly
+            ok = ok and recursive[(p, q)] == poly
             want = closed[(p + 1, q)].scale(k - p) if p < k else Polynomial.zero(Z_VIEW)
             ok = ok and beta_lower(LEFT, poly) == want
             want = closed[(p, q + 1)].scale(k - q) if q < k else Polynomial.zero(Z_VIEW)

@@ -597,22 +597,17 @@ def test_verify_ranks_the_one_slice_of_the_families(capsys, monkeypatch):
     assert out.endswith("13/16 checks passed\n")
 
 
-def test_verify_quadratic_builds_each_block_once(capsys, monkeypatch):
-    import spinor_s3.abstract_dirac as abstract_dirac
+def test_verify_fails_on_a_false_quadratic_relation(capsys, monkeypatch):
+    # the report's quadratic line is quadratic_check's own verdict
     import spinor_s3.verify as verify
 
-    built = []
-    block = abstract_dirac.dbar_block_int
-
-    def counted(k):
-        built.append(k)
-        return block(k)
-
-    for module in (abstract_dirac, verify):
-        monkeypatch.setattr(module, "dbar_block_int", counted)
+    monkeypatch.setattr(verify, "quadratic_check", lambda k: False)
     code, out, _ = run(capsys, "verify", "--suite", "quadratic", "--k-max", "3")
-    assert code == 0 and out.endswith("16/16 checks passed\n")
-    assert built == [0, 1, 2, 3]
+    assert code == 1
+    failed = [line for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == [f"FAIL  [quadratic] quadratic relation k={k}: (Dbar + {k})(Dbar - {k + 2}) "
+                      "= 0 on the 2(k+1) block" for k in range(4)]
+    assert out.endswith("12/16 checks passed\n")
 
 
 def laplace_lines(out):

@@ -7,7 +7,8 @@ numbers.  Both must give the same exact answers for ``charpoly_int``,
 non-square and rank-deficient), on the Dbar blocks and on the empty
 matrix.  Matrices that split into connected components are checked too:
 blocks hidden by a permutation, blocks coupled one way, and two-row
-components on either side of proportional.
+components on either side of proportional, each ranked by the one
+elimination kernel.
 """
 
 import random
@@ -17,6 +18,7 @@ import pytest
 
 from spinor_s3 import linalg
 from spinor_s3.abstract_dirac import dbar_block_int
+from spinor_s3.cli import main
 from spinor_s3.exactnum import GaussianRational, GaussInt, gauss
 from spinor_s3.transfer import transfer_eigenbasis
 from spinor_s3.verify import eigen_identity
@@ -501,7 +503,9 @@ def test_dbar_charpoly_runs_faddeev_leverrier_on_blocks_of_two_at_most(monkeypat
     assert sum(sizes) == 26 and max(sizes) <= 2
 
 
-def test_eigen_identity_runs_no_echelon_rank(monkeypatch):
+def test_verify_and_eigen_identity_reach_echelon_rank(monkeypatch, capsys):
+    # every rank the commands take runs the one elimination kernel, so a
+    # fault in it cannot hide behind a shortcut for small components
     calls = []
     eliminate = linalg._echelon_rank
 
@@ -510,6 +514,10 @@ def test_eigen_identity_runs_no_echelon_rank(monkeypatch):
         return eliminate(rows)
 
     monkeypatch.setattr(linalg, "_echelon_rank", counted)
+    assert main(["verify", "--suite", "quadratic", "--k-max", "3"]) == 0
+    assert capsys.readouterr().out.endswith("16/16 checks passed\n")
+    assert calls
+    calls.clear()
     for k in range(7):
         assert eigen_identity(k, transfer_eigenbasis(k)).passed
-    assert calls == []
+    assert calls

@@ -140,3 +140,7 @@ def test_bad_inputs_rejected():
         KetVector.basis(2, 3)
     with pytest.raises(ValueError):
         KetVector(2, (gauss(0),))
+    # a negative degree is refused, not passed as an empty space
+    for build in (casimir, casimir_expected, lambda k: l_matrix_int(7, k)):
+        with pytest.raises(ValueError, match="degree k must be >= 0"):
+            build(-1)

@@ -175,6 +175,13 @@ def test_route_pairs_share_only_allowlisted_code(check, a, b):
     assert shared(GRAPH, a, b) <= ALLOWED.keys(), check
 
 
+def test_route_entry_points_run_in_verify():
+    # a route declared on code that verify never runs guards nothing
+    ran = closure(GRAPH, {"verify.run_suites"})
+    for check, a, b in ROUTE_PAIRS:
+        assert a | b <= ran, check
+
+
 def test_allowlist_is_used_and_explained():
     used = set().union(*(shared(GRAPH, a, b) for _, a, b in ROUTE_PAIRS))
     assert ALLOWED.keys() <= used, "an allowlist entry that no pair shares"
@@ -219,7 +226,7 @@ def test_the_graph_sees_a_merged_route():
         graph, {"transfer.transfer_table"}, {"transfer.recursive_table"})
     # the resolution itself: a function, a method by name, a module
     # attribute and a constructor
-    assert "transfer._ladder_step" in GRAPH["transfer.recursive_table"]
-    assert "exactnum.GaussParts.scale" in GRAPH["transfer._ladder_step"]
+    assert "transfer.beta_lower" in GRAPH["transfer.recursive_table"]
+    assert "exactnum.GaussParts.scale" in GRAPH["transfer.recursive_table"]
     assert "linalg.rank_sparse" in GRAPH["verify._check_quadratic_k"]
     assert "repspace.KetVector.__init__" in GRAPH["repspace.KetVector"]

@@ -15,7 +15,6 @@ from spinor_s3.transfer import (
     RIGHT,
     beta_lower,
     iso_closed_form,
-    iso_recursive,
     recursive_table,
     transfer_eigenbasis,
     transfer_table,
@@ -29,8 +28,8 @@ def test_closed_form_corner_values():
     # single-term images, cross-checked against the recursive route below
     assert iso_closed_form(1, 1, 0).poly == GM1
     assert iso_closed_form(1, 0, 1).poly == G1_BAR
-    assert iso_recursive(1, 1, 0).poly == GM1
-    assert iso_recursive(1, 0, 1).poly == G1_BAR
+    assert recursive_table(1)[(1, 0)] == GM1
+    assert recursive_table(1)[(0, 1)] == G1_BAR
 
 
 def test_norm_factor_squared_is_k_plus_one():
@@ -45,10 +44,9 @@ def test_index_range_errors():
         iso_closed_form(2, 0, -1)
     # a negative degree is refused with the ValueError of every other
     # degree check in the library
-    for build in (iso_closed_form, iso_recursive):
-        with pytest.raises(ValueError, match="degree k must be >= 0"):
-            build(-1, 0, 0)
-    for build in (transfer.gram_matrix, transfer_eigenbasis):
+    with pytest.raises(ValueError, match="degree k must be >= 0"):
+        iso_closed_form(-1, 0, 0)
+    for build in (recursive_table, transfer.gram_matrix, transfer_eigenbasis):
         with pytest.raises(ValueError, match="degree k must be >= 0"):
             build(-1)
 
@@ -92,13 +90,13 @@ def test_lowering_operator_wrapper():
 
 
 def test_recursive_zero_steps():
-    assert iso_recursive(4, 0, 0).poly == G2**4
+    assert recursive_table(4)[(0, 0)] == G2**4
 
 
 def test_recursive_matches_closed_at_2_1_1():
     expected = (G2 * G2_BAR + GM1 * G1_BAR).scale(Fraction(1, 2))
     assert iso_closed_form(2, 1, 1).poly == expected
-    assert iso_recursive(2, 1, 1).poly == expected
+    assert recursive_table(2)[(1, 1)] == expected
 
 
 def test_left_right_lowering_commute():
@@ -110,16 +108,16 @@ def test_left_right_lowering_commute():
 
 @pytest.mark.parametrize("k", range(7))
 def test_closed_equals_recursive(k):
+    table = recursive_table(k)
     for p in range(k + 1):
         for q in range(k + 1):
-            assert iso_closed_form(k, p, q).poly == iso_recursive(k, p, q).poly
+            assert iso_closed_form(k, p, q).poly == table[(p, q)]
 
 
 @pytest.mark.parametrize("k", range(7))
-def test_recursive_table_matches_iso_recursive(k):
+def test_recursive_table_keys_in_p_q_order(k):
     table = recursive_table(k)
     assert list(table) == [(p, q) for p in range(k + 1) for q in range(k + 1)]
-    assert table == {(p, q): iso_recursive(k, p, q).poly for (p, q) in table}
 
 
 def test_recursive_table_shares_the_ladder_prefixes(monkeypatch):
