@@ -162,7 +162,6 @@ class TransferredEigenvector:
     p: int
 
 
-@lru_cache(maxsize=None)
 def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     """Translate the abstract eigenvector families into polynomial
     sections; 2(k+1)^2 sections in deterministic (family, q, p) order.
@@ -171,8 +170,7 @@ def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     every ket |q> of the spectator H_k.  Each ket e_r (x) |p> of a vector
     becomes the image of |p>|q> keyed by ``(r, exp)``, and the section is
     the sum of those images scaled by the vector's coefficients, summed on
-    the integer parts.  Built once per k: the tuple and its sections are
-    shared by every caller.
+    the integer parts.
     """
     _check_indices(k, 0, 0)
     table = transfer_table(k)

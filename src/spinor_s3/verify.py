@@ -27,7 +27,7 @@ from .geometry import (
     monte_carlo_quadrature,
     tensor_quadrature,
 )
-from .polyring import G2, Polynomial, Z_VIEW, laplacian_r4
+from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, laplacian_r4
 from .repspace import casimir, casimir_expected, l_matrix_int
 from .transfer import LEFT, RIGHT, beta_lower, gram_matrix, recursive_table, \
     transfer_eigenbasis, transfer_table
@@ -196,15 +196,6 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 # -- dirac / laplace on sections -------------------------------------------------
 
 
-def _sections(k: int) -> tuple:
-    """``transfer_eigenbasis(k)``, or no sections when an abstract family
-    fails its own eigenvector check."""
-    try:
-        return transfer_eigenbasis(k)
-    except AssertionError:
-        return ()
-
-
 def eigen_identity(k: int, entries) -> CheckResult:
     """The ``eigen-identity k=`` check on the eigenbasis ``entries`` of
     degree k: every section satisfies D sigma = lambda sigma under
@@ -227,18 +218,27 @@ def eigen_identity(k: int, entries) -> CheckResult:
 
 
 def _check_dirac_k(k: int) -> list[CheckResult]:
-    return [eigen_identity(k, _sections(k))]
+    try:
+        entries = transfer_eigenbasis(k)
+    except AssertionError:
+        # an abstract family failed its own eigenvector check: no sections
+        entries = ()
+    return [eigen_identity(k, entries)]
 
 
 def _check_laplace_k(k: int) -> list[CheckResult]:
+    # (h, 0) and (0, h) for each image h span what the eigensections span:
+    # each eigensection is a sum of them, and the dirac suite checks rank 2(k+1)^2
     lam = 1 - (k + 1) ** 2
-    sections = _sections(k)
+    images = transfer_table(k).values()
+    zero = Polynomial.zero(Z_VIEW)
+    sections = [SpinorSection(h, zero) for h in images] + [SpinorSection(zero, h) for h in images]
     eig_ok = comm_ok = len(sections) == 2 * (k + 1) ** 2
-    for e in sections:
-        lap = laplace_section(e.section)
-        eigen = lap == e.section.scale(lam)
+    for sigma in sections:
+        lap = laplace_section(sigma)
+        eigen = lap == sigma.scale(lam)
         eig_ok &= eigen
-        d_sigma = dirac_section(e.section)
+        d_sigma = dirac_section(sigma)
         # D is linear, so once Delta sigma == lam sigma has held exactly,
         # D Delta sigma is lam D sigma: one Dirac pass per section
         d_lap = d_sigma.scale(lam) if eigen else dirac_section(lap)
@@ -339,6 +339,8 @@ def suite_jobs(
     if rule not in (None, "tensor", "mc"):
         raise ValueError(f"unknown quadrature rule {rule!r}")
     top = DEFAULT_K_MAX[suite] if k_max is None else k_max
+    if top < 0:
+        raise ValueError("k_max must be >= 0")
     per_k = {
         "casimir": _check_casimir_k,
         "quadratic": _check_quadratic_k,

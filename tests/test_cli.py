@@ -143,12 +143,10 @@ def test_eigenbasis_stdout_and_out_file_are_the_same_bytes(tmp_path, capsys):
 
 def test_eigenbasis_never_holds_the_whole_document(tmp_path):
     # the k = 20 document is about 13 MB of Python objects when built
-    # whole; streamed, only one section record and the rank rows are live
+    # whole; streamed, only the sections (built under the trace), one
+    # section record and the rank rows are live
     import tracemalloc
 
-    from spinor_s3.transfer import transfer_eigenbasis
-
-    transfer_eigenbasis(20)
     tracemalloc.start()
     try:
         assert main(["eigenbasis", "--k", "20", "--out", str(tmp_path / "basis.json")]) == 0
@@ -259,12 +257,9 @@ def broken_eigenbasis(request, monkeypatch):
     import spinor_s3.verify as verify
     from spinor_s3.transfer import transfer_eigenbasis
 
-    transfer_eigenbasis.cache_clear()
     for module in (cli, verify):
         monkeypatch.setattr(module, "transfer_eigenbasis",
                             lambda k: request.param(transfer_eigenbasis(k)))
-    yield
-    transfer_eigenbasis.cache_clear()
 
 
 def test_verify_dirac_fails_on_sections_that_are_not_a_basis(capsys, broken_eigenbasis):
@@ -413,6 +408,15 @@ def test_unknown_quadrature_rule_is_refused(capsys):
     assert code == 2 and out == ""
 
 
+def test_a_negative_k_max_is_refused():
+    # a negative degree is an error, not a run that checks nothing
+    from spinor_s3 import verify
+
+    for suite in verify.SUITE_NAMES:
+        with pytest.raises(ValueError, match="k_max must be >= 0"):
+            verify.run_suites([suite], k_max=-1, samples=100, seed=1)
+
+
 def test_verify_integral_mc_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "integral", "--rule", "mc",
@@ -538,15 +542,9 @@ def wrong_dbar_factor(monkeypatch):
     """Dbar off by a factor 2: the abstract families fail their own
     eigenvector check for every k >= 1."""
     import spinor_s3.abstract_dirac as abstract_dirac
-    from spinor_s3.transfer import transfer_eigenbasis
 
     closed = abstract_dirac.dbar_apply
     monkeypatch.setattr(abstract_dirac, "dbar_apply", lambda v: closed(v).scale(2))
-    # no sections built with the right operator may be reused, and none
-    # built with the wrong one may outlive the test
-    transfer_eigenbasis.cache_clear()
-    yield
-    transfer_eigenbasis.cache_clear()
 
 
 @pytest.mark.parametrize("argv", [("spectrum", "--k-max", "2"), ("eigenbasis", "--k", "2")])
@@ -564,10 +562,11 @@ def test_verify_reports_a_failed_family_check_as_fail_lines(capsys, wrong_dbar_f
     for k in (1, 2):
         for suite, name in (("quadratic", "spectrum two ways"),
                             ("quadratic", "family union is a basis"),
-                            ("dirac", "eigen-identity"),
-                            ("laplace", "laplace eigenvalue"),
-                            ("laplace", "dirac-laplace commute")):
+                            ("dirac", "eigen-identity")):
             assert f"FAIL  [{suite}] {name} k={k}: " in out
+        # the laplace suite checks the images, which no family enters
+        for name in ("laplace eigenvalue", "dirac-laplace commute"):
+            assert f"PASS  [laplace] {name} k={k}: " in out
 
 
 def test_verify_ranks_the_one_slice_of_the_families(capsys, monkeypatch):
@@ -643,14 +642,17 @@ def test_verify_laplace_fails_on_a_wrong_eigenvalue(capsys, monkeypatch):
 
 
 def test_verify_laplace_fails_when_it_does_not_commute_with_dirac(capsys, monkeypatch):
-    # Delta on the transferred eigensections, Delta + 1 anywhere else: the
-    # eigenvalues are right, but D sigma = lambda sigma is not one of those
-    # sections, so Delta D sigma picks up D sigma
+    # Delta on the sections (h, 0) and (0, h) of the images h, Delta + 1
+    # anywhere else: the eigenvalues are right, but D sigma is not one of
+    # those sections, so Delta D sigma picks up D sigma
     import spinor_s3.verify as verify
-    from spinor_s3.transfer import transfer_eigenbasis
+    from spinor_s3.polyring import Polynomial, SpinorSection, Z_VIEW
+    from spinor_s3.transfer import transfer_table
 
     laplace = verify.laplace_section
-    known = {e.section for k in range(3) for e in transfer_eigenbasis(k)}
+    zero = Polynomial.zero(Z_VIEW)
+    known = {section for k in range(3) for h in transfer_table(k).values()
+             for section in (SpinorSection(h, zero), SpinorSection(zero, h))}
     monkeypatch.setattr(verify, "laplace_section",
                         lambda s: laplace(s) if s in known else laplace(s) + s)
     code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")
@@ -692,6 +694,9 @@ def test_gram_check_demands_the_exact_constant(monkeypatch):
     # GaussianRational coefficients
     (("verify", "--suite", "casimir,quadratic"),
      "7d91764e4932bdf69eac62e4239fbe5cc9bc673a70f6f7d8bb3caf5c77a674fd"),
+    # recorded while the laplace suite still checked the eigensections
+    (("verify", "--suite", "laplace", "--k-max", "10"),
+     "a8fe46f7e64bb8d5dc4139a1afdc8a6d9a10dc37999643f3744585be0b7a7521"),
 ])
 def test_verify_reports_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)

@@ -188,6 +188,13 @@ def test_allowlist_is_used_and_explained():
     assert all(reason.strip() for reason in ALLOWED.values())
 
 
+def test_the_laplace_suite_builds_no_eigenbasis():
+    # it checks the images, so no family and no eigensection enters it
+    ran = closure(GRAPH, {"verify._check_laplace_k"})
+    assert "transfer.transfer_table" in ran
+    assert not ran & {"transfer.transfer_eigenbasis", "abstract_dirac.eigenbasis_abstract"}
+
+
 #: The Laplace operator's table and the table algebra that builds and runs it.
 LAPLACE_TABLES = frozenset({
     "geometry._laplace_table", "geometry._field_table", "geometry._combine",

@@ -2,6 +2,8 @@
 recursive lowering construction, equivariance and the eigen-sections."""
 
 import dataclasses
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -256,22 +258,30 @@ def test_transfer_eigenbasis_matches_the_gaussian_rational_assembly(k):
 
 def test_transfer_eigenbasis_carries_the_vector_denominators(monkeypatch):
     # every family vector has integer coefficients; halved vectors must
-    # give halved sections (through the uncached builder, so that the
-    # memo never holds them)
+    # give halved sections
     whole = transfer_eigenbasis(2)
     halved = [
         dataclasses.replace(fam, vectors=tuple(v.scale(Fraction(1, 2)) for v in fam.vectors))
         for fam in eigenbasis_abstract(2)
     ]
     monkeypatch.setattr(transfer, "eigenbasis_abstract", lambda k: halved)
-    for got, e in zip(transfer_eigenbasis.__wrapped__(2), whole, strict=True):
+    for got, e in zip(transfer_eigenbasis(2), whole, strict=True):
         assert got.section == e.section.scale(Fraction(1, 2))
 
 
-def test_transfer_eigenbasis_is_built_once_per_degree():
-    transfer_eigenbasis.cache_clear()
-    run_suites(["dirac", "laplace"], k_max=2)
-    assert transfer_eigenbasis.cache_info().misses == 3
-    # one shared, immutable result per degree
-    assert isinstance(transfer_eigenbasis(2), tuple)
-    assert transfer_eigenbasis(2) is transfer_eigenbasis(2)
+def test_no_eigenbasis_outlives_the_verify_run(monkeypatch):
+    # every section that verify builds is garbage once the run returns
+    from spinor_s3 import verify
+
+    built = []
+
+    def tracked(k):
+        entries = transfer_eigenbasis(k)
+        built.extend(weakref.ref(e) for e in entries)
+        return entries
+
+    monkeypatch.setattr(verify, "transfer_eigenbasis", tracked)
+    assert all(r.passed for r in run_suites(["dirac", "laplace"], k_max=3))
+    gc.collect()
+    assert len(built) == sum(2 * (k + 1) ** 2 for k in range(4))
+    assert not [ref for ref in built if ref() is not None]
