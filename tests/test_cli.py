@@ -166,16 +166,25 @@ def test_a_failed_write_is_a_usage_error(capsys):
 STDOUT_MODES = [pytest.param(True, id="unbuffered"), pytest.param(False, id="buffered")]
 
 
-def cli_process(argv, unbuffered, **kwargs):
-    """The CLI in a fresh interpreter, with PYTHONUNBUFFERED set or unset."""
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def python_process(args, unbuffered, **kwargs):
+    """``python args`` in a fresh interpreter that finds this package, with
+    PYTHONUNBUFFERED set or unset."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
-    src = str(Path(__file__).resolve().parent.parent / "src")
+    src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
-    return subprocess.Popen([sys.executable, "-m", "spinor_s3.cli", *argv], env=env,
+    return subprocess.Popen([sys.executable, *args], env=env,
                             stderr=subprocess.PIPE, text=True, **kwargs)
+
+
+def cli_process(argv, unbuffered, **kwargs):
+    """The CLI in a fresh interpreter, with PYTHONUNBUFFERED set or unset."""
+    return python_process(("-m", "spinor_s3.cli", *argv), unbuffered, **kwargs)
 
 
 def assert_stdout_error(code, err):
@@ -236,6 +245,92 @@ def test_a_closed_stdout_pipe_is_a_usage_error(unbuffered):
     proc.stdout.close()
     err = proc.stderr.read()
     assert_stdout_error(proc.wait(timeout=120), err)
+
+
+# -- the process entry ----------------------------------------------------
+# ``cli.entry`` ends the process with os._exit after main() returns; these
+# check that nothing written or registered is lost on the way.
+
+
+def test_both_process_entries_are_cli_entry():
+    import ast
+    import importlib
+    import inspect
+
+    from spinor_s3 import cli
+
+    tomllib = pytest.importorskip("tomllib")
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        scripts = tomllib.load(fh)["project"]["scripts"]
+    module, _, name = scripts["spinor-s3"].partition(":")
+    assert getattr(importlib.import_module(module), name) is cli.entry
+    main_blocks = [node for node in ast.parse(inspect.getsource(cli)).body
+                   if isinstance(node, ast.If) and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [[ast.unparse(s) for s in node.body] for node in main_blocks] == [["entry()"]]
+
+
+def run_to_file(tmp_path, args):
+    """``python args`` with stdout block-buffered into a file: the exit
+    code, the stdout bytes and the stderr text."""
+    out_file = tmp_path / "stdout"
+    with open(out_file, "wb") as out:
+        proc = python_process(args, False, stdout=out)
+        _, err = proc.communicate(timeout=120)
+    return proc.returncode, out_file.read_bytes(), err
+
+
+@pytest.mark.parametrize("argv", [
+    ("spectrum", "--k-max", "12", "--format", "json"),
+    ("eigenbasis", "--k", "3"),
+], ids=lambda argv: argv[0])
+def test_the_process_writes_what_main_writes(tmp_path, capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert run_to_file(tmp_path, ("-m", "spinor_s3.cli", *argv)) == (code, out.encode(), err)
+
+
+# a wrapper that registers an exit handler writing to the block-buffered
+# stdout, and can break Dbar the way the wrong_dbar_factor fixture does
+ENTRY_WRAPPER = """\
+import atexit, sys
+from spinor_s3 import abstract_dirac, cli
+atexit.register(print, "exit handler ran")
+if sys.argv.pop(1) == "wrong-dbar":
+    closed = abstract_dirac.dbar_apply
+    abstract_dirac.dbar_apply = lambda v: closed(v).scale(2)
+cli.entry()
+"""
+
+
+@pytest.mark.parametrize("mode, argv, expected_code", [
+    ("as-is", ("verify", "--suite", "casimir", "--k-max", "1"), 0),
+    ("wrong-dbar", ("verify", "--suite", "quadratic", "--k-max", "1"), 1),
+    ("as-is", ("spectrum", "--k-max", str(DEFAULT_K_CAP + 1)), 2),
+], ids=["exit-0", "exit-1", "exit-2"])
+def test_the_process_runs_the_exit_handlers_and_keeps_the_exit_code(
+        tmp_path, capsys, request, mode, argv, expected_code):
+    if mode == "wrong-dbar":
+        request.getfixturevalue("wrong_dbar_factor")
+    code, out, err = run(capsys, *argv)
+    assert code == expected_code
+    # the handler's line is still in stdout's buffer when os._exit runs,
+    # unless entry() flushes after running the handlers
+    expected = (code, out.encode() + b"exit handler ran\n", err)
+    assert run_to_file(tmp_path, ("-c", ENTRY_WRAPPER, mode, *argv)) == expected
+
+
+def test_importing_the_cli_starts_no_thread_and_registers_no_exit_handler():
+    # os._exit joins no thread, and entry() runs only the handlers
+    # registered when main() returns: a thread or an exit hook added to
+    # the import must be weighed against that design
+    script = ("import atexit, threading; bare = atexit._ncallbacks(); import spinor_s3.cli; "
+              "print(bare, atexit._ncallbacks(), [t.name for t in threading.enumerate()])")
+    proc = python_process(("-c", script), False, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err) == (0, "")
+    bare, after, threads = out.split(" ", 2)
+    assert int(after) <= int(bare)
+    assert threads.strip() == "['MainThread']"
 
 
 def zero_sections(entries):
