@@ -16,7 +16,10 @@ export, a failed write to stdout or a closed stdout, --help included, and
 a request that would run no checks).  Exact values are printed as
 num/den strings; floating point appears only in quadrature reports (12
 significant digits).  ``eigenbasis`` checks its sections before it opens
-the output, then writes the document one section at a time.
+the output, then writes the document one section at a time, each record
+from one fixed layout with its ``num/den`` strings straight from the
+section's numerators (``exactnum.ratio_to_str``), not through
+``SpinorSection.to_json``.
 """
 
 from __future__ import annotations
@@ -24,14 +27,14 @@ from __future__ import annotations
 import argparse
 import atexit
 import errno
+import json
 import os
 import sys
-from functools import lru_cache
-from json.encoder import encode_basestring_ascii
 from typing import Callable, Iterable, Iterator, NoReturn, Optional
 
 from .abstract_dirac import spectrum_table
-from .exactnum import rational_to_str
+from .exactnum import ratio_to_str, rational_to_str
+from .polyring import _term_order
 from .transfer import transfer_eigenbasis
 from .verify import SUITE_NAMES, eigen_identity, run_suites
 
@@ -169,70 +172,10 @@ def _emit(chunks: Iterable[str], out: Optional[str]) -> int:
     return 0
 
 
-def _json_text(obj) -> str:
-    """Exactly ``json.dumps(obj, indent=2, sort_keys=True)`` for documents
-    made of str-keyed dicts, lists, str, int, bool and None; TypeError on
-    anything else.  The standard library's encoder runs in pure Python
-    whenever ``indent`` is set, with one generator per container; this
-    writes into one list of strings instead."""
-    out: list[str] = []
-    _write_json(obj, "\n", out.append)
-    return "".join(out)
-
-
-@lru_cache(maxsize=None)
-def _layout(newline: str) -> tuple[str, str, str, str, str, str]:
-    """The strings around the items of a container whose line starts with
-    ``newline``: the items' newline, the dict and list openers, the item
-    separator, and the dict and list closers.  Made once per depth, so
-    every container at that depth shares them."""
-    inner = newline + "  "
-    return inner, "{" + inner, "[" + inner, "," + inner, newline + "}", newline + "]"
-
-
-def _write_json(obj, newline: str, write) -> None:
-    if isinstance(obj, dict):
-        if not obj:
-            write("{}")
-            return
-        inner, sep, _, item_sep, close, _ = _layout(newline)
-        for key in sorted(obj):
-            if not isinstance(key, str):
-                raise TypeError(f"JSON keys must be str, not {type(key).__name__}")
-            write(sep)
-            write(encode_basestring_ascii(key))
-            write(": ")
-            _write_json(obj[key], inner, write)
-            sep = item_sep
-        write(close)
-    elif isinstance(obj, list):
-        if not obj:
-            write("[]")
-            return
-        inner, _, sep, item_sep, _, close = _layout(newline)
-        for item in obj:
-            write(sep)
-            _write_json(item, inner, write)
-            sep = item_sep
-        write(close)
-    elif isinstance(obj, str):
-        write(encode_basestring_ascii(obj))
-    elif obj is None:
-        write("null")
-    elif obj is True:
-        write("true")
-    elif obj is False:
-        write("false")
-    elif isinstance(obj, int):
-        write(int.__repr__(obj))
-    else:
-        raise TypeError(f"cannot write {type(obj).__name__} as JSON")
-
-
 def cmd_spectrum(args: argparse.Namespace) -> int:
     rows = spectrum_table(args.k_max)
     if args.format == "json":
-        text = _json_text([r.to_json() for r in rows]) + "\n"
+        text = json.dumps([r.to_json() for r in rows], indent=2, sort_keys=True) + "\n"
     else:
         lines = [f"{'k':>4}  {'eigenvalue':>12}  {'multiplicity':>12}"]
         for r in rows:
@@ -242,27 +185,58 @@ def cmd_spectrum(args: argparse.Namespace) -> int:
 
 
 def _eigenbasis_chunks(k: int, entries) -> Iterator[str]:
-    """``_json_text({"k": k, "count": ..., "sections": [...]}) + "\n"`` for
-    the eigenbasis ``entries``, one chunk per section record, so that only
-    one record is held at a time."""
-    inner, head, _, sep, close, _ = _layout("\n")
-    record_newline, _, lead, record_sep, _, sections_close = _layout(inner)
-    yield f'{head}"count": {len(entries)}{sep}"k": {k}{sep}"sections": '
+    """``json.dumps(doc, indent=2, sort_keys=True) + "\n"`` for the document
+    ``{"count": ..., "k": k, "sections": [...]}`` of the eigenbasis
+    ``entries``, one chunk per section record, so that only one record is
+    held at a time.  A record is ``e.section.to_json()`` with the entry's
+    eigenvalue, family, p and q added; it is written from its one fixed
+    layout, straight from the section's numerators and denominator."""
+    yield f'{{\n  "count": {len(entries)},\n  "k": {k},\n  "sections": ['
+    lead = "\n    "
     for e in entries:
-        record = e.section.to_json()
-        record.update(
-            {
-                "eigenvalue": rational_to_str(e.eigenvalue),
-                "family": e.family,
-                "q": e.q,
-                "p": e.p,
-            }
-        )
-        chunk = [lead]
-        _write_json(record, record_newline, chunk.append)
-        yield "".join(chunk)
-        lead = record_sep
-    yield sections_close + close + "\n"
+        section = e.section
+        out = [f'{lead}{{\n      "eigenvalue": "{rational_to_str(e.eigenvalue)}",\n      "f": ']
+        _write_part(section, 0, out)
+        out.append(f',\n      "family": {json.dumps(e.family)},\n      "g": ')
+        _write_part(section, 2, out)
+        out.append(f',\n      "k": {json.dumps(section.degree)},\n      "p": {e.p},\n'
+                   f'      "q": {e.q}\n    }}')
+        yield "".join(out)
+        lead = ",\n    "
+    yield "\n  ]\n}\n"
+
+
+# One term of a part in a section record: its lead, the imaginary and real
+# parts of its coefficient, and its four exponents.
+_TERM = """%s          {
+            "coeff": {
+              "im": "%s",
+              "re": "%s"
+            },
+            "exp": [
+              %d,
+              %d,
+              %d,
+              %d
+            ]
+          }"""
+
+
+def _write_part(section, r: int, out: list[str]) -> None:
+    """Append to ``out`` the record of part r of ``section`` (0 for f, 2 for
+    g), as ``Polynomial.to_json`` gives it for that part: each coefficient
+    part is reduced over the section's denominator, so it reads the same as
+    over the part's own."""
+    den = section._den
+    terms = sorted(((exp, c) for (s, exp), c in section._num.items() if s == r),
+                   key=_term_order)
+    out.append('{\n        "terms": [')
+    lead = "\n"
+    for (a, b, c, d), (re, im) in terms:
+        out.append(_TERM % (lead, ratio_to_str(im, den), ratio_to_str(re, den), a, b, c, d))
+        lead = ",\n"
+    close = "\n        ]" if terms else "]"
+    out.append(f'{close},\n        "view": {json.dumps(section.view)}\n      }}')
 
 
 def cmd_eigenbasis(args: argparse.Namespace) -> int:

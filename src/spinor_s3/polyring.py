@@ -26,7 +26,9 @@ and ``({}, 1)`` for zero -- so equality stays structural.  Every kernel
 computes on those ints; ``GaussianRational`` appears only at the edge:
 the constructor, ``terms``, ``evaluate`` and ``from_json``, which reads
 the ``"num/den"`` strings that ``to_json`` writes straight from each
-numerator over the denominator.
+numerator over the denominator.  The ``eigenbasis`` export in ``cli``
+writes the same strings the same way, from a section's ``_num``/``_den``
+in ``_term_order``, without building its parts.
 
 A :class:`SpinorSection` (f, g) is one more vector of that core, in the
 same space (view,): the numerators of f and g keyed by ``(r, exp)``, r = 0

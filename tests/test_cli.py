@@ -3,7 +3,6 @@
 import hashlib
 import json
 import os
-import random
 import subprocess
 import sys
 from dataclasses import replace
@@ -11,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from spinor_s3.cli import DEFAULT_K_CAP, _json_text, main
+from spinor_s3.cli import DEFAULT_K_CAP, main
 
 
 def run(capsys, *argv):
@@ -373,43 +372,25 @@ def test_eigenbasis_refuses_sections_that_are_not_a_basis(tmp_path, capsys, brok
     assert not out_file.exists()
 
 
-# -- the JSON writer ------------------------------------------------------
-
-TEXT_CHARS = 'az"\\/\b\f\n\r\t\x00\x1f\x7f é€\u2028\U0001f600'
+# -- the JSON documents ---------------------------------------------------
 
 
-def random_text(rng):
-    return "".join(rng.choice(TEXT_CHARS) for _ in range(rng.randrange(5)))
+@pytest.mark.parametrize("k", range(5))
+def test_eigenbasis_is_json_dumps_of_the_section_records(capsys, k):
+    # the reference route: each record is the section's to_json() with the
+    # entry's fields added, the document written by json.dumps; at k = 0
+    # one part of each section has no terms
+    from spinor_s3.exactnum import rational_to_str
+    from spinor_s3.transfer import transfer_eigenbasis
 
-
-def random_document(rng, depth=0):
-    """A document of every kind the writer accepts: empty and nested
-    containers, negative and big ints, escapes and non-ASCII text."""
-    kind = rng.randrange(6 if depth < 4 else 4)
-    if kind == 0:
-        return random_text(rng)
-    if kind == 1:
-        return rng.choice((0, -1, 7, -(10 ** 30) - 3, 2 ** 70))
-    if kind == 2:
-        return rng.choice((True, False, None))
-    if kind == 3:
-        return rng.randrange(-5, 5)
-    if kind == 4:
-        return [random_document(rng, depth + 1) for _ in range(rng.randrange(4))]
-    return {random_text(rng): random_document(rng, depth + 1) for _ in range(rng.randrange(4))}
-
-
-def test_json_text_is_json_dumps_on_random_documents():
-    rng = random.Random(10)
-    for _ in range(300):
-        doc = random_document(rng)
-        assert _json_text(doc) == json.dumps(doc, indent=2, sort_keys=True)
-
-
-@pytest.mark.parametrize("doc", [1.5, {"a": [1, 0.5]}, {1: "a"}, (1, 2), {"a": {"b": {2}}}])
-def test_json_text_refuses_other_types(doc):
-    with pytest.raises(TypeError):
-        _json_text(doc)
+    entries = transfer_eigenbasis(k)
+    sections = [e.section.to_json() | {"eigenvalue": rational_to_str(e.eigenvalue),
+                                       "family": e.family, "p": e.p, "q": e.q}
+                for e in entries]
+    doc = {"count": len(entries), "k": k, "sections": sections}
+    code, out, err = run(capsys, "eigenbasis", "--k", str(k))
+    assert (code, err) == (0, "")
+    assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 @pytest.mark.parametrize("argv", [

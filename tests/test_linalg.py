@@ -1,11 +1,13 @@
 """Exact linear algebra against an independent oracle.
 
 ``linalg`` computes on Gaussian-integer matrices given as canonical sparse
-rows ``{col: (re, im)}``; sympy's ``Matrix`` computes on symbolic Gaussian
-numbers.  Both must give the same exact answers for ``charpoly_int``,
-``rank_sparse`` and ``mat_mul_int`` on random matrices (square,
-non-square and rank-deficient), on the Dbar blocks and on the empty
-matrix.  Matrices that split into connected components are checked too:
+rows ``{col: (re, im)}``.  The oracle is sympy: its ``DomainMatrix`` over
+the Gaussian rationals ``QQ_I`` for characteristic polynomials and ranks,
+with no symbolic expansion, and its ``Matrix`` on symbolic Gaussian
+numbers for products.  Both must give the same exact answers for
+``charpoly_int``, ``rank_sparse`` and ``mat_mul_int`` on random matrices
+(square, non-square and rank-deficient), on the Dbar blocks and on the
+empty matrix.  Matrices that split into connected components are checked too:
 blocks hidden by a permutation, blocks coupled one way, and two-row
 components on either side of proportional, each ranked by the one
 elimination kernel.
@@ -24,12 +26,10 @@ from spinor_s3.transfer import transfer_eigenbasis
 from spinor_s3.verify import eigen_identity
 
 sympy = pytest.importorskip("sympy")
+from sympy.polys.domains import QQ_I
+from sympy.polys.matrices import DomainMatrix
 
 X = sympy.Symbol("x")
-
-
-def _is_zero(expr) -> bool:
-    return sympy.expand(expr) == 0
 
 
 def to_sympy(a, cols=None):
@@ -60,12 +60,26 @@ def int_matrix(m) -> list[dict[int, GaussInt]]:
     return [{j: c for j, c in enumerate(row) if c != (0, 0)} for row in entries]
 
 
+def to_domain(a, cols=None):
+    """The Gaussian-integer rows ``a`` as a ``DomainMatrix`` over ``QQ_I``
+    with ``cols`` columns, square by default."""
+    cols = len(a) if cols is None else cols
+    return DomainMatrix([[QQ_I(*row.get(j, (0, 0))) for j in range(cols)] for row in a],
+                        (len(a), cols), QQ_I)
+
+
+def domain_int(c) -> GaussInt:
+    """A ``QQ_I`` Gaussian integer as ``(re, im)``."""
+    assert c.x.denominator == 1 and c.y.denominator == 1
+    return int(c.x.numerator), int(c.y.numerator)
+
+
 def oracle_charpoly(a):
-    return [gauss_int(c) for c in to_sympy(a).charpoly(X).all_coeffs()]
+    return [domain_int(c) for c in to_domain(a).charpoly()]
 
 
 def oracle_rank(a, cols=None):
-    return to_sympy(a, cols).rank(iszerofunc=_is_zero)
+    return to_domain(a, cols).rank()
 
 
 def random_int_matrix(rng, rows, cols, zero_share=0.3):
