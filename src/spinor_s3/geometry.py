@@ -5,13 +5,15 @@ imaginary units.  Derivatives along the flows x -> t^{-1} x s are exact
 polynomial operations (the generating vector fields x -> xS - Tx are
 linear), and every operator here is a polynomial in the frame derivatives
 l_i: D = -sum_i (l_i sigma) e_i - 3/2, Delta = sum_i l_i l_i, and the two
-lowerings of ``transfer``.  All of them share one table format on z-view
-exponents and one interpreter, ``_apply``.  Each field's table is read off
-its integer matrix (integer Hamilton products and the integer frame
-change); every other table is built from those by two operations, a
-linear combination (``_combine``) and a composition (``_compose``), once
-per process on Gaussian integers.  Each operator is then one integer pass
-over its operand's numerators, and no cache grows with the degree.  The
+lowerings of ``transfer``.  Each is built as weights, canonical exact
+parts of the vector core keyed by (shift, m, n): each field's weights are
+read off its integer matrix (integer Hamilton products and the integer
+frame change), and every other operator's are built from those by a
+linear combination (``_combine``, a fold of ``add_parts``/``scale_parts``)
+and a composition (``_compose``), so an operator identity is an ``==`` of
+weights.  ``_table`` compiles weights once per process to the one runtime
+format that the interpreter ``_apply`` runs: each operator is one integer
+pass over its operand's numerators, and no cache grows with the degree.  The
 composed forms they are checked against -- one derivative per frame
 field, the Hessian Laplacian and the connection constants -- live in
 ``tests/operator_reference.py``.
@@ -34,14 +36,16 @@ from .exactnum import (
     BASIS,
     GaussianRational,
     RationalQuaternion,
-    gauss_over,
+    add_parts,
+    complex_split,
     gauss_parts,
     hamilton,
     quat,
     quat_multiply,
     reduce_parts,
+    scale_parts,
 )
-from .polyring import _FRAME, _FRAME_INV, Polynomial, SpinorSection, Z_VIEW, _basis_product_split
+from .polyring import _FRAME, _FRAME_INV, Polynomial, SpinorSection, Z_VIEW
 
 
 @dataclass(frozen=True)
@@ -99,11 +103,13 @@ def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.Rows]:
 #     w(e) = sum c*x[m]*x[n] over the terms (m, n, c) of re
 #            + i * the same sum over the terms of im,   x = (e0, e1, e2, e3, 1).
 #
-# A first-order table has only terms with n = 4.  The weight of every table
-# below is 0 wherever its shift would lower an exponent below 0 (a field's
-# weight e[m] is, and sums and products keep it), so _apply, which skips
-# zero weights, never writes a negative exponent.  The tables are built once
-# per process from the frame fields' tables by _combine and _compose.
+# Weights ``(num, den)`` hold the same data as canonical core parts: num maps
+# (shift, m, n), m <= n, to the Gaussian integer c.  First-order weights have
+# only keys with n = 4.  The weight of every operator below is 0 wherever its
+# shift would lower an exponent below 0 (a field's weight e[m] is, and sums
+# and products keep it), so _apply, which skips zero weights, never writes a
+# negative exponent.  The weights are built once per process from the frame
+# fields' by _combine and _compose, and compiled to tables by _table.
 
 
 def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
@@ -139,12 +145,12 @@ def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
     return acc
 
 
-def _table(weights: dict, den: int) -> tuple:
-    """The table of ``weights`` {(shift, m, n): Gaussian integer} over den,
-    reduced to the least denominator."""
-    weights, den = reduce_parts(weights, den)
+def _table(weights: tuple) -> tuple:
+    """The runtime table of ``weights``, as is: nothing is reduced, so the
+    tables of the pieces of one weights vector share its denominator."""
+    num, den = weights
     entries: dict = {}
-    for (shift, m, n), (wr, wi) in weights.items():
+    for (shift, m, n), (wr, wi) in num.items():
         re, im = entries.setdefault(shift, ([], []))
         if wr:
             re.append((m, n, wr))
@@ -153,95 +159,73 @@ def _table(weights: dict, den: int) -> tuple:
     return den, tuple((shift, tuple(re), tuple(im)) for shift, (re, im) in entries.items())
 
 
-def _add_weight(weights: dict, key: tuple, wr: int, wi: int) -> None:
-    t = weights.get(key)
-    weights[key] = (wr, wi) if t is None else (t[0] + wr, t[1] + wi)
-
-
 #: The identity operator, which carries the Dirac operator's constant.
-_IDENTITY = (1, ((None, ((4, 4, 1),), ()),))
+_IDENTITY = ({(None, 4, 4): (1, 0)}, 1)
 
 
 @lru_cache(maxsize=None)
-def _field_table(pair: KillingPair) -> tuple:
-    """The derivative along the field x -> xS - Tx, a first-order table:
+def _field_weights(pair: KillingPair) -> tuple:
+    """The derivative along the field x -> xS - Tx, first-order weights:
     the nonzero entry (m, j) of the matrix M of :func:`_field_matrix_int`
     moves c*u^e to c*e[m]*M[m][j] at e - delta_m + delta_j."""
     den, rows = _field_matrix_int(pair)
-    weights: dict = {}
+    num = {}
     for m, row in enumerate(rows):
         for j, c in row.items():
             shift = None if m == j else tuple((n == j) - (n == m) for n in range(4))
-            weights[(shift, m, 4)] = c
-    return _table(weights, den)
+            num[(shift, m, 4)] = c
+    return reduce_parts(num, den)
 
 
-def _combine(parts: tuple) -> tuple:
-    """sum c*T over ``parts = ((T, c), ...)``, summed on integers over one
-    denominator and reduced to the least one."""
-    scaled = [(table, *gauss_parts(c)) for table, c in parts]
-    den = math.lcm(*(table[0] * cd for table, _, _, cd in scaled))
-    weights: dict = {}
-    for (d, entries), cr, ci, cd in scaled:
-        s = den // (d * cd)
-        for shift, re_terms, im_terms in entries:
-            # c times a real weight v, then c times i*v
-            for terms, xr, xi in ((re_terms, cr, ci), (im_terms, -ci, cr)):
-                for m, n, v in terms:
-                    _add_weight(weights, (shift, m, n), v * xr * s, v * xi * s)
-    return _table(weights, den)
-
-
-def _linear_terms(re_terms: tuple, im_terms: tuple) -> list:
-    """The terms of a first-order weight as (m, re, im)."""
-    return [(m, c, 0) for m, _, c in re_terms] + [(m, 0, c) for m, _, c in im_terms]
+def _combine(parts) -> tuple:
+    """sum c*W over ``parts = ((W, c), ...)``, W weights and c scalars."""
+    num, den = {}, 1
+    for (w, d), c in parts:
+        num, den = add_parts(num, den, *scale_parts(w, d, *gauss_parts(c)))
+    return num, den
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
-    """a after b, for first-order tables: entry (s, w) of b, then entry
-    (t, v) of a, give w(e)*v(e + s) at e + s + t."""
-    weights: dict = {}
-    for s, *w in b[1]:
+    """a after b, for first-order weights: the term (s, m) of b, then the
+    term (t, n) of a, give w*x[m] * v*(x[n] + s[n]) at s + t, s[4] = 0."""
+    (va, da), (vb, db) = a, b
+    num, den = {}, 1
+    for (s, m, _), (wr, wi) in vb.items():
         s = s or (0, 0, 0, 0)
-        for t, *v in a[1]:
+        for (t, n, _), (vr, vi) in va.items():
             net = tuple(x + y for x, y in zip(s, t or (0, 0, 0, 0)))
             net = net if any(net) else None
-            # w_m x[m] * v_n (x[n] + s[n]), with s[4] = 0
-            for m, wr, wi in _linear_terms(*w):
-                for n, vr, vi in _linear_terms(*v):
-                    cr, ci = wr * vr - wi * vi, wr * vi + wi * vr
-                    _add_weight(weights, (net, min(m, n), max(m, n)), cr, ci)
-                    if n < 4 and s[n]:
-                        _add_weight(weights, (net, m, 4), cr * s[n], ci * s[n])
-    return _table(weights, a[0] * b[0])
+            cr, ci = wr * vr - wi * vi, wr * vi + wi * vr
+            term = {(net, min(m, n), max(m, n)): (cr, ci)}
+            if n < 4 and s[n]:
+                term[(net, m, 4)] = (cr * s[n], ci * s[n])
+            num, den = add_parts(num, den, *reduce_parts(term, da * db))
+    return num, den
 
 
 @lru_cache(maxsize=None)
 def _dirac_tables() -> dict:
-    """The Dirac operator as a 2x2 block of tables over one denominator:
-    ``tables[(src, dst)]`` is -sum_i split(e_src e_i)_dst * l_i, with src
-    and dst the section keys' r (0 for f, 2 for g) and split the (f, g)
-    parts of :func:`complex_split`, plus -3/2 times the identity on the
-    diagonal."""
-    blocks = {}
+    """The Dirac operator as a 2x2 block of tables: ``tables[(src, dst)]``
+    is -sum_i split(e_src e_i)_dst * l_i, with src and dst the section
+    keys' r (0 for f, 2 for g) and split the (f, g) parts of
+    :func:`complex_split`, plus -3/2 times the identity on the diagonal.
+    The blocks are combined as one weights vector keyed by (src, dst,
+    shift, m, n), so that their tables share its denominator and f and g
+    can be summed into one image."""
+    parts = []
     for src in (0, 2):
         for dst in (0, 2):
-            parts = tuple(
-                (_field_table(KillingPair.left(i)),
-                 -gauss_over(*_basis_product_split(src, i)[dst // 2], 1))
-                for i in (1, 2, 3)
-            )
-            blocks[(src, dst)] = _combine(parts + ((_IDENTITY, Fraction(-3, 2)),) * (src == dst))
-    # one shared denominator, so that f and g can be summed into one image
-    den = math.lcm(*(d for d, _ in blocks.values()))
-    tables = {}
-    for key, (d, entries) in blocks.items():
-        s = den // d
-        tables[key] = (den, tuple(
-            (shift, *(tuple((m, n, c * s) for m, n, c in terms) for terms in (re, im)))
-            for shift, re, im in entries
-        ))
-    return tables
+            terms = [(_field_weights(KillingPair.left(i)),
+                      -complex_split(quat_multiply(BASIS[src], BASIS[i]))[dst // 2])
+                     for i in (1, 2, 3)]
+            terms += [(_IDENTITY, Fraction(-3, 2))] * (src == dst)
+            parts += [(({(src, dst, *key): w for key, w in num.items()}, den), c)
+                      for (num, den), c in terms]
+    num, den = _combine(parts)
+    blocks: dict = {}
+    for (src, dst, *key), w in num.items():
+        blocks.setdefault((src, dst), {})[tuple(key)] = w
+    return {block: _table((weights, den)) for block, weights in blocks.items()}
 
 
 def _apply_block(tables: dict, sigma: SpinorSection) -> SpinorSection:
@@ -275,9 +259,9 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
 
 @lru_cache(maxsize=None)
 def _laplace_table() -> tuple:
-    """sum_i l_i l_i, composed from the frame fields' tables."""
-    fields = [_field_table(KillingPair.left(i)) for i in (1, 2, 3)]
-    return _combine(tuple((_compose(l, l), 1) for l in fields))
+    """sum_i l_i l_i, composed from the frame fields' weights."""
+    fields = [_field_weights(KillingPair.left(i)) for i in (1, 2, 3)]
+    return _table(_combine((_compose(l, l), 1) for l in fields))
 
 
 def laplace_section(sigma: SpinorSection) -> SpinorSection:

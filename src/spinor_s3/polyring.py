@@ -50,7 +50,6 @@ sections' numerators as the rows of the sparse rank.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from math import lcm
 from typing import Optional
 
@@ -60,12 +59,8 @@ from .exactnum import (
     GaussParts,
     RationalQuaternion,
     assemble,
-    complex_split,
-    parts_over,
-    quat_multiply,
     ratio_to_str,
     reduce_parts,
-    BASIS,
 )
 
 X_VIEW = "x"
@@ -355,14 +350,6 @@ def laplacian_r4(p: Polynomial) -> Polynomial:
             else:
                 acc[key] = (t[0] + re * factor, t[1] + im * factor)
     return Polynomial._of(*reduce_parts(acc, p._den), Z_VIEW)
-
-
-@lru_cache(maxsize=None)
-def _basis_product_split(r: int, i: int) -> tuple[GaussInt, GaussInt]:
-    """complex_split(e_r * e_i) as two Gaussian integers, computed once per
-    (r, i)."""
-    alpha, beta = complex_split(quat_multiply(BASIS[r], BASIS[i]))
-    return parts_over(alpha, 1), parts_over(beta, 1)
 
 
 class SpinorSection(GaussParts):

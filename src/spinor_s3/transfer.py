@@ -30,7 +30,7 @@ from functools import lru_cache
 
 from .abstract_dirac import eigenbasis_abstract
 from .exactnum import GaussianRational, add_parts, gauss, reduce_parts, scale_parts
-from .geometry import KillingPair, _apply, _combine, _field_table, l2_inner_product
+from .geometry import KillingPair, _apply, _combine, _field_weights, _table, l2_inner_product
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
 
 LEFT = "left"
@@ -60,12 +60,12 @@ _LOWERING_PAIRS = {LEFT: KillingPair.left, RIGHT: KillingPair.right}
 @lru_cache(maxsize=None)
 def _lowering_table(side: str) -> tuple:
     """The table of -1/2 * pair(2) + i/2 * pair(3), combined from the two
-    fields' tables: its two entries are the diamond's arrows for ``side``."""
+    fields' weights: its two entries are the diamond's arrows for ``side``."""
     pair = _LOWERING_PAIRS[side]
-    return _combine((
-        (_field_table(pair(2)), Fraction(-1, 2)),
-        (_field_table(pair(3)), gauss(0, Fraction(1, 2))),
-    ))
+    return _table(_combine((
+        (_field_weights(pair(2)), Fraction(-1, 2)),
+        (_field_weights(pair(3)), gauss(0, Fraction(1, 2))),
+    )))
 
 
 def beta_lower(side: str, poly: Polynomial) -> Polynomial:

@@ -5,7 +5,8 @@ composed from the frame fields' tables, in one integer pass.  The forms
 here are the operators as the paper writes them: one derivative per frame
 field, the frame's covariant constants and right multiplication by the
 frame units, composed with the ring operations.  They share the
-single-field tables and the interpreter with the library, and never call
+single-field weights, their compiled table and the interpreter with the
+library, and never call
 the combined tables or the builders they are checked against
 (``test_operator_reference_calls_no_checked_entry_point`` guards that).
 """
@@ -17,13 +18,13 @@ from spinor_s3.exactnum import (
     BASIS,
     RationalQuaternion,
     clifford_multiply,
-    gauss,
+    complex_split,
     quat,
     quat_multiply,
     reduce_parts,
 )
-from spinor_s3.geometry import KillingPair, _apply, _field_table
-from spinor_s3.polyring import Polynomial, SpinorSection, Z_VIEW, _basis_product_split
+from spinor_s3.geometry import KillingPair, _apply, _field_weights, _table
+from spinor_s3.polyring import Polynomial, SpinorSection, Z_VIEW
 
 
 def killing_derivative(
@@ -44,7 +45,7 @@ def killing_derivative(
     """
     if isinstance(sigma, SpinorSection):
         return SpinorSection(killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair))
-    den, _ = table = _field_table(pair)
+    den, _ = table = _table(_field_weights(pair))
     p = sigma.in_view(Z_VIEW)
     return Polynomial._of(*reduce_parts(_apply(table, p._num), p._den * den), Z_VIEW)
 
@@ -105,9 +106,9 @@ def right_mul_basis(sigma: SpinorSection, i: int) -> SpinorSection:
     for comp, r in ((sigma.f, 0), (sigma.g, 2)):
         if comp.is_zero():
             continue
-        alpha, beta = _basis_product_split(r, i)
-        if alpha != (0, 0):
-            new_f = new_f + comp.scale(gauss(*alpha))
-        if beta != (0, 0):
-            new_g = new_g + comp.scale(gauss(*beta))
+        alpha, beta = complex_split(quat_multiply(BASIS[r], BASIS[i]))
+        if alpha:
+            new_f = new_f + comp.scale(alpha)
+        if beta:
+            new_g = new_g + comp.scale(beta)
     return SpinorSection(new_f, new_g)

@@ -393,15 +393,10 @@ def test_eigenbasis_is_json_dumps_of_the_section_records(capsys, k):
     assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-@pytest.mark.parametrize("argv", [
-    (command, flag, str(k))
-    for command, flag in (("spectrum", "--k-max"), ("eigenbasis", "--k"))
-    for k in range(4)
-])
+# the eigenbasis export is held to json.dumps of its section records above
+@pytest.mark.parametrize("argv", [("spectrum", "--k-max", str(k)) for k in range(4)])
 def test_cli_documents_are_json_dumps_of_themselves(capsys, argv):
-    if argv[0] == "spectrum":
-        argv += ("--format", "json")
-    code, out, err = run(capsys, *argv)
+    code, out, err = run(capsys, *argv, "--format", "json")
     assert (code, err) == (0, "")
     assert out == json.dumps(json.loads(out), indent=2, sort_keys=True) + "\n"
 

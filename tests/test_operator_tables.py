@@ -1,8 +1,11 @@
-"""D, Delta and the lowerings, evaluated from tables combined and composed
-from the frame fields' tables, against their composed forms: the same
-canonical numerators, denominator and view.  The table algebra itself is
-held to the operators it stands for: a composition to one operator after
-the other, a combination to the sum of the scaled operators.
+"""D, Delta and the lowerings, evaluated from tables compiled from weights
+combined and composed from the frame fields' weights, against their
+composed forms: the same canonical numerators, denominator and view.  The
+table algebra itself is held to the operators it stands for: a
+composition to one operator after the other, a combination to the sum of
+the scaled operators.  Hitchin's relation D^2 + D + Delta = 3/4 and
+[D, beta_R] = 0 are checked as equalities of canonical weights, for every
+degree at once.
 
 The references below are the operators as the paper writes them, built
 from one ``killing_derivative`` pass per frame field and the ring
@@ -13,11 +16,14 @@ they also check that every operator takes its operand in z and returns z.
 
 Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
 of the Killing tables, and the laplace suite's work is pinned by counts:
-Dirac passes per section and the sizes of the geometry caches.
+Dirac passes per section, the sizes of the geometry caches and the calls
+of the table builders.
 """
 
 import ast
+import itertools
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,15 +37,15 @@ from operator_reference import (
 )
 
 from spinor_s3 import geometry, transfer, verify
-from spinor_s3.exactnum import gauss, reduce_parts
+from spinor_s3.exactnum import BASIS, complex_split, gauss, quat_multiply, reduce_parts
 from spinor_s3.geometry import KillingPair, dirac_section, laplace_section
 from spinor_s3.polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, laplacian_r4
 from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
 
 #: The library's operator entry points and the tables behind them: the
 #: oracles that check them must not call them.
-#: The interpreter and the field table stay out: ``killing_derivative``
-#: runs one field's table.
+#: The interpreter, the field weights and ``_table`` stay out:
+#: ``killing_derivative`` runs one field's compiled weights.
 CHECKED_ENTRY_POINTS = frozenset({
     "dirac_section", "laplace_section", "beta_lower", "_apply_block", "_dirac_tables",
     "_laplace_table", "_lowering_table", "_combine", "_compose",
@@ -148,10 +154,23 @@ def apply(p, table):
     return Polynomial._of(*reduce_parts(geometry._apply(table, p._num), p._den * den), Z_VIEW)
 
 
-def first_order_tables():
+def weights_of(table):
+    """The canonical weights ``(num, den)`` that compile to ``table``."""
+    den, entries = table
+    num = {}
+    for shift, re, im in entries:
+        for terms, (ur, ui) in ((re, (1, 0)), (im, (0, 1))):
+            for m, n, c in terms:
+                wr, wi = num.get((shift, m, n), (0, 0))
+                num[(shift, m, n)] = (wr + c * ur, wi + c * ui)
+    return reduce_parts(num, den)
+
+
+def first_order_weights():
+    """The six field weights and the two lowering combinations."""
     fields = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
-    return ([geometry._field_table(pair) for pair in fields]
-            + [transfer._lowering_table(side) for side in (LEFT, RIGHT)])
+    return ([geometry._field_weights(pair) for pair in fields]
+            + [weights_of(transfer._lowering_table(side)) for side in (LEFT, RIGHT)])
 
 
 def algebra_operands(seed):
@@ -165,23 +184,147 @@ def algebra_operands(seed):
 
 
 def test_compose_is_a_after_b():
-    tables = first_order_tables()
+    weights = first_order_weights()
+    tables = [geometry._table(w) for w in weights]
+    assert [weights_of(t) for t in tables] == weights
     operands = algebra_operands(33)
-    for a in tables:
-        for b in tables:
-            ab = geometry._compose(a, b)
+    for a, ta in zip(weights, tables):
+        for b, tb in zip(weights, tables):
+            ab = geometry._table(geometry._compose(a, b))
             for p in operands:
-                assert apply(p, ab) == apply(apply(p, b), a)
+                assert apply(p, ab) == apply(apply(p, tb), ta)
 
 
 def test_combine_is_the_linear_combination():
-    tables = first_order_tables() + [geometry._IDENTITY, geometry._laplace_table()]
+    weights = first_order_weights() + [geometry._IDENTITY, weights_of(geometry._laplace_table())]
     c, d = gauss(Fraction(2, 3), Fraction(-5, 7)), gauss(Fraction(-1, 2), 3)
     operands = algebra_operands(34)
-    for a, b in zip(tables, tables[1:] + tables[:1]):
-        ab = geometry._combine(((a, c), (b, d)))
+    for a, b in zip(weights, weights[1:] + weights[:1]):
+        ab = geometry._table(geometry._combine(((a, c), (b, d))))
+        ta, tb = geometry._table(a), geometry._table(b)
         for p in operands:
-            assert apply(p, ab) == apply(p, a).scale(c) + apply(p, b).scale(d)
+            assert apply(p, ab) == apply(p, ta).scale(c) + apply(p, tb).scale(d)
+
+
+# -- Hitchin's relation, on the weights --------------------------------------------
+#
+# D^2 + D + Delta - 3/4 = 0 and [D, beta_R] = 0 as equalities of canonical
+# weights: identities of the operators on every exponent, so on every
+# degree at once.  D is a 2x2 block keyed by (src, dst), beta_R and Delta
+# act on f and g alike.  [D, Delta] and [Delta, beta] need cubic weights.
+
+BLOCKS = ((0, 0), (0, 2), (2, 0), (2, 2))
+ZERO = ({}, 1)
+
+
+def dirac_weights():
+    """D's runtime blocks as canonical weights."""
+    return {block: weights_of(table) for block, table in geometry._dirac_tables().items()}
+
+
+def dirac_built(fields):
+    """D's blocks combined block by block, with l_j in place of l_i for
+    (i, j) in zip((1, 2, 3), fields)."""
+    blocks = {}
+    for src, dst in BLOCKS:
+        parts = [(geometry._field_weights(KillingPair.left(j)),
+                  -complex_split(quat_multiply(BASIS[src], BASIS[i]))[dst // 2])
+                 for i, j in zip((1, 2, 3), fields)]
+        parts += [(geometry._IDENTITY, Fraction(-3, 2))] * (src == dst)
+        blocks[(src, dst)] = geometry._combine(parts)
+    return blocks
+
+
+def hitchin(d):
+    """Each block of D^2 + D + Delta - 3/4."""
+    laplace = weights_of(geometry._laplace_table())
+    out = {}
+    for src, dst in BLOCKS:
+        parts = [(geometry._compose(d[(mid, dst)], d[(src, mid)]), 1) for mid in (0, 2)]
+        parts.append((d[(src, dst)], 1))
+        if src == dst:
+            parts += [(laplace, 1), (geometry._IDENTITY, Fraction(-3, 4))]
+        out[(src, dst)] = geometry._combine(parts)
+    return out
+
+
+def commutator(d, beta):
+    """Each block of [D, beta]."""
+    return {block: geometry._combine(((geometry._compose(w, beta), 1),
+                                      (geometry._compose(beta, w), -1)))
+            for block, w in d.items()}
+
+
+def scaled(d, block, c):
+    return {**d, block: geometry._combine(((d[block], c),))}
+
+
+def shifted(d, block, c):
+    return {**d, block: geometry._combine(((d[block], 1), (geometry._IDENTITY, c)))}
+
+
+def test_dirac_blocks_share_the_denominator_of_their_sum():
+    # combined as one vector, split into blocks: the blocks combined one by one
+    tables = geometry._dirac_tables()
+    assert list(tables) == list(BLOCKS)
+    assert len({den for den, _ in tables.values()}) == 1
+    assert dirac_weights() == dirac_built((1, 2, 3))
+
+
+def test_hitchin_relation_holds_on_the_weights():
+    assert hitchin(dirac_weights()) == dict.fromkeys(BLOCKS, ZERO)
+
+
+def test_d_commutes_with_the_right_lowering_only():
+    d = dirac_weights()
+    right, left = (weights_of(transfer._lowering_table(side)) for side in (RIGHT, LEFT))
+    assert commutator(d, right) == dict.fromkeys(BLOCKS, ZERO)
+    assert any(w != ZERO for w in commutator(d, left).values())
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda d: scaled(d, (0, 2), -1),
+    lambda d: scaled(d, (2, 2), -1),
+    lambda d: scaled(d, (0, 2), gauss(0, 1)),
+    lambda d: shifted(d, (0, 0), Fraction(-3, 2)),
+    lambda d: shifted(shifted(d, (0, 0), 1), (2, 2), 1),
+    lambda d: dirac_built((2, 1, 3)),
+], ids=["f_to_g_negated", "g_to_g_negated", "f_to_g_times_i", "f_to_f_constant_doubled",
+        "constant_minus_half", "l1_l2_swapped"])
+def test_hitchin_relation_fails_on_a_wrong_dirac_operator(mutate):
+    assert hitchin(mutate(dirac_weights())) != dict.fromkeys(BLOCKS, ZERO)
+
+
+def test_hitchin_relation_fixes_d_only_up_to_a_frame_automorphism():
+    # the cyclic relabelling l1 -> l2 -> l3 -> l1 keeps the quaternion
+    # products, so it passes
+    d = dirac_built((2, 3, 1))
+    assert d != dirac_weights()
+    assert hitchin(d) == dict.fromkeys(BLOCKS, ZERO)
+
+
+def runtime_tables():
+    return [*geometry._dirac_tables().values(), geometry._laplace_table(),
+            *(transfer._lowering_table(side) for side in (LEFT, RIGHT))]
+
+
+def test_tables_never_reach_a_negative_exponent():
+    # where the shift takes e[j] below 0, e[j] = v < -shift[j]: w restricted
+    # to that has degree <= 2 in each other exponent, so it is 0 on all of
+    # N^4 once it is 0 on {0, 1, 2}^3 there
+    cases = 0
+    for _, entries in runtime_tables():
+        for shift, re, im in entries:
+            for j, s in enumerate(shift or ()):
+                for v in range(-s):
+                    for rest in itertools.product(range(3), repeat=3):
+                        x = (*rest[:j], v, *rest[j:], 1)
+                        for terms in (re, im):
+                            assert sum(c * x[m] * x[n] for m, n, c in terms) == 0
+                    cases += 1
+    # one exponent driven to -1 by each of D's 4 off-diagonal entries, the
+    # 2 lowerings' 4 and each of Delta's 2 moving shifts twice
+    assert cases == 12
 
 
 # -- Delta outside the Killing tables ----------------------------------------------
@@ -248,3 +391,29 @@ def test_geometry_caches_do_not_grow_with_the_degree():
     assert all(r.passed for r in verify.run_suites(["laplace"], k_max=12))
     assert {f.__name__: f.cache_info().currsize for f in cached} == sizes
     assert max(sizes.values()) <= 8
+
+
+def test_builders_run_once_per_process(monkeypatch):
+    builders = [geometry._combine, geometry._compose, geometry._table]
+    calls = []
+
+    def counted(f):
+        def run(*args):
+            calls.append(f.__name__)
+            return f(*args)
+        return run
+
+    for module in [m for name, m in sys.modules.items() if name.startswith("spinor_s3")]:
+        for name, value in list(vars(module).items()):
+            if any(value is f for f in builders):
+                monkeypatch.setattr(module, name, counted(value))
+    for module in (geometry, transfer):
+        for f in vars(module).values():
+            if hasattr(f, "cache_clear") and f.__module__ == module.__name__:
+                f.cache_clear()
+    suites = ["transfer", "dirac", "laplace"]
+    assert all(r.passed for r in verify.run_suites(suites, k_max=2))
+    assert set(calls) == {f.__name__ for f in builders}
+    calls.clear()
+    assert all(r.passed for r in verify.run_suites(suites, k_max=6))
+    assert calls == []

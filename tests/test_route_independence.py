@@ -197,8 +197,8 @@ def test_the_laplace_suite_builds_no_eigenbasis():
 
 #: The Laplace operator's table and the table algebra that builds and runs it.
 LAPLACE_TABLES = frozenset({
-    "geometry._laplace_table", "geometry._field_table", "geometry._combine",
-    "geometry._compose", "geometry._apply",
+    "geometry._laplace_table", "geometry._field_weights", "geometry._combine",
+    "geometry._compose", "geometry._table", "geometry._apply",
 })
 
 
