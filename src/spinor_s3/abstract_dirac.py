@@ -2,7 +2,7 @@
 
 On degree k the spinors are H x H_k x H_k, and the shifted operator Dbar
 acts only on the slice H x H_k; the second H_k is a spectator that only
-the transfer to polynomials reads (``transfer.transfer_eigenbasis``).
+the transfer to polynomials reads (``transfer.transfer_slice``).
 Elements of the slice live on the complex basis e_r (x) |p>, r in {0, 2}.
 Dbar acts there by
 

@@ -13,8 +13,11 @@ linear combination (``_combine``, a fold of ``add_parts``/``scale_parts``)
 and a composition (``_compose``), so an operator identity is an ``==`` of
 weights.  ``_table`` compiles weights once per process to the one runtime
 format that the interpreter ``_apply`` runs: each operator is one integer
-pass over its operand's numerators, and no cache grows with the degree.  The
-composed forms they are checked against -- one derivative per frame
+pass over its operand's numerators, and no cache grows with the degree.
+The weights each table is compiled from stay readable (``_dirac_weights``,
+``_laplace_weights``, ``transfer._lowering_weights``), so that the
+identities ``verify`` checks on them hold for what ``_apply`` runs.  The
+composed forms that the operators are checked against -- one derivative per frame
 field, the Hessian Laplacian and the connection constants -- live in
 ``tests/operator_reference.py``.
 Integrals over the sphere are exact (``Fraction``, ``GaussianRational``)
@@ -204,14 +207,14 @@ def _compose(a: tuple, b: tuple) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _dirac_tables() -> dict:
-    """The Dirac operator as a 2x2 block of tables: ``tables[(src, dst)]``
+def _dirac_weights() -> dict:
+    """The Dirac operator as a 2x2 block of weights: ``weights[(src, dst)]``
     is -sum_i split(e_src e_i)_dst * l_i, with src and dst the section
     keys' r (0 for f, 2 for g) and split the (f, g) parts of
     :func:`complex_split`, plus -3/2 times the identity on the diagonal.
     The blocks are combined as one weights vector keyed by (src, dst,
-    shift, m, n), so that their tables share its denominator and f and g
-    can be summed into one image."""
+    shift, m, n) and keep its denominator, so that their tables share it
+    and f and g can be summed into one image."""
     parts = []
     for src in (0, 2):
         for dst in (0, 2):
@@ -225,7 +228,13 @@ def _dirac_tables() -> dict:
     blocks: dict = {}
     for (src, dst, *key), w in num.items():
         blocks.setdefault((src, dst), {})[tuple(key)] = w
-    return {block: _table((weights, den)) for block, weights in blocks.items()}
+    return {block: (weights, den) for block, weights in blocks.items()}
+
+
+@lru_cache(maxsize=None)
+def _dirac_tables() -> dict:
+    """The runtime tables of :func:`_dirac_weights`, block by block."""
+    return {block: _table(weights) for block, weights in _dirac_weights().items()}
 
 
 def _apply_block(tables: dict, sigma: SpinorSection) -> SpinorSection:
@@ -258,10 +267,16 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
 
 
 @lru_cache(maxsize=None)
-def _laplace_table() -> tuple:
+def _laplace_weights() -> tuple:
     """sum_i l_i l_i, composed from the frame fields' weights."""
     fields = [_field_weights(KillingPair.left(i)) for i in (1, 2, 3)]
-    return _table(_combine((_compose(l, l), 1) for l in fields))
+    return _combine((_compose(l, l), 1) for l in fields)
+
+
+@lru_cache(maxsize=None)
+def _laplace_table() -> tuple:
+    """The runtime table of :func:`_laplace_weights`."""
+    return _table(_laplace_weights())
 
 
 def laplace_section(sigma: SpinorSection) -> SpinorSection:

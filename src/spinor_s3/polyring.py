@@ -39,7 +39,7 @@ polynomials, and ``degree`` is read off the exponents.
 The kernels outside this module (the shift-table passes behind
 ``geometry.dirac_section``, ``laplace_section`` and
 ``transfer.beta_lower``, and ``geometry.l2_inner_product``,
-``transfer.iso_closed_form`` and ``transfer.transfer_eigenbasis``) read
+``transfer.iso_closed_form`` and ``transfer.transfer_slice``) read
 ``_num``/``_den`` and build their results with ``_of`` on parts that
 ``exactnum.reduce_parts``, ``add_parts`` or ``scale_parts`` keep
 canonical.  The checks in ``verify`` read ``_num`` directly: the

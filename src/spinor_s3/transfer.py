@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .abstract_dirac import eigenbasis_abstract
+from .abstract_dirac import EigenFamily, eigenbasis_abstract
 from .exactnum import GaussianRational, add_parts, gauss, reduce_parts, scale_parts
 from .geometry import KillingPair, _apply, _combine, _field_weights, _table, l2_inner_product
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
@@ -58,14 +58,20 @@ _LOWERING_PAIRS = {LEFT: KillingPair.left, RIGHT: KillingPair.right}
 
 
 @lru_cache(maxsize=None)
-def _lowering_table(side: str) -> tuple:
-    """The table of -1/2 * pair(2) + i/2 * pair(3), combined from the two
-    fields' weights: its two entries are the diamond's arrows for ``side``."""
+def _lowering_weights(side: str) -> tuple:
+    """-1/2 * pair(2) + i/2 * pair(3), combined from the two fields'
+    weights: its two terms are the diamond's arrows for ``side``."""
     pair = _LOWERING_PAIRS[side]
-    return _table(_combine((
+    return _combine((
         (_field_weights(pair(2)), Fraction(-1, 2)),
         (_field_weights(pair(3)), gauss(0, Fraction(1, 2))),
-    )))
+    ))
+
+
+@lru_cache(maxsize=None)
+def _lowering_table(side: str) -> tuple:
+    """The runtime table of :func:`_lowering_weights`."""
+    return _table(_lowering_weights(side))
 
 
 def beta_lower(side: str, poly: Polynomial) -> Polynomial:
@@ -162,30 +168,35 @@ class TransferredEigenvector:
     p: int
 
 
+def transfer_slice(family: EigenFamily, q: int,
+                   table: dict[tuple[int, int], Polynomial]) -> tuple[TransferredEigenvector, ...]:
+    """The sections of ``family`` on slice q, in p order: each vector of
+    the family on H x H_k paired with the ket |q> of the spectator H_k.
+
+    ``table`` is the degree's :func:`transfer_table`.  Each ket
+    e_r (x) |p> of a vector becomes the image of |p>|q> keyed by
+    ``(r, exp)``, and the section is the sum of those images scaled by the
+    vector's coefficients, summed on the integer parts.
+    """
+    _check_indices(family.k, 0, q)
+    out = []
+    for vector, p in zip(family.vectors, family.ps):
+        num, den = {}, 1
+        for (r, pp), (re, im) in vector._num.items():
+            image = table[(pp, q)]
+            keyed = {(r, exp): c for exp, c in image._num.items()}
+            num, den = add_parts(num, den, *scale_parts(keyed, image._den, re, im, vector._den))
+        section = SpinorSection._of(num, den, Z_VIEW)
+        out.append(TransferredEigenvector(section, family.dirac_eigenvalue, family.label, q, p))
+    return tuple(out)
+
+
 def transfer_eigenbasis(k: int) -> tuple[TransferredEigenvector, ...]:
     """Translate the abstract eigenvector families into polynomial
-    sections; 2(k+1)^2 sections in deterministic (family, q, p) order.
-
-    The families live on the slice H x H_k; here each vector is paired with
-    every ket |q> of the spectator H_k.  Each ket e_r (x) |p> of a vector
-    becomes the image of |p>|q> keyed by ``(r, exp)``, and the section is
-    the sum of those images scaled by the vector's coefficients, summed on
-    the integer parts.
-    """
+    sections; 2(k+1)^2 sections in deterministic (family, q, p) order,
+    each family's slices built by :func:`transfer_slice` from one
+    :func:`transfer_table` and one :func:`eigenbasis_abstract`."""
     _check_indices(k, 0, 0)
     table = transfer_table(k)
-    plus, minus = eigenbasis_abstract(k)
-    out = []
-    for family in (plus, minus):
-        for q in range(k + 1):
-            for vector, p in zip(family.vectors, family.ps):
-                num, den = {}, 1
-                for (r, pp), (re, im) in vector._num.items():
-                    image = table[(pp, q)]
-                    keyed = {(r, exp): c for exp, c in image._num.items()}
-                    num, den = add_parts(num, den,
-                                         *scale_parts(keyed, image._den, re, im, vector._den))
-                section = SpinorSection._of(num, den, Z_VIEW)
-                out.append(TransferredEigenvector(section, family.dirac_eigenvalue, family.label,
-                                                  q, p))
-    return tuple(out)
+    return tuple(entry for family in eigenbasis_abstract(k) for q in range(k + 1)
+                 for entry in transfer_slice(family, q, table))

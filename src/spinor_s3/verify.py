@@ -20,6 +20,12 @@ from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_
 from .exactnum import BASIS, add_parts, gauss, gauss_over, quat_multiply, scale_parts
 from .geometry import (
     SPHERE_VOLUME,
+    KillingPair,
+    _combine,
+    _compose,
+    _dirac_weights,
+    _field_weights,
+    _laplace_weights,
     dirac_section,
     l2_inner_product,
     laplace_section,
@@ -29,8 +35,8 @@ from .geometry import (
 )
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, laplacian_r4
 from .repspace import casimir, casimir_expected, l_matrix_int
-from .transfer import LEFT, RIGHT, beta_lower, gram_matrix, recursive_table, \
-    transfer_eigenbasis, transfer_table
+from .transfer import LEFT, RIGHT, _lowering_weights, beta_lower, gram_matrix, \
+    recursive_table, transfer_slice, transfer_table
 
 SUITE_NAMES = ("casimir", "quadratic", "dirac", "transfer", "laplace", "integral")
 
@@ -153,6 +159,18 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
 # -- transfer ----------------------------------------------------------------
 
 
+def _lowers(side: str, k: int, table: dict) -> bool:
+    """beta_side h_pq = (k - j) times the next image on that side's ladder,
+    and 0 at j = k, for every image h_pq of ``table``; j is p on the left
+    and q on the right."""
+    zero = Polynomial.zero(Z_VIEW)
+    for (p, q), h in table.items():
+        j, rung = (p, (p + 1, q)) if side == LEFT else (q, (p, q + 1))
+        if beta_lower(side, h) != (table[rung].scale(k - j) if j < k else zero):
+            return False
+    return True
+
+
 def _check_transfer_k(k: int) -> list[CheckResult]:
     out = []
     closed = transfer_table(k)
@@ -161,14 +179,7 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
     out.append(CheckResult("transfer", f"closed form = recursive k={k}", agree,
                            f"all {(k + 1) ** 2} images agree exactly"))
 
-    equi = True
-    for (p, q), poly in closed.items():
-        left = beta_lower(LEFT, poly)
-        expect = closed[(p + 1, q)].scale(k - p) if p < k else Polynomial.zero(Z_VIEW)
-        equi = equi and left == expect
-        right = beta_lower(RIGHT, poly)
-        expect = closed[(p, q + 1)].scale(k - q) if q < k else Polynomial.zero(Z_VIEW)
-        equi = equi and right == expect
+    equi = _lowers(LEFT, k, closed) and _lowers(RIGHT, k, closed)
     out.append(CheckResult("transfer", f"equivariance k={k}", equi,
                            "lowering commutes with the transfer on both sides"))
 
@@ -194,46 +205,103 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 
 
 # -- dirac / laplace on sections -------------------------------------------------
+#
+# Both jobs check slice q = 0 and lift the result to every slice by three
+# facts that they check themselves (VERIFICATION.md): the degree's images
+# lower right as the slices need (_right_equivariant), and [D, beta_R] = 0
+# and [Delta, beta_R] = 0 on the runtime weights, every degree at once.
 
 
-def eigen_identity(k: int, entries) -> CheckResult:
-    """The ``eigen-identity k=`` check on the eigenbasis ``entries`` of
-    degree k: every section satisfies D sigma = lambda sigma under
-    :func:`dirac_section` and is nonzero, and the sections have exact rank
-    2(k+1)^2.  ``verify --suite dirac`` reports it and ``eigenbasis`` runs
-    it before it writes."""
-    n = 2 * (k + 1) ** 2
+def _right_equivariant(k: int, table: dict) -> bool:
+    """Every image h_pq of ``table`` is nonzero, its exponents (a, b, c, d)
+    have b + c = p and b + d = q, and beta_R h_pq = (k - q) h_p,q+1, 0 at
+    q = k.  So the slices have disjoint supports, the images of one slice
+    are independent, and beta_R^q / prod_{j<q} (k - j) carries slice 0
+    onto slice q."""
+    return all(
+        not h.is_zero() and all(b + c == p and b + d == q for _, b, c, d in h._num)
+        for (p, q), h in table.items()
+    ) and _lowers(RIGHT, k, table)
+
+
+@lru_cache(maxsize=None)
+def _dirac_commutes_with_beta_r() -> bool:
+    """[D, beta_R] = 0 on each block of the weights that D's runtime tables
+    are compiled from."""
+    beta = _lowering_weights(RIGHT)
+    return all(_compose(w, beta) == _compose(beta, w) for w in _dirac_weights().values())
+
+
+@lru_cache(maxsize=None)
+def _laplace_commutes_with_beta_r() -> bool:
+    """[Delta, beta_R] = 0: [l_i, beta_R] = 0 for the three left fields,
+    and the weights of Delta's runtime table are sum_i l_i l_i."""
+    beta = _lowering_weights(RIGHT)
+    fields = [_field_weights(KillingPair.left(i)) for i in (1, 2, 3)]
+    return (all(_compose(l, beta) == _compose(beta, l) for l in fields)
+            and _laplace_weights() == _combine((_compose(l, l), 1) for l in fields))
+
+
+def _lift(premises: dict[str, bool], n: int) -> tuple[bool, str]:
+    """Whether the lift's ``premises`` (name -> held) all hold, and the
+    detail that names them, or the ones that failed."""
+    failed = [name for name, held in premises.items() if not held]
+    if failed:
+        return False, "; not lifted, failed: " + ", ".join(failed)
+    *rest, last = premises
+    return True, f"; lifted to all {n} by " + ", ".join(rest) + f" and {last}"
+
+
+def _eigensections(entries, n: int, where: str = "") -> tuple[bool, str]:
+    """Whether the eigenbasis ``entries`` are n nonzero sections of exact
+    rank n that each satisfy D sigma = lambda sigma under
+    :func:`dirac_section`, and the detail that says so."""
     failed = [e for e in entries if dirac_section(e.section) != e.section.scale(e.eigenvalue)]
     # a section's numerators are the section times its one denominator,
     # which leaves the rank alone
     rows = [e.section._num for e in entries]
     nonzero = sum(1 for row in rows if row)
     rank = linalg.rank_sparse(rows)
-    detail = (f"{len(entries) - len(failed)}/{n} sections satisfy D sigma = lambda sigma "
+    detail = (f"{len(entries) - len(failed)}/{n} sections{where} satisfy D sigma = lambda sigma "
               f"exactly, {nonzero} nonzero, rank {rank}")
     if failed:
         detail += f"; first failure family={failed[0].family} q={failed[0].q} p={failed[0].p}"
-    ok = not failed and len(entries) == nonzero == rank == n
-    return CheckResult("dirac", f"eigen-identity k={k}", ok, detail)
+    return not failed and len(entries) == nonzero == rank == n, detail
+
+
+def eigen_identity(k: int, entries) -> CheckResult:
+    """The eigen-identity of every section that ``eigenbasis`` writes,
+    checked before it writes: the 2(k+1)^2 ``entries`` of degree k are
+    nonzero, have exact rank 2(k+1)^2, and each satisfies
+    D sigma = lambda sigma."""
+    return CheckResult("dirac", f"eigen-identity k={k}", *_eigensections(entries, 2 * (k + 1) ** 2))
 
 
 def _check_dirac_k(k: int) -> list[CheckResult]:
+    n = 2 * (k + 1)
+    table = transfer_table(k)
     try:
-        entries = transfer_eigenbasis(k)
+        families = eigenbasis_abstract(k)
     except AssertionError:
         # an abstract family failed its own eigenvector check: no sections
-        entries = ()
-    return [eigen_identity(k, entries)]
+        families = ()
+    entries = [e for family in families for e in transfer_slice(family, 0, table)]
+    ok, detail = _eigensections(entries, n, " of slice q = 0")
+    lifted, how = _lift({"[D, beta_R] = 0": _dirac_commutes_with_beta_r(),
+                         "right equivariance": _right_equivariant(k, table)}, n * (k + 1))
+    return [CheckResult("dirac", f"eigen-identity k={k}", ok and lifted, detail + how)]
 
 
 def _check_laplace_k(k: int) -> list[CheckResult]:
-    # (h, 0) and (0, h) for each image h span what the eigensections span:
-    # each eigensection is a sum of them, and the dirac suite checks rank 2(k+1)^2
+    # (h, 0) and (0, h) for each image h of slice q = 0 span what the
+    # slice's eigensections span: each of those is a sum of them, and the
+    # dirac suite checks their rank
     lam = 1 - (k + 1) ** 2
-    images = transfer_table(k).values()
+    table = transfer_table(k)
     zero = Polynomial.zero(Z_VIEW)
+    images = [table[(p, 0)] for p in range(k + 1)]
     sections = [SpinorSection(h, zero) for h in images] + [SpinorSection(zero, h) for h in images]
-    eig_ok = comm_ok = len(sections) == 2 * (k + 1) ** 2
+    eig_ok = comm_ok = True
     for sigma in sections:
         lap = laplace_section(sigma)
         eigen = lap == sigma.scale(lam)
@@ -243,11 +311,20 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
         # D Delta sigma is lam D sigma: one Dirac pass per section
         d_lap = d_sigma.scale(lam) if eigen else dirac_section(lap)
         comm_ok &= laplace_section(d_sigma) == d_lap
+    n = 2 * (k + 1) ** 2
+    laplace_beta = _laplace_commutes_with_beta_r()
+    equivariant = _right_equivariant(k, table)
+    eig_lifted, eig_how = _lift({"[Delta, beta_R] = 0": laplace_beta,
+                                 "right equivariance": equivariant}, n)
+    comm_lifted, comm_how = _lift({"[D, beta_R] = 0": _dirac_commutes_with_beta_r(),
+                                   "[Delta, beta_R] = 0": laplace_beta,
+                                   "right equivariance": equivariant}, n)
     return [
-        CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok,
-                    f"Delta sigma = {lam} sigma on all {len(sections)} sections"),
-        CheckResult("laplace", f"dirac-laplace commute k={k}", comm_ok,
-                    "Delta D sigma = D Delta sigma on all sections"),
+        CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok and eig_lifted,
+                    f"Delta sigma = {lam} sigma on the {len(sections)} sections of slice q = 0"
+                    + eig_how),
+        CheckResult("laplace", f"dirac-laplace commute k={k}", comm_ok and comm_lifted,
+                    "Delta D sigma = D Delta sigma on slice q = 0" + comm_how),
     ]
 
 

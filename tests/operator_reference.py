@@ -12,6 +12,7 @@ the combined tables or the builders they are checked against
 """
 
 from fractions import Fraction
+from functools import lru_cache
 from typing import Union
 
 from spinor_s3.exactnum import (
@@ -85,14 +86,22 @@ def spin_connection(i: int) -> RationalQuaternion:
     return BASIS[i] * Fraction(-1, 2)
 
 
+@lru_cache(maxsize=None)
 def spin_contraction() -> RationalQuaternion:
     """sum_i c(e_i) omega_i: the spin connection contracted with the
     Clifford action, the real constant that the Dirac operator adds to the
-    frame derivatives."""
+    frame derivatives; summed once per process."""
     total = quat()
     for i in (1, 2, 3):
         total = total + clifford_multiply(spin_connection(i), i)
     return total
+
+
+@lru_cache(maxsize=None)
+def _unit_product_split(r: int, i: int) -> tuple:
+    """The (f, g) parts of the quaternion product e_r * e_i, multiplied
+    once per process."""
+    return complex_split(quat_multiply(BASIS[r], BASIS[i]))
 
 
 def right_mul_basis(sigma: SpinorSection, i: int) -> SpinorSection:
@@ -106,7 +115,7 @@ def right_mul_basis(sigma: SpinorSection, i: int) -> SpinorSection:
     for comp, r in ((sigma.f, 0), (sigma.g, 2)):
         if comp.is_zero():
             continue
-        alpha, beta = complex_split(quat_multiply(BASIS[r], BASIS[i]))
+        alpha, beta = _unit_product_split(r, i)
         if alpha:
             new_f = new_f + comp.scale(alpha)
         if beta:

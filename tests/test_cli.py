@@ -168,13 +168,16 @@ STDOUT_MODES = [pytest.param(True, id="unbuffered"), pytest.param(False, id="buf
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def python_process(args, unbuffered, **kwargs):
+def python_process(args, unbuffered, hash_seed=None, **kwargs):
     """``python args`` in a fresh interpreter that finds this package, with
-    PYTHONUNBUFFERED set or unset."""
+    PYTHONUNBUFFERED set or unset, and PYTHONHASHSEED set to ``hash_seed``
+    if one is given."""
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    if hash_seed is not None:
+        env["PYTHONHASHSEED"] = hash_seed
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
     return subprocess.Popen([sys.executable, *args], env=env,
@@ -184,6 +187,20 @@ def python_process(args, unbuffered, **kwargs):
 def cli_process(argv, unbuffered, **kwargs):
     """The CLI in a fresh interpreter, with PYTHONUNBUFFERED set or unset."""
     return python_process(("-m", "spinor_s3.cli", *argv), unbuffered, **kwargs)
+
+
+@pytest.mark.parametrize("argv", [("verify", "--suite", "transfer,dirac,laplace", "--k-max", "3"),
+                                  ("eigenbasis", "--k", "3")])
+def test_output_does_not_depend_on_the_hash_seed(argv):
+    # the operators and the lift's identities are built from dicts of
+    # weights; str hashes change with the seed, and no output may
+    outs = []
+    for seed in ("0", "1"):
+        proc = cli_process(argv, False, hash_seed=seed, stdout=subprocess.PIPE)
+        out, err = proc.communicate(timeout=60)
+        assert (proc.returncode, err) == (0, "")
+        outs.append(out)
+    assert outs[0] and outs[0] == outs[1]
 
 
 def assert_stdout_error(code, err):
@@ -343,17 +360,29 @@ def first_of_each_family(entries):
     return tuple(replace(e, section=first.setdefault(e.family, e.section)) for e in entries)
 
 
+def break_slices(monkeypatch, broken):
+    """The slice builder, in every module that calls it, with ``broken``
+    applied to the sections of slice q whenever ``broken(q)`` is not None."""
+    import spinor_s3.transfer as transfer
+    import spinor_s3.verify as verify
+
+    build = transfer.transfer_slice
+
+    def slice_(family, q, table):
+        entries = build(family, q, table)
+        wreck = broken(q)
+        return wreck(entries) if wreck else entries
+
+    for module in (transfer, verify):
+        monkeypatch.setattr(module, "transfer_slice", slice_)
+
+
 @pytest.fixture(params=[zero_sections, first_of_each_family])
 def broken_eigenbasis(request, monkeypatch):
     """Sections that each satisfy D sigma = lambda sigma but are not a
-    basis: all zero, or each family made of copies of its first section."""
-    import spinor_s3.cli as cli
-    import spinor_s3.verify as verify
-    from spinor_s3.transfer import transfer_eigenbasis
-
-    for module in (cli, verify):
-        monkeypatch.setattr(module, "transfer_eigenbasis",
-                            lambda k: request.param(transfer_eigenbasis(k)))
+    basis: all zero, or each family made of copies of its first section,
+    on every slice."""
+    break_slices(monkeypatch, lambda q: request.param)
 
 
 def test_verify_dirac_fails_on_sections_that_are_not_a_basis(capsys, broken_eigenbasis):
@@ -363,13 +392,49 @@ def test_verify_dirac_fails_on_sections_that_are_not_a_basis(capsys, broken_eige
         assert f"FAIL  [dirac] eigen-identity k={k}: " in out
 
 
-def test_eigenbasis_refuses_sections_that_are_not_a_basis(tmp_path, capsys, broken_eigenbasis):
-    out_file = tmp_path / "basis.json"
-    code, out, err = run(capsys, "eigenbasis", "--k", "2", "--out", str(out_file))
+def assert_refused(code, out, err, out_file):
     assert code == 1
     assert out == ""
     assert err.startswith("internal verification failed") and err.count("\n") == 1
     assert not out_file.exists()
+
+
+def test_eigenbasis_refuses_sections_that_are_not_a_basis(tmp_path, capsys, broken_eigenbasis):
+    out_file = tmp_path / "basis.json"
+    assert_refused(*run(capsys, "eigenbasis", "--k", "2", "--out", str(out_file)), out_file)
+
+
+def test_only_the_export_gate_sees_a_broken_slice_above_q_0(tmp_path, capsys, monkeypatch):
+    # verify checks slice q = 0 and lifts it; the sections of the other
+    # slices are built only by the export, whose gate checks all it writes
+    break_slices(monkeypatch, lambda q: zero_sections if q else None)
+    code, out, _ = run(capsys, "verify", "--suite", "dirac", "--k-max", "3")
+    assert (code, out.splitlines()[-1]) == (0, "4/4 checks passed")
+    out_file = tmp_path / "basis.json"
+    assert_refused(*run(capsys, "eigenbasis", "--k", "3", "--out", str(out_file)), out_file)
+
+
+def test_an_image_off_the_right_ladder_fails_the_lift(capsys, monkeypatch):
+    # the image of |1>|1> at k = 2 doubled: slice q = 0 is untouched, but
+    # beta_R h_10 = 2 h_11 no longer holds, so neither suite may lift
+    import spinor_s3.verify as verify
+
+    closed = verify.transfer_table
+
+    def doubled(k):
+        table = closed(k)
+        if k == 2:
+            table[(1, 1)] = table[(1, 1)].scale(2)
+        return table
+
+    monkeypatch.setattr(verify, "transfer_table", doubled)
+    code, out, _ = run(capsys, "verify", "--suite", "dirac,laplace", "--k-max", "3")
+    assert code == 1
+    failed = [line.split(": ")[0] for line in out.splitlines() if line.startswith("FAIL")]
+    assert failed == ["FAIL  [dirac] eigen-identity k=2", "FAIL  [laplace] laplace eigenvalue k=2",
+                      "FAIL  [laplace] dirac-laplace commute k=2"]
+    assert out.count("not lifted, failed: right equivariance") == 3
+    assert "6/6 sections of slice q = 0 satisfy" in out
 
 
 # -- the JSON documents ---------------------------------------------------
@@ -748,26 +813,25 @@ def test_gram_check_demands_the_exact_constant(monkeypatch):
     assert [r.passed for r in verify._check_gram(2)] == [False, False, False]
 
 
-# sha256 of verify reports, recorded while verify could still run its jobs
-# on a thread pool and sorted the records afterwards; the serial loop must
-# print the same reports byte for byte.  The two reports with dirac lines
-# were recorded again when the eigen-identity check gained the nonzero
-# count and the exact rank of the sections; every other line is unchanged.
+# sha256 of verify reports.  The casimir,quadratic report was recorded
+# while verify could still run its jobs on a thread pool and sorted the
+# records afterwards, and while SpinorVector and KetVector still stored
+# GaussianRational coefficients; the serial loop must print it byte for
+# byte.  The reports with dirac or laplace lines were recorded again when
+# those suites came to check slice q = 0 and lift it to every slice; only
+# the detail text of those lines changed.
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "--suite", "all", "--k-max", "3", "--samples", "20000", "--seed", "3"),
-     "a857969b5ed6f9a9335aa2d269a7b4ff3739bb8449bb613c36c1c628d5dab755"),
+     "69f09e543bfd3c35f07cf944b07f5c081b8ba81b889a2593152720f6343976b3"),
     (("verify", "--suite", "laplace,casimir,integral", "--k-max", "2",
       "--samples", "20000", "--seed", "3"),
-     "1c2cf385ec93d7370628759d946a3c62c3bea8af656f9a9dfd9f36fbef83f48b"),
+     "889ec0952159427671463f480aa7f6058009d72d63a6b1bcce7c215a45bf5a78"),
     (("verify", "--suite", "transfer,dirac,laplace"),
-     "af98ef5945cf259ac5a50a2f4ad4447f5a495bb2dd195e81b90a8a329be297a7"),
-    # recorded while SpinorVector and KetVector still stored
-    # GaussianRational coefficients
+     "18414176f9a8fed8785bfe996a371ecad0c0edfc9caa5c25639a5c13f776aff0"),
     (("verify", "--suite", "casimir,quadratic"),
      "7d91764e4932bdf69eac62e4239fbe5cc9bc673a70f6f7d8bb3caf5c77a674fd"),
-    # recorded while the laplace suite still checked the eigensections
     (("verify", "--suite", "laplace", "--k-max", "10"),
-     "a8fe46f7e64bb8d5dc4139a1afdc8a6d9a10dc37999643f3744585be0b7a7521"),
+     "bf8079e1faab92fa65d83e4c6d10aaa3761dc7668647fd8e77f996742b642dce"),
 ])
 def test_verify_reports_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)

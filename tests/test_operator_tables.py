@@ -15,15 +15,19 @@ library the x view of each section and the references its z view, so
 they also check that every operator takes its operand in z and returns z.
 
 Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
-of the Killing tables, and the laplace suite's work is pinned by counts:
-Dirac passes per section, the sizes of the geometry caches and the calls
-of the table builders.
+of the Killing tables.  The work of the section suites and of the export
+is pinned by counts: Dirac passes per section, the builds of the export's
+degree, the sizes of the geometry caches and the calls of the table
+builders.  The identities that ``verify`` lifts slice q = 0 by are held to
+operators that break them.
 """
 
 import ast
 import itertools
+import math
 import random
 import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -36,7 +40,8 @@ from operator_reference import (
     spin_contraction,
 )
 
-from spinor_s3 import geometry, transfer, verify
+from spinor_s3 import cli, geometry, transfer, verify
+from spinor_s3.abstract_dirac import eigenbasis_abstract
 from spinor_s3.exactnum import BASIS, complex_split, gauss, quat_multiply, reduce_parts
 from spinor_s3.geometry import KillingPair, dirac_section, laplace_section
 from spinor_s3.polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, laplacian_r4
@@ -48,7 +53,8 @@ from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
 #: ``killing_derivative`` runs one field's compiled weights.
 CHECKED_ENTRY_POINTS = frozenset({
     "dirac_section", "laplace_section", "beta_lower", "_apply_block", "_dirac_tables",
-    "_laplace_table", "_lowering_table", "_combine", "_compose",
+    "_laplace_table", "_lowering_table", "_dirac_weights", "_laplace_weights",
+    "_lowering_weights", "_combine", "_compose",
 })
 
 
@@ -367,17 +373,102 @@ def test_laplace_is_r2_flat_laplacian_minus_k_k_plus_2_on_every_monomial():
 # -- counts, not timings ---------------------------------------------------------
 
 
+def count_calls(monkeypatch, *functions):
+    """A Counter of the calls of each of ``functions``, by name, made
+    through every ``spinor_s3`` module that binds it."""
+    calls = Counter()
+    for f in functions:
+        def counted(*args, f=f):
+            calls[f.__name__] += 1
+            return f(*args)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("spinor_s3")]:
+            for name, value in list(vars(module).items()):
+                if value is f:
+                    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
 def test_laplace_suite_makes_one_dirac_pass_per_section(monkeypatch):
-    calls = []
-
-    def counted(sigma):
-        calls.append(sigma)
-        return dirac_section(sigma)
-
-    monkeypatch.setattr(verify, "dirac_section", counted)
+    calls = count_calls(monkeypatch, dirac_section)
     results = verify.run_suites(["laplace"])
     assert len(results) == 14 and all(r.passed for r in results)
-    assert len(calls) == sum(2 * (k + 1) ** 2 for k in range(7)) == 280
+    # the sections of slice q = 0; the lift makes no Dirac pass
+    assert calls["dirac_section"] == sum(2 * (k + 1) for k in range(7)) == 56
+
+
+def test_dirac_suite_applies_d_to_slice_q_0_only(monkeypatch):
+    calls = count_calls(monkeypatch, dirac_section)
+    assert all(r.passed for r in verify.run_suites(["dirac"], k_max=6))
+    assert calls["dirac_section"] == sum(2 * (k + 1) for k in range(7)) == 56
+
+
+def test_the_export_builds_its_degree_once_and_applies_d_to_every_section(monkeypatch, tmp_path):
+    calls = count_calls(monkeypatch, dirac_section, eigenbasis_abstract, transfer.transfer_table)
+    assert cli.main(["eigenbasis", "--k", "12", "--out", str(tmp_path / "basis.json")]) == 0
+    assert calls == {"eigenbasis_abstract": 1, "transfer_table": 1, "dirac_section": 2 * 13 ** 2}
+
+
+# -- the lift's identities, against operators that break them ---------------------
+
+
+def right_raising():
+    """-1/2 r2 - i/2 r3, beta_R's partner: it takes slice q to slice q - 1,
+    and every section of slice q = 0 to 0."""
+    pair = KillingPair.right
+    return geometry._combine(((geometry._field_weights(pair(2)), Fraction(-1, 2)),
+                              (geometry._field_weights(pair(3)), gauss(0, Fraction(-1, 2)))))
+
+
+def with_raising_on_the_diagonal(blocks):
+    """D's blocks with the right raising added to f -> f and g -> g, over
+    the one denominator that :func:`geometry._apply_block` needs."""
+    blocks = {block: geometry._combine(((w, 1), (right_raising(), 1))) if block in ((0, 0), (2, 2))
+              else w for block, w in blocks.items()}
+    den = math.lcm(*(d for _, d in blocks.values()))
+    return {block: ({key: (re * (den // d), im * (den // d)) for key, (re, im) in num.items()}, den)
+            for block, (num, d) in blocks.items()}
+
+
+@pytest.fixture
+def patch_weights(monkeypatch):
+    """Replace a runtime weights builder of ``geometry`` in every module,
+    with its table and the lift's identities rebuilt from the replacement
+    and rebuilt again from the original afterwards."""
+    caches = [geometry._dirac_tables, geometry._laplace_table,
+              verify._dirac_commutes_with_beta_r, verify._laplace_commutes_with_beta_r]
+
+    def patch(name, mutate):
+        weights = mutate(getattr(geometry, name)())
+        for module in (geometry, verify):
+            monkeypatch.setattr(module, name, lambda: weights)
+        for f in caches:
+            f.cache_clear()
+
+    yield patch
+    for f in caches:
+        f.cache_clear()
+
+
+def test_verify_fails_a_dirac_operator_that_does_not_commute_with_beta_r(patch_weights):
+    # the raising kills slice q = 0, so D sigma = lambda sigma still holds
+    # there, and only the lift's identity can fail the lines
+    patch_weights("_dirac_weights", with_raising_on_the_diagonal)
+    results = verify.run_suites(["dirac"], k_max=3)
+    assert len(results) == 4 and not any(r.passed for r in results)
+    for k, r in enumerate(results):
+        n = 2 * (k + 1)
+        assert r.detail.startswith(f"{n}/{n} sections of slice q = 0 satisfy D sigma = lambda sigma")
+        assert r.detail.endswith("not lifted, failed: [D, beta_R] = 0")
+    # the export's gate applies D to every slice it writes, and sees it
+    assert not verify.eigen_identity(3, transfer_eigenbasis(3)).passed
+
+
+def test_verify_fails_a_laplace_operator_that_does_not_commute_with_beta_r(patch_weights):
+    patch_weights("_laplace_weights", lambda w: geometry._combine(((w, 1), (right_raising(), 1))))
+    results = verify.run_suites(["laplace"], k_max=3)
+    assert len(results) == 8 and not any(r.passed for r in results)
+    assert all(r.detail.endswith("not lifted, failed: [Delta, beta_R] = 0") for r in results)
 
 
 def test_geometry_caches_do_not_grow_with_the_degree():
@@ -395,18 +486,7 @@ def test_geometry_caches_do_not_grow_with_the_degree():
 
 def test_builders_run_once_per_process(monkeypatch):
     builders = [geometry._combine, geometry._compose, geometry._table]
-    calls = []
-
-    def counted(f):
-        def run(*args):
-            calls.append(f.__name__)
-            return f(*args)
-        return run
-
-    for module in [m for name, m in sys.modules.items() if name.startswith("spinor_s3")]:
-        for name, value in list(vars(module).items()):
-            if any(value is f for f in builders):
-                monkeypatch.setattr(module, name, counted(value))
+    calls = count_calls(monkeypatch, *builders)
     for module in (geometry, transfer):
         for f in vars(module).values():
             if hasattr(f, "cache_clear") and f.__module__ == module.__name__:
@@ -416,4 +496,4 @@ def test_builders_run_once_per_process(monkeypatch):
     assert set(calls) == {f.__name__ for f in builders}
     calls.clear()
     assert all(r.passed for r in verify.run_suites(suites, k_max=6))
-    assert calls == []
+    assert not calls

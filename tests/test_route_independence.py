@@ -192,7 +192,8 @@ def test_the_laplace_suite_builds_no_eigenbasis():
     # it checks the images, so no family and no eigensection enters it
     ran = closure(GRAPH, {"verify._check_laplace_k"})
     assert "transfer.transfer_table" in ran
-    assert not ran & {"transfer.transfer_eigenbasis", "abstract_dirac.eigenbasis_abstract"}
+    assert not ran & {"transfer.transfer_eigenbasis", "transfer.transfer_slice",
+                      "abstract_dirac.eigenbasis_abstract"}
 
 
 #: The Laplace operator's table and the table algebra that builds and runs it.

@@ -19,6 +19,7 @@ from spinor_s3.transfer import (
     iso_closed_form,
     recursive_table,
     transfer_eigenbasis,
+    transfer_slice,
     transfer_table,
 )
 from spinor_s3.verify import run_suites
@@ -224,6 +225,19 @@ def test_transfer_eigenbasis_deterministic_order():
     assert keys == [(e.family, e.q, e.p) for e in transfer_eigenbasis(2)]
 
 
+def test_transfer_slice_is_one_slice_of_the_eigenbasis():
+    k = 3
+    table = transfer_table(k)
+    entries = transfer_eigenbasis(k)
+    families = eigenbasis_abstract(k)
+    for family in families:
+        for q in range(k + 1):
+            assert list(transfer_slice(family, q, table)) == [
+                e for e in entries if (e.family, e.q) == (family.label, q)]
+    with pytest.raises(IndexError):
+        transfer_slice(families[0], k + 1, table)
+
+
 def eigenbasis_by_scale_and_add(k):
     """The sections assembled through the Gaussian-rational face: each
     family vector's coefficients scale the closed-form images, which
@@ -275,13 +289,14 @@ def test_no_eigenbasis_outlives_the_verify_run(monkeypatch):
 
     built = []
 
-    def tracked(k):
-        entries = transfer_eigenbasis(k)
+    def tracked(family, q, table):
+        entries = transfer_slice(family, q, table)
         built.extend(weakref.ref(e) for e in entries)
         return entries
 
-    monkeypatch.setattr(verify, "transfer_eigenbasis", tracked)
+    monkeypatch.setattr(verify, "transfer_slice", tracked)
     assert all(r.passed for r in run_suites(["dirac", "laplace"], k_max=3))
     gc.collect()
-    assert len(built) == sum(2 * (k + 1) ** 2 for k in range(4))
+    # slice q = 0 of each degree, and no other
+    assert len(built) == sum(2 * (k + 1) for k in range(4))
     assert not [ref for ref in built if ref() is not None]
