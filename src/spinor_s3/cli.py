@@ -40,7 +40,7 @@ from .verify import SUITE_NAMES, eigen_identity, run_suites
 
 #: Exact-arithmetic cost grows fast with k; refuse degrees above this
 #: unless --unsafe-k is given.  At 20 ``verify --suite all`` still takes
-#: seconds; above it the section checks (``dirac``, ``laplace``) grow fastest.
+#: seconds; above it ``transfer`` grows fastest, then ``dirac``, ``laplace``.
 DEFAULT_K_CAP = 20
 
 

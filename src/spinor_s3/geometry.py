@@ -10,10 +10,10 @@ parts of the vector core keyed by (shift, m, n): each field's weights are
 read off its integer matrix (integer Hamilton products and the integer
 frame change), and every other operator's are built from those by a
 linear combination (``_combine``, a fold of ``add_parts``/``scale_parts``)
-and a composition (``_compose``), so an operator identity is an ``==`` of
-weights.  ``_table`` compiles weights once per process to the one runtime
-format that the interpreter ``_apply`` runs: each operator is one integer
-pass over its operand's numerators, and no cache grows with the degree.
+and a composition of any order (``_compose``), so an operator identity is
+an ``==`` of weights.  ``_table`` compiles weights once per process to the
+one runtime format that the interpreter ``_apply`` runs: each operator is
+one integer pass over its operand's numerators, and no cache grows with the degree.
 The weights each table is compiled from stay readable (``_dirac_weights``,
 ``_laplace_weights``, ``transfer._lowering_weights``), so that the
 identities ``verify`` checks on them hold for what ``_apply`` runs.  The
@@ -108,11 +108,13 @@ def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.Rows]:
 #
 # Weights ``(num, den)`` hold the same data as canonical core parts: num maps
 # (shift, m, n), m <= n, to the Gaussian integer c.  First-order weights have
-# only keys with n = 4.  The weight of every operator below is 0 wherever its
-# shift would lower an exponent below 0 (a field's weight e[m] is, and sums
-# and products keep it), so _apply, which skips zero weights, never writes a
-# negative exponent.  The weights are built once per process from the frame
-# fields' by _combine and _compose, and compiled to tables by _table.
+# only keys with n = 4; cubic and higher ones, keyed (shift, m, n, ...)
+# alike, are compared as weights and never compiled.  The weight of every
+# operator below is 0 wherever its shift would lower an exponent below 0 (a
+# field's weight e[m] is, and sums and products keep it), so _apply, which
+# skips zero weights, never writes a negative exponent.  The weights are
+# built once per process from the frame fields' by _combine and _compose,
+# and compiled to tables by _table, a block of them by _compile.
 
 
 def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
@@ -149,8 +151,8 @@ def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
 
 
 def _table(weights: tuple) -> tuple:
-    """The runtime table of ``weights``, as is: nothing is reduced, so the
-    tables of the pieces of one weights vector share its denominator."""
+    """The runtime table of ``weights``, as is: nothing is reduced, so
+    :func:`_compile` can put the tables of a block over one denominator."""
     num, den = weights
     entries: dict = {}
     for (shift, m, n), (wr, wi) in num.items():
@@ -189,21 +191,38 @@ def _combine(parts) -> tuple:
 
 
 def _compose(a: tuple, b: tuple) -> tuple:
-    """a after b, for first-order weights: the term (s, m) of b, then the
-    term (t, n) of a, give w*x[m] * v*(x[n] + s[n]) at s + t, s[4] = 0."""
+    """a after b, for weights of any order: the term (s, *i) of b, then the
+    term (t, *j) of a, give w(x) * v(x + s) at s + t, where w and v are the
+    terms' products of x over i and j and s[4] = 0.  A key lists the
+    indices below 4 of its product, sorted and padded with 4 to length 2."""
     (va, da), (vb, db) = a, b
-    num, den = {}, 1
-    for (s, m, _), (wr, wi) in vb.items():
-        s = s or (0, 0, 0, 0)
-        for (t, n, _), (vr, vi) in va.items():
+    num: dict = {}
+    for (s, *i), (wr, wi) in vb.items():
+        s = (*(s or (0, 0, 0, 0)), 0)
+        for (t, *j), (vr, vi) in va.items():
             net = tuple(x + y for x, y in zip(s, t or (0, 0, 0, 0)))
             net = net if any(net) else None
+            # w(x) times x[n] + s[n] for each n of j, as products of x
+            prods = [(i, 1)]
+            for n in j:
+                prods = [((*p, n), c) for p, c in prods] + [(p, c * s[n]) for p, c in prods if s[n]]
             cr, ci = wr * vr - wi * vi, wr * vi + wi * vr
-            term = {(net, min(m, n), max(m, n)): (cr, ci)}
-            if n < 4 and s[n]:
-                term[(net, m, 4)] = (cr * s[n], ci * s[n])
-            num, den = add_parts(num, den, *reduce_parts(term, da * db))
-    return num, den
+            for p, c in prods:
+                mono = sorted(m for m in p if m < 4)
+                key = (net, *mono, *(4,) * (2 - len(mono)))
+                xr, xi = num.get(key, (0, 0))
+                num[key] = (xr + c * cr, xi + c * ci)
+    return reduce_parts(num, da * db)
+
+
+def _compile(block: dict) -> tuple:
+    """``(den, tables)``: the runtime table of each weights of ``block``,
+    rescaled to den, the lcm of their denominators, so that the tables'
+    images sum over den."""
+    den = math.lcm(*(d for _, d in block.values()))
+    scaled = {key: ({k: (re * (den // d), im * (den // d)) for k, (re, im) in num.items()}, den)
+              for key, (num, d) in block.items()}
+    return den, {key: _table(weights) for key, weights in scaled.items()}
 
 
 @lru_cache(maxsize=None)
@@ -211,37 +230,25 @@ def _dirac_weights() -> dict:
     """The Dirac operator as a 2x2 block of weights: ``weights[(src, dst)]``
     is -sum_i split(e_src e_i)_dst * l_i, with src and dst the section
     keys' r (0 for f, 2 for g) and split the (f, g) parts of
-    :func:`complex_split`, plus -3/2 times the identity on the diagonal.
-    The blocks are combined as one weights vector keyed by (src, dst,
-    shift, m, n) and keep its denominator, so that their tables share it
-    and f and g can be summed into one image."""
-    parts = []
-    for src in (0, 2):
-        for dst in (0, 2):
-            terms = [(_field_weights(KillingPair.left(i)),
-                      -complex_split(quat_multiply(BASIS[src], BASIS[i]))[dst // 2])
-                     for i in (1, 2, 3)]
-            terms += [(_IDENTITY, Fraction(-3, 2))] * (src == dst)
-            parts += [(({(src, dst, *key): w for key, w in num.items()}, den), c)
-                      for (num, den), c in terms]
-    num, den = _combine(parts)
-    blocks: dict = {}
-    for (src, dst, *key), w in num.items():
-        blocks.setdefault((src, dst), {})[tuple(key)] = w
-    return {block: (weights, den) for block, weights in blocks.items()}
+    :func:`complex_split`, plus -3/2 times the identity on the diagonal."""
+    return {(src, dst): _combine(
+        [(_field_weights(KillingPair.left(i)),
+          -complex_split(quat_multiply(BASIS[src], BASIS[i]))[dst // 2]) for i in (1, 2, 3)]
+        + [(_IDENTITY, Fraction(-3, 2))] * (src == dst))
+        for src in (0, 2) for dst in (0, 2)}
 
 
 @lru_cache(maxsize=None)
-def _dirac_tables() -> dict:
-    """The runtime tables of :func:`_dirac_weights`, block by block."""
-    return {block: _table(weights) for block, weights in _dirac_weights().items()}
+def _dirac_block() -> tuple:
+    """:func:`_dirac_weights`, compiled."""
+    return _compile(_dirac_weights())
 
 
-def _apply_block(tables: dict, sigma: SpinorSection) -> SpinorSection:
-    """The section whose r-part is the sum over s of ``tables[(s, r)]``
-    applied to the s-part of ``sigma``'s z view: one :func:`_apply` pass
-    per table on the Gaussian-integer numerators, over sigma's denominator
-    times the one that the tables share."""
+def _apply_block(block: tuple, sigma: SpinorSection) -> SpinorSection:
+    """The section whose r-part is the sum over s of ``tables[(s, r)]`` on
+    the s-part of ``sigma``'s z view, ``(den, tables) = block``: one
+    :func:`_apply` pass per table, over sigma's denominator times den."""
+    den, tables = block
     sigma = sigma.in_view(Z_VIEW)
     src = {0: {}, 2: {}}
     for (r, exp), c in sigma._num.items():
@@ -250,8 +257,7 @@ def _apply_block(tables: dict, sigma: SpinorSection) -> SpinorSection:
     for (s, r), table in tables.items():
         _apply(table, src[s], dst[r])
     num = {(r, exp): c for r, acc in dst.items() for exp, c in acc.items()}
-    den = sigma._den * next(iter(tables.values()))[0]
-    return SpinorSection._of(*reduce_parts(num, den), Z_VIEW)
+    return SpinorSection._of(*reduce_parts(num, sigma._den * den), Z_VIEW)
 
 
 def dirac_section(sigma: SpinorSection) -> SpinorSection:
@@ -260,10 +266,10 @@ def dirac_section(sigma: SpinorSection) -> SpinorSection:
         D(sigma) = -sum_i (l_i sigma) * e_i - 3/2 sigma,
 
     the frame derivatives right-multiplied by the frame units, minus the
-    3/2 curvature constant: the 2x2 block :func:`_dirac_tables`, run by
+    3/2 curvature constant: the 2x2 block :func:`_dirac_block`, run by
     :func:`_apply_block` on the section's numerators in the z view.
     """
-    return _apply_block(_dirac_tables(), sigma)
+    return _apply_block(_dirac_block(), sigma)
 
 
 @lru_cache(maxsize=None)
@@ -274,9 +280,9 @@ def _laplace_weights() -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _laplace_table() -> tuple:
-    """The runtime table of :func:`_laplace_weights`."""
-    return _table(_laplace_weights())
+def _laplace_block() -> tuple:
+    """:func:`_laplace_weights` on f and on g, compiled."""
+    return _compile(dict.fromkeys(((0, 0), (2, 2)), _laplace_weights()))
 
 
 def laplace_section(sigma: SpinorSection) -> SpinorSection:
@@ -285,10 +291,9 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
     With this sign it acts on degree-k eigensections by 1 - (k+1)^2, i.e.
     the analyst's negative-spectrum convention; negate for the geometer's
     positive Laplacian.  It is second order and acts on f and g alike:
-    :func:`_apply_block` runs :func:`_laplace_table` as the diagonal block.
+    :func:`_apply_block` runs :func:`_laplace_block`.
     """
-    table = _laplace_table()
-    return _apply_block({(0, 0): table, (2, 2): table}, sigma)
+    return _apply_block(_laplace_block(), sigma)
 
 
 # -- exact integration -------------------------------------------------------

@@ -46,9 +46,23 @@ def killing_derivative(
     """
     if isinstance(sigma, SpinorSection):
         return SpinorSection(killing_derivative(sigma.f, pair), killing_derivative(sigma.g, pair))
-    den, _ = table = _table(_field_weights(pair))
+    den, _ = table = _field_table(pair)
     p = sigma.in_view(Z_VIEW)
     return Polynomial._of(*reduce_parts(_apply(table, p._num), p._den * den), Z_VIEW)
+
+
+#: Each field's table by the identity of its pair, which the entry keeps
+#: alive, so that a lookup neither hashes the pair nor compiles again.
+_FIELD_TABLES: dict = {}
+
+
+def _field_table(pair: KillingPair) -> tuple:
+    """The runtime table of ``pair``'s single-field weights, compiled once
+    per process."""
+    entry = _FIELD_TABLES.get(id(pair))
+    if entry is None:
+        entry = _FIELD_TABLES[id(pair)] = (pair, _table(_field_weights(pair)))
+    return entry[1]
 
 
 def laplace_section_via_hessian(sigma: SpinorSection) -> SpinorSection:

@@ -205,7 +205,7 @@ def test_x_route_substitutions_are_inverse():
 #: What the x route must not name: the library's frame change, the z
 #: tables built from it and the view conversion.
 Z_TABLE_NAMES = frozenset({
-    "_field_matrix_int", "_field_weights", "_table", "_combine", "_compose", "_apply",
+    "_field_matrix_int", "_field_weights", "_table", "_combine", "_compose", "_compile", "_apply",
     "_apply_block", "_FRAME", "_FRAME_INV", "in_view", "_Z_IN_X", "_X_IN_Z",
 })
 

@@ -3,9 +3,9 @@ combined and composed from the frame fields' weights, against their
 composed forms: the same canonical numerators, denominator and view.  The
 table algebra itself is held to the operators it stands for: a
 composition to one operator after the other, a combination to the sum of
-the scaled operators.  Hitchin's relation D^2 + D + Delta = 3/4 and
-[D, beta_R] = 0 are checked as equalities of canonical weights, for every
-degree at once.
+the scaled operators.  Hitchin's relation D^2 + D + Delta = 3/4,
+[D, beta_R] = 0 and the cubic [D, Delta] = 0 and [Delta, beta] = 0 are
+checked as equalities of canonical weights, for every degree at once.
 
 The references below are the operators as the paper writes them, built
 from one ``killing_derivative`` pass per frame field and the ring
@@ -52,9 +52,9 @@ from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
 #: The interpreter, the field weights and ``_table`` stay out:
 #: ``killing_derivative`` runs one field's compiled weights.
 CHECKED_ENTRY_POINTS = frozenset({
-    "dirac_section", "laplace_section", "beta_lower", "_apply_block", "_dirac_tables",
-    "_laplace_table", "_lowering_table", "_dirac_weights", "_laplace_weights",
-    "_lowering_weights", "_combine", "_compose",
+    "dirac_section", "laplace_section", "beta_lower", "_apply_block", "_dirac_block",
+    "_laplace_block", "_lowering_table", "_dirac_weights", "_laplace_weights",
+    "_lowering_weights", "_combine", "_compose", "_compile",
 })
 
 
@@ -172,6 +172,29 @@ def weights_of(table):
     return reduce_parts(num, den)
 
 
+def apply_weights(p, weights):
+    """The operator ``weights``, of any order, on the z-view polynomial p,
+    term by term and with no table: the key (shift, *ns) takes c*u^e to c
+    times its weight times the product of x[n] over ns at e + shift, with
+    x = (e0, e1, e2, e3, 1)."""
+    num, den = weights
+    out = {}
+    for exp, (a, b) in p._num.items():
+        x = exp + (1,)
+        for (shift, *ns), (wr, wi) in num.items():
+            f = math.prod(x[n] for n in ns)
+            if f:
+                key = exp if shift is None else tuple(e + s for e, s in zip(exp, shift))
+                re, im = out.get(key, (0, 0))
+                out[key] = (re + f * (a * wr - b * wi), im + f * (a * wi + b * wr))
+    return Polynomial._of(*reduce_parts(out, p._den * den), Z_VIEW)
+
+
+def laplace_weights():
+    """Delta's runtime table, on f and g alike, as canonical weights."""
+    return weights_of(geometry._laplace_block()[1][(0, 0)])
+
+
 def first_order_weights():
     """The six field weights and the two lowering combinations."""
     fields = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
@@ -196,13 +219,23 @@ def test_compose_is_a_after_b():
     operands = algebra_operands(33)
     for a, ta in zip(weights, tables):
         for b, tb in zip(weights, tables):
-            ab = geometry._table(geometry._compose(a, b))
+            ab = geometry._compose(a, b)
+            tab = geometry._table(ab)
             for p in operands:
-                assert apply(p, ab) == apply(apply(p, tb), ta)
+                assert apply(p, tab) == apply_weights(p, ab) == apply(apply(p, tb), ta)
+    # second order: Delta after each lowering and each lowering after Delta,
+    # cubic weights that only apply_weights runs
+    laplace = laplace_weights()
+    tl = geometry._table(laplace)
+    for beta, tb in zip(weights[-2:], tables[-2:]):
+        after, before = geometry._compose(laplace, beta), geometry._compose(beta, laplace)
+        for p in operands:
+            assert apply_weights(p, after) == apply(apply(p, tb), tl)
+            assert apply_weights(p, before) == apply(apply(p, tl), tb)
 
 
 def test_combine_is_the_linear_combination():
-    weights = first_order_weights() + [geometry._IDENTITY, weights_of(geometry._laplace_table())]
+    weights = first_order_weights() + [geometry._IDENTITY, laplace_weights()]
     c, d = gauss(Fraction(2, 3), Fraction(-5, 7)), gauss(Fraction(-1, 2), 3)
     operands = algebra_operands(34)
     for a, b in zip(weights, weights[1:] + weights[:1]):
@@ -214,10 +247,10 @@ def test_combine_is_the_linear_combination():
 
 # -- Hitchin's relation, on the weights --------------------------------------------
 #
-# D^2 + D + Delta - 3/4 = 0 and [D, beta_R] = 0 as equalities of canonical
-# weights: identities of the operators on every exponent, so on every
-# degree at once.  D is a 2x2 block keyed by (src, dst), beta_R and Delta
-# act on f and g alike.  [D, Delta] and [Delta, beta] need cubic weights.
+# D^2 + D + Delta - 3/4 = 0, [D, beta_R] = 0, and the cubic [D, Delta] = 0
+# and [Delta, beta] = 0, as equalities of canonical weights: identities of
+# the operators on every exponent, so on every degree at once.  D is a 2x2
+# block keyed by (src, dst), beta_R and Delta act on f and g alike.
 
 BLOCKS = ((0, 0), (0, 2), (2, 0), (2, 2))
 ZERO = ({}, 1)
@@ -225,7 +258,7 @@ ZERO = ({}, 1)
 
 def dirac_weights():
     """D's runtime blocks as canonical weights."""
-    return {block: weights_of(table) for block, table in geometry._dirac_tables().items()}
+    return {block: weights_of(table) for block, table in geometry._dirac_block()[1].items()}
 
 
 def dirac_built(fields):
@@ -243,7 +276,7 @@ def dirac_built(fields):
 
 def hitchin(d):
     """Each block of D^2 + D + Delta - 3/4."""
-    laplace = weights_of(geometry._laplace_table())
+    laplace = laplace_weights()
     out = {}
     for src, dst in BLOCKS:
         parts = [(geometry._compose(d[(mid, dst)], d[(src, mid)]), 1) for mid in (0, 2)]
@@ -269,16 +302,44 @@ def shifted(d, block, c):
     return {**d, block: geometry._combine(((d[block], 1), (geometry._IDENTITY, c)))}
 
 
-def test_dirac_blocks_share_the_denominator_of_their_sum():
-    # combined as one vector, split into blocks: the blocks combined one by one
-    tables = geometry._dirac_tables()
-    assert list(tables) == list(BLOCKS)
-    assert len({den for den, _ in tables.values()}) == 1
+def test_compile_puts_a_block_over_the_lcm_of_its_denominators():
+    d = geometry._dirac_weights()
+    assert geometry._dirac_block() == geometry._compile(d)
     assert dirac_weights() == dirac_built((1, 2, 3))
+    mixed = {**d, (0, 2): geometry._combine(((d[(0, 2)], Fraction(1, 3)),)),
+             (2, 2): laplace_weights()}
+    assert len({w[1] for w in mixed.values()}) > 1
+    for block in (d, mixed):
+        den, tables = geometry._compile(block)
+        assert den == math.lcm(*(w[1] for w in block.values()))
+        assert list(tables) == list(BLOCKS)
+        # each table is its weights, rescaled to den
+        assert all(tables[key][0] == den and weights_of(tables[key]) == w
+                   for key, w in block.items())
 
 
 def test_hitchin_relation_holds_on_the_weights():
     assert hitchin(dirac_weights()) == dict.fromkeys(BLOCKS, ZERO)
+
+
+def test_d_commutes_with_delta_on_the_weights():
+    assert commutator(dirac_weights(), laplace_weights()) == dict.fromkeys(BLOCKS, ZERO)
+
+
+@pytest.mark.parametrize("side", [LEFT, RIGHT])
+def test_delta_commutes_with_the_lowering_on_the_weights(side):
+    laplace, beta = laplace_weights(), weights_of(transfer._lowering_table(side))
+    assert geometry._compose(laplace, beta) == geometry._compose(beta, laplace)
+
+
+def test_cubic_identities_fail_on_a_wrong_laplace_operator():
+    # beta_R's partner added to Delta breaks [Delta, beta_R] = 0, a left
+    # field added breaks [D, Delta] = 0
+    laplace, beta = laplace_weights(), weights_of(transfer._lowering_table(RIGHT))
+    wrong = geometry._combine(((laplace, 1), (right_raising(), 1)))
+    assert geometry._compose(wrong, beta) != geometry._compose(beta, wrong)
+    wrong = geometry._combine(((laplace, 1), (geometry._field_weights(KillingPair.left(1)), 1)))
+    assert commutator(dirac_weights(), wrong) != dict.fromkeys(BLOCKS, ZERO)
 
 
 def test_d_commutes_with_the_right_lowering_only():
@@ -310,7 +371,7 @@ def test_hitchin_relation_fixes_d_only_up_to_a_frame_automorphism():
 
 
 def runtime_tables():
-    return [*geometry._dirac_tables().values(), geometry._laplace_table(),
+    return [*geometry._dirac_block()[1].values(), geometry._laplace_block()[1][(0, 0)],
             *(transfer._lowering_table(side) for side in (LEFT, RIGHT))]
 
 
@@ -337,8 +398,10 @@ def test_tables_never_reach_a_negative_exponent():
 
 
 def test_laplace_table_is_three_shifts_over_denominator_one():
-    den, entries = geometry._laplace_table()
-    assert den == 1
+    den, tables = geometry._laplace_block()
+    assert list(tables) == [(0, 0), (2, 2)] and tables[(0, 0)] == tables[(2, 2)]
+    table_den, entries = tables[(0, 0)]
+    assert den == table_den == 1
     forms = {shift: re for shift, re, im in entries if not im}
     assert len(forms) == len(entries)  # every weight is real
     assert forms.keys() == {None, (-1, -1, 1, 1), (1, 1, -1, -1)}
@@ -421,21 +484,17 @@ def right_raising():
 
 
 def with_raising_on_the_diagonal(blocks):
-    """D's blocks with the right raising added to f -> f and g -> g, over
-    the one denominator that :func:`geometry._apply_block` needs."""
-    blocks = {block: geometry._combine(((w, 1), (right_raising(), 1))) if block in ((0, 0), (2, 2))
-              else w for block, w in blocks.items()}
-    den = math.lcm(*(d for _, d in blocks.values()))
-    return {block: ({key: (re * (den // d), im * (den // d)) for key, (re, im) in num.items()}, den)
-            for block, (num, d) in blocks.items()}
+    """D's blocks with the right raising added to f -> f and g -> g."""
+    return {block: geometry._combine(((w, 1), (right_raising(), 1))) if block in ((0, 0), (2, 2))
+            else w for block, w in blocks.items()}
 
 
 @pytest.fixture
 def patch_weights(monkeypatch):
     """Replace a runtime weights builder of ``geometry`` in every module,
-    with its table and the lift's identities rebuilt from the replacement
-    and rebuilt again from the original afterwards."""
-    caches = [geometry._dirac_tables, geometry._laplace_table,
+    with its compiled block and the lift's identities rebuilt from the
+    replacement and rebuilt again from the original afterwards."""
+    caches = [geometry._dirac_block, geometry._laplace_block,
               verify._dirac_commutes_with_beta_r, verify._laplace_commutes_with_beta_r]
 
     def patch(name, mutate):
@@ -485,7 +544,7 @@ def test_geometry_caches_do_not_grow_with_the_degree():
 
 
 def test_builders_run_once_per_process(monkeypatch):
-    builders = [geometry._combine, geometry._compose, geometry._table]
+    builders = [geometry._combine, geometry._compose, geometry._compile, geometry._table]
     calls = count_calls(monkeypatch, *builders)
     for module in (geometry, transfer):
         for f in vars(module).values():

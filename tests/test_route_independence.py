@@ -198,8 +198,8 @@ def test_the_laplace_suite_builds_no_eigenbasis():
 
 #: The Laplace operator's table and the table algebra that builds and runs it.
 LAPLACE_TABLES = frozenset({
-    "geometry._laplace_table", "geometry._field_weights", "geometry._combine",
-    "geometry._compose", "geometry._table", "geometry._apply",
+    "geometry._laplace_block", "geometry._field_weights", "geometry._combine",
+    "geometry._compose", "geometry._compile", "geometry._table", "geometry._apply",
 })
 
 
@@ -217,8 +217,8 @@ def test_laplace_is_not_built_from_the_flat_laplacian():
     # check; that identity is a test oracle (test_operator_tables.py) only
     assert not laplace_route_overlap(GRAPH)
     assert LAPLACE_TABLES <= closure(GRAPH, {"geometry.laplace_section"})
-    merged = {**GRAPH, "geometry._laplace_table":
-              GRAPH["geometry._laplace_table"] | {"polyring.laplacian_r4"}}
+    merged = {**GRAPH, "geometry._laplace_block":
+              GRAPH["geometry._laplace_block"] | {"polyring.laplacian_r4"}}
     assert laplace_route_overlap(merged) == {"polyring.laplacian_r4"}
     # nor may the flat Laplacian run on the interpreter
     merged = {**GRAPH, "polyring.laplacian_r4":
