@@ -36,7 +36,7 @@ from .abstract_dirac import spectrum_table
 from .exactnum import ratio_to_str, rational_to_str
 from .polyring import _term_order
 from .transfer import transfer_eigenbasis
-from .verify import SUITE_NAMES, eigen_identity, run_suites
+from .verify import SUITE_NAMES, SUITES, eigen_identity, run_suites
 
 #: Exact-arithmetic cost grows fast with k; refuse degrees above this
 #: unless --unsafe-k is given.  At 20 ``verify --suite all`` still takes
@@ -107,30 +107,37 @@ def build_parser() -> argparse.ArgumentParser:
         "Dirac operator on the round 3-sphere.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    unsafe_help = f"allow a degree above {DEFAULT_K_CAP}"
 
     spectrum = sub.add_parser("spectrum", help="print the eigenvalue/multiplicity table")
     spectrum.add_argument("--k-max", type=_NONNEGATIVE, required=True)
     spectrum.add_argument("--format", choices=("table", "json"), default="table")
     spectrum.add_argument("--out", type=str, default=None)
-    spectrum.add_argument("--unsafe-k", action="store_true")
+    spectrum.add_argument("--unsafe-k", action="store_true", help=unsafe_help)
     spectrum.set_defaults(run=cmd_spectrum)
 
     eigen = sub.add_parser("eigenbasis", help="export all eigensections of one degree as JSON")
     eigen.add_argument("--k", type=_NONNEGATIVE, required=True)
     eigen.add_argument("--out", type=str, default=None)
-    eigen.add_argument("--unsafe-k", action="store_true")
+    eigen.add_argument("--unsafe-k", action="store_true", help=unsafe_help)
     eigen.set_defaults(run=cmd_eigenbasis)
 
     verify = sub.add_parser("verify", help="run exact/numeric verification suites")
     verify.add_argument("--suite", dest="suites", metavar="SUITE",
                         type=_suite_names, default="all",
                         help="comma-separated from: " + ", ".join(SUITE_NAMES) + ", all")
-    verify.add_argument("--k-max", type=_NONNEGATIVE, default=None)
-    verify.add_argument("--rule", choices=("tensor", "mc"), default=None)
+    verify.add_argument("--k-max", type=_NONNEGATIVE, default=None,
+                        help="check degrees 0..K_MAX; by default "
+                        + ", ".join(f"{name} {k}" for name, (k, _) in SUITES.items())
+                        + f"; the integral suite's Gram lines stop at {SUITES['integral'][0]}")
+    verify.add_argument("--rule", choices=("tensor", "mc"), default=None,
+                        help="run only this quadrature in the integral suite (default: both)")
     # one sample has no variance estimate to bound the error with
-    verify.add_argument("--samples", type=_int_at_least(2), default=1_000_000)
-    verify.add_argument("--seed", type=_NONNEGATIVE, default=0)
-    verify.add_argument("--unsafe-k", action="store_true")
+    verify.add_argument("--samples", type=_int_at_least(2), default=1_000_000,
+                        help="Monte Carlo samples, at least 2 (default %(default)s)")
+    verify.add_argument("--seed", type=_NONNEGATIVE, default=0,
+                        help="Monte Carlo seed (default %(default)s)")
+    verify.add_argument("--unsafe-k", action="store_true", help=unsafe_help)
     verify.set_defaults(run=cmd_verify)
 
     return parser

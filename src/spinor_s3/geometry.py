@@ -83,7 +83,6 @@ _LEFT_PAIRS = {i: KillingPair(BASIS[i], quat()) for i in (1, 2, 3)}
 _RIGHT_PAIRS = {i: KillingPair(quat(), BASIS[i]) for i in (1, 2, 3)}
 
 
-@lru_cache(maxsize=None)
 def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.Rows]:
     """``(den, rows)`` with rows/den the matrix of the linear field
     x -> xS - Tx in the z generators' frame: _FRAME * A * _FRAME_INV for

@@ -35,17 +35,7 @@ from .repspace import casimir, casimir_expected, l_matrix_int
 from .transfer import LEFT, RIGHT, _lowering_weights, beta_lower, gram_matrix, \
     recursive_table, transfer_slice, transfer_table
 
-SUITE_NAMES = ("casimir", "quadratic", "dirac", "transfer", "laplace", "integral")
-
-DEFAULT_K_MAX = {
-    "casimir": 12,
-    "quadratic": 12,
-    "dirac": 6,
-    "transfer": 8,
-    "laplace": 6,
-    "integral": 8,
-}
-
+TENSOR_DEGREE = 8
 TENSOR_REL_TOL = 1e-8
 MC_SIGMAS = 3.0
 
@@ -307,13 +297,10 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
         d_lap = d_sigma.scale(lam) if eigen else dirac_section(lap)
         comm_ok &= laplace_section(d_sigma) == d_lap
     n = 2 * (k + 1) ** 2
-    laplace_beta = _laplace_commutes_with_beta_r()
-    equivariant = _right_equivariant(k, table)
-    eig_lifted, eig_how = _lift({"[Delta, beta_R] = 0": laplace_beta,
-                                 "right equivariance": equivariant}, n)
-    comm_lifted, comm_how = _lift({"[D, beta_R] = 0": _dirac_commutes_with_beta_r(),
-                                   "[Delta, beta_R] = 0": laplace_beta,
-                                   "right equivariance": equivariant}, n)
+    premises = {"[Delta, beta_R] = 0": _laplace_commutes_with_beta_r(),
+                "right equivariance": _right_equivariant(k, table)}
+    eig_lifted, eig_how = _lift(premises, n)
+    comm_lifted, comm_how = _lift({"[D, beta_R] = 0": _dirac_commutes_with_beta_r(), **premises}, n)
     return [
         CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok and eig_lifted,
                     f"Delta sigma = {lam} sigma on the {len(sections)} sections of slice q = 0"
@@ -343,16 +330,16 @@ def _check_integral_exact() -> list[CheckResult]:
     return out
 
 
-def _check_integral_tensor(max_degree: int = 8) -> list[CheckResult]:
+def _check_integral_tensor() -> list[CheckResult]:
     exps = [
         (l1, l2, l3, l4)
-        for l1 in range(max_degree + 1)
-        for l2 in range(max_degree + 1 - l1)
-        for l3 in range(max_degree + 1 - l1 - l2)
-        for l4 in range(max_degree + 1 - l1 - l2 - l3)
+        for l1 in range(TENSOR_DEGREE + 1)
+        for l2 in range(TENSOR_DEGREE + 1 - l1)
+        for l3 in range(TENSOR_DEGREE + 1 - l1 - l2)
+        for l4 in range(TENSOR_DEGREE + 1 - l1 - l2 - l3)
     ]
     values = tensor_quadrature([Polynomial.monomial(e, 1, Z_VIEW) for e in exps],
-                               max_degree + 1, (max_degree + 2 + 1) // 2)
+                               TENSOR_DEGREE + 1, (TENSOR_DEGREE + 2 + 1) // 2)
     worst = 0.0
     ok = True
     for e, value in zip(exps, values):
@@ -361,7 +348,8 @@ def _check_integral_tensor(max_degree: int = 8) -> list[CheckResult]:
         worst = max(worst, err)
         ok = ok and err <= TENSOR_REL_TOL
     return [CheckResult("integral", "tensor rule vs exact", ok,
-                        f"{len(exps)} monomials of degree <= {max_degree}, worst relative error {worst:.12g}")]
+                        f"{len(exps)} monomials of degree <= {TENSOR_DEGREE}, "
+                        f"worst relative error {worst:.12g}")]
 
 
 def _check_integral_mc(samples: int, seed: int) -> list[CheckResult]:
@@ -377,7 +365,7 @@ def _check_integral_mc(samples: int, seed: int) -> list[CheckResult]:
                         f"{samples} samples, seed {seed}, |error| <= 3 sigma: " + ", ".join(details))]
 
 
-def _check_gram(k_max: int = 5) -> list[CheckResult]:
+def _check_gram(k_max: int) -> list[CheckResult]:
     out = []
     for k in range(k_max + 1):
         gram = gram_matrix(k)
@@ -399,37 +387,42 @@ def _check_gram(k_max: int = 5) -> list[CheckResult]:
 # -- suite assembly ---------------------------------------------------------------
 
 
+#: Each suite by name, in the order ``cli`` lists them: its default degree
+#: and its check of one degree, or None for the integral suite.  That suite
+#: has jobs of its own, and only its Gram lines take a degree; they stop at
+#: its default degree whatever k_max is.
+SUITES = {
+    "casimir": (12, _check_casimir_k),
+    "quadratic": (12, _check_quadratic_k),
+    "dirac": (6, _check_dirac_k),
+    "transfer": (8, _check_transfer_k),
+    "laplace": (6, _check_laplace_k),
+    "integral": (5, None),
+}
+
+SUITE_NAMES = tuple(SUITES)
+
+
 def suite_jobs(
-    suite: str,
-    k_max: Optional[int] = None,
-    rule: Optional[str] = None,
-    samples: int = 1_000_000,
-    seed: int = 0,
+    suite: str, k_max: Optional[int], rule: Optional[str], samples: int, seed: int
 ) -> list[Callable[[], list[CheckResult]]]:
-    if suite not in SUITE_NAMES:
+    if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
     if rule not in (None, "tensor", "mc"):
         raise ValueError(f"unknown quadrature rule {rule!r}")
-    top = DEFAULT_K_MAX[suite] if k_max is None else k_max
+    default, check_k = SUITES[suite]
+    top = default if k_max is None else k_max
     if top < 0:
         raise ValueError("k_max must be >= 0")
-    per_k = {
-        "casimir": _check_casimir_k,
-        "quadratic": _check_quadratic_k,
-        "dirac": _check_dirac_k,
-        "transfer": _check_transfer_k,
-        "laplace": _check_laplace_k,
-    }
-    if suite in per_k:
-        fn = per_k[suite]
-        return [(lambda kk=k: fn(kk)) for k in range(top + 1)]
+    if check_k is not None:
+        return [(lambda kk=k: check_k(kk)) for k in range(top + 1)]
 
     jobs: list[Callable[[], list[CheckResult]]] = [_check_integral_exact]
     if rule in (None, "tensor"):
         jobs.append(_check_integral_tensor)
     if rule in (None, "mc"):
         jobs.append(lambda: _check_integral_mc(samples, seed))
-    jobs.append(lambda: _check_gram(min(top, 5)))
+    jobs.append(lambda: _check_gram(min(top, default)))
     return jobs
 
 

@@ -189,11 +189,17 @@ def cli_process(argv, unbuffered, **kwargs):
     return python_process(("-m", "spinor_s3.cli", *argv), unbuffered, **kwargs)
 
 
-@pytest.mark.parametrize("argv", [("verify", "--suite", "transfer,dirac,laplace", "--k-max", "3"),
-                                  ("eigenbasis", "--k", "3")])
+@pytest.mark.parametrize("argv", [
+    ("verify", "--suite", "transfer,dirac,laplace", "--k-max", "3"),
+    ("eigenbasis", "--k", "3"),
+    ("spectrum", "--k-max", "6", "--format", "json"),
+    ("verify", "--suite", "casimir,quadratic,integral", "--k-max", "2",
+     "--samples", "20000", "--seed", "3"),
+])
 def test_output_does_not_depend_on_the_hash_seed(argv):
     # the operators and the lift's identities are built from dicts of
-    # weights; str hashes change with the seed, and no output may
+    # weights, and run_suites takes the suites through a set; str hashes
+    # change with the seed, and no output may
     outs = []
     for seed in ("0", "1"):
         proc = cli_process(argv, False, hash_seed=seed, stdout=subprocess.PIPE)
@@ -527,10 +533,13 @@ def test_verify_report_lists_each_suite_once_by_name(capsys, monkeypatch):
 
 
 def test_verify_integral_tensor_only(capsys):
-    code, out, _ = run(capsys, "verify", "--suite", "integral", "--rule", "tensor")
-    assert code == 0
-    assert "tensor rule vs exact" in out
-    assert "monte carlo" not in out
+    # the Gram lines stop at the suite's default degree, 5, whatever --k-max says
+    for k_max in ((), ("--k-max", "7")):
+        code, out, _ = run(capsys, "verify", "--suite", "integral", "--rule", "tensor", *k_max)
+        assert code == 0
+        assert "tensor rule vs exact" in out
+        assert "monte carlo" not in out
+        assert [f"gram structure k={k}:" in out for k in range(7)] == [True] * 6 + [False]
 
 
 def test_unknown_quadrature_rule_is_refused(capsys):
