@@ -36,7 +36,7 @@ from .abstract_dirac import spectrum_table
 from .exactnum import ratio_to_str, rational_to_str
 from .polyring import _term_order
 from .transfer import transfer_eigenbasis
-from .verify import SUITE_NAMES, SUITES, eigen_identity, run_suites
+from .verify import MC_SAMPLES, MC_SEED, RULES, SUITE_NAMES, SUITES, eigen_identity, run_suites
 
 #: Exact-arithmetic cost grows fast with k; refuse degrees above this
 #: unless --unsafe-k is given.  At 20 ``verify --suite all`` still takes
@@ -130,12 +130,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="check degrees 0..K_MAX; by default "
                         + ", ".join(f"{name} {k}" for name, (k, _) in SUITES.items())
                         + f"; the integral suite's Gram lines stop at {SUITES['integral'][0]}")
-    verify.add_argument("--rule", choices=("tensor", "mc"), default=None,
+    verify.add_argument("--rule", choices=RULES, default=None,
                         help="run only this quadrature in the integral suite (default: both)")
     # one sample has no variance estimate to bound the error with
-    verify.add_argument("--samples", type=_int_at_least(2), default=1_000_000,
+    verify.add_argument("--samples", type=_int_at_least(2), default=MC_SAMPLES,
                         help="Monte Carlo samples, at least 2 (default %(default)s)")
-    verify.add_argument("--seed", type=_NONNEGATIVE, default=0,
+    verify.add_argument("--seed", type=_NONNEGATIVE, default=MC_SEED,
                         help="Monte Carlo seed (default %(default)s)")
     verify.add_argument("--unsafe-k", action="store_true", help=unsafe_help)
     verify.set_defaults(run=cmd_verify)

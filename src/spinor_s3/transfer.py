@@ -173,10 +173,10 @@ def transfer_slice(family: EigenFamily, q: int,
     """The sections of ``family`` on slice q, in p order: each vector of
     the family on H x H_k paired with the ket |q> of the spectator H_k.
 
-    ``table`` is the degree's :func:`transfer_table`.  Each ket
-    e_r (x) |p> of a vector becomes the image of |p>|q> keyed by
-    ``(r, exp)``, and the section is the sum of those images scaled by the
-    vector's coefficients, summed on the integer parts.
+    ``table`` need only hold slice q's images, keyed by (p, q), not the
+    whole :func:`transfer_table`.  Each ket e_r (x) |p> of a vector becomes
+    the image of |p>|q> keyed by ``(r, exp)``; the section is the sum of
+    those images scaled by the vector's coefficients, on the integer parts.
     """
     _check_indices(family.k, 0, q)
     out = []

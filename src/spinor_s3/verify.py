@@ -33,8 +33,11 @@ from .geometry import (
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, laplacian_r4
 from .repspace import casimir, casimir_expected, l_matrix_int
 from .transfer import LEFT, RIGHT, _lowering_weights, beta_lower, gram_matrix, \
-    recursive_table, transfer_slice, transfer_table
+    iso_closed_form, recursive_table, transfer_slice, transfer_table
 
+MC_SAMPLES = 1_000_000  # the integral suite's defaults, read by cli
+MC_SEED = 0
+RULES = ("tensor", "mc")  # --rule's choices
 TENSOR_DEGREE = 8
 TENSOR_REL_TOL = 1e-8
 MC_SIGMAS = 3.0
@@ -193,18 +196,20 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 
 # -- dirac / laplace on sections -------------------------------------------------
 #
-# Both jobs check slice q = 0 and lift the result to every slice by three
-# facts that they check themselves (VERIFICATION.md): the degree's images
-# lower right as the slices need (_right_equivariant), and [D, beta_R] = 0
-# and [Delta, beta_R] = 0 on the runtime weights, every degree at once.
+# Both jobs build only slice q = 0 and lift it to every slice by three facts
+# (VERIFICATION.md): the degree's images lower right as the slices need
+# (_right_equivariant, checked once per degree per run for both jobs), and
+# [D, beta_R] = 0 and [Delta, beta_R] = 0 on the runtime weights, once.
 
 
-def _right_equivariant(k: int, table: dict) -> bool:
-    """Every image h_pq of ``table`` is nonzero, its exponents (a, b, c, d)
-    have b + c = p and b + d = q, and beta_R h_pq = (k - q) h_p,q+1, 0 at
-    q = k.  So the slices have disjoint supports, the images of one slice
-    are independent, and beta_R^q / prod_{j<q} (k - j) carries slice 0
-    onto slice q."""
+@lru_cache(maxsize=None)
+def _right_equivariant(k: int) -> bool:
+    """Every image h_pq of the degree's :func:`transfer_table` is nonzero,
+    its exponents (a, b, c, d) have b + c = p and b + d = q, and
+    beta_R h_pq = (k - q) h_p,q+1, 0 at q = k.  So the slices have disjoint
+    supports, the images of one slice are independent, and
+    beta_R^q / prod_{j<q} (k - j) carries slice 0 onto slice q."""
+    table = transfer_table(k)
     return all(
         not h.is_zero() and all(b + c == p and b + d == q for _, b, c, d in h._num)
         for (p, q), h in table.items()
@@ -264,7 +269,7 @@ def eigen_identity(k: int, entries) -> CheckResult:
 
 def _check_dirac_k(k: int) -> list[CheckResult]:
     n = 2 * (k + 1)
-    table = transfer_table(k)
+    table = {(p, 0): iso_closed_form(k, p, 0).poly for p in range(k + 1)}
     try:
         families = eigenbasis_abstract(k)
     except AssertionError:
@@ -273,7 +278,7 @@ def _check_dirac_k(k: int) -> list[CheckResult]:
     entries = [e for family in families for e in transfer_slice(family, 0, table)]
     ok, detail = _eigensections(entries, n, " of slice q = 0")
     lifted, how = _lift({"[D, beta_R] = 0": _dirac_commutes_with_beta_r(),
-                         "right equivariance": _right_equivariant(k, table)}, n * (k + 1))
+                         "right equivariance": _right_equivariant(k)}, n * (k + 1))
     return [CheckResult("dirac", f"eigen-identity k={k}", ok and lifted, detail + how)]
 
 
@@ -282,9 +287,8 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
     # slice's eigensections span: each of those is a sum of them, and the
     # dirac suite checks their rank
     lam = 1 - (k + 1) ** 2
-    table = transfer_table(k)
     zero = Polynomial.zero(Z_VIEW)
-    images = [table[(p, 0)] for p in range(k + 1)]
+    images = [iso_closed_form(k, p, 0).poly for p in range(k + 1)]
     sections = [SpinorSection(h, zero) for h in images] + [SpinorSection(zero, h) for h in images]
     eig_ok = comm_ok = True
     for sigma in sections:
@@ -298,7 +302,7 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
         comm_ok &= laplace_section(d_sigma) == d_lap
     n = 2 * (k + 1) ** 2
     premises = {"[Delta, beta_R] = 0": _laplace_commutes_with_beta_r(),
-                "right equivariance": _right_equivariant(k, table)}
+                "right equivariance": _right_equivariant(k)}
     eig_lifted, eig_how = _lift(premises, n)
     comm_lifted, comm_how = _lift({"[D, beta_R] = 0": _dirac_commutes_with_beta_r(), **premises}, n)
     return [
@@ -408,7 +412,7 @@ def suite_jobs(
 ) -> list[Callable[[], list[CheckResult]]]:
     if suite not in SUITES:
         raise ValueError(f"unknown suite {suite!r}")
-    if rule not in (None, "tensor", "mc"):
+    if rule not in (None, *RULES):
         raise ValueError(f"unknown quadrature rule {rule!r}")
     default, check_k = SUITES[suite]
     top = default if k_max is None else k_max
@@ -430,12 +434,13 @@ def run_suites(
     suites: list[str],
     k_max: Optional[int] = None,
     rule: Optional[str] = None,
-    samples: int = 1_000_000,
-    seed: int = 0,
+    samples: int = MC_SAMPLES,
+    seed: int = MC_SEED,
 ) -> list[CheckResult]:
     """Run the jobs of each named suite in order, suites by name, each once."""
-    results = []
-    for suite in sorted(set(suites)):
-        for job in suite_jobs(suite, k_max=k_max, rule=rule, samples=samples, seed=seed):
-            results.extend(job())
+    _right_equivariant.cache_clear()  # a premise two suites share, checked once per run
+    results = [result for suite in sorted(set(suites))
+               for job in suite_jobs(suite, k_max=k_max, rule=rule, samples=samples, seed=seed)
+               for result in job()]
+    _right_equivariant.cache_clear()
     return results

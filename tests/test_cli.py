@@ -562,6 +562,24 @@ def test_a_negative_k_max_is_refused():
             verify.run_suites([suite], k_max=-1, samples=100, seed=1)
 
 
+def test_verify_defaults_are_those_of_run_suites():
+    # the command line and an in-process caller run the same checks
+    import inspect
+
+    from spinor_s3 import verify
+    from spinor_s3.cli import build_parser
+
+    args = build_parser().parse_args(["verify"])
+    params = inspect.signature(verify.run_suites).parameters
+    assert {name: getattr(args, name) for name in params if name != "suites"} == {
+        name: p.default for name, p in params.items() if name != "suites"}
+    assert args.suites == list(verify.SUITE_NAMES)
+    with pytest.raises(SystemExit):
+        build_parser().parse_args(["verify", "--rule", "simpson"])
+    assert all(build_parser().parse_args(["verify", "--rule", rule]).rule == rule
+               for rule in verify.RULES)
+
+
 def test_verify_integral_mc_small(capsys):
     code, out, _ = run(
         capsys, "verify", "--suite", "integral", "--rule", "mc",

@@ -17,9 +17,10 @@ they also check that every operator takes its operand in z and returns z.
 Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
 of the Killing tables.  The work of the section suites and of the export
 is pinned by counts: Dirac passes per section, the builds of the export's
-degree, the sizes of the geometry caches and the calls of the table
-builders.  The identities that ``verify`` lifts slice q = 0 by are held to
-operators that break them.
+degree, the table builds and right lowerings of the lift's premise, the
+sizes of the geometry caches and the calls of the table builders.  The
+identities that ``verify`` lifts slice q = 0 by are held to operators
+that break them.
 """
 
 import ast
@@ -464,6 +465,53 @@ def test_dirac_suite_applies_d_to_slice_q_0_only(monkeypatch):
     calls = count_calls(monkeypatch, dirac_section)
     assert all(r.passed for r in verify.run_suites(["dirac"], k_max=6))
     assert calls["dirac_section"] == sum(2 * (k + 1) for k in range(7)) == 56
+
+
+def test_dirac_and_laplace_check_right_equivariance_once_per_degree(monkeypatch):
+    # both suites lift by the same premise; it builds and lowers the
+    # degree's images once per run, and keeps nothing after the run
+    closed, lower = verify.transfer_table, verify.beta_lower
+    tables, lowered = Counter(), Counter()
+
+    def counted_table(k):
+        tables[k] += 1
+        return closed(k)
+
+    def counted_lower(side, poly):
+        lowered[side, poly.degree()] += 1
+        return lower(side, poly)
+
+    monkeypatch.setattr(verify, "transfer_table", counted_table)
+    monkeypatch.setattr(verify, "beta_lower", counted_lower)
+    results = verify.run_suites(["dirac", "laplace"], k_max=4)
+    assert len(results) == 15 and all(r.passed for r in results)
+    assert tables == {k: 1 for k in range(5)}
+    assert lowered == {(RIGHT, k): (k + 1) ** 2 for k in range(5)}
+    assert verify._right_equivariant.cache_info().currsize == 0
+
+
+def test_each_run_checks_right_equivariance_afresh(monkeypatch):
+    # a clean run first: the next run, on images that are off the right
+    # ladder at k = 2, must not read its result
+    assert all(r.passed for r in verify.run_suites(["dirac"], k_max=2))
+    closed = verify.transfer_table
+
+    def doubled(k):
+        table = closed(k)
+        if k == 2:
+            table[(1, 1)] = table[(1, 1)].scale(2)
+        return table
+
+    monkeypatch.setattr(verify, "transfer_table", doubled)
+    results = verify.run_suites(["dirac"], k_max=2)
+    assert [r.passed for r in results] == [True, True, False]
+    assert results[2].name == "eigen-identity k=2"
+    assert results[2].detail.endswith("not lifted, failed: right equivariance")
+
+
+def test_a_suites_lines_do_not_depend_on_the_suites_run_with_it():
+    alone = [r.line() for suite in ("dirac", "laplace") for r in verify.run_suites([suite], k_max=3)]
+    assert alone == [r.line() for r in verify.run_suites(["dirac", "laplace"], k_max=3)]
 
 
 def test_the_export_builds_its_degree_once_and_applies_d_to_every_section(monkeypatch, tmp_path):
