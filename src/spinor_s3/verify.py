@@ -196,10 +196,12 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 
 # -- dirac / laplace on sections -------------------------------------------------
 #
-# Both jobs build only slice q = 0 and lift it to every slice by three facts
-# (VERIFICATION.md): the degree's images lower right as the slices need
-# (_right_equivariant, checked once per degree per run for both jobs), and
-# [D, beta_R] = 0 and [Delta, beta_R] = 0 on the runtime weights, once.
+# The dirac job and the laplace eigenvalue line check slice q = 0 only and
+# lift it to every slice by two facts (VERIFICATION.md): the degree's images
+# lower right as the slices need (_right_equivariant, checked once per
+# degree per run for both jobs), and the operator commutes with beta_R on
+# its runtime weights, one of the _operator_identities.  The commute line
+# is [D, Delta] = 0 on the weights, which needs no lift.
 
 
 @lru_cache(maxsize=None)
@@ -217,29 +219,32 @@ def _right_equivariant(k: int) -> bool:
 
 
 @lru_cache(maxsize=None)
-def _dirac_commutes_with_beta_r() -> bool:
-    """[D, beta_R] = 0 on each block of the weights that D's runtime tables
-    are compiled from."""
-    beta = _lowering_weights(RIGHT)
-    return all(_compose(w, beta) == _compose(beta, w) for w in _dirac_weights().values())
+def _operator_identities() -> tuple[tuple[str, bool], ...]:
+    """[D, beta_R] = 0, [Delta, beta_R] = 0 and [D, Delta] = 0, in that
+    order, each as (name, held).  Each is an equality of canonical weights
+    on the weights that the runtime tables of D (every block), Delta and
+    beta_R are compiled from, so it holds on every exponent, for every
+    degree at once."""
+    beta, laplace, dirac = _lowering_weights(RIGHT), _laplace_weights(), _dirac_weights().values()
+
+    def commute(a, b):
+        return _compose(a, b) == _compose(b, a)
+
+    return (("[D, beta_R] = 0", all(commute(w, beta) for w in dirac)),
+            ("[Delta, beta_R] = 0", commute(laplace, beta)),
+            ("[D, Delta] = 0", all(commute(w, laplace) for w in dirac)))
 
 
-@lru_cache(maxsize=None)
-def _laplace_commutes_with_beta_r() -> bool:
-    """[Delta, beta_R] = 0 on the weights that Delta's runtime table is
-    compiled from."""
-    beta, laplace = _lowering_weights(RIGHT), _laplace_weights()
-    return _compose(laplace, beta) == _compose(beta, laplace)
-
-
-def _lift(premises: dict[str, bool], n: int) -> tuple[bool, str]:
-    """Whether the lift's ``premises`` (name -> held) all hold, and the
-    detail that names them, or the ones that failed."""
-    failed = [name for name, held in premises.items() if not held]
+def _lift(identity: tuple[str, bool], k: int, n: int) -> tuple[bool, str]:
+    """Whether a check of slice q = 0 lifts to all n sections of degree k:
+    the operator ``identity`` (name, held) and right equivariance both
+    hold; and the detail that names them, or the ones that failed."""
+    name, held = identity
+    premises = {name: held, "right equivariance": _right_equivariant(k)}
+    failed = [premise for premise, ok in premises.items() if not ok]
     if failed:
         return False, "; not lifted, failed: " + ", ".join(failed)
-    *rest, last = premises
-    return True, f"; lifted to all {n} by " + ", ".join(rest) + f" and {last}"
+    return True, f"; lifted to all {n} by {name} and right equivariance"
 
 
 def _eigensections(entries, n: int, where: str = "") -> tuple[bool, str]:
@@ -277,8 +282,8 @@ def _check_dirac_k(k: int) -> list[CheckResult]:
         families = ()
     entries = [e for family in families for e in transfer_slice(family, 0, table)]
     ok, detail = _eigensections(entries, n, " of slice q = 0")
-    lifted, how = _lift({"[D, beta_R] = 0": _dirac_commutes_with_beta_r(),
-                         "right equivariance": _right_equivariant(k)}, n * (k + 1))
+    d_beta, _, _ = _operator_identities()
+    lifted, how = _lift(d_beta, k, n * (k + 1))
     return [CheckResult("dirac", f"eigen-identity k={k}", ok and lifted, detail + how)]
 
 
@@ -290,27 +295,16 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
     zero = Polynomial.zero(Z_VIEW)
     images = [iso_closed_form(k, p, 0).poly for p in range(k + 1)]
     sections = [SpinorSection(h, zero) for h in images] + [SpinorSection(zero, h) for h in images]
-    eig_ok = comm_ok = True
-    for sigma in sections:
-        lap = laplace_section(sigma)
-        eigen = lap == sigma.scale(lam)
-        eig_ok &= eigen
-        d_sigma = dirac_section(sigma)
-        # D is linear, so once Delta sigma == lam sigma has held exactly,
-        # D Delta sigma is lam D sigma: one Dirac pass per section
-        d_lap = d_sigma.scale(lam) if eigen else dirac_section(lap)
-        comm_ok &= laplace_section(d_sigma) == d_lap
-    n = 2 * (k + 1) ** 2
-    premises = {"[Delta, beta_R] = 0": _laplace_commutes_with_beta_r(),
-                "right equivariance": _right_equivariant(k)}
-    eig_lifted, eig_how = _lift(premises, n)
-    comm_lifted, comm_how = _lift({"[D, beta_R] = 0": _dirac_commutes_with_beta_r(), **premises}, n)
+    eig_ok = all(laplace_section(sigma) == sigma.scale(lam) for sigma in sections)
+    _, laplace_beta, (name, commutes) = _operator_identities()
+    lifted, how = _lift(laplace_beta, k, 2 * (k + 1) ** 2)
     return [
-        CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok and eig_lifted,
+        CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok and lifted,
                     f"Delta sigma = {lam} sigma on the {len(sections)} sections of slice q = 0"
-                    + eig_how),
-        CheckResult("laplace", f"dirac-laplace commute k={k}", comm_ok and comm_lifted,
-                    "Delta D sigma = D Delta sigma on slice q = 0" + comm_how),
+                    + how),
+        CheckResult("laplace", f"dirac-laplace commute k={k}", commutes,
+                    f"{name} on the weights that the runtime tables are compiled from, "
+                    "so on every section of every degree"),
     ]
 
 

@@ -437,9 +437,8 @@ def test_an_image_off_the_right_ladder_fails_the_lift(capsys, monkeypatch):
     code, out, _ = run(capsys, "verify", "--suite", "dirac,laplace", "--k-max", "3")
     assert code == 1
     failed = [line.split(": ")[0] for line in out.splitlines() if line.startswith("FAIL")]
-    assert failed == ["FAIL  [dirac] eigen-identity k=2", "FAIL  [laplace] laplace eigenvalue k=2",
-                      "FAIL  [laplace] dirac-laplace commute k=2"]
-    assert out.count("not lifted, failed: right equivariance") == 3
+    assert failed == ["FAIL  [dirac] eigen-identity k=2", "FAIL  [laplace] laplace eigenvalue k=2"]
+    assert out.count("not lifted, failed: right equivariance") == 2
     assert "6/6 sections of slice q = 0 satisfy" in out
 
 
@@ -805,20 +804,21 @@ def test_verify_laplace_fails_on_a_wrong_eigenvalue(capsys, monkeypatch):
 
 
 def test_verify_laplace_fails_when_it_does_not_commute_with_dirac(capsys, monkeypatch):
-    # Delta on the sections (h, 0) and (0, h) of the images h, Delta + 1
-    # anywhere else: the eigenvalues are right, but D sigma is not one of
-    # those sections, so Delta D sigma picks up D sigma
+    # Delta + l1 as the weights the identities read, while laplace_section
+    # still runs Delta: the left field l1 commutes with beta_R, so the
+    # eigenvalue lines lift, but not with D
     import spinor_s3.verify as verify
-    from spinor_s3.polyring import Polynomial, SpinorSection, Z_VIEW
-    from spinor_s3.transfer import transfer_table
+    from spinor_s3 import geometry
+    from spinor_s3.geometry import KillingPair
 
-    laplace = verify.laplace_section
-    zero = Polynomial.zero(Z_VIEW)
-    known = {section for k in range(3) for h in transfer_table(k).values()
-             for section in (SpinorSection(h, zero), SpinorSection(zero, h))}
-    monkeypatch.setattr(verify, "laplace_section",
-                        lambda s: laplace(s) if s in known else laplace(s) + s)
-    code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")
+    wrong = geometry._combine(((verify._laplace_weights(), 1),
+                               (geometry._field_weights(KillingPair.left(1)), 1)))
+    monkeypatch.setattr(verify, "_laplace_weights", lambda: wrong)
+    verify._operator_identities.cache_clear()
+    try:
+        code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")
+    finally:
+        verify._operator_identities.cache_clear()
     assert code == 1
     assert laplace_lines(out) == [("PASS", "FAIL")] * 3
 
@@ -845,20 +845,21 @@ def test_gram_check_demands_the_exact_constant(monkeypatch):
 # records afterwards, and while SpinorVector and KetVector still stored
 # GaussianRational coefficients; the serial loop must print it byte for
 # byte.  The reports with dirac or laplace lines were recorded again when
-# those suites came to check slice q = 0 and lift it to every slice; only
-# the detail text of those lines changed.
+# those suites came to check slice q = 0 and lift it to every slice, and
+# the laplace ones again when the commute lines came to read [D, Delta] = 0
+# off the weights; each time only the detail text of those lines changed.
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "--suite", "all", "--k-max", "3", "--samples", "20000", "--seed", "3"),
-     "69f09e543bfd3c35f07cf944b07f5c081b8ba81b889a2593152720f6343976b3"),
+     "0efe1b460c573553f8b3acadf65cf432fbcc3dc5ca8d1faf343c34f2aef8a5ba"),
     (("verify", "--suite", "laplace,casimir,integral", "--k-max", "2",
       "--samples", "20000", "--seed", "3"),
-     "889ec0952159427671463f480aa7f6058009d72d63a6b1bcce7c215a45bf5a78"),
+     "5887b8b9e482e697151afa298fe9f8a2cca380d0d8c1cecbb740aebe92025db8"),
     (("verify", "--suite", "transfer,dirac,laplace"),
-     "18414176f9a8fed8785bfe996a371ecad0c0edfc9caa5c25639a5c13f776aff0"),
+     "a46f8a0136401565153c180259854c929440e7b70e4da9912a71608eb6216d0e"),
     (("verify", "--suite", "casimir,quadratic"),
      "7d91764e4932bdf69eac62e4239fbe5cc9bc673a70f6f7d8bb3caf5c77a674fd"),
     (("verify", "--suite", "laplace", "--k-max", "10"),
-     "bf8079e1faab92fa65d83e4c6d10aaa3761dc7668647fd8e77f996742b642dce"),
+     "8d5cf697febf2db14549754d80162d759a97e2fb7e656d8d157e6a33735c2795"),
 ])
 def test_verify_reports_are_byte_identical(capsys, argv, digest):
     code, out, err = run(capsys, *argv)

@@ -16,11 +16,11 @@ they also check that every operator takes its operand in z and returns z.
 
 Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
 of the Killing tables.  The work of the section suites and of the export
-is pinned by counts: Dirac passes per section, the builds of the export's
-degree, the table builds and right lowerings of the lift's premise, the
-sizes of the geometry caches and the calls of the table builders.  The
-identities that ``verify`` lifts slice q = 0 by are held to operators
-that break them.
+is pinned by counts: the Dirac and Delta passes on slice q = 0, the
+builds of the export's degree, the table builds and right lowerings of
+the lift's premise, the sizes of the geometry caches and the calls of the
+table builders.  The identities that ``verify`` lifts slice q = 0 by are
+held to operators that break them.
 """
 
 import ast
@@ -224,12 +224,14 @@ def test_compose_is_a_after_b():
             tab = geometry._table(ab)
             for p in operands:
                 assert apply(p, tab) == apply_weights(p, ab) == apply(apply(p, tb), ta)
-    # second order: Delta after each lowering and each lowering after Delta,
-    # cubic weights that only apply_weights runs
+    # second order: Delta after each lowering and each block of D, and each
+    # of them after Delta, cubic weights that only apply_weights runs; the
+    # D blocks are the ones [D, Delta] = 0 is read off in verify
     laplace = laplace_weights()
     tl = geometry._table(laplace)
-    for beta, tb in zip(weights[-2:], tables[-2:]):
-        after, before = geometry._compose(laplace, beta), geometry._compose(beta, laplace)
+    blocks = list(dirac_weights().values())
+    for b, tb in zip(weights[-2:] + blocks, tables[-2:] + [geometry._table(w) for w in blocks]):
+        after, before = geometry._compose(laplace, b), geometry._compose(b, laplace)
         for p in operands:
             assert apply_weights(p, after) == apply(apply(p, tb), tl)
             assert apply_weights(p, before) == apply(apply(p, tl), tb)
@@ -453,12 +455,14 @@ def count_calls(monkeypatch, *functions):
     return calls
 
 
-def test_laplace_suite_makes_one_dirac_pass_per_section(monkeypatch):
-    calls = count_calls(monkeypatch, dirac_section)
+def test_laplace_suite_applies_delta_to_slice_q_0_and_no_dirac(monkeypatch):
+    calls = count_calls(monkeypatch, dirac_section, laplace_section)
     results = verify.run_suites(["laplace"])
     assert len(results) == 14 and all(r.passed for r in results)
-    # the sections of slice q = 0; the lift makes no Dirac pass
-    assert calls["dirac_section"] == sum(2 * (k + 1) for k in range(7)) == 56
+    # one Delta pass per section of slice q = 0; the commute lines read
+    # [D, Delta] = 0 off the weights and the lift makes no pass
+    assert calls["laplace_section"] == sum(2 * (k + 1) for k in range(7)) == 56
+    assert calls["dirac_section"] == 0
 
 
 def test_dirac_suite_applies_d_to_slice_q_0_only(monkeypatch):
@@ -542,8 +546,7 @@ def patch_weights(monkeypatch):
     """Replace a runtime weights builder of ``geometry`` in every module,
     with its compiled block and the lift's identities rebuilt from the
     replacement and rebuilt again from the original afterwards."""
-    caches = [geometry._dirac_block, geometry._laplace_block,
-              verify._dirac_commutes_with_beta_r, verify._laplace_commutes_with_beta_r]
+    caches = [geometry._dirac_block, geometry._laplace_block, verify._operator_identities]
 
     def patch(name, mutate):
         weights = mutate(getattr(geometry, name)())
@@ -572,10 +575,12 @@ def test_verify_fails_a_dirac_operator_that_does_not_commute_with_beta_r(patch_w
 
 
 def test_verify_fails_a_laplace_operator_that_does_not_commute_with_beta_r(patch_weights):
+    # the raising is a right-field term: it still commutes with D, so only
+    # the eigenvalue lines fail, on their lift
     patch_weights("_laplace_weights", lambda w: geometry._combine(((w, 1), (right_raising(), 1))))
     results = verify.run_suites(["laplace"], k_max=3)
-    assert len(results) == 8 and not any(r.passed for r in results)
-    assert all(r.detail.endswith("not lifted, failed: [Delta, beta_R] = 0") for r in results)
+    assert [r.passed for r in results] == [False, True] * 4
+    assert all(r.detail.endswith("not lifted, failed: [Delta, beta_R] = 0") for r in results[::2])
 
 
 def test_geometry_caches_do_not_grow_with_the_degree():
