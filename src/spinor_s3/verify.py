@@ -17,12 +17,15 @@ from typing import Callable, Optional
 from . import linalg
 from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_int, \
     eigenbasis_abstract, quadratic_check, SpinorVector
-from .exactnum import BASIS, add_parts, gauss, gauss_over, quat_multiply, scale_parts
+from .exactnum import BASIS, add_parts, gauss, gauss_over, quat_multiply, reduce_parts, \
+    scale_parts
 from .geometry import (
     SPHERE_VOLUME,
+    _apply,
     _compose,
     _dirac_weights,
     _laplace_weights,
+    _table,
     dirac_section,
     l2_inner_product,
     laplace_section,
@@ -30,10 +33,10 @@ from .geometry import (
     monte_carlo_quadrature,
     tensor_quadrature,
 )
-from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, laplacian_r4
+from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _LAPLACIAN
 from .repspace import casimir, casimir_expected, l_matrix_int
-from .transfer import LEFT, RIGHT, _lowering_weights, beta_lower, gram_matrix, \
-    iso_closed_form, recursive_table, transfer_slice, transfer_table
+from .transfer import LEFT, RIGHT, _lowering_weights, beta_lower, gram_matrix, recursive_table, \
+    transfer_slice, transfer_table
 
 MC_SAMPLES = 1_000_000  # the integral suite's defaults, read by cli
 MC_SEED = 0
@@ -146,93 +149,109 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
     return out
 
 
+# -- the ladder and the identities of weights ------------------------------------
+#
+# The transfer suite's derived lines and the lifts of the dirac and laplace
+# suites read each degree's images, checked once per run (_ladder), and
+# identities of weights, each checked once per process on its first read
+# (_commutes).  VERIFICATION.md gives the arguments.
+
+
+@lru_cache(maxsize=None)
+def _ladder(k: int) -> tuple[dict[str, bool], bool, int, dict]:
+    """The degree's images, built once by each construction and checked:
+    the ladder's facts by name (the two tables are equal; every image is
+    nonzero with exponents (a, b, c, d), b + c = p and b + d = q; the top
+    rungs are lowered to 0), whether every exponent is >= 0 and sums to k,
+    the rank of the images, and the closed images of slice q = 0.
+    ``run_suites`` clears the memo when it starts and when it ends."""
+    closed = transfer_table(k)
+    facts = {
+        "closed = recursive": recursive_table(k) == closed,
+        "supports fix (p, q)": all(
+            not h.is_zero() and all(b + c == p and b + d == q for _, b, c, d in h._num)
+            for (p, q), h in closed.items()),
+        "beta_L h_k0 = 0": beta_lower(LEFT, closed[(k, 0)]).is_zero(),
+        "beta_R h_pk = 0": all(beta_lower(RIGHT, closed[(p, k)]).is_zero() for p in range(k + 1)),
+    }
+    books = all(a >= 0 and b >= 0 and c >= 0 and d >= 0 and a + b + c + d == k
+                for h in closed.values() for a, b, c, d in h._num)
+    # each image scaled by its denominator: the rank does not change
+    rank = linalg.rank_sparse([h._num for h in closed.values()])
+    return facts, books, rank, {(p, 0): closed[(p, 0)] for p in range(k + 1)}
+
+
+@lru_cache(maxsize=None)
+def _flat_laplacian() -> tuple[tuple, tuple]:
+    """Delta_R4, the flat Laplacian on R^4, as weights read off
+    ``polyring._LAPLACIAN`` and nothing of the frame fields (its term
+    (i, j, w) takes c u^e to c w e[i] e[j] at e - delta_i - delta_j), and
+    compiled."""
+    weights = reduce_parts({(tuple(-(n == i) - (n == j) for n in range(4)), i, j): (w, 0)
+                            for i, j, w in _LAPLACIAN}, 1)
+    return weights, _table(weights)
+
+
+#: The operators that the identities name, each as its blocks of weights.
+_OPERATORS = {
+    "D": lambda: tuple(_dirac_weights().values()),
+    "Delta": lambda: (_laplace_weights(),),
+    "beta_L": lambda: (_lowering_weights(LEFT),),
+    "beta_R": lambda: (_lowering_weights(RIGHT),),
+    "Delta_R4": lambda: (_flat_laplacian()[0],),
+}
+
+
+@lru_cache(maxsize=None)
+def _commutes(a: str, b: str) -> tuple[str, bool]:
+    """The identity [a, b] = 0 of two operators of ``_OPERATORS`` and
+    whether it holds: an equality of canonical weights on every pair of
+    blocks, so on every exponent, for every degree at once."""
+    held = all(_compose(x, y) == _compose(y, x) for x in _OPERATORS[a]() for y in _OPERATORS[b]())
+    return f"[{a}, {b}] = 0", held
+
+
 # -- transfer ----------------------------------------------------------------
 
 
-def _lowers(side: str, k: int, table: dict) -> bool:
-    """beta_side h_pq = (k - j) times the next image on that side's ladder,
-    and 0 at j = k, for every image h_pq of ``table``; j is p on the left
-    and q on the right."""
-    zero = Polynomial.zero(Z_VIEW)
-    for (p, q), h in table.items():
-        j, rung = (p, (p + 1, q)) if side == LEFT else (q, (p, q + 1))
-        if beta_lower(side, h) != (table[rung].scale(k - j) if j < k else zero):
-            return False
-    return True
-
-
 def _check_transfer_k(k: int) -> list[CheckResult]:
-    out = []
-    closed = transfer_table(k)
+    facts, books, rank, _ = _ladder(k)
+    n = (k + 1) ** 2
+    out = [CheckResult("transfer", f"closed form = recursive k={k}", facts["closed = recursive"],
+                       f"all {n} images agree exactly")]
 
-    agree = recursive_table(k) == closed
-    out.append(CheckResult("transfer", f"closed form = recursive k={k}", agree,
-                           f"all {(k + 1) ** 2} images agree exactly"))
+    # by the ladder every image is z2^k lowered p times left and q times
+    # right; the identities carry what holds of z2^k, or of slice 0, to it
+    top = _apply(_flat_laplacian()[1], (G2**k)._num).values()  # Delta_R4 z2^k
+    for name, claim, identities in (
+        ("equivariance", "lowering commutes with the transfer on both sides",
+         [_commutes("beta_L", "beta_R")]),
+        ("harmonicity", "flat Laplacian annihilates every image",
+         [("Delta_R4 z2^k = 0", all(c == (0, 0) for c in top)),
+          _commutes("beta_L", "Delta_R4"), _commutes("beta_R", "Delta_R4")]),
+    ):
+        *rest, last = ["the ladder", *(premise for premise, _ in identities)]
+        failed = [premise for premise, ok in {**facts, **dict(identities)}.items() if not ok]
+        out.append(CheckResult("transfer", f"{name} k={k}", not failed,
+                               f"{claim}, derived from {', '.join(rest)} and {last}"
+                               + ("; failed: " + ", ".join(failed) if failed else "")))
 
-    equi = _lowers(LEFT, k, closed) and _lowers(RIGHT, k, closed)
-    out.append(CheckResult("transfer", f"equivariance k={k}", equi,
-                           "lowering commutes with the transfer on both sides"))
-
-    harmonic = all(laplacian_r4(poly).is_zero() for poly in closed.values())
-    out.append(CheckResult("transfer", f"harmonicity k={k}", harmonic,
-                           "flat Laplacian annihilates every image"))
-
-    books = all(
-        all(e >= 0 for e in exp) and sum(exp) == k
-        for poly in closed.values()
-        for exp in poly._num
-    )
     out.append(CheckResult("transfer", f"exponent bookkeeping k={k}", books,
                            "all exponents >= 0 and sum to k"))
 
-    # each image scaled by its denominator: the rank does not change, and an
-    # exponent (a, b, c, d) fixes p = b + c and q = b + d, so distinct
+    # an exponent (a, b, c, d) fixes p = b + c and q = b + d, so distinct
     # images have disjoint supports and split into one-row components
-    full = linalg.rank_sparse([poly._num for poly in closed.values()]) == (k + 1) ** 2
-    out.append(CheckResult("transfer", f"images independent k={k}", full,
-                           f"rank {(k + 1) ** 2} over the Gaussian rationals"))
+    out.append(CheckResult("transfer", f"images independent k={k}", rank == n,
+                           f"rank {n} over the Gaussian rationals"))
     return out
 
 
 # -- dirac / laplace on sections -------------------------------------------------
 #
 # The dirac job and the laplace eigenvalue line check slice q = 0 only and
-# lift it to every slice by two facts (VERIFICATION.md): the degree's images
-# lower right as the slices need (_right_equivariant, checked once per
-# degree per run for both jobs), and the operator commutes with beta_R on
-# its runtime weights, one of the _operator_identities.  The commute line
-# is [D, Delta] = 0 on the weights, which needs no lift.
-
-
-@lru_cache(maxsize=None)
-def _right_equivariant(k: int) -> bool:
-    """Every image h_pq of the degree's :func:`transfer_table` is nonzero,
-    its exponents (a, b, c, d) have b + c = p and b + d = q, and
-    beta_R h_pq = (k - q) h_p,q+1, 0 at q = k.  So the slices have disjoint
-    supports, the images of one slice are independent, and
-    beta_R^q / prod_{j<q} (k - j) carries slice 0 onto slice q."""
-    table = transfer_table(k)
-    return all(
-        not h.is_zero() and all(b + c == p and b + d == q for _, b, c, d in h._num)
-        for (p, q), h in table.items()
-    ) and _lowers(RIGHT, k, table)
-
-
-@lru_cache(maxsize=None)
-def _operator_identities() -> tuple[tuple[str, bool], ...]:
-    """[D, beta_R] = 0, [Delta, beta_R] = 0 and [D, Delta] = 0, in that
-    order, each as (name, held).  Each is an equality of canonical weights
-    on the weights that the runtime tables of D (every block), Delta and
-    beta_R are compiled from, so it holds on every exponent, for every
-    degree at once."""
-    beta, laplace, dirac = _lowering_weights(RIGHT), _laplace_weights(), _dirac_weights().values()
-
-    def commute(a, b):
-        return _compose(a, b) == _compose(b, a)
-
-    return (("[D, beta_R] = 0", all(commute(w, beta) for w in dirac)),
-            ("[Delta, beta_R] = 0", commute(laplace, beta)),
-            ("[D, Delta] = 0", all(commute(w, laplace) for w in dirac)))
+# lift it to every slice by two facts: right equivariance of the degree's
+# images, read off the ladder, and the operator's [., beta_R] = 0.  The
+# commute line is [D, Delta] = 0 on the weights, which needs no lift.
 
 
 def _lift(identity: tuple[str, bool], k: int, n: int) -> tuple[bool, str]:
@@ -240,7 +259,9 @@ def _lift(identity: tuple[str, bool], k: int, n: int) -> tuple[bool, str]:
     the operator ``identity`` (name, held) and right equivariance both
     hold; and the detail that names them, or the ones that failed."""
     name, held = identity
-    premises = {name: held, "right equivariance": _right_equivariant(k)}
+    facts = _ladder(k)[0]
+    premises = {name: held, "right equivariance": all(
+        facts[f] for f in ("closed = recursive", "supports fix (p, q)", "beta_R h_pk = 0"))}
     failed = [premise for premise, ok in premises.items() if not ok]
     if failed:
         return False, "; not lifted, failed: " + ", ".join(failed)
@@ -274,7 +295,7 @@ def eigen_identity(k: int, entries) -> CheckResult:
 
 def _check_dirac_k(k: int) -> list[CheckResult]:
     n = 2 * (k + 1)
-    table = {(p, 0): iso_closed_form(k, p, 0).poly for p in range(k + 1)}
+    table = _ladder(k)[-1]
     try:
         families = eigenbasis_abstract(k)
     except AssertionError:
@@ -282,8 +303,7 @@ def _check_dirac_k(k: int) -> list[CheckResult]:
         families = ()
     entries = [e for family in families for e in transfer_slice(family, 0, table)]
     ok, detail = _eigensections(entries, n, " of slice q = 0")
-    d_beta, _, _ = _operator_identities()
-    lifted, how = _lift(d_beta, k, n * (k + 1))
+    lifted, how = _lift(_commutes("D", "beta_R"), k, n * (k + 1))
     return [CheckResult("dirac", f"eigen-identity k={k}", ok and lifted, detail + how)]
 
 
@@ -293,11 +313,11 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
     # dirac suite checks their rank
     lam = 1 - (k + 1) ** 2
     zero = Polynomial.zero(Z_VIEW)
-    images = [iso_closed_form(k, p, 0).poly for p in range(k + 1)]
+    images = list(_ladder(k)[-1].values())
     sections = [SpinorSection(h, zero) for h in images] + [SpinorSection(zero, h) for h in images]
     eig_ok = all(laplace_section(sigma) == sigma.scale(lam) for sigma in sections)
-    _, laplace_beta, (name, commutes) = _operator_identities()
-    lifted, how = _lift(laplace_beta, k, 2 * (k + 1) ** 2)
+    lifted, how = _lift(_commutes("Delta", "beta_R"), k, 2 * (k + 1) ** 2)
+    name, commutes = _commutes("D", "Delta")
     return [
         CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok and lifted,
                     f"Delta sigma = {lam} sigma on the {len(sections)} sections of slice q = 0"
@@ -432,9 +452,9 @@ def run_suites(
     seed: int = MC_SEED,
 ) -> list[CheckResult]:
     """Run the jobs of each named suite in order, suites by name, each once."""
-    _right_equivariant.cache_clear()  # a premise two suites share, checked once per run
+    _ladder.cache_clear()  # what three suites read of each degree, checked once per run
     results = [result for suite in sorted(set(suites))
                for job in suite_jobs(suite, k_max=k_max, rule=rule, samples=samples, seed=seed)
                for result in job()]
-    _right_equivariant.cache_clear()
+    _ladder.cache_clear()
     return results

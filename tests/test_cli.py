@@ -814,11 +814,11 @@ def test_verify_laplace_fails_when_it_does_not_commute_with_dirac(capsys, monkey
     wrong = geometry._combine(((verify._laplace_weights(), 1),
                                (geometry._field_weights(KillingPair.left(1)), 1)))
     monkeypatch.setattr(verify, "_laplace_weights", lambda: wrong)
-    verify._operator_identities.cache_clear()
+    verify._commutes.cache_clear()
     try:
         code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")
     finally:
-        verify._operator_identities.cache_clear()
+        verify._commutes.cache_clear()
     assert code == 1
     assert laplace_lines(out) == [("PASS", "FAIL")] * 3
 
@@ -847,15 +847,18 @@ def test_gram_check_demands_the_exact_constant(monkeypatch):
 # byte.  The reports with dirac or laplace lines were recorded again when
 # those suites came to check slice q = 0 and lift it to every slice, and
 # the laplace ones again when the commute lines came to read [D, Delta] = 0
-# off the weights; each time only the detail text of those lines changed.
+# off the weights.  The reports with transfer lines were recorded again
+# when its equivariance and harmonicity lines came to be derived from the
+# ladder and identities of weights.  Each time only the detail text of
+# those lines changed.
 @pytest.mark.parametrize("argv, digest", [
     (("verify", "--suite", "all", "--k-max", "3", "--samples", "20000", "--seed", "3"),
-     "0efe1b460c573553f8b3acadf65cf432fbcc3dc5ca8d1faf343c34f2aef8a5ba"),
+     "ccafec1262a8e7c9dc2acc36a3436273cb02019ba530792be6b3ae583c22b2ef"),
     (("verify", "--suite", "laplace,casimir,integral", "--k-max", "2",
       "--samples", "20000", "--seed", "3"),
      "5887b8b9e482e697151afa298fe9f8a2cca380d0d8c1cecbb740aebe92025db8"),
     (("verify", "--suite", "transfer,dirac,laplace"),
-     "a46f8a0136401565153c180259854c929440e7b70e4da9912a71608eb6216d0e"),
+     "6b7d74657969f8b8f1856d3ff796eb2406210d8834042f3bce7f043a0ea5382b"),
     (("verify", "--suite", "casimir,quadratic"),
      "7d91764e4932bdf69eac62e4239fbe5cc9bc673a70f6f7d8bb3caf5c77a674fd"),
     (("verify", "--suite", "laplace", "--k-max", "10"),

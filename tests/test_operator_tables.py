@@ -15,12 +15,14 @@ library the x view of each section and the references its z view, so
 they also check that every operator takes its operand in z and returns z.
 
 Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
-of the Killing tables.  The work of the section suites and of the export
-is pinned by counts: the Dirac and Delta passes on slice q = 0, the
-builds of the export's degree, the table builds and right lowerings of
-the lift's premise, the sizes of the geometry caches and the calls of the
-table builders.  The identities that ``verify`` lifts slice q = 0 by are
-held to operators that break them.
+of the Killing tables, and verify's Delta_R4 to ``laplacian_r4``.  The
+work of the section suites and of the export is pinned by counts: the
+Dirac and Delta passes on slice q = 0, the builds of the export's degree,
+the table builds and top-rung lowerings of the ladder, the identities a
+dirac run composes, the sizes of the geometry caches and the calls of the
+table builders.  The identities that ``verify`` lifts slice q = 0 by, and
+the premises it derives equivariance and harmonicity from, are held to
+operators and images that break them.
 """
 
 import ast
@@ -436,6 +438,22 @@ def test_laplace_is_r2_flat_laplacian_minus_k_k_plus_2_on_every_monomial():
     assert checked == 495
 
 
+def test_flat_laplacian_weights_run_laplacian_r4_on_every_monomial():
+    # verify's Delta_R4, weights read off polyring._LAPLACIAN and run by
+    # the interpreter, against the flat Laplacian's own loop
+    den, _ = table = verify._flat_laplacian()[1]
+    checked = 0
+    for k in range(9):
+        for e0 in range(k + 1):
+            for e1 in range(k + 1 - e0):
+                for e2 in range(k + 1 - e0 - e1):
+                    p = Polynomial.monomial((e0, e1, e2, k - e0 - e1 - e2), 1, Z_VIEW)
+                    got = Polynomial._of(*reduce_parts(geometry._apply(table, p._num), den), Z_VIEW)
+                    assert got == laplacian_r4(p)
+                    checked += 1
+    assert checked == 495
+
+
 # -- counts, not timings ---------------------------------------------------------
 
 
@@ -471,27 +489,68 @@ def test_dirac_suite_applies_d_to_slice_q_0_only(monkeypatch):
     assert calls["dirac_section"] == sum(2 * (k + 1) for k in range(7)) == 56
 
 
+@pytest.fixture
+def fresh_identities():
+    """verify's identities of weights and its Delta_R4 rebuilt on their
+    next read, and again after the test."""
+    caches = (verify._commutes, verify._flat_laplacian)
+    for f in caches:
+        f.cache_clear()
+    yield
+    for f in caches:
+        f.cache_clear()
+
+
+def test_only_the_laplace_suite_composes_d_with_delta(monkeypatch, fresh_identities):
+    # [D, Delta] = 0 is read by the laplace lines alone, so a dirac run
+    # composes no D block with Delta, and a laplace run does
+    compose, composed = verify._compose, []
+
+    def recorded(a, b):
+        composed.append((a, b))
+        return compose(a, b)
+
+    monkeypatch.setattr(verify, "_compose", recorded)
+    laplace, blocks = geometry._laplace_weights(), list(geometry._dirac_weights().values())
+
+    def composes_d_with_delta():
+        return any(pair in ((w, laplace), (laplace, w)) for pair in composed for w in blocks)
+
+    assert all(r.passed for r in verify.run_suites(["dirac"], k_max=2))
+    assert composed and not composes_d_with_delta()  # [D, beta_R] = 0 only
+    assert all(r.passed for r in verify.run_suites(["laplace"], k_max=0))
+    assert composes_d_with_delta()
+
+
 def test_dirac_and_laplace_check_right_equivariance_once_per_degree(monkeypatch):
-    # both suites lift by the same premise; it builds and lowers the
-    # degree's images once per run, and keeps nothing after the run
-    closed, lower = verify.transfer_table, verify.beta_lower
+    # both suites lift by right equivariance, read off the ladder: it builds
+    # each table of the degree once per run, lowers only the top rungs
+    # itself, and keeps nothing after the run
     tables, lowered = Counter(), Counter()
 
-    def counted_table(k):
-        tables[k] += 1
-        return closed(k)
+    def counted(build):
+        def table(k):
+            tables[build.__name__, k] += 1
+            return build(k)
+        return table
+
+    lower = verify.beta_lower
 
     def counted_lower(side, poly):
         lowered[side, poly.degree()] += 1
         return lower(side, poly)
 
-    monkeypatch.setattr(verify, "transfer_table", counted_table)
+    for build in (verify.transfer_table, verify.recursive_table):
+        monkeypatch.setattr(verify, build.__name__, counted(build))
     monkeypatch.setattr(verify, "beta_lower", counted_lower)
     results = verify.run_suites(["dirac", "laplace"], k_max=4)
     assert len(results) == 15 and all(r.passed for r in results)
-    assert tables == {k: 1 for k in range(5)}
-    assert lowered == {(RIGHT, k): (k + 1) ** 2 for k in range(5)}
-    assert verify._right_equivariant.cache_info().currsize == 0
+    assert tables == {(name, k): 1 for name in ("transfer_table", "recursive_table")
+                      for k in range(5)}
+    # beta_L h_k0 and beta_R h_pk for every p; recursive_table lowers the
+    # rest through transfer's own binding
+    assert lowered == {(side, k): n for k in range(5) for side, n in ((LEFT, 1), (RIGHT, k + 1))}
+    assert verify._ladder.cache_info().currsize == 0
 
 
 def test_each_run_checks_right_equivariance_afresh(monkeypatch):
@@ -524,7 +583,7 @@ def test_the_export_builds_its_degree_once_and_applies_d_to_every_section(monkey
     assert calls == {"eigenbasis_abstract": 1, "transfer_table": 1, "dirac_section": 2 * 13 ** 2}
 
 
-# -- the lift's identities, against operators that break them ---------------------
+# -- the premises of the lift and of the ladder, against what breaks them ----------
 
 
 def right_raising():
@@ -546,7 +605,7 @@ def patch_weights(monkeypatch):
     """Replace a runtime weights builder of ``geometry`` in every module,
     with its compiled block and the lift's identities rebuilt from the
     replacement and rebuilt again from the original afterwards."""
-    caches = [geometry._dirac_block, geometry._laplace_block, verify._operator_identities]
+    caches = [geometry._dirac_block, geometry._laplace_block, verify._commutes]
 
     def patch(name, mutate):
         weights = mutate(getattr(geometry, name)())
@@ -581,6 +640,60 @@ def test_verify_fails_a_laplace_operator_that_does_not_commute_with_beta_r(patch
     results = verify.run_suites(["laplace"], k_max=3)
     assert [r.passed for r in results] == [False, True] * 4
     assert all(r.detail.endswith("not lifted, failed: [Delta, beta_R] = 0") for r in results[::2])
+
+
+def test_verify_fails_harmonicity_on_a_flat_laplacian_with_a_flipped_sign(
+        monkeypatch, fresh_identities):
+    # 4(d_u0 d_u1 + d_u2 d_u3): the sign that u2 = -z1 puts on the second
+    # term, flipped.  It still kills z2^k, but commutes with neither
+    # lowering, so only the harmonicity lines fail.  (Negating the whole
+    # operator changes no identity, and no line.)
+    monkeypatch.setattr(verify, "_LAPLACIAN", ((0, 1, 4), (2, 3, 4)))
+    results = verify.run_suites(["transfer"], k_max=2)
+    assert [r.name for r in results if not r.passed] == [f"harmonicity k={k}" for k in range(3)]
+    assert all(r.detail.endswith("failed: [beta_L, Delta_R4] = 0, [beta_R, Delta_R4] = 0")
+               for r in results if not r.passed)
+
+
+def test_verify_fails_equivariance_on_a_left_lowering_that_does_not_commute_with_beta_r(
+        monkeypatch, fresh_identities):
+    # beta_L plus the right field r1, in the weights the identities read
+    # only: r1 commutes with Delta_R4 but not with beta_R, so only the
+    # equivariance lines fail
+    left = transfer._lowering_weights(LEFT)
+    wrong = geometry._combine(((left, 1), (geometry._field_weights(KillingPair.right(1)), 1)))
+    monkeypatch.setattr(verify, "_lowering_weights",
+                        lambda side: wrong if side == LEFT else transfer._lowering_weights(side))
+    results = verify.run_suites(["transfer"], k_max=2)
+    assert [r.name for r in results if not r.passed] == [f"equivariance k={k}" for k in range(3)]
+    assert all(r.detail.endswith("failed: [beta_L, beta_R] = 0") for r in results if not r.passed)
+
+
+def test_verify_fails_a_top_rung_that_beta_r_does_not_kill(monkeypatch):
+    # h_12 at k = 2 plus u0 u1 u3, in both tables: the monomial has the
+    # image's weight (b + c = 1, b + d = 2), so the tables still agree and
+    # the supports still fix (p, q), but beta_R takes it to u1 u3^2.  Every
+    # line that reads the ladder fails, and the bookkeeping sees degree 3
+    extra = Polynomial.monomial((1, 1, 0, 1), 1, Z_VIEW)
+
+    def bumped(build):
+        def table(k):
+            out = build(k)
+            if k == 2:
+                out[(1, 2)] = out[(1, 2)] + extra
+            return out
+        return table
+
+    for build in (verify.transfer_table, verify.recursive_table):
+        monkeypatch.setattr(verify, build.__name__, bumped(build))
+    results = verify.run_suites(["dirac", "laplace", "transfer"], k_max=3)
+    failed = {r.name: r.detail for r in results if not r.passed}
+    assert list(failed) == ["eigen-identity k=2", "laplace eigenvalue k=2", "equivariance k=2",
+                            "harmonicity k=2", "exponent bookkeeping k=2"]
+    assert all(failed[name].endswith("not lifted, failed: right equivariance")
+               for name in ("eigen-identity k=2", "laplace eigenvalue k=2"))
+    assert all(failed[name].endswith("; failed: beta_R h_pk = 0")
+               for name in ("equivariance k=2", "harmonicity k=2"))
 
 
 def test_geometry_caches_do_not_grow_with_the_degree():
