@@ -29,7 +29,6 @@ and :func:`dbar_block_matrix`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
@@ -38,6 +37,7 @@ from .exactnum import (
     GaussianRational,
     GaussInt,
     GaussParts,
+    Record,
     add_parts,
     complex_split,
     parts_over,
@@ -181,22 +181,18 @@ def quadratic_check(k: int) -> bool:
     return not any(product)
 
 
-@dataclass(frozen=True)
-class EigenFamily:
-    """One Dirac eigenvalue with its explicit eigenvectors on the slice
-    H x H_k.
+class EigenFamily(Record):
+    """One Dirac eigenvalue (a Fraction) with its explicit eigenvectors on
+    the slice H x H_k, labelled "plus" or "minus".
 
-    ``ps[j]`` is the p label of ``vectors[j]``; for the minus family p runs
-    0..k+1, the two boundary values marking the one-dimensional invariant
-    spans.  On H x H_k x H_k the family is these vectors tensored with each
-    of the k+1 kets |q>, and ``len`` counts all of them.
+    ``vectors`` is a tuple of SpinorVectors and ``ps[j]`` the p label of
+    ``vectors[j]``; for the minus family p runs 0..k+1, the two boundary
+    values marking the one-dimensional invariant spans.  On H x H_k x H_k
+    the family is these vectors tensored with each of the k+1 kets |q>, and
+    ``len`` counts all of them.
     """
 
-    k: int
-    dirac_eigenvalue: Fraction
-    label: str  # "plus" or "minus"
-    vectors: tuple[SpinorVector, ...]
-    ps: tuple[int, ...]
+    __slots__ = _fields = ("k", "dirac_eigenvalue", "label", "vectors", "ps")
 
     def __len__(self) -> int:
         return (self.k + 1) * len(self.vectors)
@@ -240,11 +236,10 @@ def eigenbasis_abstract(k: int) -> tuple[EigenFamily, EigenFamily]:
     return plus, minus
 
 
-@dataclass(frozen=True)
-class SpectrumRow:
-    k: int
-    eigenvalue: Fraction
-    multiplicity: int
+class SpectrumRow(Record):
+    """A Dirac eigenvalue (a Fraction) of degree k with its multiplicity."""
+
+    __slots__ = _fields = ("k", "eigenvalue", "multiplicity")
 
     def to_json(self) -> dict:
         return {

@@ -17,14 +17,17 @@ shared positive denominator and does their vector-space arithmetic.  The
 helpers before it (``gauss_parts``, ``gauss_over``, ``reduce_parts``,
 ``add_parts``, ``scale_parts``) convert at the edge and keep that form
 canonical.
+
+The library's small immutable records, here and in the other modules,
+subclass :class:`Record`.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import gcd, lcm
+from operator import attrgetter
 from typing import Union
 
 RationalLike = Union[int, Fraction]
@@ -41,20 +44,69 @@ def ratio_to_str(num: int, den: int) -> str:
     return f"{num // g}/{den // g}"
 
 
-@dataclass(frozen=True)
-class GaussianRational:
+class Record:
+    """An immutable record of the fields that its subclass names, in order,
+    in ``_fields`` and keeps in ``__slots__``.  It is built from the field
+    values by position, equals a record of its own class with equal fields,
+    hashes as the tuple of its fields and is copied and pickled through its
+    constructor: what ``@dataclass(frozen=True)`` gives, without generating
+    code when a module is imported."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        # the tuple of the field values, read in C
+        cls._values = property(attrgetter(*cls._fields))
+
+    def __init__(self, *values):
+        if len(values) != len(self._fields):
+            raise TypeError(f"{type(self).__name__} takes {len(self._fields)} fields, "
+                            f"got {len(values)}")
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
+
+    def _replace(self, **changes):
+        """A copy with the named fields changed."""
+        unknown = changes.keys() - set(self._fields)
+        if unknown:
+            raise TypeError(f"{type(self).__name__} has no field {', '.join(sorted(unknown))}")
+        return type(self)(*(changes.get(name, value)
+                            for name, value in zip(self._fields, self._values)))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values == other._values
+
+    def __hash__(self):
+        return hash(self._values)
+
+    def __reduce__(self):
+        return type(self), self._values
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values))
+        return f"{type(self).__name__}({fields})"
+
+
+class GaussianRational(Record):
     """A complex number with rational real and imaginary parts."""
 
-    re: Fraction
-    im: Fraction
+    __slots__ = _fields = ("re", "im")
 
-    def __post_init__(self):
+    def __init__(self, re: Fraction, im: Fraction):
         # Wrap only what is not a Fraction already; ints and floats are
         # converted exactly (Fraction(0.5) == 1/2).
-        if type(self.re) is not Fraction:
-            object.__setattr__(self, "re", Fraction(self.re))
-        if type(self.im) is not Fraction:
-            object.__setattr__(self, "im", Fraction(self.im))
+        object.__setattr__(self, "re", re if type(re) is Fraction else Fraction(re))
+        object.__setattr__(self, "im", im if type(im) is Fraction else Fraction(im))
 
     # -- ring operations ------------------------------------------------
 
@@ -297,18 +349,14 @@ class GaussParts:
         return hash((self._space, self._den, frozenset(self._num.items())))
 
 
-@dataclass(frozen=True)
-class RationalQuaternion:
+class RationalQuaternion(Record):
     """A quaternion c0*e0 + c1*e1 + c2*e2 + c3*e3 with rational components."""
 
-    c0: Fraction
-    c1: Fraction
-    c2: Fraction
-    c3: Fraction
+    __slots__ = _fields = ("c0", "c1", "c2", "c3")
 
-    def __post_init__(self):
-        for name in ("c0", "c1", "c2", "c3"):
-            object.__setattr__(self, name, Fraction(getattr(self, name)))
+    def __init__(self, c0: Fraction, c1: Fraction, c2: Fraction, c3: Fraction):
+        for name, c in zip(self._fields, (c0, c1, c2, c3)):
+            object.__setattr__(self, name, Fraction(c))
 
     def components(self) -> tuple[Fraction, Fraction, Fraction, Fraction]:
         return (self.c0, self.c1, self.c2, self.c3)

@@ -28,7 +28,6 @@ of them, for the quadrature cross-checks.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
@@ -39,6 +38,7 @@ from .exactnum import (
     BASIS,
     GaussianRational,
     RationalQuaternion,
+    Record,
     add_parts,
     complex_split,
     gauss_parts,
@@ -51,16 +51,15 @@ from .exactnum import (
 from .polyring import _FRAME, _FRAME_INV, Polynomial, SpinorSection, Z_VIEW
 
 
-@dataclass(frozen=True)
-class KillingPair:
-    """Generator (S, T) of the isometry flow x -> exp(tT)^{-1} x exp(tS).
+class KillingPair(Record):
+    """Generator (S, T) of the isometry flow x -> exp(tT)^{-1} x exp(tS),
+    two RationalQuaternions.
 
     The associated vector field x -> xS - Tx is linear in x and, for
     imaginary S and T, tangent to every sphere around the origin.
     """
 
-    S: RationalQuaternion
-    T: RationalQuaternion
+    __slots__ = _fields = ("S", "T")
 
     @staticmethod
     def left(i: int) -> "KillingPair":

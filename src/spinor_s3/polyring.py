@@ -37,8 +37,8 @@ equality and hash; ``f`` and ``g`` read the two parts back as canonical
 polynomials, and ``degree`` is read off the exponents.
 
 The kernels outside this module (the shift-table passes behind
-``geometry.dirac_section``, ``laplace_section`` and
-``transfer.beta_lower``, and ``geometry.l2_inner_product``,
+``geometry.dirac_section``, ``laplace_section``, ``transfer.beta_lower``
+and ``recursive_table``, and ``geometry.l2_inner_product``,
 ``transfer.iso_closed_form`` and ``transfer.transfer_slice``) read
 ``_num``/``_den`` and build their results with ``_of`` on parts that
 ``exactnum.reduce_parts``, ``add_parts`` or ``scale_parts`` keep

@@ -24,12 +24,11 @@ suite require them to agree exactly.  Their exact Gram matrix is diagonal.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
 from .abstract_dirac import EigenFamily, eigenbasis_abstract
-from .exactnum import GaussianRational, add_parts, gauss, reduce_parts, scale_parts
+from .exactnum import GaussianRational, Record, add_parts, gauss, reduce_parts, scale_parts
 from .geometry import KillingPair, _apply, _combine, _field_weights, _table, l2_inner_product
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
 
@@ -37,20 +36,16 @@ LEFT = "left"
 RIGHT = "right"
 
 
-@dataclass(frozen=True)
-class TransferImage:
-    """Image of |p>|q>: the polynomial without the global scale factor.
+class TransferImage(Record):
+    """Image of |p>|q>: the polynomial ``poly`` without the global scale
+    factor.
 
     The omitted scalar is sqrt((k+1) / 2pi^2); it is irrational, so it is
-    carried as the exact ratio ``norm_factor_squared`` = k+1 against the
-    2pi^2 volume unit instead of numerically.
+    carried as the exact ratio ``norm_factor_squared`` = k+1 (a Fraction)
+    against the 2pi^2 volume unit instead of numerically.
     """
 
-    k: int
-    p: int
-    q: int
-    poly: Polynomial
-    norm_factor_squared: Fraction
+    __slots__ = _fields = ("k", "p", "q", "poly", "norm_factor_squared")
 
 
 #: The frame fields of each lowering operator: pair(2) and pair(3).
@@ -85,9 +80,16 @@ def beta_lower(side: str, poly: Polynomial) -> Polynomial:
     """
     if side not in _LOWERING_PAIRS:
         raise ValueError(f"unknown side {side!r}")
+    return _lower(side, poly.in_view(Z_VIEW), 1)
+
+
+def _lower(side: str, poly: Polynomial, factor: int) -> Polynomial:
+    """:func:`beta_lower` of a z-view ``poly``, divided by the int
+    ``factor`` > 0: one pass of the table and one reduction, over the
+    product of the denominators and ``factor``."""
     den, _ = table = _lowering_table(side)
-    poly = poly.in_view(Z_VIEW)
-    return Polynomial._of(*reduce_parts(_apply(table, poly._num), poly._den * den), Z_VIEW)
+    return Polynomial._of(*reduce_parts(_apply(table, poly._num), poly._den * den * factor),
+                          Z_VIEW)
 
 
 def _check_indices(k: int, p: int, q: int) -> None:
@@ -101,17 +103,15 @@ def iso_closed_form(k: int, p: int, q: int) -> TransferImage:
     """Closed multinomial formula for the image of |p>|q>.
 
     The sum runs over the i with all four exponents nonnegative, i.e.
-    max(0, p-q) <= i <= min(p, k-q); each term's exponents add up to k.
+    max(0, p-q) <= i <= min(p, k-q); each term's exponents (a, b, i, d)
+    add up to k, and its multinomial k!/(a! b! i! d!) is read as the
+    product of binomials C(k, a) C(k - a, b) C(i + d, i).
     """
     _check_indices(k, p, q)
     num = {}
     for i in range(max(0, p - q), min(p, k - q) + 1):
-        exps = (k - q - i, p - i, i, q - p + i)
-        multinomial = math.factorial(k) // (
-            math.factorial(exps[0]) * math.factorial(exps[1])
-            * math.factorial(exps[2]) * math.factorial(exps[3])
-        )
-        num[exps] = (multinomial, 0)
+        a, b, d = k - q - i, p - i, q - p + i
+        num[(a, b, i, d)] = (math.comb(k, a) * math.comb(k - a, b) * math.comb(i + d, i), 0)
     total = Polynomial._of(*reduce_parts(num, math.comb(k, p) * math.comb(k, q)), Z_VIEW)
     return TransferImage(k, p, q, total, Fraction(k + 1))
 
@@ -121,11 +121,12 @@ def recursive_table(k: int) -> dict[tuple[int, int], Polynomial]:
     counterpart of :func:`transfer_table`.
 
     The image of |p>|q> is z2^k lowered left p times, then right q times,
-    rung j of each ladder dividing out the exact ladder factor k - j; it
-    must reproduce :func:`iso_closed_form` term for term.  The ladders
-    share their prefixes, one left ladder from z2^k and a right ladder from
-    each of its rungs, so the whole table takes (k+1)^2 - 1 lowerings
-    instead of k(k+1)^2.
+    rung j of each ladder dividing out the exact ladder factor k - j (in
+    the same reduction as the lowering); it must reproduce
+    :func:`iso_closed_form` term for term.  The ladders share their
+    prefixes, one left ladder from z2^k and a right ladder from each of its
+    rungs, so the whole table takes (k+1)^2 - 1 lowerings instead of
+    k(k+1)^2.
     """
     _check_indices(k, 0, 0)
     table = {}
@@ -133,9 +134,9 @@ def recursive_table(k: int) -> dict[tuple[int, int], Polynomial]:
     for p in range(k + 1):
         poly = table[(p, 0)] = left
         for j in range(k):
-            poly = table[(p, j + 1)] = beta_lower(RIGHT, poly).scale(Fraction(1, k - j))
+            poly = table[(p, j + 1)] = _lower(RIGHT, poly, k - j)
         if p < k:
-            left = beta_lower(LEFT, left).scale(Fraction(1, k - p))
+            left = _lower(LEFT, left, k - p)
     return table
 
 
@@ -157,15 +158,13 @@ def gram_matrix(k: int) -> list[list[GaussianRational]]:
     return [[l2_inner_product(a, b) for b in images] for a in images]
 
 
-@dataclass(frozen=True)
-class TransferredEigenvector:
-    """One Dirac eigensection with its provenance in the abstract basis."""
+class TransferredEigenvector(Record):
+    """One Dirac eigensection with its provenance in the abstract basis:
+    its eigenvalue (a Fraction), its family ("plus" or "minus") and its
+    slice q and label p.  It can be referred to weakly."""
 
-    section: SpinorSection
-    eigenvalue: Fraction
-    family: str  # "plus" or "minus"
-    q: int
-    p: int
+    _fields = ("section", "eigenvalue", "family", "q", "p")
+    __slots__ = (*_fields, "__weakref__")
 
 
 def transfer_slice(family: EigenFamily, q: int,

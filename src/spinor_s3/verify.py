@@ -9,7 +9,6 @@ in (suite, job) order on every run.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
@@ -17,7 +16,7 @@ from typing import Callable, Optional
 from . import linalg
 from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_int, \
     eigenbasis_abstract, quadratic_check, SpinorVector
-from .exactnum import BASIS, add_parts, gauss, gauss_over, quat_multiply, reduce_parts, \
+from .exactnum import BASIS, Record, add_parts, gauss, gauss_over, quat_multiply, reduce_parts, \
     scale_parts
 from .geometry import (
     SPHERE_VOLUME,
@@ -56,12 +55,11 @@ MC_MONOMIALS = (
 )
 
 
-@dataclass(frozen=True)
-class CheckResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str
+class CheckResult(Record):
+    """One reported line: the suite, the check's name, whether it passed and
+    its detail."""
+
+    __slots__ = _fields = ("suite", "name", "passed", "detail")
 
     def line(self) -> str:
         status = "PASS" if self.passed else "FAIL"

@@ -5,7 +5,6 @@ import json
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -355,15 +354,26 @@ def test_importing_the_cli_starts_no_thread_and_registers_no_exit_handler():
     assert threads.strip() == "['MainThread']"
 
 
+def test_importing_the_cli_imports_neither_dataclasses_nor_json():
+    # every command is a fresh process that pays for what the import loads:
+    # the records are written without dataclass code generation, and json
+    # is imported by the one command that uses it (numpy is still imported
+    # with the package, so nothing is asserted about it)
+    script = "import sys, spinor_s3.cli; print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
+    proc = python_process(("-c", script), False, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err, out) == (0, "", "[]\n")
+
+
 def zero_sections(entries):
     from spinor_s3.polyring import SpinorSection
 
-    return tuple(replace(e, section=SpinorSection.zero()) for e in entries)
+    return tuple(e._replace(section=SpinorSection.zero()) for e in entries)
 
 
 def first_of_each_family(entries):
     first = {}
-    return tuple(replace(e, section=first.setdefault(e.family, e.section)) for e in entries)
+    return tuple(e._replace(section=first.setdefault(e.family, e.section)) for e in entries)
 
 
 def break_slices(monkeypatch, broken):
@@ -734,8 +744,6 @@ def test_verify_reports_a_failed_family_check_as_fail_lines(capsys, wrong_dbar_f
 def test_verify_ranks_the_one_slice_of_the_families(capsys, monkeypatch):
     # the minus vector with p = 0 replaced by its neighbour: the slice, and
     # with it every q slice, loses rank
-    from dataclasses import replace
-
     import spinor_s3.verify as verify
 
     families = verify.eigenbasis_abstract
@@ -747,7 +755,7 @@ def test_verify_ranks_the_one_slice_of_the_families(capsys, monkeypatch):
         vectors = list(minus.vectors)
         j = minus.ps.index(0)
         vectors[j] = vectors[j + 1]
-        return plus, replace(minus, vectors=tuple(vectors))
+        return plus, minus._replace(vectors=tuple(vectors))
 
     monkeypatch.setattr(verify, "eigenbasis_abstract", corrupted)
     code, out, _ = run(capsys, "verify", "--suite", "quadratic", "--k-max", "3")

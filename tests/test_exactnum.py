@@ -1,6 +1,8 @@
 """Exact scalar arithmetic: ring axioms, the Hamilton table and the
 quaternion <-> complex-pair identification."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -155,3 +157,41 @@ def test_gaussian_constructor_exact_for_int_float_fraction():
     assert hash(GaussianRational(3, -2)) == hash(GaussianRational(3.0, Fraction(-2)))
     assert GaussianRational(0.5, 1).re == Fraction(1, 2)
     assert GaussianRational(0.1, 0).re == Fraction(0.1)  # the float's exact binary value
+
+
+def _one_record_of_each_kind():
+    from spinor_s3.abstract_dirac import eigenbasis_abstract, spectrum_table
+    from spinor_s3.geometry import KillingPair
+    from spinor_s3.transfer import iso_closed_form, transfer_eigenbasis
+    from spinor_s3.verify import CheckResult
+
+    return [GaussianRational(1, 2), quat(1, 2, 3, 4), KillingPair.left(1),
+            eigenbasis_abstract(1)[1], spectrum_table(1)[0], iso_closed_form(2, 1, 0),
+            transfer_eigenbasis(1)[0], CheckResult("suite", "name", True, "detail")]
+
+
+@pytest.mark.parametrize("record", _one_record_of_each_kind(), ids=lambda r: type(r).__name__)
+def test_records_are_immutable_values(record):
+    # what the frozen dataclasses they replaced gave: no field can be set
+    # or deleted, equality and hash are over the fields and within the
+    # class, and copies are equal values
+    fields = type(record)._fields
+    assert not hasattr(record, "__dict__")
+    for name in fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+        with pytest.raises(AttributeError):
+            delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = None
+    values = tuple(getattr(record, name) for name in fields)
+    assert record != values and hash(record) == hash(values)
+    for twin in (type(record)(*values), record._replace(), copy.copy(record),
+                 copy.deepcopy(record), pickle.loads(pickle.dumps(record))):
+        assert type(twin) is type(record) and twin == record and hash(twin) == hash(record)
+    changed = record._replace(**{fields[0]: values[-1]})
+    assert changed != record and getattr(changed, fields[0]) == values[-1]
+    with pytest.raises(TypeError):
+        record._replace(no_such_field=None)
+    with pytest.raises(TypeError):
+        type(record)(*values, None)

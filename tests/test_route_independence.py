@@ -54,6 +54,13 @@ ALLOWED = {
     "polyring.Z_VIEW": "the name of a coordinate view, a string constant",
     "repspace.KetVector.k": _SPACE_FIELD,
     "abstract_dirac.SpinorVector.k": _SPACE_FIELD,
+    "exactnum.Record.__init__":
+        "the record constructor (transfer.TransferImage's, and geometry."
+        "KillingPair's for the lowering fields): it stores the field values "
+        "it is given and computes nothing",
+    "exactnum.Record.__setattr__":
+        "reached only because object.__setattr__ in Record.__init__ resolves "
+        "by name to every __setattr__; it raises and computes nothing",
     "transfer._check_indices":
         "refuses a negative k with ValueError and (p, q) outside 0..k with "
         "IndexError, and computes nothing",
@@ -232,9 +239,10 @@ def test_the_graph_sees_a_merged_route():
              GRAPH["transfer.recursive_table"] | {"transfer.iso_closed_form"}}
     assert "transfer.iso_closed_form" in shared(
         graph, {"transfer.transfer_table"}, {"transfer.recursive_table"})
-    # the resolution itself: a function, a method by name, a module
-    # attribute and a constructor
-    assert "transfer.beta_lower" in GRAPH["transfer.recursive_table"]
-    assert "exactnum.GaussParts.scale" in GRAPH["transfer.recursive_table"]
+    # the resolution itself: a function, a method inherited through its
+    # class's name, a method by name, a module attribute and a constructor
+    assert "transfer._lower" in GRAPH["transfer.recursive_table"]
+    assert "exactnum.GaussParts._of" in GRAPH["transfer._lower"]
+    assert "polyring.Polynomial.in_view" in GRAPH["transfer.beta_lower"]
     assert "linalg.rank_sparse" in GRAPH["verify._check_quadratic_k"]
     assert "repspace.KetVector.__init__" in GRAPH["repspace.KetVector"]

@@ -1,7 +1,6 @@
 """The transfer to harmonic polynomials: closed form against the
 recursive lowering construction, equivariance and the eigen-sections."""
 
-import dataclasses
 import gc
 import weakref
 from fractions import Fraction
@@ -109,7 +108,7 @@ def test_left_right_lowering_commute():
     assert lr == rl
 
 
-@pytest.mark.parametrize("k", range(7))
+@pytest.mark.parametrize("k", [*range(7), 20, 28])
 def test_closed_equals_recursive(k):
     table = recursive_table(k)
     for p in range(k + 1):
@@ -123,16 +122,35 @@ def test_recursive_table_keys_in_p_q_order(k):
     assert list(table) == [(p, q) for p in range(k + 1) for q in range(k + 1)]
 
 
+def test_a_ladder_factor_off_by_one_at_one_rung_breaks_the_equality(monkeypatch):
+    # the control: rung j = 4 of the right ladder from z2^20 divided by
+    # 17 instead of 16 changes that image and every one below it, and no
+    # other
+    k = 20
+    lower, calls = transfer._lower, []
+
+    def off_by_one(side, poly, factor):
+        calls.append((side, factor))
+        if len(calls) == 5:
+            factor += 1
+        return lower(side, poly, factor)
+
+    monkeypatch.setattr(transfer, "_lower", off_by_one)
+    closed, broken = transfer_table(k), recursive_table(k)
+    assert calls[4] == (RIGHT, 16)
+    assert broken != closed
+    assert {key for key, h in closed.items() if broken[key] != h} == {(0, q) for q in range(5, k + 1)}
+
+
 def test_recursive_table_shares_the_ladder_prefixes(monkeypatch):
-    import spinor_s3.transfer as transfer
-
     calls = []
+    lower = transfer._lower
 
-    def counted(side, poly):
+    def counted(side, poly, factor):
         calls.append(side)
-        return beta_lower(side, poly)
+        return lower(side, poly, factor)
 
-    monkeypatch.setattr(transfer, "beta_lower", counted)
+    monkeypatch.setattr(transfer, "_lower", counted)
     for k in (0, 1, 4):
         calls.clear()
         recursive_table(k)
@@ -275,7 +293,7 @@ def test_transfer_eigenbasis_carries_the_vector_denominators(monkeypatch):
     # give halved sections
     whole = transfer_eigenbasis(2)
     halved = [
-        dataclasses.replace(fam, vectors=tuple(v.scale(Fraction(1, 2)) for v in fam.vectors))
+        fam._replace(vectors=tuple(v.scale(Fraction(1, 2)) for v in fam.vectors))
         for fam in eigenbasis_abstract(2)
     ]
     monkeypatch.setattr(transfer, "eigenbasis_abstract", lambda k: halved)
