@@ -6,8 +6,8 @@ polynomial operations (the generating vector fields x -> xS - Tx are
 linear), and every operator here is a polynomial in the frame derivatives
 l_i: D = -sum_i (l_i sigma) e_i - 3/2, Delta = sum_i l_i l_i, and the two
 lowerings of ``transfer``.  Each is built as weights, canonical exact
-parts of the vector core keyed by (shift, m, n): each field's weights are
-read off its integer matrix (integer Hamilton products and the integer
+parts of the vector core keyed by (shift, *indices): each field's weights
+are read off its integer matrix (integer Hamilton products and the integer
 frame change), and every other operator's are built from those by a
 linear combination (``_combine``, a fold of ``add_parts``/``scale_parts``)
 and a composition of any order (``_compose``), so an operator identity is
@@ -99,20 +99,22 @@ def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.Rows]:
 
 # An operator on z-view polynomials is kept as a table ``(den, entries)`` of
 # Gaussian integers over den > 0.  An entry ``(shift, re, im)`` takes a term
-# c*u^e to c*w(e) at e + shift, or at e itself when shift is None, with
+# c*u^e to c*w(e) at e + shift, with
 #
 #     w(e) = sum c*x[m]*x[n] over the terms (m, n, c) of re
 #            + i * the same sum over the terms of im,   x = (e0, e1, e2, e3, 1).
 #
 # Weights ``(num, den)`` hold the same data as canonical core parts: num maps
-# (shift, m, n), m <= n, to the Gaussian integer c.  First-order weights have
-# only keys with n = 4; cubic and higher ones, keyed (shift, m, n, ...)
-# alike, are compared as weights and never compiled.  The weight of every
-# operator below is 0 wherever its shift would lower an exponent below 0 (a
-# field's weight e[m] is, and sums and products keep it), so _apply, which
-# skips zero weights, never writes a negative exponent.  The weights are
-# built once per process from the frame fields' by _combine and _compose,
-# and compiled to tables by _table, a block of them by _compile.
+# (shift, *ns) to the Gaussian integer c of the term c * prod x[n] over ns,
+# shift a 4-tuple and ns the product's sorted indices in 0..3, so a constant
+# is keyed (shift,), a first-order term (shift, m) and a quadratic one
+# (shift, m, n).  Cubic and higher weights are compared and never compiled.
+# The weight of every operator below is 0 wherever its shift would lower an
+# exponent below 0 (a field's weight e[m] is, and sums and products keep
+# it), so _apply, which skips zero weights, never writes a negative
+# exponent.  The weights are built once per process from the frame fields'
+# by _combine and _compose, and compiled to tables by _table, which alone
+# pads a key to (m, n) with x[4] = 1, and a block of them by _compile.
 
 
 def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
@@ -125,7 +127,7 @@ def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
     for exp, (a, b) in num.items():
         x = exp + (1,)
         e0, e1, e2, e3 = exp
-        for shift, re_terms, im_terms in entries:
+        for (s0, s1, s2, s3), re_terms, im_terms in entries:
             wr = wi = 0
             for m, n, c in re_terms:
                 wr += c * x[m] * x[n]
@@ -138,22 +140,21 @@ def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
                 re, im = a * wr, b * wr
             else:
                 continue
-            if shift is None:
-                key = exp
-            else:
-                s0, s1, s2, s3 = shift
-                key = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
+            key = (e0 + s0, e1 + s1, e2 + s2, e3 + s3)
             t = acc.get(key)
             acc[key] = (re, im) if t is None else (t[0] + re, t[1] + im)
     return acc
 
 
 def _table(weights: tuple) -> tuple:
-    """The runtime table of ``weights``, as is: nothing is reduced, so
-    :func:`_compile` can put the tables of a block over one denominator."""
+    """The runtime table of ``weights`` of order <= 2, as is: nothing is
+    reduced, so :func:`_compile` can put a block over one denominator."""
     num, den = weights
     entries: dict = {}
-    for (shift, m, n), (wr, wi) in num.items():
+    for (shift, *ns), (wr, wi) in num.items():
+        if len(ns) > 2:
+            raise ValueError(f"a table runs weights of order <= 2, not the key {(shift, *ns)}")
+        m, n = (*ns, 4, 4)[:2]
         re, im = entries.setdefault(shift, ([], []))
         if wr:
             re.append((m, n, wr))
@@ -163,7 +164,7 @@ def _table(weights: tuple) -> tuple:
 
 
 #: The identity operator, which carries the Dirac operator's constant.
-_IDENTITY = ({(None, 4, 4): (1, 0)}, 1)
+_IDENTITY = ({((0, 0, 0, 0),): (1, 0)}, 1)
 
 
 @lru_cache(maxsize=None)
@@ -175,8 +176,7 @@ def _field_weights(pair: KillingPair) -> tuple:
     num = {}
     for m, row in enumerate(rows):
         for j, c in row.items():
-            shift = None if m == j else tuple((n == j) - (n == m) for n in range(4))
-            num[(shift, m, 4)] = c
+            num[(tuple((n == j) - (n == m) for n in range(4)), m)] = c
     return reduce_parts(num, den)
 
 
@@ -191,23 +191,19 @@ def _combine(parts) -> tuple:
 def _compose(a: tuple, b: tuple) -> tuple:
     """a after b, for weights of any order: the term (s, *i) of b, then the
     term (t, *j) of a, give w(x) * v(x + s) at s + t, where w and v are the
-    terms' products of x over i and j and s[4] = 0.  A key lists the
-    indices below 4 of its product, sorted and padded with 4 to length 2."""
+    terms' products of x over i and j."""
     (va, da), (vb, db) = a, b
     num: dict = {}
     for (s, *i), (wr, wi) in vb.items():
-        s = (*(s or (0, 0, 0, 0)), 0)
         for (t, *j), (vr, vi) in va.items():
-            net = tuple(x + y for x, y in zip(s, t or (0, 0, 0, 0)))
-            net = net if any(net) else None
+            net = tuple(x + y for x, y in zip(s, t))
             # w(x) times x[n] + s[n] for each n of j, as products of x
             prods = [(i, 1)]
             for n in j:
                 prods = [((*p, n), c) for p, c in prods] + [(p, c * s[n]) for p, c in prods if s[n]]
             cr, ci = wr * vr - wi * vi, wr * vi + wi * vr
             for p, c in prods:
-                mono = sorted(m for m in p if m < 4)
-                key = (net, *mono, *(4,) * (2 - len(mono)))
+                key = (net, *sorted(p))
                 xr, xi = num.get(key, (0, 0))
                 num[key] = (xr + c * cr, xi + c * ci)
     return reduce_parts(num, da * db)
@@ -377,8 +373,9 @@ def monte_carlo_quadrature(fs: list[Polynomial], samples: int,
     """(value, standard error) of the sphere integral of each polynomial in
     ``fs`` by Monte Carlo, on one set of draws, each equal to its
     one-polynomial call bit for bit.  The samples are drawn in fixed chunks
-    of 2^16, one spawned child stream per chunk from SeedSequence(seed), so
-    the estimate is reproducible no matter how chunks are scheduled."""
+    of 2^16, one child stream per chunk, spawned from SeedSequence(seed) as
+    the chunk is drawn, so the estimate is reproducible no matter how chunks
+    are scheduled, and no stream is held before its chunk."""
     if samples < 2:
         # one sample has no variance estimate, so no error bar
         raise ValueError("monte carlo rule needs samples >= 2")
@@ -388,11 +385,11 @@ def monte_carlo_quadrature(fs: list[Polynomial], samples: int,
     # per polynomial: sums of the real and imaginary parts and of their squares
     sums = [[0.0, 0.0, 0.0, 0.0] for _ in all_terms]
     n = samples
-    children = np.random.SeedSequence(seed).spawn((n + _MC_CHUNK - 1) // _MC_CHUNK)
+    root = np.random.SeedSequence(seed)
     drawn = 0
-    for child in children:
+    while drawn < n:
         m = min(_MC_CHUNK, n - drawn)
-        rng = np.random.default_rng(child)
+        rng = np.random.default_rng(root.spawn(1)[0])
         x = rng.standard_normal((m, 4))
         x /= np.linalg.norm(x, axis=1, keepdims=True)
         z1 = x[:, 0] + 1j * x[:, 1]

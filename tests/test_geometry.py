@@ -7,6 +7,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import fraction_reference as ref
+import numpy as np
 import pytest
 import x_reference
 from operator_reference import (
@@ -423,6 +424,50 @@ def test_monte_carlo_batch_equals_single_calls():
     # 150 000 samples span three chunks, the last one short
     batch = monte_carlo_quadrature(BATCH, 150_000, 11)
     assert batch == [monte_carlo_quadrature([f], 150_000, 11)[0] for f in BATCH]
+
+
+def eager_monte_carlo(fs, samples, seed):
+    """The Monte Carlo rule with every chunk's child stream spawned before
+    the first draw."""
+    chunk = 1 << 16
+    children = np.random.SeedSequence(seed).spawn(-(-samples // chunk))
+    draws = [np.random.default_rng(child).standard_normal((min(chunk, samples - i * chunk), 4))
+             for i, child in enumerate(children)]
+    for x in draws:
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+    out = []
+    for f in fs:
+        terms = geometry._complex_terms(f)
+        sums = [0.0] * 4
+        for x in draws:
+            values = geometry._eval_terms(terms, x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
+            for i, part in enumerate((values.real, values.imag, values.real**2, values.imag**2)):
+                sums[i] += float(np.sum(part))
+        re, im, sq_re, sq_im = (s / samples for s in sums)
+        var = max(sq_re - re**2, 0.0) + max(sq_im - im**2, 0.0)
+        out.append((complex(re, im) * SPHERE_VOLUME, SPHERE_VOLUME * math.sqrt(var / samples)))
+    return out
+
+
+@pytest.mark.parametrize("seed", [0, 11])
+def test_monte_carlo_spawns_one_child_per_chunk_as_drawn(monkeypatch, seed):
+    # two full chunks and a short one: the same draws as spawning all three
+    # children first, each asked of the root alone
+    samples = 2 * 2**16 + 5
+    want = eager_monte_carlo(BATCH[:2], samples, seed)
+    real, asked = np.random.SeedSequence, []
+
+    class Recorded:
+        def __init__(self, entropy):
+            self.seq = real(entropy)
+
+        def spawn(self, n):
+            asked.append(n)
+            return self.seq.spawn(n)
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recorded)
+    assert monte_carlo_quadrature(BATCH[:2], samples, seed) == want
+    assert asked == [1, 1, 1]
 
 
 @pytest.mark.parametrize("call, match", [

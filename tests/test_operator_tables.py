@@ -14,6 +14,8 @@ in one integer pass.  Both work in the z view.  The x cases hand the
 library the x view of each section and the references its z view, so
 they also check that every operator takes its operand in z and returns z.
 
+Every weights key the library builds is held to the one format
+(shift, *indices), and only ``_table`` pads it to the interpreter's form.
 Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
 of the Killing tables, and verify's Delta_R4 to ``laplacian_r4``.  The
 work of the section suites and of the export is pinned by counts: the
@@ -170,24 +172,23 @@ def weights_of(table):
     for shift, re, im in entries:
         for terms, (ur, ui) in ((re, (1, 0)), (im, (0, 1))):
             for m, n, c in terms:
-                wr, wi = num.get((shift, m, n), (0, 0))
-                num[(shift, m, n)] = (wr + c * ur, wi + c * ui)
+                key = (shift, *(i for i in (m, n) if i < 4))
+                wr, wi = num.get(key, (0, 0))
+                num[key] = (wr + c * ur, wi + c * ui)
     return reduce_parts(num, den)
 
 
 def apply_weights(p, weights):
     """The operator ``weights``, of any order, on the z-view polynomial p,
     term by term and with no table: the key (shift, *ns) takes c*u^e to c
-    times its weight times the product of x[n] over ns at e + shift, with
-    x = (e0, e1, e2, e3, 1)."""
+    times its weight times the product of e[n] over ns at e + shift."""
     num, den = weights
     out = {}
     for exp, (a, b) in p._num.items():
-        x = exp + (1,)
         for (shift, *ns), (wr, wi) in num.items():
-            f = math.prod(x[n] for n in ns)
+            f = math.prod(exp[n] for n in ns)
             if f:
-                key = exp if shift is None else tuple(e + s for e, s in zip(exp, shift))
+                key = tuple(e + s for e, s in zip(exp, shift))
                 re, im = out.get(key, (0, 0))
                 out[key] = (re + f * (a * wr - b * wi), im + f * (a * wi + b * wr))
     return Polynomial._of(*reduce_parts(out, p._den * den), Z_VIEW)
@@ -237,6 +238,40 @@ def test_compose_is_a_after_b():
         for p in operands:
             assert apply_weights(p, after) == apply(apply(p, tb), tl)
             assert apply_weights(p, before) == apply(apply(p, tl), tb)
+
+
+def library_weights():
+    """Every operator that the library builds as weights, and each
+    composition of two of D's blocks, Delta, the lowerings and Delta_R4."""
+    fields = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
+    ops = [*geometry._dirac_weights().values(), geometry._laplace_weights(),
+           *(transfer._lowering_weights(side) for side in (LEFT, RIGHT)), verify._flat_laplacian()]
+    return ([geometry._IDENTITY, *map(geometry._field_weights, fields), *ops]
+            + [geometry._compose(a, b) for a in ops for b in ops])
+
+
+def test_every_weights_key_is_a_shift_and_sorted_indices():
+    # one format for every order: a 4-tuple shift, never None, then the
+    # sorted variables 0..3 of the product, never padded
+    orders = Counter()
+    for num, _ in library_weights():
+        for shift, *ns in num:
+            assert isinstance(shift, tuple) and len(shift) == 4
+            assert all(type(s) is int for s in shift)
+            assert ns == sorted(ns) and all(0 <= n <= 3 for n in ns)
+            orders[len(ns)] += 1
+    # the identity's constant up to Delta after Delta
+    assert set(orders) == {0, 1, 2, 3, 4}
+    # and the tables compiled from them keep the shift
+    assert all(isinstance(shift, tuple) and len(shift) == 4
+               for _, entries in runtime_tables() for shift, _, _ in entries)
+
+
+def test_table_refuses_weights_of_order_above_2():
+    cubic = geometry._compose(geometry._dirac_weights()[(0, 0)], geometry._laplace_weights())
+    assert max(len(key) for key in cubic[0]) == 4
+    with pytest.raises(ValueError, match="order <= 2"):
+        geometry._table(cubic)
 
 
 def test_combine_is_the_linear_combination():
@@ -387,7 +422,7 @@ def test_tables_never_reach_a_negative_exponent():
     cases = 0
     for _, entries in runtime_tables():
         for shift, re, im in entries:
-            for j, s in enumerate(shift or ()):
+            for j, s in enumerate(shift):
                 for v in range(-s):
                     for rest in itertools.product(range(3), repeat=3):
                         x = (*rest[:j], v, *rest[j:], 1)
@@ -409,12 +444,13 @@ def test_laplace_table_is_three_shifts_over_denominator_one():
     assert den == table_den == 1
     forms = {shift: re for shift, re, im in entries if not im}
     assert len(forms) == len(entries)  # every weight is real
-    assert forms.keys() == {None, (-1, -1, 1, 1), (1, 1, -1, -1)}
+    assert forms.keys() == {(0, 0, 0, 0), (-1, -1, 1, 1), (1, 1, -1, -1)}
     # the zero shift: every e[m]*e[n] and every e[m], no constant
-    assert sorted((m, n) for m, n, _ in forms[None] if n < 4) == [
+    stay = forms[(0, 0, 0, 0)]
+    assert sorted((m, n) for m, n, _ in stay if n < 4) == [
         (m, n) for m in range(4) for n in range(m, 4)]
-    assert sorted(m for m, n, _ in forms[None] if n == 4) == [0, 1, 2, 3]
-    assert len(forms[None]) == 14
+    assert sorted(m for m, n, _ in stay if n == 4) == [0, 1, 2, 3]
+    assert len(stay) == 14
     # one product term each: e0*e1 moves to the conjugate pair, e2*e3 back
     assert forms[(-1, -1, 1, 1)] == ((0, 1, -4),)
     assert forms[(1, 1, -1, -1)] == ((2, 3, -4),)
@@ -439,9 +475,9 @@ def test_laplace_is_r2_flat_laplacian_minus_k_k_plus_2_on_every_monomial():
 
 
 def test_flat_laplacian_weights_run_laplacian_r4_on_every_monomial():
-    # verify's Delta_R4, weights read off polyring._LAPLACIAN and run by
-    # the interpreter, against the flat Laplacian's own loop
-    den, _ = table = verify._flat_laplacian()[1]
+    # verify's Delta_R4, weights read off polyring._LAPLACIAN, compiled and
+    # run by the interpreter, against the flat Laplacian's own loop
+    den, _ = table = geometry._table(verify._flat_laplacian())
     checked = 0
     for k in range(9):
         for e0 in range(k + 1):
@@ -655,6 +691,18 @@ def test_verify_fails_harmonicity_on_a_flat_laplacian_with_a_flipped_sign(
                for r in results if not r.passed)
 
 
+def test_verify_fails_harmonicity_on_a_flat_laplacian_that_keeps_z2_k(
+        monkeypatch, fresh_identities):
+    # Delta_R4 plus the identity commutes with both lowerings, but its
+    # constant key has no factor of e1, e2 or e3 and keeps z2^k, so only
+    # the harmonicity lines fail, on that premise alone
+    wrong = geometry._combine(((verify._flat_laplacian(), 1), (geometry._IDENTITY, 1)))
+    monkeypatch.setattr(verify, "_flat_laplacian", lambda: wrong)
+    results = verify.run_suites(["transfer"], k_max=2)
+    assert [r.name for r in results if not r.passed] == [f"harmonicity k={k}" for k in range(3)]
+    assert all(r.detail.endswith("; failed: Delta_R4 z2^k = 0") for r in results if not r.passed)
+
+
 def test_verify_fails_equivariance_on_a_left_lowering_that_does_not_commute_with_beta_r(
         monkeypatch, fresh_identities):
     # beta_L plus the right field r1, in the weights the identities read
@@ -707,6 +755,16 @@ def test_geometry_caches_do_not_grow_with_the_degree():
     assert all(r.passed for r in verify.run_suites(["laplace"], k_max=12))
     assert {f.__name__: f.cache_info().currsize for f in cached} == sizes
     assert max(sizes.values()) <= 8
+
+
+def test_verify_reads_operators_only_as_weights():
+    # verify compares weights; it neither compiles nor runs a table
+    tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                for alias in node.names}
+    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert "_compose" in imported and "*" not in imported
+    assert not (imported | named) & {"_apply", "_table", "_compile"}
 
 
 def test_builders_run_once_per_process(monkeypatch):

@@ -75,7 +75,6 @@ def test_merged_lowering_tables_are_the_diamond_arrows():
     for side, arrows in diamond.items():
         den, entries = _lowering_table(side)
         assert den == 1
-        assert None not in {shift for shift, _, _ in entries}
         assert len(entries) == 2
         arrow_entries = {}
         for a, b in arrows:
