@@ -35,7 +35,7 @@ from .abstract_dirac import spectrum_table
 from .exactnum import ratio_to_str, rational_to_str
 from .polyring import _term_order
 from .transfer import transfer_eigenbasis
-from .verify import MC_SAMPLES, MC_SEED, RULES, SUITE_NAMES, SUITES, eigen_identity, run_suites
+from .verify import MC_SAMPLES, MC_SEED, RULES, SUITES, eigen_identity, run_suites
 
 #: Exact-arithmetic cost grows fast with k; refuse degrees above this
 #: unless --unsafe-k is given.  ``verify --suite all`` takes about 0.6 s at
@@ -94,11 +94,11 @@ def _suite_names(text: str) -> list[str]:
     """An argparse type for the comma-separated suite list, with ``all``
     expanded."""
     names = [s.strip() for s in text.split(",") if s.strip()]
-    unknown = [n for n in names if n not in SUITE_NAMES and n != "all"]
+    unknown = [n for n in names if n not in SUITES and n != "all"]
     if unknown or not names:
         raise argparse.ArgumentTypeError(
             f"unknown suite(s): {', '.join(unknown) or '(none given)'}")
-    return list(SUITE_NAMES) if "all" in names else names
+    return list(SUITES) if "all" in names else names
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser("verify", help="run exact/numeric verification suites")
     verify.add_argument("--suite", dest="suites", metavar="SUITE",
                         type=_suite_names, default="all",
-                        help="comma-separated from: " + ", ".join(SUITE_NAMES) + ", all")
+                        help="comma-separated from: " + ", ".join(SUITES) + ", all")
     verify.add_argument("--k-max", type=_NONNEGATIVE, default=None,
                         help="check degrees 0..K_MAX; by default "
                         + ", ".join(f"{name} {k}" for name, (k, _) in SUITES.items())

@@ -5,17 +5,18 @@ imaginary units.  Derivatives along the flows x -> t^{-1} x s are exact
 polynomial operations (the generating vector fields x -> xS - Tx are
 linear), and every operator here is a polynomial in the frame derivatives
 l_i: D = -sum_i (l_i sigma) e_i - 3/2, Delta = sum_i l_i l_i, and the two
-lowerings of ``transfer``.  Each is built as weights, canonical exact
-parts of the vector core keyed by (shift, *indices): each field's weights
-are read off its integer matrix (integer Hamilton products and the integer
-frame change), and every other operator's are built from those by a
+lowerings that ``transfer`` ladders with (``_lower``); no other module
+builds, compiles or runs an operator table.  Each is built as weights,
+canonical exact parts of the vector core keyed by (shift, *indices): each
+field's weights are read off its integer matrix (integer Hamilton products
+and the integer frame change), and every other operator's are built from those by a
 linear combination (``_combine``, a fold of ``add_parts``/``scale_parts``)
 and a composition of any order (``_compose``), so an operator identity is
 an ``==`` of weights.  ``_table`` compiles weights once per process to the
 one runtime format that the interpreter ``_apply`` runs: each operator is
 one integer pass over its operand's numerators, and no cache grows with the degree.
 The weights each table is compiled from stay readable (``_dirac_weights``,
-``_laplace_weights``, ``transfer._lowering_weights``), so that the
+``_laplace_weights``, ``_lowering_weights``), so that the
 identities ``verify`` checks on them hold for what ``_apply`` runs.  The
 composed forms that the operators are checked against -- one derivative per frame
 field, the Hessian Laplacian and the connection constants -- live in
@@ -41,6 +42,7 @@ from .exactnum import (
     Record,
     add_parts,
     complex_split,
+    gauss,
     gauss_parts,
     hamilton,
     quat,
@@ -288,6 +290,37 @@ def laplace_section(sigma: SpinorSection) -> SpinorSection:
     :func:`_apply_block` runs :func:`_laplace_block`.
     """
     return _apply_block(_laplace_block(), sigma)
+
+
+LEFT = "left"
+RIGHT = "right"
+
+
+@lru_cache(maxsize=None)
+def _lowering_weights(side: str) -> tuple:
+    """-1/2 * pair(2) + i/2 * pair(3), combined from the two fields'
+    weights, with pair the left fields for ``LEFT`` and the right ones for
+    ``RIGHT``: its two terms are the diamond's arrows for ``side``."""
+    pair = KillingPair.left if side == LEFT else KillingPair.right
+    return _combine((
+        (_field_weights(pair(2)), Fraction(-1, 2)),
+        (_field_weights(pair(3)), gauss(0, Fraction(1, 2))),
+    ))
+
+
+@lru_cache(maxsize=None)
+def _lowering_table(side: str) -> tuple:
+    """The runtime table of :func:`_lowering_weights`."""
+    return _table(_lowering_weights(side))
+
+
+def _lower(side: str, poly: Polynomial, factor: int) -> Polynomial:
+    """The lowering of ``side`` on a z-view ``poly``, divided by the int
+    ``factor`` > 0: one pass of the table and one reduction, over the
+    product of the denominators and ``factor``."""
+    den, _ = table = _lowering_table(side)
+    return Polynomial._of(*reduce_parts(_apply(table, poly._num), poly._den * den * factor),
+                          Z_VIEW)
 
 
 # -- exact integration -------------------------------------------------------

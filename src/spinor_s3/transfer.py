@@ -25,15 +25,11 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from functools import lru_cache
 
 from .abstract_dirac import EigenFamily, eigenbasis_abstract
-from .exactnum import GaussianRational, Record, add_parts, gauss, reduce_parts, scale_parts
-from .geometry import KillingPair, _apply, _combine, _field_weights, _table, l2_inner_product
+from .exactnum import GaussianRational, Record, add_parts, reduce_parts, scale_parts
+from .geometry import LEFT, RIGHT, _lower, l2_inner_product
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
-
-LEFT = "left"
-RIGHT = "right"
 
 
 class TransferImage(Record):
@@ -48,48 +44,18 @@ class TransferImage(Record):
     __slots__ = _fields = ("k", "p", "q", "poly", "norm_factor_squared")
 
 
-#: The frame fields of each lowering operator: pair(2) and pair(3).
-_LOWERING_PAIRS = {LEFT: KillingPair.left, RIGHT: KillingPair.right}
-
-
-@lru_cache(maxsize=None)
-def _lowering_weights(side: str) -> tuple:
-    """-1/2 * pair(2) + i/2 * pair(3), combined from the two fields'
-    weights: its two terms are the diamond's arrows for ``side``."""
-    pair = _LOWERING_PAIRS[side]
-    return _combine((
-        (_field_weights(pair(2)), Fraction(-1, 2)),
-        (_field_weights(pair(3)), gauss(0, Fraction(1, 2))),
-    ))
-
-
-@lru_cache(maxsize=None)
-def _lowering_table(side: str) -> tuple:
-    """The runtime table of :func:`_lowering_weights`."""
-    return _table(_lowering_weights(side))
-
-
 def beta_lower(side: str, poly: Polynomial) -> Polynomial:
     """Apply the complexified lowering operator to a polynomial.
 
     Implemented through the actual flow derivatives (not the diamond
-    shortcut): one pass over the z view of ``poly`` with the table of
-    -1/2 * d(. along pair(2)) + i/2 * d(. along pair(3)), which is combined
-    from the fields' tables; the diamond above is what the tests check it
-    against.
+    shortcut): one pass over the z view of ``poly`` with ``geometry``'s
+    table of -1/2 * d(. along pair(2)) + i/2 * d(. along pair(3)), which is
+    combined from the fields' weights; the diamond above is what the tests
+    check it against.
     """
-    if side not in _LOWERING_PAIRS:
+    if side not in (LEFT, RIGHT):
         raise ValueError(f"unknown side {side!r}")
     return _lower(side, poly.in_view(Z_VIEW), 1)
-
-
-def _lower(side: str, poly: Polynomial, factor: int) -> Polynomial:
-    """:func:`beta_lower` of a z-view ``poly``, divided by the int
-    ``factor`` > 0: one pass of the table and one reduction, over the
-    product of the denominators and ``factor``."""
-    den, _ = table = _lowering_table(side)
-    return Polynomial._of(*reduce_parts(_apply(table, poly._num), poly._den * den * factor),
-                          Z_VIEW)
 
 
 def _check_indices(k: int, p: int, q: int) -> None:

@@ -23,6 +23,7 @@ from .geometry import (
     _compose,
     _dirac_weights,
     _laplace_weights,
+    _lowering_weights,
     dirac_section,
     l2_inner_product,
     laplace_section,
@@ -32,8 +33,8 @@ from .geometry import (
 )
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _LAPLACIAN
 from .repspace import casimir, casimir_expected, l_matrix_int
-from .transfer import LEFT, RIGHT, _lowering_weights, beta_lower, gram_matrix, recursive_table, \
-    transfer_slice, transfer_table
+from .transfer import LEFT, RIGHT, beta_lower, gram_matrix, recursive_table, transfer_slice, \
+    transfer_table
 
 MC_SAMPLES = 1_000_000  # the integral suite's defaults, read by cli
 MC_SEED = 0
@@ -250,10 +251,10 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 # commute line is [D, Delta] = 0 on the weights, which needs no lift.
 
 
-def _lift(identity: tuple[str, bool], k: int, n: int) -> tuple[bool, str]:
-    """Whether a check of slice q = 0 lifts to all n sections of degree k:
-    the operator ``identity`` (name, held) and right equivariance both
-    hold; and the detail that names them, or the ones that failed."""
+def _lift(identity: tuple[str, bool], k: int) -> tuple[bool, str]:
+    """Whether a check of slice q = 0 lifts to all 2(k+1)^2 sections of
+    degree k: the operator ``identity`` (name, held) and right equivariance
+    both hold; and the detail that names them, or the ones that failed."""
     name, held = identity
     facts = _ladder(k)[0]
     premises = {name: held, "right equivariance": all(
@@ -261,7 +262,7 @@ def _lift(identity: tuple[str, bool], k: int, n: int) -> tuple[bool, str]:
     failed = [premise for premise, ok in premises.items() if not ok]
     if failed:
         return False, "; not lifted, failed: " + ", ".join(failed)
-    return True, f"; lifted to all {n} by {name} and right equivariance"
+    return True, f"; lifted to all {2 * (k + 1) ** 2} by {name} and right equivariance"
 
 
 def _eigensections(entries, n: int, where: str = "") -> tuple[bool, str]:
@@ -299,7 +300,7 @@ def _check_dirac_k(k: int) -> list[CheckResult]:
         families = ()
     entries = [e for family in families for e in transfer_slice(family, 0, table)]
     ok, detail = _eigensections(entries, n, " of slice q = 0")
-    lifted, how = _lift(_commutes("D", "beta_R"), k, n * (k + 1))
+    lifted, how = _lift(_commutes("D", "beta_R"), k)
     return [CheckResult("dirac", f"eigen-identity k={k}", ok and lifted, detail + how)]
 
 
@@ -312,7 +313,7 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
     images = list(_ladder(k)[-1].values())
     sections = [SpinorSection(h, zero) for h in images] + [SpinorSection(zero, h) for h in images]
     eig_ok = all(laplace_section(sigma) == sigma.scale(lam) for sigma in sections)
-    lifted, how = _lift(_commutes("Delta", "beta_R"), k, 2 * (k + 1) ** 2)
+    lifted, how = _lift(_commutes("Delta", "beta_R"), k)
     name, commutes = _commutes("D", "Delta")
     return [
         CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok and lifted,
@@ -413,8 +414,6 @@ SUITES = {
     "laplace": (6, _check_laplace_k),
     "integral": (5, None),
 }
-
-SUITE_NAMES = tuple(SUITES)
 
 
 def suite_jobs(

@@ -566,7 +566,7 @@ def test_a_negative_k_max_is_refused():
     # a negative degree is an error, not a run that checks nothing
     from spinor_s3 import verify
 
-    for suite in verify.SUITE_NAMES:
+    for suite in verify.SUITES:
         with pytest.raises(ValueError, match="k_max must be >= 0"):
             verify.run_suites([suite], k_max=-1, samples=100, seed=1)
 
@@ -582,7 +582,7 @@ def test_verify_defaults_are_those_of_run_suites():
     params = inspect.signature(verify.run_suites).parameters
     assert {name: getattr(args, name) for name in params if name != "suites"} == {
         name: p.default for name, p in params.items() if name != "suites"}
-    assert args.suites == list(verify.SUITE_NAMES)
+    assert args.suites == list(verify.SUITES)
     with pytest.raises(SystemExit):
         build_parser().parse_args(["verify", "--rule", "simpson"])
     assert all(build_parser().parse_args(["verify", "--rule", rule]).rule == rule
@@ -689,8 +689,8 @@ def test_empty_out_path_is_usage_error(capsys, argv):
 
 def test_verify_transfer_fails_when_two_images_coincide(capsys, monkeypatch):
     # the image of |0>|1> replaced by that of |0>|0>: the two equal rows
-    # form a component of their own, which the rank's proportionality test
-    # counts once, so the rank comes out one short
+    # form a component of their own, in which linalg._echelon_rank
+    # eliminates one row against the other, so the rank comes out one short
     import spinor_s3.verify as verify
 
     closed = verify.transfer_table

@@ -15,7 +15,8 @@ library the x view of each section and the references its z view, so
 they also check that every operator takes its operand in z and returns z.
 
 Every weights key the library builds is held to the one format
-(shift, *indices), and only ``_table`` pads it to the interpreter's form.
+(shift, *indices), and only ``_table`` pads it to the interpreter's form;
+no module but ``geometry`` imports or names the table algebra.
 Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
 of the Killing tables, and verify's Delta_R4 to ``laplacian_r4``.  The
 work of the section suites and of the export is pinned by counts: the
@@ -203,7 +204,7 @@ def first_order_weights():
     """The six field weights and the two lowering combinations."""
     fields = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
     return ([geometry._field_weights(pair) for pair in fields]
-            + [weights_of(transfer._lowering_table(side)) for side in (LEFT, RIGHT)])
+            + [weights_of(geometry._lowering_table(side)) for side in (LEFT, RIGHT)])
 
 
 def algebra_operands(seed):
@@ -245,7 +246,7 @@ def library_weights():
     composition of two of D's blocks, Delta, the lowerings and Delta_R4."""
     fields = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
     ops = [*geometry._dirac_weights().values(), geometry._laplace_weights(),
-           *(transfer._lowering_weights(side) for side in (LEFT, RIGHT)), verify._flat_laplacian()]
+           *(geometry._lowering_weights(side) for side in (LEFT, RIGHT)), verify._flat_laplacian()]
     return ([geometry._IDENTITY, *map(geometry._field_weights, fields), *ops]
             + [geometry._compose(a, b) for a in ops for b in ops])
 
@@ -368,14 +369,14 @@ def test_d_commutes_with_delta_on_the_weights():
 
 @pytest.mark.parametrize("side", [LEFT, RIGHT])
 def test_delta_commutes_with_the_lowering_on_the_weights(side):
-    laplace, beta = laplace_weights(), weights_of(transfer._lowering_table(side))
+    laplace, beta = laplace_weights(), weights_of(geometry._lowering_table(side))
     assert geometry._compose(laplace, beta) == geometry._compose(beta, laplace)
 
 
 def test_cubic_identities_fail_on_a_wrong_laplace_operator():
     # beta_R's partner added to Delta breaks [Delta, beta_R] = 0, a left
     # field added breaks [D, Delta] = 0
-    laplace, beta = laplace_weights(), weights_of(transfer._lowering_table(RIGHT))
+    laplace, beta = laplace_weights(), weights_of(geometry._lowering_table(RIGHT))
     wrong = geometry._combine(((laplace, 1), (right_raising(), 1)))
     assert geometry._compose(wrong, beta) != geometry._compose(beta, wrong)
     wrong = geometry._combine(((laplace, 1), (geometry._field_weights(KillingPair.left(1)), 1)))
@@ -384,7 +385,7 @@ def test_cubic_identities_fail_on_a_wrong_laplace_operator():
 
 def test_d_commutes_with_the_right_lowering_only():
     d = dirac_weights()
-    right, left = (weights_of(transfer._lowering_table(side)) for side in (RIGHT, LEFT))
+    right, left = (weights_of(geometry._lowering_table(side)) for side in (RIGHT, LEFT))
     assert commutator(d, right) == dict.fromkeys(BLOCKS, ZERO)
     assert any(w != ZERO for w in commutator(d, left).values())
 
@@ -412,7 +413,7 @@ def test_hitchin_relation_fixes_d_only_up_to_a_frame_automorphism():
 
 def runtime_tables():
     return [*geometry._dirac_block()[1].values(), geometry._laplace_block()[1][(0, 0)],
-            *(transfer._lowering_table(side) for side in (LEFT, RIGHT))]
+            *(geometry._lowering_table(side) for side in (LEFT, RIGHT))]
 
 
 def test_tables_never_reach_a_negative_exponent():
@@ -708,10 +709,10 @@ def test_verify_fails_equivariance_on_a_left_lowering_that_does_not_commute_with
     # beta_L plus the right field r1, in the weights the identities read
     # only: r1 commutes with Delta_R4 but not with beta_R, so only the
     # equivariance lines fail
-    left = transfer._lowering_weights(LEFT)
+    left = geometry._lowering_weights(LEFT)
     wrong = geometry._combine(((left, 1), (geometry._field_weights(KillingPair.right(1)), 1)))
     monkeypatch.setattr(verify, "_lowering_weights",
-                        lambda side: wrong if side == LEFT else transfer._lowering_weights(side))
+                        lambda side: wrong if side == LEFT else geometry._lowering_weights(side))
     results = verify.run_suites(["transfer"], k_max=2)
     assert [r.name for r in results if not r.passed] == [f"equivariance k={k}" for k in range(3)]
     assert all(r.detail.endswith("failed: [beta_L, beta_R] = 0") for r in results if not r.passed)
@@ -758,22 +759,55 @@ def test_geometry_caches_do_not_grow_with_the_degree():
 
 
 def test_verify_reads_operators_only_as_weights():
-    # verify compares weights; it neither compiles nor runs a table
+    # verify compares weights, composed by geometry; that it neither
+    # compiles nor runs a table is test_only_geometry_builds_compiles_or_runs_a_table
     tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    named = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
     assert "_compose" in imported and "*" not in imported
-    assert not (imported | named) & {"_apply", "_table", "_compile"}
+
+
+#: What builds, compiles or runs an operator table.
+TABLE_ALGEBRA = frozenset({"_apply", "_table", "_compile", "_combine", "_field_weights"})
+
+
+def table_algebra_uses(source: str) -> set[tuple[str, int]]:
+    """(name, line) of each import or name of the table algebra in
+    ``source``, a star import counting as all of it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found |= {(name, node.lineno) for alias in node.names
+                      for name in (TABLE_ALGEBRA if alias.name == "*" else {alias.name})}
+        elif isinstance(node, ast.Name):
+            found.add((node.id, node.lineno))
+        elif isinstance(node, ast.Attribute):
+            found.add((node.attr, node.lineno))
+    return {(name, line) for name, line in found if name in TABLE_ALGEBRA}
+
+
+def test_only_geometry_builds_compiles_or_runs_a_table():
+    # one module owns the table format: every other one reaches an
+    # operator through geometry's weights and appliers
+    package = Path(geometry.__file__).parent
+    uses = {path.name: table_algebra_uses(path.read_text(encoding="utf-8"))
+            for path in sorted(package.glob("*.py"))}
+    assert {name for name, _ in uses.pop("geometry.py")} == TABLE_ALGEBRA
+    assert {"transfer.py", "verify.py"} <= set(uses)
+    assert {module: sorted(found) for module, found in uses.items() if found} == {}
+    # the control: each way of reaching the algebra is seen
+    assert table_algebra_uses("from .geometry import KillingPair, _apply as run\n"
+                              "geometry._table(w)\n_combine(parts)\n") == {
+        ("_apply", 1), ("_table", 2), ("_combine", 3)}
+    assert table_algebra_uses("from .geometry import *\n") == {(n, 1) for n in TABLE_ALGEBRA}
 
 
 def test_builders_run_once_per_process(monkeypatch):
     builders = [geometry._combine, geometry._compose, geometry._compile, geometry._table]
     calls = count_calls(monkeypatch, *builders)
-    for module in (geometry, transfer):
-        for f in vars(module).values():
-            if hasattr(f, "cache_clear") and f.__module__ == module.__name__:
-                f.cache_clear()
+    for f in vars(geometry).values():
+        if hasattr(f, "cache_clear") and f.__module__ == geometry.__name__:
+            f.cache_clear()
     suites = ["transfer", "dirac", "laplace"]
     assert all(r.passed for r in verify.run_suites(suites, k_max=2))
     assert set(calls) == {f.__name__ for f in builders}

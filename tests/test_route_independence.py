@@ -241,8 +241,8 @@ def test_the_graph_sees_a_merged_route():
         graph, {"transfer.transfer_table"}, {"transfer.recursive_table"})
     # the resolution itself: a function, a method inherited through its
     # class's name, a method by name, a module attribute and a constructor
-    assert "transfer._lower" in GRAPH["transfer.recursive_table"]
-    assert "exactnum.GaussParts._of" in GRAPH["transfer._lower"]
+    assert "geometry._lower" in GRAPH["transfer.recursive_table"]
+    assert "exactnum.GaussParts._of" in GRAPH["geometry._lower"]
     assert "polyring.Polynomial.in_view" in GRAPH["transfer.beta_lower"]
     assert "linalg.rank_sparse" in GRAPH["verify._check_quadratic_k"]
     assert "repspace.KetVector.__init__" in GRAPH["repspace.KetVector"]

@@ -68,7 +68,7 @@ def test_merged_lowering_tables_are_the_diamond_arrows():
     # the combined -1/2 pair(2) + i/2 pair(3) keeps only the two unit arrows
     # of test_lowering_diamond: u_m -> u_j is the shift delta_j - delta_m
     # with the weight e[m], as generator indices
-    from spinor_s3.transfer import _lowering_table
+    from spinor_s3.geometry import _lowering_table
 
     generators = (G2, G2_BAR, GM1, G1_BAR)
     diamond = {LEFT: ((G2, GM1), (G1_BAR, G2_BAR)), RIGHT: ((G2, G1_BAR), (GM1, G2_BAR))}
