@@ -1,26 +1,25 @@
 """Geometric operators on polynomial sections of the 3-sphere.
 
-The unit sphere in H carries the left-invariant frame of the three
-imaginary units.  Derivatives along the flows x -> t^{-1} x s are exact
-polynomial operations (the generating vector fields x -> xS - Tx are
-linear), and every operator here is a polynomial in the frame derivatives
-l_i: D = -sum_i (l_i sigma) e_i - 3/2, Delta = sum_i l_i l_i, and the two
-lowerings that ``transfer`` ladders with (``_lower``); no other module
-builds, compiles or runs an operator table.  Each is built as weights,
+The unit sphere in H carries the left-invariant frame of the three imaginary
+units.  Derivatives along the flows x -> t^{-1} x s are exact polynomial
+operations (the generating vector fields x -> xS - Tx are linear), and every
+operator here is a polynomial in the frame derivatives l_i:
+D = -sum_i (l_i sigma) e_i - 3/2, Delta = sum_i l_i l_i, and the two lowerings
+that ``transfer`` ladders with (``_lower``).  Each is built as weights,
 canonical exact parts of the vector core keyed by (shift, *indices): each
-field's weights are read off its integer matrix (integer Hamilton products
-and the integer frame change), and every other operator's are built from those by a
-linear combination (``_combine``, a fold of ``add_parts``/``scale_parts``)
-and a composition of any order (``_compose``), so an operator identity is
-an ``==`` of weights.  ``_table`` compiles weights once per process to the
-one runtime format that the interpreter ``_apply`` runs: each operator is
-one integer pass over its operand's numerators, and no cache grows with the degree.
-The weights each table is compiled from stay readable (``_dirac_weights``,
-``_laplace_weights``, ``_lowering_weights``), so that the
-identities ``verify`` checks on them hold for what ``_apply`` runs.  The
-composed forms that the operators are checked against -- one derivative per frame
-field, the Hessian Laplacian and the connection constants -- live in
-``tests/operator_reference.py``.
+field's weights are read off its integer matrix (integer Hamilton products and
+the integer frame change), and every other operator's are built from those by
+a linear combination (``_combine``, a fold of ``add_parts``/``scale_parts``)
+and a composition of any order (``_compose``), so an operator identity is an
+``==`` of weights.  ``_table`` compiles weights once per process to the one
+runtime format that the interpreter ``_apply`` runs: each operator is one
+integer pass over its operand's numerators, and no cache grows with the degree.
+``_OPERATORS`` names the weights, and those of the flat Laplacian Delta_R4,
+read off ``polyring._LAPLACIAN`` and nothing of the frame fields; ``verify``
+only composes and compares them, so its identities hold for what ``_apply``
+runs.  No other module builds weights or compiles or runs a table.  The
+operators' references -- one derivative per frame field, the Hessian
+Laplacian, the connection constants -- live in ``tests/operator_reference.py``.
 Integrals over the sphere are exact (``Fraction``, ``GaussianRational``)
 in units of the total volume 2*pi^2; only ``SPHERE_VOLUME`` makes floats
 of them, for the quadrature cross-checks.
@@ -50,7 +49,7 @@ from .exactnum import (
     reduce_parts,
     scale_parts,
 )
-from .polyring import _FRAME, _FRAME_INV, Polynomial, SpinorSection, Z_VIEW
+from .polyring import _FRAME, _FRAME_INV, _LAPLACIAN, Polynomial, SpinorSection, Z_VIEW
 
 
 class KillingPair(Record):
@@ -114,9 +113,9 @@ def _field_matrix_int(pair: KillingPair) -> tuple[int, linalg.Rows]:
 # The weight of every operator below is 0 wherever its shift would lower an
 # exponent below 0 (a field's weight e[m] is, and sums and products keep
 # it), so _apply, which skips zero weights, never writes a negative
-# exponent.  The weights are built once per process from the frame fields'
-# by _combine and _compose, and compiled to tables by _table, which alone
-# pads a key to (m, n) with x[4] = 1, and a block of them by _compile.
+# exponent.  The weights but Delta_R4's are built once per process from the
+# frame fields' by _combine and _compose, and compiled to tables by _table,
+# which alone pads a key to (m, n) with x[4] = 1, and a block by _compile.
 
 
 def _apply(table: tuple, num: dict, acc: dict | None = None) -> dict:
@@ -321,6 +320,32 @@ def _lower(side: str, poly: Polynomial, factor: int) -> Polynomial:
     den, _ = table = _lowering_table(side)
     return Polynomial._of(*reduce_parts(_apply(table, poly._num), poly._den * den * factor),
                           Z_VIEW)
+
+
+@lru_cache(maxsize=None)
+def _flat_laplacian_weights() -> tuple:
+    """Delta_R4, the flat Laplacian on R^4, as weights read off
+    ``polyring._LAPLACIAN`` and nothing of the frame fields: its term
+    (i, j, w) takes c u^e to c w e[i] e[j] at e - delta_i - delta_j."""
+    return reduce_parts({(tuple(-(n == i) - (n == j) for n in range(4)), i, j): (w, 0)
+                         for i, j, w in _LAPLACIAN}, 1)
+
+
+def _kills_z2_powers(weights: tuple) -> bool:
+    """Whether ``weights`` take z2^k to 0 for every k: every key has a
+    factor x[1], x[2] or x[3], which is 0 at z2^k's exponent (k, 0, 0, 0)."""
+    return all({1, 2, 3} & set(ns) for _, *ns in weights[0])
+
+
+#: The operators of ``verify``'s identities, each as its blocks of weights.  An
+#: entry looks its builder up when called, so a patch of it reaches both.
+_OPERATORS = {
+    "D": lambda: tuple(_dirac_weights().values()),
+    "Delta": lambda: (_laplace_weights(),),
+    "beta_L": lambda: (_lowering_weights(LEFT),),
+    "beta_R": lambda: (_lowering_weights(RIGHT),),
+    "Delta_R4": lambda: (_flat_laplacian_weights(),),
+}
 
 
 # -- exact integration -------------------------------------------------------

@@ -10,9 +10,9 @@ A polynomial lives in one of two coordinate views, each its own space:
 * ``"x"``  -- monomials in the real coordinates x0, x1, x2, x3.
 
 z is the one compute view: the eigenbasis lives there, and every operator
-(the flat Laplacian here, the Killing-field shift tables in ``geometry``
-and ``transfer``) computes on ``in_view(Z_VIEW)`` of its operand and
-returns z.  The x view is kept for conversion and for the tests' oracles.
+(the flat Laplacian here, the Killing-field shift tables in ``geometry``)
+computes on ``in_view(Z_VIEW)`` of its operand and returns z.  The x view
+is kept for conversion and for the tests' oracles.
 Polynomials of different views are unequal and do not combine;
 :meth:`Polynomial.in_view`, an exact ring isomorphism, is the one crossing
 between them.  Exponent tuples are ordered graded-lexicographically for
@@ -327,7 +327,7 @@ def _substitution_polys(source: str, target: str):
 
 # The Laplacian as weighted mixed second derivatives (i, j, w) in the z
 # generators, 4(d_u0 d_u1 - d_u2 d_u3), because d_z d_zbar =
-# (1/4)(d_re^2 + d_im^2) and u2 = -z1.
+# (1/4)(d_re^2 + d_im^2) and u2 = -z1; geometry reads them as Delta_R4's weights.
 _LAPLACIAN = ((0, 1, 4), (2, 3, -4))
 
 

@@ -16,14 +16,12 @@ from typing import Callable, Optional
 from . import linalg
 from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_int, \
     eigenbasis_abstract, quadratic_check, SpinorVector
-from .exactnum import BASIS, Record, add_parts, gauss, gauss_over, quat_multiply, reduce_parts, \
-    scale_parts
+from .exactnum import BASIS, Record, add_parts, gauss, gauss_over, quat_multiply, scale_parts
 from .geometry import (
     SPHERE_VOLUME,
+    _OPERATORS,
     _compose,
-    _dirac_weights,
-    _laplace_weights,
-    _lowering_weights,
+    _kills_z2_powers,
     dirac_section,
     l2_inner_product,
     laplace_section,
@@ -31,7 +29,7 @@ from .geometry import (
     monte_carlo_quadrature,
     tensor_quadrature,
 )
-from .polyring import G2, Polynomial, SpinorSection, Z_VIEW, _LAPLACIAN
+from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
 from .repspace import casimir, casimir_expected, l_matrix_int
 from .transfer import LEFT, RIGHT, beta_lower, gram_matrix, recursive_table, transfer_slice, \
     transfer_table
@@ -179,27 +177,8 @@ def _ladder(k: int) -> tuple[dict[str, bool], bool, int, dict]:
 
 
 @lru_cache(maxsize=None)
-def _flat_laplacian() -> tuple:
-    """Delta_R4, the flat Laplacian on R^4, as weights read off
-    ``polyring._LAPLACIAN`` and nothing of the frame fields: its term
-    (i, j, w) takes c u^e to c w e[i] e[j] at e - delta_i - delta_j."""
-    return reduce_parts({(tuple(-(n == i) - (n == j) for n in range(4)), i, j): (w, 0)
-                         for i, j, w in _LAPLACIAN}, 1)
-
-
-#: The operators that the identities name, each as its blocks of weights.
-_OPERATORS = {
-    "D": lambda: tuple(_dirac_weights().values()),
-    "Delta": lambda: (_laplace_weights(),),
-    "beta_L": lambda: (_lowering_weights(LEFT),),
-    "beta_R": lambda: (_lowering_weights(RIGHT),),
-    "Delta_R4": lambda: (_flat_laplacian(),),
-}
-
-
-@lru_cache(maxsize=None)
 def _commutes(a: str, b: str) -> tuple[str, bool]:
-    """The identity [a, b] = 0 of two operators of ``_OPERATORS`` and
+    """The identity [a, b] = 0 of two operators of ``geometry._OPERATORS`` and
     whether it holds: an equality of canonical weights on every pair of
     blocks, so on every exponent, for every degree at once."""
     held = all(_compose(x, y) == _compose(y, x) for x in _OPERATORS[a]() for y in _OPERATORS[b]())
@@ -216,10 +195,8 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
                        f"all {n} images agree exactly")]
 
     # by the ladder every image is z2^k lowered p times left and q times
-    # right; the identities carry what holds of z2^k, or of slice 0, to it.
-    # A key with a factor x[1], x[2] or x[3] is 0 at z2^k's exponent
-    # (k, 0, 0, 0), so Delta_R4 z2^k = 0 for every k once every key has one
-    kills_top = all({1, 2, 3} & set(ns) for _, *ns in _flat_laplacian()[0])
+    # right; the identities carry what holds of z2^k, or of slice 0, to it
+    kills_top = all(map(_kills_z2_powers, _OPERATORS["Delta_R4"]()))
     for name, claim, identities in (
         ("equivariance", "lowering commutes with the transfer on both sides",
          [_commutes("beta_L", "beta_R")]),
@@ -239,7 +216,7 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
     # an exponent (a, b, c, d) fixes p = b + c and q = b + d, so distinct
     # images have disjoint supports and split into one-row components
     out.append(CheckResult("transfer", f"images independent k={k}", rank == n,
-                           f"rank {n} over the Gaussian rationals"))
+                           f"rank {rank} over the Gaussian rationals"))
     return out
 
 

@@ -706,7 +706,7 @@ def test_verify_transfer_fails_when_two_images_coincide(capsys, monkeypatch):
     assert code == 1
     assert "PASS  [transfer] images independent k=0" in out
     for k in (1, 2):
-        assert f"FAIL  [transfer] images independent k={k}: rank {(k + 1) ** 2}" in out
+        assert f"FAIL  [transfer] images independent k={k}: rank {(k + 1) ** 2 - 1}" in out
 
 
 @pytest.fixture
@@ -819,9 +819,9 @@ def test_verify_laplace_fails_when_it_does_not_commute_with_dirac(capsys, monkey
     from spinor_s3 import geometry
     from spinor_s3.geometry import KillingPair
 
-    wrong = geometry._combine(((verify._laplace_weights(), 1),
+    wrong = geometry._combine(((geometry._laplace_weights(), 1),
                                (geometry._field_weights(KillingPair.left(1)), 1)))
-    monkeypatch.setattr(verify, "_laplace_weights", lambda: wrong)
+    monkeypatch.setitem(geometry._OPERATORS, "Delta", lambda: (wrong,))
     verify._commutes.cache_clear()
     try:
         code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")

@@ -16,9 +16,10 @@ they also check that every operator takes its operand in z and returns z.
 
 Every weights key the library builds is held to the one format
 (shift, *indices), and only ``_table`` pads it to the interpreter's form;
-no module but ``geometry`` imports or names the table algebra.
+no module but ``geometry`` imports or names the table algebra or a weights
+builder, and ``verify`` reads every operator through ``geometry._OPERATORS``.
 Delta is also held to r^2 Delta_R4 - k(k+2), an identity that names none
-of the Killing tables, and verify's Delta_R4 to ``laplacian_r4``.  The
+of the Killing tables, and geometry's Delta_R4 to ``laplacian_r4``.  The
 work of the section suites and of the export is pinned by counts: the
 Dirac and Delta passes on slice q = 0, the builds of the export's degree,
 the table builds and top-rung lowerings of the ladder, the identities a
@@ -246,7 +247,8 @@ def library_weights():
     composition of two of D's blocks, Delta, the lowerings and Delta_R4."""
     fields = [KillingPair.left(i) for i in (1, 2, 3)] + [KillingPair.right(i) for i in (1, 2, 3)]
     ops = [*geometry._dirac_weights().values(), geometry._laplace_weights(),
-           *(geometry._lowering_weights(side) for side in (LEFT, RIGHT)), verify._flat_laplacian()]
+           *(geometry._lowering_weights(side) for side in (LEFT, RIGHT)),
+           geometry._flat_laplacian_weights()]
     return ([geometry._IDENTITY, *map(geometry._field_weights, fields), *ops]
             + [geometry._compose(a, b) for a in ops for b in ops])
 
@@ -476,9 +478,9 @@ def test_laplace_is_r2_flat_laplacian_minus_k_k_plus_2_on_every_monomial():
 
 
 def test_flat_laplacian_weights_run_laplacian_r4_on_every_monomial():
-    # verify's Delta_R4, weights read off polyring._LAPLACIAN, compiled and
+    # geometry's Delta_R4, weights read off polyring._LAPLACIAN, compiled and
     # run by the interpreter, against the flat Laplacian's own loop
-    den, _ = table = geometry._table(verify._flat_laplacian())
+    den, _ = table = geometry._table(geometry._flat_laplacian_weights())
     checked = 0
     for k in range(9):
         for e0 in range(k + 1):
@@ -528,9 +530,9 @@ def test_dirac_suite_applies_d_to_slice_q_0_only(monkeypatch):
 
 @pytest.fixture
 def fresh_identities():
-    """verify's identities of weights and its Delta_R4 rebuilt on their
-    next read, and again after the test."""
-    caches = (verify._commutes, verify._flat_laplacian)
+    """verify's identities of weights and geometry's Delta_R4 rebuilt on
+    their next read, and again after the test."""
+    caches = (verify._commutes, geometry._flat_laplacian_weights)
     for f in caches:
         f.cache_clear()
     yield
@@ -639,15 +641,15 @@ def with_raising_on_the_diagonal(blocks):
 
 @pytest.fixture
 def patch_weights(monkeypatch):
-    """Replace a runtime weights builder of ``geometry`` in every module,
-    with its compiled block and the lift's identities rebuilt from the
-    replacement and rebuilt again from the original afterwards."""
+    """Replace a runtime weights builder of ``geometry``, which its compiled
+    block and ``_OPERATORS`` both look up: the block and the lift's
+    identities are rebuilt from the replacement, and again from the
+    original afterwards."""
     caches = [geometry._dirac_block, geometry._laplace_block, verify._commutes]
 
     def patch(name, mutate):
         weights = mutate(getattr(geometry, name)())
-        for module in (geometry, verify):
-            monkeypatch.setattr(module, name, lambda: weights)
+        monkeypatch.setattr(geometry, name, lambda: weights)
         for f in caches:
             f.cache_clear()
 
@@ -685,7 +687,7 @@ def test_verify_fails_harmonicity_on_a_flat_laplacian_with_a_flipped_sign(
     # term, flipped.  It still kills z2^k, but commutes with neither
     # lowering, so only the harmonicity lines fail.  (Negating the whole
     # operator changes no identity, and no line.)
-    monkeypatch.setattr(verify, "_LAPLACIAN", ((0, 1, 4), (2, 3, 4)))
+    monkeypatch.setattr(geometry, "_LAPLACIAN", ((0, 1, 4), (2, 3, 4)))
     results = verify.run_suites(["transfer"], k_max=2)
     assert [r.name for r in results if not r.passed] == [f"harmonicity k={k}" for k in range(3)]
     assert all(r.detail.endswith("failed: [beta_L, Delta_R4] = 0, [beta_R, Delta_R4] = 0")
@@ -697,8 +699,8 @@ def test_verify_fails_harmonicity_on_a_flat_laplacian_that_keeps_z2_k(
     # Delta_R4 plus the identity commutes with both lowerings, but its
     # constant key has no factor of e1, e2 or e3 and keeps z2^k, so only
     # the harmonicity lines fail, on that premise alone
-    wrong = geometry._combine(((verify._flat_laplacian(), 1), (geometry._IDENTITY, 1)))
-    monkeypatch.setattr(verify, "_flat_laplacian", lambda: wrong)
+    wrong = geometry._combine(((geometry._flat_laplacian_weights(), 1), (geometry._IDENTITY, 1)))
+    monkeypatch.setitem(geometry._OPERATORS, "Delta_R4", lambda: (wrong,))
     results = verify.run_suites(["transfer"], k_max=2)
     assert [r.name for r in results if not r.passed] == [f"harmonicity k={k}" for k in range(3)]
     assert all(r.detail.endswith("; failed: Delta_R4 z2^k = 0") for r in results if not r.passed)
@@ -711,8 +713,7 @@ def test_verify_fails_equivariance_on_a_left_lowering_that_does_not_commute_with
     # equivariance lines fail
     left = geometry._lowering_weights(LEFT)
     wrong = geometry._combine(((left, 1), (geometry._field_weights(KillingPair.right(1)), 1)))
-    monkeypatch.setattr(verify, "_lowering_weights",
-                        lambda side: wrong if side == LEFT else geometry._lowering_weights(side))
+    monkeypatch.setitem(geometry._OPERATORS, "beta_L", lambda: (wrong,))
     results = verify.run_suites(["transfer"], k_max=2)
     assert [r.name for r in results if not r.passed] == [f"equivariance k={k}" for k in range(3)]
     assert all(r.detail.endswith("failed: [beta_L, beta_R] = 0") for r in results if not r.passed)
@@ -758,48 +759,61 @@ def test_geometry_caches_do_not_grow_with_the_degree():
     assert max(sizes.values()) <= 8
 
 
+#: What builds an operator's weights.
+WEIGHTS_BUILDERS = frozenset({
+    "_dirac_weights", "_laplace_weights", "_lowering_weights", "_flat_laplacian_weights",
+})
+
+
 def test_verify_reads_operators_only_as_weights():
-    # verify compares weights, composed by geometry; that it neither
-    # compiles nor runs a table is test_only_geometry_builds_compiles_or_runs_a_table
+    # verify composes and compares the weights that geometry names, and
+    # builds none: it imports no builder, and nothing a weights key is made of
     tree = ast.parse(Path(verify.__file__).read_text(encoding="utf-8"))
     imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    assert "_compose" in imported and "*" not in imported
+    assert {"_OPERATORS", "_compose"} <= imported and "*" not in imported
+    assert not imported & (WEIGHTS_BUILDERS | {"_LAPLACIAN", "reduce_parts"})
 
 
 #: What builds, compiles or runs an operator table.
 TABLE_ALGEBRA = frozenset({"_apply", "_table", "_compile", "_combine", "_field_weights"})
 
 
-def table_algebra_uses(source: str) -> set[tuple[str, int]]:
-    """(name, line) of each import or name of the table algebra in
-    ``source``, a star import counting as all of it."""
+def uses_of(names: frozenset, source: str) -> set[tuple[str, int]]:
+    """(name, line) of each import or name of one of ``names`` in
+    ``source``, a star import counting as all of them."""
     found = set()
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.ImportFrom):
-            found |= {(name, node.lineno) for alias in node.names
-                      for name in (TABLE_ALGEBRA if alias.name == "*" else {alias.name})}
+            found |= {(name, alias.lineno) for alias in node.names
+                      for name in (names if alias.name == "*" else {alias.name})}
         elif isinstance(node, ast.Name):
             found.add((node.id, node.lineno))
         elif isinstance(node, ast.Attribute):
             found.add((node.attr, node.lineno))
-    return {(name, line) for name, line in found if name in TABLE_ALGEBRA}
+    return {(name, line) for name, line in found if name in names}
 
 
 def test_only_geometry_builds_compiles_or_runs_a_table():
-    # one module owns the table format: every other one reaches an
-    # operator through geometry's weights and appliers
+    # one module owns the table format and the weights: every other one
+    # reaches an operator through geometry's appliers and _OPERATORS, and
+    # only polyring's own loop and geometry read the flat Laplacian's terms
     package = Path(geometry.__file__).parent
-    uses = {path.name: table_algebra_uses(path.read_text(encoding="utf-8"))
-            for path in sorted(package.glob("*.py"))}
-    assert {name for name, _ in uses.pop("geometry.py")} == TABLE_ALGEBRA
-    assert {"transfer.py", "verify.py"} <= set(uses)
-    assert {module: sorted(found) for module, found in uses.items() if found} == {}
-    # the control: each way of reaching the algebra is seen
-    assert table_algebra_uses("from .geometry import KillingPair, _apply as run\n"
-                              "geometry._table(w)\n_combine(parts)\n") == {
+    sources = {path.name: path.read_text(encoding="utf-8") for path in sorted(package.glob("*.py"))}
+    rules = ((TABLE_ALGEBRA | WEIGHTS_BUILDERS, {"geometry.py"}),
+             (frozenset({"_LAPLACIAN"}), {"polyring.py", "geometry.py"}))
+    for names, owners in rules:
+        uses = {module: uses_of(names, source) for module, source in sources.items()}
+        assert {module: sorted(found) for module, found in uses.items()
+                if found and module not in owners} == {}
+        assert {owner: {name for name, _ in uses[owner]} for owner in owners} == dict.fromkeys(
+            owners, names)
+    assert {"transfer.py", "verify.py"} <= set(sources)
+    # the control: each way of reaching a name is seen
+    assert uses_of(TABLE_ALGEBRA, "from .geometry import KillingPair, _apply as run\n"
+                                  "geometry._table(w)\n_combine(parts)\n") == {
         ("_apply", 1), ("_table", 2), ("_combine", 3)}
-    assert table_algebra_uses("from .geometry import *\n") == {(n, 1) for n in TABLE_ALGEBRA}
+    assert uses_of(TABLE_ALGEBRA, "from .geometry import *\n") == {(n, 1) for n in TABLE_ALGEBRA}
 
 
 def test_builders_run_once_per_process(monkeypatch):

@@ -233,6 +233,44 @@ def test_laplace_is_not_built_from_the_flat_laplacian():
     assert laplace_route_overlap(merged) == {"geometry._apply"}
 
 
+#: What builds an operator from the frame fields, and compiles or runs it.
+FRAME_ROUTE = frozenset({
+    "geometry._field_weights", "geometry._field_matrix_int", "geometry.KillingPair",
+    "geometry._combine", "geometry._compose", "geometry._table", "geometry._compile",
+    "geometry._apply", "geometry._lower",
+})
+
+#: The runtime operators, none of which may run Delta_R4's weights.
+RUNNERS = frozenset({"geometry.dirac_section", "geometry.laplace_section", "geometry._lower",
+                     "transfer.recursive_table"})
+
+
+def flat_laplacian_overlap(graph) -> set[str]:
+    """What ties Delta_R4's weights to the frame-field operators: the frame
+    route reached from them, and them or ``_OPERATORS`` reached from a
+    runner."""
+    overlap = closure(graph, {"geometry._flat_laplacian_weights"}) & FRAME_ROUTE
+    return overlap | (closure(graph, RUNNERS)
+                      & {"geometry._flat_laplacian_weights", "geometry._OPERATORS"})
+
+
+def test_the_flat_laplacian_weights_are_built_apart_from_the_frame_fields():
+    # harmonicity reads [beta, Delta_R4] = 0: read off the frame fields,
+    # Delta_R4 would be checked against what it was built from
+    assert closure(GRAPH, {"geometry._flat_laplacian_weights"}) == {
+        "geometry._flat_laplacian_weights", "exactnum.reduce_parts", "polyring._LAPLACIAN"}
+    assert not flat_laplacian_overlap(GRAPH)
+    # the controls: Delta_R4 from a frame field, and a runner through the
+    # identities' table, which reaches every builder
+    merged = {**GRAPH, "geometry._flat_laplacian_weights":
+              GRAPH["geometry._flat_laplacian_weights"] | {"geometry._field_weights"}}
+    assert "geometry._field_weights" in flat_laplacian_overlap(merged)
+    merged = {**GRAPH, "geometry._laplace_block":
+              GRAPH["geometry._laplace_block"] | {"geometry._OPERATORS"}}
+    assert flat_laplacian_overlap(merged) == {"geometry._OPERATORS",
+                                              "geometry._flat_laplacian_weights"}
+
+
 def test_the_graph_sees_a_merged_route():
     # recursive_table calling the closed form it is compared against
     graph = {**GRAPH, "transfer.recursive_table":
