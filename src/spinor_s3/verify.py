@@ -1,9 +1,11 @@
 """Verification suites behind ``spinor-s3 verify``.
 
-Each suite is a list of independent jobs (usually one per degree k) that
-return :class:`CheckResult` records.  The jobs run one after another,
-suites in name order and each suite once, so the report lists its checks
-in (suite, job) order on every run.
+Each suite is a list of jobs (usually one per degree k) that return
+:class:`CheckResult` records.  The jobs run one after another, suites in
+name order and each suite once, so the report lists its checks in
+(suite, job) order on every run.  The dirac, laplace and transfer jobs of
+one degree share the run's ladder, and the jobs of a run share its
+identities of weights; ``run_suites`` keeps nothing for the next run.
 """
 
 from __future__ import annotations
@@ -148,7 +150,7 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
 #
 # The transfer suite's derived lines and the lifts of the dirac and laplace
 # suites read each degree's images, checked once per run (_ladder), and
-# identities of weights, each checked once per process on its first read
+# identities of weights, each checked once per run on its first read
 # (_commutes).  VERIFICATION.md gives the arguments.
 
 
@@ -230,12 +232,13 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 
 def _lift(identity: tuple[str, bool], k: int) -> tuple[bool, str]:
     """Whether a check of slice q = 0 lifts to all 2(k+1)^2 sections of
-    degree k: the operator ``identity`` (name, held) and right equivariance
-    both hold; and the detail that names them, or the ones that failed."""
+    degree k: the operator ``identity`` (name, held) and right equivariance,
+    three of the ladder's facts, hold; and the detail that names them, or
+    the premises that failed."""
     name, held = identity
     facts = _ladder(k)[0]
-    premises = {name: held, "right equivariance": all(
-        facts[f] for f in ("closed = recursive", "supports fix (p, q)", "beta_R h_pk = 0"))}
+    premises = {name: held, **{f: facts[f] for f in
+                               ("closed = recursive", "supports fix (p, q)", "beta_R h_pk = 0")}}
     failed = [premise for premise, ok in premises.items() if not ok]
     if failed:
         return False, "; not lifted, failed: " + ", ".join(failed)
@@ -424,9 +427,12 @@ def run_suites(
     seed: int = MC_SEED,
 ) -> list[CheckResult]:
     """Run the jobs of each named suite in order, suites by name, each once."""
-    _ladder.cache_clear()  # what three suites read of each degree, checked once per run
+    memos = (_unit_products, _ladder, _commutes)  # what the run's jobs share, kept for this run
+    for memo in memos:
+        memo.cache_clear()
     results = [result for suite in sorted(set(suites))
                for job in suite_jobs(suite, k_max=k_max, rule=rule, samples=samples, seed=seed)
                for result in job()]
-    _ladder.cache_clear()
+    for memo in memos:
+        memo.cache_clear()
     return results

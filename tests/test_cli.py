@@ -1,5 +1,6 @@
 """Command-line surface: flags, exit codes, deterministic output."""
 
+import ast
 import hashlib
 import json
 import os
@@ -358,8 +359,26 @@ def test_importing_the_cli_imports_neither_dataclasses_nor_json():
     # every command is a fresh process that pays for what the import loads:
     # the records are written without dataclass code generation, and json
     # is imported by the one command that uses it (numpy is still imported
-    # with the package, so nothing is asserted about it)
+    # by geometry, which the CLI imports, so nothing is asserted about it)
     script = "import sys, spinor_s3.cli; print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
+    proc = python_process(("-c", script), False, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err, out) == (0, "", "[]\n")
+
+
+def test_the_package_namespace_imports_nothing():
+    # each name has one import path, the module that defines it, and
+    # importing one module runs only what that module imports
+    tree = ast.parse((ROOT / "src" / "spinor_s3" / "__init__.py").read_text(encoding="utf-8"))
+    assert [node.lineno for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))] == []
+
+
+def test_the_exact_core_imports_neither_numpy_nor_geometry():
+    # the abstract side and the polynomial ring are exact: floats, and the
+    # numpy that geometry's quadrature needs, stay out of their import
+    script = ("import sys, spinor_s3.abstract_dirac, spinor_s3.polyring; "
+              "print(sorted({'numpy', 'spinor_s3.geometry'} & set(sys.modules)))")
     proc = python_process(("-c", script), False, stdout=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
     assert (proc.returncode, err, out) == (0, "", "[]\n")
@@ -448,7 +467,7 @@ def test_an_image_off_the_right_ladder_fails_the_lift(capsys, monkeypatch):
     assert code == 1
     failed = [line.split(": ")[0] for line in out.splitlines() if line.startswith("FAIL")]
     assert failed == ["FAIL  [dirac] eigen-identity k=2", "FAIL  [laplace] laplace eigenvalue k=2"]
-    assert out.count("not lifted, failed: right equivariance") == 2
+    assert out.count("not lifted, failed: closed = recursive") == 2
     assert "6/6 sections of slice q = 0 satisfy" in out
 
 
@@ -815,18 +834,13 @@ def test_verify_laplace_fails_when_it_does_not_commute_with_dirac(capsys, monkey
     # Delta + l1 as the weights the identities read, while laplace_section
     # still runs Delta: the left field l1 commutes with beta_R, so the
     # eigenvalue lines lift, but not with D
-    import spinor_s3.verify as verify
     from spinor_s3 import geometry
     from spinor_s3.geometry import KillingPair
 
     wrong = geometry._combine(((geometry._laplace_weights(), 1),
                                (geometry._field_weights(KillingPair.left(1)), 1)))
     monkeypatch.setitem(geometry._OPERATORS, "Delta", lambda: (wrong,))
-    verify._commutes.cache_clear()
-    try:
-        code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")
-    finally:
-        verify._commutes.cache_clear()
+    code, out, _ = run(capsys, "verify", "--suite", "laplace", "--k-max", "2")
     assert code == 1
     assert laplace_lines(out) == [("PASS", "FAIL")] * 3
 

@@ -529,18 +529,15 @@ def test_dirac_suite_applies_d_to_slice_q_0_only(monkeypatch):
 
 
 @pytest.fixture
-def fresh_identities():
-    """verify's identities of weights and geometry's Delta_R4 rebuilt on
-    their next read, and again after the test."""
-    caches = (verify._commutes, geometry._flat_laplacian_weights)
-    for f in caches:
-        f.cache_clear()
+def fresh_flat_laplacian():
+    """geometry's Delta_R4 rebuilt on its next read, and again after the
+    test; ``run_suites`` rebuilds verify's identities itself."""
+    geometry._flat_laplacian_weights.cache_clear()
     yield
-    for f in caches:
-        f.cache_clear()
+    geometry._flat_laplacian_weights.cache_clear()
 
 
-def test_only_the_laplace_suite_composes_d_with_delta(monkeypatch, fresh_identities):
+def test_only_the_laplace_suite_composes_d_with_delta(monkeypatch):
     # [D, Delta] = 0 is read by the laplace lines alone, so a dirac run
     # composes no D block with Delta, and a laplace run does
     compose, composed = verify._compose, []
@@ -608,7 +605,29 @@ def test_each_run_checks_right_equivariance_afresh(monkeypatch):
     results = verify.run_suites(["dirac"], k_max=2)
     assert [r.passed for r in results] == [True, True, False]
     assert results[2].name == "eigen-identity k=2"
-    assert results[2].detail.endswith("not lifted, failed: right equivariance")
+    assert results[2].detail.endswith("not lifted, failed: closed = recursive")
+
+
+def test_each_run_checks_its_identities_afresh(monkeypatch):
+    # a clean run first, then Delta + l1 as the operator the identities
+    # read: the same call must compose the new operator, with no cache
+    # cleared by hand, and fail the commute lines alone
+    assert all(r.passed for r in verify.run_suites(["laplace"], k_max=1))
+    wrong = geometry._combine(((geometry._laplace_weights(), 1),
+                               (geometry._field_weights(KillingPair.left(1)), 1)))
+    monkeypatch.setitem(geometry._OPERATORS, "Delta", lambda: (wrong,))
+    results = verify.run_suites(["laplace"], k_max=1)
+    assert [r.name for r in results if not r.passed] == [
+        f"dirac-laplace commute k={k}" for k in range(2)]
+
+
+def test_a_run_leaves_every_verify_cache_empty():
+    memos = [f for f in vars(verify).values()
+             if hasattr(f, "cache_info") and f.__module__ == verify.__name__]
+    assert memos
+    results = verify.run_suites(["casimir", "dirac", "laplace", "transfer"], k_max=1)
+    assert len(results) == 20 and all(r.passed for r in results)
+    assert {f.__name__: f.cache_info().currsize for f in memos} == {f.__name__: 0 for f in memos}
 
 
 def test_a_suites_lines_do_not_depend_on_the_suites_run_with_it():
@@ -642,10 +661,10 @@ def with_raising_on_the_diagonal(blocks):
 @pytest.fixture
 def patch_weights(monkeypatch):
     """Replace a runtime weights builder of ``geometry``, which its compiled
-    block and ``_OPERATORS`` both look up: the block and the lift's
-    identities are rebuilt from the replacement, and again from the
-    original afterwards."""
-    caches = [geometry._dirac_block, geometry._laplace_block, verify._commutes]
+    block and ``_OPERATORS`` both look up: the block is rebuilt from the
+    replacement, and again from the original afterwards, and each run
+    rebuilds the lift's identities."""
+    caches = [geometry._dirac_block, geometry._laplace_block]
 
     def patch(name, mutate):
         weights = mutate(getattr(geometry, name)())
@@ -682,7 +701,7 @@ def test_verify_fails_a_laplace_operator_that_does_not_commute_with_beta_r(patch
 
 
 def test_verify_fails_harmonicity_on_a_flat_laplacian_with_a_flipped_sign(
-        monkeypatch, fresh_identities):
+        monkeypatch, fresh_flat_laplacian):
     # 4(d_u0 d_u1 + d_u2 d_u3): the sign that u2 = -z1 puts on the second
     # term, flipped.  It still kills z2^k, but commutes with neither
     # lowering, so only the harmonicity lines fail.  (Negating the whole
@@ -694,8 +713,7 @@ def test_verify_fails_harmonicity_on_a_flat_laplacian_with_a_flipped_sign(
                for r in results if not r.passed)
 
 
-def test_verify_fails_harmonicity_on_a_flat_laplacian_that_keeps_z2_k(
-        monkeypatch, fresh_identities):
+def test_verify_fails_harmonicity_on_a_flat_laplacian_that_keeps_z2_k(monkeypatch):
     # Delta_R4 plus the identity commutes with both lowerings, but its
     # constant key has no factor of e1, e2 or e3 and keeps z2^k, so only
     # the harmonicity lines fail, on that premise alone
@@ -707,7 +725,7 @@ def test_verify_fails_harmonicity_on_a_flat_laplacian_that_keeps_z2_k(
 
 
 def test_verify_fails_equivariance_on_a_left_lowering_that_does_not_commute_with_beta_r(
-        monkeypatch, fresh_identities):
+        monkeypatch):
     # beta_L plus the right field r1, in the weights the identities read
     # only: r1 commutes with Delta_R4 but not with beta_R, so only the
     # equivariance lines fail
@@ -740,7 +758,7 @@ def test_verify_fails_a_top_rung_that_beta_r_does_not_kill(monkeypatch):
     failed = {r.name: r.detail for r in results if not r.passed}
     assert list(failed) == ["eigen-identity k=2", "laplace eigenvalue k=2", "equivariance k=2",
                             "harmonicity k=2", "exponent bookkeeping k=2"]
-    assert all(failed[name].endswith("not lifted, failed: right equivariance")
+    assert all(failed[name].endswith("not lifted, failed: beta_R h_pk = 0")
                for name in ("eigen-identity k=2", "laplace eigenvalue k=2"))
     assert all(failed[name].endswith("; failed: beta_R h_pk = 0")
                for name in ("equivariance k=2", "harmonicity k=2"))
@@ -826,5 +844,7 @@ def test_builders_run_once_per_process(monkeypatch):
     assert all(r.passed for r in verify.run_suites(suites, k_max=2))
     assert set(calls) == {f.__name__ for f in builders}
     calls.clear()
+    # the second run builds, combines and compiles nothing, and composes
+    # the 24 block pairs of its identities again: runs keep no identity
     assert all(r.passed for r in verify.run_suites(suites, k_max=6))
-    assert not calls
+    assert calls == {"_compose": 24}
