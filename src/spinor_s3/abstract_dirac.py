@@ -170,7 +170,7 @@ def dbar_block_int(k: int) -> linalg.Rows:
 def dbar_block_matrix(k: int) -> linalg.Matrix:
     """:func:`dbar_block_int` as dense Gaussian rationals.  Only the
     benchmark's micro mode (``perfbench/child.py``) calls it; it goes with
-    that mode (ROADMAP item 1)."""
+    that mode (ROADMAP item 1b)."""
     return linalg.from_int(dbar_block_int(k), 2 * (k + 1))
 
 

@@ -57,7 +57,7 @@ Rows = list[dict[int, GaussInt]]
 # zeros, identity, mat_add, mat_scale, trace and mat_mul (with _to_int)
 # have no caller in the library: the benchmark's micro mode
 # (``perfbench/child.py``) replays a Faddeev-LeVerrier loop with them.
-# They go with that mode (ROADMAP item 1).
+# They go with that mode (ROADMAP item 1b).
 
 
 def zeros(rows: int, cols: int) -> Matrix:

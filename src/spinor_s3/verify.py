@@ -18,7 +18,7 @@ from typing import Callable, Optional
 from . import linalg
 from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_int, \
     eigenbasis_abstract, quadratic_check, SpinorVector
-from .exactnum import BASIS, Record, add_parts, gauss, gauss_over, quat_multiply, scale_parts
+from .exactnum import Record, add_parts, gauss, gauss_over, hamilton, scale_parts
 from .geometry import (
     SPHERE_VOLUME,
     _OPERATORS,
@@ -68,17 +68,6 @@ class CheckResult(Record):
 # -- casimir -------------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _unit_products() -> tuple[tuple[int, int, int, int], ...]:
-    """``(i, j, m, sign)`` with e_i e_j = sign e_m for each ordered pair
-    i != j, from actual quaternion products, taken on first use."""
-    out = []
-    for i, j in ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)):
-        prod = quat_multiply(BASIS[i], BASIS[j])
-        out.append((i, j, *next((m, int(c)) for m, c in enumerate(prod.components()) if c)))
-    return tuple(out)
-
-
 def _check_casimir_k(k: int) -> list[CheckResult]:
     out = []
     ok = casimir(k) == casimir_expected(k)
@@ -86,8 +75,11 @@ def _check_casimir_k(k: int) -> list[CheckResult]:
 
     comm_ok = True
     ls = {i: l_matrix_int(i, k) for i in (1, 2, 3)}
-    for i, j, m, sign in _unit_products():
-        # each row is a denominator-1 vector's parts
+    units = [tuple(int(a == b) for b in range(4)) for a in range(4)]
+    for i, j in ((1, 2), (2, 3), (3, 1), (2, 1), (3, 2), (1, 3)):
+        # e_i e_j = sign e_m, read off the actual product of the integer
+        # units; each row is a denominator-1 vector's parts
+        m, sign = next((m, c) for m, c in enumerate(hamilton(units[i], units[j])) if c)
         ab = linalg.mat_mul_int(ls[i], ls[j])
         ba = linalg.mat_mul_int(ls[j], ls[i])
         comm = [add_parts(x, 1, y, 1, -1)[0] for x, y in zip(ab, ba)]
@@ -146,12 +138,14 @@ def _check_quadratic_k(k: int) -> list[CheckResult]:
     return out
 
 
-# -- the ladder and the identities of weights ------------------------------------
+# -- the ladder, the identities of weights and the lines derived from them -------
 #
-# The transfer suite's derived lines and the lifts of the dirac and laplace
-# suites read each degree's images, checked once per run (_ladder), and
-# identities of weights, each checked once per run on its first read
-# (_commutes).  VERIFICATION.md gives the arguments.
+# The transfer suite's equivariance and harmonicity lines and the lifts of
+# the dirac and laplace suites are derived lines: each reads facts of the
+# degree's images, checked once per run (_ladder), and identities of
+# weights, each checked once per run on its first read (_commutes), and
+# holds when all of them hold (_derived).  VERIFICATION.md gives the
+# arguments.
 
 
 @lru_cache(maxsize=None)
@@ -187,6 +181,26 @@ def _commutes(a: str, b: str) -> tuple[str, bool]:
     return f"[{a}, {b}] = 0", held
 
 
+#: The ladder facts that a derived line names as one premise: all of them,
+#: or the three of right equivariance, by which slice q = 0 is lifted.
+_FACTS = {"the ladder": ("closed = recursive", "supports fix (p, q)", "beta_L h_k0 = 0",
+                         "beta_R h_pk = 0"),
+          "right equivariance": ("closed = recursive", "supports fix (p, q)", "beta_R h_pk = 0")}
+
+
+def _derived(k: int, facts: str, identities: list[tuple[str, bool]]) -> tuple[bool, str]:
+    """Decide and word a line of degree k derived from the ladder facts that
+    ``facts`` names and the ``identities`` (name, held): the line holds when
+    every premise does, and its detail's tail reads "derived from A, B and
+    C", then "; failed: X, Y" with the premises that failed."""
+    ladder = _ladder(k)[0]
+    premises = {**{fact: ladder[fact] for fact in _FACTS[facts]}, **dict(identities)}
+    failed = [premise for premise, held in premises.items() if not held]
+    *rest, last = [facts, *(name for name, _ in identities)]
+    return not failed, (f"derived from {', '.join(rest)} and {last}"
+                        + ("; failed: " + ", ".join(failed) if failed else ""))
+
+
 # -- transfer ----------------------------------------------------------------
 
 
@@ -198,19 +212,15 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 
     # by the ladder every image is z2^k lowered p times left and q times
     # right; the identities carry what holds of z2^k, or of slice 0, to it
-    kills_top = all(map(_kills_z2_powers, _OPERATORS["Delta_R4"]()))
     for name, claim, identities in (
         ("equivariance", "lowering commutes with the transfer on both sides",
          [_commutes("beta_L", "beta_R")]),
         ("harmonicity", "flat Laplacian annihilates every image",
-         [("Delta_R4 z2^k = 0", kills_top),
+         [("Delta_R4 z2^k = 0", all(map(_kills_z2_powers, _OPERATORS["Delta_R4"]()))),
           _commutes("beta_L", "Delta_R4"), _commutes("beta_R", "Delta_R4")]),
     ):
-        *rest, last = ["the ladder", *(premise for premise, _ in identities)]
-        failed = [premise for premise, ok in {**facts, **dict(identities)}.items() if not ok]
-        out.append(CheckResult("transfer", f"{name} k={k}", not failed,
-                               f"{claim}, derived from {', '.join(rest)} and {last}"
-                               + ("; failed: " + ", ".join(failed) if failed else "")))
+        held, tail = _derived(k, "the ladder", identities)
+        out.append(CheckResult("transfer", f"{name} k={k}", held, f"{claim}, {tail}"))
 
     out.append(CheckResult("transfer", f"exponent bookkeeping k={k}", books,
                            "all exponents >= 0 and sum to k"))
@@ -225,24 +235,9 @@ def _check_transfer_k(k: int) -> list[CheckResult]:
 # -- dirac / laplace on sections -------------------------------------------------
 #
 # The dirac job and the laplace eigenvalue line check slice q = 0 only and
-# lift it to every slice by two facts: right equivariance of the degree's
-# images, read off the ladder, and the operator's [., beta_R] = 0.  The
-# commute line is [D, Delta] = 0 on the weights, which needs no lift.
-
-
-def _lift(identity: tuple[str, bool], k: int) -> tuple[bool, str]:
-    """Whether a check of slice q = 0 lifts to all 2(k+1)^2 sections of
-    degree k: the operator ``identity`` (name, held) and right equivariance,
-    three of the ladder's facts, hold; and the detail that names them, or
-    the premises that failed."""
-    name, held = identity
-    facts = _ladder(k)[0]
-    premises = {name: held, **{f: facts[f] for f in
-                               ("closed = recursive", "supports fix (p, q)", "beta_R h_pk = 0")}}
-    failed = [premise for premise, ok in premises.items() if not ok]
-    if failed:
-        return False, "; not lifted, failed: " + ", ".join(failed)
-    return True, f"; lifted to all {2 * (k + 1) ** 2} by {name} and right equivariance"
+# lift it to all 2(k+1)^2 sections of the degree, a line derived from right
+# equivariance of the degree's images and the operator's [., beta_R] = 0.
+# The commute line is [D, Delta] = 0 on the weights, which needs no lift.
 
 
 def _eigensections(entries, n: int, where: str = "") -> tuple[bool, str]:
@@ -280,8 +275,9 @@ def _check_dirac_k(k: int) -> list[CheckResult]:
         families = ()
     entries = [e for family in families for e in transfer_slice(family, 0, table)]
     ok, detail = _eigensections(entries, n, " of slice q = 0")
-    lifted, how = _lift(_commutes("D", "beta_R"), k)
-    return [CheckResult("dirac", f"eigen-identity k={k}", ok and lifted, detail + how)]
+    lifted, tail = _derived(k, "right equivariance", [_commutes("D", "beta_R")])
+    return [CheckResult("dirac", f"eigen-identity k={k}", ok and lifted,
+                        f"{detail}; lifted to all {n * (k + 1)} sections, {tail}")]
 
 
 def _check_laplace_k(k: int) -> list[CheckResult]:
@@ -293,12 +289,12 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
     images = list(_ladder(k)[-1].values())
     sections = [SpinorSection(h, zero) for h in images] + [SpinorSection(zero, h) for h in images]
     eig_ok = all(laplace_section(sigma) == sigma.scale(lam) for sigma in sections)
-    lifted, how = _lift(_commutes("Delta", "beta_R"), k)
+    lifted, tail = _derived(k, "right equivariance", [_commutes("Delta", "beta_R")])
     name, commutes = _commutes("D", "Delta")
     return [
         CheckResult("laplace", f"laplace eigenvalue k={k}", eig_ok and lifted,
-                    f"Delta sigma = {lam} sigma on the {len(sections)} sections of slice q = 0"
-                    + how),
+                    f"Delta sigma = {lam} sigma on the {len(sections)} sections of slice q = 0; "
+                    f"lifted to all {2 * (k + 1) ** 2} sections, {tail}"),
         CheckResult("laplace", f"dirac-laplace commute k={k}", commutes,
                     f"{name} on the weights that the runtime tables are compiled from, "
                     "so on every section of every degree"),
@@ -427,7 +423,7 @@ def run_suites(
     seed: int = MC_SEED,
 ) -> list[CheckResult]:
     """Run the jobs of each named suite in order, suites by name, each once."""
-    memos = (_unit_products, _ladder, _commutes)  # what the run's jobs share, kept for this run
+    memos = (_ladder, _commutes)  # what the run's jobs share, kept for this run
     for memo in memos:
         memo.cache_clear()
     results = [result for suite in sorted(set(suites))

@@ -36,6 +36,7 @@ import random
 import sys
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import operator_reference
@@ -605,7 +606,7 @@ def test_each_run_checks_right_equivariance_afresh(monkeypatch):
     results = verify.run_suites(["dirac"], k_max=2)
     assert [r.passed for r in results] == [True, True, False]
     assert results[2].name == "eigen-identity k=2"
-    assert results[2].detail.endswith("not lifted, failed: closed = recursive")
+    assert results[2].detail.endswith("; failed: closed = recursive")
 
 
 def test_each_run_checks_its_identities_afresh(monkeypatch):
@@ -686,7 +687,7 @@ def test_verify_fails_a_dirac_operator_that_does_not_commute_with_beta_r(patch_w
     for k, r in enumerate(results):
         n = 2 * (k + 1)
         assert r.detail.startswith(f"{n}/{n} sections of slice q = 0 satisfy D sigma = lambda sigma")
-        assert r.detail.endswith("not lifted, failed: [D, beta_R] = 0")
+        assert r.detail.endswith("; failed: [D, beta_R] = 0")
     # the export's gate applies D to every slice it writes, and sees it
     assert not verify.eigen_identity(3, transfer_eigenbasis(3)).passed
 
@@ -697,7 +698,7 @@ def test_verify_fails_a_laplace_operator_that_does_not_commute_with_beta_r(patch
     patch_weights("_laplace_weights", lambda w: geometry._combine(((w, 1), (right_raising(), 1))))
     results = verify.run_suites(["laplace"], k_max=3)
     assert [r.passed for r in results] == [False, True] * 4
-    assert all(r.detail.endswith("not lifted, failed: [Delta, beta_R] = 0") for r in results[::2])
+    assert all(r.detail.endswith("; failed: [Delta, beta_R] = 0") for r in results[::2])
 
 
 def test_verify_fails_harmonicity_on_a_flat_laplacian_with_a_flipped_sign(
@@ -758,10 +759,56 @@ def test_verify_fails_a_top_rung_that_beta_r_does_not_kill(monkeypatch):
     failed = {r.name: r.detail for r in results if not r.passed}
     assert list(failed) == ["eigen-identity k=2", "laplace eigenvalue k=2", "equivariance k=2",
                             "harmonicity k=2", "exponent bookkeeping k=2"]
-    assert all(failed[name].endswith("not lifted, failed: beta_R h_pk = 0")
-               for name in ("eigen-identity k=2", "laplace eigenvalue k=2"))
-    assert all(failed[name].endswith("; failed: beta_R h_pk = 0")
-               for name in ("equivariance k=2", "harmonicity k=2"))
+    assert all(failed[name].endswith("; failed: beta_R h_pk = 0") for name in (
+        "eigen-identity k=2", "laplace eigenvalue k=2", "equivariance k=2", "harmonicity k=2"))
+
+
+#: The premises of each derived line: the ladder facts it rests on, and
+#: its identities.
+RIGHT_EQUIVARIANCE = ("closed = recursive", "supports fix (p, q)", "beta_R h_pk = 0")
+LADDER = (*RIGHT_EQUIVARIANCE, "beta_L h_k0 = 0")
+DERIVED = {
+    "equivariance": {*LADDER, "[beta_L, beta_R] = 0"},
+    "harmonicity": {*LADDER, "Delta_R4 z2^k = 0", "[beta_L, Delta_R4] = 0",
+                    "[beta_R, Delta_R4] = 0"},
+    "eigen-identity": {*RIGHT_EQUIVARIANCE, "[D, beta_R] = 0"},
+    "laplace eigenvalue": {*RIGHT_EQUIVARIANCE, "[Delta, beta_R] = 0"},
+}
+
+
+@pytest.mark.parametrize("premise", sorted(set().union(*DERIVED.values())))
+def test_a_false_premise_fails_the_derived_lines_that_rest_on_it(monkeypatch, premise):
+    # the premise forced false at every degree, by its ladder fact, its
+    # identity or the kill of z2^k: each derived line that rests on it
+    # FAILs and names it alone, and every other line passes, except the
+    # closed form line, which reports the ladder's first fact itself
+    if premise in LADDER:
+        ladder = verify._ladder.__wrapped__
+
+        def forced_ladder(k):
+            facts, *rest = ladder(k)
+            return ({**facts, premise: False}, *rest)
+
+        monkeypatch.setattr(verify, "_ladder", lru_cache(maxsize=None)(forced_ladder))
+    elif premise == "Delta_R4 z2^k = 0":
+        monkeypatch.setattr(verify, "_kills_z2_powers", lambda weights: False)
+    else:
+        commutes = verify._commutes.__wrapped__
+
+        def forced_commutes(a, b):
+            name, held = commutes(a, b)
+            return name, held and name != premise
+
+        monkeypatch.setattr(verify, "_commutes", lru_cache(maxsize=None)(forced_commutes))
+    results = verify.run_suites(["dirac", "laplace", "transfer"], k_max=1)
+    assert len(results) == 16
+    for r in results:
+        kind = r.name.rsplit(" k=", 1)[0]
+        rests = premise in DERIVED.get(kind, ()) or (
+            kind, premise) == ("closed form = recursive", "closed = recursive")
+        assert r.passed is not rests, r.line()
+        if kind in DERIVED and rests:
+            assert r.detail.endswith(f"; failed: {premise}"), r.line()
 
 
 def test_geometry_caches_do_not_grow_with_the_degree():
