@@ -10,15 +10,10 @@ import math
 from fractions import Fraction
 
 from spinor_s3.exactnum import gauss
-from spinor_s3.geometry import (
-    SPHERE_VOLUME,
-    l2_inner_product,
-    monomial_integral,
-    monte_carlo_quadrature,
-    tensor_quadrature,
-)
+from spinor_s3.geometry import l2_inner_product, monomial_integral
 from spinor_s3.polyring import G2, G2_BAR, GM1, Polynomial, Z_VIEW
 from spinor_s3.transfer import gram_matrix
+from spinor_s3.verify import SPHERE_VOLUME, monte_carlo_quadrature, tensor_quadrature
 
 print("closed-form monomial integrals (2 pi^2 units):")
 for exps in ((0, 0, 0, 0), (1, 1, 0, 0), (2, 2, 0, 0), (1, 1, 1, 1), (1, 0, 0, 0)):

@@ -112,8 +112,11 @@ def dbar_apply(v: SpinorVector) -> SpinorVector:
 
 
 #: complex_split(e_r * e_i) for r in {0, 2} and i = 1..3, as Gaussian
-#: integers, from actual quaternion products.  This route keeps its own
-#: table rather than sharing polyring's, so the two share no code.
+#: integers, from actual quaternion products.  ``geometry._dirac_weights``
+#: reads the same unit products through the same ``quat_multiply`` and
+#: ``complex_split``, so this route shares those two exact functions with
+#: the polynomial Dirac operator; the table itself is built here, and
+#: :func:`dbar_apply`, the route it is checked against, reads none of them.
 _RIGHT_MUL = {
     (r, i): tuple(parts_over(c, 1) for c in complex_split(quat_multiply(BASIS[r], BASIS[i])))
     for r in (0, 2)

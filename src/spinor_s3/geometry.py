@@ -21,8 +21,9 @@ runs.  No other module builds weights or compiles or runs a table.  The
 operators' references -- one derivative per frame field, the Hessian
 Laplacian, the connection constants -- live in ``tests/operator_reference.py``.
 Integrals over the sphere are exact (``Fraction``, ``GaussianRational``)
-in units of the total volume 2*pi^2; only ``SPHERE_VOLUME`` makes floats
-of them, for the quadrature cross-checks.
+in units of the total volume 2*pi^2, and nothing here is a float: the
+quadrature that cross-checks them, and ``SPHERE_VOLUME``, which turns them
+into floats, live in ``verify``.
 """
 
 from __future__ import annotations
@@ -30,8 +31,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 from functools import lru_cache
-
-import numpy as np
 
 from . import linalg
 from .exactnum import (
@@ -350,10 +349,6 @@ _OPERATORS = {
 
 # -- exact integration -------------------------------------------------------
 
-#: The volume 2*pi^2 of the unit 3-sphere, the unit of every exact integral:
-#: ``float(v) * SPHERE_VOLUME`` is the integral whose exact value is v.
-SPHERE_VOLUME = 2.0 * math.pi**2
-
 
 def monomial_integral(l1: int, l2: int, l3: int, l4: int) -> Fraction:
     """Exact sphere integral of z2^l1 conj(z2)^l2 (-z1)^l3 conj(z1)^l4.
@@ -380,90 +375,3 @@ def l2_inner_product(a: Polynomial, b: Polynomial) -> GaussianRational:
         re += x * weight
         im += y * weight
     return GaussianRational(re / product._den, im / product._den)
-
-
-# -- numeric quadrature -------------------------------------------------------
-
-
-def _complex_terms(f: Polynomial):
-    fz = f.in_view(Z_VIEW)
-    return [(exp, complex(coeff)) for exp, coeff in fz.terms_sorted()]
-
-
-def _eval_terms(terms, z1, z2):
-    u = (z2, np.conj(z2), -z1, np.conj(z1))
-    total = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
-    for (a, b, c, d), coeff in terms:
-        total = total + coeff * u[0] ** a * u[1] ** b * u[2] ** c * u[3] ** d
-    return total
-
-
-def tensor_quadrature(fs: list[Polynomial], n_angular: int, n_radial: int) -> list[complex]:
-    """Sphere integral of each polynomial in ``fs`` on one grid, each equal
-    to its one-polynomial call bit for bit, through the chart (t, s, rho) ->
-    (e^{it} sqrt(rho), e^{is} sqrt(1-rho)) with volume element dt ds drho / 2:
-    trapezoid in both angles with ``n_angular`` nodes, Gauss-Legendre in rho
-    with ``n_radial``.  Exact on total degree d (up to roundoff) once
-    n_angular > d and 2*n_radial - 1 >= d/2."""
-    if n_angular < 1 or n_radial < 1:
-        raise ValueError("tensor rule needs n_angular >= 1 and n_radial >= 1")
-    t = 2.0 * np.pi * np.arange(n_angular) / n_angular
-    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
-    rho = (nodes + 1.0) / 2.0
-    w_rho = weights / 2.0
-    tt = t[:, None, None]
-    ss = t[None, :, None]
-    rr = rho[None, None, :]
-    z1 = np.exp(1j * tt) * np.sqrt(rr)
-    z2 = np.exp(1j * ss) * np.sqrt(1.0 - rr)
-    cell = (2.0 * np.pi / n_angular) ** 2 * 0.5
-    return [
-        complex(cell * np.sum(_eval_terms(_complex_terms(f), z1, z2) * w_rho[None, None, :]))
-        for f in fs
-    ]
-
-
-_MC_CHUNK = 1 << 16
-
-
-def monte_carlo_quadrature(fs: list[Polynomial], samples: int,
-                           seed: int) -> list[tuple[complex, float]]:
-    """(value, standard error) of the sphere integral of each polynomial in
-    ``fs`` by Monte Carlo, on one set of draws, each equal to its
-    one-polynomial call bit for bit.  The samples are drawn in fixed chunks
-    of 2^16, one child stream per chunk, spawned from SeedSequence(seed) as
-    the chunk is drawn, so the estimate is reproducible no matter how chunks
-    are scheduled, and no stream is held before its chunk."""
-    if samples < 2:
-        # one sample has no variance estimate, so no error bar
-        raise ValueError("monte carlo rule needs samples >= 2")
-    if seed is None:
-        raise ValueError("monte carlo rule needs an explicit seed")
-    all_terms = [_complex_terms(f) for f in fs]
-    # per polynomial: sums of the real and imaginary parts and of their squares
-    sums = [[0.0, 0.0, 0.0, 0.0] for _ in all_terms]
-    n = samples
-    root = np.random.SeedSequence(seed)
-    drawn = 0
-    while drawn < n:
-        m = min(_MC_CHUNK, n - drawn)
-        rng = np.random.default_rng(root.spawn(1)[0])
-        x = rng.standard_normal((m, 4))
-        x /= np.linalg.norm(x, axis=1, keepdims=True)
-        z1 = x[:, 0] + 1j * x[:, 1]
-        z2 = x[:, 2] + 1j * x[:, 3]
-        for acc, terms in zip(sums, all_terms):
-            values = _eval_terms(terms, z1, z2)
-            acc[0] += float(np.sum(values.real))
-            acc[1] += float(np.sum(values.imag))
-            acc[2] += float(np.sum(values.real**2))
-            acc[3] += float(np.sum(values.imag**2))
-        drawn += m
-    results = []
-    for total_re, total_im, sq_re, sq_im in sums:
-        mean = complex(total_re / n, total_im / n)
-        var_re = max(sq_re / n - (total_re / n) ** 2, 0.0)
-        var_im = max(sq_im / n - (total_im / n) ** 2, 0.0)
-        stderr = SPHERE_VOLUME * math.sqrt((var_re + var_im) / n)
-        results.append((mean * SPHERE_VOLUME, stderr))
-    return results

@@ -6,6 +6,12 @@ name order and each suite once, so the report lists its checks in
 (suite, job) order on every run.  The dirac, laplace and transfer jobs of
 one degree share the run's ladder, and the jobs of a run share its
 identities of weights; ``run_suites`` keeps nothing for the next run.
+
+The integral suite's quadrature rules, ``tensor_quadrature`` and
+``monte_carlo_quadrature``, live here beside the checks that call them,
+with ``SPHERE_VOLUME``, which turns the exact integrals into floats: this
+is the one module of the package that imports numpy.  ``cli`` imports it
+last, so numpy loads after every other module of the package.
 """
 
 from __future__ import annotations
@@ -15,12 +21,15 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Optional
 
+import numpy as np
+
 from . import linalg
 from .abstract_dirac import dbar_apply, dbar_apply_first_principles, dbar_block_int, \
     eigenbasis_abstract, quadratic_check, SpinorVector
 from .exactnum import Record, add_parts, gauss, gauss_over, hamilton, scale_parts
 from .geometry import (
-    SPHERE_VOLUME,
+    LEFT,
+    RIGHT,
     _OPERATORS,
     _compose,
     _kills_z2_powers,
@@ -28,13 +37,10 @@ from .geometry import (
     l2_inner_product,
     laplace_section,
     monomial_integral,
-    monte_carlo_quadrature,
-    tensor_quadrature,
 )
 from .polyring import G2, Polynomial, SpinorSection, Z_VIEW
 from .repspace import casimir, casimir_expected, l_matrix_int
-from .transfer import LEFT, RIGHT, beta_lower, gram_matrix, recursive_table, transfer_slice, \
-    transfer_table
+from .transfer import beta_lower, gram_matrix, recursive_table, transfer_slice, transfer_table
 
 MC_SAMPLES = 1_000_000  # the integral suite's defaults, read by cli
 MC_SEED = 0
@@ -299,6 +305,97 @@ def _check_laplace_k(k: int) -> list[CheckResult]:
                     f"{name} on the weights that the runtime tables are compiled from, "
                     "so on every section of every degree"),
     ]
+
+
+# -- numeric quadrature -------------------------------------------------------
+
+#: The volume 2*pi^2 of the unit 3-sphere, the unit of every exact integral:
+#: ``float(v) * SPHERE_VOLUME`` is the integral whose exact value is v.
+SPHERE_VOLUME = 2.0 * math.pi**2
+
+
+def _complex_terms(f: Polynomial):
+    fz = f.in_view(Z_VIEW)
+    return [(exp, complex(coeff)) for exp, coeff in fz.terms_sorted()]
+
+
+def _eval_terms(terms, z1, z2):
+    u = (z2, np.conj(z2), -z1, np.conj(z1))
+    total = np.zeros(np.broadcast(z1, z2).shape, dtype=complex)
+    for (a, b, c, d), coeff in terms:
+        total = total + coeff * u[0] ** a * u[1] ** b * u[2] ** c * u[3] ** d
+    return total
+
+
+def tensor_quadrature(fs: list[Polynomial], n_angular: int, n_radial: int) -> list[complex]:
+    """Sphere integral of each polynomial in ``fs`` on one grid, each equal
+    to its one-polynomial call bit for bit, through the chart (t, s, rho) ->
+    (e^{it} sqrt(rho), e^{is} sqrt(1-rho)) with volume element dt ds drho / 2:
+    trapezoid in both angles with ``n_angular`` nodes, Gauss-Legendre in rho
+    with ``n_radial``.  Exact on total degree d (up to roundoff) once
+    n_angular > d and 2*n_radial - 1 >= d/2."""
+    if n_angular < 1 or n_radial < 1:
+        raise ValueError("tensor rule needs n_angular >= 1 and n_radial >= 1")
+    t = 2.0 * np.pi * np.arange(n_angular) / n_angular
+    nodes, weights = np.polynomial.legendre.leggauss(n_radial)
+    rho = (nodes + 1.0) / 2.0
+    w_rho = weights / 2.0
+    tt = t[:, None, None]
+    ss = t[None, :, None]
+    rr = rho[None, None, :]
+    z1 = np.exp(1j * tt) * np.sqrt(rr)
+    z2 = np.exp(1j * ss) * np.sqrt(1.0 - rr)
+    cell = (2.0 * np.pi / n_angular) ** 2 * 0.5
+    return [
+        complex(cell * np.sum(_eval_terms(_complex_terms(f), z1, z2) * w_rho[None, None, :]))
+        for f in fs
+    ]
+
+
+_MC_CHUNK = 1 << 16
+
+
+def monte_carlo_quadrature(fs: list[Polynomial], samples: int,
+                           seed: int) -> list[tuple[complex, float]]:
+    """(value, standard error) of the sphere integral of each polynomial in
+    ``fs`` by Monte Carlo, on one set of draws, each equal to its
+    one-polynomial call bit for bit.  The samples are drawn in fixed chunks
+    of 2^16, one child stream per chunk, spawned from SeedSequence(seed) as
+    the chunk is drawn, so the estimate is reproducible no matter how chunks
+    are scheduled, and no stream is held before its chunk."""
+    if samples < 2:
+        # one sample has no variance estimate, so no error bar
+        raise ValueError("monte carlo rule needs samples >= 2")
+    if seed is None:
+        raise ValueError("monte carlo rule needs an explicit seed")
+    all_terms = [_complex_terms(f) for f in fs]
+    # per polynomial: sums of the real and imaginary parts and of their squares
+    sums = [[0.0, 0.0, 0.0, 0.0] for _ in all_terms]
+    n = samples
+    root = np.random.SeedSequence(seed)
+    drawn = 0
+    while drawn < n:
+        m = min(_MC_CHUNK, n - drawn)
+        rng = np.random.default_rng(root.spawn(1)[0])
+        x = rng.standard_normal((m, 4))
+        x /= np.linalg.norm(x, axis=1, keepdims=True)
+        z1 = x[:, 0] + 1j * x[:, 1]
+        z2 = x[:, 2] + 1j * x[:, 3]
+        for acc, terms in zip(sums, all_terms):
+            values = _eval_terms(terms, z1, z2)
+            acc[0] += float(np.sum(values.real))
+            acc[1] += float(np.sum(values.imag))
+            acc[2] += float(np.sum(values.real**2))
+            acc[3] += float(np.sum(values.imag**2))
+        drawn += m
+    results = []
+    for total_re, total_im, sq_re, sq_im in sums:
+        mean = complex(total_re / n, total_im / n)
+        var_re = max(sq_re / n - (total_re / n) ** 2, 0.0)
+        var_im = max(sq_im / n - (total_im / n) ** 2, 0.0)
+        stderr = SPHERE_VOLUME * math.sqrt((var_re + var_im) / n)
+        results.append((mean * SPHERE_VOLUME, stderr))
+    return results
 
 
 # -- integration -----------------------------------------------------------------

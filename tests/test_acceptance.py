@@ -18,25 +18,23 @@ from spinor_s3.abstract_dirac import (
 )
 from spinor_s3.exactnum import BASIS, gauss, quat_multiply
 from spinor_s3.geometry import (
-    SPHERE_VOLUME,
+    LEFT,
+    RIGHT,
     dirac_section,
     l2_inner_product,
     laplace_section,
     monomial_integral,
-    monte_carlo_quadrature,
-    tensor_quadrature,
 )
 from spinor_s3.polyring import G2, Polynomial, Z_VIEW, laplacian_r4
 from spinor_s3.repspace import casimir, casimir_expected, l_matrix_int
 from spinor_s3.transfer import (
-    LEFT,
-    RIGHT,
     beta_lower,
     gram_matrix,
     iso_closed_form,
     recursive_table,
     transfer_eigenbasis,
 )
+from spinor_s3.verify import SPHERE_VOLUME, monte_carlo_quadrature, tensor_quadrature
 
 MC_SAMPLES = 1_000_000
 MC_SEED = 0

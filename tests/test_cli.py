@@ -358,8 +358,8 @@ def test_importing_the_cli_starts_no_thread_and_registers_no_exit_handler():
 def test_importing_the_cli_imports_neither_dataclasses_nor_json():
     # every command is a fresh process that pays for what the import loads:
     # the records are written without dataclass code generation, and json
-    # is imported by the one command that uses it (numpy is still imported
-    # by geometry, which the CLI imports, so nothing is asserted about it)
+    # is imported by the one command that uses it (numpy is still imported,
+    # by verify, which the CLI imports last; its place is tested below)
     script = "import sys, spinor_s3.cli; print(sorted({'dataclasses', 'json'} & set(sys.modules)))"
     proc = python_process(("-c", script), False, stdout=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
@@ -374,14 +374,79 @@ def test_the_package_namespace_imports_nothing():
             if isinstance(node, (ast.Import, ast.ImportFrom))] == []
 
 
+def top_level_definitions(tree):
+    """The names that a module's own top level binds: its functions, classes
+    and assigned names, and none that it imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+    return names
+
+
+def test_every_package_import_names_the_module_that_defines_the_name():
+    # one import path per name: ``from .m import n`` reads n from the module
+    # whose own top level defines it, never through a module that imports it
+    package = ROOT / "src" / "spinor_s3"
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8"))
+             for path in sorted(package.glob("*.py"))}
+    defined = {module: top_level_definitions(tree) for module, tree in trees.items()}
+    imports, stray = 0, []
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for alias in node.names:
+                    imports += 1
+                    if node.module is None:
+                        ok = alias.name in trees  # ``from . import m`` names a module
+                    else:
+                        ok = alias.name in defined.get(node.module, ())
+                    if not ok:
+                        stray.append(f"{module}: from .{node.module or ''} import {alias.name}")
+    assert imports > 0  # the walk found the package's imports
+    assert stray == []
+
+
 def test_the_exact_core_imports_neither_numpy_nor_geometry():
     # the abstract side and the polynomial ring are exact: floats, and the
-    # numpy that geometry's quadrature needs, stay out of their import
+    # numpy that verify's quadrature needs, stay out of their import; the
+    # operators and the transfer are exact too, and import no numpy either
     script = ("import sys, spinor_s3.abstract_dirac, spinor_s3.polyring; "
-              "print(sorted({'numpy', 'spinor_s3.geometry'} & set(sys.modules)))")
+              "print(sorted({'numpy', 'spinor_s3.geometry'} & set(sys.modules))); "
+              "import spinor_s3.geometry, spinor_s3.transfer; "
+              "print(sorted({'numpy'} & set(sys.modules)))")
     proc = python_process(("-c", script), False, stdout=subprocess.PIPE)
     out, err = proc.communicate(timeout=120)
-    assert (proc.returncode, err, out) == (0, "", "[]\n")
+    assert (proc.returncode, err, out) == (0, "", "[]\n[]\n")
+
+
+IMPORT_ORDER = """
+import sys
+started = []
+class Recorder:
+    @staticmethod
+    def find_spec(name, path=None, target=None):
+        started.append(name)
+sys.meta_path.insert(0, Recorder)
+import spinor_s3.cli
+package = [i for i, name in enumerate(started) if name.partition('.')[0] == 'spinor_s3']
+print(max(package) < started.index('numpy'))
+"""
+
+
+def test_the_cli_imports_numpy_after_every_module_of_the_package():
+    # a module is found, then compiled, then run; numpy's import begins after
+    # every spinor_s3 module has been found, so the whole package has compiled
+    # before numpy loads, and numpy is still part of the CLI's import.
+    # (sys.modules cannot show this: a module's key moves to the end when its
+    # body finishes, so verify's and cli's keys always follow numpy's.)
+    script = IMPORT_ORDER
+    proc = python_process(("-c", script), False, stdout=subprocess.PIPE)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, err, out) == (0, "", "True\n")
 
 
 def zero_sections(entries):

@@ -18,18 +18,15 @@ from operator_reference import (
     spin_contraction,
 )
 
-from spinor_s3 import geometry, polyring
+from spinor_s3 import geometry, polyring, verify
 from spinor_s3.exactnum import BASIS, E0, E3, gauss, quat
 from spinor_s3.geometry import (
-    SPHERE_VOLUME,
     KillingPair,
     _field_matrix_int,
     dirac_section,
     l2_inner_product,
     laplace_section,
     monomial_integral,
-    monte_carlo_quadrature,
-    tensor_quadrature,
 )
 from spinor_s3.polyring import (
     G1_BAR,
@@ -43,6 +40,7 @@ from spinor_s3.polyring import (
     laplacian_r4,
 )
 from spinor_s3.transfer import gram_matrix, iso_closed_form
+from spinor_s3.verify import SPHERE_VOLUME, monte_carlo_quadrature, tensor_quadrature
 
 I = gauss(0, 1)
 Z1 = -GM1
@@ -437,10 +435,10 @@ def eager_monte_carlo(fs, samples, seed):
         x /= np.linalg.norm(x, axis=1, keepdims=True)
     out = []
     for f in fs:
-        terms = geometry._complex_terms(f)
+        terms = verify._complex_terms(f)
         sums = [0.0] * 4
         for x in draws:
-            values = geometry._eval_terms(terms, x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
+            values = verify._eval_terms(terms, x[:, 0] + 1j * x[:, 1], x[:, 2] + 1j * x[:, 3])
             for i, part in enumerate((values.real, values.imag, values.real**2, values.imag**2)):
                 sums[i] += float(np.sum(part))
         re, im, sq_re, sq_im = (s / samples for s in sums)

@@ -51,9 +51,9 @@ from operator_reference import (
 from spinor_s3 import cli, geometry, transfer, verify
 from spinor_s3.abstract_dirac import eigenbasis_abstract
 from spinor_s3.exactnum import BASIS, complex_split, gauss, quat_multiply, reduce_parts
-from spinor_s3.geometry import KillingPair, dirac_section, laplace_section
+from spinor_s3.geometry import LEFT, RIGHT, KillingPair, dirac_section, laplace_section
 from spinor_s3.polyring import Polynomial, SpinorSection, X_VIEW, Z_VIEW, laplacian_r4
-from spinor_s3.transfer import LEFT, RIGHT, beta_lower, transfer_eigenbasis
+from spinor_s3.transfer import beta_lower, transfer_eigenbasis
 
 #: The library's operator entry points and the tables behind them: the
 #: oracles that check them must not call them.

@@ -34,9 +34,9 @@ ROUTE_PAIRS = (
      {"linalg.charpoly_int", "linalg.rank_sparse"},
      {"linalg.charpoly_from_roots", "abstract_dirac.eigenbasis_abstract"}),
     ("integral: tensor rule vs exact",
-     {"geometry.monomial_integral"}, {"geometry.tensor_quadrature"}),
+     {"geometry.monomial_integral"}, {"verify.tensor_quadrature"}),
     ("integral: monte carlo vs exact",
-     {"geometry.monomial_integral"}, {"geometry.monte_carlo_quadrature"}),
+     {"geometry.monomial_integral"}, {"verify.monte_carlo_quadrature"}),
 )
 
 #: What two routes may share, each with why sharing it cannot make both
