@@ -23,8 +23,10 @@ the eigenvector families and their self-check compute on those ints.  The
 block :func:`dbar_block_int` is a Gaussian-integer matrix in ``linalg``'s
 format, one sparse row ``{col: (re, im)}`` per basis vector, which
 :func:`quadratic_check` multiplies with ``linalg.mat_mul_int``.
-``GaussianRational`` appears only at the edge: the constructor, ``coeffs``
-and :func:`dbar_block_matrix`.
+:func:`dbar_apply_first_principles` builds the same matrix from the
+definition, on ``repspace.l_matrix_int``'s integer rows, and ``verify``
+compares the two blocks with one ``==``.  ``GaussianRational`` appears only
+at the edge: the constructor, ``coeffs`` and :func:`dbar_block_matrix`.
 """
 
 from __future__ import annotations
@@ -38,14 +40,13 @@ from .exactnum import (
     GaussInt,
     GaussParts,
     Record,
-    add_parts,
     complex_split,
     parts_over,
     quat_multiply,
     rational_to_str,
     reduce_parts,
 )
-from .repspace import KetVector, apply_l
+from .repspace import l_matrix_int
 
 Key = tuple[int, int]  # (r, p) with r in {0, 2}
 
@@ -116,7 +117,7 @@ def dbar_apply(v: SpinorVector) -> SpinorVector:
 #: reads the same unit products through the same ``quat_multiply`` and
 #: ``complex_split``, so this route shares those two exact functions with
 #: the polynomial Dirac operator; the table itself is built here, and
-#: :func:`dbar_apply`, the route it is checked against, reads none of them.
+#: :func:`dbar_block_int`, the route it is checked against, reads none of them.
 _RIGHT_MUL = {
     (r, i): tuple(parts_over(c, 1) for c in complex_split(quat_multiply(BASIS[r], BASIS[i])))
     for r in (0, 2)
@@ -124,34 +125,29 @@ _RIGHT_MUL = {
 }
 
 
-def dbar_apply_first_principles(v: SpinorVector) -> SpinorVector:
-    """Apply Dbar from its definition -sum_i (l_i sigma) * e_i.
+def dbar_apply_first_principles(k: int) -> linalg.Rows:
+    """The matrix of Dbar on the slice H x H_k from its definition
+    -sum_i (l_i sigma) * e_i, as Gaussian-integer rows in the basis of
+    :func:`dbar_block_int`, built in one pass over the entries.
 
-    The derivative acts through repspace.apply_l on the ket factor and the
-    right multiplication acts through actual quaternion products on the
-    e_r factor, re-split into the (e0, e2) basis (taken once per (r, i)).
-    Cross-checked against :func:`dbar_apply` in the test suite.
+    The entry at row (s, t), column (r, p) is -sum_i l_i[t][p] (e_r e_i)_s:
+    ``repspace.l_matrix_int`` gives the action on the ket factor and
+    ``_RIGHT_MUL`` the right multiplication on the e_r factor, re-split
+    into (e0, e2).  Slot s starts at row (s // 2)(k + 1), an expression of
+    its own, so the two routes share no layout.
     """
-    k = v.k
-    kets = {0: {}, 2: {}}
-    for (r, p), c in v._num.items():
-        kets[r][p] = c
-
-    num: dict[Key, GaussInt] = {}
-    den = 1
-    for r in (0, 2):
-        if not kets[r]:
-            continue
-        ket = KetVector._of(*reduce_parts(kets[r], v._den), k)
-        for i in (1, 2, 3):
-            moved = apply_l(i, ket)
-            term: dict[Key, GaussInt] = {}
-            for s, (ar, ai) in zip((0, 2), _RIGHT_MUL[(r, i)]):
-                for p, (x, y) in moved._num.items():
-                    # -(x + i y)(ar + i ai)
-                    term[(s, p)] = (y * ai - x * ar, -(x * ai + y * ar))
-            num, den = add_parts(num, den, *reduce_parts(term, moved._den))
-    return SpinorVector._of(num, den, k)
+    n = k + 1
+    rows: linalg.Rows = [{} for _ in range(2 * n)]
+    for i in (1, 2, 3):
+        for t, l_row in enumerate(l_matrix_int(i, k)):
+            for p, (x, y) in l_row.items():
+                for r in (0, 2):
+                    for s, (ar, ai) in zip((0, 2), _RIGHT_MUL[(r, i)]):
+                        row, col = rows[s // 2 * n + t], r // 2 * n + p
+                        # -(x + i y)(ar + i ai)
+                        re, im = row.get(col, (0, 0))
+                        row[col] = (re + y * ai - x * ar, im - x * ai - y * ar)
+    return [{c: v for c, v in row.items() if v != (0, 0)} for row in rows]
 
 
 def dbar_block_int(k: int) -> linalg.Rows:
@@ -163,9 +159,9 @@ def dbar_block_int(k: int) -> linalg.Rows:
     rows: linalg.Rows = [{} for _ in range(2 * n)]
     for r in (0, 2):
         for p in range(n):
-            # the closed formulas have integer factors, so the image of a
-            # basis vector has denominator 1
-            for (s, t), c in dbar_apply(SpinorVector.basis(k, r, p))._num.items():
+            # a basis vector is canonical as it stands, and the closed
+            # formulas have integer factors, so its image has denominator 1
+            for (s, t), c in dbar_apply(SpinorVector._of({(r, p): (1, 0)}, 1, k))._num.items():
                 rows[_index(s, t, n)][_index(r, p, n)] = c
     return rows
 

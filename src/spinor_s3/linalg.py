@@ -32,10 +32,11 @@ and :func:`shift_int`.
 No result is rounded.  :func:`charpoly_from_roots` is the independent
 route that :func:`charpoly_int` is checked against and shares no code
 with it: an integer expansion of the product of its linear factors,
-divided by the roots' denominators once and returned as
-:class:`GaussianRational`.  At the edge, :func:`from_int` converts rows to
-a dense :class:`GaussianRational` matrix of a given column count; only the
-benchmark's micro mode reaches it, through
+returned as Gaussian integers over the one denominator prod d^mult, so
+that ``verify`` compares it with ``(charpoly_int(a), 1)`` by ``==``.
+``GaussianRational`` appears only at the edge: :func:`from_int` converts
+rows to a dense :class:`GaussianRational` matrix of a given column count;
+only the benchmark's micro mode reaches it, through
 ``abstract_dirac.dbar_block_matrix`` and :func:`mat_mul`.
 """
 
@@ -46,7 +47,7 @@ from fractions import Fraction
 from itertools import chain
 from typing import Hashable
 
-from .exactnum import GAUSS_ONE, GAUSS_ZERO, GaussianRational, GaussInt, gauss, gauss_over, parts_over
+from .exactnum import GAUSS_ONE, GAUSS_ZERO, GaussianRational, GaussInt, gauss_over, parts_over
 
 Matrix = list[list[GaussianRational]]
 #: A Gaussian-integer matrix: one canonical sparse row ``{col: (re, im)}``
@@ -297,20 +298,25 @@ def mat_mul(a: Matrix, b: Matrix) -> Matrix:
     return from_int(mat_mul_int(ai, bi), len(b[0]) if b else 0, da * db)
 
 
-def charpoly_from_roots(roots: list[tuple[Fraction, int]]) -> list[GaussianRational]:
-    """Expand prod (x - r)^mult, coefficients by descending power.
+def charpoly_from_roots(roots: list[tuple[Fraction | int, int]]) -> tuple[list[GaussInt], int]:
+    """Expand prod (x - r)^mult as ``(coeffs, den)``: Gaussian-integer
+    coefficients by descending power over one positive denominator.
 
-    With r = u/d in lowest terms, this is prod (d x - u)^mult divided by
-    prod d^mult.  The integer product is expanded one linear factor at a
-    time, ``new[i] = d p[i] - u p[i-1]``, and divided once at the end."""
+    With r = u/d in lowest terms (a Fraction or an int), this is
+    prod (d x - u)^mult over its leading coefficient prod d^mult.  The
+    integer product is expanded one linear factor at a time,
+    ``new[i] = d p[i] - u p[i-1]``.  Each factor is primitive, so the
+    product is too (Gauss's lemma) and the pair is in lowest terms: it
+    equals ``(charpoly_int(a), 1)`` exactly when the polynomials agree.  A
+    multiplicity that is not an int >= 0 raises ``ValueError``."""
     p = [1]
-    scale = 1
     for r, mult in roots:
+        if not isinstance(mult, int) or mult < 0:
+            raise ValueError(f"multiplicity must be an int >= 0, got {mult!r}")
         u, d = r.numerator, r.denominator
-        scale *= d**mult
         for _ in range(mult):
             p.append(0)
             for i in range(len(p) - 1, 0, -1):
                 p[i] = d * p[i] - u * p[i - 1]
             p[0] *= d
-    return [gauss(Fraction(c, scale)) for c in p]
+    return [(c, 0) for c in p], p[0]

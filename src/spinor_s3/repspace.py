@@ -27,9 +27,10 @@ compute on those ints.  The l_i have Gaussian-integer matrices
 (:func:`l_matrix_int`) in ``linalg``'s format, one sparse row
 ``{p: (re, im)}`` per ket, each row the ``_num`` of a denominator-1
 vector: :func:`casimir` multiplies them with ``linalg.mat_mul_int`` and
-sums the squares row by row with ``exactnum.add_parts``.
-``GaussianRational`` appears only at the edge: the constructor and
-``coeffs``.
+sums the squares row by row with ``exactnum.add_parts``, and
+``abstract_dirac.dbar_apply_first_principles`` builds Dbar's block from
+them.  ``GaussianRational`` appears only at the edge: the constructor,
+``coeffs`` and the factors i, 1/2 and i/2 of :func:`apply_sl2`.
 """
 
 from __future__ import annotations

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from spinor_s3 import abstract_dirac, linalg
+from spinor_s3 import abstract_dirac, linalg, verify
 from spinor_s3.abstract_dirac import (
     SpinorVector,
     dbar_apply,
@@ -41,10 +41,19 @@ def test_dbar_mixes_the_two_slots():
 
 @pytest.mark.parametrize("k", range(11))
 def test_closed_formula_equals_first_principles(k):
-    for r in (0, 2):
-        for p in range(k + 1):
-            v = bvec(k, r, p)
-            assert dbar_apply(v) == dbar_apply_first_principles(v)
+    assert dbar_apply_first_principles(k) == dbar_block_int(k)
+
+
+def test_a_wrong_right_multiplication_fails_only_the_first_principles_lines(monkeypatch):
+    # e2 e3 with its sign flipped: only the first-principles block reads
+    # the table, and it differs from the closed block wherever l_3 acts,
+    # that is for every k >= 1 (every l_i vanishes on H_0)
+    f, g = abstract_dirac._RIGHT_MUL[(2, 3)]
+    monkeypatch.setitem(abstract_dirac._RIGHT_MUL, (2, 3), ((-f[0], -f[1]), (-g[0], -g[1])))
+    results = verify.run_suites(["quadratic"], k_max=2)
+    assert len(results) == 12
+    assert {r.name for r in results if not r.passed} == {
+        f"closed Dbar = first principles k={k}" for k in (1, 2)}
 
 
 def test_invariant_spans():
@@ -139,9 +148,7 @@ def exact_block_multiplicities(k):
     of the 2(k+1) x 2(k+1) block."""
     n = 2 * (k + 1)
     block = dbar_block_int(k)
-    char = [gauss(*c) for c in linalg.charpoly_int(block)]
-    expected = linalg.charpoly_from_roots([(Fraction(k + 2), k), (Fraction(-k), k + 2)])
-    assert char == expected
+    assert linalg.charpoly_from_roots([(k + 2, k), (-k, k + 2)]) == (linalg.charpoly_int(block), 1)
     null_plus = n - linalg.rank_sparse(linalg.shift_int(block, -(k + 2)))
     null_minus = n - linalg.rank_sparse(linalg.shift_int(block, k))
     return null_plus, null_minus
@@ -201,7 +208,8 @@ def test_spinor_vector_validation():
         SpinorVector(-1, ())
     # the block and the quadratic relation refuse a negative degree rather
     # than hold on an empty block
-    for build in (dbar_block_int, abstract_dirac.dbar_block_matrix, quadratic_check):
+    for build in (dbar_block_int, dbar_apply_first_principles, abstract_dirac.dbar_block_matrix,
+                  quadratic_check):
         with pytest.raises(ValueError, match="degree k must be >= 0"):
             build(-1)
 

@@ -13,6 +13,7 @@ components on either side of proportional, each ranked by the one
 elimination kernel.
 """
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,7 +22,7 @@ import pytest
 from spinor_s3 import linalg
 from spinor_s3.abstract_dirac import dbar_block_int
 from spinor_s3.cli import main
-from spinor_s3.exactnum import GaussianRational, GaussInt, gauss
+from spinor_s3.exactnum import GaussianRational, GaussInt, gauss, gauss_over
 from spinor_s3.transfer import transfer_eigenbasis
 from spinor_s3.verify import eigen_identity
 
@@ -270,6 +271,15 @@ def test_integer_kernels_keep_well_formed_pairs():
         linalg.shift_int([{0: (1, 0), 1: (2, 0)}], 1)
 
 
+def integer_form(result):
+    """``charpoly_from_roots``'s ``(coeffs, den)``, checked to be int pairs
+    over a positive denominator in lowest terms, as Gaussian rationals."""
+    coeffs, den = result
+    assert all(type(x) is int for c in coeffs for x in c) and type(den) is int and den > 0
+    assert math.gcd(den, *(x for c in coeffs for x in c)) == 1
+    return [gauss_over(re, im, den) for re, im in coeffs]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_charpoly_from_roots_matches_sympy(seed):
     rng = random.Random(5000 + seed)
@@ -277,7 +287,8 @@ def test_charpoly_from_roots_matches_sympy(seed):
              for _ in range(1 + seed % 3)]
     expanded = sympy.Poly(sympy.prod([(X - sympy.Rational(r.numerator, r.denominator)) ** m
                                       for r, m in roots]), X)
-    assert linalg.charpoly_from_roots(roots) == [from_sympy(c) for c in expanded.all_coeffs()]
+    assert integer_form(linalg.charpoly_from_roots(roots)) == \
+        [from_sympy(c) for c in expanded.all_coeffs()]
 
 
 def expand_on_gaussian_rationals(roots):
@@ -296,17 +307,30 @@ def test_charpoly_from_roots_matches_a_gaussian_rational_expansion(seed):
     roots = [(Fraction(rng.randint(-9, 9), rng.randint(1, 7)), rng.randint(0, 3))
              for _ in range(1 + seed % 4)]
     roots += [(Fraction(rng.randint(-9, 9), 5), 2), (Fraction(rng.randint(-9, 9), 3), 0)]
-    got = linalg.charpoly_from_roots(roots)
-    assert got == expand_on_gaussian_rationals(roots)
-    assert all(isinstance(c, GaussianRational) for c in got)
+    assert integer_form(linalg.charpoly_from_roots(roots)) == expand_on_gaussian_rationals(roots)
 
 
 def test_charpoly_from_roots_edge_cases():
-    assert linalg.charpoly_from_roots([]) == [gauss(1)]
-    assert linalg.charpoly_from_roots([(Fraction(7, 3), 0)]) == [gauss(1)]
+    assert linalg.charpoly_from_roots([]) == ([(1, 0)], 1)
+    assert linalg.charpoly_from_roots([(Fraction(7, 3), 0)]) == ([(1, 0)], 1)
+    # (2x - 1)^2 (3x + 2) over 12
     assert linalg.charpoly_from_roots([(Fraction(1, 2), 2), (Fraction(-2, 3), 1)]) == \
-        expand_on_gaussian_rationals([(Fraction(1, 2), 2), (Fraction(-2, 3), 1)]) == \
-        [gauss(1), gauss(Fraction(-1, 3)), gauss(Fraction(-5, 12)), gauss(Fraction(1, 6))]
+        ([(12, 0), (-4, 0), (-5, 0), (2, 0)], 12)
+    assert integer_form(([(12, 0), (-4, 0), (-5, 0), (2, 0)], 12)) == \
+        expand_on_gaussian_rationals([(Fraction(1, 2), 2), (Fraction(-2, 3), 1)])
+    # an int root reads as u/1
+    assert linalg.charpoly_from_roots([(3, 2), (-1, 1)]) == \
+        linalg.charpoly_from_roots([(Fraction(3), 2), (Fraction(-1), 1)]) == \
+        ([(1, 0), (-5, 0), (3, 0), (9, 0)], 1)
+
+
+@pytest.mark.parametrize("mult", [-1, 1.0])
+def test_charpoly_from_roots_refuses_a_multiplicity_that_is_not_an_int_at_least_0(mult):
+    # a negative one used to put a float into the expansion through d**mult
+    with pytest.raises(ValueError, match="multiplicity must be an int >= 0"):
+        linalg.charpoly_from_roots([(Fraction(1, 2), mult)])
+    with pytest.raises(ValueError, match="multiplicity must be an int >= 0"):
+        linalg.charpoly_from_roots([(Fraction(3), 1), (Fraction(1, 2), mult)])
 
 
 # -- sparse rank ------------------------------------------------------------------

@@ -3,7 +3,7 @@ actions, the ladder normalisation and the Casimir identity."""
 
 import pytest
 
-from spinor_s3 import linalg
+from spinor_s3 import linalg, verify
 from spinor_s3.exactnum import BASIS, gauss, quat_multiply
 from spinor_s3.repspace import (
     KetVector,
@@ -120,6 +120,23 @@ def test_commutators_up_to_12(k):
         prod = quat_multiply(BASIS[i], BASIS[j])
         m, sign = next((idx, int(c)) for idx, c in enumerate(prod.components()) if c != 0)
         assert comm == scale(l_matrix_int(m, k), 2 * sign)
+
+
+def test_a_wrong_unit_product_fails_only_the_commutator_lines(monkeypatch):
+    # e2 e1 = +e3 instead of -e3, every other product right: the ordered
+    # pair (2, 1) fails for every k >= 1 (every l_i vanishes on H_0), and
+    # the casimir lines read no unit product
+    e1, e2 = (0, 1, 0, 0), (0, 0, 1, 0)
+    right = verify.hamilton
+
+    def wrong(a, b):
+        product = right(a, b)
+        return tuple(-c for c in product) if (a, b) == (e2, e1) else product
+
+    monkeypatch.setattr(verify, "hamilton", wrong)
+    results = verify.run_suites(["casimir"], k_max=2)
+    assert len(results) == 6
+    assert {r.name for r in results if not r.passed} == {f"commutators k={k}" for k in (1, 2)}
 
 
 def test_l_matrices_banded():

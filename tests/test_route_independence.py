@@ -29,7 +29,7 @@ ROUTE_PAIRS = (
     ("transfer: closed form = recursive",
      {"transfer.transfer_table"}, {"transfer.recursive_table"}),
     ("quadratic: closed Dbar = first principles",
-     {"abstract_dirac.dbar_apply"}, {"abstract_dirac.dbar_apply_first_principles"}),
+     {"abstract_dirac.dbar_block_int"}, {"abstract_dirac.dbar_apply_first_principles"}),
     ("quadratic: spectrum two ways",
      {"linalg.charpoly_int", "linalg.rank_sparse"},
      {"linalg.charpoly_from_roots", "abstract_dirac.eigenbasis_abstract"}),
