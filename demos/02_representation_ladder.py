@@ -34,7 +34,7 @@ for p in range(K + 1):
 # The Casimir identity, exact for every degree.
 print("\nCasimir -(l1^2 + l2^2 + l3^2):")
 for k in range(6):
-    ok = casimir(k) == casimir_expected(k)
+    ok = casimir(*(l_matrix_int(i, k) for i in (1, 2, 3))) == casimir_expected(k)
     print(f"  k={k}: equals {k * (k + 2)} * identity -> {ok}")
 
 # The banded structure of the matrices (bandwidth one): each row of a

@@ -27,7 +27,7 @@ print(f"Dbar block at k={K} (basis e0|0..k>, e2|0..k>; rows {{column: (re, im)}}
 for row in block:
     print("  ", dict(sorted(row.items())))
 
-print(f"\nquadratic relation holds: {quadratic_check(K)}")
+print(f"\nquadratic relation holds: {quadratic_check(block)}")
 
 # both sides are Gaussian integers; the roots are integers, so the
 # expansion's denominator is 1

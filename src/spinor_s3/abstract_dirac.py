@@ -21,12 +21,15 @@ space (k,): its nonzero coefficients are Gaussian integers
 so equality stays structural.  :func:`dbar_apply`, the vector arithmetic,
 the eigenvector families and their self-check compute on those ints.  The
 block :func:`dbar_block_int` is a Gaussian-integer matrix in ``linalg``'s
-format, one sparse row ``{col: (re, im)}`` per basis vector, which
-:func:`quadratic_check` multiplies with ``linalg.mat_mul_int``.
+format, one sparse row ``{col: (re, im)}`` per basis vector;
 :func:`dbar_apply_first_principles` builds the same matrix from the
-definition, on ``repspace.l_matrix_int``'s integer rows, and ``verify``
-compares the two blocks with one ``==``.  ``GaussianRational`` appears only
-at the edge: the constructor, ``coeffs`` and :func:`dbar_block_matrix`.
+definition, on ``repspace.l_matrix_int``'s integer rows.
+:func:`quadratic_check` takes a block and builds none: it reads k off the
+2(k+1) rows and multiplies with ``linalg.mat_mul_int``.  ``verify`` builds
+the block once per degree and hands it to the quadratic relation, the
+characteristic polynomial, both nullities and the first-principles ``==``.
+``GaussianRational`` appears only at the edge: the constructor, ``coeffs``
+and :func:`dbar_block_matrix`.
 """
 
 from __future__ import annotations
@@ -173,9 +176,12 @@ def dbar_block_matrix(k: int) -> linalg.Matrix:
     return linalg.from_int(dbar_block_int(k), 2 * (k + 1))
 
 
-def quadratic_check(k: int) -> bool:
-    """True iff (Dbar + k)(Dbar - (k+2)) vanishes on the whole block."""
-    block = dbar_block_int(k)
+def quadratic_check(block: linalg.Rows) -> bool:
+    """True iff (Dbar + k)(Dbar - (k+2)) vanishes on Dbar's 2(k+1) rows
+    ``block`` (:func:`dbar_block_int`); ``ValueError`` for any other count."""
+    if len(block) < 2 or len(block) % 2:
+        raise ValueError(f"a Dbar block has 2(k+1) rows, got {len(block)}")
+    k = len(block) // 2 - 1
     product = linalg.mat_mul_int(linalg.shift_int(block, k), linalg.shift_int(block, -(k + 2)))
     return not any(product)
 

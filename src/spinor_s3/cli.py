@@ -20,6 +20,12 @@ the output, then writes the document one section at a time, each record
 from one fixed layout with its ``num/den`` strings straight from the
 section's numerators (``exactnum.ratio_to_str``), not through
 ``SpinorSection.to_json``.
+
+:func:`main` is one parse (each argument checked by its argparse
+``type``), one cap check and one dispatch to the subcommand's ``cmd_*``,
+with one ``internal verification failed`` channel for a failed
+self-check; :func:`entry`, the process entry, runs it, the exit handlers
+and a last flush, then ``os._exit``.
 """
 
 from __future__ import annotations

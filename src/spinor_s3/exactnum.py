@@ -2,7 +2,9 @@
 
 Everything in this module is immutable and computes without rounding.
 Rationals are plain ``fractions.Fraction`` (already stored reduced, with a
-positive denominator), so equality is structural everywhere.
+positive denominator), so equality is structural everywhere, and are
+written in the one ``"num/den"`` format, from a Fraction by
+:func:`rational_to_str` and from two ints by :func:`ratio_to_str`.
 
 The quaternion basis is written e0, e1, e2, e3 with the multiplication
 rules e1*e2 = e3, e2*e3 = e1, e3*e1 = e2 and ei*ei = -e0 for i = 1..3.
@@ -16,10 +18,14 @@ The exact vectors of the other modules (``Polynomial``, ``KetVector``,
 shared positive denominator and does their vector-space arithmetic.  The
 helpers before it (``gauss_parts``, ``gauss_over``, ``reduce_parts``,
 ``add_parts``, ``scale_parts``) convert at the edge and keep that form
-canonical.
+canonical.  A vector has ``+``, ``-``, ``scale``, ``is_zero`` and ``terms``,
+equality and hash over its space and parts, and refuses a vector of
+another space with ``ValueError``.
 
 The library's small immutable records, here and in the other modules,
-subclass :class:`Record`.
+subclass :class:`Record`: fields in ``__slots__``, built by position,
+equal and hashed by their fields, copied by ``_replace``, and no code
+generated at import.
 """
 
 from __future__ import annotations

@@ -26,14 +26,17 @@ shape or from the caller.  The kernels are:
 
 A column index outside the matrix raises ``ValueError``
 (:func:`_check_columns`): outside ``range(len(b))`` for the left factor of
-:func:`mat_mul_int`, and outside ``range(len(a))`` for :func:`charpoly_int`
-and :func:`shift_int`.
+:func:`mat_mul_int`, outside ``range(len(a))`` for :func:`charpoly_int`
+and :func:`shift_int`, and outside ``range(cols)`` for :func:`from_int`;
+a shift that is not an int raises it too.
 :func:`rank_sparse` takes any hashable columns.
 No result is rounded.  :func:`charpoly_from_roots` is the independent
 route that :func:`charpoly_int` is checked against and shares no code
 with it: an integer expansion of the product of its linear factors,
 returned as Gaussian integers over the one denominator prod d^mult, so
-that ``verify`` compares it with ``(charpoly_int(a), 1)`` by ``==``.
+that ``verify`` compares it with ``(charpoly_int(a), 1)`` by ``==``; a root
+that is neither an int nor a Fraction, or a multiplicity that is not an
+int >= 0, raises ``ValueError``.
 ``GaussianRational`` appears only at the edge: :func:`from_int` converts
 rows to a dense :class:`GaussianRational` matrix of a given column count;
 only the benchmark's micro mode reaches it, through
@@ -133,7 +136,10 @@ def _shift(a: Rows, cr: int, ci: int) -> Rows:
 
 def shift_int(a: Rows, c: int) -> Rows:
     """A + cI for a square Gaussian-integer matrix A and an integer c;
-    ``ValueError`` for a column outside ``range(len(a))``."""
+    ``ValueError`` for a c that is not an int or a column outside
+    ``range(len(a))``."""
+    if not isinstance(c, int):
+        raise ValueError(f"shift must be an int, got {c!r}")
     _check_columns(a, len(a), "not square")
     return _shift(a, c, 0)
 
@@ -308,9 +314,12 @@ def charpoly_from_roots(roots: list[tuple[Fraction | int, int]]) -> tuple[list[G
     ``new[i] = d p[i] - u p[i-1]``.  Each factor is primitive, so the
     product is too (Gauss's lemma) and the pair is in lowest terms: it
     equals ``(charpoly_int(a), 1)`` exactly when the polynomials agree.  A
-    multiplicity that is not an int >= 0 raises ``ValueError``."""
+    root that is neither an int nor a Fraction, or a multiplicity that is
+    not an int >= 0, raises ``ValueError``."""
     p = [1]
     for r, mult in roots:
+        if not isinstance(r, (int, Fraction)):
+            raise ValueError(f"root must be an int or a Fraction, got {r!r}")
         if not isinstance(mult, int) or mult < 0:
             raise ValueError(f"multiplicity must be an int >= 0, got {mult!r}")
         u, d = r.numerator, r.denominator

@@ -24,9 +24,10 @@ space (view,): a map from exponents to Gaussian integers ``(re, im)``
 kept canonical -- no zero terms, gcd(denominator, every numerator) = 1,
 and ``({}, 1)`` for zero -- so equality stays structural.  Every kernel
 computes on those ints; ``GaussianRational`` appears only at the edge:
-the constructor, ``terms``, ``evaluate`` and ``from_json``, which reads
-the ``"num/den"`` strings that ``to_json`` writes straight from each
-numerator over the denominator.  The ``eigenbasis`` export in ``cli``
+the constructor (which refuses any exponent that is not 4 nonnegative
+ints), ``terms``, ``evaluate`` and ``from_json``, which reads the
+``"num/den"`` strings that ``to_json`` writes straight from each numerator
+over the denominator (``exactnum.ratio_to_str``).  The ``eigenbasis`` export in ``cli``
 writes the same strings the same way, from a section's ``_num``/``_den``
 in ``_term_order``, without building its parts.
 
@@ -34,7 +35,8 @@ A :class:`SpinorSection` (f, g) is one more vector of that core, in the
 same space (view,): the numerators of f and g keyed by ``(r, exp)``, r = 0
 for f and 2 for g, over one denominator.  It inherits its arithmetic,
 equality and hash; ``f`` and ``g`` read the two parts back as canonical
-polynomials, and ``degree`` is read off the exponents.
+polynomials, and ``degree`` is read off the exponents (0 for the zero
+section, None if f and g share no homogeneous degree).
 
 The kernels outside this module (the shift-table passes behind
 ``geometry.dirac_section``, ``laplace_section``, ``transfer.beta_lower``

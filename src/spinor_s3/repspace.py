@@ -26,8 +26,10 @@ structural.  :func:`apply_l`, :func:`apply_sl2` and the vector arithmetic
 compute on those ints.  The l_i have Gaussian-integer matrices
 (:func:`l_matrix_int`) in ``linalg``'s format, one sparse row
 ``{p: (re, im)}`` per ket, each row the ``_num`` of a denominator-1
-vector: :func:`casimir` multiplies them with ``linalg.mat_mul_int`` and
-sums the squares row by row with ``exactnum.add_parts``, and
+vector.  :func:`casimir` takes the three matrices and builds none: it
+squares each with ``linalg.mat_mul_int`` and sums the squares row by row
+with ``exactnum.add_parts``.  ``verify`` builds each l_i once per degree
+and hands it to the casimir and commutator lines, and
 ``abstract_dirac.dbar_apply_first_principles`` builds Dbar's block from
 them.  ``GaussianRational`` appears only at the edge: the constructor,
 ``coeffs`` and the factors i, 1/2 and i/2 of :func:`apply_sl2`.
@@ -146,13 +148,13 @@ def l_matrix_int(i: int, k: int) -> linalg.Rows:
     return rows
 
 
-def casimir(k: int) -> linalg.Rows:
-    """The Gaussian-integer matrix of -(l1^2 + l2^2 + l3^2) as rows; equals
-    k(k+2) times the identity."""
-    neg: linalg.Rows = [{} for _ in range(k + 1)]
-    for i in (1, 2, 3):
-        m = l_matrix_int(i, k)
-        neg = [add_parts(acc, 1, row, 1, -1)[0] for acc, row in zip(neg, linalg.mat_mul_int(m, m))]
+def casimir(l1: linalg.Rows, l2: linalg.Rows, l3: linalg.Rows) -> linalg.Rows:
+    """-(l1^2 + l2^2 + l3^2) as Gaussian-integer rows, k(k+2) times the
+    identity for the l_i of H_k; ``ValueError`` for matrices of different sizes."""
+    neg: linalg.Rows = [{} for _ in l1]
+    for m in (l1, l2, l3):
+        neg = [add_parts(acc, 1, row, 1, -1)[0]
+               for acc, row in zip(neg, linalg.mat_mul_int(m, m), strict=True)]
     return neg
 
 

@@ -19,6 +19,10 @@ as a table of all (k+1)^2: the closed multinomial formula
 (:func:`transfer_table`, one :func:`iso_closed_form` per image) and the
 recursive lowering (:func:`recursive_table`); ``verify`` and the test
 suite require them to agree exactly.  Their exact Gram matrix is diagonal.
+:func:`beta_lower` and :func:`recursive_table` lower through
+``geometry._lower``.  :func:`transfer_eigenbasis` builds every slice of
+both families with :func:`transfer_slice` afresh on each call and returns
+a tuple that nothing keeps after its caller drops it.
 """
 
 from __future__ import annotations

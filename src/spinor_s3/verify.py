@@ -6,12 +6,20 @@ name order and each suite once, so the report lists its checks in
 (suite, job) order on every run.  The dirac, laplace and transfer jobs of
 one degree share the run's ladder, and the jobs of a run share its
 identities of weights; ``run_suites`` keeps nothing for the next run.
+One table, ``SUITES``, names each suite once with its default degree and
+its check of one degree (none for the integral suite, which has jobs of
+its own); ``cli`` reads its keys as the suite list and builds the
+``--k-max`` help from it, and reads the integral suite's defaults
+(``MC_SAMPLES``, ``MC_SEED``) and ``--rule``'s choices (``RULES``) from
+here.
 
 The integral suite's quadrature rules, ``tensor_quadrature`` and
-``monte_carlo_quadrature``, live here beside the checks that call them,
-with ``SPHERE_VOLUME``, which turns the exact integrals into floats: this
-is the one module of the package that imports numpy.  ``cli`` imports it
-last, so numpy loads after every other module of the package.
+``monte_carlo_quadrature`` (value and standard error, one
+``SeedSequence(seed)`` child per 2^16-sample chunk), each over a list of
+polynomials on one set of nodes or draws, live here beside the checks that
+call them, with ``SPHERE_VOLUME``, which turns the exact integrals into
+floats: this is the one module of the package that imports numpy.  ``cli``
+imports it last, so numpy loads after every other module of the package.
 """
 
 from __future__ import annotations
@@ -75,12 +83,11 @@ class CheckResult(Record):
 
 
 def _check_casimir_k(k: int) -> list[CheckResult]:
-    out = []
-    ok = casimir(k) == casimir_expected(k)
-    out.append(CheckResult("casimir", f"casimir k={k}", ok, f"-(l1^2+l2^2+l3^2) = {k * (k + 2)} id"))
+    ls = {i: l_matrix_int(i, k) for i in (1, 2, 3)}
+    ok = casimir(ls[1], ls[2], ls[3]) == casimir_expected(k)
+    out = [CheckResult("casimir", f"casimir k={k}", ok, f"-(l1^2+l2^2+l3^2) = {k * (k + 2)} id")]
 
     comm_ok = True
-    ls = {i: l_matrix_int(i, k) for i in (1, 2, 3)}
     units = [tuple(int(a == b) for b in range(4)) for a in range(4)]
     for i, j in ((1, 2), (2, 3), (3, 1)):
         ij, ji = linalg.mat_mul_int(ls[i], ls[j]), linalg.mat_mul_int(ls[j], ls[i])
@@ -101,10 +108,10 @@ def _check_casimir_k(k: int) -> list[CheckResult]:
 
 
 def _check_quadratic_k(k: int) -> list[CheckResult]:
-    out = [CheckResult("quadratic", f"quadratic relation k={k}", quadratic_check(k),
+    block = dbar_block_int(k)
+    out = [CheckResult("quadratic", f"quadratic relation k={k}", quadratic_check(block),
                        f"(Dbar + {k})(Dbar - {k + 2}) = 0 on the 2(k+1) block")]
 
-    block = dbar_block_int(k)
     n = 2 * (k + 1)
     char_ok = (linalg.charpoly_int(block), 1) == linalg.charpoly_from_roots(
         [(k + 2, k), (-k, k + 2)])

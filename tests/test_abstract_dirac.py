@@ -2,11 +2,12 @@
 quadratic relation, eigenvector families and the spectrum counted two
 independent ways."""
 
+import sys
 from fractions import Fraction
 
 import pytest
 
-from spinor_s3 import abstract_dirac, linalg, verify
+from spinor_s3 import abstract_dirac, linalg, repspace, verify
 from spinor_s3.abstract_dirac import (
     SpinorVector,
     dbar_apply,
@@ -56,6 +57,36 @@ def test_a_wrong_right_multiplication_fails_only_the_first_principles_lines(monk
         f"closed Dbar = first principles k={k}" for k in (1, 2)}
 
 
+def count_calls(monkeypatch, functions):
+    """Wrap every attribute of a loaded package module that is bound to one
+    of ``functions`` in one counter per function; the counts by name."""
+    counts = dict.fromkeys((f.__name__ for f in functions), 0)
+    for f in functions:
+        def counted(*args, f=f):
+            counts[f.__name__] += 1
+            return f(*args)
+
+        for name, module in list(sys.modules.items()):
+            if name.split(".")[0] == "spinor_s3":
+                for attr, value in list(vars(module).items()):
+                    if value is f:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+def test_verify_builds_each_abstract_matrix_once_per_degree(monkeypatch):
+    # at the default degrees, k = 0..12: one block per degree, handed to
+    # every quadratic line, and three l-matrices per degree, built by
+    # dbar_apply_first_principles in the quadratic suite and handed to both
+    # casimir lines in the casimir suite
+    counts = count_calls(monkeypatch, (dbar_block_int, repspace.l_matrix_int))
+    verify.run_suites(["quadratic"])
+    assert counts == {"dbar_block_int": 13, "l_matrix_int": 39}
+    counts.update(dict.fromkeys(counts, 0))
+    verify.run_suites(["casimir"])
+    assert counts == {"dbar_block_int": 0, "l_matrix_int": 39}
+
+
 def test_invariant_spans():
     for k in range(1, 7):
         for p in range(1, k + 1):
@@ -72,7 +103,20 @@ def test_invariant_spans():
 
 @pytest.mark.parametrize("k", [0, 1, 5])
 def test_quadratic_relation_examples(k):
-    assert quadratic_check(k)
+    assert quadratic_check(dbar_block_int(k))
+
+
+def test_quadratic_check_fails_on_a_shifted_block():
+    # Dbar + 1 at k = 2 has eigenvalues 5 and -1, neither a root of
+    # (x + 2)(x - 4)
+    assert not quadratic_check(linalg.shift_int(dbar_block_int(2), 1))
+
+
+@pytest.mark.parametrize("rows", [0, 1, 3])
+def test_quadratic_check_refuses_a_block_of_no_2_k_plus_1_rows(rows):
+    block = [{c: (1, 0)} for c in range(rows)]
+    with pytest.raises(ValueError, match=r"2\(k\+1\) rows"):
+        quadratic_check(block)
 
 
 def test_eigenbasis_k0():
@@ -206,10 +250,8 @@ def test_spinor_vector_validation():
         SpinorVector.basis(2, 0, 5)
     with pytest.raises(ValueError, match="degree k"):
         SpinorVector(-1, ())
-    # the block and the quadratic relation refuse a negative degree rather
-    # than hold on an empty block
-    for build in (dbar_block_int, dbar_apply_first_principles, abstract_dirac.dbar_block_matrix,
-                  quadratic_check):
+    # the block refuses a negative degree rather than hold on an empty block
+    for build in (dbar_block_int, dbar_apply_first_principles, abstract_dirac.dbar_block_matrix):
         with pytest.raises(ValueError, match="degree k must be >= 0"):
             build(-1)
 

@@ -48,7 +48,8 @@ def _report(number: int, name: str, ok: bool, detail: str) -> None:
 
 def test_criterion_01_casimir():
     start = time.perf_counter()
-    ok = all(casimir(k) == casimir_expected(k) for k in range(13))
+    ok = all(casimir(*(l_matrix_int(i, k) for i in (1, 2, 3))) == casimir_expected(k)
+             for k in range(13))
     elapsed = time.perf_counter() - start
     _report(1, "casimir identity", ok and elapsed < 1.0,
             f"-(l1^2+l2^2+l3^2) = k(k+2) id for k=0..12 in {elapsed:.2f}s")
@@ -76,7 +77,7 @@ def test_criterion_02_commutators():
 
 
 def test_criterion_03_quadratic_relation():
-    ok = all(quadratic_check(k) for k in range(13))
+    ok = all(quadratic_check(dbar_block_int(k)) for k in range(13))
     _report(3, "quadratic relation", ok,
             "(Dbar + k)(Dbar - (k+2)) = 0 as an exact matrix identity, k=0..12")
 

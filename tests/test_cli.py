@@ -854,7 +854,7 @@ def test_verify_fails_on_a_false_quadratic_relation(capsys, monkeypatch):
     # the report's quadratic line is quadratic_check's own verdict
     import spinor_s3.verify as verify
 
-    monkeypatch.setattr(verify, "quadratic_check", lambda k: False)
+    monkeypatch.setattr(verify, "quadratic_check", lambda block: False)
     code, out, _ = run(capsys, "verify", "--suite", "quadratic", "--k-max", "3")
     assert code == 1
     failed = [line for line in out.splitlines() if line.startswith("FAIL")]

@@ -271,6 +271,14 @@ def test_integer_kernels_keep_well_formed_pairs():
         linalg.shift_int([{0: (1, 0), 1: (2, 0)}], 1)
 
 
+@pytest.mark.parametrize("c", [Fraction(1, 2), Fraction(2), 1.0, gauss(1)])
+def test_shift_refuses_a_shift_that_is_not_an_int(c):
+    # a Fraction one used to give Fraction parts, on which rank_sparse died
+    # with TypeError and charpoly_int with a misleading ArithmeticError
+    with pytest.raises(ValueError, match="shift must be an int"):
+        linalg.shift_int(dbar_block_int(1), c)
+
+
 def integer_form(result):
     """``charpoly_from_roots``'s ``(coeffs, den)``, checked to be int pairs
     over a positive denominator in lowest terms, as Gaussian rationals."""
@@ -331,6 +339,15 @@ def test_charpoly_from_roots_refuses_a_multiplicity_that_is_not_an_int_at_least_
         linalg.charpoly_from_roots([(Fraction(1, 2), mult)])
     with pytest.raises(ValueError, match="multiplicity must be an int >= 0"):
         linalg.charpoly_from_roots([(Fraction(3), 1), (Fraction(1, 2), mult)])
+
+
+@pytest.mark.parametrize("root", [0.5, 2.0, gauss(1), "1/2"])
+def test_charpoly_from_roots_refuses_a_root_that_is_neither_an_int_nor_a_fraction(root):
+    # a float one used to die with AttributeError on its numerator
+    with pytest.raises(ValueError, match="root must be an int or a Fraction"):
+        linalg.charpoly_from_roots([(root, 1)])
+    with pytest.raises(ValueError, match="root must be an int or a Fraction"):
+        linalg.charpoly_from_roots([(Fraction(1, 2), 1), (root, 0)])
 
 
 # -- sparse rank ------------------------------------------------------------------

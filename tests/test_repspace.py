@@ -19,6 +19,11 @@ def ket(k, p):
     return KetVector.basis(k, p)
 
 
+def casimir_of(k):
+    """:func:`casimir` of the three l-matrices of H_k."""
+    return casimir(*(l_matrix_int(i, k) for i in (1, 2, 3)))
+
+
 def sub(a, b):
     """A - B for Gaussian-integer rows, canonical."""
     out = []
@@ -50,7 +55,7 @@ def test_l1_diagonal_zero_at_middle_weight():
 def test_l3_coefficient_pinned_by_casimir():
     # The (p-k) coefficient in l3 is what makes the Casimir check below
     # pass at k=2 (the alternative printed coefficient p-1 fails it).
-    assert casimir(2) == casimir_expected(2)
+    assert casimir_of(2) == casimir_expected(2)
     assert apply_l(3, ket(2, 0)) == ket(2, 1).scale(gauss(0, -2))
 
 
@@ -102,14 +107,20 @@ def test_weight_grading_strict():
 
 
 def test_casimir_small_values():
-    assert casimir(0) == casimir_expected(0)  # zero matrix
-    assert casimir(2) == casimir_expected(2)  # 8 * Id
-    assert casimir(3) == casimir_expected(3)  # 15 * Id
+    assert casimir_of(0) == casimir_expected(0)  # zero matrix
+    assert casimir_of(2) == casimir_expected(2)  # 8 * Id
+    assert casimir_of(3) == casimir_expected(3)  # 15 * Id
+
+
+@pytest.mark.parametrize("degrees", [(2, 3, 3), (3, 2, 3), (3, 3, 2), (0, 1, 1)])
+def test_casimir_refuses_matrices_of_two_degrees(degrees):
+    with pytest.raises(ValueError):
+        casimir(*(l_matrix_int(i, k) for i, k in zip((1, 2, 3), degrees)))
 
 
 @pytest.mark.parametrize("k", range(13))
 def test_casimir_identity_up_to_12(k):
-    assert casimir(k) == casimir_expected(k)
+    assert casimir_of(k) == casimir_expected(k)
 
 
 @pytest.mark.parametrize("k", range(13))
@@ -158,6 +169,6 @@ def test_bad_inputs_rejected():
     with pytest.raises(ValueError):
         KetVector(2, (gauss(0),))
     # a negative degree is refused, not passed as an empty space
-    for build in (casimir, casimir_expected, lambda k: l_matrix_int(7, k)):
+    for build in (casimir_expected, lambda k: l_matrix_int(7, k)):
         with pytest.raises(ValueError, match="degree k must be >= 0"):
             build(-1)
